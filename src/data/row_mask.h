@@ -3,8 +3,10 @@
 // Every batch operation in the library — policy classification, WHERE-clause
 // filtering, masked histogram construction — produces or consumes a RowMask.
 // Bits are stored 64 per word so that logical combination (AND/OR/NOT) runs
-// word-at-a-time, counting runs on hardware popcount, and iteration over the
-// selected rows runs on count-trailing-zeros rather than a per-row branch.
+// word-at-a-time, counting runs on the word popcount kernels of
+// src/data/bit_kernels.h (hardware popcount where the CPU has it), and
+// iteration over the selected rows runs on count-trailing-zeros rather than
+// a per-row branch.
 
 #ifndef OSDP_DATA_ROW_MASK_H_
 #define OSDP_DATA_ROW_MASK_H_
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/data/bit_kernels.h"
 
 namespace osdp {
 
@@ -81,12 +84,8 @@ class RowMask {
     ClearTail();
   }
 
-  /// Number of set bits (hardware popcount per word).
-  size_t Count() const {
-    size_t n = 0;
-    for (uint64_t w : words_) n += static_cast<size_t>(__builtin_popcountll(w));
-    return n;
-  }
+  /// Number of set bits.
+  size_t Count() const { return PopcountWords(words_.data(), 0, words_.size()); }
 
   /// \name In-place logical combination; operands must cover equal row counts.
   /// @{
@@ -153,24 +152,20 @@ class RowMask {
   /// traversal only reads.
   template <typename Fn>
   void ForEachSetInRange(size_t begin, size_t end, Fn&& fn) const {
-    OSDP_DCHECK(begin <= end && end <= size_);
-    if (begin >= end) return;
-    const size_t first_word = begin >> 6;
-    const size_t last_word = (end - 1) >> 6;
-    for (size_t wi = first_word; wi <= last_word; ++wi) {
-      uint64_t w = words_[wi];
-      if (wi == first_word && (begin & 63) != 0) {
-        w &= ~uint64_t{0} << (begin & 63);
-      }
-      if (wi == last_word && (end & 63) != 0) {
-        w &= (uint64_t{1} << (end & 63)) - 1;
-      }
-      while (w != 0) {
-        const int bit = __builtin_ctzll(w);
-        fn((wi << 6) + static_cast<size_t>(bit));
-        w &= w - 1;
-      }
-    }
+    WalkRange(begin, end, [this](size_t wi) { return words_[wi]; }, fn);
+  }
+
+  /// ForEachSetInRange over the rows set in both this mask and `also`
+  /// (equal sizes). The AND happens word by word inside the walk, so the
+  /// intersection is never materialized; the rows visited, and their order,
+  /// are exactly those of a walk over a copy ANDed with `also`.
+  template <typename Fn>
+  void ForEachSetInRange(const RowMask& also, size_t begin, size_t end,
+                         Fn&& fn) const {
+    OSDP_CHECK(also.size_ == size_);
+    const uint64_t* other = also.words_.data();
+    WalkRange(begin, end,
+              [this, other](size_t wi) { return words_[wi] & other[wi]; }, fn);
   }
 
   /// The set rows as an ascending index vector.
@@ -211,6 +206,31 @@ class RowMask {
 
  private:
   static size_t NumWords(size_t size) { return (size + 63) / 64; }
+
+  // The ForEachSetInRange walk over the words word_at(wi) yields; partial
+  // first/last words are masked to [begin, end).
+  template <typename WordAt, typename Fn>
+  void WalkRange(size_t begin, size_t end, const WordAt& word_at,
+                 Fn& fn) const {
+    OSDP_DCHECK(begin <= end && end <= size_);
+    if (begin >= end) return;
+    const size_t first_word = begin >> 6;
+    const size_t last_word = (end - 1) >> 6;
+    for (size_t wi = first_word; wi <= last_word; ++wi) {
+      uint64_t w = word_at(wi);
+      if (wi == first_word && (begin & 63) != 0) {
+        w &= ~uint64_t{0} << (begin & 63);
+      }
+      if (wi == last_word && (end & 63) != 0) {
+        w &= (uint64_t{1} << (end & 63)) - 1;
+      }
+      while (w != 0) {
+        const int bit = __builtin_ctzll(w);
+        fn((wi << 6) + static_cast<size_t>(bit));
+        w &= w - 1;
+      }
+    }
+  }
 
   size_t size_ = 0;
   std::vector<uint64_t> words_;

@@ -82,27 +82,28 @@ Result<PreparedHistogramQuery> PreparedHistogramQuery::Prepare(
   return prepared;
 }
 
-void PreparedHistogramQuery::AccumulateRange(const RowMask& mask,
-                                             size_t row_begin, size_t row_end,
-                                             Histogram* out) const {
+template <typename ForEachRow>
+void PreparedHistogramQuery::AccumulateRows(
+    size_t row_begin, size_t row_end, Histogram* out,
+    const ForEachRow& for_each_row) const {
   OSDP_CHECK(out->size() == domain_.size());
   std::vector<double>& counts = out->counts();
   // Walk the grouped column chunk-span by chunk-span so the inner loop
-  // indexes a contiguous typed array; the mask drives which rows bin.
+  // indexes a contiguous typed array; the mask(s) drive which rows bin.
   // Accumulation order stays ascending-row, so the counts are identical to
   // a flat whole-range loop.
   if (i64_ != nullptr) {
     if (categorical_) {
       i64_->ForEachSpan(
           row_begin, row_end, [&](const int64_t* data, size_t gb, size_t len) {
-            mask.ForEachSetInRange(gb, gb + len, [&](size_t row) {
+            for_each_row(gb, gb + len, [&](size_t row) {
               counts[domain_.BinOfCategory(data[row - gb])] += 1.0;
             });
           });
     } else {
       i64_->ForEachSpan(
           row_begin, row_end, [&](const int64_t* data, size_t gb, size_t len) {
-            mask.ForEachSetInRange(gb, gb + len, [&](size_t row) {
+            for_each_row(gb, gb + len, [&](size_t row) {
               counts[domain_.BinOf(static_cast<double>(data[row - gb]))] += 1.0;
             });
           });
@@ -110,11 +111,30 @@ void PreparedHistogramQuery::AccumulateRange(const RowMask& mask,
   } else {
     dbl_->ForEachSpan(
         row_begin, row_end, [&](const double* data, size_t gb, size_t len) {
-          mask.ForEachSetInRange(gb, gb + len, [&](size_t row) {
+          for_each_row(gb, gb + len, [&](size_t row) {
             counts[domain_.BinOf(data[row - gb])] += 1.0;
           });
         });
   }
+}
+
+void PreparedHistogramQuery::AccumulateRange(const RowMask& mask,
+                                             size_t row_begin, size_t row_end,
+                                             Histogram* out) const {
+  AccumulateRows(row_begin, row_end, out,
+                 [&](size_t begin, size_t end, const auto& fn) {
+                   mask.ForEachSetInRange(begin, end, fn);
+                 });
+}
+
+void PreparedHistogramQuery::AccumulateRange(const RowMask& mask,
+                                             const RowMask& also,
+                                             size_t row_begin, size_t row_end,
+                                             Histogram* out) const {
+  AccumulateRows(row_begin, row_end, out,
+                 [&](size_t begin, size_t end, const auto& fn) {
+                   mask.ForEachSetInRange(also, begin, end, fn);
+                 });
 }
 
 Result<Histogram> ComputeHistogram(const Table& table,

@@ -63,8 +63,20 @@ class PreparedHistogramQuery {
   void AccumulateRange(const RowMask& mask, size_t row_begin, size_t row_end,
                        Histogram* out) const;
 
+  /// AccumulateRange over the rows set in both `mask` and `also` (equal
+  /// sizes): the two masks are ANDed word by word inside the walk, so the
+  /// counts equal those over a copy of `mask` ANDed with `also`.
+  void AccumulateRange(const RowMask& mask, const RowMask& also,
+                       size_t row_begin, size_t row_end, Histogram* out) const;
+
  private:
   PreparedHistogramQuery(Domain1D domain) : domain_(std::move(domain)) {}
+
+  // Both AccumulateRange overloads: for_each_row(begin, end, fn) calls
+  // fn(row) for every selected row of [begin, end) in ascending order.
+  template <typename ForEachRow>
+  void AccumulateRows(size_t row_begin, size_t row_end, Histogram* out,
+                      const ForEachRow& for_each_row) const;
 
   // Exactly one of i64_/dbl_ is set (the grouped column's chunked storage;
   // AccumulateRange walks it span-by-span).

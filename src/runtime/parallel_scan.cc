@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/data/bit_kernels.h"
 
 namespace osdp {
 
@@ -58,28 +59,46 @@ RowMask ParallelEvalMask(const CompiledPredicate& pred, const Table& table,
   return out;
 }
 
-size_t ParallelCount(const RowMask& mask, const ParallelScanOptions& opts) {
+namespace {
+
+// Sums fn(word_lo, word_hi) over the 64-aligned shards of [0, num_rows), in
+// shard order. Integer partials, so the sum is exact at any shard count.
+template <typename Fn>
+size_t SumOverWordShards(size_t num_rows, const ParallelScanOptions& opts,
+                         const Fn& fn) {
   ThreadPool& pool = PoolOf(opts);
   const std::vector<size_t> edges =
-      WordAlignedShards(mask.size(), ShardsOf(opts, pool));
+      AlignedShards(num_rows, ShardsOf(opts, pool), /*alignment=*/64);
   const size_t shards = edges.size() - 1;
   std::vector<size_t> partial(shards, 0);
-  const uint64_t* words = mask.words();
   pool.ParallelForBlocked(0, shards, 1, [&](size_t lo, size_t hi) {
     for (size_t s = lo; s < hi; ++s) {
       PollAbort(opts);
-      const size_t wlo = edges[s] >> 6;
-      const size_t whi = (edges[s + 1] + 63) >> 6;
-      size_t n = 0;
-      for (size_t wi = wlo; wi < whi; ++wi) {
-        n += static_cast<size_t>(__builtin_popcountll(words[wi]));
-      }
-      partial[s] = n;
+      partial[s] = fn(edges[s] >> 6, (edges[s + 1] + 63) >> 6);
     }
   });
   size_t total = 0;
   for (size_t n : partial) total += n;
   return total;
+}
+
+}  // namespace
+
+size_t ParallelCount(const RowMask& mask, const ParallelScanOptions& opts) {
+  const uint64_t* words = mask.words();
+  return SumOverWordShards(mask.size(), opts, [&](size_t wlo, size_t whi) {
+    return PopcountWords(words, wlo, whi);
+  });
+}
+
+size_t ParallelAndCount(const RowMask& a, const RowMask& b,
+                        const ParallelScanOptions& opts) {
+  OSDP_CHECK(a.size() == b.size());
+  const uint64_t* aw = a.words();
+  const uint64_t* bw = b.words();
+  return SumOverWordShards(a.size(), opts, [&](size_t wlo, size_t whi) {
+    return AndPopcountWords(aw, bw, wlo, whi);
+  });
 }
 
 namespace {
@@ -126,21 +145,25 @@ void ParallelAndNotWith(RowMask* mask, const RowMask& other,
   ParallelCombine(mask, other, CombineOp::kAndNot, opts);
 }
 
-Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
-                                      const RowMask& selected,
-                                      const ParallelScanOptions& opts) {
+namespace {
+
+// Per-shard partial histograms, accumulate(begin, end, &partial) over
+// chunk-aligned shards of [0, num_rows), merged lock-free in shard order.
+// Chunk alignment keeps each shard's accumulation loops within chunk spans;
+// the merge order is shard order either way, so counts are unchanged.
+template <typename Accumulate>
+Histogram ShardedHistogram(const PreparedHistogramQuery& prepared,
+                           size_t num_rows, const ParallelScanOptions& opts,
+                           const Accumulate& accumulate) {
   ThreadPool& pool = PoolOf(opts);
-  // Chunk-aligned like ParallelEvalMask: shard accumulation loops stay
-  // within chunk spans. Merge order is shard order either way, so counts
-  // are unchanged.
   const std::vector<size_t> edges =
-      AlignedShards(selected.size(), ShardsOf(opts, pool), kChunkRows);
+      AlignedShards(num_rows, ShardsOf(opts, pool), kChunkRows);
   const size_t shards = edges.size() - 1;
   std::vector<Histogram> partial(shards, Histogram(prepared.num_bins()));
   pool.ParallelForBlocked(0, shards, 1, [&](size_t lo, size_t hi) {
     for (size_t s = lo; s < hi; ++s) {
       PollAbort(opts);
-      prepared.AccumulateRange(selected, edges[s], edges[s + 1], &partial[s]);
+      accumulate(edges[s], edges[s + 1], &partial[s]);
     }
   });
 
@@ -152,6 +175,30 @@ Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
     for (size_t b = 0; b < counts.size(); ++b) counts[b] += p[b];
   }
   return out;
+}
+
+}  // namespace
+
+Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
+                                      const RowMask& selected,
+                                      const ParallelScanOptions& opts) {
+  return ShardedHistogram(
+      prepared, selected.size(), opts,
+      [&](size_t begin, size_t end, Histogram* out) {
+        prepared.AccumulateRange(selected, begin, end, out);
+      });
+}
+
+Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
+                                      const RowMask& where,
+                                      const RowMask& also,
+                                      const ParallelScanOptions& opts) {
+  OSDP_CHECK(where.size() == also.size());
+  return ShardedHistogram(
+      prepared, where.size(), opts,
+      [&](size_t begin, size_t end, Histogram* out) {
+        prepared.AccumulateRange(where, also, begin, end, out);
+      });
 }
 
 Result<Histogram> ParallelComputeHistogramMasked(
@@ -166,11 +213,10 @@ Result<Histogram> ParallelComputeHistogramMasked(
   if (prepared.where() == nullptr) {
     return ParallelAccumulateHistogram(prepared, mask, opts);
   }
-  // Shard-parallel WHERE evaluation into a scratch mask, then a
-  // shard-parallel AND — same words, so the same shard edges apply.
-  RowMask selected = ParallelEvalMask(*prepared.where(), table, opts);
-  ParallelAndWith(&selected, mask, opts);
-  return ParallelAccumulateHistogram(prepared, selected, opts);
+  // Shard-parallel WHERE evaluation into a scratch mask; the AND with the
+  // caller's mask happens word by word inside the accumulation walk.
+  const RowMask where = ParallelEvalMask(*prepared.where(), table, opts);
+  return ParallelAccumulateHistogram(prepared, where, mask, opts);
 }
 
 }  // namespace osdp

@@ -1,5 +1,6 @@
 // Sharded execution of the hot scan paths: CompiledPredicate mask
-// evaluation, RowMask combination/popcount, and masked histograms, split
+// evaluation, RowMask combination/popcount (the per-shard word loops are the
+// src/data/bit_kernels.h kernels), and masked histograms, split
 // across a ThreadPool in 64-bit-word-aligned segments.
 //
 // Every function here is bit-identical to its serial counterpart at any
@@ -62,6 +63,13 @@ RowMask ParallelEvalMask(const CompiledPredicate& pred, const Table& table,
 size_t ParallelCount(const RowMask& mask,
                      const ParallelScanOptions& opts = {});
 
+/// |a ∧ b| (equal sizes, checked), sharded like ParallelCount: each shard
+/// ANDs and popcounts its own words of both masks in one pass, so neither
+/// mask is copied or written — a shared cached mask is read in place.
+/// Equals ParallelCount of a copy of `a` ANDed with `b`, at any shard count.
+size_t ParallelAndCount(const RowMask& a, const RowMask& b,
+                        const ParallelScanOptions& opts = {});
+
 /// \name RowMask combiners, sharded: each shard rewrites its own words.
 /// @{
 void ParallelAndWith(RowMask* mask, const RowMask& other,
@@ -72,9 +80,10 @@ void ParallelAndNotWith(RowMask* mask, const RowMask& other,
                         const ParallelScanOptions& opts = {});
 /// @}
 
-/// ComputeHistogramMasked, sharded: the WHERE mask is evaluated and combined
-/// shard-parallel, then each shard accumulates its row segment into a
-/// shard-local histogram; partials merge lock-free in shard order.
+/// ComputeHistogramMasked, sharded: the WHERE mask is evaluated
+/// shard-parallel, then each shard accumulates its row segment of WHERE ∧
+/// `mask` into a shard-local histogram; partials merge lock-free in shard
+/// order.
 Result<Histogram> ParallelComputeHistogramMasked(
     const Table& table, const HistogramQuery& query, const RowMask& mask,
     const ParallelScanOptions& opts = {});
@@ -87,6 +96,15 @@ Result<Histogram> ParallelComputeHistogramMasked(
 /// the WHERE clause per histogram (QueryService does).
 Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
                                       const RowMask& selected,
+                                      const ParallelScanOptions& opts = {});
+
+/// The accumulation stage over the rows set in both `where` and `also`
+/// (equal sizes, checked), ANDed word by word inside the walk: bit-identical
+/// to accumulating a copy of `where` ANDed with `also`, without the copy.
+/// This is how a cached WHERE mask meets the policy mask for x_ns.
+Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
+                                      const RowMask& where,
+                                      const RowMask& also,
                                       const ParallelScanOptions& opts = {});
 
 }  // namespace osdp

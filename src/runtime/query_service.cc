@@ -431,12 +431,11 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
                                      obs::NowNs());
       (answer.cache_hit ? m_.h_cache_lookup : m_.h_scan)->Record(dt);
     }
-    // The cached mask is immutable and shared; combining with the policy
-    // mask works on a copy — word operations, negligible next to the scan
-    // the cache hit skipped.
-    RowMask matching = *scan_mask;
-    ParallelAndWith(&matching, snap.non_sensitive, scan);
-    const double count = static_cast<double>(ParallelCount(matching, scan));
+    // |WHERE ∧ non-sensitive| in one fused AND + popcount pass over both
+    // masks' words. The cached mask is immutable and shared, and is read in
+    // place: on a cache hit this pass is the whole cost of the count.
+    const double count = static_cast<double>(
+        ParallelAndCount(*scan_mask, snap.non_sensitive, scan));
     // One-sided Laplace with sensitivity 1, exactly OsdpEngine::AnswerCount.
     OSDP_FAULT_POINT("mechanism/run");
     answer.count = count + SampleOneSidedLaplace(rng, 1.0 / prepared->epsilon);
@@ -486,9 +485,8 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
     Histogram xns(query.num_bins());
     if (need_xns) {
       if (where_mask != nullptr) {
-        RowMask selected = *where_mask;
-        ParallelAndWith(&selected, snap.non_sensitive, scan);
-        xns = ParallelAccumulateHistogram(query, selected, scan);
+        xns = ParallelAccumulateHistogram(query, *where_mask,
+                                          snap.non_sensitive, scan);
       } else {
         xns = ParallelAccumulateHistogram(query, snap.non_sensitive, scan);
       }

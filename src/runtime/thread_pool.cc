@@ -305,8 +305,4 @@ std::vector<size_t> AlignedShards(size_t num_rows, size_t num_shards,
   return edges;
 }
 
-std::vector<size_t> WordAlignedShards(size_t num_rows, size_t num_shards) {
-  return AlignedShards(num_rows, num_shards, 64);
-}
-
 }  // namespace osdp

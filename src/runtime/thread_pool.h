@@ -165,16 +165,13 @@ size_t ParseNumThreads(const char* value, size_t fallback);
 /// empty shard.
 ///
 /// Mask-word sharding uses alignment 64 (each shard owns whole 64-bit
-/// RowMask words — see WordAlignedShards); table scans use
+/// RowMask words); table scans use
 /// kChunkRows so every interior shard edge is also a chunk edge and a
 /// shard's typed inner loops never straddle two chunks. Any alignment that
 /// is a multiple of 64 preserves the disjoint-words property, so the
 /// sharded scan stays bit-identical to serial either way.
 std::vector<size_t> AlignedShards(size_t num_rows, size_t num_shards,
                                   size_t alignment);
-
-/// AlignedShards at the RowMask word size (64 rows).
-std::vector<size_t> WordAlignedShards(size_t num_rows, size_t num_shards);
 
 }  // namespace osdp
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/data/bit_kernels.h"
 
 namespace osdp {
 
@@ -75,16 +76,19 @@ Result<ApSetPolicy> CalibrateApPolicy(const std::vector<Trajectory>& trajs,
     }
   }
 
+  std::vector<size_t> cover_count(static_cast<size_t>(num_aps));
+  for (size_t ap = 0; ap < cover_count.size(); ++ap) {
+    cover_count[ap] = PopcountWords(cover[ap].data(), 0, words);
+  }
+
   std::vector<uint64_t> covered(words, 0);
   std::vector<bool> chosen(static_cast<size_t>(num_aps), false);
-  auto popcount_union = [&](const std::vector<uint64_t>& extra) {
-    size_t bits = 0;
-    for (size_t w = 0; w < words; ++w) {
-      bits += static_cast<size_t>(__builtin_popcountll(covered[w] | extra[w]));
-    }
-    return bits;
-  };
   size_t covered_count = 0;
+  // |covered ∪ cover[ap]| by inclusion-exclusion, in exact integers.
+  auto union_count = [&](size_t ap) {
+    return covered_count + cover_count[ap] -
+           AndPopcountWords(covered.data(), cover[ap].data(), 0, words);
+  };
 
   // A non-trivial policy needs at least one sensitive AP. When every AP
   // overshoots the target (e.g. P99 in a building where every AP covers
@@ -94,10 +98,7 @@ Result<ApSetPolicy> CalibrateApPolicy(const std::vector<Trajectory>& trajs,
     int min_ap = -1;
     size_t min_cover = n + 1;
     for (int ap = 0; ap < num_aps; ++ap) {
-      size_t cnt = 0;
-      for (uint64_t w : cover[static_cast<size_t>(ap)]) {
-        cnt += static_cast<size_t>(__builtin_popcountll(w));
-      }
+      const size_t cnt = cover_count[static_cast<size_t>(ap)];
       if (cnt < min_cover) {
         min_cover = cnt;
         min_ap = ap;
@@ -120,7 +121,7 @@ Result<ApSetPolicy> CalibrateApPolicy(const std::vector<Trajectory>& trajs,
     size_t best_count = covered_count;
     for (int ap = 0; ap < num_aps; ++ap) {
       if (chosen[static_cast<size_t>(ap)]) continue;
-      const size_t cnt = popcount_union(cover[static_cast<size_t>(ap)]);
+      const size_t cnt = union_count(static_cast<size_t>(ap));
       const double dist =
           std::abs(static_cast<double>(cnt) / n - target_sensitive);
       if (dist < best_dist) {

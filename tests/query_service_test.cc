@@ -900,10 +900,17 @@ TEST(QueryServiceTest, CloseSessionDuringInFlightBatch) {
         CountRequest{Predicate::Le("age", Value(18 + 7 * q)), kEps});
   }
   std::vector<Result<ServiceAnswer>> results;
-  std::thread analyst(
-      [&] { results = service->AnswerBatch(session, batch); });
+  std::atomic<bool> submitting{false};
+  std::thread analyst([&] {
+    submitting.store(true);
+    results = service->AnswerBatch(session, batch);
+  });
+  // Wait for the analyst thread to be running first: a close that beats the
+  // submission is an ordinary NotFound, not the in-flight case under test
+  // (a loaded host can delay thread start past any fixed sleep).
+  while (!submitting.load()) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::microseconds(300));
-  // Lands before, during, or after the batch — all must be safe.
+  // Lands during or after the batch — both must be safe.
   EXPECT_TRUE(service->CloseSession(session).ok());
   analyst.join();
 

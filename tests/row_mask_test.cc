@@ -2,9 +2,14 @@
 
 #include "src/data/row_mask.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/data/bit_kernels.h"
 
 namespace osdp {
 namespace {
@@ -114,6 +119,100 @@ TEST(RowMaskTest, ZeroRows) {
   size_t calls = 0;
   m.ForEachSet([&](size_t) { ++calls; });
   EXPECT_EQ(calls, 0u);
+}
+
+RowMask RandomMask(size_t rows, double density, Rng& rng) {
+  RowMask m(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    if (rng.NextBernoulli(density)) m.Set(i);
+  }
+  return m;
+}
+
+// Set bits of words [lo, hi) of `a` (ANDed with `b` when given), counted
+// bit by bit through Test(): independent of every popcount kernel.
+size_t BitOracle(const RowMask& a, const RowMask* b, size_t lo, size_t hi) {
+  size_t n = 0;
+  for (size_t i = lo * 64; i < std::min(hi * 64, a.size()); ++i) {
+    n += (a.Test(i) && (b == nullptr || b->Test(i))) ? 1 : 0;
+  }
+  return n;
+}
+
+// Sizes around the tail word: empty, one partial word, exact words, and a
+// partial last word after whole ones.
+const size_t kTailSizes[] = {0, 1, 63, 64, 65, 127, 128, 129, 191, 640, 1001};
+
+TEST(BitKernelsTest, BothBodiesMatchTheBitOracle) {
+  namespace k = bit_kernels_internal;
+  using Popcount = size_t (*)(const uint64_t*, size_t, size_t);
+  using AndPopcount = size_t (*)(const uint64_t*, const uint64_t*, size_t,
+                                 size_t);
+  struct Body {
+    const char* name;
+    Popcount popcount;
+    AndPopcount and_popcount;
+  };
+  std::vector<Body> bodies = {
+      {"portable", k::PopcountWordsPortable, k::AndPopcountWordsPortable},
+      {"dispatch", PopcountWords, AndPopcountWords}};
+  if (k::HardwarePopcountAvailable()) {
+    bodies.push_back(
+        {"hardware", k::PopcountWordsHardware, k::AndPopcountWordsHardware});
+  }
+  Rng rng(0xB17);
+  for (size_t rows : kTailSizes) {
+    for (double density : {0.0, 0.3, 0.9, 1.0}) {
+      const RowMask a = RandomMask(rows, density, rng);
+      const RowMask b = RandomMask(rows, 0.5, rng);
+      const size_t words = a.num_words();
+      for (const Body& body : bodies) {
+        // Whole mask, then every [lo, hi) sub-range of up to three words at
+        // each end (the shard shapes ParallelCount hands the kernels).
+        EXPECT_EQ(body.popcount(a.words(), 0, words),
+                  BitOracle(a, nullptr, 0, words))
+            << body.name << " rows=" << rows;
+        for (size_t lo = 0; lo <= words; ++lo) {
+          for (size_t hi = lo; hi <= words; ++hi) {
+            if (lo > 3 && hi + 3 < words) continue;
+            ASSERT_EQ(body.popcount(a.words(), lo, hi),
+                      BitOracle(a, nullptr, lo, hi))
+                << body.name << " rows=" << rows << " [" << lo << "," << hi
+                << ")";
+            ASSERT_EQ(body.and_popcount(a.words(), b.words(), lo, hi),
+                      BitOracle(a, &b, lo, hi))
+                << body.name << " rows=" << rows << " [" << lo << "," << hi
+                << ")";
+          }
+        }
+      }
+      EXPECT_EQ(a.Count(), BitOracle(a, nullptr, 0, words));
+    }
+  }
+}
+
+TEST(RowMaskTest, TwoMaskForEachSetInRangeWalksTheIntersection) {
+  // The two-mask walk must visit exactly the rows of a materialized
+  // this ∧ also, in the same order, on unaligned sub-ranges too.
+  Rng rng(0x2A);
+  for (size_t rows : kTailSizes) {
+    const RowMask a = RandomMask(rows, 0.6, rng);
+    const RowMask b = RandomMask(rows, 0.6, rng);
+    RowMask both = a;
+    both.AndWith(b);
+    for (size_t begin : {size_t{0}, size_t{1}, size_t{63}, size_t{64}}) {
+      for (size_t end : {rows, rows / 2, size_t{65}}) {
+        if (begin > end || end > rows) continue;
+        std::vector<size_t> fused, copied;
+        a.ForEachSetInRange(b, begin, end,
+                            [&](size_t r) { fused.push_back(r); });
+        both.ForEachSetInRange(begin, end,
+                               [&](size_t r) { copied.push_back(r); });
+        ASSERT_EQ(fused, copied)
+            << "rows=" << rows << " [" << begin << "," << end << ")";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -180,11 +180,11 @@ TEST(ParseNumThreadsTest, RejectsUnparsableValuesInsteadOfSilentZero) {
   EXPECT_EQ(ParseNumThreads("-99", kFallback), 0u);
 }
 
-TEST(WordAlignedShardsTest, EdgesAreAlignedAndCoverEverything) {
+TEST(AlignedShardsTest, WordEdgesAreAlignedAndCoverEverything) {
   for (size_t rows : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
                       size_t{65}, size_t{1000}, size_t{100000}}) {
     for (size_t shards : {size_t{1}, size_t{2}, size_t{7}, size_t{64}}) {
-      const std::vector<size_t> edges = WordAlignedShards(rows, shards);
+      const std::vector<size_t> edges = AlignedShards(rows, shards, 64);
       ASSERT_GE(edges.size(), 2u);
       EXPECT_EQ(edges.front(), 0u);
       EXPECT_EQ(edges.back(), rows);
@@ -296,6 +296,83 @@ TEST(ParallelScanTest, ShardedCombinersAndCountMatchSerial) {
   }
 }
 
+// |a ∧ b| by testing every bit: an oracle independent of the popcount
+// kernels that RowMask::Count and ParallelAndCount share.
+size_t AndCountOracle(const RowMask& a, const RowMask& b) {
+  size_t n = 0;
+  for (size_t i = 0; i < a.size(); ++i) n += (a.Test(i) && b.Test(i)) ? 1 : 0;
+  return n;
+}
+
+TEST(ParallelScanTest, ParallelAndCountMatchesBitOracle) {
+  ThreadPool pool(3);
+  Rng rng(0xAC);
+  for (size_t rows : kBoundarySizes) {
+    const RowMask a = RandomMask(rows, rng);
+    const RowMask b = RandomMask(rows, rng);
+    const RowMask all(rows, /*value=*/true);
+    const RowMask none(rows);
+    const size_t expected = AndCountOracle(a, b);
+    for (size_t shards : kShardCounts) {
+      const ParallelScanOptions opts{&pool, shards};
+      EXPECT_EQ(ParallelAndCount(a, b, opts), expected)
+          << "rows=" << rows << " shards=" << shards;
+      EXPECT_EQ(ParallelAndCount(b, a, opts), expected);
+      EXPECT_EQ(ParallelAndCount(a, all, opts), AndCountOracle(a, all));
+      EXPECT_EQ(ParallelAndCount(a, none, opts), 0u);
+      EXPECT_EQ(ParallelAndCount(all, all, opts), rows);
+    }
+  }
+  // The default pool and shard count take the same path.
+  const RowMask a = RandomMask(4113, rng);
+  const RowMask b = RandomMask(4113, rng);
+  EXPECT_EQ(ParallelAndCount(a, b), AndCountOracle(a, b));
+}
+
+TEST(ParallelScanDeathTest, ParallelAndCountRejectsMismatchedSizes) {
+  const RowMask a(128);
+  const RowMask b(129);
+  EXPECT_DEATH(ParallelAndCount(a, b), "size");
+}
+
+TEST(ParallelScanTest, TwoMaskAccumulateBitIdenticalToCopyAndAnd) {
+  // ParallelAccumulateHistogram(prepared, where, also) ANDs inside the walk;
+  // it must equal accumulating a materialized copy of where ∧ also, serially
+  // and at every shard count.
+  ThreadPool pool(3);
+  Rng rng(0xB7);
+  // One query per binning loop: int64 numeric, int64 categorical, double.
+  const Domain1D age_domain = *Domain1D::Numeric(0, 100, 16);
+  const Domain1D opt_in_domain = Domain1D::Categorical(2);
+  const Domain1D income_domain = *Domain1D::Numeric(0, 100000, 32);
+  for (size_t rows : kBoundarySizes) {
+    const Table table = TableOfSize(rows, 0xB8 + rows);
+    const RowMask where = RandomMask(rows, rng);
+    const RowMask also = RandomMask(rows, rng);
+    RowMask selected = where;
+    selected.AndWith(also);
+    for (const HistogramQuery& query :
+         {HistogramQuery{"age", age_domain, std::nullopt},
+          HistogramQuery{"opt_in", opt_in_domain, std::nullopt},
+          HistogramQuery{"income", income_domain, std::nullopt}}) {
+      const PreparedHistogramQuery prepared =
+          *PreparedHistogramQuery::Prepare(table, query);
+      Histogram reference(prepared.num_bins());
+      prepared.AccumulateRange(selected, 0, rows, &reference);
+
+      Histogram serial(prepared.num_bins());
+      prepared.AccumulateRange(where, also, 0, rows, &serial);
+      ASSERT_EQ(serial.counts(), reference.counts()) << "rows=" << rows;
+      for (size_t shards : kShardCounts) {
+        const Histogram parallel =
+            ParallelAccumulateHistogram(prepared, where, also, {&pool, shards});
+        ASSERT_EQ(parallel.counts(), reference.counts())
+            << "rows=" << rows << " shards=" << shards;
+      }
+    }
+  }
+}
+
 TEST(ParallelScanTest, ShardedHistogramBitIdenticalToSerial) {
   ThreadPool pool(3);
   Rng rng(0xB1);
@@ -371,6 +448,7 @@ TEST(ParallelScanTest, CancelledTokenAbortsWithoutPartialResults) {
   // Not yet cancelled: identical to serial.
   EXPECT_TRUE(ParallelEvalMask(compiled, table, opts) == serial);
   EXPECT_EQ(ParallelCount(serial, opts), serial.Count());
+  EXPECT_EQ(ParallelAndCount(serial, serial, opts), serial.Count());
 
   token.Cancel();
   try {
@@ -380,6 +458,7 @@ TEST(ParallelScanTest, CancelledTokenAbortsWithoutPartialResults) {
     EXPECT_EQ(aborted.status.code(), StatusCode::kCancelled);
   }
   EXPECT_THROW(ParallelCount(serial, opts), AbortedError);
+  EXPECT_THROW(ParallelAndCount(serial, serial, opts), AbortedError);
 
   // The pool survives an aborted scan; detaching the control restores the
   // uncancellable path.
