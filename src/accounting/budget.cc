@@ -1,5 +1,7 @@
 #include "src/accounting/budget.h"
 
+#include <cmath>
+
 #include "src/common/check.h"
 
 namespace osdp {
@@ -14,8 +16,11 @@ PrivacyBudget::PrivacyBudget(double total_epsilon) : total_(total_epsilon) {
 }
 
 Status PrivacyBudget::Spend(double epsilon, const std::string& label) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon charge must be positive");
+  // A NaN charge would pass every comparison below and poison spent_, after
+  // which no charge is ever refused; an infinite one can never be repaid.
+  if (!std::isfinite(epsilon) || epsilon <= 0.0) {
+    return Status::InvalidArgument(
+        "epsilon charge must be positive and finite");
   }
   if (spent_ + epsilon > total_ + kEpsTolerance) {
     return Status::BudgetExhausted(

@@ -26,8 +26,9 @@ class PrivacyBudget {
   /// ε still available.
   double remaining() const { return total_ - spent_; }
 
-  /// Charges `epsilon` (must be > 0) under `label`; BudgetExhausted if the
-  /// charge exceeds the remaining budget (beyond a tiny float tolerance).
+  /// Charges `epsilon` (must be positive and finite; InvalidArgument
+  /// otherwise) under `label`; BudgetExhausted if the charge exceeds the
+  /// remaining budget (beyond a tiny float tolerance).
   Status Spend(double epsilon, const std::string& label);
 
   /// Splits off a fraction of the *remaining* budget and charges it,

@@ -1,13 +1,11 @@
 #include "src/core/engine.h"
 
+#include <cmath>
 #include <memory>
 #include <utility>
 
-#include "src/common/distributions.h"
-#include "src/data/compiled_predicate.h"
 #include "src/mech/laplace.h"
 #include "src/mech/osdp_laplace.h"
-#include "src/mech/osdp_rr.h"
 
 namespace osdp {
 
@@ -29,11 +27,23 @@ const char* EngineMechanismToString(EngineMechanism m) {
   return "?";
 }
 
+MechanismInputs InputsOf(EngineMechanism mechanism) {
+  switch (mechanism) {
+    case EngineMechanism::kLaplace:
+    case EngineMechanism::kDawa:
+    case EngineMechanism::kHierarchical:
+      return {/*x=*/true, /*xns=*/false};
+    case EngineMechanism::kOsdpLaplace:
+    case EngineMechanism::kOsdpLaplaceL1:
+      return {/*x=*/false, /*xns=*/true};
+    case EngineMechanism::kDawaz:
+      return {/*x=*/true, /*xns=*/true};
+  }
+  return {};
+}
+
 OsdpEngine::OsdpEngine(Table data, Policy policy, Options options)
-    : policy_(std::move(policy)),
-      options_(options),
-      budget_(options.total_epsilon),
-      rng_(options.seed) {
+    : policy_(std::move(policy)), options_(options) {
   auto snapshot = std::make_shared<Snapshot>();
   snapshot->generation = 0;
   snapshot->table = std::move(data);
@@ -43,21 +53,14 @@ OsdpEngine::OsdpEngine(Table data, Policy policy, Options options)
 
 Result<OsdpEngine> OsdpEngine::Create(Table data, Policy policy,
                                       Options options) {
-  if (options.total_epsilon <= 0.0) {
-    return Status::InvalidArgument("total_epsilon must be positive");
+  if (!std::isfinite(options.total_epsilon) || options.total_epsilon <= 0.0) {
+    return Status::InvalidArgument(
+        "total_epsilon must be positive and finite");
   }
   if (data.num_rows() == 0) {
     return Status::InvalidArgument("engine needs a non-empty dataset");
   }
   return OsdpEngine(std::move(data), std::move(policy), options);
-}
-
-Result<Table> OsdpEngine::ReleaseSample(double epsilon) {
-  OSDP_RETURN_IF_ERROR(budget_.Spend(epsilon, "OsdpRR sample"));
-  auto released = OsdpRRRelease(data(), policy_, epsilon, rng_);
-  if (!released.ok()) return released.status();
-  ledger_.Record(policy_, epsilon, "OsdpRR sample");
-  return released;
 }
 
 Result<Histogram> OsdpEngine::RunMechanism(const Histogram& x,
@@ -86,47 +89,6 @@ Result<Histogram> OsdpEngine::RunMechanism(const Histogram& x,
     }
   }
   return Status::Internal("unreachable");
-}
-
-Status OsdpEngine::ChargeRelease(double epsilon, const std::string& label) {
-  OSDP_RETURN_IF_ERROR(budget_.Spend(epsilon, label));
-  ledger_.Record(policy_, epsilon, label);
-  return Status::OK();
-}
-
-Result<Histogram> OsdpEngine::AnswerHistogram(const HistogramQuery& query,
-                                              double epsilon,
-                                              EngineMechanism mechanism) {
-  // Compute the histograms *before* charging: a malformed query must not
-  // burn budget.
-  OSDP_ASSIGN_OR_RETURN(Histogram x, ComputeHistogram(data(), query));
-  OSDP_ASSIGN_OR_RETURN(
-      Histogram xns, ComputeHistogramMasked(data(), query, non_sensitive_mask()));
-
-  Result<Histogram> out = RunMechanism(x, xns, epsilon, mechanism, rng_);
-  if (!out.ok()) return out.status();
-  OSDP_RETURN_IF_ERROR(ChargeRelease(
-      epsilon, std::string("histogram/") + EngineMechanismToString(mechanism)));
-  return out;
-}
-
-Result<double> OsdpEngine::AnswerCount(const Predicate& where, double epsilon) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  OSDP_ASSIGN_OR_RETURN(CompiledPredicate compiled,
-                        CompiledPredicate::Compile(where, data().schema()));
-  RowMask matching = compiled.EvalMask(data());
-  matching.AndWith(non_sensitive_mask());
-  const double count = static_cast<double>(matching.Count());
-  OSDP_RETURN_IF_ERROR(ChargeRelease(epsilon, "count query"));
-  // One-sided Laplace with sensitivity 1: a one-sided neighbor can only
-  // grow the non-sensitive count (Section 5.1).
-  return count + SampleOneSidedLaplace(rng_, 1.0 / epsilon);
-}
-
-Result<ComposedGuarantee> OsdpEngine::CurrentGuarantee() const {
-  return ledger_.Sequential();
 }
 
 }  // namespace osdp

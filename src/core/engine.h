@@ -1,24 +1,22 @@
-// OsdpEngine: the top-level facade tying the library together — a guarded
-// dataset with a policy, a privacy budget, and a composition ledger, through
-// which all releases flow. This is the "online setting" sketched in the
-// paper's Section 7: users dynamically ask queries, the engine enforces the
-// budget and tracks the composed (P, ε)-OSDP guarantee (Theorem 3.3).
+// OsdpEngine: a policy-bound dataset snapshot plus the one mechanism
+// dispatch. It holds no budget, ledger or noise stream: every release that
+// spends ε goes through QueryService (src/runtime/query_service.h), which
+// takes the engine over, charges its two budgets, records the composition
+// ledger of the paper's online setting (Section 7, Theorem 3.3), and seeds
+// each query's own Rng. The engine only says what each mechanism reads
+// (InputsOf) and runs it (RunMechanism).
 
 #ifndef OSDP_CORE_ENGINE_H_
 #define OSDP_CORE_ENGINE_H_
 
-#include <string>
-#include <vector>
+#include <cstdint>
 
-#include "src/accounting/budget.h"
-#include "src/accounting/composition.h"
 #include "src/common/random.h"
 #include "src/common/result.h"
 #include "src/data/row_mask.h"
 #include "src/data/snapshot.h"
 #include "src/data/table.h"
 #include "src/hist/histogram.h"
-#include "src/hist/histogram_query.h"
 #include "src/mech/dawa.h"
 #include "src/mech/dawaz.h"
 #include "src/mech/hierarchical.h"
@@ -26,7 +24,7 @@
 
 namespace osdp {
 
-/// Which algorithm answers a histogram query through the engine.
+/// Which algorithm answers a histogram query.
 enum class EngineMechanism {
   kLaplace = 0,        ///< ε-DP Laplace on the full histogram
   kOsdpLaplace = 1,    ///< one-sided Laplace on x_ns (Definition 5.2)
@@ -36,67 +34,51 @@ enum class EngineMechanism {
   kHierarchical = 5,   ///< ε-DP hierarchical release (Hay et al.)
 };
 
-/// \brief A policy-guarded dataset with budgeted OSDP query answering.
-///
-/// Every successful release charges the budget and records a ledger entry;
-/// CurrentGuarantee() reports the sequential composition of everything
-/// released so far. Releases fail cleanly with kBudgetExhausted once the
-/// budget is spent — the dataset never leaks beyond its total ε.
+/// Which histograms a mechanism reads.
+struct MechanismInputs {
+  bool x = false;    ///< the histogram over all rows
+  bool xns = false;  ///< the histogram over the non-sensitive rows (x_ns)
+};
+
+/// \brief The inputs RunMechanism passes to `mechanism`: x for the DP
+/// mechanisms, x_ns for the one-sided ones, both for DAWAz. A caller may
+/// pass any same-sized histogram for an input not declared here; the output
+/// does not depend on it.
+MechanismInputs InputsOf(EngineMechanism mechanism);
+
+/// \brief A policy-guarded dataset snapshot and the mechanisms that answer
+/// histogram queries over it.
 class OsdpEngine {
  public:
   /// Engine configuration.
   struct Options {
-    double total_epsilon = 1.0;  ///< lifetime privacy budget
-    uint64_t seed = 0x05D9;      ///< randomness seed (reproducible runs)
-    DawaOptions dawa;            ///< options for DAWA-based mechanisms
-    DawazOptions dawaz;          ///< options for DAWAz
+    /// Lifetime privacy budget of the dataset; QueryService spends it.
+    double total_epsilon = 1.0;
+    /// Unread: noise always comes from the caller's Rng. Kept because
+    /// bench/service_load still sets it; drop it with the next change there.
+    uint64_t seed = 0x05D9;
+    DawaOptions dawa;                  ///< options for DAWA-based mechanisms
+    DawazOptions dawaz;                ///< options for DAWAz
     HierarchicalOptions hierarchical;  ///< options for kHierarchical
   };
 
   /// Takes ownership of the data; `policy` marks sensitive records.
+  /// InvalidArgument unless total_epsilon is positive and finite and the
+  /// data has rows.
   static Result<OsdpEngine> Create(Table data, Policy policy, Options options);
 
-  /// \brief Releases a true sample of the non-sensitive records via OsdpRR
-  /// (Algorithm 1), charging `epsilon`.
-  Result<Table> ReleaseSample(double epsilon);
-
-  /// \brief Answers a histogram query with the chosen mechanism, charging
-  /// `epsilon`. DP mechanisms run on the full histogram; OSDP mechanisms on
-  /// the masked non-sensitive histogram (plus the full one for DAWAz).
-  Result<Histogram> AnswerHistogram(const HistogramQuery& query,
-                                    double epsilon,
-                                    EngineMechanism mechanism);
-
-  /// \brief Answers a scalar count (rows matching `where`) with one-sided
-  /// Laplace noise over the non-sensitive rows, charging `epsilon`. The
-  /// predicate is compiled and batch-evaluated against the cached
-  /// non-sensitive mask; a predicate that does not fit the schema fails
-  /// (NotFound for unknown columns, InvalidArgument for string/numeric
-  /// mixes) before any budget is spent.
-  Result<double> AnswerCount(const Predicate& where, double epsilon);
-
-  /// \brief Runs `mechanism` over precomputed histograms without touching
-  /// budget, ledger, or the engine's own noise stream — the pure dispatch
-  /// shared by AnswerHistogram and concurrent front-ends (QueryService)
-  /// that bring their own per-query Rng. DP mechanisms consume `x`, OSDP
-  /// mechanisms `xns` (DAWAz both). Const and thread-compatible: concurrent
-  /// calls are safe as long as each passes a distinct Rng.
+  /// \brief Runs `mechanism` over precomputed histograms with noise drawn
+  /// from `rng`; reads only the inputs InputsOf(mechanism) declares. Const
+  /// and thread-compatible: concurrent calls are safe as long as each passes
+  /// a distinct Rng.
   Result<Histogram> RunMechanism(const Histogram& x, const Histogram& xns,
                                  double epsilon, EngineMechanism mechanism,
                                  Rng& rng) const;
 
-  /// \brief Spends `epsilon` and records the ledger entry for one release —
-  /// the accounting half of every Answer* method, exposed so a concurrent
-  /// front-end can route its own releases through the engine's lifetime
-  /// guarantee. Not thread-safe; callers serialize externally.
-  Status ChargeRelease(double epsilon, const std::string& label);
-
   /// \brief The engine's dataset snapshot: table + cached policy mask +
   /// generation id, immutable and shareable. Create() cuts generation 0
-  /// from the table it was given; streaming front-ends (QueryService) seed
-  /// their snapshot store from this and publish later generations
-  /// themselves — the engine's serial Answer* methods always run against
-  /// this snapshot.
+  /// from the table it was given; QueryService seeds its snapshot store
+  /// from this and publishes later generations itself.
   const SnapshotPtr& snapshot() const { return snapshot_; }
 
   /// The guarded dataset (borrowed from the snapshot; valid as long as any
@@ -122,16 +104,6 @@ class OsdpEngine {
     options_.hierarchical.pool = pool;
   }
 
-  /// Remaining lifetime budget.
-  double remaining_budget() const { return budget_.remaining(); }
-
-  /// The budget ledger (one charge per successful release).
-  const PrivacyBudget& budget() const { return budget_; }
-
-  /// \brief The sequential composition of every release so far
-  /// (Theorem 3.3). Errors if nothing has been released yet.
-  Result<ComposedGuarantee> CurrentGuarantee() const;
-
   /// Number of rows in the guarded dataset.
   size_t num_rows() const { return snapshot_->table.num_rows(); }
 
@@ -144,9 +116,6 @@ class OsdpEngine {
   SnapshotPtr snapshot_;  // generation-0 view: table + cached policy mask
   Policy policy_;
   Options options_;
-  PrivacyBudget budget_;
-  CompositionLedger ledger_;
-  Rng rng_;
 };
 
 /// Name of an EngineMechanism ("Laplace", "DAWAz", ...).

@@ -1,6 +1,7 @@
 #include "src/runtime/query_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "src/common/distributions.h"
 #include "src/common/fault.h"
 #include "src/data/compiled_predicate.h"
+#include "src/mech/osdp_rr.h"
 #include "src/runtime/parallel_scan.h"
 
 namespace osdp {
@@ -55,6 +57,8 @@ struct QueryService::PreparedRequest {
   // compiled exactly once per query.
   std::optional<PreparedHistogramQuery> hist_prepared;
   EngineMechanism mechanism = EngineMechanism::kOsdpLaplaceL1;
+
+  // Sample form: neither of the above is set.
 
   // The two-budget ε charge, held from reservation until Execute commits it
   // at delivery. Destroying a PreparedRequest whose reservation was never
@@ -113,7 +117,7 @@ QueryService::QueryService(OsdpEngine engine, TableBuilder builder,
       metrics_(options.metrics_enabled && obs::MetricsEnabledFromEnv()),
       traces_(options.trace_ring_capacity),
       m_(ResolveMetrics(&metrics_)),
-      service_budget_(engine_.remaining_budget()),
+      service_budget_(engine_.options().total_epsilon),
       mask_cache_(MaskCache::Options{options.mask_cache_bytes,
                                      options.mask_cache_shards, m_.cache_hits,
                                      m_.cache_misses, m_.cache_evictions}),
@@ -137,12 +141,10 @@ QueryService::QueryService(OsdpEngine engine, TableBuilder builder,
 
 Result<std::unique_ptr<QueryService>> QueryService::Create(OsdpEngine engine,
                                                            Options options) {
-  if (options.per_session_epsilon <= 0.0) {
-    return Status::InvalidArgument("per_session_epsilon must be positive");
-  }
-  if (engine.remaining_budget() <= 0.0) {
+  if (!std::isfinite(options.per_session_epsilon) ||
+      options.per_session_epsilon <= 0.0) {
     return Status::InvalidArgument(
-        "engine has no remaining budget to serve from");
+        "per_session_epsilon must be positive and finite");
   }
   // The builder seeds from a copy of the engine's generation-0 snapshot
   // (adopting its already-computed mask rather than re-scanning the seed
@@ -287,41 +289,38 @@ Result<QueryService::PreparedRequest> QueryService::Validate(
   PreparedRequest prepared;
   prepared.snapshot = snapshot;
 
-  // Validate fully before touching either budget: a malformed query or a
-  // non-positive ε must cost nothing.
-  std::optional<std::chrono::steady_clock::time_point> deadline =
-      control.deadline;
+  // Validate fully before touching either budget: a malformed query or an ε
+  // that is not a positive finite number must cost nothing. (A NaN ε would
+  // slip past `<= 0` and reach the noise samplers' preconditions.)
+  prepared.epsilon = std::visit([](const auto& r) { return r.epsilon; },
+                                request);
+  if (!std::isfinite(prepared.epsilon) || prepared.epsilon <= 0.0) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
+  }
   if (const auto* count = std::get_if<CountRequest>(&request)) {
-    if (count->epsilon <= 0.0) {
-      return Status::InvalidArgument("epsilon must be positive");
-    }
     OSDP_ASSIGN_OR_RETURN(
         CompiledPredicate compiled,
         CompiledPredicate::Compile(count->where, snapshot->table.schema()));
     prepared.count_pred = std::move(compiled);
-    prepared.epsilon = count->epsilon;
     prepared.label = "count query";
-    if (count->deadline.has_value() &&
-        (!deadline.has_value() || *count->deadline < *deadline)) {
-      deadline = count->deadline;
-    }
-  } else {
-    const auto& hist = std::get<HistogramRequest>(request);
-    if (hist.epsilon <= 0.0) {
-      return Status::InvalidArgument("epsilon must be positive");
-    }
+  } else if (const auto* hist = std::get_if<HistogramRequest>(&request)) {
     OSDP_ASSIGN_OR_RETURN(
         PreparedHistogramQuery bound,
-        PreparedHistogramQuery::Prepare(snapshot->table, hist.query));
+        PreparedHistogramQuery::Prepare(snapshot->table, hist->query));
     prepared.hist_prepared = std::move(bound);
-    prepared.mechanism = hist.mechanism;
-    prepared.epsilon = hist.epsilon;
+    prepared.mechanism = hist->mechanism;
     prepared.label =
-        std::string("histogram/") + EngineMechanismToString(hist.mechanism);
-    if (hist.deadline.has_value() &&
-        (!deadline.has_value() || *hist.deadline < *deadline)) {
-      deadline = hist.deadline;
-    }
+        std::string("histogram/") + EngineMechanismToString(hist->mechanism);
+  } else {
+    prepared.label = "OsdpRR sample";
+  }
+  std::optional<std::chrono::steady_clock::time_point> deadline =
+      control.deadline;
+  const auto& request_deadline = std::visit(
+      [](const auto& r) -> const auto& { return r.deadline; }, request);
+  if (request_deadline.has_value() &&
+      (!deadline.has_value() || *request_deadline < *deadline)) {
+    deadline = request_deadline;
   }
   prepared.control = ExecControl(control.cancel, deadline);
   return prepared;
@@ -436,29 +435,22 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
     // place: on a cache hit this pass is the whole cost of the count.
     const double count = static_cast<double>(
         ParallelAndCount(*scan_mask, snap.non_sensitive, scan));
-    // One-sided Laplace with sensitivity 1, exactly OsdpEngine::AnswerCount.
+    // One-sided Laplace with sensitivity 1: a one-sided neighbour can only
+    // grow the non-sensitive count (Section 5.1).
     OSDP_FAULT_POINT("mechanism/run");
     answer.count = count + SampleOneSidedLaplace(rng, 1.0 / prepared->epsilon);
     if (span != nullptr) {
       m_.h_mechanism->Record(
           span->Mark(obs::Stage::kMechanism, obs::NowNs()));
     }
-  } else {
+  } else if (prepared->hist_prepared.has_value()) {
     if (span != nullptr) span->trace().is_histogram = true;
     const PreparedHistogramQuery& query = *prepared->hist_prepared;
 
-    // Compute only the histogram(s) the mechanism reads: x (all rows) for
-    // the DP mechanisms, x_ns for the one-sided ones, both for DAWAz. The
-    // WHERE mask, when present, is evaluated once and shared.
-    const bool need_x =
-        prepared->mechanism == EngineMechanism::kLaplace ||
-        prepared->mechanism == EngineMechanism::kDawa ||
-        prepared->mechanism == EngineMechanism::kDawaz ||
-        prepared->mechanism == EngineMechanism::kHierarchical;
-    const bool need_xns =
-        prepared->mechanism == EngineMechanism::kOsdpLaplace ||
-        prepared->mechanism == EngineMechanism::kOsdpLaplaceL1 ||
-        prepared->mechanism == EngineMechanism::kDawaz;
+    // Compute only the histogram(s) the mechanism reads; the other input
+    // stays all-zero. The WHERE mask, when present, is evaluated once and
+    // shared.
+    const MechanismInputs inputs = InputsOf(prepared->mechanism);
 
     std::shared_ptr<const RowMask> where_mask;
     if (query.where() != nullptr) {
@@ -474,7 +466,7 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
     }
 
     Histogram x(query.num_bins());
-    if (need_x) {
+    if (inputs.x) {
       if (where_mask != nullptr) {
         x = ParallelAccumulateHistogram(query, *where_mask, scan);
       } else {
@@ -483,7 +475,7 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
       }
     }
     Histogram xns(query.num_bins());
-    if (need_xns) {
+    if (inputs.xns) {
       if (where_mask != nullptr) {
         xns = ParallelAccumulateHistogram(query, *where_mask,
                                           snap.non_sensitive, scan);
@@ -503,6 +495,20 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
     if (span != nullptr) {
       // The mechanism stage of a histogram covers accumulation + release —
       // everything after the WHERE mask was resolved.
+      m_.h_mechanism->Record(
+          span->Mark(obs::Stage::kMechanism, obs::NowNs()));
+    }
+  } else {
+    // OsdpRR over the captured generation, its coins drawn from the query's
+    // own seed stream. The released view pins that snapshot, so it stays
+    // valid after later ingests.
+    OSDP_FAULT_POINT("mechanism/run");
+    OSDP_ASSIGN_OR_RETURN(
+        TableView released,
+        OsdpRRReleaseView(snap.table, engine_.policy(), prepared->epsilon,
+                          rng));
+    answer.sample.emplace(prepared->snapshot, released.mask());
+    if (span != nullptr) {
       m_.h_mechanism->Record(
           span->Mark(obs::Stage::kMechanism, obs::NowNs()));
     }

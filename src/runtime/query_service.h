@@ -1,10 +1,13 @@
 // QueryService: the concurrent, multi-session query-answering front-end over
-// OsdpEngine — the paper's "online setting" (Section 7) at service scale,
-// now over a *streaming* dataset.
+// an OsdpEngine's dataset — the paper's "online setting" (Section 7) at
+// service scale, over a *streaming* dataset. It is the only code that spends
+// ε: the engine it takes over is a stateless mechanism catalog, and every
+// count, histogram and OsdpRR sample release is charged here. A serial
+// caller is a one-session service over an inline ThreadPool(0).
 //
-// Many analyst sessions submit batches of predicate-count and histogram
-// queries concurrently while a writer appends row batches through Ingest().
-// The service runs every scan sharded across the thread pool
+// Many analyst sessions submit batches of predicate-count, histogram and
+// sample queries concurrently while a writer appends row batches through
+// Ingest(). The service runs every scan sharded across the thread pool
 // (src/runtime/parallel_scan.h) and routes every charge through two budgets —
 // the analyst's session budget and the dataset's service-wide lifetime
 // budget — plus a thread-safe composition ledger that tracks the composed
@@ -77,13 +80,13 @@
 //     submission order, execute in parallel, refund on downstream failure),
 //     so concurrent batches can never jointly overspend either budget, and
 //     which query of a batch hits the budget wall is deterministic.
-//   * No charge for malformed queries: compilation and binning errors are
-//     caught during validation, before any reservation — the same contract
-//     as OsdpEngine's serial Answer* methods.
+//   * No charge for malformed queries: compilation and binning errors, and
+//     an ε that is not a positive finite number, are caught during
+//     validation, before any reservation.
 //
-// The service takes ownership of the engine, making it the dataset's single
-// accounting authority: there is no aliased path that could spend the same ε
-// twice.
+// The service takes ownership of the engine and spends its total_epsilon,
+// making it the dataset's single accounting authority: there is no aliased
+// path that could spend the same ε twice.
 
 #ifndef OSDP_RUNTIME_QUERY_SERVICE_H_
 #define OSDP_RUNTIME_QUERY_SERVICE_H_
@@ -106,6 +109,7 @@
 #include "src/data/snapshot.h"
 #include "src/data/snapshot_store.h"
 #include "src/data/table_builder.h"
+#include "src/data/table_view.h"
 #include "src/hist/histogram_query.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -135,16 +139,29 @@ struct HistogramRequest {
   std::optional<std::chrono::steady_clock::time_point> deadline = std::nullopt;
 };
 
+/// An OsdpRR release (Algorithm 1), charging `epsilon`: a true sample of the
+/// non-sensitive rows, each released unchanged with probability 1 - e^{-ε}.
+struct SampleRequest {
+  double epsilon = 0.1;
+  /// Absolute per-request deadline; see CountRequest::deadline.
+  std::optional<std::chrono::steady_clock::time_point> deadline = std::nullopt;
+};
+
 /// One query of a batch.
-using ServiceRequest = std::variant<CountRequest, HistogramRequest>;
+using ServiceRequest =
+    std::variant<CountRequest, HistogramRequest, SampleRequest>;
 
 /// The answer to one query: `count` for CountRequest, `histogram` for
-/// HistogramRequest. `generation` is the snapshot generation the answer was
-/// computed against — replaying the query against that generation with the
-/// same (seed, session, seq) reproduces it bit-for-bit.
+/// HistogramRequest, `sample` for SampleRequest. `generation` is the
+/// snapshot generation the answer was computed against — replaying the query
+/// against that generation with the same (seed, session, seq) reproduces it
+/// bit-for-bit.
 struct ServiceAnswer {
   double count = 0.0;
   std::optional<Histogram> histogram;
+  /// The released rows, as a view that pins the answer's snapshot: it stays
+  /// valid however many generations are published after it.
+  std::optional<TableView> sample;
   uint64_t generation = 0;
   /// The per-session submission sequence number this answer's noise stream
   /// was seeded with — together with (root seed, session, generation) it is
@@ -158,7 +175,7 @@ struct ServiceAnswer {
   /// service's MaskCache instead of being rescanned. Purely observational:
   /// hit and miss answers are bit-identical, and the noisy release stage is
   /// never cached. Always false when the query has no WHERE scan (an
-  /// unfiltered histogram) or the cache is disabled.
+  /// unfiltered histogram, a sample) or the cache is disabled.
   bool cache_hit = false;
   /// Wall time this query spent in the service, from batch submission to
   /// delivery of this answer, in microseconds. Metadata only — measured
@@ -243,9 +260,10 @@ class QueryService {
     std::optional<CancelToken> cancel;
   };
 
-  /// Takes ownership of `engine`; its remaining budget becomes the
-  /// service-wide lifetime budget and its snapshot becomes generation 0 of
-  /// the streaming dataset.
+  /// Takes ownership of `engine`; its total_epsilon becomes the service-wide
+  /// lifetime budget and its snapshot becomes generation 0 of the streaming
+  /// dataset. InvalidArgument unless per_session_epsilon is positive and
+  /// finite.
   static Result<std::unique_ptr<QueryService>> Create(OsdpEngine engine,
                                                       Options options);
 

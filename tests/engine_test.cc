@@ -1,10 +1,15 @@
-// Tests for src/core: the OsdpEngine facade (budgeted online releases).
+// Tests for src/core: OsdpEngine's construction checks and the mechanism
+// catalog's input declaration (InputsOf). Budgeted releases go through
+// QueryService and are tested in query_service_test.cc.
+
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/check.h"
 #include "src/core/engine.h"
-#include "src/eval/metrics.h"
+#include "src/hist/histogram_query.h"
 
 namespace osdp {
 namespace {
@@ -29,109 +34,73 @@ HistogramQuery AgeQuery() {
   return HistogramQuery{"age", *Domain1D::Numeric(0, 100, 10), std::nullopt};
 }
 
+constexpr EngineMechanism kAllMechanisms[] = {
+    EngineMechanism::kLaplace,       EngineMechanism::kOsdpLaplace,
+    EngineMechanism::kOsdpLaplaceL1, EngineMechanism::kDawa,
+    EngineMechanism::kDawaz,         EngineMechanism::kHierarchical};
+
 TEST(EngineTest, CreateValidates) {
   OsdpEngine::Options opts;
-  opts.total_epsilon = 0.0;
-  EXPECT_FALSE(OsdpEngine::Create(MakeData(), OptOutSensitive(), opts).ok());
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    opts.total_epsilon = bad;
+    const auto engine =
+        OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
+    ASSERT_FALSE(engine.ok()) << bad;
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
   opts.total_epsilon = 1.0;
   Table empty(Schema({{"a", ValueType::kInt64}}));
   EXPECT_FALSE(OsdpEngine::Create(std::move(empty), OptOutSensitive(), opts).ok());
 }
 
-TEST(EngineTest, SampleReleaseChargesBudget) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 1.0;
-  OsdpEngine engine = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  Table sample = *engine.ReleaseSample(0.4);
-  EXPECT_GT(sample.num_rows(), 0u);
-  EXPECT_NEAR(engine.remaining_budget(), 0.6, 1e-12);
-  // Only opted-in rows appear.
-  for (size_t r = 0; r < sample.num_rows(); ++r) {
-    EXPECT_EQ(sample.Int64Column(1)[r], 1);
+// The service computes only the histograms InputsOf declares and passes
+// zeros for the rest, so a wrong entry would silently feed a mechanism
+// zeros. Pin both directions for every mechanism: an undeclared input never
+// reaches the output, and a declared one always does.
+TEST(EngineTest, InputsOfDeclaresExactlyWhatEachMechanismReads) {
+  const OsdpEngine engine =
+      *OsdpEngine::Create(MakeData(), OptOutSensitive(), OsdpEngine::Options{});
+  const Histogram x = *ComputeHistogram(engine.data(), AgeQuery());
+  const Histogram xns = *ComputeHistogramMasked(engine.data(), AgeQuery(),
+                                                engine.non_sensitive_mask());
+  const Histogram zeros(x.size());
+  // x_ns ≤ x stays true for both changes, as DAWAz requires.
+  Histogram x_changed = x;
+  for (size_t i = 0; i < x_changed.size(); ++i) x_changed[i] += 100.0 * (i + 1);
+  const Histogram& xns_changed = zeros;
+
+  constexpr double kEps = 1.0;
+  constexpr uint64_t kSeed = 0x1A7;
+  for (EngineMechanism m : kAllMechanisms) {
+    SCOPED_TRACE(EngineMechanismToString(m));
+    const auto run = [&](const Histogram& in_x, const Histogram& in_xns) {
+      Rng rng(kSeed);
+      return engine.RunMechanism(in_x, in_xns, kEps, m, rng);
+    };
+    const Result<Histogram> base = run(x, xns);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    // A refused run (e.g. DAWAz given x_ns > x) counts as a changed output.
+    const auto same_as_base = [&](const Histogram& in_x,
+                                  const Histogram& in_xns) {
+      const Result<Histogram> out = run(in_x, in_xns);
+      return out.ok() && out->counts() == base->counts();
+    };
+
+    const MechanismInputs inputs = InputsOf(m);
+    EXPECT_TRUE(inputs.x || inputs.xns) << "a mechanism must read something";
+    if (inputs.x) {
+      EXPECT_FALSE(same_as_base(x_changed, xns)) << "declared x was not read";
+    } else {
+      EXPECT_TRUE(same_as_base(zeros, xns)) << "undeclared x was read";
+    }
+    if (inputs.xns) {
+      EXPECT_FALSE(same_as_base(x, xns_changed))
+          << "declared x_ns was not read";
+    } else {
+      EXPECT_TRUE(same_as_base(x, zeros)) << "undeclared x_ns was read";
+    }
   }
-}
-
-TEST(EngineTest, BudgetExhaustionRefusesFurtherReleases) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 0.5;
-  OsdpEngine engine = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  EXPECT_TRUE(engine.ReleaseSample(0.5).ok());
-  auto refused = engine.ReleaseSample(0.1);
-  EXPECT_EQ(refused.status().code(), StatusCode::kBudgetExhausted);
-  auto refused_hist =
-      engine.AnswerHistogram(AgeQuery(), 0.1, EngineMechanism::kOsdpLaplaceL1);
-  EXPECT_EQ(refused_hist.status().code(), StatusCode::kBudgetExhausted);
-}
-
-TEST(EngineTest, EveryMechanismAnswersHistograms) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 10.0;
-  OsdpEngine engine = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  for (EngineMechanism m :
-       {EngineMechanism::kLaplace, EngineMechanism::kOsdpLaplace,
-        EngineMechanism::kOsdpLaplaceL1, EngineMechanism::kDawa,
-        EngineMechanism::kDawaz}) {
-    auto hist = engine.AnswerHistogram(AgeQuery(), 1.0, m);
-    ASSERT_TRUE(hist.ok()) << EngineMechanismToString(m);
-    EXPECT_EQ(hist->size(), 10u);
-  }
-  EXPECT_NEAR(engine.remaining_budget(), 5.0, 1e-9);
-}
-
-TEST(EngineTest, MalformedQueryDoesNotBurnBudget) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 1.0;
-  OsdpEngine engine = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  HistogramQuery bad{"missing_column", Domain1D::Categorical(4), std::nullopt};
-  EXPECT_FALSE(
-      engine.AnswerHistogram(bad, 0.5, EngineMechanism::kLaplace).ok());
-  EXPECT_DOUBLE_EQ(engine.remaining_budget(), 1.0);
-}
-
-TEST(EngineTest, CountQueryIsReasonablyAccurate) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 10.0;
-  Table data = MakeData(20000, 6);
-  // Ground truth: opted-in records with age < 50.
-  double truth = 0.0;
-  for (size_t r = 0; r < data.num_rows(); ++r) {
-    truth += (data.Int64Column(0)[r] < 50 && data.Int64Column(1)[r] == 1) ? 1 : 0;
-  }
-  OsdpEngine engine =
-      *OsdpEngine::Create(std::move(data), OptOutSensitive(), opts);
-  double acc = 0.0;
-  const int reps = 5;
-  for (int i = 0; i < reps; ++i) {
-    acc += *engine.AnswerCount(Predicate::Lt("age", Value(50)), 1.0);
-  }
-  EXPECT_NEAR(acc / reps, truth, truth * 0.01 + 10);
-}
-
-TEST(EngineTest, GuaranteeAccumulatesSequentially) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 2.0;
-  OsdpEngine engine = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  EXPECT_FALSE(engine.CurrentGuarantee().ok());  // nothing released yet
-  ASSERT_TRUE(engine.ReleaseSample(0.5).ok());
-  ASSERT_TRUE(engine
-                  .AnswerHistogram(AgeQuery(), 0.7,
-                                   EngineMechanism::kOsdpLaplaceL1)
-                  .ok());
-  ComposedGuarantee g = *engine.CurrentGuarantee();
-  EXPECT_NEAR(g.epsilon, 1.2, 1e-12);
-}
-
-TEST(EngineTest, DeterministicForFixedSeed) {
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 5.0;
-  opts.seed = 99;
-  OsdpEngine a = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  OsdpEngine b = *OsdpEngine::Create(MakeData(), OptOutSensitive(), opts);
-  Histogram ha = *a.AnswerHistogram(AgeQuery(), 1.0,
-                                    EngineMechanism::kOsdpLaplaceL1);
-  Histogram hb = *b.AnswerHistogram(AgeQuery(), 1.0,
-                                    EngineMechanism::kOsdpLaplaceL1);
-  EXPECT_EQ(ha.counts(), hb.counts());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for src/policy and src/accounting: policy algebra (Definitions 3.1,
 // 3.5-3.7), composition (Theorems 3.2/3.3/10.2), budgets.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/common/check.h"
@@ -157,6 +159,21 @@ TEST(BudgetTest, RejectsNonPositiveCharges) {
   PrivacyBudget budget(1.0);
   EXPECT_EQ(budget.Spend(0.0, "zero").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(budget.Spend(-0.5, "neg").code(), StatusCode::kInvalidArgument);
+}
+
+TEST(BudgetTest, RejectsNonFiniteCharges) {
+  // A NaN charge passes `<= 0` and would make spent_ NaN, after which every
+  // later charge passes the budget check.
+  PrivacyBudget budget(1.0);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(budget.Spend(bad, "bad").code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(budget.spent(), 0.0);
+  EXPECT_TRUE(budget.charges().empty());
+  EXPECT_EQ(budget.Spend(2.0, "over").code(), StatusCode::kBudgetExhausted);
 }
 
 TEST(BudgetTest, SpendFraction) {

@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
 #include "src/hist/histogram_query.h"
+#include "src/mech/osdp_rr.h"
 #include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
@@ -147,6 +150,15 @@ TEST(QueryServiceTest, MalformedQueriesChargeNothing) {
       EngineMechanism::kOsdpLaplaceL1);
   EXPECT_FALSE(bad_hist.ok());
 
+  auto missing_column = service->AnswerHistogram(
+      session,
+      HistogramQuery{"missing_column", Domain1D::Categorical(4), std::nullopt},
+      0.5, EngineMechanism::kLaplace);
+  EXPECT_FALSE(missing_column.ok());
+
+  auto bad_sample = service->AnswerBatch(session, {SampleRequest{-1.0}});
+  EXPECT_FALSE(bad_sample[0].ok());
+
   EXPECT_EQ(service->remaining_budget(), before_service);
   EXPECT_EQ(*service->session_remaining(session), before_session);
   EXPECT_FALSE(service->CurrentGuarantee().ok()) << "nothing was released";
@@ -211,6 +223,183 @@ TEST(QueryServiceTest, SessionLifecycle) {
   EXPECT_FALSE(service->session_remaining(session).ok());
   auto after_close = service->AnswerCount(session, Predicate::True(), 0.1);
   EXPECT_FALSE(after_close.ok());
+}
+
+TEST(QueryServiceTest, NonFiniteEpsilonIsRejectedWithoutCharge) {
+  // NaN passes `epsilon <= 0`; it used to reach the budget (poisoning it so
+  // every later charge passed) and then abort in the Laplace sampler.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto service = *QueryService::Create(TestEngine(10.0), {});
+  const auto session = service->OpenSession("alice");
+  const double before_service = service->remaining_budget();
+  const double before_session = *service->session_remaining(session);
+  const HistogramQuery age{"age", *Domain1D::Numeric(0, 100, 8), std::nullopt};
+
+  for (double bad : {kNaN, kInf, -kInf}) {
+    std::vector<ServiceRequest> batch;
+    batch.emplace_back(CountRequest{Predicate::True(), bad});
+    batch.emplace_back(HistogramRequest{age, bad, EngineMechanism::kLaplace});
+    batch.emplace_back(HistogramRequest{age, bad, EngineMechanism::kDawa});
+    batch.emplace_back(SampleRequest{bad});
+    for (const auto& r : service->AnswerBatch(session, batch)) {
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+    }
+  }
+  EXPECT_EQ(service->remaining_budget(), before_service);
+  EXPECT_EQ(*service->session_remaining(session), before_session);
+  EXPECT_EQ(service->ledger().size(), 0u);
+
+  // The books still refuse what they should and grant what they should.
+  EXPECT_TRUE(service->AnswerCount(session, Predicate::True(), 0.1).ok());
+  EXPECT_EQ(service->AnswerCount(session, Predicate::True(), 5.0)
+                .status()
+                .code(),
+            StatusCode::kBudgetExhausted);
+
+  // Non-finite budgets are refused at construction, not by an abort.
+  for (double bad : {kNaN, kInf}) {
+    QueryService::Options opts;
+    opts.per_session_epsilon = bad;
+    EXPECT_EQ(QueryService::Create(TestEngine(1.0, 10), opts).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+// ------------------------------------------------------- serial callers ---
+//
+// A serial caller is a one-session service over an inline pool: every query
+// runs on the calling thread, charged through the same two budgets and
+// ledger as any concurrent session.
+
+class SerialService {
+ public:
+  SerialService(double total_epsilon, double per_session_epsilon,
+                size_t rows = 3000) {
+    QueryService::Options opts;
+    opts.pool = &pool_;
+    opts.per_session_epsilon = per_session_epsilon;
+    service_ = *QueryService::Create(TestEngine(total_epsilon, rows), opts);
+    session_ = service_->OpenSession("serial");
+  }
+
+  Result<ServiceAnswer> Ask(ServiceRequest request) {
+    std::vector<ServiceRequest> batch;
+    batch.push_back(std::move(request));
+    return std::move(service_->AnswerBatch(session_, batch)[0]);
+  }
+
+  QueryService& service() { return *service_; }
+  QueryService::SessionId session() const { return session_; }
+  double session_remaining() const {
+    return *service_->session_remaining(session_);
+  }
+
+ private:
+  ThreadPool pool_{0};  // declared first: outlives the service using it
+  std::unique_ptr<QueryService> service_;
+  QueryService::SessionId session_ = 0;
+};
+
+HistogramQuery AgeQuery() {
+  return HistogramQuery{"age", *Domain1D::Numeric(0, 100, 10), std::nullopt};
+}
+
+TEST(QueryServiceSerialTest, SampleChargesBothBudgetsAndHoldsOnlyNonSensitive) {
+  SerialService s(/*total_epsilon=*/1.0, /*per_session_epsilon=*/2.0);
+  const ServiceAnswer answer = *s.Ask(SampleRequest{0.4});
+  EXPECT_NEAR(s.service().remaining_budget(), 0.6, 1e-12);
+  EXPECT_NEAR(s.session_remaining(), 1.6, 1e-12);
+  EXPECT_EQ(s.service().ledger().size(), 1u);
+
+  ASSERT_TRUE(answer.sample.has_value());
+  const TableView& sample = *answer.sample;
+  EXPECT_GT(sample.num_rows(), 0u);
+  EXPECT_EQ(sample.snapshot(), s.service().current_snapshot());
+  const Policy policy = TestPolicy();
+  sample.ForEachRow([&](size_t row) {
+    EXPECT_TRUE(policy.IsNonSensitive(sample.table(), row)) << "row " << row;
+  });
+}
+
+TEST(QueryServiceSerialTest, ExhaustedBudgetRefusesSamplesAndHistograms) {
+  // The dataset budget (0.5) binds before the session's (10).
+  SerialService s(/*total_epsilon=*/0.5, /*per_session_epsilon=*/10.0);
+  ASSERT_TRUE(s.Ask(SampleRequest{0.5}).ok());
+  EXPECT_EQ(s.Ask(SampleRequest{0.1}).status().code(),
+            StatusCode::kBudgetExhausted);
+  EXPECT_EQ(s.Ask(HistogramRequest{AgeQuery(), 0.1,
+                                   EngineMechanism::kOsdpLaplaceL1})
+                .status()
+                .code(),
+            StatusCode::kBudgetExhausted);
+  EXPECT_NEAR(s.session_remaining(), 9.5, 1e-12);
+  EXPECT_EQ(s.service().ledger().size(), 1u);
+}
+
+TEST(QueryServiceSerialTest, EveryMechanismAnswersHistograms) {
+  SerialService s(/*total_epsilon=*/10.0, /*per_session_epsilon=*/10.0);
+  for (EngineMechanism m :
+       {EngineMechanism::kLaplace, EngineMechanism::kOsdpLaplace,
+        EngineMechanism::kOsdpLaplaceL1, EngineMechanism::kDawa,
+        EngineMechanism::kDawaz, EngineMechanism::kHierarchical}) {
+    const auto answer = s.Ask(HistogramRequest{AgeQuery(), 1.0, m});
+    ASSERT_TRUE(answer.ok()) << EngineMechanismToString(m) << ": "
+                             << answer.status().ToString();
+    ASSERT_TRUE(answer->histogram.has_value());
+    EXPECT_EQ(answer->histogram->size(), 10u);
+  }
+  EXPECT_NEAR(s.service().remaining_budget(), 4.0, 1e-9);
+}
+
+TEST(QueryServiceSerialTest, GuaranteeAddsUpSampleAndHistogramEpsilon) {
+  SerialService s(/*total_epsilon=*/2.0, /*per_session_epsilon=*/2.0);
+  EXPECT_FALSE(s.service().CurrentGuarantee().ok()) << "nothing released yet";
+  ASSERT_TRUE(s.Ask(SampleRequest{0.5}).ok());
+  ASSERT_TRUE(
+      s.Ask(HistogramRequest{AgeQuery(), 0.7, EngineMechanism::kOsdpLaplaceL1})
+          .ok());
+  EXPECT_NEAR(s.service().CurrentGuarantee()->epsilon, 1.2, 1e-12);
+  EXPECT_EQ(s.service().ledger().size(), 2u);
+}
+
+TEST(QueryServiceSerialTest, SampleReplaysFromQuerySeedAcrossAnIngest) {
+  constexpr size_t kSeedRows = 500;
+  constexpr double kEps = 0.7;
+  SerialService s(/*total_epsilon=*/10.0, /*per_session_epsilon=*/10.0,
+                  kSeedRows);
+  const ServiceAnswer before = *s.Ask(SampleRequest{kEps});
+  CensusTableOptions batch_opts;
+  batch_opts.num_rows = 130;
+  batch_opts.seed = 0xB3;
+  const Table batch = MakeCensusTable(batch_opts);
+  ASSERT_EQ(*s.service().Ingest(batch), 1u);
+  const ServiceAnswer after = *s.Ask(SampleRequest{kEps});
+  EXPECT_EQ(before.generation, 0u);
+  EXPECT_EQ(after.generation, 1u);
+
+  // Rebuild both generations from scratch and rerun OsdpRR on each answer's
+  // (seed, session, seq, generation) stream.
+  CensusTableOptions seed_opts;
+  seed_opts.num_rows = kSeedRows;
+  seed_opts.seed = 0x9A;  // TestEngine's table
+  std::vector<Table> generations{MakeCensusTable(seed_opts)};
+  Table grown = generations[0];
+  ASSERT_TRUE(grown.AppendRows(batch).ok());
+  generations.push_back(std::move(grown));
+  const Policy policy = TestPolicy();
+  for (const ServiceAnswer* answer : {&before, &after}) {
+    ASSERT_TRUE(answer->sample.has_value());
+    const Table& table = generations[answer->generation];
+    Rng rng(QueryService::QuerySeed(QueryService::Options{}.seed, s.session(),
+                                    answer->seq, answer->generation));
+    const TableView expected = *OsdpRRReleaseView(table, policy, kEps, rng);
+    // The sample still reads its own generation after the ingest.
+    EXPECT_EQ(answer->sample->snapshot()->generation, answer->generation);
+    EXPECT_EQ(answer->sample->table().num_rows(), table.num_rows());
+    EXPECT_EQ(answer->sample->ToIndices(), expected.ToIndices())
+        << "sample diverged at generation " << answer->generation;
+  }
 }
 
 TEST(QueryServiceConcurrencyTest, ConcurrentSessionsNeverOverspend) {
