@@ -7,7 +7,7 @@
 //                 measures the bulk-ingest satellite, not the pool).
 //   mask          CompiledPredicate::EvalMask vs ParallelEvalMask
 //   count         mask eval + AND with the policy mask + popcount, serial
-//                 vs sharded combiners/ParallelCount
+//                 vs ParallelAndWith/ParallelCount
 //   hist          ComputeHistogramMasked vs ParallelComputeHistogramMasked
 //   service       a 16-query batch (12 counts + 4 histograms) through
 //                 QueryService across 4 sessions, pool of N threads vs the

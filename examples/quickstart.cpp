@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "src/accounting/composition.h"
+#include "src/accounting/concurrent.h"
 #include "src/common/random.h"
 #include "src/hist/histogram_query.h"
 #include "src/mech/osdp_laplace.h"
@@ -51,7 +51,7 @@ int main() {
   HistogramQuery query{"age", *Domain1D::Numeric(10, 100, 18), std::nullopt};
   Histogram x = *ComputeHistogram(table, query);
   Histogram xns = *ComputeHistogramMasked(table, query,
-                                          policy.NonSensitiveMask(table));
+                                          policy.NonSensitiveRowMask(table));
   Histogram noisy = *OsdpLaplaceL1(xns, eps_hist, rng);
   std::printf("\nage histogram (true vs OSDP estimate):\n");
   for (size_t b = 0; b < x.size(); ++b) {
@@ -61,7 +61,7 @@ int main() {
   }
 
   // --- 4. Accounting ----------------------------------------------------
-  CompositionLedger ledger;
+  SharedLedger ledger;
   ledger.Record(policy, eps_release, "OsdpRR sample");
   ledger.Record(policy, eps_hist, "OsdpLaplaceL1 histogram");
   ComposedGuarantee g = *ledger.Sequential();

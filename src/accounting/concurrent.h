@@ -1,76 +1,93 @@
-// Thread-safe wrappers over the accounting primitives, for concurrent
-// front-ends (src/runtime/query_service.h).
+// Privacy accounting for OSDP releases (Section 2; Theorems 3.2, 3.3, 10.2):
+// the only budget and ledger types in the library, safe to share between
+// the concurrent sessions of a front-end (src/runtime/query_service.h).
 //
-// PrivacyBudget and CompositionLedger stay single-threaded value types — the
-// serial mechanism code uses them directly with zero locking cost. The
-// concurrent query path instead holds them behind these wrappers, which
-// serialize every operation with a plain mutex: privacy accounting is a few
-// arithmetic ops per *release* (each of which scans millions of rows), so a
-// mutex is outside the measurement noise, and its correctness is trivially
-// auditable — which matters more than speed for the code that decides
-// whether a release is allowed to happen at all.
+//   * SharedBudget: ε as a spendable resource. Sequential composition makes
+//     spent ε additive, so a charge past ε_total is refused.
+//   * BudgetReservation: the RAII two-budget (session + service) charge that
+//     refunds on every exit path except an explicit Commit.
+//   * SharedLedger: the (policy, ε) record of every release, with the
+//     composed guarantee — sequential (ε's add) and parallel over a
+//     partition (ε's max); policies combine by minimum relaxation.
+//
+// Each budget or ledger operation takes that object's one plain mutex at
+// most once (the immutable total() takes none). Accounting is a few
+// arithmetic ops per *release* (each of which scans millions of rows), so
+// the lock is outside the measurement noise, and its correctness is
+// trivially auditable — which matters more than speed for the code that
+// decides whether a release is allowed to happen at all.
 
 #ifndef OSDP_ACCOUNTING_CONCURRENT_H_
 #define OSDP_ACCOUNTING_CONCURRENT_H_
 
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/accounting/budget.h"
-#include "src/accounting/composition.h"
 #include "src/common/result.h"
+#include "src/common/status.h"
 #include "src/policy/policy.h"
 
 namespace osdp {
 
-/// \brief A PrivacyBudget whose operations are individually atomic.
+/// \brief A total ε budget and the analyses charged against it; every
+/// operation is individually atomic.
 ///
 /// Spend is check-and-commit under the lock, so concurrent spenders can
 /// never jointly overshoot ε_total — the invariant the concurrency tests
 /// (and the TSan CI job) pin. For multi-budget invariants (per-session and
 /// service-wide charged together), callers layer their own serialization on
-/// top; see QueryService's charge path.
+/// top; see BudgetReservation and QueryService's charge path.
 class SharedBudget {
  public:
-  explicit SharedBudget(double total_epsilon) : budget_(total_epsilon) {}
+  /// Creates a budget with the given total ε (> 0; aborts otherwise).
+  explicit SharedBudget(double total_epsilon);
 
-  double total() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return budget_.total();
-  }
+  /// Total ε the budget was created with (immutable, so no lock).
+  double total() const { return total_; }
+  /// ε charged so far.
   double spent() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return budget_.spent();
+    return spent_;
   }
+  /// ε still available.
   double remaining() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return budget_.remaining();
+    return total_ - spent_;
   }
 
-  /// Atomic check-and-charge; BudgetExhausted leaves the budget unchanged.
-  Status Spend(double epsilon, const std::string& label) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return budget_.Spend(epsilon, label);
-  }
+  /// Atomic check-and-charge of `epsilon` (must be positive and finite;
+  /// InvalidArgument otherwise) under `label`. BudgetExhausted if the charge
+  /// exceeds the remaining budget (beyond a tiny float tolerance); a refused
+  /// charge leaves the budget unchanged.
+  Status Spend(double epsilon, const std::string& label);
 
-  /// Atomic rollback of a prior Spend (two-phase commit; see
-  /// PrivacyBudget::Refund).
-  void Refund(double epsilon, const std::string& label) {
-    std::lock_guard<std::mutex> lock(mu_);
-    budget_.Refund(epsilon, label);
-  }
+  /// \brief Atomic rollback of a prior Spend — the refund half of the
+  /// two-phase commit concurrent front-ends use to reserve budget before a
+  /// release and return it if the release fails downstream. The charge list
+  /// stays append-only: a refund is recorded as a negative line rather than
+  /// by erasing the charge, so the audit trail shows both sides. Aborts if
+  /// the refund exceeds what was spent.
+  void Refund(double epsilon, const std::string& label);
 
-  /// Snapshot of the ledger lines (copy; the live ledger keeps moving).
-  std::vector<PrivacyBudget::Charge> charges() const {
+  /// One line per successful Spend (positive ε) or Refund (negative ε).
+  struct Charge {
+    double epsilon;
+    std::string label;
+  };
+  /// Snapshot of the charge lines (copy; the live list keeps moving).
+  std::vector<Charge> charges() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return budget_.charges();
+    return charges_;
   }
 
  private:
   mutable std::mutex mu_;
-  PrivacyBudget budget_;
+  const double total_;
+  double spent_ = 0.0;
+  std::vector<Charge> charges_;
 };
 
 /// \brief RAII two-budget reservation: the exception-safe form of the
@@ -164,45 +181,60 @@ class BudgetReservation {
   double epsilon_ = 0.0;
 };
 
-/// \brief A CompositionLedger whose Record and composition queries are
-/// individually atomic — the thread-safe composition ledger concurrent
-/// sessions charge through.
+/// The derived privacy guarantee of a composed pipeline.
+struct ComposedGuarantee {
+  Policy policy;   ///< minimum relaxation of all component policies
+  double epsilon;  ///< composed ε
+};
+
+/// \brief Accumulates (policy, ε) records and answers composition queries;
+/// Record and every query are individually atomic, so concurrent sessions
+/// charge through one ledger.
 class SharedLedger {
  public:
-  /// Atomically appends one (policy, ε) invocation record; `generation` is
-  /// the dataset snapshot generation the release was charged against.
+  /// Atomically appends one mechanism invocation with its OSDP guarantee.
+  /// `generation` is the dataset snapshot generation the release was
+  /// computed against (0 for a static dataset) — streaming front-ends record
+  /// it so the audit trail names the exact sensitive/non-sensitive split each
+  /// ε was charged under.
   void Record(const Policy& policy, double epsilon, std::string label = "",
               uint64_t generation = 0) {
     std::lock_guard<std::mutex> lock(mu_);
-    ledger_.Record(policy, epsilon, std::move(label), generation);
+    entries_.push_back({policy, epsilon, std::move(label), generation});
   }
 
+  /// Number of recorded invocations.
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return ledger_.size();
+    return entries_.size();
   }
 
-  /// Sequential composition of everything recorded so far (Theorem 3.3).
-  Result<ComposedGuarantee> Sequential() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return ledger_.Sequential();
-  }
+  /// Sequential composition (Theorem 3.3): Σε under the minimum relaxation.
+  /// FailedPrecondition if the ledger is empty.
+  Result<ComposedGuarantee> Sequential() const;
 
-  /// Parallel composition (Theorem 10.2); caller asserts disjointness.
-  Result<ComposedGuarantee> Parallel() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return ledger_.Parallel();
-  }
+  /// Parallel composition over disjoint partitions (Theorem 10.2, eOSDP):
+  /// max ε under the minimum relaxation. The caller asserts disjointness —
+  /// the ledger cannot verify it. FailedPrecondition if the ledger is empty.
+  Result<ComposedGuarantee> Parallel() const;
 
+  /// One recorded invocation.
+  struct Entry {
+    Policy policy;
+    double epsilon;
+    std::string label;
+    /// Snapshot generation the release was charged against (0 = static).
+    uint64_t generation = 0;
+  };
   /// Snapshot of the recorded entries (copy).
-  std::vector<CompositionLedger::Entry> entries() const {
+  std::vector<Entry> entries() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return ledger_.entries();
+    return entries_;
   }
 
  private:
   mutable std::mutex mu_;
-  CompositionLedger ledger_;
+  std::vector<Entry> entries_;
 };
 
 }  // namespace osdp

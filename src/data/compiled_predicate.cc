@@ -184,41 +184,6 @@ void FillNumCmp(PredicateOp cmp, const SrcT* col, size_t row_begin,
   }
 }
 
-// Same comparisons, but indexing any random-access column (ChunkedColumn)
-// by global row — the flat-reference leaf used by EvalOpFlat.
-template <typename ColT>
-void FillNumCmpAt(PredicateOp cmp, const ColT& col, size_t row_begin,
-                  size_t row_end, double lit, uint64_t* words) {
-  switch (cmp) {
-    case PredicateOp::kEq:
-      FillMask(row_begin, row_end, words,
-               [&](size_t i) { return static_cast<double>(col[i]) == lit; });
-      break;
-    case PredicateOp::kNe:
-      FillMask(row_begin, row_end, words,
-               [&](size_t i) { return static_cast<double>(col[i]) != lit; });
-      break;
-    case PredicateOp::kLt:
-      FillMask(row_begin, row_end, words,
-               [&](size_t i) { return static_cast<double>(col[i]) < lit; });
-      break;
-    case PredicateOp::kLe:
-      FillMask(row_begin, row_end, words,
-               [&](size_t i) { return static_cast<double>(col[i]) <= lit; });
-      break;
-    case PredicateOp::kGt:
-      FillMask(row_begin, row_end, words,
-               [&](size_t i) { return static_cast<double>(col[i]) > lit; });
-      break;
-    case PredicateOp::kGe:
-      FillMask(row_begin, row_end, words,
-               [&](size_t i) { return static_cast<double>(col[i]) >= lit; });
-      break;
-    default:
-      OSDP_CHECK_MSG(false, "bad comparison op");
-  }
-}
-
 void FillStrCmp(PredicateOp cmp, const std::string* col, size_t row_begin,
                 size_t row_end, std::string_view lit, uint64_t* words) {
   switch (cmp) {
@@ -272,7 +237,7 @@ void FillPerSpan(const ColT& col, size_t row_begin, size_t row_end,
 // holding row `row_begin` first). All tail bits past row_end in the last
 // word are written zero, matching RowMask's cleared-tail invariant when the
 // range ends at the table boundary. Leaves scan chunk-by-chunk through
-// FillPerSpan; bit output is identical to the flat-reference EvalOpFlat.
+// FillPerSpan.
 void EvalOp(const Op& op, const Table& table, size_t row_begin, size_t row_end,
             uint64_t* words) {
   const size_t n = row_end - row_begin;
@@ -364,107 +329,6 @@ void EvalOp(const Op& op, const Table& table, size_t row_begin, size_t row_end,
                       return member(std::string_view(data[i]));
                     });
                   });
-      return;
-    }
-  }
-  OSDP_CHECK_MSG(false, "corrupt compiled predicate");
-}
-
-// Flat reference evaluator: identical word algebra, but leaves read cells
-// one at a time through ChunkedColumn::operator[] with global row indices —
-// no span decomposition at all. This is the oracle the chunked EvalOp is
-// pinned bit-identical against (tests/chunked_table_test.cc), in the house
-// boxed → reference → compiled lineage: Predicate::Eval checks semantics,
-// EvalOpFlat checks bit packing, EvalOp is the fast path.
-void EvalOpFlat(const Op& op, const Table& table, size_t row_begin,
-                size_t row_end, uint64_t* words) {
-  const size_t n = row_end - row_begin;
-  const size_t num_words = (n + 63) >> 6;
-  const size_t tail = n & 63;
-  switch (op.kind) {
-    case Op::Kind::kConstTrue:
-      for (size_t wi = 0; wi < num_words; ++wi) words[wi] = ~uint64_t{0};
-      if (tail != 0) words[num_words - 1] = (uint64_t{1} << tail) - 1;
-      return;
-    case Op::Kind::kConstFalse:
-      for (size_t wi = 0; wi < num_words; ++wi) words[wi] = 0;
-      return;
-    case Op::Kind::kAnd: {
-      EvalOpFlat(*op.left, table, row_begin, row_end, words);
-      std::vector<uint64_t> rhs(num_words);
-      EvalOpFlat(*op.right, table, row_begin, row_end, rhs.data());
-      for (size_t wi = 0; wi < num_words; ++wi) words[wi] &= rhs[wi];
-      return;
-    }
-    case Op::Kind::kOr: {
-      EvalOpFlat(*op.left, table, row_begin, row_end, words);
-      std::vector<uint64_t> rhs(num_words);
-      EvalOpFlat(*op.right, table, row_begin, row_end, rhs.data());
-      for (size_t wi = 0; wi < num_words; ++wi) words[wi] |= rhs[wi];
-      return;
-    }
-    case Op::Kind::kNot:
-      EvalOpFlat(*op.left, table, row_begin, row_end, words);
-      for (size_t wi = 0; wi < num_words; ++wi) words[wi] = ~words[wi];
-      if (tail != 0) words[num_words - 1] &= (uint64_t{1} << tail) - 1;
-      return;
-    case Op::Kind::kCmpNum: {
-      auto cmp_num = [&](const auto& col) {
-        FillNumCmpAt(op.cmp, col, row_begin, row_end, op.num_lit, words);
-      };
-      if (op.col_type == ValueType::kInt64) {
-        cmp_num(table.Int64Column(op.col));
-      } else {
-        cmp_num(table.DoubleColumn(op.col));
-      }
-      return;
-    }
-    case Op::Kind::kCmpStr: {
-      const ChunkedColumn<std::string>& col = table.StringColumn(op.col);
-      const std::string_view lit = op.str_lit;
-      FillMask(row_begin, row_end, words, [&](size_t i) {
-        switch (op.cmp) {
-          case PredicateOp::kEq: return std::string_view(col[i]) == lit;
-          case PredicateOp::kNe: return std::string_view(col[i]) != lit;
-          case PredicateOp::kLt: return std::string_view(col[i]) < lit;
-          case PredicateOp::kLe: return std::string_view(col[i]) <= lit;
-          case PredicateOp::kGt: return std::string_view(col[i]) > lit;
-          case PredicateOp::kGe: return std::string_view(col[i]) >= lit;
-          default: OSDP_CHECK_MSG(false, "bad comparison op"); return false;
-        }
-      });
-      return;
-    }
-    case Op::Kind::kInNum: {
-      const std::vector<double>& set = op.num_set;
-      auto member = [&](double v) {
-        for (double s : set) {
-          if (v == s) return true;
-        }
-        return false;
-      };
-      if (op.col_type == ValueType::kInt64) {
-        const ChunkedColumn<int64_t>& col = table.Int64Column(op.col);
-        FillMask(row_begin, row_end, words, [&](size_t i) {
-          return member(static_cast<double>(col[i]));
-        });
-      } else {
-        const ChunkedColumn<double>& col = table.DoubleColumn(op.col);
-        FillMask(row_begin, row_end, words,
-                 [&](size_t i) { return member(col[i]); });
-      }
-      return;
-    }
-    case Op::Kind::kInStr: {
-      const ChunkedColumn<std::string>& col = table.StringColumn(op.col);
-      const std::vector<std::string>& set = op.str_set;
-      FillMask(row_begin, row_end, words, [&](size_t i) {
-        const std::string_view v(col[i]);
-        for (const std::string& s : set) {
-          if (v == s) return true;
-        }
-        return false;
-      });
       return;
     }
   }
@@ -660,26 +524,6 @@ void CompiledPredicate::EvalRangeInto(const Table& table, size_t row_begin,
   if (row_begin == row_end) return;
   EvalOp(*root_, table, row_begin, row_end,
          out->mutable_words() + (row_begin >> 6));
-}
-
-RowMask CompiledPredicate::EvalMaskFlat(const Table& table) const {
-  RowMask out(table.num_rows());
-  EvalRangeIntoFlat(table, 0, table.num_rows(), &out);
-  return out;
-}
-
-void CompiledPredicate::EvalRangeIntoFlat(const Table& table, size_t row_begin,
-                                          size_t row_end, RowMask* out) const {
-  OSDP_CHECK_MSG(table.schema() == schema_,
-                 "table schema differs from the compiled schema");
-  OSDP_CHECK(out->size() == table.num_rows());
-  OSDP_CHECK_MSG((row_begin & 63) == 0, "range start must be word-aligned");
-  OSDP_CHECK_MSG(row_end == table.num_rows() || (row_end & 63) == 0,
-                 "range end must be word-aligned or the table end");
-  OSDP_CHECK(row_begin <= row_end && row_end <= table.num_rows());
-  if (row_begin == row_end) return;
-  EvalOpFlat(*root_, table, row_begin, row_end,
-             out->mutable_words() + (row_begin >> 6));
 }
 
 }  // namespace osdp

@@ -98,20 +98,6 @@ class CompiledPredicate {
   void EvalRangeInto(const Table& table, size_t row_begin, size_t row_end,
                      RowMask* out) const;
 
-  /// \brief Flat-reference evaluation: the same word algebra as EvalMask,
-  /// but every leaf reads cells one at a time by global row index instead of
-  /// decomposing the range into chunk spans.
-  ///
-  /// This is the oracle the chunk-spanning fast path is pinned against
-  /// (tests/chunked_table_test.cc asserts bit-identity across chunk-edge
-  /// sizes); it is not meant for production scans.
-  RowMask EvalMaskFlat(const Table& table) const;
-
-  /// Range form of the flat reference, same alignment contract as
-  /// EvalRangeInto.
-  void EvalRangeIntoFlat(const Table& table, size_t row_begin, size_t row_end,
-                         RowMask* out) const;
-
   /// Compiled program node; public only for the implementation.
   struct Op;
 

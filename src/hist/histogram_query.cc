@@ -168,12 +168,6 @@ Result<Histogram> ComputeHistogram(const TableView& view,
   return ComputeHistogramMasked(view.table(), query, view.BaseMask());
 }
 
-Result<Histogram> ComputeHistogramMasked(const Table& table,
-                                         const HistogramQuery& query,
-                                         const std::vector<bool>& mask) {
-  return ComputeHistogramMasked(table, query, RowMask::FromBools(mask));
-}
-
 Result<Histogram2D> ComputeHistogram2D(const Table& table,
                                        const HistogramQuery2D& query) {
   OSDP_ASSIGN_OR_RETURN(size_t row_idx,

@@ -112,11 +112,6 @@ Result<Histogram> ComputeHistogramMasked(const Table& table,
                                          const HistogramQuery& query,
                                          const RowMask& mask);
 
-/// Legacy bool-vector overload; converts and delegates to the RowMask form.
-Result<Histogram> ComputeHistogramMasked(const Table& table,
-                                         const HistogramQuery& query,
-                                         const std::vector<bool>& mask);
-
 /// \brief A 2-D histogram query over two binned columns (row dim, col dim).
 struct HistogramQuery2D {
   std::string row_column;

@@ -13,17 +13,9 @@ double OsdpRRReleaseProbability(double epsilon) {
 Result<std::vector<size_t>> OsdpRRSelect(const Table& table,
                                          const Policy& policy, double epsilon,
                                          Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  const double p = OsdpRRReleaseProbability(epsilon);
-  // Batch-classify once, then draw one Bernoulli per non-sensitive row —
-  // the same coin sequence as the old row-at-a-time loop.
-  std::vector<size_t> out;
-  policy.NonSensitiveRowMask(table).ForEachSet([&](size_t row) {
-    if (rng.NextBernoulli(p)) out.push_back(row);
-  });
-  return out;
+  OSDP_ASSIGN_OR_RETURN(TableView view,
+                        OsdpRRReleaseView(table, policy, epsilon, rng));
+  return view.ToIndices();
 }
 
 Result<Table> OsdpRRRelease(const Table& table, const Policy& policy,
@@ -35,11 +27,27 @@ Result<Table> OsdpRRRelease(const Table& table, const Policy& policy,
 
 Result<TableView> OsdpRRReleaseView(const Table& table, const Policy& policy,
                                     double epsilon, Rng& rng) {
-  OSDP_ASSIGN_OR_RETURN(std::vector<size_t> rows,
-                        OsdpRRSelect(table, policy, epsilon, rng));
-  RowMask mask(table.num_rows());
-  for (size_t r : rows) mask.Set(r);
-  return table.SelectRowsView(std::move(mask));
+  return OsdpRRReleaseView(table, policy.NonSensitiveRowMask(table), epsilon,
+                           rng);
+}
+
+Result<TableView> OsdpRRReleaseView(const Table& table,
+                                    const RowMask& non_sensitive,
+                                    double epsilon, Rng& rng) {
+  if (epsilon <= 0.0) {
+    return Status::InvalidArgument("epsilon must be positive");
+  }
+  if (non_sensitive.size() != table.num_rows()) {
+    return Status::InvalidArgument("non-sensitive mask size != table rows");
+  }
+  // The one OsdpRR coin loop: one Bernoulli per non-sensitive row, in row
+  // order.
+  const double p = OsdpRRReleaseProbability(epsilon);
+  RowMask released(table.num_rows());
+  non_sensitive.ForEachSet([&](size_t row) {
+    if (rng.NextBernoulli(p)) released.Set(row);
+  });
+  return table.SelectRowsView(std::move(released));
 }
 
 Result<Histogram> OsdpRRHistogram(const Histogram& xns, double epsilon,

@@ -10,6 +10,7 @@
 
 #include "src/common/random.h"
 #include "src/common/result.h"
+#include "src/data/row_mask.h"
 #include "src/data/table.h"
 #include "src/data/table_view.h"
 #include "src/hist/histogram.h"
@@ -40,6 +41,15 @@ Result<Table> OsdpRRRelease(const Table& table, const Policy& policy,
 /// cell is copied. The view borrows `table` and must not outlive it.
 /// OsdpRRRelease is exactly this view materialized.
 Result<TableView> OsdpRRReleaseView(const Table& table, const Policy& policy,
+                                    double epsilon, Rng& rng);
+
+/// \brief OsdpRR over a classification the caller already holds:
+/// `non_sensitive` (one bit per row of `table`, InvalidArgument otherwise)
+/// marks the release-eligible rows. Equal to the Policy form when the mask
+/// is that policy's NonSensitiveRowMask(table), without re-running the
+/// policy scan — a snapshot's stored mask feeds straight in.
+Result<TableView> OsdpRRReleaseView(const Table& table,
+                                    const RowMask& non_sensitive,
                                     double epsilon, Rng& rng);
 
 /// \brief Generic OsdpRR over arbitrary record types (e.g. trajectories):

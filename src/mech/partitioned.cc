@@ -1,6 +1,6 @@
 #include "src/mech/partitioned.h"
 
-#include "src/accounting/composition.h"
+#include "src/accounting/concurrent.h"
 #include "src/data/row_mask.h"
 #include "src/mech/osdp_laplace.h"
 
@@ -26,7 +26,7 @@ Result<PartitionedRelease> PartitionedHistogramRelease(
   const RowMask ns_mask = policy.NonSensitiveRowMask(table);
   PartitionedRelease out;
   out.partitions.reserve(opts.num_partitions);
-  CompositionLedger ledger;
+  SharedLedger ledger;
   for (size_t part = 0; part < opts.num_partitions; ++part) {
     // Mask: non-sensitive rows of this partition only, built from the
     // (already range-checked) key column. One num_rows-bit mask lives at a

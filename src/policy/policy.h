@@ -59,11 +59,6 @@ class Policy {
   /// mask bit set iff the row is non-sensitive (the release-eligible subset).
   RowMask NonSensitiveRowMask(const Table& table) const;
 
-  /// Legacy bool-vector form of NonSensitiveRowMask.
-  std::vector<bool> NonSensitiveMask(const Table& table) const {
-    return NonSensitiveRowMask(table).ToBools();
-  }
-
   /// Fraction of non-sensitive rows (the paper's ρ); 0 for empty tables.
   double NonSensitiveFraction(const Table& table) const;
 
@@ -107,7 +102,10 @@ class Policy {
   std::string name_;
   // One-slot cache keyed by schema; copies of a Policy share it. Immutable
   // once built (the slot is swapped, never mutated), so sharing is safe in
-  // the library's single-threaded usage.
+  // the library's single-threaded usage. Swapping the slot is a write:
+  // concurrent code classifies once up front (OsdpEngine fills the
+  // snapshot's non-sensitive mask at construction) and pool threads only
+  // read or copy the Policy afterwards.
   mutable std::shared_ptr<const CompiledPredicate> compiled_cache_;
 };
 

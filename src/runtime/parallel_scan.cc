@@ -101,48 +101,18 @@ size_t ParallelAndCount(const RowMask& a, const RowMask& b,
   });
 }
 
-namespace {
-
-enum class CombineOp { kAnd, kOr, kAndNot };
-
-void ParallelCombine(RowMask* mask, const RowMask& other, CombineOp op,
+void ParallelAndWith(RowMask* mask, const RowMask& other,
                      const ParallelScanOptions& opts) {
   OSDP_CHECK(mask->size() == other.size());
   uint64_t* dst = mask->mutable_words();
   const uint64_t* src = other.words();
   ForEachShard(mask->size(), opts, /*alignment=*/64,
                [&](size_t /*shard*/, size_t begin, size_t end) {
-                 const size_t wlo = begin >> 6;
                  const size_t whi = (end + 63) >> 6;
-                 switch (op) {
-                   case CombineOp::kAnd:
-                     for (size_t wi = wlo; wi < whi; ++wi) dst[wi] &= src[wi];
-                     break;
-                   case CombineOp::kOr:
-                     for (size_t wi = wlo; wi < whi; ++wi) dst[wi] |= src[wi];
-                     break;
-                   case CombineOp::kAndNot:
-                     for (size_t wi = wlo; wi < whi; ++wi) dst[wi] &= ~src[wi];
-                     break;
+                 for (size_t wi = begin >> 6; wi < whi; ++wi) {
+                   dst[wi] &= src[wi];
                  }
                });
-}
-
-}  // namespace
-
-void ParallelAndWith(RowMask* mask, const RowMask& other,
-                     const ParallelScanOptions& opts) {
-  ParallelCombine(mask, other, CombineOp::kAnd, opts);
-}
-
-void ParallelOrWith(RowMask* mask, const RowMask& other,
-                    const ParallelScanOptions& opts) {
-  ParallelCombine(mask, other, CombineOp::kOr, opts);
-}
-
-void ParallelAndNotWith(RowMask* mask, const RowMask& other,
-                        const ParallelScanOptions& opts) {
-  ParallelCombine(mask, other, CombineOp::kAndNot, opts);
 }
 
 namespace {

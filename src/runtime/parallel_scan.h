@@ -70,15 +70,9 @@ size_t ParallelCount(const RowMask& mask,
 size_t ParallelAndCount(const RowMask& a, const RowMask& b,
                         const ParallelScanOptions& opts = {});
 
-/// \name RowMask combiners, sharded: each shard rewrites its own words.
-/// @{
+/// RowMask::AndWith, sharded: each shard rewrites its own words.
 void ParallelAndWith(RowMask* mask, const RowMask& other,
                      const ParallelScanOptions& opts = {});
-void ParallelOrWith(RowMask* mask, const RowMask& other,
-                    const ParallelScanOptions& opts = {});
-void ParallelAndNotWith(RowMask* mask, const RowMask& other,
-                        const ParallelScanOptions& opts = {});
-/// @}
 
 /// ComputeHistogramMasked, sharded: the WHERE mask is evaluated
 /// shard-parallel, then each shard accumulates its row segment of WHERE ∧

@@ -1,9 +1,10 @@
 // Tests for the chunked copy-on-write column layer (src/data/
 // chunked_column.h) and everything that rides on it: chunk sharing across
 // copies / appends / snapshot generations, the randomized property suite
-// pinning the chunk-spanning scan paths bit-identical to their flat
-// references at chunk-edge sizes and across shard counts, the per-chunk
-// string_view lifetime contract, and the zero-copy TableView consumers.
+// pinning the chunk-spanning scan paths bit-identical to the boxed
+// row-at-a-time Predicate::Eval on every row at chunk-edge sizes and across
+// shard counts, the per-chunk string_view lifetime contract, and the
+// zero-copy TableView consumers.
 
 #include <cstdint>
 #include <string>
@@ -81,6 +82,18 @@ Predicate TestPredicate() {
       Predicate::And(Predicate::Lt("age", Value(37)),
                      Predicate::Ge("income", Value(30.25))),
       Predicate::In("race", {Value("ab"), Value("zzz")}));
+}
+
+// The row-at-a-time boxed reference: a mask sized table.num_rows() whose bit
+// r, for every r in [row_begin, row_end), is Predicate::Eval on row r; bits
+// outside the range stay clear.
+RowMask BoxedMask(const Predicate& pred, const Table& table, size_t row_begin,
+                  size_t row_end) {
+  RowMask mask(table.num_rows());
+  for (size_t r = row_begin; r < row_end; ++r) {
+    if (pred.Eval(table, r)) mask.Set(r);
+  }
+  return mask;
 }
 
 // ---------------------------------------------------------- ChunkedColumn ---
@@ -227,7 +240,7 @@ TEST(ChunkedTableTest, MisalignedSelfAppendIsExact) {
 
 // ----------------------------------------------------- scan bit-identity ---
 
-TEST(ChunkedScanProperty, ChunkedEvalBitIdenticalToFlatAndRowReference) {
+TEST(ChunkedScanProperty, ChunkedEvalBitIdenticalToRowReference) {
   Rng rng(0xC4A9);
   const Predicate pred = TestPredicate();
   for (size_t rows : EdgeSizes()) {
@@ -237,14 +250,7 @@ TEST(ChunkedScanProperty, ChunkedEvalBitIdenticalToFlatAndRowReference) {
     ASSERT_TRUE(compiled.ok());
 
     const RowMask chunked = compiled->EvalMask(table);
-    const RowMask flat = compiled->EvalMaskFlat(table);
-    ASSERT_TRUE(chunked == flat) << "rows=" << rows;
-
-    // Spot-check the row-at-a-time boxed reference on a sample (the full
-    // sweep is O(rows · tree) and adds nothing at 3 chunks).
-    for (size_t r = 0; r < rows; r += 97) {
-      ASSERT_EQ(chunked.Test(r), pred.Eval(table, r)) << "row " << r;
-    }
+    ASSERT_TRUE(chunked == BoxedMask(pred, table, 0, rows)) << "rows=" << rows;
 
     for (size_t shards : ShardCounts()) {
       ThreadPool pool(4);
@@ -258,11 +264,12 @@ TEST(ChunkedScanProperty, ChunkedEvalBitIdenticalToFlatAndRowReference) {
   }
 }
 
-TEST(ChunkedScanProperty, RangeEvalAgreesWithFlatAtWordBoundaries) {
+TEST(ChunkedScanProperty, RangeEvalAgreesWithRowReferenceAtWordBoundaries) {
   Rng rng(0x9999);
   const Table table = RandomTable(3 * kChunkRows + 17, rng);
+  const Predicate pred = TestPredicate();
   Result<CompiledPredicate> compiled =
-      CompiledPredicate::Compile(TestPredicate(), table.schema());
+      CompiledPredicate::Compile(pred, table.schema());
   ASSERT_TRUE(compiled.ok());
 
   // Ranges that straddle chunk edges from word-aligned starts.
@@ -274,10 +281,10 @@ TEST(ChunkedScanProperty, RangeEvalAgreesWithFlatAtWordBoundaries) {
       {(n / 64) * 64, n},
       {0, n}};
   for (const auto& [begin, end] : ranges) {
-    RowMask a(n), b(n);
+    RowMask a(n);
     compiled->EvalRangeInto(table, begin, end, &a);
-    compiled->EvalRangeIntoFlat(table, begin, end, &b);
-    ASSERT_TRUE(a == b) << "range [" << begin << ", " << end << ")";
+    ASSERT_TRUE(a == BoxedMask(pred, table, begin, end))
+        << "range [" << begin << ", " << end << ")";
   }
 }
 

@@ -208,7 +208,8 @@ TEST(HistogramQueryTest, WhereConditionFilters) {
 TEST(HistogramQueryTest, MaskSelectsRows) {
   Table t = AgeTable();
   HistogramQuery q{"age", *Domain1D::Numeric(0, 100, 4), std::nullopt};
-  std::vector<bool> mask = {true, false, true, false, true, false};
+  const RowMask mask =
+      RowMask::FromBools({true, false, true, false, true, false});
   Histogram h = *ComputeHistogramMasked(t, q, mask);
   EXPECT_DOUBLE_EQ(h.Total(), 3.0);
 }
@@ -216,7 +217,6 @@ TEST(HistogramQueryTest, MaskSelectsRows) {
 TEST(HistogramQueryTest, MaskSizeValidated) {
   Table t = AgeTable();
   HistogramQuery q{"age", *Domain1D::Numeric(0, 100, 4), std::nullopt};
-  EXPECT_FALSE(ComputeHistogramMasked(t, q, std::vector<bool>{true}).ok());
   EXPECT_FALSE(ComputeHistogramMasked(t, q, RowMask(1)).ok());
 }
 

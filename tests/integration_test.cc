@@ -4,8 +4,7 @@
 
 #include <cmath>
 
-#include "src/accounting/budget.h"
-#include "src/accounting/composition.h"
+#include "src/accounting/concurrent.h"
 #include "src/benchdata/dpbench.h"
 #include "src/benchdata/sampling.h"
 #include "src/common/check.h"
@@ -174,16 +173,17 @@ TEST(IntegrationTest, BudgetedDawazPipelineComposes) {
   // Reconstruct DAWAz's budget arithmetic through the public accounting API
   // and verify the ledger certifies Theorem 5.3's composed guarantee.
   const double total_eps = 1.0;
-  PrivacyBudget budget(total_eps);
-  double eps1 = 0.0;
-  ASSERT_TRUE(budget.SpendFraction(0.1, "OsdpRR zero detector", &eps1).ok());
+  SharedBudget budget(total_eps);
+  // DAWAz's ρ = 0.1 split of the total budget.
+  const double eps1 = 0.1 * budget.remaining();
+  ASSERT_TRUE(budget.Spend(eps1, "OsdpRR zero detector").ok());
   const double eps2 = budget.remaining();
   ASSERT_TRUE(budget.Spend(eps2, "DAWA on full histogram").ok());
   EXPECT_NEAR(eps1, 0.1, 1e-12);
   EXPECT_NEAR(eps1 + eps2, total_eps, 1e-12);
 
   Policy p = Policy::SensitiveWhen(Predicate::Eq("opt_in", Value(0)), "P_opt");
-  CompositionLedger ledger;
+  SharedLedger ledger;
   ledger.Record(p, eps1, "zero detector (OSDP)");
   // DAWA is ε₂-DP ⇒ (P, ε₂)-OSDP for every P (Lemma 3.1).
   ledger.Record(p, eps2, "DAWA (DP => OSDP)");
@@ -206,7 +206,7 @@ TEST(IntegrationTest, TableToHistogramOsdpRelease) {
       Policy::SensitiveWhen(Predicate::Eq("opt_in", Value(0)), "opt_out");
   HistogramQuery q{"age", *Domain1D::Numeric(0, 100, 20), std::nullopt};
   Histogram x = *ComputeHistogram(t, q);
-  Histogram xns = *ComputeHistogramMasked(t, q, policy.NonSensitiveMask(t));
+  Histogram xns = *ComputeHistogramMasked(t, q, policy.NonSensitiveRowMask(t));
   ASSERT_TRUE(xns.DominatedBy(x));
 
   Rng rng(6);

@@ -1,14 +1,18 @@
 // Tests for src/policy and src/accounting: policy algebra (Definitions 3.1,
-// 3.5-3.7), composition (Theorems 3.2/3.3/10.2), budgets.
+// 3.5-3.7), composition (Theorems 3.2/3.3/10.2), budgets and the two-budget
+// reservation.
 
+#include <atomic>
 #include <limits>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/check.h"
 
-#include "src/accounting/budget.h"
-#include "src/accounting/composition.h"
+#include "src/accounting/concurrent.h"
 #include "src/policy/generic_policy.h"
 #include "src/policy/policy.h"
 
@@ -54,8 +58,8 @@ TEST(PolicyTest, PaperEvalConvention) {
 TEST(PolicyTest, MaskAndFraction) {
   Table t = PeopleTable();
   Policy p = MinorsSensitive();
-  std::vector<bool> mask = p.NonSensitiveMask(t);
-  EXPECT_EQ(mask, (std::vector<bool>{false, true, true, false}));
+  const RowMask mask = p.NonSensitiveRowMask(t);
+  EXPECT_EQ(mask.ToBools(), (std::vector<bool>{false, true, true, false}));
   EXPECT_DOUBLE_EQ(p.NonSensitiveFraction(t), 0.5);
 }
 
@@ -147,7 +151,7 @@ TEST(GenericPolicyTest, AllSensitiveAllNonSensitive) {
 // ---------------------------------------------------------------- Budget ---
 
 TEST(BudgetTest, SpendsAndRefuses) {
-  PrivacyBudget budget(1.0);
+  SharedBudget budget(1.0);
   EXPECT_TRUE(budget.Spend(0.4, "a").ok());
   EXPECT_TRUE(budget.Spend(0.6, "b").ok());
   EXPECT_NEAR(budget.remaining(), 0.0, 1e-12);
@@ -156,7 +160,7 @@ TEST(BudgetTest, SpendsAndRefuses) {
 }
 
 TEST(BudgetTest, RejectsNonPositiveCharges) {
-  PrivacyBudget budget(1.0);
+  SharedBudget budget(1.0);
   EXPECT_EQ(budget.Spend(0.0, "zero").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(budget.Spend(-0.5, "neg").code(), StatusCode::kInvalidArgument);
 }
@@ -164,7 +168,7 @@ TEST(BudgetTest, RejectsNonPositiveCharges) {
 TEST(BudgetTest, RejectsNonFiniteCharges) {
   // A NaN charge passes `<= 0` and would make spent_ NaN, after which every
   // later charge passes the budget check.
-  PrivacyBudget budget(1.0);
+  SharedBudget budget(1.0);
   for (double bad : {std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity(),
                      -std::numeric_limits<double>::infinity()}) {
@@ -176,29 +180,171 @@ TEST(BudgetTest, RejectsNonFiniteCharges) {
   EXPECT_EQ(budget.Spend(2.0, "over").code(), StatusCode::kBudgetExhausted);
 }
 
-TEST(BudgetTest, SpendFraction) {
-  PrivacyBudget budget(2.0);
-  double charged = 0.0;
-  EXPECT_TRUE(budget.SpendFraction(0.25, "zero-detect", &charged).ok());
-  EXPECT_DOUBLE_EQ(charged, 0.5);
-  EXPECT_DOUBLE_EQ(budget.remaining(), 1.5);
-  // Fraction of the *remaining* budget.
-  EXPECT_TRUE(budget.SpendFraction(1.0, "rest", &charged).ok());
-  EXPECT_DOUBLE_EQ(charged, 1.5);
-}
-
 TEST(BudgetTest, FloatAccumulationTolerated) {
-  PrivacyBudget budget(1.0);
+  SharedBudget budget(1.0);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(budget.Spend(0.1, "slice").ok());
   // 10 x 0.1 may exceed 1.0 by float error; the tolerance absorbs it.
   EXPECT_EQ(budget.charges().size(), 10u);
 }
 
-// ----------------------------------------------------- CompositionLedger ---
+TEST(BudgetTest, RefundIsRecordedAsNegativeLine) {
+  SharedBudget budget(1.0);
+  ASSERT_TRUE(budget.Spend(0.4, "q").ok());
+  budget.Refund(0.4, "q [refunded]");
+  EXPECT_EQ(budget.spent(), 0.0);
+  const std::vector<SharedBudget::Charge> charges = budget.charges();
+  ASSERT_EQ(charges.size(), 2u);
+  EXPECT_EQ(charges[0].epsilon, 0.4);
+  EXPECT_EQ(charges[1].epsilon, -0.4);
+  EXPECT_EQ(charges[1].label, "q [refunded]");
+}
+
+TEST(BudgetDeathTest, RefundBeyondSpentAborts) {
+  SharedBudget budget(1.0);
+  ASSERT_TRUE(budget.Spend(0.2, "q").ok());
+  EXPECT_DEATH(budget.Refund(0.5, "too much"), "exceeds spent");
+}
+
+TEST(BudgetTest, ConcurrentSpendersNeverOvershootTotal) {
+  // Many threads race small charges against one budget while an observer
+  // reads it: the check-and-charge is atomic, so the budget fills exactly
+  // and is never seen past total().
+  constexpr int kThreads = 8;
+  constexpr int kAttemptsPerThread = 50;
+  constexpr double kCharge = 0.01;
+  SharedBudget budget(1.0);
+  std::atomic<int> granted{0};
+  std::atomic<bool> done{false};
+  std::atomic<bool> overshoot_seen{false};
+  std::thread observer([&] {
+    while (!done.load()) {
+      if (budget.spent() > budget.total() + 1e-9) overshoot_seen = true;
+    }
+  });
+  std::vector<std::thread> spenders;
+  for (int t = 0; t < kThreads; ++t) {
+    spenders.emplace_back([&] {
+      for (int i = 0; i < kAttemptsPerThread; ++i) {
+        if (budget.Spend(kCharge, "slice").ok()) ++granted;
+      }
+    });
+  }
+  for (std::thread& t : spenders) t.join();
+  done = true;
+  observer.join();
+
+  EXPECT_FALSE(overshoot_seen.load());
+  // 400 attempts at 0.01 against 1.0: exactly 100 fit.
+  EXPECT_EQ(granted.load(), 100);
+  EXPECT_LE(budget.spent(), budget.total() + 1e-9);
+  EXPECT_NEAR(budget.spent(), granted.load() * kCharge, 1e-9);
+  EXPECT_EQ(budget.charges().size(), static_cast<size_t>(granted.load()));
+}
+
+// ---------------------------------------------------- BudgetReservation ---
+
+TEST(BudgetReservationTest, DestroyedWithoutCommitRefundsBothBudgets) {
+  SharedBudget session(1.0);
+  SharedBudget service(2.0);
+  {
+    Result<BudgetReservation> r =
+        BudgetReservation::Acquire(&session, "s", &service, "v", 0.4);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r->held());
+    EXPECT_DOUBLE_EQ(session.spent(), 0.4);
+    EXPECT_DOUBLE_EQ(service.spent(), 0.4);
+  }
+  EXPECT_EQ(session.spent(), 0.0);
+  EXPECT_EQ(service.spent(), 0.0);
+  ASSERT_EQ(session.charges().size(), 2u);
+  EXPECT_EQ(session.charges()[1].label, "s [refunded]");
+  ASSERT_EQ(service.charges().size(), 2u);
+  EXPECT_EQ(service.charges()[1].label, "v [refunded]");
+}
+
+TEST(BudgetReservationTest, CommitMakesTheChargePermanent) {
+  SharedBudget session(1.0);
+  SharedBudget service(2.0);
+  {
+    Result<BudgetReservation> r =
+        BudgetReservation::Acquire(&session, "s", &service, "v", 0.4);
+    ASSERT_TRUE(r.ok());
+    r->Commit();
+    EXPECT_FALSE(r->held());
+  }
+  EXPECT_DOUBLE_EQ(session.spent(), 0.4);
+  EXPECT_DOUBLE_EQ(service.spent(), 0.4);
+  EXPECT_EQ(session.charges().size(), 1u);
+  EXPECT_EQ(service.charges().size(), 1u);
+}
+
+TEST(BudgetReservationTest, MoveTransfersTheRefundExactlyOnce) {
+  SharedBudget session(1.0);
+  SharedBudget service(1.0);
+  {
+    BudgetReservation first =
+        *BudgetReservation::Acquire(&session, "s", &service, "v", 0.3);
+    {
+      BudgetReservation second = std::move(first);
+      EXPECT_FALSE(first.held());
+      EXPECT_TRUE(second.held());
+      EXPECT_DOUBLE_EQ(second.epsilon(), 0.3);
+      EXPECT_DOUBLE_EQ(session.spent(), 0.3);
+    }  // second refunds here
+    EXPECT_EQ(session.spent(), 0.0);
+    EXPECT_EQ(service.spent(), 0.0);
+  }  // first (moved-from) refunds nothing
+  EXPECT_EQ(session.charges().size(), 2u);
+  EXPECT_EQ(service.charges().size(), 2u);
+
+  // Move-assigning onto a held reservation first refunds what it held.
+  {
+    BudgetReservation a =
+        *BudgetReservation::Acquire(&session, "a", &service, "a", 0.2);
+    BudgetReservation b =
+        *BudgetReservation::Acquire(&session, "b", &service, "b", 0.3);
+    b = std::move(a);
+    EXPECT_DOUBLE_EQ(session.spent(), 0.2);
+    EXPECT_DOUBLE_EQ(b.epsilon(), 0.2);
+  }
+  EXPECT_NEAR(session.spent(), 0.0, 1e-12);
+  EXPECT_NEAR(service.spent(), 0.0, 1e-12);
+  // Two charges and two refunds, one each: nothing refunded twice.
+  EXPECT_EQ(session.charges().size(), 6u);
+  EXPECT_EQ(service.charges().size(), 6u);
+}
+
+TEST(BudgetReservationTest, AcquireRollsBackSessionWhenServiceRefuses) {
+  SharedBudget session(1.0);
+  SharedBudget service(0.25);
+  Result<BudgetReservation> r =
+      BudgetReservation::Acquire(&session, "s", &service, "v", 0.3);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kBudgetExhausted);
+  EXPECT_EQ(session.spent(), 0.0);
+  const std::vector<SharedBudget::Charge> lines = session.charges();
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[1].epsilon, -0.3);
+  EXPECT_EQ(lines[1].label, "s [rolled back]");
+  EXPECT_TRUE(service.charges().empty());
+}
+
+TEST(BudgetReservationTest, AcquireChargesNothingWhenSessionRefuses) {
+  SharedBudget session(0.25);
+  SharedBudget service(1.0);
+  EXPECT_EQ(BudgetReservation::Acquire(&session, "s", &service, "v", 0.3)
+                .status()
+                .code(),
+            StatusCode::kBudgetExhausted);
+  EXPECT_TRUE(session.charges().empty());
+  EXPECT_TRUE(service.charges().empty());
+}
+
+// ---------------------------------------------------------- SharedLedger ---
 
 TEST(CompositionTest, SequentialSumsEpsilons) {
   // Theorem 3.3: Σε under the minimum relaxation.
-  CompositionLedger ledger;
+  SharedLedger ledger;
   ledger.Record(MinorsSensitive(), 0.5, "query1");
   ledger.Record(OptOutSensitive(), 0.7, "query2");
   ComposedGuarantee g = *ledger.Sequential();
@@ -214,7 +360,7 @@ TEST(CompositionTest, SequentialSumsEpsilons) {
 
 TEST(CompositionTest, ParallelTakesMax) {
   // Theorem 10.2: max ε over disjoint partitions.
-  CompositionLedger ledger;
+  SharedLedger ledger;
   ledger.Record(MinorsSensitive(), 0.5, "partition1");
   ledger.Record(MinorsSensitive(), 0.9, "partition2");
   ledger.Record(MinorsSensitive(), 0.2, "partition3");
@@ -222,13 +368,15 @@ TEST(CompositionTest, ParallelTakesMax) {
 }
 
 TEST(CompositionTest, EmptyLedgerErrors) {
-  CompositionLedger ledger;
-  EXPECT_FALSE(ledger.Sequential().ok());
-  EXPECT_FALSE(ledger.Parallel().ok());
+  SharedLedger ledger;
+  EXPECT_EQ(ledger.Sequential().status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ledger.Parallel().status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(CompositionTest, SingleEntryIsIdentity) {
-  CompositionLedger ledger;
+  SharedLedger ledger;
   ledger.Record(MinorsSensitive(), 0.3);
   EXPECT_DOUBLE_EQ(ledger.Sequential()->epsilon, 0.3);
   EXPECT_DOUBLE_EQ(ledger.Parallel()->epsilon, 0.3);

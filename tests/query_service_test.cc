@@ -505,6 +505,36 @@ TEST(QueryServiceConcurrencyTest, PerSessionStreamsAreInterleavingInvariant) {
   EXPECT_EQ(contended, baseline);
 }
 
+TEST(QueryServiceConcurrencyTest, PooledSamplesMatchTheirSerialReplay) {
+  // A batch of samples runs on pool workers at once (the serial suite runs
+  // them inline). Workers draw coins over the snapshot's stored
+  // non-sensitive mask; each sample must equal OsdpRR replayed from its
+  // QuerySeed against a fresh policy classification.
+  constexpr double kEps = 0.4;
+  ThreadPool pool(4);
+  QueryService::Options opts;
+  opts.pool = &pool;
+  opts.per_session_epsilon = 10.0;
+  OsdpEngine engine = TestEngine(10.0, 1000);
+  const Table table = engine.data();
+  auto service = *QueryService::Create(std::move(engine), opts);
+  const QueryService::SessionId session = service->OpenSession("alice");
+
+  std::vector<ServiceRequest> batch;
+  for (int i = 0; i < 8; ++i) batch.emplace_back(SampleRequest{kEps});
+  const Policy policy = TestPolicy();
+  for (const auto& result : service->AnswerBatch(session, batch)) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_TRUE(result->sample.has_value());
+    Rng rng(QueryService::QuerySeed(opts.seed, session, result->seq,
+                                    result->generation));
+    EXPECT_EQ(result->sample->ToIndices(),
+              OsdpRRReleaseView(table, policy, kEps, rng)->ToIndices())
+        << "seq " << result->seq;
+  }
+  EXPECT_EQ(service->ledger().size(), batch.size());
+}
+
 // ------------------------------------------------------------ streaming ---
 
 TEST(QueryServiceStreamingTest, IngestPublishesGenerationsAndIsolatesQueries) {

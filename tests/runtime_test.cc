@@ -264,7 +264,7 @@ RowMask RandomMask(size_t rows, Rng& rng) {
   return m;
 }
 
-TEST(ParallelScanTest, ShardedCombinersAndCountMatchSerial) {
+TEST(ParallelScanTest, ShardedAndWithAndCountMatchSerial) {
   ThreadPool pool(3);
   Rng rng(0xC0);
   for (size_t rows : kBoundarySizes) {
@@ -280,18 +280,6 @@ TEST(ParallelScanTest, ShardedCombinersAndCountMatchSerial) {
       RowMask and_parallel = a;
       ParallelAndWith(&and_parallel, b, opts);
       ASSERT_TRUE(and_parallel == and_serial);
-
-      RowMask or_serial = a;
-      or_serial.OrWith(b);
-      RowMask or_parallel = a;
-      ParallelOrWith(&or_parallel, b, opts);
-      ASSERT_TRUE(or_parallel == or_serial);
-
-      RowMask andnot_serial = a;
-      andnot_serial.AndNotWith(b);
-      RowMask andnot_parallel = a;
-      ParallelAndNotWith(&andnot_parallel, b, opts);
-      ASSERT_TRUE(andnot_parallel == andnot_serial);
     }
   }
 }
