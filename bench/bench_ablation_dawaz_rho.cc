@@ -6,6 +6,7 @@
 
 #include "bench/bench_dpbench_common.h"
 #include "src/mech/dawaz.h"
+#include "src/mech/histogram_mechanism.h"
 
 using namespace osdp;
 using namespace osdp::bench;
@@ -47,7 +48,7 @@ int main() {
   BenchmarkDataset d = *MakeDPBenchDataset("Searchlogs", 4096, 20200416);
   TextTable naive({"policy", "rho_x", "DAWAns MRE", "DAWAz MRE"});
   auto dawans = MakeDawaNsMechanism();
-  auto dawaz = MakeDawazMechanism();
+  auto dawaz = MakeCatalogMechanism(EngineMechanism::kDawaz);
   for (const char* policy : {"Close", "Far"}) {
     for (double rho : {0.9, 0.5}) {
       Histogram xns(0);

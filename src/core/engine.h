@@ -1,10 +1,11 @@
-// OsdpEngine: a policy-bound dataset snapshot plus the one mechanism
-// dispatch. It holds no budget, ledger or noise stream: every release that
-// spends ε goes through QueryService (src/runtime/query_service.h), which
-// takes the engine over, charges its two budgets, records the composition
-// ledger of the paper's online setting (Section 7, Theorem 3.3), and seeds
-// each query's own Rng. The engine only says what each mechanism reads
-// (InputsOf) and runs it (RunMechanism).
+// OsdpEngine: a policy-bound dataset snapshot plus the mechanism pool. It
+// holds no budget, ledger or noise stream: every release that spends ε goes
+// through QueryService (src/runtime/query_service.h), which takes the engine
+// over, charges its two budgets, records the composition ledger of the
+// paper's online setting (Section 7, Theorem 3.3), and seeds each query's own
+// Rng. The mechanisms themselves — EngineMechanism, InputsOf and the one
+// dispatch that runs them — are the catalog in src/mech/histogram_mechanism.h;
+// RunMechanism forwards to it with the engine's pool.
 
 #ifndef OSDP_CORE_ENGINE_H_
 #define OSDP_CORE_ENGINE_H_
@@ -17,34 +18,10 @@
 #include "src/data/snapshot.h"
 #include "src/data/table.h"
 #include "src/hist/histogram.h"
-#include "src/mech/dawa.h"
-#include "src/mech/dawaz.h"
-#include "src/mech/hierarchical.h"
+#include "src/mech/histogram_mechanism.h"
 #include "src/policy/policy.h"
 
 namespace osdp {
-
-/// Which algorithm answers a histogram query.
-enum class EngineMechanism {
-  kLaplace = 0,        ///< ε-DP Laplace on the full histogram
-  kOsdpLaplace = 1,    ///< one-sided Laplace on x_ns (Definition 5.2)
-  kOsdpLaplaceL1 = 2,  ///< Algorithm 2
-  kDawa = 3,           ///< ε-DP DAWA on the full histogram
-  kDawaz = 4,          ///< Algorithm 3
-  kHierarchical = 5,   ///< ε-DP hierarchical release (Hay et al.)
-};
-
-/// Which histograms a mechanism reads.
-struct MechanismInputs {
-  bool x = false;    ///< the histogram over all rows
-  bool xns = false;  ///< the histogram over the non-sensitive rows (x_ns)
-};
-
-/// \brief The inputs RunMechanism passes to `mechanism`: x for the DP
-/// mechanisms, x_ns for the one-sided ones, both for DAWAz. A caller may
-/// pass any same-sized histogram for an input not declared here; the output
-/// does not depend on it.
-MechanismInputs InputsOf(EngineMechanism mechanism);
 
 /// \brief A policy-guarded dataset snapshot and the mechanisms that answer
 /// histogram queries over it.
@@ -57,9 +34,6 @@ class OsdpEngine {
     /// Unread: noise always comes from the caller's Rng. Kept because
     /// bench/service_load still sets it; drop it with the next change there.
     uint64_t seed = 0x05D9;
-    DawaOptions dawa;                  ///< options for DAWA-based mechanisms
-    DawazOptions dawaz;                ///< options for DAWAz
-    HierarchicalOptions hierarchical;  ///< options for kHierarchical
   };
 
   /// Takes ownership of the data; `policy` marks sensitive records.
@@ -67,13 +41,16 @@ class OsdpEngine {
   /// data has rows.
   static Result<OsdpEngine> Create(Table data, Policy policy, Options options);
 
-  /// \brief Runs `mechanism` over precomputed histograms with noise drawn
-  /// from `rng`; reads only the inputs InputsOf(mechanism) declares. Const
-  /// and thread-compatible: concurrent calls are safe as long as each passes
-  /// a distinct Rng.
+  /// \brief osdp::RunMechanism on the engine's mechanism pool: runs
+  /// `mechanism` over precomputed histograms with noise drawn from `rng`,
+  /// reading only the inputs InputsOf(mechanism) declares. Const and
+  /// thread-compatible: concurrent calls are safe as long as each passes a
+  /// distinct Rng.
   Result<Histogram> RunMechanism(const Histogram& x, const Histogram& xns,
                                  double epsilon, EngineMechanism mechanism,
-                                 Rng& rng) const;
+                                 Rng& rng) const {
+    return osdp::RunMechanism(x, xns, epsilon, mechanism, mech_pool_, rng);
+  }
 
   /// \brief The engine's dataset snapshot: table + cached policy mask +
   /// generation id, immutable and shareable. Create() cuts generation 0
@@ -92,17 +69,13 @@ class OsdpEngine {
   /// The engine configuration.
   const Options& options() const { return options_; }
 
-  /// \brief Routes the deterministic post-processing stages of every
-  /// mechanism — the DAWA interval-cost engine build (also inside DAWAz) and
-  /// the hierarchical consistency passes — onto `pool` (nullptr = serial).
+  /// \brief Sets the pool RunMechanism hands the mechanisms' deterministic
+  /// stages to — the DAWA interval-cost engine build (also inside DAWAz) and
+  /// the hierarchical consistency passes (nullptr = serial, the default).
   /// Answers stay bit-identical at any thread count: noise sampling never
   /// moves off the caller's Rng, so the QuerySeed replay contract holds and
   /// a serial replay engine reproduces pooled answers exactly.
-  void set_mech_pool(ThreadPool* pool) {
-    options_.dawa.pool = pool;
-    options_.dawaz.dawa.pool = pool;
-    options_.hierarchical.pool = pool;
-  }
+  void set_mech_pool(ThreadPool* pool) { mech_pool_ = pool; }
 
   /// Number of rows in the guarded dataset.
   size_t num_rows() const { return snapshot_->table.num_rows(); }
@@ -116,10 +89,8 @@ class OsdpEngine {
   SnapshotPtr snapshot_;  // generation-0 view: table + cached policy mask
   Policy policy_;
   Options options_;
+  ThreadPool* mech_pool_ = nullptr;
 };
-
-/// Name of an EngineMechanism ("Laplace", "DAWAz", ...).
-const char* EngineMechanismToString(EngineMechanism m);
 
 }  // namespace osdp
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/distributions.h"
+#include "src/mech/guarantee.h"
 
 namespace osdp {
 
@@ -43,9 +44,7 @@ double CellTrueCount(const Histogram& x, size_t cols, const Cell& cell) {
 
 Result<TwoPhaseMechanism::Output> AGrid(const Histogram& x, double epsilon,
                                         const AGridOptions& opts, Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   if (opts.rows == 0 || opts.cols == 0 ||
       x.size() != opts.rows * opts.cols) {
     return Status::InvalidArgument("x.size() must equal rows * cols");

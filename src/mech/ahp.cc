@@ -5,14 +5,13 @@
 #include <numeric>
 
 #include "src/common/distributions.h"
+#include "src/mech/guarantee.h"
 
 namespace osdp {
 
 Result<TwoPhaseMechanism::Output> Ahp(const Histogram& x, double epsilon,
                                       const AhpOptions& opts, Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   if (opts.structure_budget_ratio <= 0.0 || opts.structure_budget_ratio >= 1.0) {
     return Status::InvalidArgument("structure_budget_ratio must be in (0,1)");
   }

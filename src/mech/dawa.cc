@@ -141,9 +141,7 @@ std::vector<DawaBucket> OptimalL1Partition(const std::vector<double>& x,
 
 Result<DawaResult> Dawa(const Histogram& x, double epsilon,
                         const DawaOptions& opts, Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   if (opts.partition_budget_ratio <= 0.0 || opts.partition_budget_ratio >= 1.0) {
     return Status::InvalidArgument("partition_budget_ratio must be in (0,1)");
   }
@@ -196,14 +194,6 @@ Result<DawaResult> Dawa(const Histogram& x, double epsilon,
 
 Result<DawaResult> Dawa(const Histogram& x, double epsilon, Rng& rng) {
   return Dawa(x, epsilon, DawaOptions{}, rng);
-}
-
-PrivacyGuarantee DawaGuarantee(double epsilon) {
-  PrivacyGuarantee g;
-  g.model = PrivacyModel::kDP;
-  g.epsilon = epsilon;
-  g.exclusion_attack_phi = epsilon;
-  return g;
 }
 
 }  // namespace osdp

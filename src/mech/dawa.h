@@ -97,9 +97,6 @@ Result<DawaResult> Dawa(const Histogram& x, double epsilon,
 /// Convenience overload with default options.
 Result<DawaResult> Dawa(const Histogram& x, double epsilon, Rng& rng);
 
-/// The guarantee of a DAWA release (DP; φ = ε by Theorem 3.1).
-PrivacyGuarantee DawaGuarantee(double epsilon);
-
 /// The partition DP's full answer: the buckets plus the optimal objective
 /// value Σ_B [ dev(B) + bucket_charge ], exposed so the property tests can
 /// pin the engine and naive implementations bit-identical on both.

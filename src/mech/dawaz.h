@@ -1,20 +1,16 @@
-// DAWAz (Algorithm 3): the paper's recipe (Section 5.2) instantiated on DAWA.
+// DAWAz (Algorithm 3): the paper's recipe (Section 5.2, mech/recipe.h) run
+// on DAWA's two-phase form (MakeDawaTwoPhase).
 //
 //   1. Spend ε₁ = ρ·ε on an OSDP zero-bin detector over x_ns (OsdpRR in the
 //      paper's experiments; OsdpLaplaceL1 also offered here).
 //   2. Spend ε₂ = (1-ρ)·ε running DAWA on the full histogram x.
 //   3. Post-process: zero every bin the detector says is empty, then within
 //      each DAWA bucket rescale the surviving bins so the bucket keeps its
-//      noisy total mass.
+//      noisy total mass (the recipe's corrected ratio; see recipe.h).
 //
 // Satisfies (P, ε)-OSDP by sequential composition (Theorem 5.3): the zero
 // detector is (P, ρε)-OSDP, DAWA is (1-ρ)ε-DP — hence (P, (1-ρ)ε)-OSDP by
-// Lemma 3.1 — and steps 3 is post-processing.
-//
-// Note on Algorithm 3 line 9: the paper prints rescale_ratio = |B| / |Z∩B|,
-// which would blow up as zeros vanish; mass preservation requires dividing
-// the bucket's mass over the *surviving* bins, i.e. |B| / (|B| - |Z∩B|).
-// We implement the corrected ratio (and zero the bucket when every bin died).
+// Lemma 3.1 — and step 3 is post-processing.
 
 #ifndef OSDP_MECH_DAWAZ_H_
 #define OSDP_MECH_DAWAZ_H_
@@ -23,22 +19,13 @@
 #include "src/common/result.h"
 #include "src/hist/histogram.h"
 #include "src/mech/dawa.h"
-#include "src/mech/guarantee.h"
+#include "src/mech/recipe.h"
 
 namespace osdp {
 
-/// Which OSDP primitive detects zero bins in step 1.
-enum class DawazZeroDetector {
-  kOsdpRR = 0,        ///< binomial subsample of x_ns (paper's choice)
-  kOsdpLaplaceL1 = 1, ///< clamped one-sided Laplace estimate of x_ns
-};
-
-/// Parameters of DAWAz.
-struct DawazOptions {
-  /// Fraction ρ of ε spent on the zero detector (paper: 0.1).
-  double zero_budget_ratio = 0.1;
-  /// Zero-bin detector choice.
-  DawazZeroDetector detector = DawazZeroDetector::kOsdpRR;
+/// Parameters of DAWAz: the recipe's ρ and zero detector, plus the options
+/// of the inner DAWA run.
+struct DawazOptions : RecipeOptions {
   /// Options forwarded to the inner DAWA run.
   DawaOptions dawa;
 };
@@ -53,9 +40,6 @@ Result<Histogram> Dawaz(const Histogram& x, const Histogram& xns,
 /// Convenience overload with default options (ρ = 0.1, OsdpRR detector).
 Result<Histogram> Dawaz(const Histogram& x, const Histogram& xns,
                         double epsilon, Rng& rng);
-
-/// The guarantee of a DAWAz release (OSDP at the full ε; φ = ε).
-PrivacyGuarantee DawazGuarantee(double epsilon, const std::string& policy_name);
 
 }  // namespace osdp
 

@@ -35,4 +35,26 @@ std::string PrivacyGuarantee::ToString() const {
   return out.str();
 }
 
+PrivacyGuarantee DpGuarantee(double epsilon) {
+  PrivacyGuarantee g;
+  g.model = PrivacyModel::kDP;
+  g.epsilon = epsilon;
+  g.exclusion_attack_phi = epsilon;
+  return g;
+}
+
+PrivacyGuarantee OsdpGuarantee(double epsilon, const std::string& policy_name) {
+  PrivacyGuarantee g = DpGuarantee(epsilon);
+  g.model = PrivacyModel::kOSDP;
+  g.policy_name = policy_name;
+  return g;
+}
+
+Status ValidateEpsilon(double epsilon) {
+  if (!std::isfinite(epsilon) || epsilon <= 0.0) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
+  }
+  return Status::OK();
+}
+
 }  // namespace osdp

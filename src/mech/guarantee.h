@@ -5,6 +5,8 @@
 
 #include <string>
 
+#include "src/common/status.h"
+
 namespace osdp {
 
 /// The privacy definition a guarantee refers to.
@@ -34,6 +36,18 @@ struct PrivacyGuarantee {
   /// E.g. "(P_age, 1.0)-OSDP [phi=1.0]".
   std::string ToString() const;
 };
+
+/// ε-DP (Definition 2.2) at ε, with φ = ε (Theorem 3.1).
+PrivacyGuarantee DpGuarantee(double epsilon);
+
+/// (P, ε)-OSDP (Definition 3.3) for the policy named `policy_name`, with
+/// φ = ε (Theorem 3.1).
+PrivacyGuarantee OsdpGuarantee(double epsilon, const std::string& policy_name);
+
+/// \brief OK when ε is positive and finite, InvalidArgument otherwise. Every
+/// mechanism checks its ε here first: NaN and +inf would otherwise reach the
+/// noise samplers as a zero or NaN scale.
+Status ValidateEpsilon(double epsilon);
 
 }  // namespace osdp
 

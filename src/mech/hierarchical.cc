@@ -6,6 +6,7 @@
 
 #include "src/common/check.h"
 #include "src/common/distributions.h"
+#include "src/mech/guarantee.h"
 #include "src/runtime/thread_pool.h"
 
 namespace osdp {
@@ -78,9 +79,7 @@ constexpr size_t kNodeChunk = 256;
 Result<TwoPhaseMechanism::Output> HierarchicalRelease(
     const Histogram& x, double epsilon, const HierarchicalOptions& opts,
     Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   if (opts.fanout < 2) {
     return Status::InvalidArgument("fanout must be at least 2");
   }

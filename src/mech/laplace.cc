@@ -11,9 +11,7 @@ double LaplaceMechanismScalar(double value, double epsilon,
 
 Result<Histogram> LaplaceMechanism(const Histogram& x, double epsilon,
                                    const LaplaceOptions& opts, Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   if (opts.sensitivity <= 0.0) {
     return Status::InvalidArgument("sensitivity must be positive");
   }
@@ -28,14 +26,6 @@ Result<Histogram> LaplaceMechanism(const Histogram& x, double epsilon,
 Result<Histogram> LaplaceMechanism(const Histogram& x, double epsilon,
                                    Rng& rng) {
   return LaplaceMechanism(x, epsilon, LaplaceOptions{}, rng);
-}
-
-PrivacyGuarantee LaplaceGuarantee(double epsilon) {
-  PrivacyGuarantee g;
-  g.model = PrivacyModel::kDP;
-  g.epsilon = epsilon;
-  g.exclusion_attack_phi = epsilon;  // Theorem 3.1 applies to all DP mechanisms
-  return g;
 }
 
 double LaplaceExpectedL1Error(size_t bins, double epsilon, double sensitivity) {

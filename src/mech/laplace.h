@@ -34,9 +34,6 @@ Result<Histogram> LaplaceMechanism(const Histogram& x, double epsilon,
 Result<Histogram> LaplaceMechanism(const Histogram& x, double epsilon,
                                    Rng& rng);
 
-/// The guarantee of a Laplace release at the given ε (DP; φ = ε by Thm 3.1).
-PrivacyGuarantee LaplaceGuarantee(double epsilon);
-
 /// Expected L1 error of the Laplace mechanism on a d-bin histogram:
 /// d * sensitivity / ε (each bin contributes E|Lap(b)| = b). Used by the
 /// Theorem 5.1 crossover bench and by sanity tests.

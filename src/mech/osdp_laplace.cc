@@ -7,9 +7,7 @@
 namespace osdp {
 
 Result<Histogram> OsdpLaplace(const Histogram& xns, double epsilon, Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   OSDP_RETURN_IF_ERROR(xns.ValidateNonNegative());
   const double scale = 1.0 / epsilon;
   Histogram out(xns.size());
@@ -42,9 +40,7 @@ Result<Histogram> OsdpLaplaceL1Hybrid(const Histogram& x, const Histogram& xns,
     return Status::InvalidArgument(
         "x, xns, and bin_is_sensitive must have equal size");
   }
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   OSDP_RETURN_IF_ERROR(x.ValidateNonNegative());
   OSDP_RETURN_IF_ERROR(xns.ValidateNonNegative());
   if (!xns.DominatedBy(x)) {
@@ -66,16 +62,6 @@ Result<Histogram> OsdpLaplaceL1Hybrid(const Histogram& x, const Histogram& xns,
     }
   }
   return out;
-}
-
-PrivacyGuarantee OsdpLaplaceGuarantee(double epsilon,
-                                      const std::string& policy_name) {
-  PrivacyGuarantee g;
-  g.model = PrivacyModel::kOSDP;
-  g.epsilon = epsilon;
-  g.policy_name = policy_name;
-  g.exclusion_attack_phi = epsilon;
-  return g;
 }
 
 double OsdpLaplaceExpectedAbsNoise(double epsilon) { return 1.0 / epsilon; }

@@ -44,10 +44,6 @@ Result<Histogram> OsdpLaplaceL1Hybrid(const Histogram& x, const Histogram& xns,
                                       const std::vector<bool>& bin_is_sensitive,
                                       double epsilon, Rng& rng);
 
-/// Guarantee of OsdpLaplace / OsdpLaplaceL1 (OSDP, φ = ε).
-PrivacyGuarantee OsdpLaplaceGuarantee(double epsilon,
-                                      const std::string& policy_name);
-
 /// Expected per-bin absolute error of raw OsdpLaplace noise: E|Lap⁻(1/ε)| = 1/ε.
 double OsdpLaplaceExpectedAbsNoise(double epsilon);
 

@@ -34,9 +34,7 @@ Result<TableView> OsdpRRReleaseView(const Table& table, const Policy& policy,
 Result<TableView> OsdpRRReleaseView(const Table& table,
                                     const RowMask& non_sensitive,
                                     double epsilon, Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   if (non_sensitive.size() != table.num_rows()) {
     return Status::InvalidArgument("non-sensitive mask size != table rows");
   }
@@ -52,9 +50,7 @@ Result<TableView> OsdpRRReleaseView(const Table& table,
 
 Result<Histogram> OsdpRRHistogram(const Histogram& xns, double epsilon,
                                   Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   OSDP_RETURN_IF_ERROR(xns.ValidateNonNegative());
   const double p = OsdpRRReleaseProbability(epsilon);
   Histogram out(xns.size());
@@ -63,16 +59,6 @@ Result<Histogram> OsdpRRHistogram(const Histogram& xns, double epsilon,
     out[i] = static_cast<double>(SampleBinomial(rng, n, p));
   }
   return out;
-}
-
-PrivacyGuarantee OsdpRRGuarantee(double epsilon,
-                                 const std::string& policy_name) {
-  PrivacyGuarantee g;
-  g.model = PrivacyModel::kOSDP;
-  g.epsilon = epsilon;
-  g.policy_name = policy_name;
-  g.exclusion_attack_phi = epsilon;
-  return g;
 }
 
 double OsdpRRExpectedL1Error(double total_records,

@@ -78,9 +78,6 @@ std::vector<size_t> OsdpRRSelectGeneric(const std::vector<T>& records,
 Result<Histogram> OsdpRRHistogram(const Histogram& xns, double epsilon,
                                   Rng& rng);
 
-/// The guarantee of an OsdpRR release (OSDP; φ = ε by Theorem 3.1).
-PrivacyGuarantee OsdpRRGuarantee(double epsilon, const std::string& policy_name);
-
 /// Expected L1 error of answering a histogram via OsdpRR (Theorem 5.1):
 /// suppressed sensitive mass + e^{-ε} of the non-sensitive mass.
 double OsdpRRExpectedL1Error(double total_records, double non_sensitive_records,

@@ -14,9 +14,7 @@ Result<Histogram> ApplyOsdpRecipe(const TwoPhaseMechanism& base,
                                   const Histogram& x, const Histogram& xns,
                                   double epsilon, const RecipeOptions& opts,
                                   Rng& rng) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   if (opts.zero_budget_ratio <= 0.0 || opts.zero_budget_ratio >= 1.0) {
     return Status::InvalidArgument("zero_budget_ratio must be in (0,1)");
   }
@@ -80,12 +78,7 @@ class RecipeMechanism final : public HistogramMechanism {
   const std::string& name() const override { return name_; }
 
   PrivacyGuarantee Guarantee(double epsilon) const override {
-    PrivacyGuarantee g;
-    g.model = PrivacyModel::kOSDP;
-    g.epsilon = epsilon;
-    g.policy_name = "P";
-    g.exclusion_attack_phi = epsilon;
-    return g;
+    return OsdpGuarantee(epsilon, /*policy_name=*/"P");
   }
 
   Result<Histogram> Run(const Histogram& x, const Histogram& xns,
@@ -109,18 +102,15 @@ std::unique_ptr<HistogramMechanism> MakeRecipeMechanism(
 namespace {
 
 // Adapts a bare TwoPhaseMechanism (DP) to the HistogramMechanism interface
-// so the extended suite can score the recipe against its own base.
+// so the extended suite can score the recipe against its own base; the
+// bases the catalog already holds come from MakeCatalogMechanism instead.
 class TwoPhaseAsHistogramMechanism final : public HistogramMechanism {
  public:
   explicit TwoPhaseAsHistogramMechanism(std::unique_ptr<TwoPhaseMechanism> base)
       : base_(std::move(base)) {}
   const std::string& name() const override { return base_->name(); }
   PrivacyGuarantee Guarantee(double epsilon) const override {
-    PrivacyGuarantee g;
-    g.model = PrivacyModel::kDP;
-    g.epsilon = epsilon;
-    g.exclusion_attack_phi = epsilon;
-    return g;
+    return DpGuarantee(epsilon);
   }
   Result<Histogram> Run(const Histogram& x, const Histogram& /*xns*/,
                         double epsilon, Rng& rng) const override {
@@ -139,8 +129,7 @@ std::vector<std::unique_ptr<HistogramMechanism>> ExtendedSuite() {
   std::vector<std::unique_ptr<HistogramMechanism>> suite = StandardSuite();
   suite.push_back(std::make_unique<TwoPhaseAsHistogramMechanism>(
       MakeAhpTwoPhase()));
-  suite.push_back(std::make_unique<TwoPhaseAsHistogramMechanism>(
-      MakeHierarchicalTwoPhase()));
+  suite.push_back(MakeCatalogMechanism(EngineMechanism::kHierarchical));
   suite.push_back(MakeRecipeMechanism(MakeAhpTwoPhase()));
   suite.push_back(MakeRecipeMechanism(MakeHierarchicalTwoPhase()));
   return suite;

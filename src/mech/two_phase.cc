@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "src/mech/dawa.h"
-
 namespace osdp {
 
 Status ValidateBinGroups(const BinGroups& groups, size_t bins) {
@@ -28,6 +26,8 @@ namespace {
 
 class DawaTwoPhase final : public TwoPhaseMechanism {
  public:
+  explicit DawaTwoPhase(DawaOptions opts) : opts_(opts) {}
+
   const std::string& name() const override {
     static const std::string kName = "DAWA";
     return kName;
@@ -35,7 +35,7 @@ class DawaTwoPhase final : public TwoPhaseMechanism {
 
   Result<Output> Run(const Histogram& x, double epsilon,
                      Rng& rng) const override {
-    OSDP_ASSIGN_OR_RETURN(DawaResult r, Dawa(x, epsilon, rng));
+    OSDP_ASSIGN_OR_RETURN(DawaResult r, Dawa(x, epsilon, opts_, rng));
     BinGroups groups;
     groups.reserve(r.partition.size());
     for (const DawaBucket& b : r.partition) {
@@ -48,12 +48,15 @@ class DawaTwoPhase final : public TwoPhaseMechanism {
     }
     return Output{std::move(r.estimate), std::move(groups)};
   }
+
+ private:
+  DawaOptions opts_;
 };
 
 }  // namespace
 
-std::unique_ptr<TwoPhaseMechanism> MakeDawaTwoPhase() {
-  return std::make_unique<DawaTwoPhase>();
+std::unique_ptr<TwoPhaseMechanism> MakeDawaTwoPhase(DawaOptions opts) {
+  return std::make_unique<DawaTwoPhase>(opts);
 }
 
 }  // namespace osdp

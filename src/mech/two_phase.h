@@ -21,6 +21,7 @@
 #include "src/common/random.h"
 #include "src/common/result.h"
 #include "src/hist/histogram.h"
+#include "src/mech/dawa.h"
 
 namespace osdp {
 
@@ -50,9 +51,9 @@ class TwoPhaseMechanism {
 /// Validates that `groups` tiles [0, bins) exactly.
 Status ValidateBinGroups(const BinGroups& groups, size_t bins);
 
-/// DAWA (mech/dawa.h) exposed through the two-phase interface; buckets
-/// become contiguous groups.
-std::unique_ptr<TwoPhaseMechanism> MakeDawaTwoPhase();
+/// DAWA (mech/dawa.h) run with `opts` through the two-phase interface;
+/// buckets become contiguous groups.
+std::unique_ptr<TwoPhaseMechanism> MakeDawaTwoPhase(DawaOptions opts = {});
 
 }  // namespace osdp
 

@@ -38,9 +38,7 @@ std::vector<double> SampleDirection(Rng& rng, size_t d) {
 
 Result<LogisticRegression> TrainObjDp(const Matrix& x, const std::vector<int>& y,
                                       const ObjDpOptions& opts, Rng& rng) {
-  if (opts.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(opts.epsilon));
   if (x.empty()) return Status::InvalidArgument("empty design matrix");
   for (const auto& row : x) {
     double norm2 = 0.0;
@@ -73,14 +71,6 @@ Result<LogisticRegression> TrainObjDp(const Matrix& x, const std::vector<int>& y
   LogisticRegression model;
   OSDP_RETURN_IF_ERROR(model.FitPerturbed(x, y, erm, b));
   return model;
-}
-
-PrivacyGuarantee ObjDpGuarantee(double epsilon) {
-  PrivacyGuarantee g;
-  g.model = PrivacyModel::kDP;
-  g.epsilon = epsilon;
-  g.exclusion_attack_phi = epsilon;
-  return g;
 }
 
 }  // namespace osdp

@@ -31,9 +31,6 @@ struct ObjDpOptions {
 Result<LogisticRegression> TrainObjDp(const Matrix& x, const std::vector<int>& y,
                                       const ObjDpOptions& opts, Rng& rng);
 
-/// The guarantee of an ObjDP-trained model (ε-DP; φ = ε by Theorem 3.1).
-PrivacyGuarantee ObjDpGuarantee(double epsilon);
-
 }  // namespace osdp
 
 #endif  // OSDP_ML_OBJDP_H_

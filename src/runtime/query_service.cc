@@ -9,6 +9,7 @@
 #include "src/common/distributions.h"
 #include "src/common/fault.h"
 #include "src/data/compiled_predicate.h"
+#include "src/mech/histogram_mechanism.h"
 #include "src/mech/osdp_rr.h"
 #include "src/runtime/parallel_scan.h"
 

@@ -5,6 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/common/distributions.h"
+#include "src/mech/guarantee.h"
 
 namespace osdp {
 
@@ -93,7 +94,7 @@ Result<SparseHistogram> TruncatedNGramDistinctUsers(
 Result<SparseHistogram> NGramLaplace(const SparseHistogram& truncated, int k,
                                      double epsilon, Rng& rng) {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (epsilon <= 0.0) return Status::InvalidArgument("epsilon must be positive");
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   const double scale = 2.0 * k / epsilon;
   SparseHistogram out(truncated.domain_size());
   for (const auto& [cell, count] : truncated.cells()) {

@@ -1,8 +1,10 @@
-// Tests for src/core: OsdpEngine's construction checks and the mechanism
-// catalog's input declaration (InputsOf). Budgeted releases go through
-// QueryService and are tested in query_service_test.cc.
+// Tests for src/core: OsdpEngine's construction checks, and the mechanism
+// catalog it forwards to — the input declaration (InputsOf), ε validation,
+// and one dispatch shared with the regret suites. Budgeted releases go
+// through QueryService and are tested in query_service_test.cc.
 
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +12,8 @@
 #include "src/common/check.h"
 #include "src/core/engine.h"
 #include "src/hist/histogram_query.h"
+#include "src/mech/histogram_mechanism.h"
+#include "src/runtime/thread_pool.h"
 
 namespace osdp {
 namespace {
@@ -99,6 +103,81 @@ TEST(EngineTest, InputsOfDeclaresExactlyWhatEachMechanismReads) {
           << "declared x_ns was not read";
     } else {
       EXPECT_TRUE(same_as_base(x, zeros)) << "undeclared x_ns was read";
+    }
+  }
+}
+
+// Every mechanism — each catalog entry through the engine and every member
+// of both regret suites — refuses a non-positive or non-finite ε with
+// InvalidArgument. NaN and +inf used to pass `ε <= 0` and abort inside the
+// noise samplers.
+TEST(EngineTest, EveryMechanismRefusesNonPositiveOrNonFiniteEpsilon) {
+  const OsdpEngine engine =
+      *OsdpEngine::Create(MakeData(), OptOutSensitive(), OsdpEngine::Options{});
+  const Histogram x(std::vector<double>(64, 5.0));
+  const Histogram xns(std::vector<double>(64, 3.0));
+  std::vector<std::unique_ptr<HistogramMechanism>> suites = StandardSuite();
+  for (auto& mech : ExtendedSuite()) suites.push_back(std::move(mech));
+
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    for (EngineMechanism m : kAllMechanisms) {
+      Rng rng(1);
+      const Result<Histogram> out = engine.RunMechanism(x, xns, bad, m, rng);
+      ASSERT_FALSE(out.ok()) << EngineMechanismToString(m);
+      EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+          << EngineMechanismToString(m);
+    }
+    for (const auto& mech : suites) {
+      Rng rng(1);
+      const Result<Histogram> out = mech->Run(x, xns, bad, rng);
+      ASSERT_FALSE(out.ok()) << mech->name();
+      EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+          << mech->name();
+    }
+  }
+}
+
+// The service (through OsdpEngine::RunMechanism) and the regret suites run
+// one dispatch: for each catalog mechanism the engine, with or without a
+// mechanism pool, gives the same bits as the suite entry of the same name.
+// d = 2048 puts DAWA's interval-cost engine build on the pool.
+TEST(EngineTest, RunMechanismMatchesTheSuiteEntryBitForBit) {
+  OsdpEngine serial =
+      *OsdpEngine::Create(MakeData(), OptOutSensitive(), OsdpEngine::Options{});
+  OsdpEngine pooled = serial;
+  ThreadPool pool(3);
+  pooled.set_mech_pool(&pool);
+
+  constexpr size_t kBins = 2048;
+  Rng data(0xB175);
+  Histogram x(kBins), xns(kBins);
+  for (size_t i = 0; i < kBins; ++i) {
+    x[i] = i % 5 == 0 ? 0.0 : static_cast<double>(data.NextBounded(60));
+    xns[i] = static_cast<double>(data.NextBounded(
+        static_cast<uint64_t>(x[i]) + 1));
+  }
+  const auto suite = ExtendedSuite();
+
+  for (EngineMechanism m : kAllMechanisms) {
+    SCOPED_TRACE(EngineMechanismToString(m));
+    const HistogramMechanism* entry = nullptr;
+    for (const auto& mech : suite) {
+      if (mech->name() == EngineMechanismToString(m)) entry = mech.get();
+    }
+    ASSERT_NE(entry, nullptr) << "no suite entry";
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng_suite(seed), rng_serial(seed), rng_pooled(seed);
+      const Result<Histogram> want = entry->Run(x, xns, 0.5, rng_suite);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      const Result<Histogram> got_serial =
+          serial.RunMechanism(x, xns, 0.5, m, rng_serial);
+      const Result<Histogram> got_pooled =
+          pooled.RunMechanism(x, xns, 0.5, m, rng_pooled);
+      ASSERT_TRUE(got_serial.ok() && got_pooled.ok());
+      EXPECT_EQ(got_serial->counts(), want->counts()) << seed;
+      EXPECT_EQ(got_pooled->counts(), want->counts()) << seed;
     }
   }
 }

@@ -274,7 +274,7 @@ TEST(DawaTest, EstimateIsConstantWithinBuckets) {
 }
 
 TEST(DawaTest, GuaranteeIsDp) {
-  PrivacyGuarantee g = DawaGuarantee(0.4);
+  PrivacyGuarantee g = DpGuarantee(0.4);
   EXPECT_EQ(g.model, PrivacyModel::kDP);
   EXPECT_DOUBLE_EQ(g.exclusion_attack_phi, 0.4);
 }
@@ -364,14 +364,16 @@ TEST(HistogramMechanismTest, StandardSuiteHasPaperSixAlgorithms) {
 }
 
 TEST(HistogramMechanismTest, GuaranteeModels) {
-  EXPECT_EQ(MakeLaplaceMechanism()->Guarantee(1.0).model, PrivacyModel::kDP);
-  EXPECT_EQ(MakeDawaMechanism()->Guarantee(1.0).model, PrivacyModel::kDP);
+  const auto model_of = [](EngineMechanism m) {
+    return MakeCatalogMechanism(m)->Guarantee(1.0).model;
+  };
+  EXPECT_EQ(model_of(EngineMechanism::kLaplace), PrivacyModel::kDP);
+  EXPECT_EQ(model_of(EngineMechanism::kDawa), PrivacyModel::kDP);
+  EXPECT_EQ(model_of(EngineMechanism::kHierarchical), PrivacyModel::kDP);
   EXPECT_EQ(MakeOsdpRRMechanism()->Guarantee(1.0).model, PrivacyModel::kOSDP);
-  EXPECT_EQ(MakeOsdpLaplaceMechanism()->Guarantee(1.0).model,
-            PrivacyModel::kOSDP);
-  EXPECT_EQ(MakeOsdpLaplaceL1Mechanism()->Guarantee(1.0).model,
-            PrivacyModel::kOSDP);
-  EXPECT_EQ(MakeDawazMechanism()->Guarantee(1.0).model, PrivacyModel::kOSDP);
+  EXPECT_EQ(model_of(EngineMechanism::kOsdpLaplace), PrivacyModel::kOSDP);
+  EXPECT_EQ(model_of(EngineMechanism::kOsdpLaplaceL1), PrivacyModel::kOSDP);
+  EXPECT_EQ(model_of(EngineMechanism::kDawaz), PrivacyModel::kOSDP);
   EXPECT_EQ(MakeSuppressMechanism(10.0)->Guarantee(1.0).model,
             PrivacyModel::kPDP);
   EXPECT_EQ(MakeDawaNsMechanism()->Guarantee(1.0).model, PrivacyModel::kOSDP);

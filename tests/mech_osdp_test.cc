@@ -130,7 +130,7 @@ TEST(OsdpRRTest, ExpectedL1ErrorFormula) {
 }
 
 TEST(OsdpRRTest, GuaranteeIsOsdpWithPhiEqualEpsilon) {
-  PrivacyGuarantee g = OsdpRRGuarantee(0.7, "P_x");
+  PrivacyGuarantee g = OsdpGuarantee(0.7, "P_x");
   EXPECT_EQ(g.model, PrivacyModel::kOSDP);
   EXPECT_DOUBLE_EQ(g.epsilon, 0.7);
   EXPECT_DOUBLE_EQ(g.exclusion_attack_phi, 0.7);  // Theorem 3.1

@@ -156,8 +156,8 @@ TEST(ObjDpTest, TinyEpsilonDegradesTowardChance) {
 }
 
 TEST(ObjDpTest, GuaranteeIsDp) {
-  EXPECT_EQ(ObjDpGuarantee(1.0).model, PrivacyModel::kDP);
-  EXPECT_DOUBLE_EQ(ObjDpGuarantee(1.0).exclusion_attack_phi, 1.0);
+  EXPECT_EQ(DpGuarantee(1.0).model, PrivacyModel::kDP);
+  EXPECT_DOUBLE_EQ(DpGuarantee(1.0).exclusion_attack_phi, 1.0);
 }
 
 // ------------------------------------------------------------------- AUC ---

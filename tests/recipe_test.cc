@@ -8,6 +8,7 @@
 #include "src/common/check.h"
 #include "src/eval/metrics.h"
 #include "src/mech/ahp.h"
+#include "src/mech/dawaz.h"
 #include "src/mech/hierarchical.h"
 #include "src/mech/laplace.h"
 #include "src/mech/recipe.h"
@@ -211,17 +212,29 @@ TEST(HierarchicalTest, FanoutVariantsAllTile) {
 
 // ----------------------------------------------------------- the recipe ---
 
-TEST(RecipeTest, DawaRecipeMatchesDawazSemantics) {
-  // The recipe instantiated on DAWA is DAWAz; outputs should agree in their
-  // invariants (zero preservation, shape) even though the noise draws differ.
-  Histogram x = SparseTruth(128);
-  Rng rng(11);
-  RecipeOptions opts;
-  opts.zero_budget_ratio = 0.5;
-  Histogram out = *ApplyOsdpRecipe(*MakeDawaTwoPhase(), x, x, 8.0, opts, rng);
+TEST(RecipeTest, DawaRecipeIsDawazBitForBit) {
+  // DAWAz is the recipe on DAWA's two-phase form: for equal seeds the two
+  // draw the same noise and release the same bits, under either detector.
+  // The zero holes put detected-empty bins inside DAWA buckets, so every run
+  // both zeroes bins and rescales their bucket's survivors.
+  Histogram x(128), xns(128);
   for (size_t i = 0; i < x.size(); ++i) {
-    if (x[i] == 0.0) { EXPECT_DOUBLE_EQ(out[i], 0.0); }
-    EXPECT_GE(out[i], 0.0);
+    x[i] = i % 4 == 0 ? 0.0 : 30.0;
+    xns[i] = i % 16 == 1 ? 0.0 : x[i];
+  }
+  for (DawazZeroDetector detector :
+       {DawazZeroDetector::kOsdpRR, DawazZeroDetector::kOsdpLaplaceL1}) {
+    DawazOptions opts;
+    opts.zero_budget_ratio = 0.5;
+    opts.detector = detector;
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      Rng dawaz_rng(seed), recipe_rng(seed);
+      const Histogram dawaz = *Dawaz(x, xns, 2.0, opts, dawaz_rng);
+      const Histogram recipe =
+          *ApplyOsdpRecipe(*MakeDawaTwoPhase(), x, xns, 2.0, opts, recipe_rng);
+      ASSERT_EQ(dawaz.counts(), recipe.counts())
+          << static_cast<int>(detector) << " seed " << seed;
+    }
   }
 }
 
