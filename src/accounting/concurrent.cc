@@ -12,21 +12,14 @@ namespace {
 // Absolute slack for floating-point accumulation of ε charges.
 constexpr double kEpsTolerance = 1e-9;
 
-// Folds the entries into one guarantee: policies by minimum relaxation, ε's
-// by `combine` (+ for sequential, max for parallel composition).
-template <typename Combine>
-Result<ComposedGuarantee> Compose(
-    const std::vector<SharedLedger::Entry>& entries, Combine combine) {
-  if (entries.empty()) {
+// The minimum relaxation of the distinct recorded policies paired with the
+// composed ε; FailedPrecondition for an empty ledger.
+Result<ComposedGuarantee> Compose(const std::vector<Policy>& policies,
+                                  double epsilon) {
+  if (policies.empty()) {
     return Status::FailedPrecondition("empty ledger has no composed guarantee");
   }
-  Policy mr = entries[0].policy;
-  double eps = entries[0].epsilon;
-  for (size_t i = 1; i < entries.size(); ++i) {
-    mr = Policy::MinimumRelaxation(mr, entries[i].policy);
-    eps = combine(eps, entries[i].epsilon);
-  }
-  return ComposedGuarantee{std::move(mr), eps};
+  return ComposedGuarantee{Policy::MinimumRelaxation(policies), epsilon};
 }
 
 }  // namespace
@@ -49,27 +42,47 @@ Status SharedBudget::Spend(double epsilon, const std::string& label) {
         "' exceeds remaining budget " + std::to_string(total_ - spent_));
   }
   spent_ += epsilon;
-  charges_.push_back({epsilon, label});
   return Status::OK();
 }
 
-void SharedBudget::Refund(double epsilon, const std::string& label) {
+void SharedBudget::Refund(double epsilon) {
   std::lock_guard<std::mutex> lock(mu_);
   OSDP_CHECK_MSG(epsilon > 0.0, "refund must be positive");
   OSDP_CHECK_MSG(epsilon <= spent_ + kEpsTolerance,
                  "refund " << epsilon << " exceeds spent " << spent_);
   spent_ -= epsilon;
-  charges_.push_back({-epsilon, label});
+}
+
+void SharedLedger::Record(const Policy& policy, double epsilon,
+                          std::string label, uint64_t generation) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // The running Σ and max start from the first ε itself, so they equal a
+  // left fold over the entries in record order, bit for bit.
+  if (entries_.empty()) {
+    sum_epsilon_ = epsilon;
+    max_epsilon_ = epsilon;
+  } else {
+    sum_epsilon_ += epsilon;
+    max_epsilon_ = std::max(max_epsilon_, epsilon);
+  }
+  entries_.push_back({epsilon, std::move(label), generation});
+  const bool known = std::any_of(
+      policies_.begin(), policies_.end(), [&policy](const Policy& p) {
+        return p.sensitive_predicate().root() ==
+                   policy.sensitive_predicate().root() &&
+               p.name() == policy.name();
+      });
+  if (!known) policies_.push_back(policy);
 }
 
 Result<ComposedGuarantee> SharedLedger::Sequential() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return Compose(entries_, [](double a, double b) { return a + b; });
+  return Compose(policies_, sum_epsilon_);
 }
 
 Result<ComposedGuarantee> SharedLedger::Parallel() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return Compose(entries_, [](double a, double b) { return std::max(a, b); });
+  return Compose(policies_, max_epsilon_);
 }
 
 }  // namespace osdp

@@ -24,6 +24,12 @@ Result<OsdpEngine> OsdpEngine::Create(Table data, Policy policy,
   if (data.num_rows() == 0) {
     return Status::InvalidArgument("engine needs a non-empty dataset");
   }
+  // Type-check the (possibly untrusted) policy against the data before the
+  // constructor classifies every row with it, which aborts on a mismatch:
+  // NotFound for an unknown column, InvalidArgument for a string/numeric mix.
+  OSDP_RETURN_IF_ERROR(
+      CompiledPredicate::Compile(policy.sensitive_predicate(), data.schema())
+          .status());
   return OsdpEngine(std::move(data), std::move(policy), options);
 }
 

@@ -504,12 +504,8 @@ Result<CompiledPredicate> CompiledPredicate::Compile(const Predicate& pred,
 
 RowMask CompiledPredicate::EvalMask(const Table& table) const {
   RowMask out(table.num_rows());
-  EvalInto(table, &out);
+  EvalRangeInto(table, 0, table.num_rows(), &out);
   return out;
-}
-
-void CompiledPredicate::EvalInto(const Table& table, RowMask* out) const {
-  EvalRangeInto(table, 0, table.num_rows(), out);
 }
 
 void CompiledPredicate::EvalRangeInto(const Table& table, size_t row_begin,

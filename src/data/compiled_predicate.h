@@ -82,9 +82,6 @@ class CompiledPredicate {
   /// schema) and returns the match bitmap.
   RowMask EvalMask(const Table& table) const;
 
-  /// Evaluates into an existing mask sized table.num_rows().
-  void EvalInto(const Table& table, RowMask* out) const;
-
   /// \brief Evaluates only rows [row_begin, row_end) into the corresponding
   /// bits of `out` (sized table.num_rows()), leaving all other words of the
   /// mask untouched.

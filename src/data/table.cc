@@ -192,15 +192,6 @@ Result<const ChunkedColumn<double>*> Table::DoubleColumnByName(
   return &DoubleColumn(idx);
 }
 
-Result<const ChunkedColumn<std::string>*> Table::StringColumnByName(
-    const std::string& name) const {
-  OSDP_ASSIGN_OR_RETURN(size_t idx, schema_.FieldIndex(name));
-  if (schema_.field(idx).type != ValueType::kString) {
-    return Status::InvalidArgument("column '" + name + "' is not string");
-  }
-  return &StringColumn(idx);
-}
-
 Table Table::SelectRows(const std::vector<size_t>& row_indices) const {
   for (size_t r : row_indices) OSDP_CHECK(r < num_rows_);
   // Column-at-a-time gather: one typed copy per cell, no Value boxing.

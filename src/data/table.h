@@ -110,8 +110,6 @@ class Table {
       const std::string& name) const;
   Result<const ChunkedColumn<double>*> DoubleColumnByName(
       const std::string& name) const;
-  Result<const ChunkedColumn<std::string>*> StringColumnByName(
-      const std::string& name) const;
 
   /// Returns a new table containing exactly the rows whose indices are given
   /// (in the given order). Indices must be valid.

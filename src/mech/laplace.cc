@@ -4,11 +4,6 @@
 
 namespace osdp {
 
-double LaplaceMechanismScalar(double value, double epsilon,
-                              const LaplaceOptions& opts, Rng& rng) {
-  return value + SampleLaplace(rng, opts.sensitivity / epsilon);
-}
-
 Result<Histogram> LaplaceMechanism(const Histogram& x, double epsilon,
                                    const LaplaceOptions& opts, Rng& rng) {
   OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));

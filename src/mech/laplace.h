@@ -21,10 +21,6 @@ struct LaplaceOptions {
   double sensitivity = 2.0;
 };
 
-/// \brief Adds i.i.d. Lap(sensitivity/ε) noise to a scalar.
-double LaplaceMechanismScalar(double value, double epsilon,
-                              const LaplaceOptions& opts, Rng& rng);
-
 /// \brief Adds i.i.d. Lap(sensitivity/ε) noise to every histogram count.
 /// Satisfies ε-DP when `opts.sensitivity` upper-bounds the true sensitivity.
 Result<Histogram> LaplaceMechanism(const Histogram& x, double epsilon,

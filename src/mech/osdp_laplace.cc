@@ -64,6 +64,4 @@ Result<Histogram> OsdpLaplaceL1Hybrid(const Histogram& x, const Histogram& xns,
   return out;
 }
 
-double OsdpLaplaceExpectedAbsNoise(double epsilon) { return 1.0 / epsilon; }
-
 }  // namespace osdp

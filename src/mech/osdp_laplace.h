@@ -44,9 +44,6 @@ Result<Histogram> OsdpLaplaceL1Hybrid(const Histogram& x, const Histogram& xns,
                                       const std::vector<bool>& bin_is_sensitive,
                                       double epsilon, Rng& rng);
 
-/// Expected per-bin absolute error of raw OsdpLaplace noise: E|Lap⁻(1/ε)| = 1/ε.
-double OsdpLaplaceExpectedAbsNoise(double epsilon);
-
 }  // namespace osdp
 
 #endif  // OSDP_MECH_OSDP_LAPLACE_H_

@@ -35,7 +35,7 @@ struct QueryService::PreparedRequest {
   double epsilon = 0.0;
   uint64_t seq = 0;
   uint64_t seed = 0;
-  std::string label;
+  std::string label;  // "<kind> (<analyst>)", the ledger entry's label
 
   // Per-query deadline/cancellation, resolved at validation (the tighter of
   // the request's and the batch's deadline, plus the batch token).
@@ -285,9 +285,10 @@ QueryService::AdmissionStats QueryService::admission_stats() const {
 }
 
 Result<QueryService::PreparedRequest> QueryService::Validate(
-    const ServiceRequest& request, const SnapshotPtr& snapshot,
-    const BatchControl& control) const {
+    const ServiceRequest& request, std::shared_ptr<Session> session,
+    const SnapshotPtr& snapshot, const BatchControl& control) const {
   PreparedRequest prepared;
+  prepared.session = std::move(session);
   prepared.snapshot = snapshot;
 
   // Validate fully before touching either budget: a malformed query or an ε
@@ -315,6 +316,7 @@ Result<QueryService::PreparedRequest> QueryService::Validate(
   } else {
     prepared.label = "OsdpRR sample";
   }
+  prepared.label += " (" + prepared.session->analyst + ")";
   std::optional<std::chrono::steady_clock::time_point> deadline =
       control.deadline;
   const auto& request_deadline = std::visit(
@@ -327,15 +329,17 @@ Result<QueryService::PreparedRequest> QueryService::Validate(
   return prepared;
 }
 
-Status QueryService::Reserve(Session& session, PreparedRequest* prepared) {
+Status QueryService::Reserve(PreparedRequest* prepared) {
   // Two-budget reservation through the RAII BudgetReservation: the session
   // first (the analyst's own limit), then the service-wide lifetime budget
   // (Acquire rolls the session back itself if the dataset is out of ε).
   // From here until Execute commits, destroying the prepared request —
   // whatever made it die — refunds both budgets.
-  Result<BudgetReservation> reservation = BudgetReservation::Acquire(
-      &session.budget, prepared->label, &service_budget_,
-      prepared->label + " (" + session.analyst + ")", prepared->epsilon);
+  Session& session = *prepared->session;
+  Result<BudgetReservation> reservation =
+      BudgetReservation::Acquire(&session.budget, prepared->label,
+                                 &service_budget_, prepared->label,
+                                 prepared->epsilon);
   if (!reservation.ok()) return reservation.status();
   prepared->reservation = std::move(reservation).ValueOrDie();
 
@@ -524,8 +528,7 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
   prepared->control.ThrowIfAborted();
   prepared->reservation.Commit();
   ledger_.Record(engine_.policy(), prepared->epsilon,
-                 prepared->label + " (" + prepared->session->analyst + ")",
-                 snap.generation);
+                 std::move(prepared->label), snap.generation);
   // Metadata only, stamped after every answer bit is final: the duration can
   // never feed back into the released value (the bit-identity twin tests
   // pin exactly this). One clock read serves both the budget-charge mark and
@@ -591,10 +594,9 @@ std::vector<Result<ServiceAnswer>> QueryService::AnswerBatch(
   std::vector<std::optional<PreparedRequest>> prepared(batch.size());
   uint64_t t_prev = telemetry ? obs::NowNs() : 0;
   for (size_t i = 0; i < batch.size(); ++i) {
-    Result<PreparedRequest> r = Validate(batch[i], snapshot, control);
+    Result<PreparedRequest> r = Validate(batch[i], s, snapshot, control);
     if (r.ok()) {
       prepared[i] = std::move(r).ValueOrDie();
-      prepared[i]->session = s;
       prepared[i]->submit_ns = submit_ns;
       prepared[i]->admit_ns = admit_ns;
     } else {
@@ -616,7 +618,7 @@ std::vector<Result<ServiceAnswer>> QueryService::AnswerBatch(
     if (telemetry) t_prev = obs::NowNs();
     for (size_t i = 0; i < batch.size(); ++i) {
       if (!prepared[i].has_value()) continue;
-      const Status reserved = Reserve(*s, &*prepared[i]);
+      const Status reserved = Reserve(&*prepared[i]);
       if (!reserved.ok()) {
         results[i] = reserved;
         prepared[i].reset();
@@ -695,25 +697,28 @@ Result<ServiceAnswer> QueryService::AnswerHistogram(
 obs::MetricsSnapshot QueryService::MetricsSnapshot() const {
   // Budget and cache-level gauges are computed here, on demand, from the
   // live accounting state rather than being maintained on the hot path:
-  // scrape-time work scales with scrape rate, not query rate, and
-  // per-session gauges cost nothing until someone asks.
+  // scrape-time work scales with scrape rate, not query rate.
   m_.budget_service_remaining->Set(service_budget_.remaining());
   m_.budget_service_spent->Set(service_budget_.spent());
   m_.budget_ledger_entries->Set(static_cast<double>(ledger_.size()));
   const MaskCache::Stats cache = mask_cache_.stats();
   m_.cache_bytes->Set(static_cast<double>(cache.bytes));
   m_.cache_entries->Set(static_cast<double>(cache.entries));
+
+  obs::MetricsSnapshot snap = metrics_.Snapshot();
+
+  // Per-session budgets are merged into this scrape only, never registered:
+  // a closed session drops out of the next scrape, and the registry does not
+  // grow with the number of sessions ever opened.
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     for (const auto& [id, session] : sessions_) {
       const std::string prefix = "budget.session." + std::to_string(id);
-      metrics_.GetGauge(prefix + ".eps_spent")->Set(session->budget.spent());
-      metrics_.GetGauge(prefix + ".eps_remaining")
-          ->Set(session->budget.remaining());
+      snap.gauges.push_back({prefix + ".eps_spent", session->budget.spent()});
+      snap.gauges.push_back(
+          {prefix + ".eps_remaining", session->budget.remaining()});
     }
   }
-
-  obs::MetricsSnapshot snap = metrics_.Snapshot();
 
   // Pool telemetry lives in the pool (it may be shared across services);
   // merge it into the scrape under pool.*.

@@ -10,8 +10,10 @@
 // Ingest(). The service runs every scan sharded across the thread pool
 // (src/runtime/parallel_scan.h) and routes every charge through two budgets —
 // the analyst's session budget and the dataset's service-wide lifetime
-// budget — plus a thread-safe composition ledger that tracks the composed
-// (P, ε)-OSDP guarantee of everything released so far (Theorem 3.3).
+// budget, each just (total, spent) — plus a thread-safe composition ledger,
+// the one per-release record: one entry per delivered answer, from which the
+// composed (P, ε)-OSDP guarantee of everything released so far follows
+// (Theorem 3.3).
 //
 // Streaming model — snapshot isolation:
 //
@@ -28,8 +30,9 @@
 //     swap never observes rows or mask bits from a later generation, and a
 //     query in flight keeps its generation alive however many swaps happen
 //     under it. Each answer reports the generation it was computed against,
-//     and the ledger records it with the charge (the audit trail names the
-//     exact sensitive/non-sensitive split each ε was spent under).
+//     and its ledger entry records it with the ε and the "<kind> (<analyst>)"
+//     label (the audit trail names the exact sensitive/non-sensitive split
+//     each ε was spent under).
 //
 // Result caching — the MaskCache (src/runtime/mask_cache.h):
 //
@@ -349,8 +352,9 @@ class QueryService {
     return ledger_.Sequential();
   }
 
-  /// The thread-safe composition ledger (one entry per successful release,
-  /// tagged with the generation it was charged against).
+  /// The thread-safe composition ledger: the one record of every successful
+  /// release (its ε, "<kind> (<analyst>)" label and the generation it was
+  /// charged against), with the engine's policy stored once.
   const SharedLedger& ledger() const { return ledger_; }
 
   /// Mask-cache counters {hits, misses, evictions, bytes, entries} so tests
@@ -417,18 +421,22 @@ class QueryService {
   bool TryAdmit(size_t batch_queries);
   void EndBatch(size_t batch_queries);
 
-  // Phase 1a: validate and bind one request against the captured snapshot —
-  // predicate compilation, histogram binding, ε checks. CPU-bound and
-  // lock-free, so concurrent batches validate in parallel.
+  // Phase 1a: validate and bind one request of `session` against the
+  // captured snapshot — predicate compilation, histogram binding, ε checks —
+  // and build its "<kind> (<analyst>)" label, the one string the budgets'
+  // refusal messages and the ledger entry share. CPU-bound and lock-free,
+  // so concurrent batches validate in parallel.
   Result<PreparedRequest> Validate(const ServiceRequest& request,
+                                   std::shared_ptr<Session> session,
                                    const SnapshotPtr& snapshot,
                                    const BatchControl& control) const;
 
-  // Phase 1b: reserve both budgets (held by the prepared request's RAII
-  // BudgetReservation until Execute commits) and assign the noise seed.
-  // Callers hold reserve_mu_, so the (session, service) pair commits
-  // atomically and in deterministic batch order.
-  Status Reserve(Session& session, PreparedRequest* prepared);
+  // Phase 1b: reserve both budgets of the request's session and the service
+  // (held by the prepared request's RAII BudgetReservation until Execute
+  // commits) and assign the noise seed. Callers hold reserve_mu_, so the
+  // (session, service) pair commits atomically and in deterministic batch
+  // order.
+  Status Reserve(PreparedRequest* prepared);
 
   // Phase 2: execute one prepared query against its captured snapshot
   // (parallel, shard-local state only). Commits the reservation exactly

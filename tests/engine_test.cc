@@ -58,6 +58,23 @@ TEST(EngineTest, CreateValidates) {
   EXPECT_FALSE(OsdpEngine::Create(std::move(empty), OptOutSensitive(), opts).ok());
 }
 
+TEST(EngineTest, CreateRefusesAPolicyThatDoesNotTypeCheck) {
+  // An untrusted policy is a Status, never an abort in the classification
+  // scan.
+  const auto unknown_column = OsdpEngine::Create(
+      MakeData(),
+      Policy::SensitiveWhen(Predicate::Eq("no_such_column", Value(0))),
+      OsdpEngine::Options{});
+  ASSERT_FALSE(unknown_column.ok());
+  EXPECT_EQ(unknown_column.status().code(), StatusCode::kNotFound);
+
+  const auto mixed_types = OsdpEngine::Create(
+      MakeData(), Policy::SensitiveWhen(Predicate::Eq("age", Value("old"))),
+      OsdpEngine::Options{});
+  ASSERT_FALSE(mixed_types.ok());
+  EXPECT_EQ(mixed_types.status().code(), StatusCode::kInvalidArgument);
+}
+
 // The service computes only the histograms InputsOf declares and passes
 // zeros for the rest, so a wrong entry would silently feed a mechanism
 // zeros. Pin both directions for every mechanism: an undeclared input never

@@ -472,6 +472,41 @@ TEST(MetricsServiceTest, DumpCoversEverySubsystem) {
               1e-12);
 }
 
+TEST(MetricsServiceTest, ClosedSessionsLeaveTheScrape) {
+  // Per-session budget cells are merged into each scrape from the live
+  // sessions, so a closed session's last ε is not reported again.
+  ThreadPool pool(2);
+  auto service = TwinService(&pool, true);
+  const auto closed = service->OpenSession("closed");
+  const auto live = service->OpenSession("live");
+  service->AnswerBatch(closed, TwinBatch());
+  service->AnswerBatch(live, TwinBatch());
+  const std::string closed_prefix =
+      "budget.session." + std::to_string(closed);
+  ASSERT_NE(service->MetricsSnapshot().FindGauge(closed_prefix + ".eps_spent"),
+            nullptr);
+
+  ASSERT_TRUE(service->CloseSession(closed).ok());
+  const obs::MetricsSnapshot snap = service->MetricsSnapshot();
+  EXPECT_EQ(snap.FindGauge(closed_prefix + ".eps_spent"), nullptr);
+  EXPECT_EQ(snap.FindGauge(closed_prefix + ".eps_remaining"), nullptr);
+  EXPECT_EQ(service->DumpMetricsJson().find(closed_prefix + "."),
+            std::string::npos);
+
+  const std::string live_prefix = "budget.session." + std::to_string(live);
+  const auto* spent = snap.FindGauge(live_prefix + ".eps_spent");
+  const auto* remaining = snap.FindGauge(live_prefix + ".eps_remaining");
+  ASSERT_NE(spent, nullptr);
+  ASSERT_NE(remaining, nullptr);
+  EXPECT_NEAR(spent->value, 0.05 * static_cast<double>(TwinBatch().size()),
+              1e-12);
+  EXPECT_EQ(remaining->value, *service->session_remaining(live));
+  // The merged gauges keep the snapshot in global name order.
+  EXPECT_TRUE(std::is_sorted(
+      snap.gauges.begin(), snap.gauges.end(),
+      [](const auto& a, const auto& b) { return a.name < b.name; }));
+}
+
 // ------------------------------------------------ scrape JSON validity ---
 
 // Minimal recursive-descent JSON validator (objects, arrays, strings with

@@ -215,6 +215,43 @@ TEST(QueryServiceTest, ServiceWideBudgetCapsTotalSpendAcrossSessions) {
   EXPECT_EQ(service->ledger().size(), granted);
 }
 
+TEST(QueryServiceTest, GuaranteeNamesTheEnginePolicyAfterManyDeliveries) {
+  // The ledger keeps the engine's policy once however many releases it
+  // records, so the composed guarantee names that policy itself (same
+  // predicate root, same name), and its ε is the ledger's entries summed in
+  // record order.
+  OsdpEngine engine = TestEngine(1e6, 300);
+  const Policy policy = engine.policy();
+  QueryService::Options opts;
+  opts.per_session_epsilon = 1e6;
+  auto service = *QueryService::Create(std::move(engine), opts);
+  const auto session = service->OpenSession("alice");
+  constexpr size_t kBatches = 40;
+  constexpr size_t kPerBatch = 50;
+  for (size_t b = 0; b < kBatches; ++b) {
+    std::vector<ServiceRequest> batch;
+    for (size_t q = 0; q < kPerBatch; ++q) {
+      batch.emplace_back(CountRequest{Predicate::Le("age", Value(40)),
+                                      0.01 * static_cast<double>(1 + b % 3)});
+    }
+    for (const auto& result : service->AnswerBatch(session, batch)) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+  }
+
+  const std::vector<SharedLedger::Entry> entries = service->ledger().entries();
+  ASSERT_EQ(entries.size(), kBatches * kPerBatch);
+  EXPECT_EQ(entries.front().label, "count query (alice)");
+  double in_order = entries.front().epsilon;
+  for (size_t i = 1; i < entries.size(); ++i) in_order += entries[i].epsilon;
+
+  const ComposedGuarantee guarantee = *service->CurrentGuarantee();
+  EXPECT_EQ(guarantee.policy.sensitive_predicate().root(),
+            policy.sensitive_predicate().root());
+  EXPECT_EQ(guarantee.policy.name(), policy.name());
+  EXPECT_EQ(guarantee.epsilon, in_order);
+}
+
 TEST(QueryServiceTest, SessionLifecycle) {
   auto service = *QueryService::Create(TestEngine(1.0), {});
   const auto session = service->OpenSession("alice");
