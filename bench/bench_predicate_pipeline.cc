@@ -14,19 +14,22 @@
 //
 // Knobs: OSDP_BENCH_MAX_ROWS caps the row grid (default 10M; set 100000 for
 // a CI smoke run), OSDP_BENCH_JSON sets the output path (default
-// BENCH_predicate_pipeline.json in the working directory).
+// BENCH_predicate_pipeline.json in the working directory). The JSON records
+// hardware_concurrency, the build type and which scan kernel body ran.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/benchdata/table_gen.h"
 #include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
 #include "src/data/row_mask.h"
+#include "src/data/scan_kernels.h"
 #include "src/eval/table_printer.h"
 #include "src/hist/histogram_query.h"
 #include "src/policy/policy.h"
@@ -54,6 +57,12 @@ std::vector<Shape> MakeShapes() {
        Predicate::And(Predicate::Or(Predicate::Eq("race", Value("C3")),
                                     Predicate::Eq("opt_in", Value(0))),
                       Predicate::Le("age", Value(40)))},
+      // The fresh_scans clause of bench/service_load: one fused pass over
+      // two int columns, the age range intersected into one interval.
+      {"fresh3", 3,
+       Predicate::And(Predicate::And(Predicate::Ge("age", Value(30)),
+                                     Predicate::Le("age", Value(45))),
+                      Predicate::Ge("zip", Value(2500)))},
       {"in5", 5,
        Predicate::And(
            Predicate::And(
@@ -83,6 +92,18 @@ double TimeBest(int reps, const Fn& fn) {
     best = std::min(best, NowSec() - t0);
   }
   return best;
+}
+
+// The build type as the compiler saw it: the root CMakeLists.txt builds
+// Release as -O2 -DNDEBUG.
+const char* BuildType() {
+#if defined(__OPTIMIZE__) && defined(NDEBUG)
+  return "Release";
+#elif defined(__OPTIMIZE__)
+  return "optimized, assertions on";
+#else
+  return "Debug";
+#endif
 }
 
 int RepsFor(size_t rows) {
@@ -116,8 +137,13 @@ int main() {
   std::vector<Measurement> results;
   volatile size_t sink = 0;  // defeats dead-code elimination
 
+  const char* kernel =
+      scan_kernels_internal::Avx2Available() ? "avx2" : "portable";
   std::printf("=== compiled predicate pipeline: rows/sec by path ===\n");
-  std::printf("(best of N; 1-thread; row grid capped at %zu)\n\n", max_rows);
+  std::printf(
+      "(best of N; 1-thread; row grid capped at %zu; hardware_concurrency=%u; "
+      "build %s; scan kernel %s)\n\n",
+      max_rows, std::thread::hardware_concurrency(), BuildType(), kernel);
 
   for (size_t rows : row_grid) {
     CensusTableOptions topts;
@@ -253,7 +279,11 @@ int main() {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"predicate_pipeline\",\n  \"results\": [\n");
+  std::fprintf(f,
+               "{\n  \"bench\": \"predicate_pipeline\",\n"
+               "  \"hardware_concurrency\": %u,\n  \"build_type\": \"%s\",\n"
+               "  \"scan_kernel\": \"%s\",\n  \"results\": [\n",
+               std::thread::hardware_concurrency(), BuildType(), kernel);
   for (size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
     std::fprintf(f,

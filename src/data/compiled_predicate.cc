@@ -2,17 +2,24 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string_view>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/data/scan_kernels.h"
 
 namespace osdp {
 
-// The compiled program: the same tree shape as Predicate::Node, but with
-// column indices resolved, each comparison specialized to the column's static
-// type, and literals pre-converted (numerics widened to double — matching the
-// reference evaluator's comparison semantics — strings interned in place).
+// The compiled program: the predicate tree with column indices resolved,
+// each comparison specialized to the column's static type, and literals
+// pre-converted (numerics widened to double — the reference evaluator's
+// comparison semantics — strings interned in place). AND/OR chains are
+// flattened into one n-ary node. Numeric comparisons, alone or as the legs
+// of an AND, are additionally lowered into ScanLegs for the fused kernel
+// (src/data/scan_kernels.h); the canonical encoding reads only the
+// unlowered fields, so lowering can never change a cache key.
 struct CompiledPredicate::Op {
   enum class Kind {
     kConstTrue,
@@ -34,8 +41,17 @@ struct CompiledPredicate::Op {
   std::string str_lit;
   std::vector<double> num_set;
   std::vector<std::string> str_set;
-  std::shared_ptr<const Op> left;
-  std::shared_ptr<const Op> right;
+  // kAnd / kOr: two or more legs, none of the node's own kind (chains are
+  // flattened). kNot: its one operand.
+  std::vector<std::shared_ptr<const Op>> children;
+
+  // The scan plan of a kCmpNum leaf or a kAnd node: the conjunction of
+  // `legs` (fused into one kernel pass, leg k reading column leg_cols[k])
+  // and of every node in `rest`, or all-false when `never` is set.
+  std::vector<ScanLeg> legs;
+  std::vector<size_t> leg_cols;
+  std::vector<const Op*> rest;  // points into `children`
+  bool never = false;
 };
 
 namespace {
@@ -56,6 +72,170 @@ bool IsComparison(PredicateOp op) {
   }
 }
 
+// ------------------------------------------------------ exact int leaves ---
+//
+// An int64 cell compares as double(v) <op> L (the reference CompareCell
+// semantics). v ↦ double(v) is monotone non-decreasing — rounding to
+// nearest preserves order — so for every literal L, NaN and ±inf included,
+// the set {v : double(v) <op> L} is an interval of int64 for <, <=, >, >=
+// and == (a preimage of a ray or a point), and the complement of one for !=.
+// Compile() finds its ends by binary search on that map, and the scan tests
+// membership exactly on the integers: no per-row cast, and bit-identical to
+// the double compare.
+
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+// The int64 whose order rank among all int64 values is u (0 = INT64_MIN).
+int64_t FromRank(uint64_t u) { return static_cast<int64_t>(u ^ kSignBit); }
+
+// The least v with up(v), for `up` false-then-true over ascending int64;
+// nullopt when up holds nowhere.
+template <typename Pred>
+std::optional<int64_t> FirstTrue(const Pred& up) {
+  if (!up(std::numeric_limits<int64_t>::max())) return std::nullopt;
+  uint64_t lo = 0;
+  uint64_t hi = ~uint64_t{0};  // up(FromRank(hi)) holds
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (up(FromRank(mid))) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return FromRank(lo);
+}
+
+// The greatest v with down(v), for `down` true-then-false over ascending
+// int64; nullopt when down holds nowhere.
+template <typename Pred>
+std::optional<int64_t> LastTrue(const Pred& down) {
+  if (!down(std::numeric_limits<int64_t>::min())) return std::nullopt;
+  const std::optional<int64_t> past =
+      FirstTrue([&](int64_t v) { return !down(v); });
+  if (!past) return std::numeric_limits<int64_t>::max();
+  return *past - 1;  // *past > INT64_MIN, since down(INT64_MIN) holds
+}
+
+// {v : double(v) <cmp> lit} as a scan leg, or nullopt when it is empty.
+std::optional<ScanLeg> IntLeg(PredicateOp cmp, double lit) {
+  auto as_double = [](int64_t v) { return static_cast<double>(v); };
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::optional<int64_t> lo;
+  std::optional<int64_t> hi;
+  switch (cmp) {
+    case PredicateOp::kGe:
+      lo = FirstTrue([&](int64_t v) { return as_double(v) >= lit; });
+      hi = kMax;
+      break;
+    case PredicateOp::kGt:
+      lo = FirstTrue([&](int64_t v) { return as_double(v) > lit; });
+      hi = kMax;
+      break;
+    case PredicateOp::kLe:
+      lo = kMin;
+      hi = LastTrue([&](int64_t v) { return as_double(v) <= lit; });
+      break;
+    case PredicateOp::kLt:
+      lo = kMin;
+      hi = LastTrue([&](int64_t v) { return as_double(v) < lit; });
+      break;
+    case PredicateOp::kEq:
+    case PredicateOp::kNe:
+      lo = FirstTrue([&](int64_t v) { return as_double(v) >= lit; });
+      hi = LastTrue([&](int64_t v) { return as_double(v) <= lit; });
+      break;
+    default:
+      OSDP_CHECK_MSG(false, "bad comparison op");
+  }
+  const bool empty = !lo || !hi || *lo > *hi;
+  ScanLeg leg;
+  if (cmp != PredicateOp::kNe) {
+    if (empty) return std::nullopt;
+    leg.lo = static_cast<uint64_t>(*lo);
+    leg.span = static_cast<uint64_t>(*hi) - leg.lo;
+    return leg;
+  }
+  // !=: every int64 when no v equals lit; otherwise the complement of
+  // [lo, hi], which is the wrapped interval [hi + 1, lo - 1] — empty only
+  // if [lo, hi] were every int64, which no double's preimage is.
+  if (empty) {
+    leg.lo = static_cast<uint64_t>(kMin);
+    leg.span = ~uint64_t{0};
+    return leg;
+  }
+  OSDP_CHECK(!(*lo == kMin && *hi == kMax));
+  leg.lo = static_cast<uint64_t>(*hi) + 1;
+  leg.span = static_cast<uint64_t>(*lo) - 1 - leg.lo;
+  return leg;
+}
+
+// Signed ends of an int leg that does not wrap past INT64_MAX.
+std::optional<std::pair<int64_t, int64_t>> PlainRange(const ScanLeg& leg) {
+  const auto lo = static_cast<int64_t>(leg.lo);
+  const auto hi = static_cast<int64_t>(leg.lo + leg.span);
+  if (lo > hi) return std::nullopt;
+  return std::make_pair(lo, hi);
+}
+
+// ---------------------------------------------------------------- compile ---
+
+// Plans a kAnd node: its numeric legs fuse into one kernel pass (ranges on
+// one int column intersected into a single leg), everything else — and any
+// numeric leg past kMaxFusedLegs — is evaluated on its own and ANDed in.
+void PlanConjunction(Op* op) {
+  for (const std::shared_ptr<const Op>& child : op->children) {
+    if (child->kind != Op::Kind::kCmpNum) {
+      op->rest.push_back(child.get());
+      continue;
+    }
+    if (child->never) {
+      op->never = true;
+      continue;
+    }
+    const ScanLeg& leg = child->legs[0];
+    bool merged = false;
+    if (leg.is_int) {
+      if (const auto range = PlainRange(leg)) {
+        for (size_t k = 0; k < op->legs.size() && !merged; ++k) {
+          if (op->leg_cols[k] != child->col || !op->legs[k].is_int) continue;
+          const auto other = PlainRange(op->legs[k]);
+          if (!other) continue;
+          const int64_t lo = std::max(range->first, other->first);
+          const int64_t hi = std::min(range->second, other->second);
+          if (lo > hi) {
+            op->never = true;
+          } else {
+            op->legs[k].lo = static_cast<uint64_t>(lo);
+            op->legs[k].span = static_cast<uint64_t>(hi) - op->legs[k].lo;
+          }
+          merged = true;
+        }
+      }
+    }
+    if (merged) continue;
+    if (op->legs.size() < kMaxFusedLegs) {
+      op->legs.push_back(leg);
+      op->leg_cols.push_back(child->col);
+    } else {
+      op->rest.push_back(child.get());
+    }
+  }
+}
+
+// Collects the operands of the maximal `kind` chain rooted at `n`:
+// And(a, And(b, c)) and And(And(a, b), c) both give a, b, c.
+void FlattenChain(const Predicate::Node& n, PredicateOp kind,
+                  std::vector<const Predicate::Node*>* legs) {
+  if (n.op == kind) {
+    FlattenChain(*n.left, kind, legs);
+    FlattenChain(*n.right, kind, legs);
+  } else {
+    legs->push_back(&n);
+  }
+}
+
 Result<std::shared_ptr<const Op>> CompileNode(const Predicate::Node& n,
                                               const Schema& schema) {
   auto op = std::make_shared<Op>();
@@ -70,13 +250,21 @@ Result<std::shared_ptr<const Op>> CompileNode(const Predicate::Node& n,
     case PredicateOp::kOr: {
       op->kind =
           n.op == PredicateOp::kAnd ? Op::Kind::kAnd : Op::Kind::kOr;
-      OSDP_ASSIGN_OR_RETURN(op->left, CompileNode(*n.left, schema));
-      OSDP_ASSIGN_OR_RETURN(op->right, CompileNode(*n.right, schema));
+      std::vector<const Predicate::Node*> legs;
+      FlattenChain(n, n.op, &legs);
+      for (const Predicate::Node* leg : legs) {
+        OSDP_ASSIGN_OR_RETURN(std::shared_ptr<const Op> child,
+                              CompileNode(*leg, schema));
+        op->children.push_back(std::move(child));
+      }
+      if (op->kind == Op::Kind::kAnd) PlanConjunction(op.get());
       return std::shared_ptr<const Op>(op);
     }
     case PredicateOp::kNot: {
       op->kind = Op::Kind::kNot;
-      OSDP_ASSIGN_OR_RETURN(op->left, CompileNode(*n.left, schema));
+      OSDP_ASSIGN_OR_RETURN(std::shared_ptr<const Op> operand,
+                            CompileNode(*n.left, schema));
+      op->children.push_back(std::move(operand));
       return std::shared_ptr<const Op>(op);
     }
     default:
@@ -114,26 +302,58 @@ Result<std::shared_ptr<const Op>> CompileNode(const Predicate::Node& n,
 
   OSDP_CHECK(IsComparison(n.op) && n.literals.size() == 1);
   op->cmp = n.op;
-  op->kind = str_col ? Op::Kind::kCmpStr : Op::Kind::kCmpNum;
   if (str_col) {
+    op->kind = Op::Kind::kCmpStr;
     op->str_lit = n.literals[0].AsString();
-  } else {
-    op->num_lit = n.literals[0].AsNumeric();
+    return std::shared_ptr<const Op>(op);
   }
+  op->kind = Op::Kind::kCmpNum;
+  op->num_lit = n.literals[0].AsNumeric();
+  ScanLeg leg;
+  if (op->col_type == ValueType::kInt64) {
+    const std::optional<ScanLeg> range = IntLeg(op->cmp, op->num_lit);
+    if (!range) {
+      op->never = true;
+      return std::shared_ptr<const Op>(op);
+    }
+    leg = *range;
+  } else {
+    leg.is_int = false;
+    leg.cmp = op->cmp;
+    leg.lit = op->num_lit;
+  }
+  op->legs.push_back(leg);
+  op->leg_cols.push_back(op->col);
   return std::shared_ptr<const Op>(op);
 }
 
-// Packs fn(row) for rows [row_begin, row_end) into `words`, 64 bits at a
-// time. `row_begin` is a multiple of 64 and words[0] is the word holding row
-// `row_begin`, so the bit packing per word is identical to a whole-table
-// scan — the invariant behind serial/sharded bit-identity. fn must be pure.
+// ------------------------------------------------------------------- scan ---
+//
+// EvalRangeInto walks its range one block at a time: a block is the part of
+// [row_begin, row_end) inside one storage chunk, so every column's cells
+// for the block are contiguous and the block covers at most kBlockWords
+// mask words. The whole tree is evaluated over one block before the next,
+// and an AND or OR combines its operands through one stack buffer of
+// kBlockWords — no per-node heap vector. Blocks start at a chunk boundary
+// or at row_begin, both multiples of 64, so each block writes whole,
+// disjoint words and the packing is identical to a whole-table scan — the
+// invariant behind serial/sharded bit-identity.
+
+constexpr size_t kBlockWords = kChunkRows / 64;
+
+struct Block {
+  const Table& table;
+  size_t begin;  // first row; the block lies within one chunk
+  size_t rows;   // 1 <= rows <= kChunkRows
+};
+
+// Packs fn(i) for i in [0, n) into `words`, 64 bits at a time; tail bits
+// past n are zero. fn must be pure.
 template <typename Fn>
-void FillMask(size_t row_begin, size_t row_end, uint64_t* words,
-              const Fn& fn) {
-  const size_t n = row_end - row_begin;
+void FillMask(size_t n, uint64_t* words, const Fn& fn) {
   const size_t full_words = n >> 6;
   for (size_t wi = 0; wi < full_words; ++wi) {
-    const size_t base = row_begin + (wi << 6);
+    const size_t base = wi << 6;
     uint64_t w = 0;
     for (size_t b = 0; b < 64; ++b) {
       w |= static_cast<uint64_t>(fn(base + b) ? 1 : 0) << b;
@@ -142,73 +362,38 @@ void FillMask(size_t row_begin, size_t row_end, uint64_t* words,
   }
   if (n & 63) {
     uint64_t w = 0;
-    for (size_t i = row_begin + (full_words << 6); i < row_end; ++i) {
+    for (size_t i = full_words << 6; i < n; ++i) {
       w |= static_cast<uint64_t>(fn(i) ? 1 : 0) << (i & 63);
     }
     words[full_words] = w;
   }
 }
 
-// Comparison loops. Numeric columns compare as double regardless of storage
-// type — exactly the reference CompareCell semantics.
-template <typename SrcT>
-void FillNumCmp(PredicateOp cmp, const SrcT* col, size_t row_begin,
-                size_t row_end, double lit, uint64_t* words) {
+void FillStrCmp(PredicateOp cmp, const std::string* col, size_t n,
+                std::string_view lit, uint64_t* words) {
   switch (cmp) {
     case PredicateOp::kEq:
-      FillMask(row_begin, row_end, words,
-               [&](size_t i) { return static_cast<double>(col[i]) == lit; });
-      break;
-    case PredicateOp::kNe:
-      FillMask(row_begin, row_end, words,
-               [&](size_t i) { return static_cast<double>(col[i]) != lit; });
-      break;
-    case PredicateOp::kLt:
-      FillMask(row_begin, row_end, words,
-               [&](size_t i) { return static_cast<double>(col[i]) < lit; });
-      break;
-    case PredicateOp::kLe:
-      FillMask(row_begin, row_end, words,
-               [&](size_t i) { return static_cast<double>(col[i]) <= lit; });
-      break;
-    case PredicateOp::kGt:
-      FillMask(row_begin, row_end, words,
-               [&](size_t i) { return static_cast<double>(col[i]) > lit; });
-      break;
-    case PredicateOp::kGe:
-      FillMask(row_begin, row_end, words,
-               [&](size_t i) { return static_cast<double>(col[i]) >= lit; });
-      break;
-    default:
-      OSDP_CHECK_MSG(false, "bad comparison op");
-  }
-}
-
-void FillStrCmp(PredicateOp cmp, const std::string* col, size_t row_begin,
-                size_t row_end, std::string_view lit, uint64_t* words) {
-  switch (cmp) {
-    case PredicateOp::kEq:
-      FillMask(row_begin, row_end, words,
+      FillMask(n, words,
                [&](size_t i) { return std::string_view(col[i]) == lit; });
       break;
     case PredicateOp::kNe:
-      FillMask(row_begin, row_end, words,
+      FillMask(n, words,
                [&](size_t i) { return std::string_view(col[i]) != lit; });
       break;
     case PredicateOp::kLt:
-      FillMask(row_begin, row_end, words,
+      FillMask(n, words,
                [&](size_t i) { return std::string_view(col[i]) < lit; });
       break;
     case PredicateOp::kLe:
-      FillMask(row_begin, row_end, words,
+      FillMask(n, words,
                [&](size_t i) { return std::string_view(col[i]) <= lit; });
       break;
     case PredicateOp::kGt:
-      FillMask(row_begin, row_end, words,
+      FillMask(n, words,
                [&](size_t i) { return std::string_view(col[i]) > lit; });
       break;
     case PredicateOp::kGe:
-      FillMask(row_begin, row_end, words,
+      FillMask(n, words,
                [&](size_t i) { return std::string_view(col[i]) >= lit; });
       break;
     default:
@@ -216,78 +401,81 @@ void FillStrCmp(PredicateOp cmp, const std::string* col, size_t row_begin,
   }
 }
 
-// Runs the typed fill loop over each contiguous chunk span of
-// [row_begin, row_end) in local span coordinates. Span starts are always
-// 64-aligned when row_begin is (chunk size is a multiple of 64), so each
-// span writes whole disjoint words at offset (span_begin - row_begin) / 64
-// and the packed bits land exactly where the flat whole-range loop would
-// put them. `fill(data, len, span_words)` fills rows [0, len) of `data`
-// into span_words.
-template <typename ColT, typename Fill>
-void FillPerSpan(const ColT& col, size_t row_begin, size_t row_end,
-                 uint64_t* words, const Fill& fill) {
-  col.ForEachSpan(row_begin, row_end,
-                  [&](const auto* data, size_t span_begin, size_t len) {
-                    OSDP_DCHECK(((span_begin - row_begin) & 63) == 0);
-                    fill(data, len, words + ((span_begin - row_begin) >> 6));
-                  });
+void EvalBlock(const Op& op, const Block& blk, uint64_t* words);
+
+// Evaluates each operand in [first, last) and folds it into words with
+// `combine`.
+template <typename It, typename Combine>
+void FoldInto(It first, It last, const Block& blk, uint64_t* words,
+              const Combine& combine) {
+  const size_t num_words = (blk.rows + 63) >> 6;
+  uint64_t operand[kBlockWords];
+  for (; first != last; ++first) {
+    EvalBlock(**first, blk, operand);
+    for (size_t wi = 0; wi < num_words; ++wi) {
+      words[wi] = combine(words[wi], operand[wi]);
+    }
+  }
 }
 
-// Evaluates `op` for rows [row_begin, row_end) into `words` (the word
-// holding row `row_begin` first). All tail bits past row_end in the last
-// word are written zero, matching RowMask's cleared-tail invariant when the
-// range ends at the table boundary. Leaves scan chunk-by-chunk through
-// FillPerSpan.
-void EvalOp(const Op& op, const Table& table, size_t row_begin, size_t row_end,
-            uint64_t* words) {
-  const size_t n = row_end - row_begin;
+// A kCmpNum leaf or a kAnd node: the fused legs, then each other operand.
+void EvalConjunction(const Op& op, const Block& blk, uint64_t* words) {
+  const size_t num_words = (blk.rows + 63) >> 6;
+  if (op.never) {
+    std::fill(words, words + num_words, uint64_t{0});
+    return;
+  }
+  size_t done = 0;
+  if (!op.legs.empty()) {
+    const void* cells[kMaxFusedLegs];
+    for (size_t k = 0; k < op.legs.size(); ++k) {
+      const size_t col = op.leg_cols[k];
+      cells[k] = op.legs[k].is_int
+                     ? static_cast<const void*>(
+                           &blk.table.Int64Column(col)[blk.begin])
+                     : &blk.table.DoubleColumn(col)[blk.begin];
+    }
+    FusedAndMask(op.legs.data(), cells, op.legs.size(), blk.rows, words);
+  } else {
+    EvalBlock(*op.rest[0], blk, words);
+    done = 1;
+  }
+  FoldInto(op.rest.begin() + done, op.rest.end(), blk, words,
+           [](uint64_t a, uint64_t b) { return a & b; });
+}
+
+// Evaluates `op` over one block into words[0, ceil(rows / 64)); bits past
+// the block's last row in the last word are written zero, matching
+// RowMask's cleared-tail invariant when the block ends the table.
+void EvalBlock(const Op& op, const Block& blk, uint64_t* words) {
+  const size_t n = blk.rows;
   const size_t num_words = (n + 63) >> 6;
   const size_t tail = n & 63;
   switch (op.kind) {
     case Op::Kind::kConstTrue:
-      for (size_t wi = 0; wi < num_words; ++wi) words[wi] = ~uint64_t{0};
+      std::fill(words, words + num_words, ~uint64_t{0});
       if (tail != 0) words[num_words - 1] = (uint64_t{1} << tail) - 1;
       return;
     case Op::Kind::kConstFalse:
-      for (size_t wi = 0; wi < num_words; ++wi) words[wi] = 0;
+      std::fill(words, words + num_words, uint64_t{0});
       return;
-    case Op::Kind::kAnd: {
-      EvalOp(*op.left, table, row_begin, row_end, words);
-      std::vector<uint64_t> rhs(num_words);
-      EvalOp(*op.right, table, row_begin, row_end, rhs.data());
-      for (size_t wi = 0; wi < num_words; ++wi) words[wi] &= rhs[wi];
+    case Op::Kind::kCmpNum:
+    case Op::Kind::kAnd:
+      EvalConjunction(op, blk, words);
       return;
-    }
-    case Op::Kind::kOr: {
-      EvalOp(*op.left, table, row_begin, row_end, words);
-      std::vector<uint64_t> rhs(num_words);
-      EvalOp(*op.right, table, row_begin, row_end, rhs.data());
-      for (size_t wi = 0; wi < num_words; ++wi) words[wi] |= rhs[wi];
+    case Op::Kind::kOr:
+      EvalBlock(*op.children[0], blk, words);
+      FoldInto(op.children.begin() + 1, op.children.end(), blk, words,
+               [](uint64_t a, uint64_t b) { return a | b; });
       return;
-    }
     case Op::Kind::kNot:
-      EvalOp(*op.left, table, row_begin, row_end, words);
+      EvalBlock(*op.children[0], blk, words);
       for (size_t wi = 0; wi < num_words; ++wi) words[wi] = ~words[wi];
       if (tail != 0) words[num_words - 1] &= (uint64_t{1} << tail) - 1;
       return;
-    case Op::Kind::kCmpNum:
-      if (op.col_type == ValueType::kInt64) {
-        FillPerSpan(table.Int64Column(op.col), row_begin, row_end, words,
-                    [&](const int64_t* data, size_t len, uint64_t* w) {
-                      FillNumCmp(op.cmp, data, 0, len, op.num_lit, w);
-                    });
-      } else {
-        FillPerSpan(table.DoubleColumn(op.col), row_begin, row_end, words,
-                    [&](const double* data, size_t len, uint64_t* w) {
-                      FillNumCmp(op.cmp, data, 0, len, op.num_lit, w);
-                    });
-      }
-      return;
     case Op::Kind::kCmpStr:
-      FillPerSpan(table.StringColumn(op.col), row_begin, row_end, words,
-                  [&](const std::string* data, size_t len, uint64_t* w) {
-                    FillStrCmp(op.cmp, data, 0, len, op.str_lit, w);
-                  });
+      FillStrCmp(op.cmp, &blk.table.StringColumn(op.col)[blk.begin], n,
+                 op.str_lit, words);
       return;
     case Op::Kind::kInNum: {
       // IN lists are tiny in practice (policy categories); a linear scan over
@@ -300,35 +488,26 @@ void EvalOp(const Op& op, const Table& table, size_t row_begin, size_t row_end,
         return false;
       };
       if (op.col_type == ValueType::kInt64) {
-        FillPerSpan(table.Int64Column(op.col), row_begin, row_end, words,
-                    [&](const int64_t* data, size_t len, uint64_t* w) {
-                      FillMask(0, len, w, [&](size_t i) {
-                        return member(static_cast<double>(data[i]));
-                      });
-                    });
+        const int64_t* data = &blk.table.Int64Column(op.col)[blk.begin];
+        FillMask(n, words, [&](size_t i) {
+          return member(static_cast<double>(data[i]));
+        });
       } else {
-        FillPerSpan(table.DoubleColumn(op.col), row_begin, row_end, words,
-                    [&](const double* data, size_t len, uint64_t* w) {
-                      FillMask(0, len, w,
-                               [&](size_t i) { return member(data[i]); });
-                    });
+        const double* data = &blk.table.DoubleColumn(op.col)[blk.begin];
+        FillMask(n, words, [&](size_t i) { return member(data[i]); });
       }
       return;
     }
     case Op::Kind::kInStr: {
       const std::vector<std::string>& set = op.str_set;
-      auto member = [&](std::string_view v) {
+      const std::string* data = &blk.table.StringColumn(op.col)[blk.begin];
+      FillMask(n, words, [&](size_t i) {
+        const std::string_view v(data[i]);
         for (const std::string& s : set) {
           if (v == s) return true;
         }
         return false;
-      };
-      FillPerSpan(table.StringColumn(op.col), row_begin, row_end, words,
-                  [&](const std::string* data, size_t len, uint64_t* w) {
-                    FillMask(0, len, w, [&](size_t i) {
-                      return member(std::string_view(data[i]));
-                    });
-                  });
+      });
       return;
     }
   }
@@ -387,17 +566,6 @@ char TypeTag(ValueType t) {
   return '?';
 }
 
-// Collects the legs of a maximal same-kind AND/OR chain: And(a, And(b, c))
-// and And(And(c, b), a) flatten to the same three legs.
-void FlattenChain(const Op& op, Op::Kind kind, std::vector<const Op*>* legs) {
-  if (op.kind == kind) {
-    FlattenChain(*op.left, kind, legs);
-    FlattenChain(*op.right, kind, legs);
-  } else {
-    legs->push_back(&op);
-  }
-}
-
 std::string CanonicalEncode(const Op& op) {
   std::string out;
   switch (op.kind) {
@@ -450,18 +618,18 @@ std::string CanonicalEncode(const Op& op) {
     }
     case Op::Kind::kNot:
       out += '~';
-      AppendLengthPrefixed(&out, CanonicalEncode(*op.left));
+      AppendLengthPrefixed(&out, CanonicalEncode(*op.children[0]));
       return out;
     case Op::Kind::kAnd:
     case Op::Kind::kOr: {
       // Word-wise AND/OR is commutative and associative, so the mask of a
-      // chain does not depend on leg order — canonicalize by flattening the
-      // chain and sorting the encoded legs.
-      std::vector<const Op*> legs;
-      FlattenChain(op, op.kind, &legs);
+      // chain does not depend on leg order — canonicalize by sorting the
+      // encoded legs of the chain, which Compile() already flattened.
       std::vector<std::string> encoded;
-      encoded.reserve(legs.size());
-      for (const Op* leg : legs) encoded.push_back(CanonicalEncode(*leg));
+      encoded.reserve(op.children.size());
+      for (const auto& leg : op.children) {
+        encoded.push_back(CanonicalEncode(*leg));
+      }
       std::sort(encoded.begin(), encoded.end());
       out += op.kind == Op::Kind::kAnd ? '&' : '|';
       AppendU64(&out, encoded.size());
@@ -517,9 +685,13 @@ void CompiledPredicate::EvalRangeInto(const Table& table, size_t row_begin,
   OSDP_CHECK_MSG(row_end == table.num_rows() || (row_end & 63) == 0,
                  "range end must be word-aligned or the table end");
   OSDP_CHECK(row_begin <= row_end && row_end <= table.num_rows());
-  if (row_begin == row_end) return;
-  EvalOp(*root_, table, row_begin, row_end,
-         out->mutable_words() + (row_begin >> 6));
+  uint64_t* words = out->mutable_words();
+  for (size_t begin = row_begin; begin < row_end;) {
+    const size_t end =
+        std::min(row_end, (begin & ~kChunkRowMask) + kChunkRows);
+    EvalBlock(*root_, Block{table, begin, end - begin}, words + (begin >> 6));
+    begin = end;
+  }
 }
 
 }  // namespace osdp

@@ -12,12 +12,23 @@
 //   RowMask mask = cp.EvalMask(table);         // one bit per row
 //   size_t matching = mask.Count();
 //
-// Semantics are bit-identical to Predicate::Eval (numeric columns compare as
-// doubles, strings lexicographically); tests/compiled_predicate_test.cc
-// enforces the equivalence on randomized schemas, tables, and trees. The one
-// deliberate difference: a predicate that is ill-typed for the schema
-// (unknown column, string/numeric mix) is rejected by Compile() with a
-// Status, where the reference evaluator aborts mid-scan — or, when
+// Evaluation runs one storage chunk (at most kChunkRows rows) at a time:
+// the whole tree over one chunk, through stack buffers, before the next.
+// Numeric comparisons, alone or as the legs of an AND chain, run through
+// the fused kernel of src/data/scan_kernels.h: one pass per chunk for the
+// whole chain, on an AVX2 body when the CPU has one.
+//
+// Semantics are bit-identical to Predicate::Eval: numeric cells compare
+// with the literal as doubles, strings lexicographically. An int64 column
+// gets that result without converting a cell: Compile() turns each
+// comparison into the exact set of int64 values v with double(v) <op> L —
+// an interval, or the complement of one for != — so NaN, ±inf, -0.0 and
+// literals where doubles are sparser than integers (|L| >= 2^53) all match
+// the double compare. tests/compiled_predicate_test.cc enforces the
+// equivalence on randomized schemas, tables, and trees and on those literal
+// edges. The one deliberate difference: a predicate that is ill-typed for
+// the schema (unknown column, string/numeric mix) is rejected by Compile()
+// with a Status, where the reference evaluator aborts mid-scan — or, when
 // short-circuiting or an empty table keeps the bad leaf unreached, never
 // notices at all. Compilation type-checks the whole tree unconditionally.
 

@@ -288,6 +288,76 @@ TEST(ChunkedScanProperty, RangeEvalAgreesWithRowReferenceAtWordBoundaries) {
   }
 }
 
+// A random AND chain of 2-10 range legs over `age` (int and double
+// literals) and `income`, randomly associated, sometimes with a string leg:
+// the shapes the scan fuses into one kernel pass per block, including
+// same-column intervals it intersects, != legs it cannot, and chains longer
+// than one kernel call takes.
+Predicate RandomRangeChain(Rng& rng) {
+  auto leg = [&]() -> Predicate {
+    const bool on_age = rng.NextBernoulli(0.6);
+    const std::string col = on_age ? "age" : "income";
+    std::vector<Value> lits;  // one literal
+    if (on_age && rng.NextBernoulli(0.7)) {
+      lits.emplace_back(static_cast<int64_t>(rng.NextBounded(102)) - 1);
+    } else {
+      lits.emplace_back(static_cast<double>(rng.NextBounded(1010)) *
+                        (on_age ? 0.1 : 0.25));
+    }
+    const Value& lit = lits[0];
+    switch (rng.NextBounded(6)) {
+      case 0: return Predicate::Eq(col, lit);
+      case 1: return Predicate::Ne(col, lit);
+      case 2: return Predicate::Lt(col, lit);
+      case 3: return Predicate::Le(col, lit);
+      case 4: return Predicate::Gt(col, lit);
+      default: return Predicate::Ge(col, lit);
+    }
+  };
+  const size_t num_legs = 2 + rng.NextBounded(9);
+  Predicate chain = leg();
+  for (size_t i = 1; i < num_legs; ++i) {
+    Predicate next = rng.NextBernoulli(0.1)
+                         ? Predicate::In("race", {Value("ab"), Value("c")})
+                         : leg();
+    chain = rng.NextBernoulli(0.5) ? Predicate::And(chain, next)
+                                   : Predicate::And(next, chain);
+  }
+  return chain;
+}
+
+TEST(ChunkedScanProperty, FusedRangeChainsAcrossChunksMatchRowReference) {
+  Rng rng(0xF05E);
+  const Table table = RandomTable(3 * kChunkRows + 17, rng);
+  const size_t n = table.num_rows();
+  ThreadPool pool(4);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Predicate pred = RandomRangeChain(rng);
+    Result<CompiledPredicate> compiled =
+        CompiledPredicate::Compile(pred, table.schema());
+    ASSERT_TRUE(compiled.ok());
+
+    const RowMask reference = BoxedMask(pred, table, 0, n);
+    ASSERT_TRUE(compiled->EvalMask(table) == reference) << pred.ToString();
+    for (size_t shards : ShardCounts()) {
+      ParallelScanOptions opts;
+      opts.pool = &pool;
+      opts.num_shards = shards;
+      ASSERT_TRUE(ParallelEvalMask(*compiled, table, opts) == reference)
+          << pred.ToString() << " shards=" << shards;
+    }
+    // Sub-ranges that start mid-chunk and cross one or two chunk edges.
+    for (const auto& [begin, end] : std::vector<std::pair<size_t, size_t>>{
+             {64, kChunkRows + 128}, {kChunkRows - 64, 3 * kChunkRows},
+             {2 * kChunkRows + 640, n}}) {
+      RowMask sub(n);
+      compiled->EvalRangeInto(table, begin, end, &sub);
+      ASSERT_TRUE(sub == BoxedMask(pred, table, begin, end))
+          << pred.ToString() << " range [" << begin << ", " << end << ")";
+    }
+  }
+}
+
 TEST(ChunkedScanProperty, SelectRowsMaskIndicesAndViewAgree) {
   Rng rng(0xD00D);
   for (size_t rows : EdgeSizes()) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "src/common/random.h"
 #include "src/data/predicate.h"
 #include "src/data/row_mask.h"
+#include "src/data/scan_kernels.h"
 #include "src/data/schema.h"
 #include "src/data/table.h"
 #include "src/hist/histogram_query.h"
@@ -39,18 +42,29 @@ Schema RandomSchema(Rng& rng) {
   return Schema(std::move(fields));
 }
 
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
 // Small pools so random predicates actually hit matching rows; the int pool
-// includes values past 2^53 to pin down the compare-as-double semantics.
+// includes values around and past 2^53 and the int64 extremes to pin down
+// the compare-as-double semantics (2^53 + 1 rounds to 2^53 as a double).
 const std::vector<int64_t>& IntPool() {
   static const std::vector<int64_t> kPool = {
       -4, -1, 0, 1, 2, 3, 4, 1000000007,
-      (int64_t{1} << 53) + 1, -((int64_t{1} << 53) + 3)};
+      kTwo53 - 1, kTwo53, kTwo53 + 1, -(kTwo53 + 3),
+      std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max()};
   return kPool;
 }
 
+// Includes the literals an exact integer rewrite is most likely to get
+// wrong: a signed zero, NaN, both infinities, 2^53, and 9.3e18 (past
+// INT64_MAX, but inside int64's range once INT64_MAX rounds up to 2^63).
 const std::vector<double>& DoublePool() {
-  static const std::vector<double> kPool = {-2.5, -1.0, 0.0, 0.5,
-                                            1.0,  2.25, 1e9, -3.75};
+  static const std::vector<double> kPool = {
+      -2.5, -1.0, 0.0, 0.5, 1.0, 2.25, 1e9, -3.75, -0.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      static_cast<double>(kTwo53), 9.3e18};
   return kPool;
 }
 
@@ -267,6 +281,190 @@ TEST(CompiledPredicateTest, EmptyInListIsConstantFalse) {
   OSDP_CHECK(t.AppendRow({Value(5)}).ok());
   auto compiled = *CompiledPredicate::Compile(Predicate::In("age", {}), schema);
   EXPECT_EQ(compiled.EvalMask(t).Count(), 0u);
+}
+
+// ----------------------------------------------------------- literal edges ---
+
+// Int64 cells next to every place where double(v) stops being exact or
+// saturates: ±2^53 ± 2, ±2^63 (the int64 ends), and small values.
+std::vector<int64_t> EdgeRows() {
+  std::vector<int64_t> rows;
+  for (int64_t d = -2; d <= 2; ++d) {
+    rows.push_back(kTwo53 + d);
+    rows.push_back(-kTwo53 + d);
+    rows.push_back(d);
+  }
+  for (int64_t d = 0; d <= 2; ++d) {
+    rows.push_back(std::numeric_limits<int64_t>::min() + d);
+    rows.push_back(std::numeric_limits<int64_t>::max() - d);
+  }
+  rows.push_back(std::numeric_limits<int64_t>::max() - 1024);
+  rows.push_back(std::numeric_limits<int64_t>::max() - 512);
+  return rows;
+}
+
+// Every literal kind an int64 column can meet: the edge rows as int
+// literals, plus doubles between, at and past the representable ends.
+std::vector<Value> EdgeLiterals() {
+  std::vector<Value> lits;
+  for (int64_t v : EdgeRows()) lits.emplace_back(v);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double two63 = 9223372036854775808.0;
+  for (double d : {0.0, -0.0, 0.5, -0.5, 1.5, std::nan(""), inf, -inf,
+                   static_cast<double>(kTwo53), static_cast<double>(kTwo53) + 2,
+                   static_cast<double>(kTwo53) - 0.5, 9.3e18, -9.3e18, two63,
+                   -two63, std::nextafter(two63, 0.0),
+                   std::nextafter(-two63, 0.0), 1e300, -1e300}) {
+    lits.emplace_back(d);
+  }
+  return lits;
+}
+
+Predicate Compare(PredicateOp op, const std::string& col, const Value& lit) {
+  switch (op) {
+    case PredicateOp::kEq: return Predicate::Eq(col, lit);
+    case PredicateOp::kNe: return Predicate::Ne(col, lit);
+    case PredicateOp::kLt: return Predicate::Lt(col, lit);
+    case PredicateOp::kLe: return Predicate::Le(col, lit);
+    case PredicateOp::kGt: return Predicate::Gt(col, lit);
+    default: return Predicate::Ge(col, lit);
+  }
+}
+
+const PredicateOp kCmpOps[] = {PredicateOp::kEq, PredicateOp::kNe,
+                               PredicateOp::kLt, PredicateOp::kLe,
+                               PredicateOp::kGt, PredicateOp::kGe};
+
+// Asserts the compiled mask of `pred` equals Predicate::Eval on every row.
+void ExpectMatchesReference(const Predicate& pred, const Table& table) {
+  const RowMask mask =
+      CompiledPredicate::Compile(pred, table.schema())->EvalMask(table);
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    ASSERT_EQ(mask.Test(r), pred.Eval(table, r))
+        << pred.ToString() << " row " << table.GetValue(r, 0).ToString();
+  }
+}
+
+TEST(CompiledPredicateTest, IntColumnLiteralEdgesMatchDoubleCompare) {
+  // An int64 comparison compiles to an exact integer interval; it must give
+  // the double compare's answer for every literal, including where rounding
+  // merges neighbours (at L = 2^53, row 2^53 + 1 equals L as a double).
+  const Schema schema({{"v", ValueType::kInt64}});
+  Table table(schema);
+  for (int64_t v : EdgeRows()) table.AppendRowUnchecked({Value(v)});
+  const std::vector<Value> lits = EdgeLiterals();
+  for (const Value& lit : lits) {
+    for (PredicateOp op : kCmpOps) {
+      ExpectMatchesReference(Compare(op, "v", lit), table);
+    }
+  }
+  // Two ranges on one column intersect into a single interval.
+  Rng rng(0x2E53);
+  for (const Value& a : lits) {
+    for (const Value& b : lits) {
+      const PredicateOp op_a = kCmpOps[rng.NextBounded(6)];
+      const PredicateOp op_b = kCmpOps[rng.NextBounded(6)];
+      ExpectMatchesReference(
+          Predicate::And(Compare(op_a, "v", a), Compare(op_b, "v", b)), table);
+    }
+  }
+}
+
+TEST(CompiledPredicateTest, DoubleColumnLiteralEdgesMatchDoubleCompare) {
+  const Schema schema({{"d", ValueType::kDouble}});
+  Table table(schema);
+  const std::vector<Value> lits = EdgeLiterals();
+  for (const Value& lit : lits) table.AppendRowUnchecked({lit.AsNumeric()});
+  for (const Value& lit : lits) {
+    for (PredicateOp op : kCmpOps) {
+      ExpectMatchesReference(Compare(op, "d", lit), table);
+    }
+  }
+}
+
+// ------------------------------------------------------------ scan kernels ---
+
+// Leg `leg` on cell i, by definition: membership in the wrapped interval
+// [lo, lo + span] of the 2^64 circle for ints, the IEEE compare for doubles.
+bool LegOracle(const ScanLeg& leg, const void* cells, size_t i) {
+  if (leg.is_int) {
+    const auto u = static_cast<uint64_t>(static_cast<const int64_t*>(cells)[i]);
+    const uint64_t hi = leg.lo + leg.span;
+    return leg.lo <= hi ? (leg.lo <= u && u <= hi) : (u >= leg.lo || u <= hi);
+  }
+  const double v = static_cast<const double*>(cells)[i];
+  switch (leg.cmp) {
+    case PredicateOp::kEq: return v == leg.lit;
+    case PredicateOp::kNe: return v != leg.lit;
+    case PredicateOp::kLt: return v < leg.lit;
+    case PredicateOp::kLe: return v <= leg.lit;
+    case PredicateOp::kGt: return v > leg.lit;
+    default: return v >= leg.lit;
+  }
+}
+
+TEST(ScanKernelsTest, BothBodiesMatchTheRowOracle) {
+  namespace k = scan_kernels_internal;
+  using Body = void (*)(const ScanLeg*, const void* const*, size_t, size_t,
+                        uint64_t*);
+  std::vector<std::pair<const char*, Body>> bodies = {
+      {"portable", k::FusedAndMaskPortable}, {"dispatch", FusedAndMask}};
+  if (k::Avx2Available()) bodies.push_back({"avx2", k::FusedAndMaskAvx2});
+
+  // Values that sit on interval ends and wrap points.
+  const std::vector<int64_t> ints = {
+      std::numeric_limits<int64_t>::min(), -1, 0, 1, 2, 40, 41,
+      std::numeric_limits<int64_t>::max()};
+  const std::vector<double> doubles = DoublePool();
+  Rng rng(0x5CA7);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                   size_t{127}, size_t{128}, size_t{1001}, kChunkRows}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const size_t num_legs = 1 + rng.NextBounded(kMaxFusedLegs);
+      std::vector<ScanLeg> legs(num_legs);
+      std::vector<std::vector<int64_t>> int_cells(num_legs);
+      std::vector<std::vector<double>> double_cells(num_legs);
+      std::vector<const void*> cells(num_legs);
+      for (size_t j = 0; j < num_legs; ++j) {
+        ScanLeg& leg = legs[j];
+        leg.is_int = rng.NextBernoulli(0.5);
+        if (leg.is_int) {
+          leg.lo = static_cast<uint64_t>(ints[rng.NextBounded(ints.size())]);
+          const uint64_t spans[] = {0, 1, 40, ~uint64_t{0}, ~uint64_t{0} - 1,
+                                    rng.Next()};
+          leg.span = spans[rng.NextBounded(6)];
+          for (size_t i = 0; i < n; ++i) {
+            int_cells[j].push_back(
+                rng.NextBernoulli(0.8)
+                    ? ints[rng.NextBounded(ints.size())]
+                    : static_cast<int64_t>(rng.Next()));
+          }
+          cells[j] = int_cells[j].data();
+        } else {
+          leg.cmp = kCmpOps[rng.NextBounded(6)];
+          leg.lit = doubles[rng.NextBounded(doubles.size())];
+          for (size_t i = 0; i < n; ++i) {
+            double_cells[j].push_back(doubles[rng.NextBounded(doubles.size())]);
+          }
+          cells[j] = double_cells[j].data();
+        }
+      }
+      std::vector<uint64_t> expected((n + 63) / 64, 0);
+      for (size_t i = 0; i < n; ++i) {
+        bool all = true;
+        for (size_t j = 0; j < num_legs; ++j) {
+          all = all && LegOracle(legs[j], cells[j], i);
+        }
+        if (all) expected[i / 64] |= uint64_t{1} << (i % 64);
+      }
+      for (const auto& [name, body] : bodies) {
+        // Pre-filled with ones, so a skipped tail bit shows.
+        std::vector<uint64_t> got(expected.size(), ~uint64_t{0});
+        body(legs.data(), cells.data(), num_legs, n, got.data());
+        ASSERT_EQ(got, expected) << name << " n=" << n << " legs=" << num_legs;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ fingerprint ---
