@@ -24,7 +24,7 @@
 // And implicitly: the process survives every round — no injected fault,
 // overload, deadline, or cancellation ever reaches std::terminate.
 //
-// Knobs: OSDP_BENCH_SOAK_ROUNDS (default 14 — two laps of the 7-entry
+// Knobs: OSDP_BENCH_SOAK_ROUNDS (default 16 — two laps of the 8-entry
 // schedule), OSDP_BENCH_MAX_ROWS (seed table rows, default 20000),
 // OSDP_BENCH_SOAK_READERS (analyst threads, default 4), OSDP_BENCH_JSON
 // (artifact path, default BENCH_fault_soak.json).
@@ -83,6 +83,7 @@ struct FaultSpec {
 constexpr FaultSpec kFaultSchedule[] = {
     {nullptr, {}},
     {"mask_cache/insert", {2, 3, 6}},
+    {"mask_cache/attach", {2, 3, 6}},
     {"mechanism/run", {1, 2, 8}},
     {"query/execute", {3, 5, 6}},
     {"thread_pool/chunk", {7, 11, 4}},
@@ -122,7 +123,7 @@ void Violation(const char* what, size_t round, const std::string& detail) {
 int main() {
   const char* rounds_env = std::getenv("OSDP_BENCH_SOAK_ROUNDS");
   const size_t rounds =
-      rounds_env ? static_cast<size_t>(std::atoll(rounds_env)) : 14;
+      rounds_env ? static_cast<size_t>(std::atoll(rounds_env)) : 16;
   const char* rows_env = std::getenv("OSDP_BENCH_MAX_ROWS");
   const size_t seed_rows =
       rows_env ? static_cast<size_t>(std::atoll(rows_env)) : 20000;

@@ -28,6 +28,9 @@ class Domain1D {
   size_t size() const { return size_; }
   /// True for categorical domains.
   bool is_categorical() const { return categorical_; }
+  /// Numeric bounds [lo, hi) (unused by categorical domains).
+  double lo() const { return lo_; }
+  double hi() const { return hi_; }
 
   /// Bin index of a numeric value; values outside [lo, hi) clamp to the
   /// nearest edge bin (standard histogram convention). Total over all

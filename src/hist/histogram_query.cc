@@ -68,7 +68,7 @@ Result<PreparedHistogramQuery> PreparedHistogramQuery::Prepare(
                         table.schema().FieldIndex(query.column));
   OSDP_ASSIGN_OR_RETURN(Binner binner,
                         MakeBinner(table, col_idx, query.domain));
-  PreparedHistogramQuery prepared(query.domain);
+  PreparedHistogramQuery prepared(query.domain, col_idx);
   prepared.i64_ = binner.i64;
   prepared.dbl_ = binner.dbl;
   prepared.categorical_ = binner.categorical;

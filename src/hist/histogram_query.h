@@ -53,6 +53,10 @@ class PreparedHistogramQuery {
   /// Number of bins the query produces.
   size_t num_bins() const { return domain_.size(); }
 
+  /// The binning, and the grouped column's index in the table's schema.
+  const Domain1D& domain() const { return domain_; }
+  size_t column_index() const { return column_index_; }
+
   /// The compiled WHERE clause, or nullptr when the query has none.
   const CompiledPredicate* where() const { return where_.get(); }
 
@@ -70,7 +74,8 @@ class PreparedHistogramQuery {
                        size_t row_begin, size_t row_end, Histogram* out) const;
 
  private:
-  PreparedHistogramQuery(Domain1D domain) : domain_(std::move(domain)) {}
+  PreparedHistogramQuery(Domain1D domain, size_t column_index)
+      : domain_(std::move(domain)), column_index_(column_index) {}
 
   // Both AccumulateRange overloads: for_each_row(begin, end, fn) calls
   // fn(row) for every selected row of [begin, end) in ascending order.
@@ -84,6 +89,7 @@ class PreparedHistogramQuery {
   const ChunkedColumn<double>* dbl_ = nullptr;
   bool categorical_ = false;
   Domain1D domain_;
+  size_t column_index_ = 0;
   std::shared_ptr<const CompiledPredicate> where_;
 };
 

@@ -17,6 +17,8 @@ const char* StageName(Stage stage) {
       return "cache_lookup";
     case Stage::kScan:
       return "scan";
+    case Stage::kAccumulate:
+      return "accumulate";
     case Stage::kMechanism:
       return "mechanism";
     case Stage::kBudgetCharge:

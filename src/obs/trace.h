@@ -1,7 +1,7 @@
 // Per-query trace spans: the stage timeline of one request (admit → cache
-// lookup / scan → mechanism → budget charge → deliver) captured into a fixed
-// inline event array, plus a bounded ring of recent traces for post-hoc
-// inspection (text/JSON dump).
+// lookup / scan → accumulate → mechanism → budget charge → deliver) captured
+// into a fixed inline event array, plus a bounded ring of recent traces for
+// post-hoc inspection (text/JSON dump).
 //
 // Same ground rules as metrics.h: tracing is write-only from the runtime
 // (never read on a decision path), the disabled path is gated out before any
@@ -25,13 +25,17 @@ namespace obs {
 
 /// The stages a request can pass through, in pipeline order. A trace records
 /// the subset that actually ran: a cache hit records kCacheLookup and no
-/// kScan; an admission-shed request records only kAdmit.
+/// kScan; an admission-shed request records only kAdmit. kAccumulate is the
+/// exact aggregate of the WHERE rows (a count's |WHERE ∧ x_ns|, a histogram's
+/// x and/or x_ns) and kMechanism the noisy release of it; a sample has no
+/// kAccumulate.
 enum class Stage : uint8_t {
   kAdmit = 0,
   kValidate,
   kReserve,
   kCacheLookup,
   kScan,
+  kAccumulate,
   kMechanism,
   kBudgetCharge,
   kDeliver,
@@ -42,8 +46,9 @@ const char* StageName(Stage stage);
 /// One completed request's timeline. Plain data, fixed size: at most
 /// kMaxEvents (stage, duration) pairs plus identity and outcome fields.
 struct Trace {
-  // Every stage can appear at most once per request; 8 covers the full
-  // pipeline.
+  // Every stage can appear at most once per request, and kCacheLookup and
+  // kScan exclude each other, so 8 covers the longest timeline (tests pin
+  // it).
   static constexpr size_t kMaxEvents = 8;
 
   struct Event {

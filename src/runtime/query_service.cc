@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -14,6 +16,23 @@
 #include "src/runtime/parallel_scan.h"
 
 namespace osdp {
+
+namespace {
+
+// Telemetry traces one query in 2^kTraceEveryLog2. Full per-query timing —
+// about seven clock reads and seven histogram writes — costs more than 2% of
+// a query served from the cache's aggregate memo, the path the
+// bench_obs_overhead gate times. Tickets are numbered per service in
+// submission order and sampled by Fibonacci hashing, so ticket 0 (a
+// service's first query) is always traced and a batch that repeats a fixed
+// pattern of queries is sampled across the whole pattern.
+constexpr int kTraceEveryLog2 = 6;
+
+bool TraceSampled(uint64_t ticket) {
+  return ((ticket * 0x9E3779B97F4A7C15ULL) >> (64 - kTraceEveryLog2)) == 0;
+}
+
+}  // namespace
 
 // Deterministic 64-bit seed mix; collision-resistance comes from Rng's
 // SplitMix64 seeding, this only needs to separate the
@@ -43,8 +62,9 @@ struct QueryService::PreparedRequest {
 
   // Observability metadata. submit_ns (batch submission time) is always
   // stamped — it feeds ServiceAnswer.server_duration_micros; the per-stage
-  // durations are measured only when telemetry is enabled and become the
-  // admit/validate/reserve events of the query's trace.
+  // durations are measured only for a query telemetry samples (`traced`) and
+  // become the admit/validate/reserve events of its trace.
+  bool traced = false;
   uint64_t submit_ns = 0;
   uint64_t admit_ns = 0;
   uint64_t validate_ns = 0;
@@ -91,10 +111,13 @@ QueryService::MetricsHandles QueryService::ResolveMetrics(
   m.h_reserve = registry->GetHistogram("service.reserve_ns");
   m.h_cache_lookup = registry->GetHistogram("service.cache_lookup_ns");
   m.h_scan = registry->GetHistogram("service.scan_ns");
+  m.h_accumulate = registry->GetHistogram("service.accumulate_ns");
   m.h_mechanism = registry->GetHistogram("service.mechanism_ns");
   m.cache_hits = registry->GetCounter("cache.hits");
   m.cache_misses = registry->GetCounter("cache.misses");
   m.cache_evictions = registry->GetCounter("cache.evictions");
+  m.cache_aggregate_hits = registry->GetCounter("cache.aggregate_hits");
+  m.cache_aggregate_misses = registry->GetCounter("cache.aggregate_misses");
   m.cache_bytes = registry->GetGauge("cache.bytes");
   m.cache_entries = registry->GetGauge("cache.entries");
   m.ingest_batches = registry->GetCounter("ingest.batches");
@@ -119,9 +142,10 @@ QueryService::QueryService(OsdpEngine engine, TableBuilder builder,
       traces_(options.trace_ring_capacity),
       m_(ResolveMetrics(&metrics_)),
       service_budget_(engine_.options().total_epsilon),
-      mask_cache_(MaskCache::Options{options.mask_cache_bytes,
-                                     options.mask_cache_shards, m_.cache_hits,
-                                     m_.cache_misses, m_.cache_evictions}),
+      mask_cache_(MaskCache::Options{
+          options.mask_cache_bytes, options.mask_cache_shards, m_.cache_hits,
+          m_.cache_misses, m_.cache_evictions, m_.cache_aggregate_hits,
+          m_.cache_aggregate_misses}),
       store_(engine_.snapshot()),
       builder_(std::move(builder)) {
   // Route the mechanisms' deterministic stages (interval-cost engine build,
@@ -352,28 +376,46 @@ Status QueryService::Reserve(PreparedRequest* prepared) {
   return Status::OK();
 }
 
-std::shared_ptr<const RowMask> QueryService::CachedScanMask(
+MaskCache::EntryPtr QueryService::CachedScanMask(
     const CompiledPredicate& pred, const Snapshot& snap,
     const ParallelScanOptions& scan, bool* cache_hit) {
-  *cache_hit = false;
-  if (!mask_cache_.enabled()) {
-    return std::make_shared<const RowMask>(
-        ParallelEvalMask(pred, snap.table, scan));
-  }
-  return mask_cache_.LookupOrCompute(
+  return mask_cache_.Lookup(
       pred, snap.generation,
       [&] { return ParallelEvalMask(pred, snap.table, scan); }, cache_hit);
 }
 
-Result<ServiceAnswer> QueryService::Execute(PreparedRequest* prepared) {
-  if (!metrics_.enabled()) return ExecuteImpl(prepared, nullptr);
+std::shared_ptr<const Histogram> QueryService::ExactHistogram(
+    const PreparedHistogramQuery& query, const Snapshot& snap,
+    const MaskCache::Entry* where, bool non_sensitive,
+    const ParallelScanOptions& scan) {
+  const auto accumulate = [&] {
+    if (where != nullptr) {
+      return non_sensitive
+                 ? ParallelAccumulateHistogram(query, where->mask(),
+                                               snap.non_sensitive, scan)
+                 : ParallelAccumulateHistogram(query, where->mask(), scan);
+    }
+    if (non_sensitive) {
+      return ParallelAccumulateHistogram(query, snap.non_sensitive, scan);
+    }
+    const RowMask all_rows(snap.table.num_rows(), /*value=*/true);
+    return ParallelAccumulateHistogram(query, all_rows, scan);
+  };
+  // An unfiltered histogram has no cache entry to hold it.
+  if (where == nullptr) return std::make_shared<const Histogram>(accumulate());
+  return mask_cache_.AggregateHistogram(
+      *where, MaskCache::HistogramKey::Of(query, non_sensitive), accumulate);
+}
 
-  // Telemetry-on path: build the query's trace from the stage durations the
-  // batch loops already measured, let ExecuteImpl mark the execution stages,
-  // then classify the outcome — delivered, failed, cancelled, deadline — and
-  // push the finished trace. Exceptions re-raise unchanged: AnswerBatch's
-  // per-slot handling (and the refund-by-destruction contract) is identical
-  // with telemetry on and off.
+Result<ServiceAnswer> QueryService::Execute(PreparedRequest* prepared) {
+  if (!prepared->traced) return ExecuteImpl(prepared, nullptr);
+
+  // A query telemetry sampled (see TraceSampled): build its trace from the
+  // stage durations the batch loops already measured, let ExecuteImpl mark
+  // the execution stages, and push the finished trace whatever the outcome.
+  // Exceptions re-raise unchanged: AnswerBatch's per-slot handling (and the
+  // refund-by-destruction contract) is identical for sampled queries, and
+  // AnswerBatch classifies every outcome (RecordFailure).
   obs::TraceSpan span(prepared->session->id, prepared->seq,
                       prepared->snapshot->generation);
   span.Add(obs::Stage::kAdmit, prepared->admit_ns);
@@ -383,29 +425,38 @@ Result<ServiceAnswer> QueryService::Execute(PreparedRequest* prepared) {
     Result<ServiceAnswer> result = ExecuteImpl(prepared, &span);
     const uint64_t end_ns = obs::NowNs();
     if (result.ok()) {
-      m_.queries_delivered->Increment();
       m_.h_query->Record(end_ns - prepared->submit_ns);
       span.Mark(obs::Stage::kDeliver, end_ns);
       span.trace().cache_hit = result.ValueOrDie().cache_hit;
-    } else {
-      m_.queries_failed->Increment();
     }
     span.Finish(static_cast<int>(result.status().code()), traces_, end_ns);
     return result;
   } catch (const AbortedError& aborted) {
-    if (aborted.status.code() == StatusCode::kCancelled) {
-      m_.queries_cancelled->Increment();
-    } else {
-      m_.queries_deadline_exceeded->Increment();
-    }
     span.Finish(static_cast<int>(aborted.status.code()), traces_,
                 obs::NowNs());
     throw;
   } catch (...) {
-    m_.queries_failed->Increment();
     span.Finish(static_cast<int>(StatusCode::kInternal), traces_,
                 obs::NowNs());
     throw;
+  }
+}
+
+void QueryService::RecordFailure(const PreparedRequest& prepared,
+                                 StatusCode code) {
+  if (code == StatusCode::kCancelled) {
+    m_.queries_cancelled->Increment();
+  } else if (code == StatusCode::kDeadlineExceeded) {
+    m_.queries_deadline_exceeded->Increment();
+  } else {
+    m_.queries_failed->Increment();
+  }
+  // A sampled query pushed its own trace; any other failed query still
+  // leaves one, with its identity and status alone.
+  if (!prepared.traced) {
+    obs::TraceSpan span(prepared.session->id, prepared.seq,
+                        prepared.snapshot->generation);
+    span.Finish(static_cast<int>(code), traces_, span.trace().start_ns);
   }
 }
 
@@ -426,7 +477,7 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
   answer.seq = prepared->seq;
 
   if (prepared->count_pred.has_value()) {
-    const std::shared_ptr<const RowMask> scan_mask =
+    const MaskCache::EntryPtr where =
         CachedScanMask(*prepared->count_pred, snap, scan, &answer.cache_hit);
     if (span != nullptr) {
       const uint64_t dt = span->Mark(answer.cache_hit
@@ -435,11 +486,18 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
                                      obs::NowNs());
       (answer.cache_hit ? m_.h_cache_lookup : m_.h_scan)->Record(dt);
     }
-    // |WHERE ∧ non-sensitive| in one fused AND + popcount pass over both
-    // masks' words. The cached mask is immutable and shared, and is read in
-    // place: on a cache hit this pass is the whole cost of the count.
+    // |WHERE ∧ non-sensitive|, memoized on the cache entry: the first query
+    // of this (predicate, generation) runs one fused AND + popcount pass over
+    // both masks' words, reading the shared mask in place; later ones read
+    // the stored count.
     const double count = static_cast<double>(
-        ParallelAndCount(*scan_mask, snap.non_sensitive, scan));
+        mask_cache_.NonSensitiveCount(*where, [&] {
+          return ParallelAndCount(where->mask(), snap.non_sensitive, scan);
+        }));
+    if (span != nullptr) {
+      m_.h_accumulate->Record(
+          span->Mark(obs::Stage::kAccumulate, obs::NowNs()));
+    }
     // One-sided Laplace with sensitivity 1: a one-sided neighbour can only
     // grow the non-sensitive count (Section 5.1).
     OSDP_FAULT_POINT("mechanism/run");
@@ -454,13 +512,12 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
 
     // Compute only the histogram(s) the mechanism reads; the other input
     // stays all-zero. The WHERE mask, when present, is evaluated once and
-    // shared.
+    // shared, and both histograms are memoized on its cache entry.
     const MechanismInputs inputs = InputsOf(prepared->mechanism);
 
-    std::shared_ptr<const RowMask> where_mask;
+    MaskCache::EntryPtr where;
     if (query.where() != nullptr) {
-      where_mask =
-          CachedScanMask(*query.where(), snap, scan, &answer.cache_hit);
+      where = CachedScanMask(*query.where(), snap, scan, &answer.cache_hit);
       if (span != nullptr) {
         const uint64_t dt = span->Mark(answer.cache_hit
                                            ? obs::Stage::kCacheLookup
@@ -470,36 +527,32 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
       }
     }
 
-    Histogram x(query.num_bins());
+    std::shared_ptr<const Histogram> x, xns;
     if (inputs.x) {
-      if (where_mask != nullptr) {
-        x = ParallelAccumulateHistogram(query, *where_mask, scan);
-      } else {
-        const RowMask all_rows(snap.table.num_rows(), /*value=*/true);
-        x = ParallelAccumulateHistogram(query, all_rows, scan);
-      }
+      x = ExactHistogram(query, snap, where.get(), /*non_sensitive=*/false,
+                         scan);
     }
-    Histogram xns(query.num_bins());
     if (inputs.xns) {
-      if (where_mask != nullptr) {
-        xns = ParallelAccumulateHistogram(query, *where_mask,
-                                          snap.non_sensitive, scan);
-      } else {
-        xns = ParallelAccumulateHistogram(query, snap.non_sensitive, scan);
-      }
+      xns = ExactHistogram(query, snap, where.get(), /*non_sensitive=*/true,
+                           scan);
+    }
+    std::optional<Histogram> zeros;
+    if (x == nullptr || xns == nullptr) zeros.emplace(query.num_bins());
+    if (span != nullptr) {
+      m_.h_accumulate->Record(
+          span->Mark(obs::Stage::kAccumulate, obs::NowNs()));
     }
 
     OSDP_FAULT_POINT("mechanism/run");
     Result<Histogram> released = engine_.RunMechanism(
-        x, xns, prepared->epsilon, prepared->mechanism, rng);
+        x != nullptr ? *x : *zeros, xns != nullptr ? *xns : *zeros,
+        prepared->epsilon, prepared->mechanism, rng);
     // A refused release costs nothing: the reservation is still held, so the
     // prepared request's destruction refunds both budgets — no hand-rolled
     // refund path to forget.
     if (!released.ok()) return released.status();
     answer.histogram = std::move(released).ValueOrDie();
     if (span != nullptr) {
-      // The mechanism stage of a histogram covers accumulation + release —
-      // everything after the WHERE mask was resolved.
       m_.h_mechanism->Record(
           span->Mark(obs::Stage::kMechanism, obs::NowNs()));
     }
@@ -586,50 +639,50 @@ std::vector<Result<ServiceAnswer>> QueryService::AnswerBatch(
   const SnapshotPtr snapshot = store_.Current();
 
   // Phase 1a (lock-free): validate and bind every request — concurrent
-  // batches pay the compilation cost in parallel. With telemetry on,
-  // consecutive clock reads are shared across loop iterations (one read per
-  // query, not two) and the admit duration — time spent getting through the
-  // gate — is attributed to every query of the batch.
+  // batches pay the compilation cost in parallel. With telemetry on, each
+  // slot draws a trace ticket, and only sampled slots read the clock; the
+  // admit duration — time spent getting through the gate — is attributed to
+  // every sampled query of the batch.
+  const uint64_t first_ticket =
+      telemetry ? trace_tickets_.fetch_add(batch.size(),
+                                           std::memory_order_relaxed)
+                : 0;
   const uint64_t admit_ns = telemetry ? obs::NowNs() - submit_ns : 0;
   std::vector<std::optional<PreparedRequest>> prepared(batch.size());
-  uint64_t t_prev = telemetry ? obs::NowNs() : 0;
   for (size_t i = 0; i < batch.size(); ++i) {
+    const bool traced = telemetry && TraceSampled(first_ticket + i);
+    const uint64_t t0 = traced ? obs::NowNs() : 0;
     Result<PreparedRequest> r = Validate(batch[i], s, snapshot, control);
-    if (r.ok()) {
-      prepared[i] = std::move(r).ValueOrDie();
-      prepared[i]->submit_ns = submit_ns;
-      prepared[i]->admit_ns = admit_ns;
-    } else {
+    if (!r.ok()) {
       results[i] = r.status();
+      continue;
     }
-    if (telemetry) {
-      const uint64_t now = obs::NowNs();
-      if (prepared[i].has_value()) {
-        prepared[i]->validate_ns = now - t_prev;
-        m_.h_validate->Record(now - t_prev);
-      }
-      t_prev = now;
+    prepared[i] = std::move(r).ValueOrDie();
+    prepared[i]->submit_ns = submit_ns;
+    prepared[i]->admit_ns = admit_ns;
+    prepared[i]->traced = traced;
+    if (traced) {
+      prepared[i]->validate_ns = obs::NowNs() - t0;
+      m_.h_validate->Record(prepared[i]->validate_ns);
     }
   }
 
   // Phase 1b (serial, deterministic batch order): reserve both budgets.
   {
     std::lock_guard<std::mutex> lock(reserve_mu_);
-    if (telemetry) t_prev = obs::NowNs();
     for (size_t i = 0; i < batch.size(); ++i) {
       if (!prepared[i].has_value()) continue;
+      const bool traced = prepared[i]->traced;
+      const uint64_t t0 = traced ? obs::NowNs() : 0;
       const Status reserved = Reserve(&*prepared[i]);
       if (!reserved.ok()) {
         results[i] = reserved;
         prepared[i].reset();
+        continue;
       }
-      if (telemetry) {
-        const uint64_t now = obs::NowNs();
-        if (prepared[i].has_value()) {
-          prepared[i]->reserve_ns = now - t_prev;
-          m_.h_reserve->Record(now - t_prev);
-        }
-        t_prev = now;
+      if (traced) {
+        prepared[i]->reserve_ns = obs::NowNs() - t0;
+        m_.h_reserve->Record(prepared[i]->reserve_ns);
       }
     }
   }
@@ -659,6 +712,9 @@ std::vector<Result<ServiceAnswer>> QueryService::AnswerBatch(
               Status::Internal(std::string("query execution failed: ") +
                                e.what());
         }
+        if (telemetry && !results[i].ok()) {
+          RecordFailure(*prepared[i], results[i].status().code());
+        }
         prepared[i].reset();
       }
     });
@@ -674,7 +730,13 @@ std::vector<Result<ServiceAnswer>> QueryService::AnswerBatch(
       }
     }
   }
-  if (telemetry) m_.h_batch->Record(obs::NowNs() - submit_ns);
+  if (telemetry) {
+    // Delivered queries are counted once per batch: every ok slot delivered.
+    m_.queries_delivered->Increment(static_cast<uint64_t>(
+        std::count_if(results.begin(), results.end(),
+                      [](const Result<ServiceAnswer>& r) { return r.ok(); })));
+    m_.h_batch->Record(obs::NowNs() - submit_ns);
+  }
   return results;
 }
 

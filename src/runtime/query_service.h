@@ -36,10 +36,12 @@
 //
 // Result caching — the MaskCache (src/runtime/mask_cache.h):
 //
-//   * The deterministic scan stage of every query (the WHERE mask) is served
-//     through a generation-aware LRU keyed by the compiled predicate's
-//     canonical fingerprint, so identical (predicate, generation) pairs
-//     across analyst sessions cost one scan and then popcounts. Caching is
+//   * The deterministic stages of every filtered query — the WHERE mask and
+//     the exact aggregates over it (a count's |WHERE ∧ x_ns|, a histogram's
+//     x and/or x_ns) — are served through a generation-aware LRU keyed by
+//     the compiled predicate's canonical fingerprint, so identical
+//     (predicate, generation) pairs across analyst sessions cost one scan
+//     and one aggregation each, and afterwards only their noise. Caching is
 //     privacy-neutral: the budget is charged per release either way, and the
 //     noisy stage always draws from the query's own seed stream. Hit and
 //     miss answers are bit-identical — the property tests/mask_cache_test.cc
@@ -228,8 +230,9 @@ class QueryService {
     /// query contents, keeping admitted answers bit-identical to an
     /// unloaded replay.
     size_t max_queued_queries = 0;
-    /// Master switch of the telemetry layer (stage latency histograms,
-    /// per-query traces, timing gauges). ANDed with the OSDP_METRICS env var
+    /// Master switch of the telemetry layer (stage latency histograms and
+    /// per-query traces, both for one query in 64 plus every failed query;
+    /// timing gauges). ANDed with the OSDP_METRICS env var
     /// ("0" disables) at Create. Disabled, every instrumented site costs one
     /// relaxed atomic load — no clocks, no histogram writes, no traces —
     /// and answers are bit-identical either way (telemetry is write-only;
@@ -238,8 +241,9 @@ class QueryService {
     /// this switch.
     bool metrics_enabled = true;
     /// Capacity of the bounded in-memory ring of recent per-query traces
-    /// (admit → cache lookup/scan → mechanism → budget charge → deliver).
-    /// Slots are preallocated at Create; 0 keeps spans from being retained.
+    /// (admit → cache lookup/scan → accumulate → mechanism → budget charge →
+    /// deliver). Slots are preallocated at Create; 0 keeps spans from being
+    /// retained.
     size_t trace_ring_capacity = 256;
   };
 
@@ -357,9 +361,9 @@ class QueryService {
   /// charged against), with the engine's policy stored once.
   const SharedLedger& ledger() const { return ledger_; }
 
-  /// Mask-cache counters {hits, misses, evictions, bytes, entries} so tests
-  /// and benches can assert cache behavior instead of inferring it from
-  /// timing. A thin view over the registry's cache.* counters (the cache
+  /// Mask-cache counters {hits, misses, evictions, bytes, entries,
+  /// aggregate_hits, aggregate_misses} so tests and benches can assert cache
+  /// behavior instead of inferring it from timing. A thin view over the registry's cache.* counters (the cache
   /// increments them directly) plus the per-shard byte/entry totals. All
   /// zero when the cache is disabled.
   MaskCache::Stats cache_stats() const { return mask_cache_.stats(); }
@@ -390,7 +394,8 @@ class QueryService {
   obs::MetricsRegistry& metrics_registry() const { return metrics_; }
 
   /// The bounded ring of recent per-query traces (DumpText()/DumpJson() for
-  /// the human/scrape views). Empty unless telemetry is enabled.
+  /// the human/scrape views): sampled queries and every failed one. Empty
+  /// unless telemetry is enabled.
   const obs::TraceRing& trace_ring() const { return traces_; }
 
   /// Number of rows in the latest published generation.
@@ -445,23 +450,35 @@ class QueryService {
   // exception unwinding through — leaves the reservation armed, and the
   // caller's destruction of the prepared request refunds it in full.
   //
-  // Execute is the telemetry wrapper: with metrics off it is one relaxed
-  // load and a tail call into ExecuteImpl; with metrics on it builds the
-  // query's TraceSpan, classifies the outcome into the service.* counters,
-  // records stage histograms, and pushes the finished trace — then
-  // re-raises whatever ExecuteImpl raised, so the failure contract is
+  // Execute is the tracing wrapper: for a query telemetry did not sample it
+  // is a tail call into ExecuteImpl; for a sampled one it builds the query's
+  // TraceSpan, records stage histograms, and pushes the finished trace —
+  // then re-raises whatever ExecuteImpl raised, so the failure contract is
   // byte-for-byte the one AnswerBatch already handles.
   Result<ServiceAnswer> Execute(PreparedRequest* prepared);
   Result<ServiceAnswer> ExecuteImpl(PreparedRequest* prepared,
                                     obs::TraceSpan* span);
 
-  // The scan mask of `pred` over `snap`'s table, served from the mask cache
-  // when enabled (lookup keyed by fingerprint × snap.generation, computed
-  // via the sharded scan on a miss). `cache_hit` reports hit/miss.
-  std::shared_ptr<const RowMask> CachedScanMask(const CompiledPredicate& pred,
-                                                const Snapshot& snap,
-                                                const ParallelScanOptions& scan,
-                                                bool* cache_hit);
+  // Telemetry on: counts a query that executed and did not deliver into the
+  // service.* outcome counters, and pushes a trace for it if it was not
+  // sampled (a sampled query pushed its own).
+  void RecordFailure(const PreparedRequest& prepared, StatusCode code);
+
+  // The mask-cache entry of `pred` over `snap`'s table (lookup keyed by
+  // fingerprint × snap.generation, mask computed via the sharded scan on a
+  // miss; an uncached entry when the cache is off). `cache_hit` reports
+  // hit/miss.
+  MaskCache::EntryPtr CachedScanMask(const CompiledPredicate& pred,
+                                     const Snapshot& snap,
+                                     const ParallelScanOptions& scan,
+                                     bool* cache_hit);
+
+  // The exact x (or, with `non_sensitive`, x_ns) histogram of `query` over
+  // the rows `where` selects — all rows when null — memoized on `where`.
+  std::shared_ptr<const Histogram> ExactHistogram(
+      const PreparedHistogramQuery& query, const Snapshot& snap,
+      const MaskCache::Entry* where, bool non_sensitive,
+      const ParallelScanOptions& scan);
 
   // Resolved registry handles, one pointer per metric the hot paths touch —
   // looked up once at construction so instrumentation never pays a name
@@ -487,11 +504,14 @@ class QueryService {
     obs::LatencyHistogram* h_reserve;
     obs::LatencyHistogram* h_cache_lookup;
     obs::LatencyHistogram* h_scan;
+    obs::LatencyHistogram* h_accumulate;
     obs::LatencyHistogram* h_mechanism;
     // cache.* — functional counters the MaskCache increments directly.
     obs::Counter* cache_hits;
     obs::Counter* cache_misses;
     obs::Counter* cache_evictions;
+    obs::Counter* cache_aggregate_hits;
+    obs::Counter* cache_aggregate_misses;
     obs::Gauge* cache_bytes;
     obs::Gauge* cache_entries;
     // ingest.* (telemetry: gated, except the failure counter).
@@ -516,6 +536,9 @@ class QueryService {
   // is observation, not service state.
   mutable obs::MetricsRegistry metrics_;
   obs::TraceRing traces_;
+  // Next trace ticket (see TraceSampled in query_service.cc); drawn once per
+  // batch, and only with telemetry on.
+  std::atomic<uint64_t> trace_tickets_{0};
   MetricsHandles m_;
   SharedBudget service_budget_;
   SharedLedger ledger_;

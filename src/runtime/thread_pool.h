@@ -124,7 +124,9 @@ class ThreadPool {
 
   /// Latency distribution of individual submitted tasks (worker-side).
   const obs::LatencyHistogram& task_histogram() const { return task_hist_; }
-  /// Latency distribution of individual ParallelForBlocked chunks.
+  /// Latency distribution of ParallelForBlocked chunks: one sample per
+  /// chunk a worker or helping caller claims, and one per serial call (no
+  /// workers, or a single chunk) holding that call's mean chunk time.
   const obs::LatencyHistogram& chunk_histogram() const { return chunk_hist_; }
 
  private:

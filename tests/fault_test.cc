@@ -28,6 +28,7 @@
 #include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
 #include "src/hist/histogram_query.h"
+#include "src/mech/histogram_mechanism.h"
 #include "src/policy/policy.h"
 #include "src/runtime/parallel_scan.h"
 #include "src/runtime/query_service.h"
@@ -230,6 +231,59 @@ TEST_F(FaultTest, MaskCacheInsertFaultRefundsAndLeavesCacheIntact) {
   }
 }
 
+TEST_F(FaultTest, MaskCacheAttachFaultRefundsAndLeavesEntryUsable) {
+  // The fault fires after the count and the x_ns histogram of a cached WHERE
+  // clause were computed, before either is stored on the entry. Each query
+  // refunds in full; the entry keeps its mask (the retries hit) and the
+  // retries compute, store and replay their aggregates.
+  ServiceFixture fix;
+  const Predicate pred = Predicate::Le("age", Value(44));
+  const HistogramQuery query{"age", *Domain1D::Numeric(0, 100, 16), pred};
+  {
+    ScopedFault fault("mask_cache/attach", {1, 1, 2});
+    auto count = fix.service->AnswerCount(fix.session, pred, 0.1);
+    ASSERT_FALSE(count.ok());
+    EXPECT_TRUE(MentionsPoint(count.status(), "mask_cache/attach"))
+        << count.status().ToString();
+    auto hist = fix.service->AnswerHistogram(fix.session, query, 0.1,
+                                             EngineMechanism::kOsdpLaplaceL1);
+    ASSERT_FALSE(hist.ok());
+    EXPECT_TRUE(MentionsPoint(hist.status(), "mask_cache/attach"))
+        << hist.status().ToString();
+    fix.ExpectNothingCharged();
+  }
+  EXPECT_EQ(fix.service->cache_stats().entries, 1u);
+  const SnapshotPtr snap = fix.service->current_snapshot();
+  RowMask matching = CompiledPredicate::Compile(pred, snap->table.schema())
+                         ->EvalMask(snap->table);
+  matching.AndWith(snap->non_sensitive);
+  const Histogram xns =
+      *ComputeHistogramMasked(snap->table, query, snap->non_sensitive);
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    auto count = fix.service->AnswerCount(fix.session, pred, 0.1);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_TRUE(count->cache_hit);
+    Rng count_rng(QueryService::QuerySeed(QueryService::Options{}.seed,
+                                          fix.session, count->seq,
+                                          count->generation));
+    EXPECT_EQ(count->count, static_cast<double>(matching.Count()) +
+                                SampleOneSidedLaplace(count_rng, 1.0 / 0.1));
+    auto hist = fix.service->AnswerHistogram(fix.session, query, 0.1,
+                                             EngineMechanism::kOsdpLaplaceL1);
+    ASSERT_TRUE(hist.ok()) << hist.status().ToString();
+    Rng hist_rng(QueryService::QuerySeed(QueryService::Options{}.seed,
+                                         fix.session, hist->seq,
+                                         hist->generation));
+    EXPECT_EQ(hist->histogram->counts(),
+              RunMechanism(xns, xns, 0.1, EngineMechanism::kOsdpLaplaceL1,
+                           nullptr, hist_rng)
+                  ->counts());
+  }
+  const MaskCache::Stats stats = fix.service->cache_stats();
+  EXPECT_EQ(stats.aggregate_misses, 4u);  // two faulted, two stored
+  EXPECT_EQ(stats.aggregate_hits, 2u);
+}
+
 TEST_F(FaultTest, MechanismRunFaultRefundsInFull) {
   ServiceFixture fix;
   const Domain1D domain = *Domain1D::Numeric(0, 100, 16);
@@ -385,6 +439,7 @@ struct SoakFaultSpec {
 
 constexpr SoakFaultSpec kSoakFaults[] = {
     {"mask_cache/insert", {2, 3, 4}},
+    {"mask_cache/attach", {2, 3, 4}},
     {"mechanism/run", {1, 2, 6}},
     {"query/execute", {3, 5, 5}},
     {"thread_pool/chunk", {7, 11, 3}},

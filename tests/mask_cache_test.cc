@@ -1,20 +1,26 @@
 // The MaskCache test battery — the correctness definition of the result-
 // caching subsystem. Unit tests pin the cache mechanics (fingerprint ×
 // generation keying, deep-equality collision rejection, LRU eviction under a
-// byte budget, stats accounting); the service-level property suites pin the
+// byte budget, stats accounting) and the aggregate memo (computed once per
+// entry, charged and evicted with it, racing fills agreeing, failed fills
+// storing nothing); the service-level property suites pin the
 // only property that ultimately matters: a cache-enabled QueryService is
 // observationally bit-identical to a cache-disabled twin — for every query,
 // across sessions, thread counts, word-boundary table sizes, generations,
 // and eviction pressure. Runs under the TSan and ASan+UBSan CI jobs.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/benchdata/table_gen.h"
+#include "src/common/fault.h"
 #include "src/common/random.h"
 #include "src/core/engine.h"
 #include "src/data/compiled_predicate.h"
@@ -23,6 +29,7 @@
 #include "src/hist/histogram_query.h"
 #include "src/policy/policy.h"
 #include "src/runtime/mask_cache.h"
+#include "src/runtime/parallel_scan.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
 
@@ -197,6 +204,301 @@ TEST(MaskCacheTest, TypedLookupSharesEntriesAcrossCommutedSpellings) {
   EXPECT_TRUE(hit) << "commuted spelling missed the shared entry";
   EXPECT_TRUE(first.get() == second.get());
   EXPECT_TRUE(*second == ba.EvalMask(table));
+}
+
+// ------------------------------------------------------ aggregate memo ---
+
+// An 8-bin histogram key; `column` tells keys apart.
+MaskCache::HistogramKey BinsKey(size_t bins, size_t column = 0) {
+  MaskCache::HistogramKey key;
+  key.column = column;
+  key.bins = bins;
+  return key;
+}
+
+Histogram Ramp(size_t bins) {
+  Histogram h(bins);
+  for (size_t i = 0; i < bins; ++i) h[i] = static_cast<double>(i);
+  return h;
+}
+
+// Bytes the cache charges: a 64-row mask under a 1-byte canonical key, and a
+// histogram of `bins` bins (mask_cache.cc's flat allowances).
+constexpr size_t kSmallEntryBytes = 8 + 1 + 128;
+constexpr size_t HistogramCharge(size_t bins) { return bins * 8 + 96; }
+
+TEST(MaskCacheAggregateTest, MemoComputesOncePerEntry) {
+  MaskCache cache({1 << 20, 2});
+  const auto entry =
+      cache.LookupKeyed(1, Canon("A"), 0, [] { return PatternMask(64, 1); });
+  int count_computes = 0;
+  int hist_computes = 0;
+  const auto count_of = [&](const MaskCache::Entry& e, size_t value) {
+    return cache.NonSensitiveCount(e, [&] {
+      ++count_computes;
+      return value;
+    });
+  };
+  const auto hist_of = [&](const MaskCache::HistogramKey& key) {
+    return cache.AggregateHistogram(*entry, key, [&] {
+      ++hist_computes;
+      return Ramp(8);
+    });
+  };
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(count_of(*entry, 17), 17u);
+    EXPECT_EQ(hist_of(BinsKey(8))->counts(), Ramp(8).counts());
+  }
+  EXPECT_EQ(count_computes, 1);
+  EXPECT_EQ(hist_computes, 1);
+
+  // A count of zero is a known value, not "unknown".
+  const auto other =
+      cache.LookupKeyed(2, Canon("B"), 0, [] { return PatternMask(64, 2); });
+  EXPECT_EQ(count_of(*other, 0), 0u);
+  EXPECT_EQ(count_of(*other, 0), 0u);
+  EXPECT_EQ(count_computes, 2);
+
+  // Histograms are keyed by rows, column and binning, bit for bit.
+  MaskCache::HistogramKey ns_key = BinsKey(8);
+  ns_key.non_sensitive = true;
+  MaskCache::HistogramKey shifted = BinsKey(8);
+  shifted.lo_bits = 1;
+  hist_of(ns_key);
+  hist_of(BinsKey(8, /*column=*/3));
+  hist_of(shifted);
+  EXPECT_EQ(hist_computes, 4);
+
+  const MaskCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.aggregate_misses, 6u);
+  EXPECT_EQ(stats.aggregate_hits, 5u);
+}
+
+TEST(MaskCacheAggregateTest, UncachedEntriesRecomputeAndCountNothing) {
+  // Disabled, and too large for its shard: the entry serves its mask, and
+  // every aggregate requested through it is computed and never stored.
+  MaskCache disabled({0, 4});
+  MaskCache tiny({64, 1});
+  for (MaskCache* cache : {&disabled, &tiny}) {
+    const auto entry = cache->LookupKeyed(
+        1, Canon("A"), 0, [] { return PatternMask(10000, 1); });
+    int computes = 0;
+    for (int i = 0; i < 2; ++i) {
+      cache->NonSensitiveCount(*entry, [&] {
+        ++computes;
+        return size_t{3};
+      });
+      cache->AggregateHistogram(*entry, BinsKey(4), [&] {
+        ++computes;
+        return Ramp(4);
+      });
+    }
+    EXPECT_EQ(computes, 4);
+    const MaskCache::Stats stats = cache->stats();
+    EXPECT_EQ(stats.aggregate_hits + stats.aggregate_misses, 0u);
+    EXPECT_EQ(stats.bytes, 0u);
+  }
+  EXPECT_EQ(disabled.stats().hits + disabled.stats().misses, 0u)
+      << "a disabled cache counts no lookups";
+}
+
+TEST(MaskCacheAggregateTest, EvictedEntryTakesItsAggregatesWithIt) {
+  // One shard of 300 bytes: an entry with an 8-bin histogram (137 + 160)
+  // fits alone; a second entry pushes it out.
+  MaskCache cache({300, 1});
+  int computes = 0;
+  const auto lookup = [&](const std::string& key) {
+    return cache.LookupKeyed(std::hash<std::string>{}(key), Canon(key), 0,
+                             [] { return PatternMask(64, 7); });
+  };
+  const auto fill = [&](const MaskCache::Entry& entry) {
+    cache.NonSensitiveCount(entry, [&] {
+      ++computes;
+      return size_t{9};
+    });
+    cache.AggregateHistogram(entry, BinsKey(8), [&] {
+      ++computes;
+      return Ramp(8);
+    });
+  };
+
+  const auto a = lookup("A");
+  fill(*a);
+  EXPECT_EQ(computes, 2);
+  EXPECT_EQ(cache.stats().bytes, kSmallEntryBytes + HistogramCharge(8));
+  lookup("B");  // evicts A, histogram and all
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().bytes, kSmallEntryBytes);
+
+  // A holder of the evicted entry still reads its memo, but nothing new is
+  // charged to a shard it left.
+  fill(*a);
+  EXPECT_EQ(computes, 2);
+  cache.AggregateHistogram(*a, BinsKey(8, /*column=*/1), [&] {
+    ++computes;
+    return Ramp(8);
+  });
+  EXPECT_EQ(computes, 3);
+  EXPECT_EQ(cache.stats().bytes, kSmallEntryBytes);
+
+  // Looked up again, A is a fresh entry: both aggregates recompute.
+  bool hit = true;
+  const auto again = cache.LookupKeyed(std::hash<std::string>{}("A"),
+                                       Canon("A"), 0,
+                                       [] { return PatternMask(64, 7); }, &hit);
+  EXPECT_FALSE(hit);
+  fill(*again);
+  EXPECT_EQ(computes, 5);
+}
+
+TEST(MaskCacheAggregateTest, AttachedHistogramBytesCountAndEvictTheLruTail) {
+  // One shard of 400 bytes holds two bare entries (2 × 137); attaching a
+  // 160-byte histogram to the newer one pushes the older one out.
+  MaskCache cache({400, 1});
+  const auto a =
+      cache.LookupKeyed(1, Canon("A"), 0, [] { return PatternMask(64, 1); });
+  const auto b =
+      cache.LookupKeyed(2, Canon("B"), 0, [] { return PatternMask(64, 2); });
+  EXPECT_EQ(cache.stats().bytes, 2 * kSmallEntryBytes);
+
+  cache.AggregateHistogram(*b, BinsKey(8), [] { return Ramp(8); });
+  MaskCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, kSmallEntryBytes + HistogramCharge(8));
+  bool hit = false;
+  cache.LookupKeyed(2, Canon("B"), 0, [] { return PatternMask(64, 2); },
+                    &hit);
+  EXPECT_TRUE(hit) << "the entry that grew was evicted instead of the tail";
+
+  // A histogram that could never fit beside its entry is served, not stored.
+  int computes = 0;
+  for (int i = 0; i < 2; ++i) {
+    const auto big = cache.AggregateHistogram(*b, BinsKey(64), [&] {
+      ++computes;
+      return Ramp(64);
+    });
+    EXPECT_EQ(big->counts(), Ramp(64).counts());
+  }
+  EXPECT_EQ(computes, 2);
+  stats = cache.stats();
+  EXPECT_EQ(stats.bytes, kSmallEntryBytes + HistogramCharge(8));
+  EXPECT_LE(stats.bytes, 400u);
+}
+
+TEST(MaskCacheAggregateTest, RacingFillsOfOneKeyAgreeBitForBit) {
+  // Threads race to fill one entry's count and histogram, each computing
+  // through its own shard count. Every thread must see the serial answer,
+  // and the entry must end up holding exactly one histogram.
+  CensusTableOptions topts;
+  topts.num_rows = 5000;
+  topts.seed = 0xACE;
+  const Table table = MakeCensusTable(topts);
+  const RowMask ns =
+      CompiledPredicate::Compile(Predicate::Eq("opt_in", Value(1)),
+                                 table.schema())
+          ->EvalMask(table);
+  const HistogramQuery query{"age", *Domain1D::Numeric(0, 100, 100),
+                             Predicate::Le("zip", Value(6000))};
+  const PreparedHistogramQuery prepared =
+      *PreparedHistogramQuery::Prepare(table, query);
+  const Histogram expected_hist =
+      *ComputeHistogramMasked(table, query, ns);
+  RowMask expected_mask = prepared.where()->EvalMask(table);
+  expected_mask.AndWith(ns);
+  const size_t expected_count = expected_mask.Count();
+
+  MaskCache cache({1 << 20, 1});
+  const auto entry = cache.Lookup(*prepared.where(), 0, [&] {
+    return prepared.where()->EvalMask(table);
+  });
+  const size_t bytes_before = cache.stats().bytes;
+
+  constexpr int kThreads = 8;
+  ThreadPool pool(2);
+  std::atomic<int> arrived{0};
+  std::vector<size_t> counts(kThreads);
+  std::vector<std::shared_ptr<const Histogram>> hists(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const ParallelScanOptions scan{&pool, static_cast<size_t>(t + 1)};
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      counts[t] = cache.NonSensitiveCount(*entry, [&] {
+        return ParallelAndCount(entry->mask(), ns, scan);
+      });
+      hists[t] = cache.AggregateHistogram(
+          *entry, MaskCache::HistogramKey::Of(prepared, /*non_sensitive=*/true),
+          [&] {
+            return ParallelAccumulateHistogram(prepared, entry->mask(), ns,
+                                               scan);
+          });
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(counts[t], expected_count) << "thread " << t;
+    EXPECT_EQ(hists[t]->counts(), expected_hist.counts()) << "thread " << t;
+  }
+  const MaskCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.aggregate_hits + stats.aggregate_misses, 2u * kThreads);
+  EXPECT_EQ(stats.bytes, bytes_before + HistogramCharge(100))
+      << "racing fills attached more than one histogram";
+  // Settled: the next request is served from the entry.
+  const auto settled = cache.AggregateHistogram(
+      *entry, MaskCache::HistogramKey::Of(prepared, /*non_sensitive=*/true),
+      [&]() -> Histogram {
+        ADD_FAILURE() << "settled histogram recomputed";
+        return Histogram(100);
+      });
+  EXPECT_EQ(settled->counts(), expected_hist.counts());
+}
+
+TEST(MaskCacheAggregateTest, FailedFillLeavesTheEntryUsable) {
+  // A fault fired while attaching, or a compute that throws (a tripped
+  // deadline or cancel), stores nothing: the entry and the shard's bytes are
+  // as before, and the next request computes again.
+  MaskCache cache({1 << 20, 1});
+  const auto entry =
+      cache.LookupKeyed(1, Canon("A"), 0, [] { return PatternMask(64, 1); });
+  const size_t bytes_before = cache.stats().bytes;
+  int computes = 0;
+  const auto count = [&] {
+    return cache.NonSensitiveCount(*entry, [&] {
+      ++computes;
+      return size_t{4};
+    });
+  };
+  const auto hist = [&] {
+    return cache.AggregateHistogram(*entry, BinsKey(8), [&] {
+      ++computes;
+      return Ramp(8);
+    });
+  };
+  {
+    ScopedFault fault("mask_cache/attach", {1, 1, 2});
+    EXPECT_THROW(count(), InjectedFault);
+    EXPECT_THROW(hist(), InjectedFault);
+  }
+  EXPECT_EQ(computes, 2);
+  EXPECT_EQ(cache.stats().bytes, bytes_before);
+  EXPECT_THROW(cache.NonSensitiveCount(
+                   *entry, []() -> size_t { throw std::runtime_error("x"); }),
+               std::runtime_error);
+  EXPECT_THROW(cache.AggregateHistogram(
+                   *entry, BinsKey(8),
+                   []() -> Histogram { throw std::runtime_error("x"); }),
+               std::runtime_error);
+
+  EXPECT_EQ(count(), 4u);
+  EXPECT_EQ(hist()->counts(), Ramp(8).counts());
+  EXPECT_EQ(computes, 4);
+  EXPECT_EQ(count(), 4u);
+  EXPECT_EQ(hist()->counts(), Ramp(8).counts());
+  EXPECT_EQ(computes, 4) << "the fill after a failure was not stored";
+  EXPECT_EQ(cache.stats().bytes, bytes_before + HistogramCharge(8));
 }
 
 // -------------------------------------------------- service-level battery ---

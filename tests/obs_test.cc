@@ -12,6 +12,9 @@
 //     service and a metrics-disabled service answer bit-identically — only
 //     server_duration_micros (metadata) may differ;
 //   * admission_stats()/cache_stats() are thin views over the registry;
+//   * telemetry samples deliveries but traces every failure, and a
+//     histogram's trace splits accumulation from release within
+//     Trace::kMaxEvents;
 //   * the scrape surface (MetricsSnapshot/DumpMetricsJson) covers every
 //     subsystem, and the OSDP_METRICS=0 escape hatch works.
 //
@@ -21,6 +24,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -428,6 +432,113 @@ TEST(MetricsServiceTest, AdmissionAndCacheStatsAreRegistryViews) {
   EXPECT_EQ(cache.evictions, evictions->value);
   EXPECT_EQ(admission.admitted, 2u);
   EXPECT_GT(cache.hits, 0u);
+}
+
+// Every stage of `trace`, in recorded order.
+std::vector<obs::Stage> StagesOf(const obs::Trace& trace) {
+  std::vector<obs::Stage> stages;
+  for (size_t e = 0; e < trace.num_events; ++e) {
+    stages.push_back(trace.events[e].stage);
+  }
+  return stages;
+}
+
+TEST(MetricsServiceTest, HistogramTracesSplitAccumulateFromMechanism) {
+  // A filtered histogram runs the longest timeline there is: admit,
+  // validate, reserve, cache lookup or scan (never both), accumulate,
+  // mechanism, budget charge, deliver — exactly Trace::kMaxEvents, none
+  // dropped. A service's first query is always traced; repeats are traced
+  // one in many, so ask until a second (cache-hit) trace lands.
+  ThreadPool pool(0);
+  auto service = TwinService(&pool, true);
+  const auto session = service->OpenSession("a");
+  const HistogramQuery query{"age", *Domain1D::Numeric(0, 100, 16),
+                             Predicate::Eq("opt_in", Value(1))};
+  for (int i = 0; i < 1000 && service->trace_ring().pushed() < 2; ++i) {
+    ASSERT_TRUE(service
+                    ->AnswerHistogram(session, query, 1e-3,
+                                      EngineMechanism::kDawaz)
+                    .ok());
+  }
+  const std::vector<obs::Trace> traces = service->trace_ring().Snapshot();
+  ASSERT_EQ(traces.size(), 2u);
+  using S = obs::Stage;
+  const std::vector<S> miss = {S::kAdmit,      S::kValidate,  S::kReserve,
+                               S::kScan,       S::kAccumulate, S::kMechanism,
+                               S::kBudgetCharge, S::kDeliver};
+  const std::vector<S> hit = {S::kAdmit,      S::kValidate,    S::kReserve,
+                              S::kCacheLookup, S::kAccumulate, S::kMechanism,
+                              S::kBudgetCharge, S::kDeliver};
+  ASSERT_EQ(miss.size(), obs::Trace::kMaxEvents);
+  EXPECT_TRUE(traces[0].is_histogram);
+  EXPECT_FALSE(traces[0].cache_hit);
+  EXPECT_EQ(StagesOf(traces[0]), miss);
+  EXPECT_TRUE(traces[1].cache_hit);
+  EXPECT_EQ(StagesOf(traces[1]), hit);
+  EXPECT_NE(service->trace_ring().DumpText().find("accumulate="),
+            std::string::npos);
+
+  const obs::MetricsSnapshot snap = service->MetricsSnapshot();
+  const auto* accumulate = snap.FindHistogram("service.accumulate_ns");
+  const auto* mechanism = snap.FindHistogram("service.mechanism_ns");
+  ASSERT_NE(accumulate, nullptr);
+  ASSERT_NE(mechanism, nullptr);
+  EXPECT_EQ(accumulate->count, 2u);
+  EXPECT_EQ(mechanism->count, 2u);
+}
+
+TEST(MetricsServiceTest, TelemetrySamplesDeliveriesAndTracesEveryFailure) {
+  ThreadPool pool(0);
+  auto service = TwinService(&pool, true);
+  const auto session = service->OpenSession("a");
+  std::vector<ServiceRequest> batch;
+  for (int i = 0; i < 256; ++i) {
+    batch.emplace_back(CountRequest{Predicate::Le("age", Value(40)), 1e-3});
+  }
+  for (const auto& r : service->AnswerBatch(session, batch)) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  const uint64_t sampled = service->trace_ring().pushed();
+  EXPECT_GE(sampled, 1u) << "the service's first query is always traced";
+  EXPECT_LT(sampled, 32u) << "every query traced: telemetry is not sampled";
+  const obs::MetricsSnapshot snap = service->MetricsSnapshot();
+  EXPECT_EQ(snap.FindCounter("service.queries_delivered")->value, 256u);
+  EXPECT_EQ(snap.FindHistogram("service.query_ns")->count, sampled);
+
+  // Failed queries are all counted and all traced, sampled or not.
+  CountRequest late{Predicate::Le("age", Value(40)), 1e-3};
+  late.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  const std::vector<ServiceRequest> failing(40, late);
+  for (const auto& r : service->AnswerBatch(session, failing)) {
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_EQ(service->trace_ring().pushed(), sampled + failing.size());
+  const obs::Trace last = service->trace_ring().Snapshot().back();
+  EXPECT_EQ(last.status_code, static_cast<int>(StatusCode::kDeadlineExceeded));
+  EXPECT_EQ(service->MetricsSnapshot()
+                .FindCounter("service.queries_deadline_exceeded")
+                ->value,
+            failing.size());
+}
+
+TEST(MetricsServiceTest, AggregateMemoCountersAreRegistryViews) {
+  ThreadPool pool(0);
+  auto service = TwinService(&pool, true);
+  const auto session = service->OpenSession("a");
+  for (int i = 0; i < 3; ++i) service->AnswerBatch(session, TwinBatch());
+  const MaskCache::Stats cache = service->cache_stats();
+  const obs::MetricsSnapshot snap = service->MetricsSnapshot();
+  const auto* hits = snap.FindCounter("cache.aggregate_hits");
+  const auto* misses = snap.FindCounter("cache.aggregate_misses");
+  ASSERT_NE(hits, nullptr);
+  ASSERT_NE(misses, nullptr);
+  EXPECT_EQ(cache.aggregate_hits, hits->value);
+  EXPECT_EQ(cache.aggregate_misses, misses->value);
+  // One count (asked twice per batch) and one x_ns histogram over WHERE
+  // clauses; the unfiltered histogram has no entry to hold its aggregate.
+  EXPECT_EQ(cache.aggregate_misses, 2u);
+  EXPECT_EQ(cache.aggregate_hits, 3u * 3u - 2u);
 }
 
 TEST(MetricsServiceTest, DumpCoversEverySubsystem) {

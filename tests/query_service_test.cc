@@ -21,11 +21,13 @@
 #include "src/benchdata/table_gen.h"
 #include "src/common/cancel.h"
 #include "src/common/distributions.h"
+#include "src/common/fault.h"
 #include "src/common/random.h"
 #include "src/core/engine.h"
 #include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
 #include "src/hist/histogram_query.h"
+#include "src/mech/histogram_mechanism.h"
 #include "src/mech/osdp_rr.h"
 #include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
@@ -1183,6 +1185,283 @@ TEST(QueryServiceTest, CloseSessionDuringInFlightBatch) {
   EXPECT_FALSE(service->session_remaining(session).ok());
   const auto after = service->AnswerCount(session, Predicate::True(), kEps);
   EXPECT_EQ(after.status().code(), StatusCode::kNotFound);
+}
+
+// ------------------------------------------------------ aggregate memo ---
+//
+// The mask cache memoizes each WHERE clause's exact aggregates per
+// generation: |WHERE ∧ x_ns| for counts, the x and x_ns histograms for
+// histogram mechanisms. Every case checks every delivered answer against a
+// serial replay that recomputes the aggregates from the snapshot's rows and
+// redraws the noise from QuerySeed(root, session, seq, generation).
+
+constexpr uint64_t kMemoRootSeed = 0x3E30;
+
+std::unique_ptr<QueryService> MemoService(ThreadPool* pool, size_t rows) {
+  QueryService::Options opts;
+  opts.pool = pool;
+  opts.num_shards = 3;
+  opts.per_session_epsilon = 1e6;
+  opts.seed = kMemoRootSeed;
+  return *QueryService::Create(TestEngine(1e7, rows), opts);
+}
+
+// Replays one delivered answer of `request` against `snap` serially.
+void ExpectReplays(const ServiceRequest& request, const ServiceAnswer& answer,
+                   const Snapshot& snap, QueryService::SessionId session) {
+  ASSERT_EQ(answer.generation, snap.generation);
+  const Table& table = snap.table;
+  const RowMask ns = TestPolicy().NonSensitiveRowMask(table);
+  Rng rng(QueryService::QuerySeed(kMemoRootSeed, session, answer.seq,
+                                  snap.generation));
+  if (const auto* count = std::get_if<CountRequest>(&request)) {
+    RowMask matching = CompiledPredicate::Compile(count->where, table.schema())
+                           ->EvalMask(table);
+    matching.AndWith(ns);
+    EXPECT_EQ(answer.count,
+              static_cast<double>(matching.Count()) +
+                  SampleOneSidedLaplace(rng, 1.0 / count->epsilon))
+        << "count diverged at seq " << answer.seq;
+    return;
+  }
+  const auto& hist = std::get<HistogramRequest>(request);
+  const Histogram x = *ComputeHistogram(table, hist.query);
+  const Histogram xns = *ComputeHistogramMasked(table, hist.query, ns);
+  const Histogram expected = *RunMechanism(x, xns, hist.epsilon,
+                                           hist.mechanism, nullptr, rng);
+  ASSERT_TRUE(answer.histogram.has_value());
+  EXPECT_EQ(answer.histogram->counts(), expected.counts())
+      << EngineMechanismToString(hist.mechanism) << " diverged at seq "
+      << answer.seq;
+}
+
+// Answers `batch` and replays every answer against the current snapshot.
+void AnswerAndReplay(QueryService* service, QueryService::SessionId session,
+                     const std::vector<ServiceRequest>& batch) {
+  const SnapshotPtr snap = service->current_snapshot();
+  const auto answers = service->AnswerBatch(session, batch);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(answers[i].ok()) << answers[i].status().ToString();
+    ExpectReplays(batch[i], *answers[i], *snap, session);
+  }
+}
+
+HistogramRequest MemoHistogram(const std::string& column, double hi,
+                               size_t bins, const Predicate& where,
+                               EngineMechanism mechanism) {
+  return HistogramRequest{
+      HistogramQuery{column, *Domain1D::Numeric(0, hi, bins), where}, 0.5,
+      mechanism};
+}
+
+TEST(QueryServiceMemoTest, RepeatedCountsAndHistogramsReplayOnOneGeneration) {
+  ThreadPool pool(2);
+  auto service = MemoService(&pool, 3000);
+  const auto session = service->OpenSession("alice");
+  const Predicate w1 = Predicate::Le("age", Value(40));
+  const Predicate w2 = Predicate::And(Predicate::Ge("zip", Value(2500)),
+                                      Predicate::Eq("opt_in", Value(1)));
+  std::vector<ServiceRequest> batch;
+  batch.emplace_back(CountRequest{w1, 0.5});
+  batch.emplace_back(CountRequest{w1, 0.5});
+  batch.emplace_back(CountRequest{w2, 0.5});
+  batch.emplace_back(
+      MemoHistogram("age", 100, 16, w2, EngineMechanism::kOsdpLaplaceL1));
+  batch.emplace_back(
+      MemoHistogram("age", 100, 16, w2, EngineMechanism::kOsdpLaplaceL1));
+  batch.emplace_back(CountRequest{w2, 0.5});
+
+  AnswerAndReplay(service.get(), session, batch);
+  const MaskCache::Stats warm = service->cache_stats();
+  // Three distinct aggregates: two counts and one x_ns histogram (racing
+  // slots of the first batch may both compute one).
+  EXPECT_GE(warm.aggregate_misses, 3u);
+  for (int round = 0; round < 3; ++round) {
+    AnswerAndReplay(service.get(), session, batch);
+  }
+  const MaskCache::Stats stats = service->cache_stats();
+  EXPECT_EQ(stats.aggregate_misses, warm.aggregate_misses)
+      << "a warm generation recomputed an aggregate";
+  EXPECT_EQ(stats.aggregate_hits - warm.aggregate_hits, 3u * batch.size());
+  EXPECT_EQ(stats.entries, 2u);
+}
+
+TEST(QueryServiceMemoTest, OneWhereClauseHoldsHistogramsOfTwoDomains) {
+  ThreadPool pool(2);
+  auto service = MemoService(&pool, 3000);
+  const auto session = service->OpenSession("alice");
+  const Predicate where = Predicate::Eq("opt_in", Value(1));
+  const std::vector<ServiceRequest> zip{MemoHistogram(
+      "zip", 10000, 4096, where, EngineMechanism::kOsdpLaplaceL1)};
+  const std::vector<ServiceRequest> age{
+      MemoHistogram("age", 100, 100, where, EngineMechanism::kOsdpLaplaceL1)};
+
+  AnswerAndReplay(service.get(), session, zip);
+  AnswerAndReplay(service.get(), session, age);
+  const MaskCache::Stats first = service->cache_stats();
+  EXPECT_EQ(first.aggregate_misses, 2u);
+  EXPECT_EQ(first.entries, 1u);
+  EXPECT_GE(first.bytes, (4096 + 100) * sizeof(double))
+      << "attached histograms were not charged";
+  AnswerAndReplay(service.get(), session, zip);
+  AnswerAndReplay(service.get(), session, age);
+  const MaskCache::Stats second = service->cache_stats();
+  EXPECT_EQ(second.aggregate_misses, 2u);
+  EXPECT_EQ(second.aggregate_hits, 2u);
+  EXPECT_EQ(second.bytes, first.bytes);
+}
+
+TEST(QueryServiceMemoTest, XOnlyThenXnsOnlyThenBothShareOneEntry) {
+  ThreadPool pool(2);
+  auto service = MemoService(&pool, 3000);
+  const auto session = service->OpenSession("alice");
+  const Predicate where = Predicate::Le("zip", Value(7000));
+  const auto ask = [&](EngineMechanism mechanism) {
+    AnswerAndReplay(service.get(), session,
+                    {MemoHistogram("age", 100, 100, where, mechanism)});
+    return service->cache_stats();
+  };
+  MaskCache::Stats stats = ask(EngineMechanism::kDawa);  // x
+  EXPECT_EQ(stats.aggregate_misses, 1u);
+  EXPECT_EQ(stats.aggregate_hits, 0u);
+  stats = ask(EngineMechanism::kOsdpLaplaceL1);  // x_ns
+  EXPECT_EQ(stats.aggregate_misses, 2u);
+  EXPECT_EQ(stats.aggregate_hits, 0u);
+  stats = ask(EngineMechanism::kDawaz);  // both, both memoized
+  EXPECT_EQ(stats.aggregate_misses, 2u);
+  EXPECT_EQ(stats.aggregate_hits, 2u);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(QueryServiceMemoTest, IngestBetweenRepeatsRecomputesTheNextGeneration) {
+  ThreadPool pool(2);
+  auto service = MemoService(&pool, 3000);
+  const auto session = service->OpenSession("alice");
+  const Predicate where = Predicate::Le("age", Value(50));
+  std::vector<ServiceRequest> batch;
+  batch.emplace_back(CountRequest{where, 0.5});
+  batch.emplace_back(
+      MemoHistogram("age", 100, 20, where, EngineMechanism::kDawaz));
+
+  AnswerAndReplay(service.get(), session, batch);
+  AnswerAndReplay(service.get(), session, batch);
+  const MaskCache::Stats before = service->cache_stats();
+  EXPECT_EQ(before.aggregate_misses, 3u);  // count, x, x_ns
+
+  CensusTableOptions bopts;
+  bopts.num_rows = 97;
+  bopts.seed = 0xB7;
+  ASSERT_EQ(*service->Ingest(MakeCensusTable(bopts)), 1u);
+  AnswerAndReplay(service.get(), session, batch);
+  AnswerAndReplay(service.get(), session, batch);
+  const MaskCache::Stats after = service->cache_stats();
+  EXPECT_EQ(after.aggregate_misses, 6u)
+      << "the new generation must recompute every aggregate once";
+  EXPECT_EQ(after.aggregate_hits - before.aggregate_hits, 3u);
+}
+
+TEST(QueryServiceMemoTest, FaultInsideTheCountStoresNothing) {
+  // Serial pool, one shard: the thread_pool/chunk fault point is hit once by
+  // the batch, once by the WHERE scan, then once by the count's AND +
+  // popcount, where the third hit fires. The query fails and refunds; the
+  // mask stays cached, and the next count recomputes the aggregate.
+  ThreadPool pool(0);
+  QueryService::Options opts;
+  opts.pool = &pool;
+  opts.num_shards = 1;
+  opts.per_session_epsilon = 1e6;
+  opts.seed = kMemoRootSeed;
+  auto service = *QueryService::Create(TestEngine(1e7, 3000), opts);
+  const auto session = service->OpenSession("alice");
+  const Predicate where = Predicate::Le("age", Value(33));
+  {
+    ScopedFault fault("thread_pool/chunk", {3, 0, 1});
+    const auto failed = service->AnswerCount(session, where, 0.5);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(FaultRegistry::Global().fires("thread_pool/chunk"), 1u);
+  }
+  EXPECT_EQ(service->ledger().size(), 0u);
+  MaskCache::Stats stats = service->cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.aggregate_misses, 1u);
+
+  const std::vector<ServiceRequest> batch{CountRequest{where, 0.5}};
+  AnswerAndReplay(service.get(), session, batch);
+  AnswerAndReplay(service.get(), session, batch);
+  stats = service->cache_stats();
+  EXPECT_EQ(stats.aggregate_misses, 2u);
+  EXPECT_EQ(stats.aggregate_hits, 1u);
+}
+
+TEST(QueryServiceMemoTest, DeadlinesTrippingAnywhereInACountStoreNothing) {
+  // Sweep the deadline across a count's execution — at entry, inside the
+  // scan, inside the AND + popcount, at the final check — re-arming the same
+  // WHERE clause each time. Whatever an aborted attempt left behind, the
+  // next query of the same clause must still match its replay.
+  ThreadPool pool(2);
+  auto service = MemoService(&pool, 30000);
+  const auto session = service->OpenSession("alice");
+  const Predicate where = Predicate::And(Predicate::Le("age", Value(61)),
+                                         Predicate::Ge("zip", Value(1234)));
+  size_t tripped = 0;
+  for (int budget_us = 0; budget_us <= 400; budget_us += 10) {
+    CountRequest request{where, 0.5};
+    request.deadline = std::chrono::steady_clock::now() +
+                       std::chrono::microseconds(budget_us);
+    const std::vector<ServiceRequest> batch{request};
+    const SnapshotPtr snap = service->current_snapshot();
+    const auto result = std::move(service->AnswerBatch(session, batch)[0]);
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+      ++tripped;
+      AnswerAndReplay(service.get(), session, {CountRequest{where, 0.5}});
+      continue;
+    }
+    ExpectReplays(request, *result, *snap, session);
+  }
+  EXPECT_GT(tripped, 0u);
+  // One fill, plus at most one more per attempt aborted inside it.
+  EXPECT_LE(service->cache_stats().aggregate_misses, 1u + tripped)
+      << "a delivered count recomputed a memoized aggregate";
+}
+
+TEST(QueryServiceMemoTest, MidFlightCancelStoresNothingWrong) {
+  // A token fired while a batch of one repeated WHERE clause executes. The
+  // race decides which slots deliver; every delivered answer, and every
+  // answer of the same clause afterwards, matches its replay.
+  ThreadPool pool(2);
+  auto service = MemoService(&pool, 30000);
+  const auto session = service->OpenSession("alice");
+  const Predicate where = Predicate::Le("income", Value(52000.0));
+  std::vector<ServiceRequest> batch;
+  for (int q = 0; q < 12; ++q) {
+    if (q % 3 == 2) {
+      batch.emplace_back(
+          MemoHistogram("age", 100, 25, where, EngineMechanism::kDawaz));
+    } else {
+      batch.emplace_back(CountRequest{where, 0.5});
+    }
+  }
+  const SnapshotPtr snap = service->current_snapshot();
+  CancelToken token;
+  QueryService::BatchControl control;
+  control.cancel = token;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::microseconds(150));
+    token.Cancel();
+  });
+  const auto results = service->AnswerBatch(session, batch, control);
+  canceller.join();
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (!results[i].ok()) {
+      EXPECT_EQ(results[i].status().code(), StatusCode::kCancelled);
+      continue;
+    }
+    ExpectReplays(batch[i], *results[i], *snap, session);
+  }
+  AnswerAndReplay(service.get(), session, batch);
+  AnswerAndReplay(service.get(), session, batch);
 }
 
 }  // namespace
