@@ -77,10 +77,9 @@ int main() {
       }
       // OsdpRR: a 1-e^{-ε} subsample of All NS.
       std::vector<Trajectory> rr;
-      for (size_t i :
-           OsdpRRSelectGeneric(sim.trajectories, policy, eps, rng)) {
-        rr.push_back(sim.trajectories[i]);
-      }
+      const std::vector<size_t> picked =
+          *OsdpRRSelectGeneric(sim.trajectories, policy, eps, rng);
+      for (size_t i : picked) rr.push_back(sim.trajectories[i]);
 
       auto run = [&](const std::vector<Trajectory>& trajs,
                      const ScorerFactory& factory) -> std::string {

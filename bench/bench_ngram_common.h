@@ -83,10 +83,9 @@ inline int RunNgramFigure(int n, const char* figure_name) {
       double rr_mre = 0.0;
       for (int rep = 0; rep < reps; ++rep) {
         std::vector<Trajectory> sample;
-        for (size_t i :
-             OsdpRRSelectGeneric(sim.trajectories, policy, eps, rng)) {
-          sample.push_back(sim.trajectories[i]);
-        }
+        const std::vector<size_t> picked =
+            *OsdpRRSelectGeneric(sim.trajectories, policy, eps, rng);
+        for (size_t i : picked) sample.push_back(sim.trajectories[i]);
         SparseHistogram rr_est = *NGramDistinctUsers(sample, nopts);
         rr_mre += SparseSupportMeanRelativeError(truth, rr_est);
       }

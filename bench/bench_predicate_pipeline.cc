@@ -2,13 +2,14 @@
 // construction, policy-masked filtered counts, and masked histograms, for
 // three evaluation paths across row counts and predicate shapes.
 //
-//   boxed      GetRow() + Predicate::Eval(schema, row): materializes every
-//              cell as a dynamic Value (string copies included) — the seed
-//              repo's slow path.
-//   reference  Predicate::Eval(table, row): row-at-a-time over the columnar
-//              storage, no boxing, but per-row name resolution and tree
-//              dispatch. This is the semantics oracle the property test
-//              checks the compiled path against.
+//   boxed      GetRow() + ReferenceEval(pred, schema, row): materializes
+//              every cell of the row as a dynamic Value (string copies
+//              included) before walking the tree.
+//   reference  ReferenceEval(pred, table, row) from
+//              tests/reference_predicate.h: row-at-a-time, per-row name
+//              resolution and tree dispatch, boxing only the cells the tree
+//              reads (Table::GetValue). This is the semantics oracle the
+//              property tests check the compiled path against.
 //   compiled   CompiledPredicate::EvalMask: bound once against the schema,
 //              evaluated column-at-a-time into a packed RowMask.
 //
@@ -33,6 +34,7 @@
 #include "src/eval/table_printer.h"
 #include "src/hist/histogram_query.h"
 #include "src/policy/policy.h"
+#include "tests/reference_predicate.h"
 
 using namespace osdp;
 
@@ -169,14 +171,14 @@ int main() {
       record("mask", "boxed", TimeBest(reps, [&] {
                std::vector<bool> mask(table.num_rows());
                for (size_t r = 0; r < table.num_rows(); ++r) {
-                 mask[r] = pred.Eval(schema, table.GetRow(r));
+                 mask[r] = ReferenceEval(pred, schema, table.GetRow(r));
                }
                sink += mask.size();
              }));
       record("mask", "reference", TimeBest(reps, [&] {
                std::vector<bool> mask(table.num_rows());
                for (size_t r = 0; r < table.num_rows(); ++r) {
-                 mask[r] = pred.Eval(table, r);
+                 mask[r] = ReferenceEval(pred, table, r);
                }
                sink += mask.size();
              }));
@@ -188,14 +190,14 @@ int main() {
       record("count", "boxed", TimeBest(reps, [&] {
                size_t count = 0;
                for (size_t r = 0; r < table.num_rows(); ++r) {
-                 if (ns_bools[r] && pred.Eval(schema, table.GetRow(r))) ++count;
+                 if (ns_bools[r] && ReferenceEval(pred, schema, table.GetRow(r))) ++count;
                }
                sink += count;
              }));
       record("count", "reference", TimeBest(reps, [&] {
                size_t count = 0;
                for (size_t r = 0; r < table.num_rows(); ++r) {
-                 if (ns_bools[r] && pred.Eval(table, r)) ++count;
+                 if (ns_bools[r] && ReferenceEval(pred, table, r)) ++count;
                }
                sink += count;
              }));
@@ -211,7 +213,7 @@ int main() {
                Histogram h(age_domain.size());
                for (size_t r = 0; r < table.num_rows(); ++r) {
                  if (!ns_bools[r]) continue;
-                 if (!pred.Eval(schema, table.GetRow(r))) continue;
+                 if (!ReferenceEval(pred, schema, table.GetRow(r))) continue;
                  h.Add(age_domain.BinOf(
                      static_cast<double>(table.GetValue(r, 0).AsInt64())));
                }
@@ -222,7 +224,7 @@ int main() {
                const auto& age = table.Int64Column(0);
                for (size_t r = 0; r < table.num_rows(); ++r) {
                  if (!ns_bools[r]) continue;
-                 if (!pred.Eval(table, r)) continue;
+                 if (!ReferenceEval(pred, table, r)) continue;
                  h.Add(age_domain.BinOf(static_cast<double>(age[r])));
                }
                sink += static_cast<size_t>(h.Total());

@@ -40,7 +40,9 @@ int main() {
   // --- 2. OsdpRR: release true records ---------------------------------
   Rng rng(42);
   const double eps_release = 0.5;
-  Table sample = *OsdpRRRelease(table, policy, eps_release, rng);
+  Table sample = OsdpRRReleaseView(table, policy.NonSensitiveRowMask(table),
+                                  eps_release, rng)
+                     ->Materialize();
   std::printf("OsdpRR(eps=%.2f) released %zu of %zu records "
               "(expected rate %.1f%% of non-sensitive)\n",
               eps_release, sample.num_rows(), table.num_rows(),

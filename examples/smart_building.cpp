@@ -57,8 +57,8 @@ int main() {
   // --- OsdpRR trajectory release ----------------------------------------
   Rng rng(4);
   const double eps = 1.0;
-  std::vector<size_t> released =
-      OsdpRRSelectGeneric(sim.trajectories, policy, eps, rng);
+  const std::vector<size_t> released =
+      *OsdpRRSelectGeneric(sim.trajectories, policy, eps, rng);
   std::printf("OsdpRR(eps=%.1f) released %zu true trajectories\n", eps,
               released.size());
   std::vector<Trajectory> sample;

@@ -1,27 +1,27 @@
 #include "src/accesscontrol/access_control.h"
 
-#include "src/common/check.h"
 #include "src/data/compiled_predicate.h"
 #include "src/data/row_mask.h"
 #include "src/data/table_view.h"
 
 namespace osdp {
 
-AccessControlledDb::AccessControlledDb(Table data, Policy policy)
-    : data_(std::move(data)), policy_(std::move(policy)) {
-  sensitive_mask_ = policy_.SensitiveMask(data_);
+Result<AccessControlledDb> AccessControlledDb::Create(Table data,
+                                                      const Policy& policy) {
+  OSDP_ASSIGN_OR_RETURN(
+      CompiledPredicate sensitive,
+      CompiledPredicate::Compile(policy.sensitive_predicate(), data.schema()));
+  RowMask sensitive_mask = sensitive.EvalMask(data);
+  return AccessControlledDb(std::move(data), std::move(sensitive_mask));
 }
 
-AccessControlResponse AccessControlledDb::Select(
+Result<AccessControlResponse> AccessControlledDb::Select(
     const Predicate& pred, AccessControlModel model) const {
-  // Batch path: one compiled scan for the query predicate, one cached scan
-  // for the policy, then word-wise mask algebra. A predicate that does not
-  // type-check against the data is a programming error, as in the
-  // row-at-a-time evaluator.
-  Result<CompiledPredicate> compiled =
-      CompiledPredicate::Compile(pred, data_.schema());
-  OSDP_CHECK_MSG(compiled.ok(), compiled.status().ToString());
-  RowMask matching = compiled->EvalMask(data_);
+  // One compiled scan for the query predicate against the policy mask
+  // classified at Create, then word-wise mask algebra.
+  OSDP_ASSIGN_OR_RETURN(CompiledPredicate compiled,
+                        CompiledPredicate::Compile(pred, data_.schema()));
+  RowMask matching = compiled.EvalMask(data_);
 
   AccessControlResponse resp;
   if (model == AccessControlModel::kNonTruman &&

@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/common/result.h"
 #include "src/data/predicate.h"
@@ -37,8 +38,11 @@ struct AccessControlResponse {
 /// \brief A table guarded by a sensitivity policy and an access-control model.
 class AccessControlledDb {
  public:
-  /// Takes ownership of the data; `policy` marks the protected records.
-  AccessControlledDb(Table data, Policy policy);
+  /// Takes ownership of the data; `policy` marks the protected records and
+  /// classifies every row once. NotFound if the policy names an unknown
+  /// column, InvalidArgument if it compares a string column against a
+  /// number (or the reverse).
+  static Result<AccessControlledDb> Create(Table data, const Policy& policy);
 
   /// \brief Answers "SELECT * WHERE pred" under the given model.
   ///
@@ -46,16 +50,20 @@ class AccessControlledDb {
   /// kEmpty when no authorized row matches — even if sensitive rows do.
   /// Non-Truman: returns kRejected whenever any *sensitive* row matches
   /// (answering would require unauthorized data); otherwise answers.
-  AccessControlResponse Select(const Predicate& pred,
-                               AccessControlModel model) const;
+  /// A `pred` that does not type-check against the data is an error Status
+  /// (NotFound / InvalidArgument, as in Create), never an abort.
+  Result<AccessControlResponse> Select(const Predicate& pred,
+                                       AccessControlModel model) const;
 
   /// The guarded data (test/diagnostic access).
   const Table& data() const { return data_; }
 
  private:
+  AccessControlledDb(Table data, RowMask sensitive_mask)
+      : data_(std::move(data)), sensitive_mask_(std::move(sensitive_mask)) {}
+
   Table data_;
-  Policy policy_;
-  RowMask sensitive_mask_;  // data_ and policy_ are immutable: classify once
+  RowMask sensitive_mask_;  // data_ is immutable: classified once by Create
 };
 
 }  // namespace osdp

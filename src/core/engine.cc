@@ -1,19 +1,11 @@
 #include "src/core/engine.h"
 
 #include <cmath>
-#include <memory>
 #include <utility>
 
-namespace osdp {
+#include "src/data/table_builder.h"
 
-OsdpEngine::OsdpEngine(Table data, Policy policy, Options options)
-    : policy_(std::move(policy)), options_(options) {
-  auto snapshot = std::make_shared<Snapshot>();
-  snapshot->generation = 0;
-  snapshot->table = std::move(data);
-  snapshot->non_sensitive = policy_.NonSensitiveRowMask(snapshot->table);
-  snapshot_ = std::move(snapshot);
-}
+namespace osdp {
 
 Result<OsdpEngine> OsdpEngine::Create(Table data, Policy policy,
                                       Options options) {
@@ -24,13 +16,13 @@ Result<OsdpEngine> OsdpEngine::Create(Table data, Policy policy,
   if (data.num_rows() == 0) {
     return Status::InvalidArgument("engine needs a non-empty dataset");
   }
-  // Type-check the (possibly untrusted) policy against the data before the
-  // constructor classifies every row with it, which aborts on a mismatch:
-  // NotFound for an unknown column, InvalidArgument for a string/numeric mix.
-  OSDP_RETURN_IF_ERROR(
-      CompiledPredicate::Compile(policy.sensitive_predicate(), data.schema())
-          .status());
-  return OsdpEngine(std::move(data), std::move(policy), options);
+  // Generation 0 is classified the way every later generation is: by a
+  // TableBuilder. Its one compile also type-checks the (possibly untrusted)
+  // policy: NotFound for an unknown column, InvalidArgument for a
+  // string/numeric mix.
+  OSDP_ASSIGN_OR_RETURN(TableBuilder builder,
+                        TableBuilder::Create(std::move(data), policy));
+  return OsdpEngine(builder.BuildSnapshot(0), std::move(policy), options);
 }
 
 }  // namespace osdp

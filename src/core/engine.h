@@ -11,6 +11,7 @@
 #define OSDP_CORE_ENGINE_H_
 
 #include <cstdint>
+#include <utility>
 
 #include "src/common/random.h"
 #include "src/common/result.h"
@@ -62,7 +63,7 @@ class OsdpEngine {
   /// holder keeps the snapshot alive — at least the engine's lifetime).
   const Table& data() const { return snapshot_->table; }
 
-  /// The cached non-sensitive row mask (batch-classified at construction,
+  /// The cached non-sensitive row mask (classified once by Create,
   /// immutable within the snapshot).
   const RowMask& non_sensitive_mask() const { return snapshot_->non_sensitive; }
 
@@ -84,7 +85,10 @@ class OsdpEngine {
   const Policy& policy() const { return policy_; }
 
  private:
-  OsdpEngine(Table data, Policy policy, Options options);
+  OsdpEngine(SnapshotPtr snapshot, Policy policy, Options options)
+      : snapshot_(std::move(snapshot)),
+        policy_(std::move(policy)),
+        options_(options) {}
 
   SnapshotPtr snapshot_;  // generation-0 view: table + cached policy mask
   Policy policy_;

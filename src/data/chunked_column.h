@@ -57,7 +57,7 @@ class ChunkedColumn {
  public:
   /// One chunk's storage. `cells` reserves kChunkRows at construction and
   /// never reallocates, so cell addresses are stable for the chunk's
-  /// lifetime (the StringViewAt contract rides on this).
+  /// lifetime (Table's cell-reference lifetime contract rides on this).
   struct Chunk {
     Chunk() { cells.reserve(kChunkRows); }
     std::vector<T> cells;

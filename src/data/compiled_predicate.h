@@ -1,7 +1,7 @@
 // CompiledPredicate: a Predicate bound once against a Schema and evaluated
 // column-at-a-time over a whole Table into a RowMask.
 //
-// The row-at-a-time Predicate::Eval re-resolves column names by string and
+// A row-at-a-time evaluator re-resolves column names by string and
 // dispatches through the expression tree for every row. Compile() does all of
 // that exactly once — column indices resolved, comparisons specialized to the
 // column's static type, string literals interned next to the node — so
@@ -18,9 +18,9 @@
 // the fused kernel of src/data/scan_kernels.h: one pass per chunk for the
 // whole chain, on an AVX2 body when the CPU has one.
 //
-// Semantics are bit-identical to Predicate::Eval: numeric cells compare
-// with the literal as doubles, strings lexicographically. An int64 column
-// gets that result without converting a cell: Compile() turns each
+// Semantics are bit-identical to the row-at-a-time reference evaluator in
+// tests/reference_predicate.h: numeric cells compare with the literal as
+// doubles, strings lexicographically. An int64 column gets that result without converting a cell: Compile() turns each
 // comparison into the exact set of int64 values v with double(v) <op> L —
 // an interval, or the complement of one for != — so NaN, ±inf, -0.0 and
 // literals where doubles are sparser than integers (|L| >= 2^53) all match

@@ -1,69 +1,10 @@
 #include "src/data/predicate.h"
 
-#include <algorithm>
-#include <string_view>
-
 #include "src/common/check.h"
 
 namespace osdp {
 
 namespace {
-
-// A borrowed view of one cell: numerics by value, strings by view into the
-// column storage (or the materialized Row). Comparing through CellView keeps
-// the reference evaluator free of Value boxing and string copies.
-struct CellView {
-  ValueType type;
-  int64_t i64 = 0;
-  double dbl = 0.0;
-  std::string_view str;
-
-  static CellView Of(const Value& v) {
-    CellView c;
-    c.type = v.type();
-    switch (c.type) {
-      case ValueType::kInt64:
-        c.i64 = v.AsInt64();
-        break;
-      case ValueType::kDouble:
-        c.dbl = v.AsDouble();
-        break;
-      case ValueType::kString:
-        c.str = v.AsString();
-        break;
-    }
-    return c;
-  }
-
-  double AsNumeric() const {
-    return type == ValueType::kInt64 ? static_cast<double>(i64) : dbl;
-  }
-};
-
-template <typename T>
-bool ApplyOp(PredicateOp op, const T& a, const T& b) {
-  switch (op) {
-    case PredicateOp::kEq: return a == b;
-    case PredicateOp::kNe: return a != b;
-    case PredicateOp::kLt: return a < b;
-    case PredicateOp::kLe: return a <= b;
-    case PredicateOp::kGt: return a > b;
-    case PredicateOp::kGe: return a >= b;
-    default: OSDP_CHECK_MSG(false, "bad comparison op"); return false;
-  }
-}
-
-// Cell <op> literal with the library's comparison semantics: numeric columns
-// compare numerically (int64 vs double literals mix freely); strings compare
-// lexicographically; cross string/numeric comparison aborts.
-bool CompareCell(PredicateOp op, const CellView& lhs, const Value& rhs) {
-  if (lhs.type == ValueType::kString || rhs.is_string()) {
-    OSDP_CHECK_MSG(lhs.type == ValueType::kString && rhs.is_string(),
-                   "string compared against numeric");
-    return ApplyOp<std::string_view>(op, lhs.str, rhs.AsString());
-  }
-  return ApplyOp<double>(op, lhs.AsNumeric(), rhs.AsNumeric());
-}
 
 const char* OpSymbol(PredicateOp op) {
   switch (op) {
@@ -84,37 +25,6 @@ Predicate::Node MakeLeaf(PredicateOp op, std::string column,
   n.column = std::move(column);
   n.literals = std::move(lits);
   return n;
-}
-
-// `cell` maps a column index to a CellView for the row under evaluation.
-template <typename CellFn>
-bool EvalNode(const Predicate::Node& n, const Schema& schema,
-              const CellFn& cell) {
-  switch (n.op) {
-    case PredicateOp::kTrue:
-      return true;
-    case PredicateOp::kFalse:
-      return false;
-    case PredicateOp::kAnd:
-      return EvalNode(*n.left, schema, cell) && EvalNode(*n.right, schema, cell);
-    case PredicateOp::kOr:
-      return EvalNode(*n.left, schema, cell) || EvalNode(*n.right, schema, cell);
-    case PredicateOp::kNot:
-      return !EvalNode(*n.left, schema, cell);
-    default:
-      break;
-  }
-  auto idx = schema.FieldIndex(n.column);
-  OSDP_CHECK_MSG(idx.ok(), "predicate references unknown column " << n.column);
-  const CellView v = cell(idx.ValueOrDie());
-  if (n.op == PredicateOp::kIn) {
-    return std::any_of(n.literals.begin(), n.literals.end(),
-                       [&](const Value& lit) {
-                         return CompareCell(PredicateOp::kEq, v, lit);
-                       });
-  }
-  OSDP_CHECK(n.literals.size() == 1);
-  return CompareCell(n.op, v, n.literals[0]);
 }
 
 std::string NodeToString(const Predicate::Node& n) {
@@ -197,34 +107,6 @@ Predicate Predicate::False() {
   Node n;
   n.op = PredicateOp::kFalse;
   return Predicate(std::make_shared<const Node>(std::move(n)));
-}
-
-bool Predicate::Eval(const Table& table, size_t row) const {
-  OSDP_CHECK(node_ != nullptr);
-  return EvalNode(*node_, table.schema(), [&](size_t col) {
-    CellView c;
-    c.type = table.schema().field(col).type;
-    switch (c.type) {
-      case ValueType::kInt64:
-        c.i64 = table.Int64Column(col)[row];
-        break;
-      case ValueType::kDouble:
-        c.dbl = table.DoubleColumn(col)[row];
-        break;
-      case ValueType::kString:
-        c.str = table.StringViewAt(row, col);
-        break;
-    }
-    return c;
-  });
-}
-
-bool Predicate::Eval(const Schema& schema, const Row& row) const {
-  OSDP_CHECK(node_ != nullptr);
-  return EvalNode(*node_, schema, [&](size_t col) {
-    OSDP_CHECK(col < row.size());
-    return CellView::Of(row[col]);
-  });
 }
 
 std::string Predicate::ToString() const {

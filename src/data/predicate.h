@@ -6,15 +6,12 @@
 //   auto sensitive = Predicate::Or(Predicate::Eq("race", Value("NativeAmerican")),
 //                                  Predicate::Eq("opt_in", Value(int64_t{0})));
 //
-// They evaluate against a (Table, row index) pair so the columnar layout is
-// used directly, and against a materialized Row for single-record checks (the
-// attack analyzer enumerates the record universe this way).
-//
-// Eval here is the row-at-a-time *reference* implementation: it resolves
-// column names through the schema on every call and dispatches through the
-// tree per row. Hot paths bind the tree once against a Schema with
-// CompiledPredicate (compiled_predicate.h) and evaluate column-at-a-time
-// into a RowMask; a property test keeps the two bit-identical.
+// A predicate is only a description. Every classification in the library
+// binds it once against a Schema with CompiledPredicate
+// (compiled_predicate.h) and evaluates it column-at-a-time into a RowMask;
+// binding is also where an unknown column or a string/numeric comparison is
+// reported, as a Status. The row-at-a-time semantics oracle the compiled
+// scan is tested against lives in tests/reference_predicate.h.
 
 #ifndef OSDP_DATA_PREDICATE_H_
 #define OSDP_DATA_PREDICATE_H_
@@ -23,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "src/data/table.h"
 #include "src/data/value.h"
 
 namespace osdp {
@@ -70,13 +66,6 @@ class Predicate {
   static Predicate True();
   static Predicate False();
   /// @}
-
-  /// Evaluates against row `row` of `table`. Missing columns abort: a policy
-  /// evaluated against the wrong schema is a programming error, not data.
-  bool Eval(const Table& table, size_t row) const;
-
-  /// Evaluates against a materialized row with the given schema.
-  bool Eval(const Schema& schema, const Row& row) const;
 
   /// Debug rendering, e.g. "(age <= 17 OR opt_in = 0)".
   std::string ToString() const;

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -78,27 +77,19 @@ class Table {
   /// Cell accessor as a dynamic Value (slow path; copies strings).
   Value GetValue(size_t row, size_t col) const;
 
-  /// \brief Borrowed view of a string cell — no copy; aborts on non-string
-  /// columns.
-  ///
-  /// Lifetime follows per-chunk immutability, not whole-table mutability:
-  /// cells never move within a chunk (chunk storage is reserved up front
-  /// and never reallocates), so the view stays valid until the last Table
-  /// or Snapshot sharing the cell's chunk is destroyed. In particular,
-  /// views into *sealed* chunks — rows below
-  /// `num_rows() & ~(kChunkRows - 1)` — survive any number of subsequent
-  /// appends to this table. Views into the partial tail chunk should be
-  /// treated as invalidated by mutation: an append through a non-owning
-  /// copy replaces the tail chunk (copy-on-write), dropping the chunk the
-  /// view points into once no other holder remains.
-  std::string_view StringViewAt(size_t row, size_t col) const {
-    return StringColumn(col)[row];
-  }
-
   /// Materializes row `row` as dynamic values.
   Row GetRow(size_t row) const;
 
   /// \name Typed column views (abort on type mismatch).
+  ///
+  /// A cell reference (e.g. `StringColumn(col)[row]`) follows per-chunk
+  /// immutability, not whole-table mutability: cells never move within a
+  /// chunk, so the reference stays valid until the last Table or Snapshot
+  /// sharing the cell's chunk is destroyed. References into *sealed* chunks
+  /// — rows below `num_rows() & ~(kChunkRows - 1)` — survive any number of
+  /// later appends to this table. References into the partial tail chunk
+  /// are invalidated by mutation: an append through a non-owning copy
+  /// replaces the tail chunk (copy-on-write).
   /// @{
   const ChunkedColumn<int64_t>& Int64Column(size_t col) const;
   const ChunkedColumn<double>& DoubleColumn(size_t col) const;

@@ -7,22 +7,33 @@
 
 namespace osdp {
 
+namespace {
+
+// The policy's P itself (true = non-sensitive), bound to `schema`. NOT is an
+// exact word-wise complement in the compiled scan, so its mask equals
+// Policy::NonSensitiveRowMask bit for bit.
+Result<CompiledPredicate> CompileNonSensitive(const Policy& policy,
+                                              const Schema& schema) {
+  return CompiledPredicate::Compile(
+      Predicate::Not(policy.sensitive_predicate()), schema);
+}
+
+}  // namespace
+
 Result<TableBuilder> TableBuilder::Create(Table seed, const Policy& policy) {
-  OSDP_ASSIGN_OR_RETURN(
-      CompiledPredicate sensitive,
-      CompiledPredicate::Compile(policy.sensitive_predicate(), seed.schema()));
-  RowMask mask = sensitive.EvalMask(seed);
-  return TableBuilder(std::move(seed), std::move(sensitive), std::move(mask));
+  OSDP_ASSIGN_OR_RETURN(CompiledPredicate non_sensitive,
+                        CompileNonSensitive(policy, seed.schema()));
+  RowMask mask = non_sensitive.EvalMask(seed);
+  return TableBuilder(std::move(seed), std::move(non_sensitive),
+                      std::move(mask));
 }
 
 Result<TableBuilder> TableBuilder::FromSnapshot(const Snapshot& snapshot,
                                                 const Policy& policy) {
-  OSDP_ASSIGN_OR_RETURN(CompiledPredicate sensitive,
-                        CompiledPredicate::Compile(policy.sensitive_predicate(),
-                                                   snapshot.table.schema()));
-  RowMask mask = snapshot.non_sensitive;
-  mask.FlipAll();
-  return TableBuilder(snapshot.table, std::move(sensitive), std::move(mask));
+  OSDP_ASSIGN_OR_RETURN(CompiledPredicate non_sensitive,
+                        CompileNonSensitive(policy, snapshot.table.schema()));
+  return TableBuilder(snapshot.table, std::move(non_sensitive),
+                      snapshot.non_sensitive);
 }
 
 Status TableBuilder::Append(const RowBatch& batch) {
@@ -45,9 +56,10 @@ Status TableBuilder::Append(const RowBatch& batch) {
   // start, so begin at the last word boundary at or before the old end; the
   // handful of old rows in that word are recomputed to the same bits (the
   // evaluation is deterministic), and everything before it is untouched.
-  sensitive_mask_.Resize(table_.num_rows());
+  non_sensitive_mask_.Resize(table_.num_rows());
   const size_t begin = old_rows & ~size_t{63};
-  sensitive_.EvalRangeInto(table_, begin, table_.num_rows(), &sensitive_mask_);
+  non_sensitive_.EvalRangeInto(table_, begin, table_.num_rows(),
+                               &non_sensitive_mask_);
   return Status::OK();
 }
 
@@ -55,8 +67,7 @@ SnapshotPtr TableBuilder::BuildSnapshot(uint64_t generation) const {
   auto snapshot = std::make_shared<Snapshot>();
   snapshot->generation = generation;
   snapshot->table = table_;
-  snapshot->non_sensitive = sensitive_mask_;
-  snapshot->non_sensitive.FlipAll();
+  snapshot->non_sensitive = non_sensitive_mask_;
   return snapshot;
 }
 

@@ -1,7 +1,8 @@
 // TableBuilder: the single-writer accumulation side of the streaming ingest
 // path. Appends row batches to a growing table, classifies each batch with
 // the policy's compiled predicate incrementally (only the appended rows are
-// scanned), and cuts immutable Snapshots on demand.
+// scanned), and cuts immutable Snapshots on demand. It is also how every
+// generation 0 is classified: OsdpEngine::Create cuts its snapshot here.
 //
 // The builder itself is *not* thread-safe — it is the writer's private
 // state. Thread-safety lives one level up: the writer serializes Append +
@@ -29,10 +30,12 @@ using RowBatch = Table;
 /// \brief Accumulates appended row batches and their policy classification,
 /// and cuts immutable Snapshots of the current state.
 ///
-/// The sensitivity predicate is compiled once at construction; each Append
-/// evaluates it over just the new rows (CompiledPredicate::EvalRangeInto
-/// from the last word boundary), so ingest cost is proportional to the batch,
-/// not the accumulated table. BuildSnapshot copies the accumulated columns —
+/// The policy's P (NOT of its sensitivity predicate, so a set bit marks a
+/// non-sensitive row) is compiled once at construction, and the builder keeps
+/// the non-sensitive mask the snapshots carry. Each Append evaluates P over
+/// just the new rows (CompiledPredicate::EvalRangeInto from the last word
+/// boundary), so ingest cost is proportional to the batch, not the
+/// accumulated table. BuildSnapshot copies the accumulated columns —
 /// under chunked storage that is a chunk-*pointer* copy, O(#chunks) not
 /// O(rows), so publish cost is flat in the accumulated size (the mask copy,
 /// O(rows/64) words, dominates asymptotically). Consecutive generations
@@ -42,16 +45,18 @@ using RowBatch = Table;
 /// recorded row count.
 class TableBuilder {
  public:
-  /// Seeds the builder with `seed` (which becomes the generation-0 contents)
-  /// and compiles `policy`'s sensitivity predicate against its schema.
-  /// Errors if the predicate does not type-check against the schema.
+  /// Seeds the builder with `seed` (which becomes the generation-0 contents),
+  /// compiles `policy` against its schema and classifies every seed row
+  /// once. Errors if the predicate does not type-check against the schema:
+  /// NotFound for an unknown column, InvalidArgument for a string/numeric
+  /// comparison.
   static Result<TableBuilder> Create(Table seed, const Policy& policy);
 
   /// Seeds the builder from an already-classified snapshot: adopts the
   /// snapshot's table *chunks* (pointer copies, no cell is read or copied —
-  /// tests/snapshot_test.cc pins this by chunk identity) and its mask
-  /// (flipped back to sensitive-side) instead of re-scanning the seed rows —
-  /// the startup path for a service whose engine already cut generation 0.
+  /// tests/snapshot_test.cc pins this by chunk identity) and copies its mask
+  /// instead of re-scanning the seed rows — the startup path for a service
+  /// whose engine already cut generation 0.
   /// `policy` must be the policy that produced the snapshot's mask; only the
   /// predicate is (re)compiled.
   static Result<TableBuilder> FromSnapshot(const Snapshot& snapshot,
@@ -66,8 +71,8 @@ class TableBuilder {
   size_t num_rows() const { return table_.num_rows(); }
 
   /// \brief Cuts an immutable snapshot of the current contents, tagged
-  /// `generation`. The snapshot's non-sensitive mask is the complement of
-  /// the incrementally-maintained sensitive mask — bit-identical to a full
+  /// `generation`. The snapshot's non-sensitive mask is a copy of the
+  /// incrementally-maintained one — bit-identical to a full
   /// Policy::NonSensitiveRowMask recompute over the same rows (pinned by
   /// tests/snapshot_test.cc). The table copy shares every chunk with the
   /// builder (and with every other generation) — publish is O(#chunks)
@@ -76,14 +81,14 @@ class TableBuilder {
   SnapshotPtr BuildSnapshot(uint64_t generation) const;
 
  private:
-  TableBuilder(Table table, CompiledPredicate sensitive, RowMask mask)
+  TableBuilder(Table table, CompiledPredicate non_sensitive, RowMask mask)
       : table_(std::move(table)),
-        sensitive_(std::move(sensitive)),
-        sensitive_mask_(std::move(mask)) {}
+        non_sensitive_(std::move(non_sensitive)),
+        non_sensitive_mask_(std::move(mask)) {}
 
   Table table_;
-  CompiledPredicate sensitive_;  // the policy predicate, compiled once
-  RowMask sensitive_mask_;       // maintained incrementally per Append
+  CompiledPredicate non_sensitive_;  // the policy's P, compiled once
+  RowMask non_sensitive_mask_;       // maintained incrementally per Append
 };
 
 }  // namespace osdp

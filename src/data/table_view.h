@@ -1,6 +1,5 @@
 // TableView: a zero-copy row selection over a Table — the table (or a
-// pinned Snapshot generation), a base-row offset, and a RowMask, with no
-// cell materialization.
+// pinned Snapshot generation) and a RowMask, with no cell materialization.
 //
 // SelectRows copies every selected cell into a fresh table; a TableView is
 // just the selection itself. Mechanisms that only *iterate* the selected
@@ -25,35 +24,26 @@
 
 namespace osdp {
 
-/// \brief An immutable selection of rows of one table: base rows
-/// [row_offset, row_offset + mask.size()) filtered by the mask's set bits.
-///
-/// The offset lets a view denote a sub-range of a large table (for
-/// example, the rows one generation appended) with a mask sized to the
-/// range instead of the whole table. Cheap to copy (mask words + two
-/// pointers); all access is const and thread-safe.
+/// \brief An immutable selection of rows of one table: the rows whose
+/// mask bit is set. The mask has one bit per table row. Cheap to copy (mask
+/// words + two pointers); all access is const and thread-safe.
 class TableView {
  public:
   /// Borrowing view: `table` must outlive the view. `mask` bit i selects
-  /// base row `row_offset + i`; `row_offset + mask.size()` must not exceed
-  /// the table's rows.
-  TableView(const Table& table, RowMask mask, size_t row_offset = 0)
-      : table_(&table),
-        row_offset_(row_offset),
-        mask_(std::move(mask)),
-        selected_(mask_.Count()) {
-    OSDP_CHECK(row_offset_ + mask_.size() <= table_->num_rows());
+  /// row i; `mask.size()` must equal the table's rows.
+  TableView(const Table& table, RowMask mask)
+      : table_(&table), mask_(std::move(mask)), selected_(mask_.Count()) {
+    OSDP_CHECK(mask_.size() == table_->num_rows());
   }
 
   /// Pinning view over a snapshot generation: the snapshot (and through it
   /// every chunk of its table) stays alive as long as the view does.
-  TableView(SnapshotPtr snapshot, RowMask mask, size_t row_offset = 0)
+  TableView(SnapshotPtr snapshot, RowMask mask)
       : snapshot_(std::move(snapshot)),
         table_(&snapshot_->table),
-        row_offset_(row_offset),
         mask_(std::move(mask)),
         selected_(mask_.Count()) {
-    OSDP_CHECK(row_offset_ + mask_.size() <= table_->num_rows());
+    OSDP_CHECK(mask_.size() == table_->num_rows());
   }
 
   /// The underlying table (never null).
@@ -64,53 +54,27 @@ class TableView {
   size_t num_rows() const { return selected_; }
   /// True iff no row is selected.
   bool empty() const { return selected_ == 0; }
-  /// First base row the mask covers.
-  size_t row_offset() const { return row_offset_; }
-  /// The selection mask (bit i = base row row_offset() + i).
+  /// The selection mask (bit i = table row i) — the bridge into mask
+  /// consumers (masked histograms, mask algebra).
   const RowMask& mask() const { return mask_; }
 
-  /// Calls fn(base_row) for every selected row, in ascending base-row
-  /// order. Cost is proportional to the number of selected rows.
+  /// Calls fn(row) for every selected row, in ascending row order. Cost is
+  /// proportional to the number of selected rows.
   template <typename Fn>
   void ForEachRow(Fn&& fn) const {
-    if (row_offset_ == 0) {
-      mask_.ForEachSet(fn);
-    } else {
-      mask_.ForEachSet([&](size_t i) { fn(row_offset_ + i); });
-    }
+    mask_.ForEachSet(fn);
   }
 
-  /// The selected base rows as an ascending index vector.
-  std::vector<size_t> ToIndices() const {
-    std::vector<size_t> out;
-    out.reserve(selected_);
-    ForEachRow([&](size_t row) { out.push_back(row); });
-    return out;
-  }
-
-  /// The selection as a mask over the *whole* table (offset folded in) —
-  /// the bridge into whole-table mask consumers (masked histograms, mask
-  /// algebra). O(table rows / 64), still no cell access.
-  RowMask BaseMask() const {
-    if (row_offset_ == 0 && mask_.size() == table_->num_rows()) return mask_;
-    RowMask out(table_->num_rows());
-    ForEachRow([&](size_t row) { out.Set(row); });
-    return out;
-  }
+  /// The selected rows as an ascending index vector.
+  std::vector<size_t> ToIndices() const { return mask_.ToIndices(); }
 
   /// Materializes the selection as an owned Table (the SelectRows gather —
   /// the one place a view pays the copy).
-  Table Materialize() const {
-    if (row_offset_ == 0 && mask_.size() == table_->num_rows()) {
-      return table_->SelectRows(mask_);
-    }
-    return table_->SelectRows(ToIndices());
-  }
+  Table Materialize() const { return table_->SelectRows(mask_); }
 
  private:
   SnapshotPtr snapshot_;  // null for borrowing views
   const Table* table_;
-  size_t row_offset_;
   RowMask mask_;
   size_t selected_;
 };

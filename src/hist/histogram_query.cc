@@ -165,7 +165,7 @@ Result<Histogram> ComputeHistogramMasked(const Table& table,
 
 Result<Histogram> ComputeHistogram(const TableView& view,
                                    const HistogramQuery& query) {
-  return ComputeHistogramMasked(view.table(), query, view.BaseMask());
+  return ComputeHistogramMasked(view.table(), query, view.mask());
 }
 
 Result<Histogram2D> ComputeHistogram2D(const Table& table,

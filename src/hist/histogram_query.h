@@ -103,7 +103,7 @@ Result<Histogram> ComputeHistogram(const Table& table,
 /// bridge from Table::SelectRowsView: equivalent to materializing the view
 /// and histogramming the result, without copying a cell. Bit-for-bit the
 /// same counts as ComputeHistogramMasked(view.table(), query,
-/// view.BaseMask()).
+/// view.mask()).
 Result<Histogram> ComputeHistogram(const TableView& view,
                                    const HistogramQuery& query);
 

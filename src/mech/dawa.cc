@@ -168,7 +168,7 @@ Result<DawaResult> Dawa(const Histogram& x, double epsilon,
   const double noise_dev_per_bin = stage1_scale;
   const double bucket_charge = 2.0 / eps2;
   std::vector<DawaBucket> buckets =
-      SolveWithImpl(noisy, pos, opts.cost_impl, opts.pool,
+      SolveWithImpl(noisy, pos, DawaCostImpl::kAuto, opts.pool,
                     [&](double dev, size_t len) {
         return std::max(0.0,
                         dev - static_cast<double>(len) * noise_dev_per_bin) +

@@ -64,8 +64,6 @@ struct DawaOptions {
   double partition_budget_ratio = 0.25;
   /// Candidate-interval enumeration strategy.
   DawaPositions positions = DawaPositions::kAuto;
-  /// Interval-cost evaluation strategy for the partition DP.
-  DawaCostImpl cost_impl = DawaCostImpl::kAuto;
   /// Clamp negative bin estimates to zero (post-processing).
   bool clamp_non_negative = true;
   /// Pool for the deterministic parts of the mechanism (currently the

@@ -1,6 +1,7 @@
 #include "src/mech/osdp_rr.h"
 
 #include <cmath>
+#include <utility>
 
 #include "src/common/distributions.h"
 
@@ -10,41 +11,25 @@ double OsdpRRReleaseProbability(double epsilon) {
   return 1.0 - std::exp(-epsilon);
 }
 
-Result<std::vector<size_t>> OsdpRRSelect(const Table& table,
-                                         const Policy& policy, double epsilon,
-                                         Rng& rng) {
-  OSDP_ASSIGN_OR_RETURN(TableView view,
-                        OsdpRRReleaseView(table, policy, epsilon, rng));
-  return view.ToIndices();
-}
-
-Result<Table> OsdpRRRelease(const Table& table, const Policy& policy,
-                            double epsilon, Rng& rng) {
-  OSDP_ASSIGN_OR_RETURN(TableView view,
-                        OsdpRRReleaseView(table, policy, epsilon, rng));
-  return view.Materialize();
-}
-
-Result<TableView> OsdpRRReleaseView(const Table& table, const Policy& policy,
-                                    double epsilon, Rng& rng) {
-  return OsdpRRReleaseView(table, policy.NonSensitiveRowMask(table), epsilon,
-                           rng);
+Result<RowMask> OsdpRRDraw(const RowMask& eligible, double epsilon,
+                           Rng& rng) {
+  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
+  const double p = OsdpRRReleaseProbability(epsilon);
+  RowMask released(eligible.size());
+  eligible.ForEachSet([&](size_t row) {
+    if (rng.NextBernoulli(p)) released.Set(row);
+  });
+  return released;
 }
 
 Result<TableView> OsdpRRReleaseView(const Table& table,
                                     const RowMask& non_sensitive,
                                     double epsilon, Rng& rng) {
-  OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   if (non_sensitive.size() != table.num_rows()) {
     return Status::InvalidArgument("non-sensitive mask size != table rows");
   }
-  // The one OsdpRR coin loop: one Bernoulli per non-sensitive row, in row
-  // order.
-  const double p = OsdpRRReleaseProbability(epsilon);
-  RowMask released(table.num_rows());
-  non_sensitive.ForEachSet([&](size_t row) {
-    if (rng.NextBernoulli(p)) released.Set(row);
-  });
+  OSDP_ASSIGN_OR_RETURN(RowMask released,
+                        OsdpRRDraw(non_sensitive, epsilon, rng));
   return table.SelectRowsView(std::move(released));
 }
 

@@ -16,56 +16,43 @@
 #include "src/hist/histogram.h"
 #include "src/mech/guarantee.h"
 #include "src/policy/generic_policy.h"
-#include "src/policy/policy.h"
 
 namespace osdp {
 
 /// The per-record release probability 1 - e^{-ε} (Table 1's analytic column).
 double OsdpRRReleaseProbability(double epsilon);
 
-/// \brief Runs OsdpRR over a table: returns the indices of released rows.
-///
-/// The output is a *true sample* — every released row is unmodified — which
-/// is what enables downstream tasks that need real records (classification,
-/// extractive summaries, huge-domain histograms; Section 4).
-Result<std::vector<size_t>> OsdpRRSelect(const Table& table,
-                                         const Policy& policy, double epsilon,
-                                         Rng& rng);
+/// \brief The one OsdpRR coin loop: one Bernoulli(1 - e^{-ε}) draw per set
+/// bit of `eligible` (the non-sensitive records), in ascending order; the
+/// result has the bits of the released records set. InvalidArgument for NaN,
+/// ±inf or non-positive ε, before any coin is drawn.
+Result<RowMask> OsdpRRDraw(const RowMask& eligible, double epsilon, Rng& rng);
 
-/// Runs OsdpRR and materializes the released rows as a new table.
-Result<Table> OsdpRRRelease(const Table& table, const Policy& policy,
-                            double epsilon, Rng& rng);
-
-/// \brief Zero-copy OsdpRR: the released sample as a TableView over
-/// `table` — same coin sequence and selected rows as OsdpRRRelease, but no
-/// cell is copied. The view borrows `table` and must not outlive it.
-/// OsdpRRRelease is exactly this view materialized.
-Result<TableView> OsdpRRReleaseView(const Table& table, const Policy& policy,
-                                    double epsilon, Rng& rng);
-
-/// \brief OsdpRR over a classification the caller already holds:
+/// \brief OsdpRR over a table whose classification the caller holds:
 /// `non_sensitive` (one bit per row of `table`, InvalidArgument otherwise)
-/// marks the release-eligible rows. Equal to the Policy form when the mask
-/// is that policy's NonSensitiveRowMask(table), without re-running the
-/// policy scan — a snapshot's stored mask feeds straight in.
+/// marks the release-eligible rows — pass Policy::NonSensitiveRowMask(table)
+/// or a snapshot's stored mask. The released sample is a zero-copy
+/// TableView: every released row is a *true*, unmodified record, which is
+/// what enables downstream tasks that need real records (classification,
+/// extractive summaries, huge-domain histograms; Section 4). The view
+/// borrows `table` and must not outlive it; Materialize() copies it out.
 Result<TableView> OsdpRRReleaseView(const Table& table,
                                     const RowMask& non_sensitive,
                                     double epsilon, Rng& rng);
 
 /// \brief Generic OsdpRR over arbitrary record types (e.g. trajectories):
-/// returns indices into `records` of the released sample.
+/// returns indices into `records` of the released sample. The same coin
+/// loop as OsdpRRReleaseView, over the records `policy` marks non-sensitive.
 template <typename T>
-std::vector<size_t> OsdpRRSelectGeneric(const std::vector<T>& records,
-                                        const GenericPolicy<T>& policy,
-                                        double epsilon, Rng& rng) {
-  const double p = OsdpRRReleaseProbability(epsilon);
-  std::vector<size_t> out;
+Result<std::vector<size_t>> OsdpRRSelectGeneric(const std::vector<T>& records,
+                                                const GenericPolicy<T>& policy,
+                                                double epsilon, Rng& rng) {
+  RowMask eligible(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
-    if (policy.IsNonSensitive(records[i]) && rng.NextBernoulli(p)) {
-      out.push_back(i);
-    }
+    if (policy.IsNonSensitive(records[i])) eligible.Set(i);
   }
-  return out;
+  OSDP_ASSIGN_OR_RETURN(RowMask released, OsdpRRDraw(eligible, epsilon, rng));
+  return released.ToIndices();
 }
 
 /// \brief Histogram-space OsdpRR: given the non-sensitive histogram x_ns,

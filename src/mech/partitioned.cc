@@ -1,6 +1,7 @@
 #include "src/mech/partitioned.h"
 
 #include "src/accounting/concurrent.h"
+#include "src/data/compiled_predicate.h"
 #include "src/data/row_mask.h"
 #include "src/mech/osdp_laplace.h"
 
@@ -23,7 +24,13 @@ Result<PartitionedRelease> PartitionedHistogramRelease(
     }
   }
 
-  const RowMask ns_mask = policy.NonSensitiveRowMask(table);
+  // Compile the (possibly untrusted) policy once: a type error is this
+  // call's Status, and the compiled P classifies every row in one scan.
+  OSDP_ASSIGN_OR_RETURN(
+      CompiledPredicate non_sensitive,
+      CompiledPredicate::Compile(Predicate::Not(policy.sensitive_predicate()),
+                                 table.schema()));
+  const RowMask ns_mask = non_sensitive.EvalMask(table);
   PartitionedRelease out;
   out.partitions.reserve(opts.num_partitions);
   SharedLedger ledger;

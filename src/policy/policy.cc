@@ -1,6 +1,7 @@
 #include "src/policy/policy.h"
 
 #include "src/common/check.h"
+#include "src/data/compiled_predicate.h"
 
 namespace osdp {
 
@@ -15,32 +16,13 @@ Policy Policy::AllNonSensitive() {
   return Policy(Predicate::False(), "P_none");
 }
 
-bool Policy::IsSensitive(const Table& table, size_t row) const {
-  return sensitive_.Eval(table, row);
-}
-
-bool Policy::IsSensitive(const Schema& schema, const Row& record) const {
-  return sensitive_.Eval(schema, record);
-}
-
-std::shared_ptr<const CompiledPredicate> Policy::CompiledFor(
-    const Schema& schema) const {
-  std::shared_ptr<const CompiledPredicate> cached = compiled_cache_;
-  if (cached == nullptr || !(cached->schema() == schema)) {
-    Result<CompiledPredicate> compiled =
-        CompiledPredicate::Compile(sensitive_, schema);
-    OSDP_CHECK_MSG(compiled.ok(), "policy '" << name_
-                                             << "' does not type-check: "
-                                             << compiled.status().ToString());
-    cached = std::make_shared<const CompiledPredicate>(
-        std::move(compiled).ValueOrDie());
-    compiled_cache_ = cached;
-  }
-  return cached;
-}
-
 RowMask Policy::SensitiveMask(const Table& table) const {
-  return CompiledFor(table.schema())->EvalMask(table);
+  Result<CompiledPredicate> compiled =
+      CompiledPredicate::Compile(sensitive_, table.schema());
+  OSDP_CHECK_MSG(compiled.ok(), "policy '" << name_
+                                           << "' does not type-check: "
+                                           << compiled.status().ToString());
+  return compiled->EvalMask(table);
 }
 
 RowMask Policy::NonSensitiveRowMask(const Table& table) const {

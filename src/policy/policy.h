@@ -5,12 +5,10 @@
 #ifndef OSDP_POLICY_POLICY_H_
 #define OSDP_POLICY_POLICY_H_
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
 #include "src/data/row_mask.h"
 #include "src/data/table.h"
@@ -24,10 +22,13 @@ namespace osdp {
 /// Keeping the sensitive side primary makes the minimum-relaxation algebra
 /// (AND of sensitive predicates) read directly off Definition 3.6.
 ///
-/// Whole-table classification (SensitiveMask and everything built on it)
-/// compiles the predicate against the table's schema on first use and caches
-/// the compiled form, so repeated scans of the same dataset pay the
-/// name-resolution and type-dispatch cost exactly once.
+/// A Policy is a plain (predicate, name) value: copies are independent and
+/// every method is const and thread-safe. Records are classified a whole
+/// table at a time — each whole-table method below compiles the predicate
+/// against the table's schema (CompiledPredicate) and scans once. Callers
+/// that classify the same rows repeatedly keep the mask instead (a
+/// Snapshot's `non_sensitive`); TableBuilder classifies each ingested row
+/// exactly once.
 class Policy {
  public:
   /// Policy whose sensitive records are exactly those matching `pred`.
@@ -39,21 +40,11 @@ class Policy {
   /// The trivial policy with no sensitive records (any algorithm qualifies).
   static Policy AllNonSensitive();
 
-  /// \name Record classification (paper: P(r)=0 sensitive, P(r)=1 otherwise).
-  /// @{
-  bool IsSensitive(const Table& table, size_t row) const;
-  bool IsNonSensitive(const Table& table, size_t row) const {
-    return !IsSensitive(table, row);
-  }
-  bool IsSensitive(const Schema& schema, const Row& record) const;
-  /// The paper's P(r) in {0, 1}.
-  int Eval(const Schema& schema, const Row& record) const {
-    return IsSensitive(schema, record) ? 0 : 1;
-  }
-  /// @}
-
-  /// mask bit set iff the row is sensitive (batch classification; compiled
-  /// predicate, column-at-a-time).
+  /// mask bit set iff the row is sensitive (the paper's P(r) = 0), from one
+  /// compiled column-at-a-time scan. Aborts if the predicate does not
+  /// type-check against the table's schema: classifying with the wrong
+  /// schema is a programming error. Untrusted policy text is checked first
+  /// with CompiledPredicate::Compile, which returns the Status instead.
   RowMask SensitiveMask(const Table& table) const;
 
   /// mask bit set iff the row is non-sensitive (the release-eligible subset).
@@ -90,23 +81,8 @@ class Policy {
   Policy(Predicate sensitive, std::string name)
       : sensitive_(std::move(sensitive)), name_(std::move(name)) {}
 
-  /// The sensitivity predicate compiled for `schema`, cached. Returned by
-  /// shared_ptr so the program stays alive even if the one-slot cache is
-  /// swapped for a different schema. Aborts if the predicate does not
-  /// type-check against the schema — the same contract as the row-at-a-time
-  /// evaluator (wrong-schema policy = programming error).
-  std::shared_ptr<const CompiledPredicate> CompiledFor(
-      const Schema& schema) const;
-
   Predicate sensitive_;
   std::string name_;
-  // One-slot cache keyed by schema; copies of a Policy share it. Immutable
-  // once built (the slot is swapped, never mutated), so sharing is safe in
-  // the library's single-threaded usage. Swapping the slot is a write:
-  // concurrent code classifies once up front (OsdpEngine fills the
-  // snapshot's non-sensitive mask at construction) and pool threads only
-  // read or copy the Policy afterwards.
-  mutable std::shared_ptr<const CompiledPredicate> compiled_cache_;
 };
 
 }  // namespace osdp

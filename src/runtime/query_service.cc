@@ -559,9 +559,9 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
   } else {
     // OsdpRR over the captured generation, its coins drawn from the query's
     // own seed stream. The snapshot's stored classification is the
-    // eligible set, so the policy is never re-scanned (or its compile cache
-    // touched) from a pool thread. The released view pins that snapshot, so
-    // it stays valid after later ingests.
+    // eligible set, so the policy is never re-scanned from a pool thread.
+    // The released view pins that snapshot, so it stays valid after later
+    // ingests.
     OSDP_FAULT_POINT("mechanism/run");
     OSDP_ASSIGN_OR_RETURN(
         TableView released,

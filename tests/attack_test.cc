@@ -126,39 +126,75 @@ Policy LoungeSensitive() {
 }
 
 TEST(AccessControlTest, TrumanSilentlyHidesSensitiveRows) {
-  AccessControlledDb db(LocationTable(), LoungeSensitive());
+  const AccessControlledDb db =
+      *AccessControlledDb::Create(LocationTable(), LoungeSensitive());
   // Locating Bob (who is at the sensitive AP) returns nothing — and that
   // nothing is exactly the exclusion-attack signal.
-  auto resp = db.Select(Predicate::Eq("user", Value("bob")),
-                        AccessControlModel::kTruman);
+  auto resp = *db.Select(Predicate::Eq("user", Value("bob")),
+                         AccessControlModel::kTruman);
   EXPECT_EQ(resp.kind, AccessControlResponse::Kind::kEmpty);
   // Locating Alice works normally.
-  resp = db.Select(Predicate::Eq("user", Value("alice")),
-                   AccessControlModel::kTruman);
+  resp = *db.Select(Predicate::Eq("user", Value("alice")),
+                    AccessControlModel::kTruman);
   ASSERT_EQ(resp.kind, AccessControlResponse::Kind::kAnswer);
   EXPECT_EQ(resp.rows.num_rows(), 1u);
   EXPECT_EQ(resp.rows.GetValue(0, 1).AsInt64(), 5);
 }
 
 TEST(AccessControlTest, NonTrumanRejectsLoudly) {
-  AccessControlledDb db(LocationTable(), LoungeSensitive());
-  auto resp = db.Select(Predicate::Eq("user", Value("bob")),
-                        AccessControlModel::kNonTruman);
+  const AccessControlledDb db =
+      *AccessControlledDb::Create(LocationTable(), LoungeSensitive());
+  auto resp = *db.Select(Predicate::Eq("user", Value("bob")),
+                         AccessControlModel::kNonTruman);
   EXPECT_EQ(resp.kind, AccessControlResponse::Kind::kRejected);
-  resp = db.Select(Predicate::Eq("user", Value("carol")),
-                   AccessControlModel::kNonTruman);
+  resp = *db.Select(Predicate::Eq("user", Value("carol")),
+                    AccessControlModel::kNonTruman);
   EXPECT_EQ(resp.kind, AccessControlResponse::Kind::kAnswer);
 }
 
 TEST(AccessControlTest, MixedQueriesAnswerFromAuthorizedView) {
-  AccessControlledDb db(LocationTable(), LoungeSensitive());
+  const AccessControlledDb db =
+      *AccessControlledDb::Create(LocationTable(), LoungeSensitive());
   // "Everyone": Truman shows only the authorized view (2 of 3 rows).
-  auto resp = db.Select(Predicate::True(), AccessControlModel::kTruman);
+  auto resp = *db.Select(Predicate::True(), AccessControlModel::kTruman);
   ASSERT_EQ(resp.kind, AccessControlResponse::Kind::kAnswer);
   EXPECT_EQ(resp.rows.num_rows(), 2u);
   // Non-Truman refuses the same query because it touches Bob's row.
-  resp = db.Select(Predicate::True(), AccessControlModel::kNonTruman);
+  resp = *db.Select(Predicate::True(), AccessControlModel::kNonTruman);
   EXPECT_EQ(resp.kind, AccessControlResponse::Kind::kRejected);
+}
+
+TEST(AccessControlTest, PolicyThatDoesNotTypeCheckIsAStatus) {
+  // Policy text is untrusted input: a policy naming an unknown column, or
+  // comparing a string column against a number, is refused with a Status.
+  const auto unknown = AccessControlledDb::Create(
+      LocationTable(),
+      Policy::SensitiveWhen(Predicate::Lt("nosuch", Value(3))));
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+
+  const auto mixed = AccessControlledDb::Create(
+      LocationTable(), Policy::SensitiveWhen(Predicate::Eq("user", Value(3))));
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AccessControlTest, QueryThatDoesNotTypeCheckIsAStatus) {
+  const AccessControlledDb db =
+      *AccessControlledDb::Create(LocationTable(), LoungeSensitive());
+  for (AccessControlModel model :
+       {AccessControlModel::kTruman, AccessControlModel::kNonTruman}) {
+    const auto unknown = db.Select(Predicate::Eq("nosuch", Value(3)), model);
+    ASSERT_FALSE(unknown.ok());
+    EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+
+    const auto mixed = db.Select(Predicate::Eq("ap", Value("lounge")), model);
+    ASSERT_FALSE(mixed.ok());
+    EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The refused queries changed nothing: the next query still answers.
+  EXPECT_EQ(db.Select(Predicate::True(), AccessControlModel::kTruman)->kind,
+            AccessControlResponse::Kind::kAnswer);
 }
 
 }  // namespace

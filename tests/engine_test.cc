@@ -56,6 +56,23 @@ TEST(EngineTest, CreateValidates) {
   opts.total_epsilon = 1.0;
   Table empty(Schema({{"a", ValueType::kInt64}}));
   EXPECT_FALSE(OsdpEngine::Create(std::move(empty), OptOutSensitive(), opts).ok());
+
+  // A valid input is classified once, into generation 0: its mask equals the
+  // policy's whole-table classification bit for bit, including at the word
+  // (64-row) and chunk edges.
+  const Policy policy = Policy::SensitiveWhen(
+      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
+                    Predicate::Lt("age", Value(30))),
+      "P_opt_or_young");
+  for (int n : {1, 63, 64, 65, 4095, 4096, 4097}) {
+    const Table data = MakeData(n, /*seed=*/n);
+    const auto engine = OsdpEngine::Create(data, policy, opts);
+    ASSERT_TRUE(engine.ok()) << n;
+    EXPECT_EQ(engine->snapshot()->generation, 0u) << n;
+    EXPECT_EQ(engine->num_rows(), static_cast<size_t>(n));
+    EXPECT_EQ(engine->non_sensitive_mask(), policy.NonSensitiveRowMask(data))
+        << n;
+  }
 }
 
 TEST(EngineTest, CreateRefusesAPolicyThatDoesNotTypeCheck) {

@@ -47,8 +47,8 @@ TEST(IntegrationTest, OsdpRRClassificationBeatsObjDpAtLowEpsilon) {
   // OsdpRR releases a true sample of non-sensitive trajectories.
   Rng rng(1);
   const double eps = 1.0;
-  std::vector<size_t> released =
-      OsdpRRSelectGeneric(sim.trajectories, policy, eps, rng);
+  const std::vector<size_t> released =
+      *OsdpRRSelectGeneric(sim.trajectories, policy, eps, rng);
   ASSERT_GT(released.size(), 100u);
   std::vector<Trajectory> sample;
   for (size_t i : released) sample.push_back(sim.trajectories[i]);
@@ -89,8 +89,8 @@ TEST(IntegrationTest, OsdpRRNgramsBeatLaplaceAtLowEpsilon) {
   Rng rng(2);
 
   // OsdpRR: release true trajectories, recount — exact zeros elsewhere.
-  std::vector<size_t> released =
-      OsdpRRSelectGeneric(sim.trajectories, policy, eps, rng);
+  const std::vector<size_t> released =
+      *OsdpRRSelectGeneric(sim.trajectories, policy, eps, rng);
   std::vector<Trajectory> sample;
   for (size_t i : released) sample.push_back(sim.trajectories[i]);
   SparseHistogram rr_est = *NGramDistinctUsers(sample, nopts);

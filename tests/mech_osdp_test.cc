@@ -7,6 +7,8 @@
 #include "src/common/check.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "src/common/distributions.h"
 #include "src/common/stats.h"
@@ -46,20 +48,20 @@ TEST(OsdpRRTest, ReleaseProbabilityMatchesPaperTable1) {
 
 TEST(OsdpRRTest, NeverReleasesSensitiveRecords) {
   Table t = PeopleTable(200, 200);
-  Policy p = MinorsSensitive();
+  const RowMask ns = MinorsSensitive().NonSensitiveRowMask(t);
   Rng rng(1);
   for (int trial = 0; trial < 20; ++trial) {
-    std::vector<size_t> released = *OsdpRRSelect(t, p, 2.0, rng);
-    for (size_t row : released) {
-      EXPECT_TRUE(p.IsNonSensitive(t, row));
-    }
+    const TableView released = *OsdpRRReleaseView(t, ns, 2.0, rng);
+    EXPECT_TRUE(released.mask().IsSubsetOf(ns));
   }
 }
 
 TEST(OsdpRRTest, ReleasesTrueUnmodifiedRecords) {
   Table t = PeopleTable(5, 50);
   Rng rng(2);
-  Table released = *OsdpRRRelease(t, MinorsSensitive(), 1.0, rng);
+  Table released =
+      OsdpRRReleaseView(t, MinorsSensitive().NonSensitiveRowMask(t), 1.0, rng)
+          ->Materialize();
   for (size_t r = 0; r < released.num_rows(); ++r) {
     // Every released row exists verbatim in the original table.
     const int64_t id = released.Int64Column(1)[r];
@@ -74,17 +76,37 @@ TEST(OsdpRRTest, EmpiricalReleaseRateMatchesFormula) {
   // fraction below is computed over the non-sensitive rows only.
   Rng rng(3);
   const double eps = 0.5;
-  std::vector<size_t> released = *OsdpRRSelect(t, MinorsSensitive(), eps, rng);
+  const TableView released = *OsdpRRReleaseView(
+      t, MinorsSensitive().NonSensitiveRowMask(t), eps, rng);
   const double rate =
-      static_cast<double>(released.size()) / static_cast<double>(t.num_rows());
+      static_cast<double>(released.num_rows()) /
+      static_cast<double>(t.num_rows());
   EXPECT_NEAR(rate, OsdpRRReleaseProbability(eps), 0.01);
 }
 
 TEST(OsdpRRTest, RejectsNonPositiveEpsilon) {
   Table t = PeopleTable(1, 1);
+  const RowMask ns = MinorsSensitive().NonSensitiveRowMask(t);
   Rng rng(4);
-  EXPECT_FALSE(OsdpRRSelect(t, MinorsSensitive(), 0.0, rng).ok());
-  EXPECT_FALSE(OsdpRRSelect(t, MinorsSensitive(), -1.0, rng).ok());
+  EXPECT_FALSE(OsdpRRReleaseView(t, ns, 0.0, rng).ok());
+  EXPECT_FALSE(OsdpRRReleaseView(t, ns, -1.0, rng).ok());
+}
+
+TEST(OsdpRRTest, GenericRejectsInvalidEpsilonWithoutDrawing) {
+  // The generic form shares the table form's coin loop, ε check included:
+  // NaN, ±inf and non-positive ε are InvalidArgument, and no coin is drawn.
+  const std::vector<int> records = {1, -1, 2, 3};
+  const auto policy =
+      GenericPolicy<int>::SensitiveWhen([](const int& v) { return v < 0; });
+  for (double eps : {0.0, -1.0, std::nan(""),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Rng rng(4), untouched(4);
+    Result<std::vector<size_t>> out =
+        OsdpRRSelectGeneric(records, policy, eps, rng);
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << eps;
+    EXPECT_EQ(rng.Next(), untouched.Next()) << eps;
+  }
 }
 
 TEST(OsdpRRTest, GenericOverTrajLikeRecords) {
@@ -96,10 +118,47 @@ TEST(OsdpRRTest, GenericOverTrajLikeRecords) {
   auto policy = GenericPolicy<Rec>::SensitiveWhen(
       [](const Rec& r) { return r.v < 0; });
   Rng rng(5);
-  std::vector<size_t> out = OsdpRRSelectGeneric(records, policy, 1.0, rng);
+  const std::vector<size_t> out =
+      *OsdpRRSelectGeneric(records, policy, 1.0, rng);
   for (size_t i : out) EXPECT_GT(records[i].v, 0);
   EXPECT_NEAR(static_cast<double>(out.size()) / 500.0,
               OsdpRRReleaseProbability(1.0), 0.08);
+}
+
+// Golden outputs of both OsdpRR entry points for a fixed input and seed.
+// They pin the coin order — one Bernoulli per eligible record, ascending —
+// and the Rng position afterwards (how many draws were made), so any change
+// to the coin loop shows up here as a different sample.
+TEST(OsdpRRTest, GenericGoldenSample) {
+  std::vector<int> records(48);
+  for (int i = 0; i < 48; ++i) records[i] = (i * 7) % 5;
+  const auto policy =
+      GenericPolicy<int>::SensitiveWhen([](const int& v) { return v < 2; });
+  Rng rng(0x5EED);
+  const std::vector<size_t> out =
+      *OsdpRRSelectGeneric(records, policy, 0.9, rng);
+  EXPECT_EQ(out, (std::vector<size_t>{1, 4, 6, 7, 9, 11, 14, 19, 22, 24, 26,
+                                      27, 29, 31, 34, 37, 39, 44}));
+  EXPECT_EQ(rng.Next(), 0xa6d1d4410cb9c231ULL);
+}
+
+TEST(OsdpRRTest, ReleaseViewGoldenSample) {
+  Table t(Schema({{"id", ValueType::kInt64}}));
+  for (int64_t i = 0; i < 130; ++i) OSDP_CHECK(t.AppendRow({Value(i)}).ok());
+  RowMask eligible(130);
+  for (size_t r = 0; r < 130; ++r) {
+    if (r % 3 != 0) eligible.Set(r);
+  }
+  Rng rng(0xC0FFEE);
+  const TableView view = *OsdpRRReleaseView(t, eligible, 0.7, rng);
+  EXPECT_EQ(view.ToIndices(),
+            (std::vector<size_t>{5,   8,   10,  14,  16,  22,  23,  25,  26,
+                                 29,  31,  32,  34,  37,  40,  43,  44,  46,
+                                 47,  49,  50,  52,  56,  58,  59,  61,  62,
+                                 64,  67,  68,  71,  73,  74,  77,  79,  83,
+                                 85,  88,  89,  91,  92,  94,  98,  100, 103,
+                                 107, 109, 113, 124, 127, 128}));
+  EXPECT_EQ(rng.Next(), 0x108684f8673ff0dULL);
 }
 
 TEST(OsdpRRTest, HistogramFormMatchesBinomialMean) {

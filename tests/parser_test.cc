@@ -4,6 +4,7 @@
 
 #include "src/common/check.h"
 #include "src/policy/parser.h"
+#include "tests/reference_predicate.h"
 
 namespace osdp {
 namespace {
@@ -24,76 +25,79 @@ Table TestTable() {
 
 TEST(ParserTest, SimpleComparisons) {
   Table t = TestTable();
-  EXPECT_TRUE(ParsePredicate("age <= 17")->Eval(t, 0));
-  EXPECT_FALSE(ParsePredicate("age <= 17")->Eval(t, 1));
-  EXPECT_TRUE(ParsePredicate("salary > 100000")->Eval(t, 1));
-  EXPECT_TRUE(ParsePredicate("age != 40")->Eval(t, 0));
-  EXPECT_TRUE(ParsePredicate("age = 52")->Eval(t, 2));
-  EXPECT_TRUE(ParsePredicate("age >= 52")->Eval(t, 2));
-  EXPECT_TRUE(ParsePredicate("age < 16")->Eval(t, 0));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("age <= 17"), t, 0));
+  EXPECT_FALSE(ReferenceEval(*ParsePredicate("age <= 17"), t, 1));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("salary > 100000"), t, 1));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("age != 40"), t, 0));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("age = 52"), t, 2));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("age >= 52"), t, 2));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("age < 16"), t, 0));
 }
 
 TEST(ParserTest, StringLiteralsBothQuoteStyles) {
   Table t = TestTable();
-  EXPECT_TRUE(ParsePredicate("race = 'NativeAmerican'")->Eval(t, 2));
-  EXPECT_TRUE(ParsePredicate("race = \"Asian\"")->Eval(t, 1));
+  EXPECT_TRUE(
+      ReferenceEval(*ParsePredicate("race = 'NativeAmerican'"), t, 2));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("race = \"Asian\""), t, 1));
 }
 
 TEST(ParserTest, PaperPolicyExpressions) {
   // The two policy examples from Section 3.1, verbatim in the DSL.
   Table t = TestTable();
-  Policy minors = *ParsePolicy("age <= 17");
-  EXPECT_TRUE(minors.IsSensitive(t, 0));
-  EXPECT_FALSE(minors.IsSensitive(t, 1));
+  const RowMask minors = ParsePolicy("age <= 17")->SensitiveMask(t);
+  EXPECT_TRUE(minors.Test(0));
+  EXPECT_FALSE(minors.Test(1));
 
-  Policy mixed = *ParsePolicy("race = 'NativeAmerican' OR opt_in = 0");
-  EXPECT_FALSE(mixed.IsSensitive(t, 0));
-  EXPECT_FALSE(mixed.IsSensitive(t, 1));
-  EXPECT_TRUE(mixed.IsSensitive(t, 2));
+  const RowMask mixed =
+      ParsePolicy("race = 'NativeAmerican' OR opt_in = 0")->SensitiveMask(t);
+  EXPECT_FALSE(mixed.Test(0));
+  EXPECT_FALSE(mixed.Test(1));
+  EXPECT_TRUE(mixed.Test(2));
 }
 
 TEST(ParserTest, PrecedenceAndParentheses) {
   Table t = TestTable();
   // AND binds tighter than OR.
   auto p = *ParsePredicate("age <= 17 OR age >= 50 AND opt_in = 0");
-  EXPECT_TRUE(p.Eval(t, 0));   // minor
-  EXPECT_TRUE(p.Eval(t, 2));   // 52 and opted out
-  EXPECT_FALSE(p.Eval(t, 1));
+  EXPECT_TRUE(ReferenceEval(p, t, 0));   // minor
+  EXPECT_TRUE(ReferenceEval(p, t, 2));   // 52 and opted out
+  EXPECT_FALSE(ReferenceEval(p, t, 1));
   // Parentheses override.
   auto q = *ParsePredicate("(age <= 17 OR age >= 50) AND opt_in = 0");
-  EXPECT_FALSE(q.Eval(t, 0));  // minor but opted in
-  EXPECT_TRUE(q.Eval(t, 2));
+  EXPECT_FALSE(ReferenceEval(q, t, 0));  // minor but opted in
+  EXPECT_TRUE(ReferenceEval(q, t, 2));
 }
 
 TEST(ParserTest, NotAndConstants) {
   Table t = TestTable();
-  EXPECT_TRUE(ParsePredicate("NOT age <= 17")->Eval(t, 1));
-  EXPECT_TRUE(ParsePredicate("TRUE")->Eval(t, 0));
-  EXPECT_FALSE(ParsePredicate("FALSE")->Eval(t, 0));
-  EXPECT_TRUE(ParsePredicate("NOT FALSE")->Eval(t, 0));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("NOT age <= 17"), t, 1));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("TRUE"), t, 0));
+  EXPECT_FALSE(ReferenceEval(*ParsePredicate("FALSE"), t, 0));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("NOT FALSE"), t, 0));
 }
 
 TEST(ParserTest, InLists) {
   Table t = TestTable();
   auto p = *ParsePredicate("race IN ('Asian', 'Black')");
-  EXPECT_FALSE(p.Eval(t, 0));
-  EXPECT_TRUE(p.Eval(t, 1));
+  EXPECT_FALSE(ReferenceEval(p, t, 0));
+  EXPECT_TRUE(ReferenceEval(p, t, 1));
   auto nums = *ParsePredicate("age IN (15, 52)");
-  EXPECT_TRUE(nums.Eval(t, 0));
-  EXPECT_FALSE(nums.Eval(t, 1));
+  EXPECT_TRUE(ReferenceEval(nums, t, 0));
+  EXPECT_FALSE(ReferenceEval(nums, t, 1));
 }
 
 TEST(ParserTest, CaseInsensitiveKeywords) {
   Table t = TestTable();
-  EXPECT_TRUE(ParsePredicate("age <= 17 or age >= 50")->Eval(t, 2));
-  EXPECT_TRUE(ParsePredicate("not (age = 40)")->Eval(t, 0));
-  EXPECT_TRUE(ParsePredicate("age in (15)")->Eval(t, 0));
+  EXPECT_TRUE(
+      ReferenceEval(*ParsePredicate("age <= 17 or age >= 50"), t, 2));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("not (age = 40)"), t, 0));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("age in (15)"), t, 0));
 }
 
 TEST(ParserTest, FloatsAndNegativeNumbers) {
   Table t = TestTable();
-  EXPECT_TRUE(ParsePredicate("salary >= 0.5")->Eval(t, 1));
-  EXPECT_TRUE(ParsePredicate("salary > -1")->Eval(t, 0));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("salary >= 0.5"), t, 1));
+  EXPECT_TRUE(ReferenceEval(*ParsePredicate("salary > -1"), t, 0));
 }
 
 TEST(ParserTest, ErrorsCarryPositions) {
@@ -125,7 +129,8 @@ TEST(ParserTest, RoundTripThroughPredicateToString) {
   Predicate original = *ParsePredicate(text);
   Predicate reparsed = *ParsePredicate(original.ToString());
   for (size_t r = 0; r < t.num_rows(); ++r) {
-    EXPECT_EQ(original.Eval(t, r), reparsed.Eval(t, r)) << r;
+    EXPECT_EQ(ReferenceEval(original, t, r), ReferenceEval(reparsed, t, r))
+        << r;
   }
 }
 

@@ -43,18 +43,20 @@ Policy OptOutSensitive() {
 TEST(PolicyTest, ClassifiesRows) {
   Table t = PeopleTable();
   Policy p = MinorsSensitive();
-  EXPECT_TRUE(p.IsSensitive(t, 0));
-  EXPECT_FALSE(p.IsSensitive(t, 1));
-  EXPECT_TRUE(p.IsNonSensitive(t, 2));
-  EXPECT_TRUE(p.IsSensitive(t, 3));
+  const RowMask sensitive = p.SensitiveMask(t);
+  EXPECT_TRUE(sensitive.Test(0));
+  EXPECT_FALSE(sensitive.Test(1));
+  EXPECT_TRUE(p.NonSensitiveRowMask(t).Test(2));
+  EXPECT_TRUE(sensitive.Test(3));
 }
 
 TEST(PolicyTest, PaperEvalConvention) {
-  // P(r) = 0 for sensitive, 1 for non-sensitive (Definition 3.1).
+  // P(r) = 0 for sensitive, 1 for non-sensitive (Definition 3.1): the
+  // non-sensitive mask is P evaluated on every row.
   Table t = PeopleTable();
-  Policy p = MinorsSensitive();
-  EXPECT_EQ(p.Eval(t.schema(), t.GetRow(0)), 0);
-  EXPECT_EQ(p.Eval(t.schema(), t.GetRow(1)), 1);
+  const RowMask p_of_r = MinorsSensitive().NonSensitiveRowMask(t);
+  EXPECT_EQ(p_of_r.Test(0), 0);
+  EXPECT_EQ(p_of_r.Test(1), 1);
 }
 
 TEST(PolicyTest, MaskAndFraction) {
@@ -85,19 +87,17 @@ TEST(PolicyTest, MinimumRelaxationSensitiveIffBoth) {
   Table t = PeopleTable();
   Policy mr = Policy::MinimumRelaxation(MinorsSensitive(), OptOutSensitive());
   // Row 0: minor but opted in → sensitive under P1 only → non-sensitive.
-  EXPECT_FALSE(mr.IsSensitive(t, 0));
+  EXPECT_FALSE(mr.SensitiveMask(t).Test(0));
   // Row 3: minor AND opted out → sensitive under both → sensitive.
-  EXPECT_TRUE(mr.IsSensitive(t, 3));
-  EXPECT_FALSE(mr.IsSensitive(t, 1));
-  EXPECT_FALSE(mr.IsSensitive(t, 2));
+  EXPECT_TRUE(mr.SensitiveMask(t).Test(3));
+  EXPECT_FALSE(mr.SensitiveMask(t).Test(1));
+  EXPECT_FALSE(mr.SensitiveMask(t).Test(2));
 }
 
 TEST(PolicyTest, MinimumRelaxationOfIdenticalPoliciesIsIdentity) {
   Table t = PeopleTable();
   Policy mr = Policy::MinimumRelaxation(MinorsSensitive(), MinorsSensitive());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    EXPECT_EQ(mr.IsSensitive(t, r), MinorsSensitive().IsSensitive(t, r));
-  }
+  EXPECT_EQ(mr.SensitiveMask(t), MinorsSensitive().SensitiveMask(t));
 }
 
 TEST(PolicyTest, MinimumRelaxationVector) {
@@ -105,8 +105,8 @@ TEST(PolicyTest, MinimumRelaxationVector) {
   Policy mr = Policy::MinimumRelaxation(
       {MinorsSensitive(), OptOutSensitive(), Policy::AllSensitive()});
   // AllSensitive contributes nothing extra: sensitive iff sensitive under all.
-  EXPECT_TRUE(mr.IsSensitive(t, 3));
-  EXPECT_FALSE(mr.IsSensitive(t, 0));
+  EXPECT_TRUE(mr.SensitiveMask(t).Test(3));
+  EXPECT_FALSE(mr.SensitiveMask(t).Test(0));
 }
 
 TEST(PolicyTest, RelaxationOrderOnTable) {
@@ -357,9 +357,7 @@ TEST(CompositionTest, SequentialSumsEpsilons) {
   // The composed policy equals the pairwise minimum relaxation.
   Policy expected =
       Policy::MinimumRelaxation(MinorsSensitive(), OptOutSensitive());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    EXPECT_EQ(g.policy.IsSensitive(t, r), expected.IsSensitive(t, r));
-  }
+  EXPECT_EQ(g.policy.SensitiveMask(t), expected.SensitiveMask(t));
 }
 
 TEST(CompositionTest, ParallelTakesMax) {
@@ -407,9 +405,7 @@ TEST(CompositionTest, LedgerKeepsEachPolicyOnce) {
   EXPECT_EQ(g.policy.name(), "mr(P_minors, P_optout)");
   const Policy expected = Policy::MinimumRelaxation(minors, optout);
   Table t = PeopleTable();
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    EXPECT_EQ(g.policy.IsSensitive(t, r), expected.IsSensitive(t, r));
-  }
+  EXPECT_EQ(g.policy.SensitiveMask(t), expected.SensitiveMask(t));
   EXPECT_EQ(ledger.Parallel()->epsilon, 0.4);
 }
 

@@ -355,10 +355,8 @@ TEST(QueryServiceSerialTest, SampleChargesBothBudgetsAndHoldsOnlyNonSensitive) {
   const TableView& sample = *answer.sample;
   EXPECT_GT(sample.num_rows(), 0u);
   EXPECT_EQ(sample.snapshot(), s.service().current_snapshot());
-  const Policy policy = TestPolicy();
-  sample.ForEachRow([&](size_t row) {
-    EXPECT_TRUE(policy.IsNonSensitive(sample.table(), row)) << "row " << row;
-  });
+  EXPECT_TRUE(sample.mask().IsSubsetOf(
+      TestPolicy().NonSensitiveRowMask(sample.table())));
 }
 
 TEST(QueryServiceSerialTest, ExhaustedBudgetRefusesSamplesAndHistograms) {
@@ -432,7 +430,8 @@ TEST(QueryServiceSerialTest, SampleReplaysFromQuerySeedAcrossAnIngest) {
     const Table& table = generations[answer->generation];
     Rng rng(QueryService::QuerySeed(QueryService::Options{}.seed, s.session(),
                                     answer->seq, answer->generation));
-    const TableView expected = *OsdpRRReleaseView(table, policy, kEps, rng);
+    const TableView expected = *OsdpRRReleaseView(
+        table, policy.NonSensitiveRowMask(table), kEps, rng);
     // The sample still reads its own generation after the ingest.
     EXPECT_EQ(answer->sample->snapshot()->generation, answer->generation);
     EXPECT_EQ(answer->sample->table().num_rows(), table.num_rows());
@@ -568,7 +567,9 @@ TEST(QueryServiceConcurrencyTest, PooledSamplesMatchTheirSerialReplay) {
     Rng rng(QueryService::QuerySeed(opts.seed, session, result->seq,
                                     result->generation));
     EXPECT_EQ(result->sample->ToIndices(),
-              OsdpRRReleaseView(table, policy, kEps, rng)->ToIndices())
+              OsdpRRReleaseView(table, policy.NonSensitiveRowMask(table),
+                                kEps, rng)
+                  ->ToIndices())
         << "seq " << result->seq;
   }
   EXPECT_EQ(service->ledger().size(), batch.size());
