@@ -1,32 +1,73 @@
 // Shared scaffolding for the experiment binaries: canonical simulation
 // configs, policy grids, and environment-variable knobs so every bench
-// regenerates its paper artefact with consistent inputs.
+// regenerates its paper artefact with consistent inputs; and the toolkit of
+// the systems microbenches — timing, the shared census policy and DAWA
+// input, strict size and thread-list knobs, and the JSON artefact writer
+// whose header every BENCH_*.json opens with.
 
 #ifndef OSDP_BENCH_BENCH_COMMON_H_
 #define OSDP_BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
+#include <cctype>
+#include <chrono>
 #include <climits>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/env.h"
+#include "src/common/random.h"
+#include "src/data/predicate.h"
+#include "src/policy/policy.h"
 #include "src/traj/ap_policy.h"
 #include "src/traj/building_sim.h"
 
 namespace osdp {
 namespace bench {
 
-/// \brief Repetition count, overridable via OSDP_BENCH_REPS. Strict parse
+/// \brief A positive size knob read from env var `name`. Strict parse
 /// (src/common/env.h): unset, unparsable ("7junk", "garbage"), or
 /// non-positive values all yield `fallback` — a typo must not silently run a
-/// different experiment.
-inline int Reps(int fallback) {
+/// different experiment, or none at all.
+inline size_t EnvSize(const char* name, size_t fallback) {
   long long v = 0;
-  if (!ParseInt64Strict(std::getenv("OSDP_BENCH_REPS"), &v)) return fallback;
-  return (v > 0 && v <= INT_MAX) ? static_cast<int>(v) : fallback;
+  if (!ParseInt64Strict(std::getenv(name), &v) || v <= 0) return fallback;
+  return static_cast<size_t>(v);
+}
+
+/// \brief EnvSize for an int-typed knob; values past INT_MAX also yield
+/// `fallback`.
+inline int EnvInt(const char* name, int fallback) {
+  const size_t v = EnvSize(name, static_cast<size_t>(fallback));
+  return v <= static_cast<size_t>(INT_MAX) ? static_cast<int>(v) : fallback;
+}
+
+/// \brief Repetition count, overridable via OSDP_BENCH_REPS (EnvInt).
+inline int Reps(int fallback) { return EnvInt("OSDP_BENCH_REPS", fallback); }
+
+/// \brief The worker-count grid from OSDP_BENCH_THREADS, a comma-separated
+/// list such as "1,2,4" (0 = inline pool). Every token is parsed strictly; an
+/// unset or empty list, an empty, unparsable or negative token yields the
+/// whole `fallback` grid.
+inline std::vector<size_t> ThreadGrid(std::vector<size_t> fallback) {
+  const char* env = std::getenv("OSDP_BENCH_THREADS");
+  if (env == nullptr) return fallback;
+  std::vector<size_t> out;
+  const std::string s = env;
+  for (size_t pos = 0; pos <= s.size();) {
+    const size_t comma = std::min(s.find(',', pos), s.size());
+    long long v = 0;
+    if (!ParseInt64Strict(s.substr(pos, comma - pos).c_str(), &v) || v < 0) {
+      return fallback;
+    }
+    out.push_back(static_cast<size_t>(v));
+    pos = comma + 1;
+  }
+  return out;
 }
 
 /// \brief A non-negative double knob (overhead gates, ratios) read from env
@@ -59,9 +100,10 @@ inline double Median(std::vector<double> vals) {
   return Percentile(std::move(vals), 50.0);
 }
 
-/// The standard latency trio + count, computed in one pass over a sample
-/// vector. Feed it per-query durations (e.g. ServiceAnswer's
-/// server_duration_micros) and report/record the fields directly.
+/// The standard latency trio + count and max: nearest-rank Percentile of a
+/// sample vector at 50/95/99/100. Feed it per-query durations (e.g.
+/// ServiceAnswer's server_duration_micros) and report/record the fields
+/// directly.
 struct LatencyStats {
   size_t count = 0;
   double p50 = 0.0;
@@ -70,25 +112,150 @@ struct LatencyStats {
   double max = 0.0;
 };
 
-inline LatencyStats SummarizeLatencies(std::vector<double> vals) {
-  LatencyStats s;
-  s.count = vals.size();
-  if (vals.empty()) return s;
-  std::sort(vals.begin(), vals.end());
-  auto at = [&](double p) {
-    const double exact = p / 100.0 * static_cast<double>(vals.size());
-    size_t rank = static_cast<size_t>(exact);
-    if (static_cast<double>(rank) < exact) ++rank;
-    if (rank < 1) rank = 1;
-    if (rank > vals.size()) rank = vals.size();
-    return vals[rank - 1];
-  };
-  s.p50 = at(50.0);
-  s.p95 = at(95.0);
-  s.p99 = at(99.0);
-  s.max = vals.back();
-  return s;
+inline LatencyStats SummarizeLatencies(const std::vector<double>& vals) {
+  return {vals.size(), Percentile(vals, 50.0), Percentile(vals, 95.0),
+          Percentile(vals, 99.0), Percentile(vals, 100.0)};
 }
+
+/// Monotonic wall-clock seconds, for differences only.
+inline double NowSec() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Best (minimum) seconds of `reps` timed calls of `fn`.
+template <typename Fn>
+double BestOf(int reps, const Fn& fn) {
+  double best = 1e300;
+  for (int i = 0; i < reps; ++i) {
+    const double t0 = NowSec();
+    fn();
+    best = std::min(best, NowSec() - t0);
+  }
+  return best;
+}
+
+/// One untimed warmup call of `fn`, then BestOf(reps, fn).
+template <typename Fn>
+double TimeBest(int reps, const Fn& fn) {
+  fn();
+  return BestOf(reps, fn);
+}
+
+/// The policy of every census-table systems bench: a row is sensitive when
+/// it opted out or is a minor.
+inline Policy BenchPolicy() {
+  return Policy::SensitiveWhen(
+      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
+                    Predicate::Lt("age", Value(18))),
+      "bench_policy");
+}
+
+/// Spiky integer-valued histogram (Adult-like) of the DAWA benches: sparse
+/// large counts over zeros. Integer values keep both interval-cost
+/// implementations exactly comparable.
+inline std::vector<double> SpikyData(size_t d, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> x(d);
+  for (auto& v : x) {
+    v = rng.NextBernoulli(0.1)
+            ? static_cast<double>(rng.NextBounded(1 << 20))
+            : 0.0;
+  }
+  return x;
+}
+
+/// The build type as the compiler saw it: the root CMakeLists.txt builds
+/// Release as -O2 -DNDEBUG.
+inline const char* BuildType() {
+#if defined(__OPTIMIZE__) && defined(NDEBUG)
+  return "Release";
+#elif defined(__OPTIMIZE__)
+  return "optimized, assertions on";
+#else
+  return "Debug";
+#endif
+}
+
+/// `git rev-parse --short HEAD` in the working directory, or "unknown".
+inline std::string GitCommit() {
+  std::string out;
+  if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
+    char buf[64];
+    while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
+    if (pclose(p) != 0) out.clear();
+  }
+  while (!out.empty() && std::isspace(static_cast<unsigned char>(out.back()))) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
+/// \brief The JSON artefact of a systems microbench, written to
+/// OSDP_BENCH_JSON or `default_path`. The constructor writes the header
+/// every BENCH_*.json opens with:
+///
+///   {"bench": …, "hardware_concurrency": …, "build_type": …, "commit": …,
+///
+/// The bench then prints its own top-level keys to file(), one per line,
+/// each ending in ",\n" — or ends with Records() — and Close() writes the
+/// closing brace.
+class BenchJson {
+ public:
+  BenchJson(const char* bench, const char* default_path) {
+    const char* env = std::getenv("OSDP_BENCH_JSON");
+    path_ = env != nullptr ? env : default_path;
+    f_ = std::fopen(path_.c_str(), "w");
+    if (f_ == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", path_.c_str());
+      return;
+    }
+    std::fprintf(f_,
+                 "{\n  \"bench\": \"%s\",\n  \"hardware_concurrency\": %u,\n"
+                 "  \"build_type\": \"%s\",\n  \"commit\": \"%s\",\n",
+                 bench, std::thread::hardware_concurrency(), BuildType(),
+                 GitCommit().c_str());
+  }
+  ~BenchJson() {
+    if (f_ != nullptr) std::fclose(f_);
+  }
+  BenchJson(const BenchJson&) = delete;
+  BenchJson& operator=(const BenchJson&) = delete;
+
+  /// False, after a message on stderr, when the file could not be opened.
+  bool ok() const { return f_ != nullptr; }
+  FILE* file() const { return f_; }
+  const std::string& path() const { return path_; }
+
+  /// Writes the last top-level key: `"key": [` and one record per item, each
+  /// printed by `write(FILE*, const T&)` on its own line.
+  template <typename T, typename Fn>
+  void Records(const char* key, const std::vector<T>& items, const Fn& write) {
+    std::fprintf(f_, "  \"%s\": [\n", key);
+    for (size_t i = 0; i < items.size(); ++i) {
+      std::fputs("    ", f_);
+      write(f_, items[i]);
+      std::fputs(i + 1 < items.size() ? ",\n" : "\n", f_);
+    }
+    std::fputs("  ]\n", f_);
+  }
+
+  /// Writes the closing brace and closes the file; false on a write error.
+  bool Close() {
+    const bool written = std::fputs("}\n", f_) >= 0;
+    const bool closed = std::fclose(f_) == 0;
+    f_ = nullptr;
+    if (!written || !closed) {
+      std::fprintf(stderr, "cannot write %s\n", path_.c_str());
+    }
+    return written && closed;
+  }
+
+ private:
+  std::string path_;
+  FILE* f_ = nullptr;
+};
 
 /// The canonical scaled-down TIPPERS simulation shared by the trajectory
 /// benches (paper: 585K trajectories / 16K users over 9 months — we default
@@ -96,10 +263,8 @@ inline LatencyStats SummarizeLatencies(std::vector<double> vals) {
 inline const TrajectoryDataset& Tippers() {
   static const TrajectoryDataset kSim = [] {
     BuildingSimConfig cfg;
-    const char* users = std::getenv("OSDP_BENCH_USERS");
-    const char* days = std::getenv("OSDP_BENCH_DAYS");
-    cfg.num_users = users ? std::atoi(users) : 600;
-    cfg.num_days = days ? std::atoi(days) : 40;
+    cfg.num_users = EnvInt("OSDP_BENCH_USERS", 600);
+    cfg.num_days = EnvInt("OSDP_BENCH_DAYS", 40);
     // Mirror the paper's class imbalance: residents are a small share of the
     // population (381 of 16K users; ~8% of daily trajectories).
     cfg.resident_fraction = 0.12;

@@ -14,38 +14,17 @@
 //                           beyond that the O(d²) scan takes minutes)
 //   OSDP_BENCH_JSON         output path (default BENCH_dawa.json)
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "src/common/random.h"
+#include "bench/bench_common.h"
 #include "src/eval/table_printer.h"
 #include "src/mech/dawa.h"
 
 using namespace osdp;
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Spiky integer-valued histogram (Adult-like): sparse large counts over
-// zeros. Integer values keep both cost implementations exactly comparable.
-std::vector<double> SpikyData(size_t d, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> x(d);
-  for (auto& v : x) {
-    v = rng.NextBernoulli(0.1)
-            ? static_cast<double>(rng.NextBounded(1 << 20))
-            : 0.0;
-  }
-  return x;
-}
 
 struct Measurement {
   size_t d;
@@ -63,12 +42,8 @@ const char* PosName(DawaPositions p) {
 }  // namespace
 
 int main() {
-  const char* max_d_env = std::getenv("OSDP_BENCH_MAX_D");
-  const size_t max_d =
-      max_d_env ? static_cast<size_t>(std::atoll(max_d_env)) : 262144;
-  const char* max_naive_env = std::getenv("OSDP_BENCH_MAX_NAIVE_D");
-  const size_t max_naive_d =
-      max_naive_env ? static_cast<size_t>(std::atoll(max_naive_env)) : 65536;
+  const size_t max_d = bench::EnvSize("OSDP_BENCH_MAX_D", 262144);
+  const size_t max_naive_d = bench::EnvSize("OSDP_BENCH_MAX_NAIVE_D", 65536);
 
   std::vector<size_t> domains;
   for (size_t d = 256; d <= 262144; d *= 4) {
@@ -85,7 +60,7 @@ int main() {
               max_d, max_naive_d);
 
   for (size_t d : domains) {
-    const std::vector<double> x = SpikyData(d, 0xDA3A + d);
+    const std::vector<double> x = bench::SpikyData(d, 0xDA3A + d);
     const int reps = d <= 4096 ? 5 : (d <= 65536 ? 2 : 1);
 
     for (DawaPositions pos :
@@ -104,12 +79,9 @@ int main() {
                       d, PosName(pos), impl_names[i]);
           continue;
         }
-        double best = 1e300;
-        for (int rep = 0; rep < reps; ++rep) {
-          const double t0 = NowSec();
+        const double best = bench::BestOf(reps, [&] {
           solutions[i] = SolveL1Partition(x, bucket_charge, pos, impls[i]);
-          best = std::min(best, NowSec() - t0);
-        }
+        });
         ran[i] = true;
         results.push_back({d, PosName(pos), impl_names[i], best,
                            solutions[i].cost, solutions[i].buckets.size()});
@@ -166,28 +138,19 @@ int main() {
               all_identical ? "all naive/engine cells bit-identical"
                             : "MISMATCH DETECTED");
 
-  // JSON artefact.
-  const char* json_env = std::getenv("OSDP_BENCH_JSON");
-  const std::string json_path = json_env ? json_env : "BENCH_dawa.json";
-  FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"dawa_partition\",\n");
-  std::fprintf(f, "  \"bit_identical\": %s,\n", all_identical ? "true" : "false");
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Measurement& m = results[i];
+  bench::BenchJson json("dawa_partition", "BENCH_dawa.json");
+  if (!json.ok()) return 1;
+  std::fprintf(json.file(), "  \"bit_identical\": %s,\n",
+               all_identical ? "true" : "false");
+  json.Records("results", results, [](FILE* f, const Measurement& m) {
     std::fprintf(f,
-                 "    {\"d\": %zu, \"positions\": \"%s\", \"impl\": \"%s\", "
-                 "\"sec_per_solve\": %.6g, \"cost\": %.17g, \"buckets\": %zu}%s\n",
+                 "{\"d\": %zu, \"positions\": \"%s\", \"impl\": \"%s\", "
+                 "\"sec_per_solve\": %.6g, \"cost\": %.17g, \"buckets\": %zu}",
                  m.d, m.positions.c_str(), m.impl.c_str(), m.sec_per_solve,
-                 m.cost, m.buckets, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu measurements)\n", json_path.c_str(),
+                 m.cost, m.buckets);
+  });
+  if (!json.Close()) return 1;
+  std::printf("wrote %s (%zu measurements)\n", json.path().c_str(),
               results.size());
   return all_identical ? 0 : 2;
 }

@@ -34,7 +34,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -60,19 +59,6 @@ using namespace osdp;
 
 namespace {
 
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-Policy BenchPolicy() {
-  return Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "bench_policy");
-}
-
 // The fault catalog (docs/robustness.md), round-robin; nullptr = baseline
 // round with the registry quiet.
 struct FaultSpec {
@@ -94,6 +80,7 @@ constexpr size_t kFaultScheduleSize =
     sizeof(kFaultSchedule) / sizeof(kFaultSchedule[0]);
 
 struct RoundStats {
+  size_t round = 0;
   const char* fault = "none";
   size_t submitted = 0;
   size_t delivered = 0;
@@ -121,15 +108,9 @@ void Violation(const char* what, size_t round, const std::string& detail) {
 }  // namespace
 
 int main() {
-  const char* rounds_env = std::getenv("OSDP_BENCH_SOAK_ROUNDS");
-  const size_t rounds =
-      rounds_env ? static_cast<size_t>(std::atoll(rounds_env)) : 16;
-  const char* rows_env = std::getenv("OSDP_BENCH_MAX_ROWS");
-  const size_t seed_rows =
-      rows_env ? static_cast<size_t>(std::atoll(rows_env)) : 20000;
-  const char* readers_env = std::getenv("OSDP_BENCH_SOAK_READERS");
-  const int num_readers =
-      readers_env ? static_cast<int>(std::atoll(readers_env)) : 4;
+  const size_t rounds = bench::EnvSize("OSDP_BENCH_SOAK_ROUNDS", 16);
+  const size_t seed_rows = bench::EnvSize("OSDP_BENCH_MAX_ROWS", 20000);
+  const int num_readers = bench::EnvInt("OSDP_BENCH_SOAK_READERS", 4);
 
   constexpr int kBatchesPerReader = 10;
   constexpr size_t kQueriesPerBatch = 2;
@@ -138,7 +119,7 @@ int main() {
   constexpr double kEps = 0.001;
   constexpr uint64_t kRootSeed = 0x50AC;
   const Domain1D age_domain = *Domain1D::Numeric(0, 100, 16);
-  const Policy policy = BenchPolicy();
+  const Policy policy = bench::BenchPolicy();
 
   std::printf("=== fault soak: %zu rounds, %d readers, %zu seed rows ===\n\n",
               rounds, num_readers, seed_rows);
@@ -169,6 +150,7 @@ int main() {
   for (size_t round = 0; round < rounds; ++round) {
     const FaultSpec& spec = kFaultSchedule[round % kFaultScheduleSize];
     RoundStats rs;
+    rs.round = round;
     rs.fault = spec.point == nullptr ? "none" : spec.point;
 
     CensusTableOptions topts;
@@ -210,7 +192,7 @@ int main() {
       FaultRegistry::Global().Arm(spec.point, spec.schedule);
     }
     CancelToken round_token;
-    const double t0 = NowSec();
+    const double t0 = bench::NowSec();
 
     std::thread writer([&] {
       for (int g = 0; g < kIngests; ++g) {
@@ -317,7 +299,7 @@ int main() {
       delivered_us[s].push_back(result->server_duration_micros);
       delivered_eps[s] += kEps;
     }
-    rs.seconds = NowSec() - t0;
+    rs.seconds = bench::NowSec() - t0;
 
     if (unclassified_failure.load()) {
       Violation("UNCLASSIFIED FAILURE", round,
@@ -429,7 +411,7 @@ int main() {
       round_latencies.insert(round_latencies.end(), per_reader.begin(),
                              per_reader.end());
     }
-    rs.lat = bench::SummarizeLatencies(std::move(round_latencies));
+    rs.lat = bench::SummarizeLatencies(round_latencies);
     stats.push_back(rs);
   }
 
@@ -449,35 +431,24 @@ int main() {
   }
   std::printf("%s\n", text.ToString().c_str());
 
-  const char* json_env = std::getenv("OSDP_BENCH_JSON");
-  const std::string json_path = json_env ? json_env : "BENCH_fault_soak.json";
-  FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"fault_soak\",\n"
-               "  \"hardware_concurrency\": %u,\n  \"violations\": %d,\n"
-               "  \"rounds\": [\n",
-               std::thread::hardware_concurrency(), g_violations);
-  for (size_t i = 0; i < stats.size(); ++i) {
-    const RoundStats& rs = stats[i];
+  bench::BenchJson json("fault_soak", "BENCH_fault_soak.json");
+  if (!json.ok()) return 1;
+  std::fprintf(json.file(), "  \"violations\": %d,\n", g_violations);
+  json.Records("rounds", stats, [](FILE* f, const RoundStats& rs) {
     std::fprintf(
         f,
-        "    {\"round\": %zu, \"fault\": \"%s\", \"submitted\": %zu, "
+        "{\"round\": %zu, \"fault\": \"%s\", \"submitted\": %zu, "
         "\"delivered\": %zu, \"shed\": %zu, \"deadline\": %zu, "
         "\"cancelled\": %zu, \"injected\": %zu, \"fires\": %llu, "
         "\"replayed\": %zu, \"seconds\": %.6f, \"query_p50_us\": %.3f, "
         "\"query_p95_us\": %.3f, \"query_p99_us\": %.3f, "
-        "\"query_max_us\": %.3f}%s\n",
-        i, rs.fault, rs.submitted, rs.delivered, rs.rejected, rs.deadline,
-        rs.cancelled, rs.injected, static_cast<unsigned long long>(rs.fires),
-        rs.replayed, rs.seconds, rs.lat.p50, rs.lat.p95, rs.lat.p99,
-        rs.lat.max, i + 1 < stats.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+        "\"query_max_us\": %.3f}",
+        rs.round, rs.fault, rs.submitted, rs.delivered, rs.rejected,
+        rs.deadline, rs.cancelled, rs.injected,
+        static_cast<unsigned long long>(rs.fires), rs.replayed, rs.seconds,
+        rs.lat.p50, rs.lat.p95, rs.lat.p99, rs.lat.max);
+  });
+  if (!json.Close()) return 1;
 
   if (g_violations > 0) {
     std::fprintf(stderr, "\nFAULT SOAK FAILED: %d invariant violation(s)\n",
@@ -485,6 +456,6 @@ int main() {
     return 1;
   }
   std::printf("wrote %s (%zu rounds); all invariants held\n",
-              json_path.c_str(), stats.size());
+              json.path().c_str(), stats.size());
   return 0;
 }

@@ -35,7 +35,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -56,21 +55,10 @@
 #include "src/runtime/thread_pool.h"
 
 using namespace osdp;
+using bench::BenchPolicy;
+using bench::NowSec;
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-Policy BenchPolicy() {
-  return Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "bench_policy");
-}
 
 Table CensusRows(size_t rows, uint64_t seed) {
   CensusTableOptions opts;
@@ -125,12 +113,8 @@ bool SnapshotMatchesRebuild(const Snapshot& snapshot, size_t batch_rows,
 }  // namespace
 
 int main() {
-  const char* max_rows_env = std::getenv("OSDP_BENCH_MAX_ROWS");
-  const size_t max_rows =
-      max_rows_env ? static_cast<size_t>(std::atoll(max_rows_env)) : 1000000;
-  const char* threads_env = std::getenv("OSDP_BENCH_THREADS");
-  const size_t mixed_threads =
-      threads_env ? static_cast<size_t>(std::atoll(threads_env)) : 2;
+  const size_t max_rows = bench::EnvSize("OSDP_BENCH_MAX_ROWS", 1000000);
+  const size_t mixed_threads = bench::EnvSize("OSDP_BENCH_THREADS", 2);
 
   const double max_publish_overhead =
       bench::EnvGate("OSDP_BENCH_MAX_PUBLISH_OVERHEAD", 1.5);
@@ -324,8 +308,7 @@ int main() {
       all_latencies.insert(all_latencies.end(), per_session.begin(),
                            per_session.end());
     }
-    const bench::LatencyStats lat =
-        bench::SummarizeLatencies(std::move(all_latencies));
+    const bench::LatencyStats lat = bench::SummarizeLatencies(all_latencies);
 
     const size_t ingested = batches * kMixedBatchRows;
     results.push_back({"mixed", kMixedBatchRows, ingested, batches, queries,
@@ -343,36 +326,23 @@ int main() {
         lat.max);
   }
 
-  // JSON artefact.
-  const char* json_env = std::getenv("OSDP_BENCH_JSON");
-  const std::string json_path = json_env ? json_env : "BENCH_ingest.json";
-  FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"ingest\",\n"
-               "  \"hardware_concurrency\": %u,\n  \"results\": [\n",
-               std::thread::hardware_concurrency());
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Measurement& m = results[i];
+  bench::BenchJson json("ingest", "BENCH_ingest.json");
+  if (!json.ok()) return 1;
+  json.Records("results", results, [](FILE* f, const Measurement& m) {
     std::fprintf(
         f,
-        "    {\"op\": \"%s\", \"batch_rows\": %zu, \"total_rows\": %zu, "
+        "{\"op\": \"%s\", \"batch_rows\": %zu, \"total_rows\": %zu, "
         "\"generations\": %zu, \"queries\": %zu, \"sec\": %.6g, "
         "\"rows_per_sec\": %.6g, \"queries_per_sec\": %.6g, "
         "\"publish_overhead\": %.6g, \"query_p50_us\": %.3f, "
         "\"query_p95_us\": %.3f, \"query_p99_us\": %.3f, "
-        "\"query_max_us\": %.3f}%s\n",
+        "\"query_max_us\": %.3f}",
         m.op.c_str(), m.batch_rows, m.total_rows, m.generations, m.queries,
         m.sec, m.rows_per_sec, m.queries_per_sec, m.publish_overhead,
-        m.query_lat.p50, m.query_lat.p95, m.query_lat.p99, m.query_lat.max,
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu measurements)\n", json_path.c_str(),
+        m.query_lat.p50, m.query_lat.p95, m.query_lat.p99, m.query_lat.max);
+  });
+  if (!json.Close()) return 1;
+  std::printf("wrote %s (%zu measurements)\n", json.path().c_str(),
               results.size());
   return 0;
 }

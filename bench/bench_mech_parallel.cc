@@ -21,16 +21,13 @@
 //   OSDP_BENCH_REPS     repetitions per cell (best-of; default scales with d)
 //   OSDP_BENCH_JSON     output path (default BENCH_mech_parallel.json)
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/common/env.h"
 #include "src/common/random.h"
 #include "src/eval/table_printer.h"
 #include "src/hist/histogram.h"
@@ -40,27 +37,9 @@
 #include "src/runtime/thread_pool.h"
 
 using namespace osdp;
+using bench::BestOf;
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Spiky integer-valued histogram (Adult-like), same generator as
-// bench_dawa_partition so the serial columns line up across benches.
-std::vector<double> SpikyData(size_t d, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> x(d);
-  for (auto& v : x) {
-    v = rng.NextBernoulli(0.1)
-            ? static_cast<double>(rng.NextBounded(1 << 20))
-            : 0.0;
-  }
-  return x;
-}
 
 struct Measurement {
   std::string op;  // engine_build | dawa_solve | hier_release
@@ -68,25 +47,6 @@ struct Measurement {
   long long threads;  // -1 = serial reference (no pool)
   double sec;
 };
-
-std::vector<long long> ParseThreadGrid(const char* env) {
-  const std::vector<long long> fallback = {1, 2, 4};
-  if (env == nullptr) return fallback;
-  std::vector<long long> out;
-  const std::string s = env;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    const size_t comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? s.npos : comma - pos);
-    long long v = 0;
-    if (!ParseInt64Strict(tok.c_str(), &v) || v < 0) return fallback;
-    out.push_back(v);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out.empty() ? fallback : out;
-}
 
 // Full-table comparison of two engines over every level and start position.
 bool EnginesIdentical(const IntervalCostEngine& a, const IntervalCostEngine& b,
@@ -114,14 +74,10 @@ bool SolutionsIdentical(const L1PartitionSolution& a,
 }  // namespace
 
 int main() {
-  const char* max_d_env = std::getenv("OSDP_BENCH_MAX_D");
-  long long max_d_parsed = 0;
-  const size_t max_d = ParseInt64Strict(max_d_env, &max_d_parsed) &&
-                               max_d_parsed > 0
-                           ? static_cast<size_t>(max_d_parsed)
-                           : 262144;
-  const std::vector<long long> thread_grid =
-      ParseThreadGrid(std::getenv("OSDP_BENCH_THREADS"));
+  const size_t max_d = bench::EnvSize("OSDP_BENCH_MAX_D", 262144);
+  const std::vector<size_t> pool_sizes = bench::ThreadGrid({1, 2, 4});
+  const std::vector<long long> thread_grid(pool_sizes.begin(),
+                                          pool_sizes.end());
 
   std::vector<size_t> domains;
   for (size_t d = 4096; d <= 262144; d *= 4) {
@@ -130,8 +86,8 @@ int main() {
   if (domains.empty()) domains.push_back(max_d);
 
   std::vector<std::unique_ptr<ThreadPool>> pools;
-  for (long long t : thread_grid) {
-    pools.push_back(std::make_unique<ThreadPool>(static_cast<size_t>(t)));
+  for (size_t t : pool_sizes) {
+    pools.push_back(std::make_unique<ThreadPool>(t));
   }
 
   const double bucket_charge = 8.0;
@@ -143,26 +99,20 @@ int main() {
               max_d, std::thread::hardware_concurrency());
 
   for (size_t d : domains) {
-    const std::vector<double> x = SpikyData(d, 0xDA3A + d);
+    const std::vector<double> x = bench::SpikyData(d, 0xDA3A + d);
     const int reps = bench::Reps(d <= 16384 ? 5 : (d <= 65536 ? 3 : 2));
 
     // --- interval-cost engine build: serial reference, then the grid. ---
-    double serial_build = 1e300;
     std::unique_ptr<IntervalCostEngine> serial_engine;
-    for (int rep = 0; rep < reps; ++rep) {
-      const double t0 = NowSec();
+    const double serial_build = BestOf(reps, [&] {
       serial_engine = std::make_unique<IntervalCostEngine>(x);
-      serial_build = std::min(serial_build, NowSec() - t0);
-    }
+    });
     results.push_back({"engine_build", d, -1, serial_build});
     for (size_t p = 0; p < pools.size(); ++p) {
-      double best = 1e300;
       std::unique_ptr<IntervalCostEngine> parallel_engine;
-      for (int rep = 0; rep < reps; ++rep) {
-        const double t0 = NowSec();
+      const double best = BestOf(reps, [&] {
         parallel_engine = std::make_unique<IntervalCostEngine>(x, pools[p].get());
-        best = std::min(best, NowSec() - t0);
-      }
+      });
       results.push_back({"engine_build", d, thread_grid[p], best});
       if (!EnginesIdentical(*serial_engine, *parallel_engine, d)) {
         std::printf("MISMATCH: engine build diverged at d=%zu threads=%lld\n",
@@ -172,26 +122,20 @@ int main() {
     }
 
     // --- end-to-end partition solve (build + DP). ---
-    double serial_solve = 1e300;
     L1PartitionSolution serial_solution;
-    for (int rep = 0; rep < reps; ++rep) {
-      const double t0 = NowSec();
+    const double serial_solve = BestOf(reps, [&] {
       serial_solution = SolveL1Partition(x, bucket_charge,
                                          DawaPositions::kEvery,
                                          DawaCostImpl::kEngine);
-      serial_solve = std::min(serial_solve, NowSec() - t0);
-    }
+    });
     results.push_back({"dawa_solve", d, -1, serial_solve});
     for (size_t p = 0; p < pools.size(); ++p) {
-      double best = 1e300;
       L1PartitionSolution parallel_solution;
-      for (int rep = 0; rep < reps; ++rep) {
-        const double t0 = NowSec();
+      const double best = BestOf(reps, [&] {
         parallel_solution =
             SolveL1Partition(x, bucket_charge, DawaPositions::kEvery,
                              DawaCostImpl::kEngine, pools[p].get());
-        best = std::min(best, NowSec() - t0);
-      }
+      });
       results.push_back({"dawa_solve", d, thread_grid[p], best});
       if (!SolutionsIdentical(serial_solution, parallel_solution)) {
         std::printf("MISMATCH: partition solve diverged at d=%zu threads=%lld\n",
@@ -204,28 +148,22 @@ int main() {
     // and any difference is the consistency passes. ---
     Histogram hx{std::vector<double>(x)};
     HierarchicalOptions hopts;
-    double serial_hier = 1e300;
     Histogram serial_estimate(d);
-    for (int rep = 0; rep < reps; ++rep) {
+    const double serial_hier = BestOf(reps, [&] {
       Rng rng(0x41E5 + d);
-      const double t0 = NowSec();
-      auto r = HierarchicalRelease(hx, 0.5, hopts, rng);
-      serial_hier = std::min(serial_hier, NowSec() - t0);
-      serial_estimate = std::move(r->estimate);
-    }
+      serial_estimate =
+          std::move(HierarchicalRelease(hx, 0.5, hopts, rng)->estimate);
+    });
     results.push_back({"hier_release", d, -1, serial_hier});
     for (size_t p = 0; p < pools.size(); ++p) {
       HierarchicalOptions popts;
       popts.pool = pools[p].get();
-      double best = 1e300;
       Histogram parallel_estimate(d);
-      for (int rep = 0; rep < reps; ++rep) {
+      const double best = BestOf(reps, [&] {
         Rng rng(0x41E5 + d);
-        const double t0 = NowSec();
-        auto r = HierarchicalRelease(hx, 0.5, popts, rng);
-        best = std::min(best, NowSec() - t0);
-        parallel_estimate = std::move(r->estimate);
-      }
+        parallel_estimate =
+            std::move(HierarchicalRelease(hx, 0.5, popts, rng)->estimate);
+      });
       results.push_back({"hier_release", d, thread_grid[p], best});
       bool identical = true;
       for (size_t i = 0; identical && i < d; ++i) {
@@ -272,32 +210,18 @@ int main() {
                   ? "all parallel cells bit-identical to serial"
                   : "MISMATCH DETECTED");
 
-  // JSON artefact.
-  const char* json_env = std::getenv("OSDP_BENCH_JSON");
-  const std::string json_path =
-      json_env ? json_env : "BENCH_mech_parallel.json";
-  FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"mech_parallel\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"bit_identical\": %s,\n",
+  bench::BenchJson json("mech_parallel", "BENCH_mech_parallel.json");
+  if (!json.ok()) return 1;
+  std::fprintf(json.file(), "  \"bit_identical\": %s,\n",
                all_identical ? "true" : "false");
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Measurement& m = results[i];
+  json.Records("results", results, [](FILE* f, const Measurement& m) {
     std::fprintf(f,
-                 "    {\"op\": \"%s\", \"d\": %zu, \"threads\": %lld, "
-                 "\"sec\": %.6g}%s\n",
-                 m.op.c_str(), m.d, m.threads, m.sec,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu measurements)\n", json_path.c_str(),
+                 "{\"op\": \"%s\", \"d\": %zu, \"threads\": %lld, "
+                 "\"sec\": %.6g}",
+                 m.op.c_str(), m.d, m.threads, m.sec);
+  });
+  if (!json.Close()) return 1;
+  std::printf("wrote %s (%zu measurements)\n", json.path().c_str(),
               results.size());
   return all_identical ? 0 : 2;
 }

@@ -29,9 +29,7 @@
 // OSDP_BENCH_JSON (artifact path, default BENCH_obs_overhead.json).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -51,19 +49,6 @@
 using namespace osdp;
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-Policy BenchPolicy() {
-  return Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "bench_policy");
-}
 
 // Same shape as bench_query_cache's pool: every request carries a WHERE scan
 // so the cache, scan, mechanism, and budget stages all run.
@@ -95,8 +80,8 @@ std::unique_ptr<QueryService> MakeService(const Table& table, ThreadPool* pool,
   sopts.num_shards = 1;
   sopts.mask_cache_bytes = 64ull << 20;
   sopts.metrics_enabled = metrics_enabled;
-  return *QueryService::Create(*OsdpEngine::Create(table, BenchPolicy(), eopts),
-                               sopts);
+  return *QueryService::Create(
+      *OsdpEngine::Create(table, bench::BenchPolicy(), eopts), sopts);
 }
 
 int Fail(const char* what, const std::string& detail) {
@@ -112,9 +97,7 @@ bool Covers(const std::string& json, const char* key) {
 }  // namespace
 
 int main() {
-  const char* max_rows_env = std::getenv("OSDP_BENCH_MAX_ROWS");
-  const size_t rows =
-      max_rows_env ? static_cast<size_t>(std::atoll(max_rows_env)) : 100000;
+  const size_t rows = bench::EnvSize("OSDP_BENCH_MAX_ROWS", 100000);
   const int reps = bench::Reps(41);
   const double max_overhead = bench::EnvGate("OSDP_BENCH_MAX_OBS_OVERHEAD", 0.02);
 
@@ -187,9 +170,9 @@ int main() {
   };
   const auto time_batch = [&](QueryService& service,
                               QueryService::SessionId session) {
-    const double t0 = NowSec();
+    const double t0 = bench::NowSec();
     run_batch(service, session);
-    return NowSec() - t0;
+    return bench::NowSec() - t0;
   };
   run_batch(*on, session_on);  // warmup beyond the check pass
   run_batch(*off, session_off);
@@ -221,10 +204,8 @@ int main() {
   for (const auto& r : off->AnswerBatch(session_off, batch)) {
     if (r.ok()) lat_off.push_back(r->server_duration_micros);
   }
-  const bench::LatencyStats stats_on =
-      bench::SummarizeLatencies(std::move(lat_on));
-  const bench::LatencyStats stats_off =
-      bench::SummarizeLatencies(std::move(lat_off));
+  const bench::LatencyStats stats_on = bench::SummarizeLatencies(lat_on);
+  const bench::LatencyStats stats_off = bench::SummarizeLatencies(lat_off);
 
   TextTable text({"twin", "hot q/s", "p50 us", "p99 us", "traces"});
   text.AddRow({"metrics on", TextTable::FmtAuto(qps_on),
@@ -267,32 +248,22 @@ int main() {
     return Fail("coverage", "disabled twin recorded stage latencies");
   }
 
-  // JSON artifact.
-  const char* json_env = std::getenv("OSDP_BENCH_JSON");
-  const std::string json_path =
-      json_env ? json_env : "BENCH_obs_overhead.json";
-  FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
+  bench::BenchJson out("obs_overhead", "BENCH_obs_overhead.json");
+  if (!out.ok()) return 1;
   std::fprintf(
-      f,
-      "{\n  \"bench\": \"obs_overhead\",\n"
-      "  \"hardware_concurrency\": %u,\n  \"rows\": %zu,\n"
-      "  \"batch_queries\": %zu,\n  \"reps\": %d,\n"
+      out.file(),
+      "  \"rows\": %zu,\n  \"batch_queries\": %zu,\n  \"reps\": %d,\n"
       "  \"overhead\": %.6f,\n  \"gate\": %.6f,\n"
       "  \"hot_qps_on\": %.6g,\n  \"hot_qps_off\": %.6g,\n"
       "  \"on\": {\"p50_us\": %.3f, \"p95_us\": %.3f, \"p99_us\": %.3f, "
       "\"max_us\": %.3f},\n"
       "  \"off\": {\"p50_us\": %.3f, \"p95_us\": %.3f, \"p99_us\": %.3f, "
-      "\"max_us\": %.3f}\n}\n",
-      std::thread::hardware_concurrency(), rows, batch.size(), reps, overhead,
-      max_overhead, qps_on, qps_off, stats_on.p50, stats_on.p95, stats_on.p99,
-      stats_on.max, stats_off.p50, stats_off.p95, stats_off.p99,
-      stats_off.max);
-  std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
+      "\"max_us\": %.3f}\n",
+      rows, batch.size(), reps, overhead, max_overhead, qps_on, qps_off,
+      stats_on.p50, stats_on.p95, stats_on.p99, stats_on.max, stats_off.p50,
+      stats_off.p95, stats_off.p99, stats_off.max);
+  if (!out.Close()) return 1;
+  std::printf("wrote %s\n", out.path().c_str());
 
   if (max_overhead > 0.0 && overhead > max_overhead) {
     std::fprintf(stderr,

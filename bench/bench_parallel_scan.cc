@@ -24,15 +24,13 @@
 // flat curve on a starved machine reads as what it is.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/benchdata/table_gen.h"
 #include "src/core/engine.h"
 #include "src/data/compiled_predicate.h"
@@ -46,26 +44,9 @@
 #include "src/runtime/thread_pool.h"
 
 using namespace osdp;
+using bench::TimeBest;
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-template <typename Fn>
-double TimeBest(int reps, const Fn& fn) {
-  fn();  // warmup
-  double best = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    const double t0 = NowSec();
-    fn();
-    best = std::min(best, NowSec() - t0);
-  }
-  return best;
-}
 
 int RepsFor(size_t rows) {
   if (rows >= 10000000) return 2;
@@ -81,32 +62,12 @@ struct Measurement {
   double rows_per_sec;
 };
 
-std::vector<size_t> ParseThreads(const char* env) {
-  std::vector<size_t> out;
-  std::string s = env ? env : "1,2,4,8";
-  size_t pos = 0;
-  while (pos < s.size()) {
-    out.push_back(static_cast<size_t>(std::atoll(s.c_str() + pos)));
-    const size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 Predicate BenchPredicate() {
   // The 3-leaf "mixed3" shape of bench_predicate_pipeline, so the serial
   // baseline here lines up with BENCH_predicate_pipeline.json.
   return Predicate::And(Predicate::Or(Predicate::Eq("race", Value("C3")),
                                       Predicate::Eq("opt_in", Value(0))),
                         Predicate::Le("age", Value(40)));
-}
-
-Policy BenchPolicy() {
-  return Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "bench_policy");
 }
 
 // Builds the same census table through the boxed row-at-a-time path, for
@@ -163,17 +124,14 @@ std::vector<ServiceRequest> ServiceBatch(const Domain1D& age_domain) {
 OsdpEngine ServiceEngine(const Table& table) {
   OsdpEngine::Options eopts;
   eopts.total_epsilon = 1e9;  // throughput bench, not a budget bench
-  return *OsdpEngine::Create(table, BenchPolicy(), eopts);
+  return *OsdpEngine::Create(table, bench::BenchPolicy(), eopts);
 }
 
 }  // namespace
 
 int main() {
-  const char* max_rows_env = std::getenv("OSDP_BENCH_MAX_ROWS");
-  const size_t max_rows =
-      max_rows_env ? static_cast<size_t>(std::atoll(max_rows_env)) : 10000000;
-  const std::vector<size_t> thread_grid =
-      ParseThreads(std::getenv("OSDP_BENCH_THREADS"));
+  const size_t max_rows = bench::EnvSize("OSDP_BENCH_MAX_ROWS", 10000000);
+  const std::vector<size_t> thread_grid = bench::ThreadGrid({1, 2, 4, 8});
 
   std::vector<size_t> row_grid;
   for (size_t rows : {size_t{1000000}, size_t{10000000}}) {
@@ -181,7 +139,7 @@ int main() {
   }
   if (row_grid.empty()) row_grid.push_back(max_rows);
 
-  const Policy policy = BenchPolicy();
+  const Policy policy = bench::BenchPolicy();
   const Domain1D age_domain = *Domain1D::Numeric(0, 100, 64);
   std::vector<Measurement> results;
   volatile size_t sink = 0;
@@ -379,30 +337,17 @@ int main() {
         columnar_sec, boxed_sec / columnar_sec);
   }
 
-  // JSON artefact.
-  const char* json_env = std::getenv("OSDP_BENCH_JSON");
-  const std::string json_path =
-      json_env ? json_env : "BENCH_parallel_scan.json";
-  FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"parallel_scan\",\n"
-               "  \"hardware_concurrency\": %u,\n  \"results\": [\n",
-               std::thread::hardware_concurrency());
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Measurement& m = results[i];
+  bench::BenchJson json("parallel_scan", "BENCH_parallel_scan.json");
+  if (!json.ok()) return 1;
+  json.Records("results", results, [](FILE* f, const Measurement& m) {
     std::fprintf(f,
-                 "    {\"op\": \"%s\", \"rows\": %zu, \"threads\": %zu, "
-                 "\"sec_per_iter\": %.6g, \"rows_per_sec\": %.6g}%s\n",
+                 "{\"op\": \"%s\", \"rows\": %zu, \"threads\": %zu, "
+                 "\"sec_per_iter\": %.6g, \"rows_per_sec\": %.6g}",
                  m.op.c_str(), m.rows, m.threads, m.sec_per_iter,
-                 m.rows_per_sec, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu measurements); sink=%zu\n", json_path.c_str(),
+                 m.rows_per_sec);
+  });
+  if (!json.Close()) return 1;
+  std::printf("wrote %s (%zu measurements); sink=%zu\n", json.path().c_str(),
               results.size(), static_cast<size_t>(sink));
   return 0;
 }

@@ -18,14 +18,12 @@
 // BENCH_predicate_pipeline.json in the working directory). The JSON records
 // hardware_concurrency, the build type and which scan kernel body ran.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/benchdata/table_gen.h"
 #include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
@@ -37,14 +35,9 @@
 #include "tests/reference_predicate.h"
 
 using namespace osdp;
+using bench::TimeBest;
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct Shape {
   const char* name;
@@ -83,31 +76,6 @@ struct Measurement {
   double rows_per_sec;
 };
 
-// Runs fn `reps` times after one warmup; returns best-of seconds per call.
-template <typename Fn>
-double TimeBest(int reps, const Fn& fn) {
-  fn();  // warmup
-  double best = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    const double t0 = NowSec();
-    fn();
-    best = std::min(best, NowSec() - t0);
-  }
-  return best;
-}
-
-// The build type as the compiler saw it: the root CMakeLists.txt builds
-// Release as -O2 -DNDEBUG.
-const char* BuildType() {
-#if defined(__OPTIMIZE__) && defined(NDEBUG)
-  return "Release";
-#elif defined(__OPTIMIZE__)
-  return "optimized, assertions on";
-#else
-  return "Debug";
-#endif
-}
-
 int RepsFor(size_t rows) {
   if (rows >= 10000000) return 2;
   if (rows >= 1000000) return 3;
@@ -118,9 +86,7 @@ int RepsFor(size_t rows) {
 }  // namespace
 
 int main() {
-  const char* max_rows_env = std::getenv("OSDP_BENCH_MAX_ROWS");
-  const size_t max_rows =
-      max_rows_env ? static_cast<size_t>(std::atoll(max_rows_env)) : 10000000;
+  const size_t max_rows = bench::EnvSize("OSDP_BENCH_MAX_ROWS", 10000000);
   std::vector<size_t> row_grid;
   for (size_t rows : {size_t{10000}, size_t{100000}, size_t{1000000},
                       size_t{10000000}}) {
@@ -130,10 +96,7 @@ int main() {
 
   // The policy behind the engine-style masked ops (ComputeHistogramMasked's
   // x_ns mask, AnswerCount's non-sensitive restriction).
-  Policy policy = Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "bench_policy");
+  const Policy policy = bench::BenchPolicy();
   const Domain1D age_domain = *Domain1D::Numeric(0, 100, 64);
 
   std::vector<Measurement> results;
@@ -145,7 +108,8 @@ int main() {
   std::printf(
       "(best of N; 1-thread; row grid capped at %zu; hardware_concurrency=%u; "
       "build %s; scan kernel %s)\n\n",
-      max_rows, std::thread::hardware_concurrency(), BuildType(), kernel);
+      max_rows, std::thread::hardware_concurrency(), bench::BuildType(),
+      kernel);
 
   for (size_t rows : row_grid) {
     CensusTableOptions topts;
@@ -272,33 +236,20 @@ int main() {
     }
   }
 
-  // JSON artefact.
-  const char* json_env = std::getenv("OSDP_BENCH_JSON");
-  const std::string json_path =
-      json_env ? json_env : "BENCH_predicate_pipeline.json";
-  FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"predicate_pipeline\",\n"
-               "  \"hardware_concurrency\": %u,\n  \"build_type\": \"%s\",\n"
-               "  \"scan_kernel\": \"%s\",\n  \"results\": [\n",
-               std::thread::hardware_concurrency(), BuildType(), kernel);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Measurement& m = results[i];
+  bench::BenchJson json("predicate_pipeline",
+                        "BENCH_predicate_pipeline.json");
+  if (!json.ok()) return 1;
+  std::fprintf(json.file(), "  \"scan_kernel\": \"%s\",\n", kernel);
+  json.Records("results", results, [](FILE* f, const Measurement& m) {
     std::fprintf(f,
-                 "    {\"shape\": \"%s\", \"rows\": %zu, \"op\": \"%s\", "
+                 "{\"shape\": \"%s\", \"rows\": %zu, \"op\": \"%s\", "
                  "\"path\": \"%s\", \"sec_per_iter\": %.6g, "
-                 "\"rows_per_sec\": %.6g}%s\n",
+                 "\"rows_per_sec\": %.6g}",
                  m.shape.c_str(), m.rows, m.op.c_str(), m.path.c_str(),
-                 m.sec_per_iter, m.rows_per_sec,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu measurements); sink=%zu\n", json_path.c_str(),
+                 m.sec_per_iter, m.rows_per_sec);
+  });
+  if (!json.Close()) return 1;
+  std::printf("\nwrote %s (%zu measurements); sink=%zu\n", json.path().c_str(),
               results.size(), static_cast<size_t>(sink));
   return 0;
 }

@@ -24,10 +24,7 @@
 // conventions — the cache win is per-core (it removes scans, not thread
 // time), so honest 1-core numbers still show it, unlike the scaling benches.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -48,34 +45,9 @@ using namespace osdp;
 
 namespace {
 
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-template <typename Fn>
-double TimeBest(int reps, const Fn& fn) {
-  fn();  // warmup
-  double best = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    const double t0 = NowSec();
-    fn();
-    best = std::min(best, NowSec() - t0);
-  }
-  return best;
-}
-
 int RepsFor(size_t rows) {
   if (rows >= 1000000) return 3;
   return 7;
-}
-
-Policy BenchPolicy() {
-  return Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "bench_policy");
 }
 
 // 8 distinct requests, every one carrying a WHERE scan (so every query
@@ -116,8 +88,8 @@ std::unique_ptr<QueryService> MakeService(const Table& table,
   sopts.pool = pool;
   sopts.num_shards = 1;
   sopts.mask_cache_bytes = cache_bytes;
-  return *QueryService::Create(*OsdpEngine::Create(table, BenchPolicy(), eopts),
-                               sopts);
+  return *QueryService::Create(
+      *OsdpEngine::Create(table, bench::BenchPolicy(), eopts), sopts);
 }
 
 struct Measurement {
@@ -145,9 +117,7 @@ int Fail(const char* what, size_t rows, size_t repeat, size_t q) {
 }  // namespace
 
 int main() {
-  const char* max_rows_env = std::getenv("OSDP_BENCH_MAX_ROWS");
-  const size_t max_rows =
-      max_rows_env ? static_cast<size_t>(std::atoll(max_rows_env)) : 1000000;
+  const size_t max_rows = bench::EnvSize("OSDP_BENCH_MAX_ROWS", 1000000);
 
   std::vector<size_t> row_grid;
   for (size_t rows : {size_t{100000}, size_t{1000000}}) {
@@ -224,12 +194,12 @@ int main() {
 
       // Throughput: steady state on each service (the hot cache is warm —
       // the miss cost is in the first pass above; reps take the best).
-      const double cold_sec = TimeBest(reps, [&] {
+      const double cold_sec = bench::TimeBest(reps, [&] {
         for (const auto& r : cold->AnswerBatch(cold_session, batch)) {
           sink += r.ok() ? 1 : 0;
         }
       });
-      const double hot_sec = TimeBest(reps, [&] {
+      const double hot_sec = bench::TimeBest(reps, [&] {
         for (const auto& r : hot->AnswerBatch(hot_session, batch)) {
           sink += r.ok() ? 1 : 0;
         }
@@ -244,8 +214,7 @@ int main() {
       for (const auto& r : hot->AnswerBatch(hot_session, batch)) {
         if (r.ok()) lat_us.push_back(r->server_duration_micros);
       }
-      const bench::LatencyStats hot_lat =
-          bench::SummarizeLatencies(std::move(lat_us));
+      const bench::LatencyStats hot_lat = bench::SummarizeLatencies(lat_us);
 
       const MaskCache::Stats stats = hot->cache_stats();
       results.push_back({rows, repeat, batch.size(), hit_rate, stats.hits,
@@ -261,39 +230,26 @@ int main() {
     std::printf("--- %zu rows ---\n%s\n", rows, text.ToString().c_str());
   }
 
-  // JSON artefact.
-  const char* json_env = std::getenv("OSDP_BENCH_JSON");
-  const std::string json_path = json_env ? json_env : "BENCH_query_cache.json";
-  FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"query_cache\",\n"
-               "  \"hardware_concurrency\": %u,\n  \"results\": [\n",
-               std::thread::hardware_concurrency());
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Measurement& m = results[i];
+  bench::BenchJson json("query_cache", "BENCH_query_cache.json");
+  if (!json.ok()) return 1;
+  json.Records("results", results, [](FILE* f, const Measurement& m) {
     std::fprintf(
         f,
-        "    {\"rows\": %zu, \"repeat\": %zu, \"queries\": %zu, "
+        "{\"rows\": %zu, \"repeat\": %zu, \"queries\": %zu, "
         "\"hit_rate\": %.4f, \"hits\": %llu, \"misses\": %llu, "
         "\"evictions\": %llu, \"cache_bytes\": %zu, "
         "\"cold_qps\": %.6g, \"hot_qps\": %.6g, \"speedup\": %.3f, "
         "\"hot_p50_us\": %.3f, \"hot_p95_us\": %.3f, \"hot_p99_us\": %.3f, "
-        "\"hot_max_us\": %.3f}%s\n",
+        "\"hot_max_us\": %.3f}",
         m.rows, m.repeat, m.queries, m.hit_rate,
         static_cast<unsigned long long>(m.hits),
         static_cast<unsigned long long>(m.misses),
         static_cast<unsigned long long>(m.evictions), m.cache_bytes,
         m.cold_qps, m.hot_qps, m.hot_qps / m.cold_qps, m.hot_lat.p50,
-        m.hot_lat.p95, m.hot_lat.p99, m.hot_lat.max,
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu measurements); sink=%zu\n", json_path.c_str(),
+        m.hot_lat.p95, m.hot_lat.p99, m.hot_lat.max);
+  });
+  if (!json.Close()) return 1;
+  std::printf("wrote %s (%zu measurements); sink=%zu\n", json.path().c_str(),
               results.size(), static_cast<size_t>(sink));
   return 0;
 }

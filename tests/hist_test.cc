@@ -1,4 +1,4 @@
-// Tests for src/hist: Domain, Histogram, SparseHistogram, queries, workloads.
+// Tests for src/hist: Domain, Histogram, SparseHistogram, queries.
 
 #include <gtest/gtest.h>
 
@@ -6,13 +6,11 @@
 
 #include "src/common/check.h"
 
-#include "src/common/random.h"
 #include "src/data/predicate.h"
 #include "src/hist/domain.h"
 #include "src/hist/histogram.h"
 #include "src/hist/histogram_query.h"
 #include "src/hist/sparse_histogram.h"
-#include "src/hist/workload.h"
 
 namespace osdp {
 namespace {
@@ -265,33 +263,6 @@ TEST(HistogramQuery2DTest, TwoDimensionalCounts) {
   EXPECT_DOUBLE_EQ(h.At(0, 9), 2.0);
   EXPECT_DOUBLE_EQ(h.At(1, 13), 1.0);
   EXPECT_DOUBLE_EQ(h.flat().Total(), 3.0);
-}
-
-// --------------------------------------------------------------- Workload --
-
-TEST(WorkloadTest, IdentityAndPrefix) {
-  Histogram h({1, 2, 3, 4});
-  Workload ident = Workload::Identity(4);
-  EXPECT_EQ(ident.Evaluate(h), (std::vector<double>{1, 2, 3, 4}));
-  Workload pre = Workload::Prefixes(4);
-  EXPECT_EQ(pre.Evaluate(h), (std::vector<double>{1, 3, 6, 10}));
-}
-
-TEST(WorkloadTest, RandomRangesStayInBounds) {
-  Rng rng(5);
-  Workload w = Workload::RandomRanges(16, 100, rng);
-  EXPECT_EQ(w.size(), 100u);
-  for (const RangeQuery& q : w.queries()) {
-    EXPECT_LE(q.lo, q.hi);
-    EXPECT_LT(q.hi, 16u);
-  }
-}
-
-TEST(WorkloadTest, AverageAbsoluteError) {
-  Histogram truth({1, 2, 3, 4});
-  Histogram est({1, 2, 3, 8});
-  Workload ident = Workload::Identity(4);
-  EXPECT_DOUBLE_EQ(ident.AverageAbsoluteError(truth, est), 1.0);
 }
 
 }  // namespace
