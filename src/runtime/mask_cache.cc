@@ -43,13 +43,14 @@ MaskCache::MaskCache(Options options) : options_(options) {
   aggregate_hits_ = resolve(options_.aggregate_hits, &own_aggregate_hits_);
   aggregate_misses_ =
       resolve(options_.aggregate_misses, &own_aggregate_misses_);
+  extensions_ = resolve(options_.extensions, &own_extensions_);
 }
 
 size_t MaskCache::EntryBytes(const RowMask& mask,
                              const std::string& canonical) {
   // Mask words + the key's canonical bytes + a flat allowance for the list
-  // node, map slot, control blocks, and the count memo. An approximation is
-  // fine: the budget bounds memory, it is not an allocator.
+  // node, index slot, control blocks, and the count memo. An approximation
+  // is fine: the budget bounds memory, it is not an allocator.
   constexpr size_t kEntryOverhead = 128;
   return mask.num_words() * sizeof(uint64_t) + canonical.size() +
          kEntryOverhead;
@@ -72,74 +73,127 @@ void MaskCache::EvictOverBudget(Shard& shard) {
     Entry& victim = *shard.lru.back();
     shard.bytes -= victim.bytes_;
     victim.resident_ = false;
-    shard.index.erase(victim.key_);
+    auto it = shard.index.find(victim.key_.fingerprint);
+    std::vector<Entry*>& same = it->second;
+    *std::find(same.begin(), same.end(), &victim) = same.back();
+    same.pop_back();
+    if (same.empty()) shard.index.erase(it);
     shard.lru.pop_back();
     evictions_->Increment();
   }
 }
 
 MaskCache::EntryPtr MaskCache::Lookup(const CompiledPredicate& pred,
-                                      uint64_t generation,
-                                      const std::function<RowMask()>& compute,
+                                      uint64_t generation, size_t rows,
+                                      const RangeScan& scan,
                                       bool* cache_hit) {
   return LookupKeyed(pred.Fingerprint(), pred.shared_canonical_key(),
-                     generation, compute, cache_hit);
+                     generation, rows, scan, cache_hit);
 }
 
 MaskCache::EntryPtr MaskCache::LookupKeyed(
     uint64_t fingerprint, std::shared_ptr<const std::string> canonical,
-    uint64_t generation, const std::function<RowMask()>& compute,
+    uint64_t generation, size_t rows, const RangeScan& scan,
     bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  Key key{fingerprint, generation, std::move(canonical)};
-  if (!enabled()) {
-    return EntryPtr(new Entry(std::move(key), compute(), /*cached=*/false));
-  }
-  Shard& shard = ShardFor(key);
+  return LookupImpl(
+      Key{fingerprint, generation, std::move(canonical)}, rows,
+      [&](const Entry* base) {
+        RowMask mask(rows);
+        size_t row_begin = 0;
+        if (base != nullptr) {
+          // The base's whole words carry over; its partial last word is
+          // rescanned with the appended rows, to the same bits.
+          row_begin = base->mask_.size() & ~size_t{63};
+          std::copy_n(base->mask_.words(), row_begin >> 6,
+                      mask.mutable_words());
+        }
+        scan(row_begin, &mask);
+        return mask;
+      },
+      cache_hit);
+}
 
+MaskCache::EntryPtr MaskCache::LookupImpl(
+    Key key, std::optional<size_t> extend_rows,
+    const std::function<RowMask(const Entry* base)>& build, bool* cache_hit) {
+  if (cache_hit != nullptr) *cache_hit = false;
+  if (!enabled()) {
+    return EntryPtr(
+        new Entry(std::move(key), build(nullptr), /*cached=*/false, {}));
+  }
+  Shard& shard = ShardFor(key.fingerprint);
+
+  // One probe finds a hit or, failing that, the base to extend.
+  EntryPtr base;
+  Entry::Seeds seeds;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
+    auto it = shard.index.find(key.fingerprint);
     if (it != shard.index.end()) {
-      hits_->Increment();
-      if (cache_hit != nullptr) *cache_hit = true;
-      return Touch(shard, *it->second);
+      const Entry* newest_older = nullptr;
+      for (const Entry* e : it->second) {
+        if (e->key_ == key) {
+          hits_->Increment();
+          if (cache_hit != nullptr) *cache_hit = true;
+          return Touch(shard, *e);
+        }
+        // A base must be the same clause (never a mere fingerprint
+        // collision), older (a batch that captured g - 1 after g was cached
+        // must not extend g backwards), and no longer than this generation.
+        if (extend_rows.has_value() && e->key_.generation < key.generation &&
+            e->mask_.size() <= *extend_rows && e->key_.SameClause(key) &&
+            (newest_older == nullptr ||
+             e->key_.generation > newest_older->key_.generation)) {
+          newest_older = e;
+        }
+      }
+      if (newest_older != nullptr) {
+        // Pin the base for the copy: it may be evicted meanwhile.
+        base = *newest_older->lru_pos_;
+        seeds.rows = base->mask_.size();
+        seeds.count =
+            base->non_sensitive_count_.load(std::memory_order_relaxed);
+        seeds.histograms = base->histograms_;
+      }
     }
     misses_->Increment();
   }
 
   // Compute outside the lock: the scan may itself fan out across the thread
   // pool, and unrelated keys in this shard must not serialize behind it.
-  RowMask mask = compute();
+  RowMask mask = build(base.get());
+  const bool extended = base != nullptr;
+  base.reset();
 
   // Fault point for the insert path, deliberately *before* the shard lock:
   // a fired fault (or, in spirit, an allocation failure) unwinds without
   // ever touching shard state, so the cache can never be corrupted by a
   // failed insert — the next lookup of this key simply computes again.
   OSDP_FAULT_POINT("mask_cache/insert");
+  if (extended) extensions_->Increment();
 
   const size_t entry_bytes = EntryBytes(mask, *key.canonical);
   if (entry_bytes > shard_capacity_) {
     // Too large to ever fit: serve the computed mask without churning the
     // LRU.
     return EntryPtr(new Entry(std::move(key), std::move(mask),
-                              /*cached=*/false));
+                              /*cached=*/false, std::move(seeds)));
   }
-  std::shared_ptr<Entry> entry(new Entry(key, std::move(mask),
-                                         /*cached=*/true));
+  std::shared_ptr<Entry> entry(
+      new Entry(key, std::move(mask), /*cached=*/true, std::move(seeds)));
 
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  std::vector<Entry*>& same = shard.index[key.fingerprint];
+  for (const Entry* e : same) {
     // A racing miss inserted first; adopt its entry — bit-identical to ours
     // by the serial/sharded equivalence contract.
-    return Touch(shard, *it->second);
+    if (e->key_ == key) return Touch(shard, *e);
   }
   shard.lru.push_front(entry);
   entry->bytes_ = entry_bytes;
   entry->resident_ = true;
   entry->lru_pos_ = shard.lru.begin();
-  shard.index.emplace(std::move(key), entry.get());
+  same.push_back(entry.get());
   shard.bytes += entry_bytes;
   EvictOverBudget(shard);
   return entry;
@@ -148,24 +202,30 @@ MaskCache::EntryPtr MaskCache::LookupKeyed(
 std::shared_ptr<const RowMask> MaskCache::LookupOrCompute(
     const CompiledPredicate& pred, uint64_t generation,
     const std::function<RowMask()>& compute, bool* cache_hit) {
-  EntryPtr entry = Lookup(pred, generation, compute, cache_hit);
-  const RowMask* mask = &entry->mask();
-  return std::shared_ptr<const RowMask>(std::move(entry), mask);
+  return LookupOrComputeKeyed(pred.Fingerprint(), pred.shared_canonical_key(),
+                              generation, compute, cache_hit);
 }
 
 std::shared_ptr<const RowMask> MaskCache::LookupOrComputeKeyed(
     uint64_t fingerprint, std::shared_ptr<const std::string> canonical,
     uint64_t generation, const std::function<RowMask()>& compute,
     bool* cache_hit) {
-  EntryPtr entry = LookupKeyed(fingerprint, std::move(canonical), generation,
-                               compute, cache_hit);
+  EntryPtr entry = LookupImpl(
+      Key{fingerprint, generation, std::move(canonical)},
+      /*extend_rows=*/std::nullopt, [&](const Entry*) { return compute(); },
+      cache_hit);
   const RowMask* mask = &entry->mask();
   return std::shared_ptr<const RowMask>(std::move(entry), mask);
 }
 
 size_t MaskCache::NonSensitiveCount(const Entry& entry,
-                                    const std::function<size_t()>& compute) {
-  if (!entry.cached_) return compute();
+                                    const RangeAggregate<size_t>& compute) {
+  const auto fill = [&]() -> size_t {
+    const int64_t seed = entry.seeds_.count;
+    if (seed < 0) return compute(0);
+    return static_cast<size_t>(seed) + compute(entry.seeds_.rows);
+  };
+  if (!entry.cached_) return fill();
   const int64_t known =
       entry.non_sensitive_count_.load(std::memory_order_relaxed);
   if (known >= 0) {
@@ -173,7 +233,7 @@ size_t MaskCache::NonSensitiveCount(const Entry& entry,
     return static_cast<size_t>(known);
   }
   aggregate_misses_->Increment();
-  const size_t count = compute();
+  const size_t count = fill();
   // Same fault point as a histogram attach: a fire stores nothing.
   OSDP_FAULT_POINT("mask_cache/attach");
   entry.non_sensitive_count_.store(static_cast<int64_t>(count),
@@ -183,26 +243,38 @@ size_t MaskCache::NonSensitiveCount(const Entry& entry,
 
 std::shared_ptr<const Histogram> MaskCache::AggregateHistogram(
     const Entry& entry, const HistogramKey& key,
-    const std::function<Histogram()>& compute) {
-  if (!entry.cached_) return std::make_shared<const Histogram>(compute());
-  Shard& shard = ShardFor(entry.key_);
-  const auto find = [&]() -> std::shared_ptr<const Histogram> {
-    for (const auto& [k, histogram] : entry.histograms_) {
+    const RangeAggregate<Histogram>& compute) {
+  const auto find =
+      [&key](const Entry::Histograms& in) -> std::shared_ptr<const Histogram> {
+    for (const auto& [k, histogram] : in) {
       if (k == key) return histogram;
     }
     return nullptr;
   };
+  // The seed, when there is one, plus the rows past it.
+  const auto fill = [&](const std::shared_ptr<const Histogram>& seed) {
+    if (seed == nullptr) return std::make_shared<const Histogram>(compute(0));
+    Histogram sum = compute(entry.seeds_.rows);
+    OSDP_CHECK(sum.size() == seed->size());
+    for (size_t b = 0; b < sum.size(); ++b) sum.counts()[b] += (*seed)[b];
+    return std::make_shared<const Histogram>(std::move(sum));
+  };
+  // An uncached entry's seeds are never erased, so they are read unlocked.
+  if (!entry.cached_) return fill(find(entry.seeds_.histograms));
+  Shard& shard = ShardFor(entry.key_.fingerprint);
+  std::shared_ptr<const Histogram> seed;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (std::shared_ptr<const Histogram> known = find()) {
+    if (std::shared_ptr<const Histogram> known = find(entry.histograms_)) {
       aggregate_hits_->Increment();
       return known;
     }
+    seed = find(entry.seeds_.histograms);
   }
   aggregate_misses_->Increment();
 
   // Accumulate outside the lock, like a mask compute.
-  auto histogram = std::make_shared<const Histogram>(compute());
+  std::shared_ptr<const Histogram> histogram = fill(seed);
 
   // Before the shard lock, like mask_cache/insert: a fire leaves the entry
   // exactly as it was, so the next request for this key computes again.
@@ -214,9 +286,16 @@ std::shared_ptr<const Histogram> MaskCache::AggregateHistogram(
   // is charged to a shard it no longer occupies.
   if (!entry.resident_) return histogram;
   // A racing fill attached first; adopt it — bit-identical to ours.
-  if (std::shared_ptr<const Histogram> known = find()) return known;
+  if (std::shared_ptr<const Histogram> known = find(entry.histograms_)) {
+    return known;
+  }
   if (entry.bytes_ + bytes > shard_capacity_) return histogram;
   entry.histograms_.emplace_back(key, histogram);
+  // The seed has served the one fill it was kept for.
+  Entry::Histograms& seeds = entry.seeds_.histograms;
+  seeds.erase(std::remove_if(seeds.begin(), seeds.end(),
+                             [&key](const auto& s) { return s.first == key; }),
+              seeds.end());
   entry.bytes_ += bytes;
   shard.bytes += bytes;
   // The entry was just used: touch it so its own growth evicts colder
@@ -233,6 +312,7 @@ MaskCache::Stats MaskCache::stats() const {
   total.evictions = evictions_->value();
   total.aggregate_hits = aggregate_hits_->value();
   total.aggregate_misses = aggregate_misses_->value();
+  total.extensions = extensions_->value();
   for (size_t i = 0; i < num_shards_; ++i) {
     const Shard& shard = shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);

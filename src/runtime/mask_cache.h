@@ -25,26 +25,43 @@
 //     deep structural equality (byte comparison of the canonical encodings)
 //     before it counts as a hit: a collision is a miss, stored alongside.
 //   * Entries are immutable once filled, like the snapshots they derive
-//     from. Ingest never invalidates in place: a new generation simply keys
-//     new entries, and entries of superseded generations age out through the
-//     LRU as traffic moves on. Chunked copy-on-write storage keeps this
-//     sound: generations share chunks, but a generation's rows are immutable
-//     for as long as any pin holds it, so a cached mask for (pred, g) stays a
-//     faithful scan of generation g however many later generations extend
-//     the shared chunks.
+//     from, and ingest never invalidates one in place: a new generation keys
+//     new entries, and superseded generations leave through the LRU.
+//   * A new generation is not a cold start, though. Ingest only appends and
+//     the policy is fixed, so generation g's rows and non-sensitive bits are
+//     an immutable prefix of every later generation's (docs/storage.md).
+//     Hence a miss for (clause, g) through the extending Lookup first looks
+//     for the newest resident entry of the *same* clause (deep-equal
+//     canonical bytes, never a mere fingerprint match) at an older
+//     generation g' < g whose n_g' rows fit in g's. It builds g's mask by
+//     copying that base's whole words and scanning only rows
+//     [floor64(n_g'), n_g) — the base's partial last word is rescanned to
+//     the same bits. The entry also takes the base's filled aggregates as
+//     seeds, so the first fill of each is its seed plus a pass over rows
+//     [n_g', n_g) alone; a seed is dropped once its aggregate attaches. The
+//     new entry holds no pointer to its base, so the base still ages out,
+//     and a base evicted mid-extension stays pinned until the copy is done.
+//     Seeds are not charged to the byte budget: they are the base's own
+//     aggregates, bounded by one set per entry and freed as fills attach.
+//     Every extended value equals a cold scan bit for bit: the mask words
+//     are the same computation, and the aggregates are integer counts held
+//     in doubles, which add exactly below 2^53.
 //   * The aggregates are memoized against the caller's companion mask, which
 //     must itself be a function of the generation: QueryService passes the
 //     snapshot's non_sensitive mask, fixed per generation because the policy
-//     is fixed for the service's lifetime. Histograms are further keyed by
-//     HistogramKey — which rows (WHERE or WHERE ∧ x_ns), the grouped column,
-//     and the exact bits of the binning — so one WHERE clause binned two ways
-//     holds two histograms.
+//     is fixed for the service's lifetime — and, for the seeds to be valid,
+//     each generation's companion must extend the last one's as a prefix.
+//     Histograms are further keyed by HistogramKey — which rows (WHERE or
+//     WHERE ∧ x_ns), the grouped column, and the exact bits of the binning —
+//     so one WHERE clause binned two ways holds two histograms.
 //   * Histogram bytes are charged to the entry's shard when attached and
 //     leave with the entry when it is evicted. A count is one atomic on the
 //     entry (−1 while unknown) and is covered by the entry's flat overhead.
 //
-// Concurrency: a sharded-lock LRU with a byte budget. Lookups and inserts
-// take one shard mutex; compute runs outside any lock, so two racing misses
+// Concurrency: a sharded-lock LRU with a byte budget, sharded by fingerprint
+// alone so every generation of a clause sits under one shard lock and the
+// base search is the same probe as the hit test. Lookups and inserts take
+// one shard mutex; compute runs outside any lock, so two racing misses
 // on one key may both compute — they produce bit-identical values (the
 // serial/sharded equivalence contract of src/runtime/parallel_scan.h), and
 // whichever insert lands second adopts the first's. The same holds for two
@@ -67,6 +84,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -92,10 +110,12 @@ class MaskCache {
     // CompiledPredicate that created the key, so keys never copy the bytes.
     std::shared_ptr<const std::string> canonical;
 
-    bool operator==(const Key& other) const {
+    bool SameClause(const Key& other) const {
       return fingerprint == other.fingerprint &&
-             generation == other.generation &&
              (canonical == other.canonical || *canonical == *other.canonical);
+    }
+    bool operator==(const Key& other) const {
+      return generation == other.generation && SameClause(other);
     }
   };
 
@@ -121,6 +141,9 @@ class MaskCache {
     /// vs computed. Uncached entries count neither.
     obs::Counter* aggregate_hits = nullptr;
     obs::Counter* aggregate_misses = nullptr;
+    /// Misses served by extending an older generation's entry (a subset of
+    /// `misses`).
+    obs::Counter* extensions = nullptr;
   };
 
   /// Counters for tests, benches, and operators. `bytes`/`entries` are the
@@ -133,6 +156,7 @@ class MaskCache {
     size_t entries = 0;
     uint64_t aggregate_hits = 0;
     uint64_t aggregate_misses = 0;
+    uint64_t extensions = 0;
   };
 
   /// Identity of an exact histogram memoized on an entry: the selected rows
@@ -157,6 +181,15 @@ class MaskCache {
     }
   };
 
+  /// Scans rows [row_begin, rows) of a generation into `out` (sized to the
+  /// generation's `rows`), leaving every word before `row_begin` — a
+  /// multiple of 64 — untouched.
+  using RangeScan = std::function<void(size_t row_begin, RowMask* out)>;
+
+  /// An exact aggregate over rows [row_begin, rows) of a generation.
+  template <typename T>
+  using RangeAggregate = std::function<T(size_t row_begin)>;
+
   /// \brief One scan mask plus the aggregates memoized on it. Handed out as
   /// shared_ptr<const Entry>: the mask is immutable, and the memo fields are
   /// only ever written through the owning cache, once per aggregate.
@@ -169,13 +202,27 @@ class MaskCache {
     using Histograms =
         std::vector<std::pair<HistogramKey, std::shared_ptr<const Histogram>>>;
 
-    Entry(Key key, RowMask mask, bool cached)
-        : key_(std::move(key)), mask_(std::move(mask)), cached_(cached) {}
+    // The aggregates an extended entry inherits from its base: each covers
+    // the base's first `rows` rows. Empty (rows 0) for a cold entry.
+    struct Seeds {
+      size_t rows = 0;
+      int64_t count = -1;  // −1 when the base had no count
+      Histograms histograms;
+    };
+
+    Entry(Key key, RowMask mask, bool cached, Seeds seeds)
+        : key_(std::move(key)),
+          mask_(std::move(mask)),
+          cached_(cached),
+          seeds_(std::move(seeds)) {}
 
     const Key key_;
     const RowMask mask_;
     // False for an entry served uncached: its aggregates are never stored.
     const bool cached_;
+    // Guarded by the owning shard's mutex: a histogram seed is erased when
+    // its aggregate attaches. `rows` and `count` never change.
+    mutable Seeds seeds_;
     // |mask ∧ companion|, or −1 while unknown. Written once per fill; racing
     // fills store the same value.
     mutable std::atomic<int64_t> non_sensitive_count_{-1};
@@ -193,28 +240,33 @@ class MaskCache {
   /// every call and stores nothing).
   bool enabled() const { return options_.max_bytes > 0; }
 
-  /// \brief Returns the entry for (`pred`, `generation`), computing its mask
-  /// via `compute` on a miss and caching the result. `compute` runs outside
-  /// all cache locks. `cache_hit`, when non-null, reports whether the mask
-  /// was served from the cache (false on every miss, including collision
-  /// misses and racing double-computes).
+  /// \brief Returns the entry for (`pred`, `generation`), whose table has
+  /// `rows` rows. On a miss, the mask is built from the newest resident
+  /// entry of the same clause at an older generation — its words copied,
+  /// `scan` run from that entry's last word boundary — or, with no such
+  /// entry, by `scan` from row 0; then cached. The caller promises that each
+  /// generation's rows extend every older one's (see "Keying and
+  /// invalidation"). `scan` runs outside all cache locks. `cache_hit`, when
+  /// non-null, reports whether the mask was served from the cache (false on
+  /// every miss, extensions included).
   EntryPtr Lookup(const CompiledPredicate& pred, uint64_t generation,
-                  const std::function<RowMask()>& compute,
+                  size_t rows, const RangeScan& scan,
                   bool* cache_hit = nullptr);
 
   /// \brief The raw-key form: `fingerprint` must be the hash of `*canonical`
   /// under the caller's scheme, and `canonical` the exact structural
   /// identity — a fingerprint match with different canonical bytes is a
-  /// collision and misses. This is the hook tests use to exercise collision
-  /// handling with fabricated keys; Lookup delegates here.
+  /// collision: it misses, and it is never a base to extend. This is the
+  /// hook tests use to exercise collision handling with fabricated keys;
+  /// Lookup delegates here.
   EntryPtr LookupKeyed(uint64_t fingerprint,
                        std::shared_ptr<const std::string> canonical,
-                       uint64_t generation,
-                       const std::function<RowMask()>& compute,
-                       bool* cache_hit = nullptr);
+                       uint64_t generation, size_t rows,
+                       const RangeScan& scan, bool* cache_hit = nullptr);
 
-  /// The mask-only forms of Lookup / LookupKeyed, for callers that read no
-  /// aggregate: the returned pointer shares ownership of the entry.
+  /// Mask-only lookups for callers that read no aggregate: `compute` builds
+  /// the whole mask on a miss (never an extension). The returned pointer
+  /// shares ownership of the entry.
   std::shared_ptr<const RowMask> LookupOrCompute(
       const CompiledPredicate& pred, uint64_t generation,
       const std::function<RowMask()>& compute, bool* cache_hit = nullptr);
@@ -223,20 +275,23 @@ class MaskCache {
       uint64_t generation, const std::function<RowMask()>& compute,
       bool* cache_hit = nullptr);
 
-  /// \brief |entry.mask() ∧ companion|, memoized on `entry`: `compute` runs
-  /// only while the value is unknown, outside all locks, and its result is
-  /// stored unless it throws.
+  /// \brief |entry.mask() ∧ companion|, memoized on `entry`: `compute`
+  /// runs only while the value is unknown, outside all locks, and its result
+  /// is stored unless it throws. An extended entry with a count seed asks
+  /// `compute` for the rows past the seed only and adds the seed.
   size_t NonSensitiveCount(const Entry& entry,
-                           const std::function<size_t()>& compute);
+                           const RangeAggregate<size_t>& compute);
 
   /// \brief The histogram `key` names, memoized on `entry`: `compute` runs
-  /// only while no histogram under `key` is attached, outside all locks.
-  /// Attaching charges the histogram's bytes to the entry's shard and may
-  /// evict that shard's LRU tail; a histogram that cannot fit, or whose
-  /// entry was evicted meanwhile, is served without being stored.
+  /// only while no histogram under `key` is attached, outside all locks —
+  /// over the rows past the seed when the entry holds a seed for `key`,
+  /// which is then added bin by bin. Attaching charges the histogram's bytes
+  /// to the entry's shard and may evict that shard's LRU tail; a histogram
+  /// that cannot fit, or whose entry was evicted meanwhile, is served
+  /// without being stored.
   std::shared_ptr<const Histogram> AggregateHistogram(
       const Entry& entry, const HistogramKey& key,
-      const std::function<Histogram()>& compute);
+      const RangeAggregate<Histogram>& compute);
 
   /// Aggregated view: the counter cells plus bytes/entries summed across
   /// shards under their locks — a consistent-enough composite for assertions
@@ -244,27 +299,30 @@ class MaskCache {
   Stats stats() const;
 
  private:
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      // The fingerprint is already avalanched; fold in the generation.
-      uint64_t h = k.fingerprint;
-      h ^= k.generation + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
-
   using LruList = std::list<std::shared_ptr<Entry>>;
 
   struct Shard {
     mutable std::mutex mu;
     LruList lru;  // front = most recently used; owns the entries
-    std::unordered_map<Key, Entry*, KeyHash> index;
+    // Resident entries by fingerprint: every generation of a clause (and any
+    // colliding clause) in one short list.
+    std::unordered_map<uint64_t, std::vector<Entry*>> index;
     size_t bytes = 0;
   };
 
-  Shard& ShardFor(const Key& key) {
-    return shards_[KeyHash{}(key) % num_shards_];
+  Shard& ShardFor(uint64_t fingerprint) {
+    // The fingerprint is already avalanched.
+    return shards_[fingerprint % num_shards_];
   }
+
+  // The lookup both public forms share. `build(base)` makes the mask, from
+  // `base` (the newest resident entry of the same clause at an older
+  // generation with at most *extend_rows rows, pinned for the call) or from
+  // scratch when `base` is null; no base is searched for without
+  // `extend_rows`.
+  EntryPtr LookupImpl(Key key, std::optional<size_t> extend_rows,
+                      const std::function<RowMask(const Entry* base)>& build,
+                      bool* cache_hit);
 
   static size_t EntryBytes(const RowMask& mask, const std::string& canonical);
   static size_t HistogramBytes(const Histogram& histogram);
@@ -287,12 +345,14 @@ class MaskCache {
   obs::Counter own_evictions_;
   obs::Counter own_aggregate_hits_;
   obs::Counter own_aggregate_misses_;
+  obs::Counter own_extensions_;
   // Resolved targets: either the injected cells or the fallbacks above.
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;
   obs::Counter* evictions_ = nullptr;
   obs::Counter* aggregate_hits_ = nullptr;
   obs::Counter* aggregate_misses_ = nullptr;
+  obs::Counter* extensions_ = nullptr;
 };
 
 }  // namespace osdp

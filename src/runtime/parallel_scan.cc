@@ -24,58 +24,75 @@ void PollAbort(const ParallelScanOptions& opts) {
   if (opts.control != nullptr) opts.control->ThrowIfAborted();
 }
 
-// Runs fn(shard_index, row_begin, row_end) over shards of [0, num_rows)
-// whose interior edges are multiples of `alignment` (a multiple of 64, so
-// shards always own whole mask words). The shard edges are deterministic,
-// so per-shard outputs indexed by shard_index merge deterministically
-// regardless of scheduling.
+// The shard edges of rows [row_begin, row_end): interior edges are multiples
+// of `alignment` (a multiple of 64, so shards always own whole mask words)
+// in absolute row numbers; only the first shard may start, and the last
+// end, mid-word. The edges are deterministic, so per-shard outputs indexed
+// by shard merge deterministically regardless of scheduling. An empty range
+// has no shard (one edge).
+std::vector<size_t> ShardEdges(size_t row_begin, size_t row_end,
+                               const ParallelScanOptions& opts,
+                               size_t alignment) {
+  if (row_begin >= row_end) return {row_begin};
+  // Shard [base, row_end) from an aligned base, so that shifting the
+  // relative edges back keeps every interior edge aligned.
+  const size_t base = row_begin - row_begin % alignment;
+  std::vector<size_t> edges = AlignedShards(
+      row_end - base, ShardsOf(opts, PoolOf(opts)), alignment);
+  for (size_t& edge : edges) edge += base;
+  edges.front() = row_begin;
+  return edges;
+}
+
+// Runs fn(shard, begin, end) for every shard of `edges` on the pool, polling
+// for abort before each.
 template <typename Fn>
-void ForEachShard(size_t num_rows, const ParallelScanOptions& opts,
-                  size_t alignment, const Fn& fn) {
-  ThreadPool& pool = PoolOf(opts);
-  const std::vector<size_t> edges =
-      AlignedShards(num_rows, ShardsOf(opts, pool), alignment);
-  const size_t shards = edges.size() - 1;
-  pool.ParallelForBlocked(0, shards, 1, [&](size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      PollAbort(opts);
-      fn(s, edges[s], edges[s + 1]);
-    }
-  });
+void ForEachShard(const std::vector<size_t>& edges,
+                  const ParallelScanOptions& opts, const Fn& fn) {
+  PoolOf(opts).ParallelForBlocked(
+      0, edges.size() - 1, 1, [&](size_t lo, size_t hi) {
+        for (size_t s = lo; s < hi; ++s) {
+          PollAbort(opts);
+          fn(s, edges[s], edges[s + 1]);
+        }
+      });
 }
 
 }  // namespace
 
-RowMask ParallelEvalMask(const CompiledPredicate& pred, const Table& table,
-                         const ParallelScanOptions& opts) {
-  RowMask out(table.num_rows());
+void ParallelEvalMaskInto(const CompiledPredicate& pred, const Table& table,
+                          size_t row_begin, RowMask* out,
+                          const ParallelScanOptions& opts) {
+  OSDP_CHECK(out->size() == table.num_rows());
+  OSDP_CHECK(row_begin % 64 == 0);
   // Chunk-aligned shards: a shard's typed inner loops never straddle a
   // chunk edge, so each shard is one ForEachSpan span per chunk it owns.
   // Still 64-aligned, so bit-identity to the serial scan is untouched.
-  ForEachShard(table.num_rows(), opts, kChunkRows,
-               [&](size_t /*shard*/, size_t begin, size_t end) {
-                 pred.EvalRangeInto(table, begin, end, &out);
+  ForEachShard(ShardEdges(row_begin, table.num_rows(), opts, kChunkRows),
+               opts, [&](size_t /*shard*/, size_t begin, size_t end) {
+                 pred.EvalRangeInto(table, begin, end, out);
                });
+}
+
+RowMask ParallelEvalMask(const CompiledPredicate& pred, const Table& table,
+                         const ParallelScanOptions& opts) {
+  RowMask out(table.num_rows());
+  ParallelEvalMaskInto(pred, table, /*row_begin=*/0, &out, opts);
   return out;
 }
 
 namespace {
 
-// Sums fn(word_lo, word_hi) over the 64-aligned shards of [0, num_rows), in
+// Sums fn(begin, end) over the 64-aligned shards of [row_begin, row_end), in
 // shard order. Integer partials, so the sum is exact at any shard count.
 template <typename Fn>
-size_t SumOverWordShards(size_t num_rows, const ParallelScanOptions& opts,
-                         const Fn& fn) {
-  ThreadPool& pool = PoolOf(opts);
+size_t SumOverWordShards(size_t row_begin, size_t row_end,
+                         const ParallelScanOptions& opts, const Fn& fn) {
   const std::vector<size_t> edges =
-      AlignedShards(num_rows, ShardsOf(opts, pool), /*alignment=*/64);
-  const size_t shards = edges.size() - 1;
-  std::vector<size_t> partial(shards, 0);
-  pool.ParallelForBlocked(0, shards, 1, [&](size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      PollAbort(opts);
-      partial[s] = fn(edges[s] >> 6, (edges[s + 1] + 63) >> 6);
-    }
+      ShardEdges(row_begin, row_end, opts, /*alignment=*/64);
+  std::vector<size_t> partial(edges.size() - 1, 0);
+  ForEachShard(edges, opts, [&](size_t s, size_t begin, size_t end) {
+    partial[s] = fn(begin, end);
   });
   size_t total = 0;
   for (size_t n : partial) total += n;
@@ -86,19 +103,43 @@ size_t SumOverWordShards(size_t num_rows, const ParallelScanOptions& opts,
 
 size_t ParallelCount(const RowMask& mask, const ParallelScanOptions& opts) {
   const uint64_t* words = mask.words();
-  return SumOverWordShards(mask.size(), opts, [&](size_t wlo, size_t whi) {
-    return PopcountWords(words, wlo, whi);
+  // Whole-mask shards end on a word edge or at size(), past which the mask's
+  // tail bits are zero, so whole words count exactly.
+  return SumOverWordShards(0, mask.size(), opts, [&](size_t begin, size_t end) {
+    return PopcountWords(words, begin >> 6, (end + 63) >> 6);
   });
+}
+
+size_t ParallelAndCount(const RowMask& a, const RowMask& b, size_t row_begin,
+                        size_t row_end, const ParallelScanOptions& opts) {
+  OSDP_CHECK(a.size() == b.size());
+  OSDP_CHECK(row_begin <= row_end && row_end <= a.size());
+  const uint64_t* aw = a.words();
+  const uint64_t* bw = b.words();
+  return SumOverWordShards(
+      row_begin, row_end, opts, [&](size_t begin, size_t end) {
+        const size_t wlo = begin >> 6;
+        const size_t whi = (end + 63) >> 6;
+        size_t n = AndPopcountWords(aw, bw, wlo, whi);
+        // Take back the bits of a partial first or last word that lie
+        // outside [begin, end).
+        if ((begin & 63) != 0) {
+          const uint64_t w =
+              aw[wlo] & bw[wlo] & ((uint64_t{1} << (begin & 63)) - 1);
+          n -= PopcountWords(&w, 0, 1);
+        }
+        if ((end & 63) != 0) {
+          const uint64_t w =
+              aw[whi - 1] & bw[whi - 1] & (~uint64_t{0} << (end & 63));
+          n -= PopcountWords(&w, 0, 1);
+        }
+        return n;
+      });
 }
 
 size_t ParallelAndCount(const RowMask& a, const RowMask& b,
                         const ParallelScanOptions& opts) {
-  OSDP_CHECK(a.size() == b.size());
-  const uint64_t* aw = a.words();
-  const uint64_t* bw = b.words();
-  return SumOverWordShards(a.size(), opts, [&](size_t wlo, size_t whi) {
-    return AndPopcountWords(aw, bw, wlo, whi);
-  });
+  return ParallelAndCount(a, b, 0, a.size(), opts);
 }
 
 void ParallelAndWith(RowMask* mask, const RowMask& other,
@@ -106,7 +147,7 @@ void ParallelAndWith(RowMask* mask, const RowMask& other,
   OSDP_CHECK(mask->size() == other.size());
   uint64_t* dst = mask->mutable_words();
   const uint64_t* src = other.words();
-  ForEachShard(mask->size(), opts, /*alignment=*/64,
+  ForEachShard(ShardEdges(0, mask->size(), opts, /*alignment=*/64), opts,
                [&](size_t /*shard*/, size_t begin, size_t end) {
                  const size_t whi = (end + 63) >> 6;
                  for (size_t wi = begin >> 6; wi < whi; ++wi) {
@@ -118,23 +159,20 @@ void ParallelAndWith(RowMask* mask, const RowMask& other,
 namespace {
 
 // Per-shard partial histograms, accumulate(begin, end, &partial) over
-// chunk-aligned shards of [0, num_rows), merged lock-free in shard order.
-// Chunk alignment keeps each shard's accumulation loops within chunk spans;
-// the merge order is shard order either way, so counts are unchanged.
+// chunk-aligned shards of [row_begin, row_end), merged lock-free in shard
+// order. Chunk alignment keeps each shard's accumulation loops within chunk
+// spans; the merge order is shard order either way, so counts are unchanged.
 template <typename Accumulate>
 Histogram ShardedHistogram(const PreparedHistogramQuery& prepared,
-                           size_t num_rows, const ParallelScanOptions& opts,
+                           size_t row_begin, size_t row_end,
+                           const ParallelScanOptions& opts,
                            const Accumulate& accumulate) {
-  ThreadPool& pool = PoolOf(opts);
   const std::vector<size_t> edges =
-      AlignedShards(num_rows, ShardsOf(opts, pool), kChunkRows);
-  const size_t shards = edges.size() - 1;
-  std::vector<Histogram> partial(shards, Histogram(prepared.num_bins()));
-  pool.ParallelForBlocked(0, shards, 1, [&](size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      PollAbort(opts);
-      accumulate(edges[s], edges[s + 1], &partial[s]);
-    }
+      ShardEdges(row_begin, row_end, opts, kChunkRows);
+  std::vector<Histogram> partial(edges.size() - 1,
+                                 Histogram(prepared.num_bins()));
+  ForEachShard(edges, opts, [&](size_t s, size_t begin, size_t end) {
+    accumulate(begin, end, &partial[s]);
   });
 
   // Lock-free merge in shard order: integer-valued partial counts sum
@@ -151,11 +189,34 @@ Histogram ShardedHistogram(const PreparedHistogramQuery& prepared,
 
 Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
                                       const RowMask& selected,
+                                      size_t row_begin, size_t row_end,
                                       const ParallelScanOptions& opts) {
+  OSDP_CHECK(row_begin <= row_end && row_end <= selected.size());
   return ShardedHistogram(
-      prepared, selected.size(), opts,
+      prepared, row_begin, row_end, opts,
       [&](size_t begin, size_t end, Histogram* out) {
         prepared.AccumulateRange(selected, begin, end, out);
+      });
+}
+
+Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
+                                      const RowMask& selected,
+                                      const ParallelScanOptions& opts) {
+  return ParallelAccumulateHistogram(prepared, selected, 0, selected.size(),
+                                     opts);
+}
+
+Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
+                                      const RowMask& where,
+                                      const RowMask& also, size_t row_begin,
+                                      size_t row_end,
+                                      const ParallelScanOptions& opts) {
+  OSDP_CHECK(where.size() == also.size());
+  OSDP_CHECK(row_begin <= row_end && row_end <= where.size());
+  return ShardedHistogram(
+      prepared, row_begin, row_end, opts,
+      [&](size_t begin, size_t end, Histogram* out) {
+        prepared.AccumulateRange(where, also, begin, end, out);
       });
 }
 
@@ -163,12 +224,8 @@ Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
                                       const RowMask& where,
                                       const RowMask& also,
                                       const ParallelScanOptions& opts) {
-  OSDP_CHECK(where.size() == also.size());
-  return ShardedHistogram(
-      prepared, where.size(), opts,
-      [&](size_t begin, size_t end, Histogram* out) {
-        prepared.AccumulateRange(where, also, begin, end, out);
-      });
+  return ParallelAccumulateHistogram(prepared, where, also, 0, where.size(),
+                                     opts);
 }
 
 Result<Histogram> ParallelComputeHistogramMasked(

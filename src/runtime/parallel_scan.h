@@ -23,6 +23,11 @@
 // Options select the pool and the shard count; the defaults (process-wide
 // pool, one shard per worker) are right for throughput. More shards than
 // workers is legal and occasionally useful for skewed string scans.
+//
+// The row-range forms shard [row_begin, row_end) the same way, with interior
+// edges aligned in absolute row numbers, and equal the whole-table form
+// restricted to that range. They are how MaskCache extends a generation's
+// mask and aggregates to the next by scanning only the appended rows.
 
 #ifndef OSDP_RUNTIME_PARALLEL_SCAN_H_
 #define OSDP_RUNTIME_PARALLEL_SCAN_H_
@@ -59,6 +64,13 @@ struct ParallelScanOptions {
 RowMask ParallelEvalMask(const CompiledPredicate& pred, const Table& table,
                          const ParallelScanOptions& opts = {});
 
+/// ParallelEvalMask over rows [row_begin, table.num_rows()) only, written
+/// into `out` (sized table.num_rows()); words before row_begin, which must
+/// be a multiple of 64, are left untouched.
+void ParallelEvalMaskInto(const CompiledPredicate& pred, const Table& table,
+                          size_t row_begin, RowMask* out,
+                          const ParallelScanOptions& opts = {});
+
 /// RowMask::Count, sharded: per-shard popcounts summed in shard order.
 size_t ParallelCount(const RowMask& mask,
                      const ParallelScanOptions& opts = {});
@@ -69,6 +81,11 @@ size_t ParallelCount(const RowMask& mask,
 /// Equals ParallelCount of a copy of `a` ANDed with `b`, at any shard count.
 size_t ParallelAndCount(const RowMask& a, const RowMask& b,
                         const ParallelScanOptions& opts = {});
+
+/// |a ∧ b| over rows [row_begin, row_end) only; either edge may fall
+/// mid-word.
+size_t ParallelAndCount(const RowMask& a, const RowMask& b, size_t row_begin,
+                        size_t row_end, const ParallelScanOptions& opts = {});
 
 /// RowMask::AndWith, sharded: each shard rewrites its own words.
 void ParallelAndWith(RowMask* mask, const RowMask& other,
@@ -92,6 +109,13 @@ Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
                                       const RowMask& selected,
                                       const ParallelScanOptions& opts = {});
 
+/// The accumulation stage over the selected rows in [row_begin, row_end)
+/// only; either edge may fall mid-word.
+Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
+                                      const RowMask& selected,
+                                      size_t row_begin, size_t row_end,
+                                      const ParallelScanOptions& opts = {});
+
 /// The accumulation stage over the rows set in both `where` and `also`
 /// (equal sizes, checked), ANDed word by word inside the walk: bit-identical
 /// to accumulating a copy of `where` ANDed with `also`, without the copy.
@@ -99,6 +123,13 @@ Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
 Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
                                       const RowMask& where,
                                       const RowMask& also,
+                                      const ParallelScanOptions& opts = {});
+
+/// The two-mask accumulation over rows [row_begin, row_end) only.
+Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
+                                      const RowMask& where,
+                                      const RowMask& also, size_t row_begin,
+                                      size_t row_end,
                                       const ParallelScanOptions& opts = {});
 
 }  // namespace osdp

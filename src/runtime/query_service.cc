@@ -118,6 +118,7 @@ QueryService::MetricsHandles QueryService::ResolveMetrics(
   m.cache_evictions = registry->GetCounter("cache.evictions");
   m.cache_aggregate_hits = registry->GetCounter("cache.aggregate_hits");
   m.cache_aggregate_misses = registry->GetCounter("cache.aggregate_misses");
+  m.cache_extensions = registry->GetCounter("cache.extensions");
   m.cache_bytes = registry->GetGauge("cache.bytes");
   m.cache_entries = registry->GetGauge("cache.entries");
   m.ingest_batches = registry->GetCounter("ingest.batches");
@@ -145,7 +146,7 @@ QueryService::QueryService(OsdpEngine engine, TableBuilder builder,
       mask_cache_(MaskCache::Options{
           options.mask_cache_bytes, options.mask_cache_shards, m_.cache_hits,
           m_.cache_misses, m_.cache_evictions, m_.cache_aggregate_hits,
-          m_.cache_aggregate_misses}),
+          m_.cache_aggregate_misses, m_.cache_extensions}),
       store_(engine_.snapshot()),
       builder_(std::move(builder)) {
   // Route the mechanisms' deterministic stages (interval-cost engine build,
@@ -380,31 +381,38 @@ MaskCache::EntryPtr QueryService::CachedScanMask(
     const CompiledPredicate& pred, const Snapshot& snap,
     const ParallelScanOptions& scan, bool* cache_hit) {
   return mask_cache_.Lookup(
-      pred, snap.generation,
-      [&] { return ParallelEvalMask(pred, snap.table, scan); }, cache_hit);
+      pred, snap.generation, snap.table.num_rows(),
+      [&](size_t row_begin, RowMask* out) {
+        ParallelEvalMaskInto(pred, snap.table, row_begin, out, scan);
+      },
+      cache_hit);
 }
 
 std::shared_ptr<const Histogram> QueryService::ExactHistogram(
     const PreparedHistogramQuery& query, const Snapshot& snap,
     const MaskCache::Entry* where, bool non_sensitive,
     const ParallelScanOptions& scan) {
-  const auto accumulate = [&] {
-    if (where != nullptr) {
-      return non_sensitive
-                 ? ParallelAccumulateHistogram(query, where->mask(),
-                                               snap.non_sensitive, scan)
-                 : ParallelAccumulateHistogram(query, where->mask(), scan);
-    }
-    if (non_sensitive) {
-      return ParallelAccumulateHistogram(query, snap.non_sensitive, scan);
-    }
-    const RowMask all_rows(snap.table.num_rows(), /*value=*/true);
-    return ParallelAccumulateHistogram(query, all_rows, scan);
-  };
+  const size_t rows = snap.table.num_rows();
   // An unfiltered histogram has no cache entry to hold it.
-  if (where == nullptr) return std::make_shared<const Histogram>(accumulate());
+  if (where == nullptr) {
+    if (non_sensitive) {
+      return std::make_shared<const Histogram>(
+          ParallelAccumulateHistogram(query, snap.non_sensitive, scan));
+    }
+    const RowMask all_rows(rows, /*value=*/true);
+    return std::make_shared<const Histogram>(
+        ParallelAccumulateHistogram(query, all_rows, scan));
+  }
   return mask_cache_.AggregateHistogram(
-      *where, MaskCache::HistogramKey::Of(query, non_sensitive), accumulate);
+      *where, MaskCache::HistogramKey::Of(query, non_sensitive),
+      [&](size_t row_begin) {
+        return non_sensitive
+                   ? ParallelAccumulateHistogram(query, where->mask(),
+                                                 snap.non_sensitive, row_begin,
+                                                 rows, scan)
+                   : ParallelAccumulateHistogram(query, where->mask(),
+                                                 row_begin, rows, scan);
+      });
 }
 
 Result<ServiceAnswer> QueryService::Execute(PreparedRequest* prepared) {
@@ -488,11 +496,12 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
     }
     // |WHERE ∧ non-sensitive|, memoized on the cache entry: the first query
     // of this (predicate, generation) runs one fused AND + popcount pass over
-    // both masks' words, reading the shared mask in place; later ones read
-    // the stored count.
+    // both masks' words — only the rows past an extended entry's seed —
+    // reading the shared mask in place; later ones read the stored count.
     const double count = static_cast<double>(
-        mask_cache_.NonSensitiveCount(*where, [&] {
-          return ParallelAndCount(where->mask(), snap.non_sensitive, scan);
+        mask_cache_.NonSensitiveCount(*where, [&](size_t row_begin) {
+          return ParallelAndCount(where->mask(), snap.non_sensitive, row_begin,
+                                  snap.table.num_rows(), scan);
         }));
     if (span != nullptr) {
       m_.h_accumulate->Record(

@@ -45,8 +45,11 @@
 //     privacy-neutral: the budget is charged per release either way, and the
 //     noisy stage always draws from the query's own seed stream. Hit and
 //     miss answers are bit-identical — the property tests/mask_cache_test.cc
-//     is built around. ServiceAnswer.cache_hit and cache_stats() expose the
-//     behavior to tests and benches.
+//     is built around. After an ingest, a recurring clause's first query
+//     extends its previous generation's mask and aggregates by scanning only
+//     the appended rows. ServiceAnswer.cache_hit and cache_stats() expose the
+//     behavior to tests and benches; an extension is a miss to the analyst,
+//     and only the operator's cache.extensions counter tells it apart.
 //
 // Fault tolerance — the robustness layer (docs/robustness.md):
 //
@@ -180,7 +183,8 @@ struct ServiceAnswer {
   /// service's MaskCache instead of being rescanned. Purely observational:
   /// hit and miss answers are bit-identical, and the noisy release stage is
   /// never cached. Always false when the query has no WHERE scan (an
-  /// unfiltered histogram, a sample) or the cache is disabled.
+  /// unfiltered histogram, a sample) or the cache is disabled, and false
+  /// when the mask extended an older generation's: that is still a miss.
   bool cache_hit = false;
   /// Wall time this query spent in the service, from batch submission to
   /// delivery of this answer, in microseconds. Metadata only — measured
@@ -465,9 +469,9 @@ class QueryService {
   void RecordFailure(const PreparedRequest& prepared, StatusCode code);
 
   // The mask-cache entry of `pred` over `snap`'s table (lookup keyed by
-  // fingerprint × snap.generation, mask computed via the sharded scan on a
-  // miss; an uncached entry when the cache is off). `cache_hit` reports
-  // hit/miss.
+  // fingerprint × snap.generation; on a miss the sharded scan covers only
+  // the rows an older generation's entry does not; an uncached entry when
+  // the cache is off). `cache_hit` reports hit/miss.
   MaskCache::EntryPtr CachedScanMask(const CompiledPredicate& pred,
                                      const Snapshot& snap,
                                      const ParallelScanOptions& scan,
@@ -512,6 +516,7 @@ class QueryService {
     obs::Counter* cache_evictions;
     obs::Counter* cache_aggregate_hits;
     obs::Counter* cache_aggregate_misses;
+    obs::Counter* cache_extensions;
     obs::Gauge* cache_bytes;
     obs::Gauge* cache_entries;
     // ingest.* (telemetry: gated, except the failure counter).

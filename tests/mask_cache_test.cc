@@ -3,7 +3,9 @@
 // generation keying, deep-equality collision rejection, LRU eviction under a
 // byte budget, stats accounting) and the aggregate memo (computed once per
 // entry, charged and evicted with it, racing fills agreeing, failed fills
-// storing nothing); the service-level property suites pin the
+// storing nothing); the extension suite pins a generation built from an
+// older one's words and aggregates equal to a cold scan, and which entries
+// may serve as its base; the service-level property suites pin the
 // only property that ultimately matters: a cache-enabled QueryService is
 // observationally bit-identical to a cache-disabled twin — for every query,
 // across sessions, thread counts, word-boundary table sizes, generations,
@@ -26,6 +28,8 @@
 #include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
 #include "src/data/row_mask.h"
+#include "src/data/snapshot.h"
+#include "src/data/table_builder.h"
 #include "src/hist/histogram_query.h"
 #include "src/policy/policy.h"
 #include "src/runtime/mask_cache.h"
@@ -48,6 +52,14 @@ RowMask PatternMask(size_t rows, uint64_t seed) {
 
 std::shared_ptr<const std::string> Canon(const std::string& s) {
   return std::make_shared<const std::string>(s);
+}
+
+// A RangeScan that yields `mask` whole, for lookups that must not extend.
+MaskCache::RangeScan Whole(RowMask mask) {
+  return [mask](size_t row_begin, RowMask* out) {
+    EXPECT_EQ(row_begin, 0u) << "a lookup extended an entry it must not";
+    *out = mask;
+  };
 }
 
 TEST(MaskCacheTest, KeyedByFingerprintAndGeneration) {
@@ -230,17 +242,17 @@ constexpr size_t HistogramCharge(size_t bins) { return bins * 8 + 96; }
 TEST(MaskCacheAggregateTest, MemoComputesOncePerEntry) {
   MaskCache cache({1 << 20, 2});
   const auto entry =
-      cache.LookupKeyed(1, Canon("A"), 0, [] { return PatternMask(64, 1); });
+      cache.LookupKeyed(1, Canon("A"), 0, 64, Whole(PatternMask(64, 1)));
   int count_computes = 0;
   int hist_computes = 0;
   const auto count_of = [&](const MaskCache::Entry& e, size_t value) {
-    return cache.NonSensitiveCount(e, [&] {
+    return cache.NonSensitiveCount(e, [&](size_t) {
       ++count_computes;
       return value;
     });
   };
   const auto hist_of = [&](const MaskCache::HistogramKey& key) {
-    return cache.AggregateHistogram(*entry, key, [&] {
+    return cache.AggregateHistogram(*entry, key, [&](size_t) {
       ++hist_computes;
       return Ramp(8);
     });
@@ -254,7 +266,7 @@ TEST(MaskCacheAggregateTest, MemoComputesOncePerEntry) {
 
   // A count of zero is a known value, not "unknown".
   const auto other =
-      cache.LookupKeyed(2, Canon("B"), 0, [] { return PatternMask(64, 2); });
+      cache.LookupKeyed(2, Canon("B"), 0, 64, Whole(PatternMask(64, 2)));
   EXPECT_EQ(count_of(*other, 0), 0u);
   EXPECT_EQ(count_of(*other, 0), 0u);
   EXPECT_EQ(count_computes, 2);
@@ -281,14 +293,14 @@ TEST(MaskCacheAggregateTest, UncachedEntriesRecomputeAndCountNothing) {
   MaskCache tiny({64, 1});
   for (MaskCache* cache : {&disabled, &tiny}) {
     const auto entry = cache->LookupKeyed(
-        1, Canon("A"), 0, [] { return PatternMask(10000, 1); });
+        1, Canon("A"), 0, 10000, Whole(PatternMask(10000, 1)));
     int computes = 0;
     for (int i = 0; i < 2; ++i) {
-      cache->NonSensitiveCount(*entry, [&] {
+      cache->NonSensitiveCount(*entry, [&](size_t) {
         ++computes;
         return size_t{3};
       });
-      cache->AggregateHistogram(*entry, BinsKey(4), [&] {
+      cache->AggregateHistogram(*entry, BinsKey(4), [&](size_t) {
         ++computes;
         return Ramp(4);
       });
@@ -309,14 +321,14 @@ TEST(MaskCacheAggregateTest, EvictedEntryTakesItsAggregatesWithIt) {
   int computes = 0;
   const auto lookup = [&](const std::string& key) {
     return cache.LookupKeyed(std::hash<std::string>{}(key), Canon(key), 0,
-                             [] { return PatternMask(64, 7); });
+                             64, Whole(PatternMask(64, 7)));
   };
   const auto fill = [&](const MaskCache::Entry& entry) {
-    cache.NonSensitiveCount(entry, [&] {
+    cache.NonSensitiveCount(entry, [&](size_t) {
       ++computes;
       return size_t{9};
     });
-    cache.AggregateHistogram(entry, BinsKey(8), [&] {
+    cache.AggregateHistogram(entry, BinsKey(8), [&](size_t) {
       ++computes;
       return Ramp(8);
     });
@@ -335,7 +347,7 @@ TEST(MaskCacheAggregateTest, EvictedEntryTakesItsAggregatesWithIt) {
   // charged to a shard it left.
   fill(*a);
   EXPECT_EQ(computes, 2);
-  cache.AggregateHistogram(*a, BinsKey(8, /*column=*/1), [&] {
+  cache.AggregateHistogram(*a, BinsKey(8, /*column=*/1), [&](size_t) {
     ++computes;
     return Ramp(8);
   });
@@ -346,7 +358,7 @@ TEST(MaskCacheAggregateTest, EvictedEntryTakesItsAggregatesWithIt) {
   bool hit = true;
   const auto again = cache.LookupKeyed(std::hash<std::string>{}("A"),
                                        Canon("A"), 0,
-                                       [] { return PatternMask(64, 7); }, &hit);
+                                       64, Whole(PatternMask(64, 7)), &hit);
   EXPECT_FALSE(hit);
   fill(*again);
   EXPECT_EQ(computes, 5);
@@ -357,25 +369,25 @@ TEST(MaskCacheAggregateTest, AttachedHistogramBytesCountAndEvictTheLruTail) {
   // 160-byte histogram to the newer one pushes the older one out.
   MaskCache cache({400, 1});
   const auto a =
-      cache.LookupKeyed(1, Canon("A"), 0, [] { return PatternMask(64, 1); });
+      cache.LookupKeyed(1, Canon("A"), 0, 64, Whole(PatternMask(64, 1)));
   const auto b =
-      cache.LookupKeyed(2, Canon("B"), 0, [] { return PatternMask(64, 2); });
+      cache.LookupKeyed(2, Canon("B"), 0, 64, Whole(PatternMask(64, 2)));
   EXPECT_EQ(cache.stats().bytes, 2 * kSmallEntryBytes);
 
-  cache.AggregateHistogram(*b, BinsKey(8), [] { return Ramp(8); });
+  cache.AggregateHistogram(*b, BinsKey(8), [](size_t) { return Ramp(8); });
   MaskCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.bytes, kSmallEntryBytes + HistogramCharge(8));
   bool hit = false;
-  cache.LookupKeyed(2, Canon("B"), 0, [] { return PatternMask(64, 2); },
+  cache.LookupKeyed(2, Canon("B"), 0, 64, Whole(PatternMask(64, 2)),
                     &hit);
   EXPECT_TRUE(hit) << "the entry that grew was evicted instead of the tail";
 
   // A histogram that could never fit beside its entry is served, not stored.
   int computes = 0;
   for (int i = 0; i < 2; ++i) {
-    const auto big = cache.AggregateHistogram(*b, BinsKey(64), [&] {
+    const auto big = cache.AggregateHistogram(*b, BinsKey(64), [&](size_t) {
       ++computes;
       return Ramp(64);
     });
@@ -410,9 +422,8 @@ TEST(MaskCacheAggregateTest, RacingFillsOfOneKeyAgreeBitForBit) {
   const size_t expected_count = expected_mask.Count();
 
   MaskCache cache({1 << 20, 1});
-  const auto entry = cache.Lookup(*prepared.where(), 0, [&] {
-    return prepared.where()->EvalMask(table);
-  });
+  const auto entry = cache.Lookup(*prepared.where(), 0, table.num_rows(),
+                                  Whole(prepared.where()->EvalMask(table)));
   const size_t bytes_before = cache.stats().bytes;
 
   constexpr int kThreads = 8;
@@ -426,12 +437,12 @@ TEST(MaskCacheAggregateTest, RacingFillsOfOneKeyAgreeBitForBit) {
       const ParallelScanOptions scan{&pool, static_cast<size_t>(t + 1)};
       arrived.fetch_add(1);
       while (arrived.load() < kThreads) std::this_thread::yield();
-      counts[t] = cache.NonSensitiveCount(*entry, [&] {
+      counts[t] = cache.NonSensitiveCount(*entry, [&](size_t) {
         return ParallelAndCount(entry->mask(), ns, scan);
       });
       hists[t] = cache.AggregateHistogram(
           *entry, MaskCache::HistogramKey::Of(prepared, /*non_sensitive=*/true),
-          [&] {
+          [&](size_t) {
             return ParallelAccumulateHistogram(prepared, entry->mask(), ns,
                                                scan);
           });
@@ -449,7 +460,7 @@ TEST(MaskCacheAggregateTest, RacingFillsOfOneKeyAgreeBitForBit) {
   // Settled: the next request is served from the entry.
   const auto settled = cache.AggregateHistogram(
       *entry, MaskCache::HistogramKey::Of(prepared, /*non_sensitive=*/true),
-      [&]() -> Histogram {
+      [&](size_t) -> Histogram {
         ADD_FAILURE() << "settled histogram recomputed";
         return Histogram(100);
       });
@@ -462,17 +473,17 @@ TEST(MaskCacheAggregateTest, FailedFillLeavesTheEntryUsable) {
   // as before, and the next request computes again.
   MaskCache cache({1 << 20, 1});
   const auto entry =
-      cache.LookupKeyed(1, Canon("A"), 0, [] { return PatternMask(64, 1); });
+      cache.LookupKeyed(1, Canon("A"), 0, 64, Whole(PatternMask(64, 1)));
   const size_t bytes_before = cache.stats().bytes;
   int computes = 0;
   const auto count = [&] {
-    return cache.NonSensitiveCount(*entry, [&] {
+    return cache.NonSensitiveCount(*entry, [&](size_t) {
       ++computes;
       return size_t{4};
     });
   };
   const auto hist = [&] {
-    return cache.AggregateHistogram(*entry, BinsKey(8), [&] {
+    return cache.AggregateHistogram(*entry, BinsKey(8), [&](size_t) {
       ++computes;
       return Ramp(8);
     });
@@ -485,11 +496,11 @@ TEST(MaskCacheAggregateTest, FailedFillLeavesTheEntryUsable) {
   EXPECT_EQ(computes, 2);
   EXPECT_EQ(cache.stats().bytes, bytes_before);
   EXPECT_THROW(cache.NonSensitiveCount(
-                   *entry, []() -> size_t { throw std::runtime_error("x"); }),
+                   *entry, [](size_t) -> size_t { throw std::runtime_error("x"); }),
                std::runtime_error);
   EXPECT_THROW(cache.AggregateHistogram(
                    *entry, BinsKey(8),
-                   []() -> Histogram { throw std::runtime_error("x"); }),
+                   [](size_t) -> Histogram { throw std::runtime_error("x"); }),
                std::runtime_error);
 
   EXPECT_EQ(count(), 4u);
@@ -698,6 +709,317 @@ TEST(MaskCacheServiceTest, LruEvictionUnderTinyBudgetStaysBitIdentical) {
       /*rng_seed=*/0x71D7);
   EXPECT_GT(stats.evictions, 0u) << "budget was not tiny enough to evict";
   EXPECT_LE(stats.bytes, 700u);
+}
+
+// ------------------------------------------------------------- extension ---
+
+// Two generations as the service sees them: a builder seeded with `base`
+// rows, then `delta` appended rows, each cut into a snapshot.
+struct Generations {
+  SnapshotPtr g0;
+  SnapshotPtr g1;
+};
+
+Generations TwoGenerations(size_t base, size_t delta, uint64_t seed) {
+  CensusTableOptions opts;
+  opts.num_rows = base;
+  opts.seed = seed;
+  TableBuilder builder = *TableBuilder::Create(MakeCensusTable(opts),
+                                               TestPolicy());
+  Generations g;
+  g.g0 = builder.BuildSnapshot(0);
+  opts.num_rows = delta;
+  opts.seed = seed + 1;
+  EXPECT_TRUE(builder.Append(MakeCensusTable(opts)).ok());
+  g.g1 = builder.BuildSnapshot(1);
+  return g;
+}
+
+// A random WHERE clause: one comparison, or an AND / OR of two.
+Predicate RandomWhere(Rng& rng) {
+  const auto leaf = [&]() {
+    switch (rng.NextBounded(4)) {
+      case 0:
+        return Predicate::Le("age", Value(static_cast<int64_t>(
+                                        rng.NextBounded(100))));
+      case 1:
+        return Predicate::Gt("income", Value(rng.NextDouble() * 80000.0));
+      case 2:
+        return Predicate::Eq(
+            "race", Value("C" + std::to_string(rng.NextBounded(8))));
+      default:
+        return Predicate::Ge("zip", Value(static_cast<int64_t>(
+                                        rng.NextBounded(10000))));
+    }
+  };
+  switch (rng.NextBounded(3)) {
+    case 0:
+      return leaf();
+    case 1:
+      return Predicate::And(leaf(), leaf());
+    default:
+      return Predicate::Or(leaf(), leaf());
+  }
+}
+
+// What the service reads for one WHERE clause over one snapshot: the mask,
+// |WHERE ∧ x_ns| and the x / x_ns histograms, each through `cache` exactly
+// as QueryService asks for it. `*_begin` record the first row each
+// compute was asked to start from (kNone when it never ran).
+constexpr size_t kNone = ~size_t{0};
+struct Served {
+  RowMask mask;
+  size_t count = 0;
+  Histogram x{}, xns{};
+  size_t scan_begin = kNone, count_begin = kNone, x_begin = kNone,
+         xns_begin = kNone;
+};
+
+struct Reads {
+  bool count = true, x = true, xns = true;
+};
+
+Served Serve(MaskCache& cache, const Predicate& where, const Snapshot& snap,
+             const ParallelScanOptions& scan, Reads reads = {}) {
+  const Table& table = snap.table;
+  const size_t rows = table.num_rows();
+  const HistogramQuery hq{"age", *Domain1D::Numeric(0, 100, 16), where};
+  const PreparedHistogramQuery query =
+      *PreparedHistogramQuery::Prepare(table, hq);
+  const CompiledPredicate& pred = *query.where();
+  Served out;
+  const auto first = [](size_t* slot, size_t row_begin) {
+    if (*slot == kNone) *slot = row_begin;
+  };
+  const auto entry = cache.Lookup(
+      pred, snap.generation, rows, [&](size_t row_begin, RowMask* mask) {
+        first(&out.scan_begin, row_begin);
+        ParallelEvalMaskInto(pred, table, row_begin, mask, scan);
+      });
+  out.mask = entry->mask();
+  if (reads.count) {
+    out.count = cache.NonSensitiveCount(*entry, [&](size_t row_begin) {
+      first(&out.count_begin, row_begin);
+      return ParallelAndCount(entry->mask(), snap.non_sensitive, row_begin,
+                              rows, scan);
+    });
+  }
+  if (reads.x) {
+    out.x = *cache.AggregateHistogram(
+        *entry, MaskCache::HistogramKey::Of(query, false),
+        [&](size_t row_begin) {
+          first(&out.x_begin, row_begin);
+          return ParallelAccumulateHistogram(query, entry->mask(), row_begin,
+                                             rows, scan);
+        });
+  }
+  if (reads.xns) {
+    out.xns = *cache.AggregateHistogram(
+        *entry, MaskCache::HistogramKey::Of(query, true),
+        [&](size_t row_begin) {
+          first(&out.xns_begin, row_begin);
+          return ParallelAccumulateHistogram(
+              query, entry->mask(), snap.non_sensitive, row_begin, rows, scan);
+        });
+  }
+  return out;
+}
+
+// The cold values, serially and from scratch.
+Served Cold(const Predicate& where, const Snapshot& snap) {
+  const Table& table = snap.table;
+  const HistogramQuery hq{"age", *Domain1D::Numeric(0, 100, 16), where};
+  Served out;
+  out.mask = CompiledPredicate::Compile(where, table.schema())->EvalMask(table);
+  RowMask matching = out.mask;
+  matching.AndWith(snap.non_sensitive);
+  out.count = matching.Count();
+  out.x = *ComputeHistogramMasked(table, hq, RowMask(table.num_rows(), true));
+  out.xns = *ComputeHistogramMasked(table, hq, snap.non_sensitive);
+  return out;
+}
+
+void ExpectSame(const Served& got, const Served& want, Reads reads,
+                const std::string& where) {
+  EXPECT_TRUE(got.mask == want.mask) << where;
+  if (reads.count) {
+    EXPECT_EQ(got.count, want.count) << where;
+  }
+  if (reads.x) {
+    EXPECT_EQ(got.x.counts(), want.x.counts()) << where;
+  }
+  if (reads.xns) {
+    EXPECT_EQ(got.xns.counts(), want.xns.counts()) << where;
+  }
+}
+
+TEST(MaskCacheExtensionTest, ExtendedEntriesEqualAColdScanBitForBit) {
+  // Base sizes with n % 64 in {0, 1, 63}, deltas of {1, 63, 64, 4097} rows,
+  // shard counts {1, 2, 7}, random clauses, and a random subset of the
+  // base's aggregates filled: generation 1 is built by extending generation
+  // 0, and its mask, count and both histograms equal a cold scan's.
+  ThreadPool pool(3);
+  Rng rng(0xE7E);
+  for (size_t base : {size_t{4480}, size_t{4481}, size_t{4543}}) {
+    for (size_t delta : {size_t{1}, size_t{63}, size_t{64}, size_t{4097}}) {
+      const Generations g = TwoGenerations(base, delta, base * 7 + delta);
+      for (size_t shards : {size_t{1}, size_t{2}, size_t{7}}) {
+        const ParallelScanOptions scan{&pool, shards};
+        MaskCache cache({1 << 22, 2});
+        for (int trial = 0; trial < 4; ++trial) {
+          const Predicate where = RandomWhere(rng);
+          const std::string label =
+              "base=" + std::to_string(base) + " delta=" +
+              std::to_string(delta) + " shards=" + std::to_string(shards) +
+              " where=" + where.ToString();
+          Reads filled;
+          filled.count = rng.NextBounded(2) == 0;
+          filled.x = rng.NextBounded(2) == 0;
+          filled.xns = rng.NextBounded(2) == 0;
+          const uint64_t extensions = cache.stats().extensions;
+          ExpectSame(Serve(cache, where, *g.g0, scan, filled), Cold(where, *g.g0),
+                     filled, label);
+          const Served got = Serve(cache, where, *g.g1, scan);
+          ExpectSame(got, Cold(where, *g.g1), Reads{}, label);
+          EXPECT_EQ(cache.stats().extensions, extensions + 1) << label;
+          // Only the appended rows were scanned, and each seeded aggregate
+          // covered only the rows past the base.
+          EXPECT_EQ(got.scan_begin, base & ~size_t{63}) << label;
+          EXPECT_EQ(got.count_begin, filled.count ? base : 0) << label;
+          EXPECT_EQ(got.x_begin, filled.x ? base : 0) << label;
+          EXPECT_EQ(got.xns_begin, filled.xns ? base : 0) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(MaskCacheExtensionTest, DisabledCacheNeverExtends) {
+  ThreadPool pool(2);
+  const Generations g = TwoGenerations(4481, 63, 0xD15);
+  MaskCache cache({0, 2});
+  const Predicate where = Predicate::Le("age", Value(40));
+  Serve(cache, where, *g.g0, {&pool, 2});
+  const Served got = Serve(cache, where, *g.g1, {&pool, 2});
+  ExpectSame(got, Cold(where, *g.g1), Reads{}, "disabled");
+  EXPECT_EQ(got.scan_begin, 0u);
+  EXPECT_EQ(got.count_begin, 0u);
+  EXPECT_EQ(cache.stats().extensions, 0u);
+}
+
+TEST(MaskCacheExtensionTest, BaseEvictedMidExtensionStillExtendsExactly) {
+  // The base is evicted while the extension scans (the scan itself inserts
+  // an entry that fills the shard): the pinned base still supplies its
+  // words and seeds, the result equals a cold scan, and the base is gone.
+  ThreadPool pool(2);
+  const Generations g = TwoGenerations(4481, 4097, 0xE71);
+  const Predicate where = Predicate::Gt("income", Value(30000.0));
+  constexpr size_t kBudget = 8192;
+  MaskCache cache({kBudget, 1});
+  const ParallelScanOptions scan{&pool, 2};
+  Serve(cache, where, *g.g0, scan);
+  ASSERT_EQ(cache.stats().entries, 1u);
+
+  const HistogramQuery hq{"age", *Domain1D::Numeric(0, 100, 16), where};
+  const PreparedHistogramQuery query =
+      *PreparedHistogramQuery::Prepare(g.g1->table, hq);
+  const CompiledPredicate& pred = *query.where();
+  const size_t rows = g.g1->table.num_rows();
+  // A filler mask whose entry takes most of the shard on its own.
+  const RowMask filler((kBudget - 400) * 8);
+  size_t scan_begin = kNone;
+  const auto entry = cache.Lookup(
+      pred, 1, rows, [&](size_t row_begin, RowMask* out) {
+        scan_begin = row_begin;
+        cache.LookupOrComputeKeyed(pred.Fingerprint() + 1, Canon("filler"), 0,
+                                   [&] { return filler; });
+        EXPECT_EQ(cache.stats().evictions, 1u) << "the base was not evicted";
+        ParallelEvalMaskInto(pred, g.g1->table, row_begin, out, scan);
+      });
+  EXPECT_EQ(scan_begin, 4480u);
+  EXPECT_EQ(cache.stats().extensions, 1u);
+  size_t count_begin = kNone;
+  const size_t count = cache.NonSensitiveCount(*entry, [&](size_t row_begin) {
+    count_begin = row_begin;
+    return ParallelAndCount(entry->mask(), g.g1->non_sensitive, row_begin,
+                            rows, scan);
+  });
+  EXPECT_EQ(count_begin, 4481u) << "the evicted base's count seed was lost";
+  const Served cold = Cold(where, *g.g1);
+  EXPECT_TRUE(entry->mask() == cold.mask);
+  EXPECT_EQ(count, cold.count);
+  const auto xns = cache.AggregateHistogram(
+      *entry, MaskCache::HistogramKey::Of(query, true), [&](size_t row_begin) {
+        EXPECT_EQ(row_begin, 4481u);
+        return ParallelAccumulateHistogram(query, entry->mask(),
+                                           g.g1->non_sensitive, row_begin,
+                                           rows, scan);
+      });
+  EXPECT_EQ(xns->counts(), cold.xns.counts());
+
+  // Generation 0 is no longer resident, and generation 1 is newer than it,
+  // so looking it up again scans from scratch.
+  EXPECT_EQ(Serve(cache, where, *g.g0, scan).scan_begin, 0u);
+}
+
+TEST(MaskCacheExtensionTest, FingerprintCollisionIsNeverABase) {
+  // An older entry under the same fingerprint but different canonical bytes
+  // is another clause: the lookup scans from row 0 and extends nothing.
+  MaskCache cache({1 << 20, 1});
+  const auto older = cache.LookupKeyed(77, Canon("clause A"), 0, 128,
+                                       Whole(PatternMask(128, 1)));
+  cache.NonSensitiveCount(*older, [](size_t) { return size_t{5}; });
+  size_t scan_begin = kNone;
+  const auto entry = cache.LookupKeyed(
+      77, Canon("clause B"), 1, 200, [&](size_t row_begin, RowMask* out) {
+        scan_begin = row_begin;
+        *out = PatternMask(200, 2);
+      });
+  EXPECT_EQ(scan_begin, 0u);
+  EXPECT_TRUE(entry->mask() == PatternMask(200, 2));
+  EXPECT_EQ(cache.NonSensitiveCount(*entry,
+                                    [](size_t row_begin) {
+                                      EXPECT_EQ(row_begin, 0u);
+                                      return size_t{9};
+                                    }),
+            9u);
+  EXPECT_EQ(cache.stats().extensions, 0u);
+}
+
+TEST(MaskCacheExtensionTest, OnlyTheNewestOlderGenerationIsABase) {
+  // A batch that captured generation 4 after generation 5 was cached must
+  // not extend 5 backwards; a lookup of generation 6 extends 5, not 2.
+  MaskCache cache({1 << 20, 1});
+  const auto canon = Canon("clause");
+  // Generation 5 first, so generation 2 has only a newer entry beside it.
+  cache.LookupKeyed(9, canon, 5, 300, Whole(PatternMask(300, 3)));
+  cache.LookupKeyed(9, canon, 2, 100, Whole(PatternMask(100, 3)));
+  size_t scan_begin = kNone;
+  const auto record = [&](size_t rows) {
+    return [&scan_begin, rows](size_t row_begin, RowMask* out) {
+      scan_begin = row_begin;
+      // Fill only the words the scan owns, as a real range scan does.
+      const RowMask full = PatternMask(rows, 3);
+      for (size_t w = row_begin / 64; w < out->num_words(); ++w) {
+        out->mutable_words()[w] = full.words()[w];
+      }
+    };
+  };
+  auto entry = cache.LookupKeyed(9, canon, 4, 200, record(200));
+  EXPECT_EQ(scan_begin, 64u) << "generation 4 did not extend generation 2";
+  EXPECT_TRUE(entry->mask() == PatternMask(200, 3));
+  entry = cache.LookupKeyed(9, canon, 6, 450, record(450));
+  EXPECT_EQ(scan_begin, 256u) << "generation 6 did not extend generation 5";
+  EXPECT_TRUE(entry->mask() == PatternMask(450, 3));
+  EXPECT_EQ(cache.stats().extensions, 2u);
+
+  // The generation decides, not the size: a newer entry that would fit is
+  // still never a base.
+  MaskCache fresh({1 << 20, 1});
+  fresh.LookupKeyed(9, canon, 5, 100, Whole(PatternMask(100, 3)));
+  fresh.LookupKeyed(9, canon, 4, 100, record(100));
+  EXPECT_EQ(scan_begin, 0u) << "generation 4 extended generation 5";
+  EXPECT_EQ(fresh.stats().extensions, 0u);
 }
 
 }  // namespace

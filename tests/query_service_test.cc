@@ -1348,6 +1348,7 @@ TEST(QueryServiceMemoTest, IngestBetweenRepeatsRecomputesTheNextGeneration) {
   AnswerAndReplay(service.get(), session, batch);
   const MaskCache::Stats before = service->cache_stats();
   EXPECT_EQ(before.aggregate_misses, 3u);  // count, x, x_ns
+  EXPECT_EQ(before.extensions, 0u);
 
   CensusTableOptions bopts;
   bopts.num_rows = 97;
@@ -1359,6 +1360,184 @@ TEST(QueryServiceMemoTest, IngestBetweenRepeatsRecomputesTheNextGeneration) {
   EXPECT_EQ(after.aggregate_misses, 6u)
       << "the new generation must recompute every aggregate once";
   EXPECT_EQ(after.aggregate_hits - before.aggregate_hits, 3u);
+  // Every miss of the new generation extended generation 0's entry — its
+  // mask words and all three aggregates — instead of rescanning. (The count
+  // and the histogram may race to the first miss, so there may be two.)
+  EXPECT_GE(after.extensions, 1u);
+  EXPECT_EQ(after.extensions, after.misses - before.misses)
+      << "the new generation was rescanned, not extended";
+}
+
+// Answers `batch` on generation 0, so its clause's mask and aggregates are
+// cached, then ingests `rows` rows: the next query of the clause extends.
+void FillThenIngest(QueryService* service, QueryService::SessionId session,
+                    const std::vector<ServiceRequest>& batch, size_t rows,
+                    uint64_t seed) {
+  AnswerAndReplay(service, session, batch);
+  CensusTableOptions bopts;
+  bopts.num_rows = rows;
+  bopts.seed = seed;
+  ASSERT_TRUE(service->Ingest(MakeCensusTable(bopts)).ok());
+}
+
+TEST(QueryServiceMemoTest, FaultsAcrossAnExtensionStoreNothingAndRefund) {
+  // Serial pool, one shard. For each fault point an extended count or
+  // histogram passes through, fire its n-th hit for every n the query
+  // reaches: the query fails with a full refund and no ledger entry, the
+  // aggregate it was filling is not stored (the retry recomputes it), and
+  // the retry and a repeat both match their replays.
+  const Predicate where = Predicate::Le("age", Value(33));
+  const std::vector<std::vector<ServiceRequest>> batches = {
+      {CountRequest{where, 0.5}},
+      {MemoHistogram("age", 100, 20, where, EngineMechanism::kDawaz)}};
+  for (const char* point :
+       {"thread_pool/chunk", "mask_cache/insert", "mask_cache/attach"}) {
+    for (size_t b = 0; b < batches.size(); ++b) {
+      const std::vector<ServiceRequest>& batch = batches[b];
+      size_t fired = 0;
+      for (uint64_t nth = 1; nth <= 16; ++nth) {
+        ThreadPool pool(0);
+        QueryService::Options opts;
+        opts.pool = &pool;
+        opts.num_shards = 1;
+        opts.per_session_epsilon = 1e6;
+        opts.seed = kMemoRootSeed;
+        auto service = *QueryService::Create(TestEngine(1e7, 3000), opts);
+        const auto session = service->OpenSession("alice");
+        FillThenIngest(service.get(), session, batch, 97, 0xB9 + nth);
+        const double service_before = service->remaining_budget();
+        const double session_before = *service->session_remaining(session);
+        const size_t ledger_before = service->ledger().size();
+        const MaskCache::Stats cache_before = service->cache_stats();
+
+        bool failed = false;
+        {
+          ScopedFault fault(point, {nth, 0, 1});
+          const auto result =
+              std::move(service->AnswerBatch(session, batch)[0]);
+          failed = !result.ok();
+          if (failed) {
+            EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+            EXPECT_EQ(FaultRegistry::Global().fires(point), 1u);
+          }
+        }
+        if (!failed) break;  // the query no longer reaches hit `nth`
+        ++fired;
+        const std::string label = std::string(point) + " hit " +
+                                  std::to_string(nth) + " batch " +
+                                  std::to_string(b);
+        EXPECT_EQ(service->remaining_budget(), service_before) << label;
+        EXPECT_EQ(*service->session_remaining(session), session_before)
+            << label;
+        EXPECT_EQ(service->ledger().size(), ledger_before) << label;
+        const MaskCache::Stats failed_state = service->cache_stats();
+        if (std::string(point) == "mask_cache/insert") {
+          EXPECT_EQ(failed_state.entries, cache_before.entries) << label;
+        }
+
+        AnswerAndReplay(service.get(), session, batch);
+        const MaskCache::Stats retried = service->cache_stats();
+        EXPECT_GT(retried.aggregate_misses, failed_state.aggregate_misses)
+            << label << ": the failed fill was stored";
+        EXPECT_EQ(retried.extensions, 1u) << label;
+        AnswerAndReplay(service.get(), session, batch);
+        EXPECT_EQ(service->cache_stats().aggregate_misses,
+                  retried.aggregate_misses)
+            << label << ": the retry's fill was not stored";
+      }
+      EXPECT_GT(fired, 0u) << point << " never fired in batch " << b;
+    }
+  }
+}
+
+TEST(QueryServiceMemoTest, DeadlinesAcrossAnExtensionStoreNothing) {
+  // Each round ingests, then sweeps a count's deadline across the extension
+  // of the previous generation: an aborted attempt refunds in full and
+  // leaves nothing wrong behind — the next count and histogram of the same
+  // clause match their replays.
+  ThreadPool pool(2);
+  auto service = MemoService(&pool, 30000);
+  const auto session = service->OpenSession("alice");
+  const Predicate where = Predicate::And(Predicate::Le("age", Value(61)),
+                                         Predicate::Ge("zip", Value(1234)));
+  const std::vector<ServiceRequest> follow_up = {
+      CountRequest{where, 0.5},
+      MemoHistogram("age", 100, 20, where, EngineMechanism::kDawaz)};
+  AnswerAndReplay(service.get(), session, follow_up);
+  size_t tripped = 0;
+  for (int budget_us = 0; budget_us <= 200; budget_us += 10) {
+    CensusTableOptions bopts;
+    bopts.num_rows = 4099;
+    bopts.seed = 0xC0 + static_cast<uint64_t>(budget_us);
+    ASSERT_TRUE(service->Ingest(MakeCensusTable(bopts)).ok());
+    const double service_before = service->remaining_budget();
+    const size_t ledger_before = service->ledger().size();
+    CountRequest request{where, 0.5};
+    request.deadline = std::chrono::steady_clock::now() +
+                       std::chrono::microseconds(budget_us);
+    const std::vector<ServiceRequest> batch{request};
+    const SnapshotPtr snap = service->current_snapshot();
+    const auto result = std::move(service->AnswerBatch(session, batch)[0]);
+    if (result.ok()) {
+      ExpectReplays(request, *result, *snap, session);
+    } else {
+      EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+      EXPECT_EQ(service->remaining_budget(), service_before);
+      EXPECT_EQ(service->ledger().size(), ledger_before);
+      ++tripped;
+    }
+    AnswerAndReplay(service.get(), session, follow_up);
+  }
+  EXPECT_GT(tripped, 0u);
+  EXPECT_GT(service->cache_stats().extensions, 0u);
+}
+
+TEST(QueryServiceMemoTest, MidFlightCancelAcrossAnExtensionKeepsTheBooks) {
+  // A token fired while a batch of one clause extends the previous
+  // generation: every slot delivers or is cancelled, spent ε equals the
+  // delivered ε, and every delivered answer — and every answer of the clause
+  // afterwards — matches its replay.
+  ThreadPool pool(2);
+  auto service = MemoService(&pool, 30000);
+  const auto session = service->OpenSession("alice");
+  const Predicate where = Predicate::Le("income", Value(52000.0));
+  std::vector<ServiceRequest> batch;
+  for (int q = 0; q < 12; ++q) {
+    if (q % 3 == 2) {
+      batch.emplace_back(
+          MemoHistogram("age", 100, 25, where, EngineMechanism::kDawaz));
+    } else {
+      batch.emplace_back(CountRequest{where, 0.5});
+    }
+  }
+  FillThenIngest(service.get(), session, batch, 8191, 0xCA);
+  const double service_before = service->remaining_budget();
+  const size_t ledger_before = service->ledger().size();
+  const SnapshotPtr snap = service->current_snapshot();
+  CancelToken token;
+  QueryService::BatchControl control;
+  control.cancel = token;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    token.Cancel();
+  });
+  const auto results = service->AnswerBatch(session, batch, control);
+  canceller.join();
+  size_t delivered = 0;
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (!results[i].ok()) {
+      EXPECT_EQ(results[i].status().code(), StatusCode::kCancelled);
+      continue;
+    }
+    ++delivered;
+    ExpectReplays(batch[i], *results[i], *snap, session);
+  }
+  EXPECT_NEAR(service_before - service->remaining_budget(), delivered * 0.5,
+              1e-9);
+  EXPECT_EQ(service->ledger().size(), ledger_before + delivered);
+  AnswerAndReplay(service.get(), session, batch);
+  AnswerAndReplay(service.get(), session, batch);
+  EXPECT_GT(service->cache_stats().extensions, 0u);
 }
 
 TEST(QueryServiceMemoTest, FaultInsideTheCountStoresNothing) {

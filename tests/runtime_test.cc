@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -480,6 +481,121 @@ TEST(ParallelScanTest, PassedDeadlineAbortsWithDeadlineExceeded) {
   opts.control = &future;
   EXPECT_TRUE(ParallelEvalMask(compiled, table, opts) ==
               compiled.EvalMask(table));
+}
+
+// `mask` with every bit outside rows [begin, end) cleared.
+RowMask RestrictTo(const RowMask& mask, size_t begin, size_t end) {
+  RowMask out(mask.size());
+  mask.ForEachSetInRange(begin, end, [&](size_t row) { out.Set(row); });
+  return out;
+}
+
+// A table of three chunks and a ragged tail, so range shards cross chunk
+// edges, and ranges whose edges sit on, just before and just past word and
+// chunk boundaries, empty ones included.
+constexpr size_t kRangeRows = 3 * kChunkRows + 77;
+const std::pair<size_t, size_t> kRanges[] = {
+    {0, kRangeRows},          {0, 0},
+    {kRangeRows, kRangeRows}, {1, kRangeRows},
+    {63, 64},                 {64, kChunkRows + 1},
+    {kChunkRows - 1, kRangeRows - 1},
+    {kChunkRows + 64, kRangeRows},
+    {5000, 5001},             {100, 2 * kChunkRows + 1}};
+
+TEST(ParallelScanRangeTest, RangeCountAndHistogramsEqualTheRestrictedWhole) {
+  // Each row-range helper equals its whole-table form over a mask restricted
+  // to the range, at every shard count and for every binning loop.
+  ThreadPool pool(3);
+  Rng rng(0xD1);
+  const Table table = TableOfSize(kRangeRows, 0xD2);
+  const RowMask a = RandomMask(kRangeRows, rng);
+  const RowMask b = RandomMask(kRangeRows, rng);
+  const Domain1D age_domain = *Domain1D::Numeric(0, 100, 16);
+  const Domain1D opt_in_domain = Domain1D::Categorical(2);
+  const Domain1D income_domain = *Domain1D::Numeric(0, 100000, 32);
+  std::vector<PreparedHistogramQuery> queries;
+  for (const HistogramQuery& query :
+       {HistogramQuery{"age", age_domain, std::nullopt},
+        HistogramQuery{"opt_in", opt_in_domain, std::nullopt},
+        HistogramQuery{"income", income_domain, std::nullopt}}) {
+    queries.push_back(*PreparedHistogramQuery::Prepare(table, query));
+  }
+  for (const auto& [begin, end] : kRanges) {
+    const RowMask a_in = RestrictTo(a, begin, end);
+    for (size_t shards : kShardCounts) {
+      const ParallelScanOptions opts{&pool, shards};
+      EXPECT_EQ(ParallelAndCount(a, b, begin, end, opts),
+                ParallelAndCount(a_in, b, opts))
+          << "range=[" << begin << ", " << end << ") shards=" << shards;
+      for (const PreparedHistogramQuery& prepared : queries) {
+        EXPECT_EQ(
+            ParallelAccumulateHistogram(prepared, a, begin, end, opts).counts(),
+            ParallelAccumulateHistogram(prepared, a_in, opts).counts())
+            << "range=[" << begin << ", " << end << ") shards=" << shards;
+        EXPECT_EQ(ParallelAccumulateHistogram(prepared, a, b, begin, end, opts)
+                      .counts(),
+                  ParallelAccumulateHistogram(prepared, a_in, b, opts).counts())
+            << "range=[" << begin << ", " << end << ") shards=" << shards;
+      }
+    }
+  }
+}
+
+TEST(ParallelScanRangeTest, EvalMaskIntoScansOnlyFromItsWordBoundary) {
+  // ParallelEvalMaskInto from a word boundary writes exactly the words from
+  // there on — equal to the whole-table scan's — and leaves every earlier
+  // word as it found it.
+  ThreadPool pool(3);
+  Rng rng(0xD3);
+  const Table table = TableOfSize(kRangeRows, 0xD4);
+  for (const Predicate& pred : TestPredicates()) {
+    const CompiledPredicate compiled =
+        *CompiledPredicate::Compile(pred, table.schema());
+    const RowMask whole = compiled.EvalMask(table);
+    for (size_t begin :
+         {size_t{0}, size_t{64}, kChunkRows - 64, kChunkRows,
+          kChunkRows + 64, kRangeRows & ~size_t{63}}) {
+      const RowMask before = RandomMask(kRangeRows, rng);
+      for (size_t shards : kShardCounts) {
+        RowMask out = before;
+        ParallelEvalMaskInto(compiled, table, begin, &out, {&pool, shards});
+        for (size_t w = 0; w < out.num_words(); ++w) {
+          const uint64_t want =
+              w < begin / 64 ? before.words()[w] : whole.words()[w];
+          ASSERT_EQ(out.words()[w], want)
+              << "begin=" << begin << " shards=" << shards << " word=" << w;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelScanRangeTest, RangeFormsKeepThePerShardAbortPoll) {
+  ThreadPool pool(2);
+  Rng rng(0xD5);
+  const Table table = TableOfSize(kRangeRows, 0xD6);
+  const auto compiled = *CompiledPredicate::Compile(
+      Predicate::Le("age", Value(40)), table.schema());
+  const PreparedHistogramQuery prepared = *PreparedHistogramQuery::Prepare(
+      table, HistogramQuery{"age", *Domain1D::Numeric(0, 100, 16),
+                            std::nullopt});
+  const RowMask a = RandomMask(kRangeRows, rng);
+  CancelToken token;
+  token.Cancel();
+  ExecControl control(token, std::nullopt);
+  ParallelScanOptions opts;
+  opts.pool = &pool;
+  opts.num_shards = 4;
+  opts.control = &control;
+  RowMask out(kRangeRows);
+  EXPECT_THROW(ParallelEvalMaskInto(compiled, table, 64, &out, opts),
+               AbortedError);
+  EXPECT_THROW(ParallelAndCount(a, a, 1, kRangeRows, opts), AbortedError);
+  EXPECT_THROW(ParallelAccumulateHistogram(prepared, a, 1, kRangeRows, opts),
+               AbortedError);
+  EXPECT_THROW(
+      ParallelAccumulateHistogram(prepared, a, a, 1, kRangeRows, opts),
+      AbortedError);
 }
 
 TEST(RowMaskTest, ForEachSetInRangeHonorsUnalignedBounds) {

@@ -6,7 +6,8 @@
 // sequence of ragged appends is bit-identical to a full
 // Policy::NonSensitiveRowMask recompute over the same rows — the incremental
 // word-boundary evaluation in TableBuilder::Append can never produce a torn
-// or stale classification.
+// or stale classification. And each generation is an immutable prefix of
+// the next, rows and bits alike.
 
 #include <cstdint>
 #include <vector>
@@ -60,6 +61,44 @@ TEST(TableBuilderTest, IncrementalMaskMatchesFullRecomputeAcrossRaggedSizes) {
     EXPECT_TRUE(snap->non_sensitive == policy.NonSensitiveRowMask(reference))
         << "incremental mask diverged after appending " << batch_rows
         << " rows (total " << reference.num_rows() << ")";
+  }
+}
+
+TEST(TableBuilderTest, EachGenerationIsAnImmutablePrefixOfTheNext) {
+  // The prefix contract MaskCache's extension relies on: generation g's rows
+  // and non-sensitive bits are exactly the first n_g rows and bits of
+  // generation g + 1, across ragged sizes, and g is unchanged by the append.
+  const std::vector<size_t> batch_sizes = {1, 63, 64, 65, 4097, 30};
+  TableBuilder builder = *TableBuilder::Create(CensusRows(37, 0xA7),
+                                               TestPolicy());
+  SnapshotPtr prev = builder.BuildSnapshot(0);
+  uint64_t batch_seed = 0xC000;
+  for (size_t batch_rows : batch_sizes) {
+    // Generation g's cells and bits, copied out before the append.
+    const size_t n = prev->table.num_rows();
+    const size_t columns = prev->table.num_columns();
+    std::vector<Value> cells;
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t c = 0; c < columns; ++c) {
+        cells.push_back(prev->table.GetValue(r, c));
+      }
+    }
+    const RowMask prev_bits = prev->non_sensitive;
+    ASSERT_TRUE(builder.Append(CensusRows(batch_rows, batch_seed++)).ok());
+    const SnapshotPtr next = builder.BuildSnapshot(prev->generation + 1);
+    ASSERT_EQ(next->table.num_rows(), n + batch_rows);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t c = 0; c < columns; ++c) {
+        ASSERT_EQ(prev->table.GetValue(r, c), cells[r * columns + c])
+            << "row " << r << " column " << c;
+        ASSERT_EQ(next->table.GetValue(r, c), cells[r * columns + c])
+            << "row " << r << " column " << c;
+      }
+      ASSERT_EQ(next->non_sensitive.Test(r), prev->non_sensitive.Test(r))
+          << "row " << r;
+    }
+    EXPECT_TRUE(prev->non_sensitive == prev_bits);
+    prev = next;
   }
 }
 
