@@ -2,7 +2,7 @@
 // configs, policy grids, and environment-variable knobs so every bench
 // regenerates its paper artefact with consistent inputs; and the toolkit of
 // the systems microbenches — timing, the shared census policy and DAWA
-// input, strict size and thread-list knobs, and the JSON artefact writer
+// inputs, strict size and thread-list knobs, and the JSON artefact writer
 // whose header every BENCH_*.json opens with.
 
 #ifndef OSDP_BENCH_BENCH_COMMON_H_
@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/distributions.h"
 #include "src/common/env.h"
 #include "src/common/random.h"
 #include "src/data/predicate.h"
@@ -165,6 +166,53 @@ inline std::vector<double> SpikyData(size_t d, uint64_t seed) {
   }
   return x;
 }
+
+/// The input DAWA's stage 1 hands the interval-cost engine: SpikyData plus
+/// Lap(2/ε₁) in every bin, so all d values are distinct non-integers. ε₁ is
+/// a quarter (DAWA's default partition share) of the ε = 0.01 that the
+/// bench/service_load mech_releases workload releases at, i.e. Lap(800).
+inline std::vector<double> NoisySpikyData(size_t d, uint64_t seed) {
+  std::vector<double> x = SpikyData(d, seed);
+  Rng rng(seed ^ 0x5EEDu);
+  for (auto& v : x) v += SampleLaplace(rng, 2.0 / (0.25 * 0.01));
+  return x;
+}
+
+/// A narrow band of distinct values with outliers on alternate sides: every
+/// third bin is 0 or 2²¹ in turn, the rest are 2²⁰ + a permutation of
+/// [0, d). An outlier entering or leaving a window of length len moves its
+/// mean by 2²⁰/len, across many band values at once: the hard case for the
+/// interval-cost engine's threshold walk. Integer valued, so both
+/// interval-cost implementations stay exactly comparable.
+inline std::vector<double> ClusteredData(size_t d, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> band(d);
+  for (size_t i = 0; i < d; ++i) band[i] = static_cast<double>((1 << 20) + i);
+  for (size_t i = d; i > 1; --i) {
+    std::swap(band[i - 1], band[rng.NextBounded(i)]);
+  }
+  std::vector<double> x(d);
+  for (size_t i = 0; i < d; ++i) {
+    if (i % 3 != 2) {
+      x[i] = band[i];
+    } else {
+      x[i] = (i / 3) % 2 == 0 ? 0.0 : static_cast<double>(1 << 21);
+    }
+  }
+  return x;
+}
+
+/// The inputs of the DAWA benches (bench_dawa_partition, bench_mech_parallel).
+struct DawaInput {
+  const char* name;
+  std::vector<double> (*make)(size_t d, uint64_t seed);
+  bool integer;  // exact arithmetic: every implementation agrees bit for bit
+};
+
+inline constexpr DawaInput kDawaInputs[] = {
+    {"spiky", SpikyData, true},
+    {"noisy", NoisySpikyData, false},
+    {"clustered", ClusteredData, true}};
 
 /// The build type as the compiler saw it: the root CMakeLists.txt builds
 /// Release as -O2 -DNDEBUG.

@@ -8,9 +8,15 @@
 // and the bench exits non-zero on any divergence, making it a determinism
 // gate as well as a profile.
 //
+// The engine build and the solve run on three inputs (bench_common.h):
+// `spiky`, the integer SpikyData; `noisy`, SpikyData + Lap(2/ε₁), which is
+// what DAWA's stage 1 hands the engine in the service; and `clustered`, a
+// narrow band of distinct values with alternating outliers that stresses
+// the engine's threshold walk. The hierarchical release runs on `spiky`.
+//
 // It also answers ROADMAP's standing question — does the partition build
 // dominate large-domain histogram batches? — by reporting the build's share
-// of the end-to-end solve per domain.
+// of the end-to-end solve per domain and input.
 //
 // Knobs:
 //   OSDP_BENCH_MAX_D    caps the domain grid (default 262144 = 2^18;
@@ -42,7 +48,8 @@ using bench::BestOf;
 namespace {
 
 struct Measurement {
-  std::string op;  // engine_build | dawa_solve | hier_release
+  std::string op;     // engine_build | dawa_solve | hier_release
+  std::string input;  // spiky | noisy | clustered
   size_t d;
   long long threads;  // -1 = serial reference (no pool)
   double sec;
@@ -99,54 +106,66 @@ int main() {
               max_d, std::thread::hardware_concurrency());
 
   for (size_t d : domains) {
-    const std::vector<double> x = bench::SpikyData(d, 0xDA3A + d);
     const int reps = bench::Reps(d <= 16384 ? 5 : (d <= 65536 ? 3 : 2));
+    for (const bench::DawaInput& input : bench::kDawaInputs) {
+      const std::vector<double> x = input.make(d, 0xDA3A + d);
 
-    // --- interval-cost engine build: serial reference, then the grid. ---
-    std::unique_ptr<IntervalCostEngine> serial_engine;
-    const double serial_build = BestOf(reps, [&] {
-      serial_engine = std::make_unique<IntervalCostEngine>(x);
-    });
-    results.push_back({"engine_build", d, -1, serial_build});
-    for (size_t p = 0; p < pools.size(); ++p) {
-      std::unique_ptr<IntervalCostEngine> parallel_engine;
-      const double best = BestOf(reps, [&] {
-        parallel_engine = std::make_unique<IntervalCostEngine>(x, pools[p].get());
+      // --- interval-cost engine build: serial reference, then the grid. ---
+      std::unique_ptr<IntervalCostEngine> serial_engine;
+      const double serial_build = BestOf(reps, [&] {
+        serial_engine = std::make_unique<IntervalCostEngine>(x);
       });
-      results.push_back({"engine_build", d, thread_grid[p], best});
-      if (!EnginesIdentical(*serial_engine, *parallel_engine, d)) {
-        std::printf("MISMATCH: engine build diverged at d=%zu threads=%lld\n",
-                    d, thread_grid[p]);
-        all_identical = false;
+      results.push_back({"engine_build", input.name, d, -1, serial_build});
+      for (size_t p = 0; p < pools.size(); ++p) {
+        std::unique_ptr<IntervalCostEngine> parallel_engine;
+        const double best = BestOf(reps, [&] {
+          parallel_engine =
+              std::make_unique<IntervalCostEngine>(x, pools[p].get());
+        });
+        results.push_back({"engine_build", input.name, d, thread_grid[p],
+                           best});
+        if (!EnginesIdentical(*serial_engine, *parallel_engine, d)) {
+          std::printf("MISMATCH: engine build diverged at %s d=%zu "
+                      "threads=%lld\n",
+                      input.name, d, thread_grid[p]);
+          all_identical = false;
+        }
       }
-    }
 
-    // --- end-to-end partition solve (build + DP). ---
-    L1PartitionSolution serial_solution;
-    const double serial_solve = BestOf(reps, [&] {
-      serial_solution = SolveL1Partition(x, bucket_charge,
-                                         DawaPositions::kEvery,
-                                         DawaCostImpl::kEngine);
-    });
-    results.push_back({"dawa_solve", d, -1, serial_solve});
-    for (size_t p = 0; p < pools.size(); ++p) {
-      L1PartitionSolution parallel_solution;
-      const double best = BestOf(reps, [&] {
-        parallel_solution =
-            SolveL1Partition(x, bucket_charge, DawaPositions::kEvery,
-                             DawaCostImpl::kEngine, pools[p].get());
+      // --- end-to-end partition solve (build + DP). ---
+      L1PartitionSolution serial_solution;
+      const double serial_solve = BestOf(reps, [&] {
+        serial_solution = SolveL1Partition(x, bucket_charge,
+                                           DawaPositions::kEvery,
+                                           DawaCostImpl::kEngine);
       });
-      results.push_back({"dawa_solve", d, thread_grid[p], best});
-      if (!SolutionsIdentical(serial_solution, parallel_solution)) {
-        std::printf("MISMATCH: partition solve diverged at d=%zu threads=%lld\n",
-                    d, thread_grid[p]);
-        all_identical = false;
+      results.push_back({"dawa_solve", input.name, d, -1, serial_solve});
+      for (size_t p = 0; p < pools.size(); ++p) {
+        L1PartitionSolution parallel_solution;
+        const double best = BestOf(reps, [&] {
+          parallel_solution =
+              SolveL1Partition(x, bucket_charge, DawaPositions::kEvery,
+                               DawaCostImpl::kEngine, pools[p].get());
+        });
+        results.push_back({"dawa_solve", input.name, d, thread_grid[p], best});
+        if (!SolutionsIdentical(serial_solution, parallel_solution)) {
+          std::printf("MISMATCH: partition solve diverged at %s d=%zu "
+                      "threads=%lld\n",
+                      input.name, d, thread_grid[p]);
+          all_identical = false;
+        }
       }
+
+      // ROADMAP's profiling question: the engine build's share of the solve.
+      std::printf("d=%-7zu %-9s build %.4fs  solve %.4fs  (build share "
+                  "%.0f%%)\n",
+                  d, input.name, serial_build, serial_solve,
+                  100.0 * serial_build / serial_solve);
     }
 
     // --- hierarchical release: same seed, so the noise draws are identical
     // and any difference is the consistency passes. ---
-    Histogram hx{std::vector<double>(x)};
+    Histogram hx{bench::SpikyData(d, 0xDA3A + d)};
     HierarchicalOptions hopts;
     Histogram serial_estimate(d);
     const double serial_hier = BestOf(reps, [&] {
@@ -154,7 +173,7 @@ int main() {
       serial_estimate =
           std::move(HierarchicalRelease(hx, 0.5, hopts, rng)->estimate);
     });
-    results.push_back({"hier_release", d, -1, serial_hier});
+    results.push_back({"hier_release", "spiky", d, -1, serial_hier});
     for (size_t p = 0; p < pools.size(); ++p) {
       HierarchicalOptions popts;
       popts.pool = pools[p].get();
@@ -164,7 +183,7 @@ int main() {
         parallel_estimate =
             std::move(HierarchicalRelease(hx, 0.5, popts, rng)->estimate);
       });
-      results.push_back({"hier_release", d, thread_grid[p], best});
+      results.push_back({"hier_release", "spiky", d, thread_grid[p], best});
       bool identical = true;
       for (size_t i = 0; identical && i < d; ++i) {
         identical = serial_estimate[i] == parallel_estimate[i];
@@ -175,33 +194,35 @@ int main() {
         all_identical = false;
       }
     }
-
-    // ROADMAP's profiling question: the engine build's share of the solve.
-    std::printf("d=%-7zu build %.4fs  solve %.4fs  (build share %.0f%%)  "
-                "hier %.4fs\n",
-                d, serial_build, serial_solve,
-                100.0 * serial_build / serial_solve, serial_hier);
+    std::printf("d=%-7zu spiky     hier %.4fs\n", d, serial_hier);
   }
 
-  // Summary table: serial vs best pooled time per op × d.
-  auto find = [&](const char* op, size_t d, long long threads) -> double {
+  // Summary table: serial vs best pooled time per op × input × d.
+  auto find = [&](const std::string& op, const std::string& input, size_t d,
+                  long long threads) -> double {
     for (const Measurement& m : results) {
-      if (m.op == op && m.d == d && m.threads == threads) return m.sec;
+      if (m.op == op && m.input == input && m.d == d && m.threads == threads) {
+        return m.sec;
+      }
     }
     return 0.0;
   };
-  TextTable text({"op", "d", "serial s", "pooled s (best)", "speedup"});
+  TextTable text(
+      {"op", "input", "d", "serial s", "pooled s (best)", "speedup"});
   for (const char* op : {"engine_build", "dawa_solve", "hier_release"}) {
-    for (size_t d : domains) {
-      const double ts = find(op, d, -1);
-      double tp = 1e300;
-      for (long long t : thread_grid) {
-        const double v = find(op, d, t);
-        if (v > 0) tp = std::min(tp, v);
+    for (const bench::DawaInput& input : bench::kDawaInputs) {
+      for (size_t d : domains) {
+        const double ts = find(op, input.name, d, -1);
+        double tp = 1e300;
+        for (long long t : thread_grid) {
+          const double v = find(op, input.name, d, t);
+          if (v > 0) tp = std::min(tp, v);
+        }
+        if (ts <= 0 || tp >= 1e300) continue;
+        text.AddRow({op, input.name, std::to_string(d), TextTable::Fmt(ts, 4),
+                     TextTable::Fmt(tp, 4),
+                     TextTable::Fmt(ts / tp, 1) + "x"});
       }
-      if (ts <= 0 || tp >= 1e300) continue;
-      text.AddRow({op, std::to_string(d), TextTable::Fmt(ts, 4),
-                   TextTable::Fmt(tp, 4), TextTable::Fmt(ts / tp, 1) + "x"});
     }
   }
   std::printf("\n%s\n", text.ToString().c_str());
@@ -216,9 +237,9 @@ int main() {
                all_identical ? "true" : "false");
   json.Records("results", results, [](FILE* f, const Measurement& m) {
     std::fprintf(f,
-                 "{\"op\": \"%s\", \"d\": %zu, \"threads\": %lld, "
-                 "\"sec\": %.6g}",
-                 m.op.c_str(), m.d, m.threads, m.sec);
+                 "{\"op\": \"%s\", \"input\": \"%s\", \"d\": %zu, "
+                 "\"threads\": %lld, \"sec\": %.6g}",
+                 m.op.c_str(), m.input.c_str(), m.d, m.threads, m.sec);
   });
   if (!json.Close()) return 1;
   std::printf("wrote %s (%zu measurements)\n", json.path().c_str(),

@@ -131,7 +131,8 @@ Result<TwoPhaseMechanism::Output> HierarchicalRelease(
   // The GLS projection onto Σ children = parent corrects each child
   // proportionally to its subtree variance (noisier children absorb more of
   // the discrepancy); with equal child variances — every balanced tree —
-  // this reduces to the equal split, which is kept as a reference option.
+  // this reduces to the equal split. The equal split also covers variances
+  // that underflow to zero at an extreme ε.
   // A node writes only its own children's estimates (disjoint across the
   // nodes of one level), so the same scheduling argument applies.
   const auto downward_node = [&](size_t idx) {
@@ -144,8 +145,7 @@ Result<TwoPhaseMechanism::Output> HierarchicalRelease(
       var_sum += variance[c];
     }
     const double residual = node.estimate - child_sum;
-    if (opts.residual_split == ResidualSplit::kVarianceWeighted &&
-        var_sum > 0.0) {
+    if (var_sum > 0.0) {
       for (size_t c : node.children) {
         arena[c].estimate += residual * (variance[c] / var_sum);
       }

@@ -18,7 +18,7 @@
 //     all children have equal variance (perfectly balanced subtrees); on
 //     non-power-of-fanout domains the subtrees are unbalanced, shallow
 //     children carry less variance, and the weighted split strictly lowers
-//     leaf error. The equal split is kept as a reference option.
+//     leaf error.
 // Leaves form the released histogram.
 
 #ifndef OSDP_MECH_HIERARCHICAL_H_
@@ -35,20 +35,10 @@ namespace osdp {
 
 class ThreadPool;
 
-/// How the downward consistency pass splits a node's residual.
-enum class ResidualSplit {
-  kVarianceWeighted = 0,  ///< proportional to child subtree variance (optimal)
-  kEqual = 1,             ///< equal shares — reference; optimal only when balanced
-};
-
 /// Parameters of the hierarchical mechanism.
 struct HierarchicalOptions {
   int fanout = 4;                 ///< tree arity (Hay et al. recommend ~4-16)
   bool clamp_non_negative = true; ///< clamp leaf estimates at zero
-  /// Residual distribution rule of the downward pass. Identical results on
-  /// perfectly balanced trees; kVarianceWeighted is strictly better when the
-  /// domain size is not a power of the fanout.
-  ResidualSplit residual_split = ResidualSplit::kVarianceWeighted;
   /// Pool for the deterministic consistency passes, sharded level-
   /// synchronously (nullptr = the serial reference). Noise sampling stays
   /// serial regardless — RNG draw order is part of the QuerySeed replay

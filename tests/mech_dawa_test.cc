@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/common/distributions.h"
 #include "src/common/random.h"
 #include "src/eval/metrics.h"
 #include "src/mech/dawa.h"
@@ -130,21 +131,67 @@ TEST(IntervalCostEngineTest, DeviationMatchesDirectScan) {
   }
 }
 
-TEST(IntervalCostEngineTest, HandlesNonIntegerDataFinitely) {
-  // No exactness claim for arbitrary reals — just well-defined finite output
-  // close to the direct scan (the Dawa noisy path feeds such data).
+// What DAWA's stage 1 hands the engine: an integer histogram plus Lap(b)
+// noise in every bin, so all d values are distinct non-integers.
+std::vector<double> NoisyData(Rng& rng, size_t d, int shape, double b) {
+  std::vector<double> x = RandomIntegerData(rng, d, shape);
+  for (auto& v : x) v += SampleLaplace(rng, b);
+  return x;
+}
+
+TEST(IntervalCostEngineTest, NoisyDataMatchesLongDoubleScan) {
+  // No exactness on non-integer data; the claim is a relative error of at
+  // most 5e-12 at every level and start. The reference takes the engine's
+  // own mean Sum(b, e) / len — the prefix-difference mean the naive DP uses
+  // too — and sums |x_i - mean| in long double, so the check measures the
+  // deviation arithmetic alone. b = 8 is Lap(2/ε₁) at ε = 1, b = 800 the
+  // ε = 0.01 of the service-load mech_releases workload.
   Rng rng(103);
-  std::vector<double> x(200);
-  for (auto& v : x) v = rng.NextDouble() * 100.0 - 50.0;
-  const IntervalCostEngine engine(x);
-  for (size_t len = 1; len <= 128; len <<= 1) {
-    for (size_t b = 0; b + len <= x.size(); b += 7) {
-      double sum = 0.0;
-      for (size_t i = b; i < b + len; ++i) sum += x[i];
-      const double mean = sum / static_cast<double>(len);
-      double dev = 0.0;
-      for (size_t i = b; i < b + len; ++i) dev += std::abs(x[i] - mean);
-      EXPECT_NEAR(engine.Deviation(b, b + len), dev, 1e-9 * (1.0 + dev));
+  for (size_t d : {size_t{1023}, size_t{4096}}) {
+    for (double b : {8.0, 800.0}) {
+      for (int shape = 0; shape < 3; ++shape) {
+        const std::vector<double> x = NoisyData(rng, d, shape, b);
+        const IntervalCostEngine engine(x);
+        double worst = 0.0;
+        for (size_t len = 2; len <= d; len <<= 1) {
+          for (size_t s = 0; s + len <= d; ++s) {
+            const long double mean =
+                engine.Sum(s, s + len) / static_cast<double>(len);
+            long double ref = 0.0L;
+            for (size_t i = s; i < s + len; ++i) {
+              ref += std::fabs(static_cast<long double>(x[i]) - mean);
+            }
+            const double err = static_cast<double>(
+                std::fabs(engine.Deviation(s, s + len) - ref) / (1.0L + ref));
+            worst = std::max(worst, err);
+          }
+        }
+        EXPECT_LE(worst, 5e-12) << "d=" << d << " b=" << b
+                                << " shape=" << shape;
+      }
+    }
+  }
+}
+
+TEST(IntervalCostEngineTest, ShortLevelsMatchNaiveScanBitForBitOnNoisyData) {
+  // Windows of up to 64 bins are summed directly with the naive DP's
+  // arithmetic (prefix-difference mean, |x_i - mean| added in index order),
+  // so they equal it bit for bit on any input, not only on integers.
+  Rng rng(107);
+  for (size_t d : {size_t{100}, size_t{1023}, size_t{4096}}) {
+    const std::vector<double> x = NoisyData(rng, d, 1, 8.0);
+    const IntervalCostEngine engine(x);
+    std::vector<double> prefix(d + 1, 0.0);
+    for (size_t i = 0; i < d; ++i) prefix[i + 1] = prefix[i] + x[i];
+    for (size_t len = 2; len <= 64 && len <= d; len <<= 1) {
+      for (size_t s = 0; s + len <= d; ++s) {
+        const double mean =
+            (prefix[s + len] - prefix[s]) / static_cast<double>(len);
+        double dev = 0.0;
+        for (size_t i = s; i < s + len; ++i) dev += std::abs(x[i] - mean);
+        ASSERT_EQ(engine.Deviation(s, s + len), dev)
+            << "d=" << d << " len=" << len << " s=" << s;
+      }
     }
   }
 }

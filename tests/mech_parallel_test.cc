@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/distributions.h"
 #include "src/common/random.h"
 #include "src/hist/histogram.h"
 #include "src/mech/dawa.h"
@@ -57,6 +58,18 @@ std::vector<double> RandomIntegerData(Rng& rng, size_t d, int shape) {
   return x;
 }
 
+// The engine test shapes: the three integer shapes above, then (shape 3)
+// what DAWA's stage 1 hands the engine — the spiky histogram plus Lap(2/ε₁)
+// noise at ε₁ = 0.25, all values distinct non-integers. Bit-identity across
+// thread counts must not depend on exact arithmetic.
+constexpr int kEngineShapes = 4;
+std::vector<double> EngineData(Rng& rng, size_t d, int shape) {
+  if (shape < 3) return RandomIntegerData(rng, d, shape);
+  std::vector<double> x = RandomIntegerData(rng, d, 1);
+  for (auto& v : x) v += SampleLaplace(rng, 8.0);
+  return x;
+}
+
 class MechParallelTest : public ::testing::Test {
  protected:
   // One pool per grid thread count, shared by all cases in a test.
@@ -73,8 +86,8 @@ TEST_F(MechParallelTest, EngineBuildBitIdenticalAcrossThreadCounts) {
   const auto pools = MakePools();
   Rng rng(0xC057);
   for (size_t d : kDomains) {
-    for (int shape = 0; shape < 3; ++shape) {
-      const std::vector<double> x = RandomIntegerData(rng, d, shape);
+    for (int shape = 0; shape < kEngineShapes; ++shape) {
+      const std::vector<double> x = EngineData(rng, d, shape);
       const IntervalCostEngine serial(x);
       for (const auto& pool : pools) {
         const IntervalCostEngine parallel(x, pool.get());
@@ -105,8 +118,8 @@ TEST_F(MechParallelTest, PartitionSolveBitIdenticalAcrossThreadCounts) {
   // sharded build to final partition. 2^16 is exercised by the engine-table
   // test above; the solve grid stops at 4096 to keep the DP cheap.
   for (size_t d : {size_t{1023}, size_t{1024}, size_t{4096}}) {
-    for (int shape = 0; shape < 3; ++shape) {
-      const std::vector<double> x = RandomIntegerData(rng, d, shape);
+    for (int shape = 0; shape < kEngineShapes; ++shape) {
+      const std::vector<double> x = EngineData(rng, d, shape);
       const double charge = 1.0 + static_cast<double>(rng.NextBounded(100));
       const L1PartitionSolution serial = SolveL1Partition(
           x, charge, DawaPositions::kEvery, DawaCostImpl::kEngine);

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/common/check.h"
+#include "src/common/distributions.h"
 #include "src/eval/metrics.h"
 #include "src/mech/ahp.h"
 #include "src/mech/dawaz.h"
@@ -108,6 +111,75 @@ TEST(AhpTest, ValidatesArguments) {
 
 // --------------------------------------------------------- Hierarchical ---
 
+// The hierarchical release with the downward pass splitting each residual
+// into equal shares instead of by child variance — the reference the
+// variance-weighted split is compared against. Same tree, same noise draws
+// in the same (breadth-first) order and same upward pass as
+// HierarchicalRelease, and no clamping, so with one seed the two differ only
+// in the split rule.
+Histogram EqualSplitHierarchical(const Histogram& x, double epsilon,
+                                 int fanout, Rng& rng) {
+  struct Node {
+    size_t begin, end;
+    std::vector<size_t> children;
+    double noisy = 0.0, estimate = 0.0;
+  };
+  const size_t d = x.size();
+  const size_t k = static_cast<size_t>(fanout);
+  std::vector<Node> arena{{0, d, {}}};
+  for (size_t idx = 0; idx < arena.size(); ++idx) {
+    const size_t begin = arena[idx].begin, end = arena[idx].end;
+    if (end - begin <= 1) continue;
+    const size_t child_width = (end - begin + k - 1) / k;
+    for (size_t b = begin; b < end; b += child_width) {
+      arena.push_back({b, std::min(end, b + child_width), {}});
+      arena[idx].children.push_back(arena.size() - 1);
+    }
+  }
+  int height = 1;
+  for (size_t idx = 0; !arena[idx].children.empty();) {
+    idx = arena[idx].children[0];
+    ++height;
+  }
+  const double scale = 2.0 * height / epsilon;
+  std::vector<double> prefix(d + 1, 0.0);
+  for (size_t i = 0; i < d; ++i) prefix[i + 1] = prefix[i] + x[i];
+  for (Node& node : arena) {
+    node.noisy = (prefix[node.end] - prefix[node.begin]) +
+                 SampleLaplace(rng, scale);
+  }
+  const double own_var = scale * scale * 2.0;
+  std::vector<double> variance(arena.size(), own_var);
+  for (size_t idx = arena.size(); idx-- > 0;) {
+    Node& node = arena[idx];
+    if (node.children.empty()) {
+      node.estimate = node.noisy;
+      continue;
+    }
+    double child_sum = 0.0, child_var = 0.0;
+    for (size_t c : node.children) {
+      child_sum += arena[c].estimate;
+      child_var += variance[c];
+    }
+    const double w = child_var / (own_var + child_var);
+    node.estimate = w * node.noisy + (1.0 - w) * child_sum;
+    variance[idx] = own_var * child_var / (own_var + child_var);
+  }
+  for (const Node& node : arena) {
+    if (node.children.empty()) continue;
+    double child_sum = 0.0;
+    for (size_t c : node.children) child_sum += arena[c].estimate;
+    const double share = (node.estimate - child_sum) /
+                         static_cast<double>(node.children.size());
+    for (size_t c : node.children) arena[c].estimate += share;
+  }
+  Histogram estimate(d);
+  for (const Node& node : arena) {
+    if (node.children.empty()) estimate[node.begin] = node.estimate;
+  }
+  return estimate;
+}
+
 TEST(HierarchicalTest, OutputShapeAndSingletonGroups) {
   Histogram x = SparseTruth(100);  // deliberately not a power of the fanout
   Rng rng(7);
@@ -149,13 +221,11 @@ TEST(HierarchicalTest, EqualSplitMatchesWeightedOnBalancedTree) {
   // With d a power of the fanout every subtree is balanced, all sibling
   // variances are equal, and the two split rules must coincide exactly.
   Histogram x(std::vector<double>(64, 12.0));
-  HierarchicalOptions weighted, equal;
-  weighted.residual_split = ResidualSplit::kVarianceWeighted;
-  equal.residual_split = ResidualSplit::kEqual;
-  equal.clamp_non_negative = weighted.clamp_non_negative = false;
+  HierarchicalOptions weighted;
+  weighted.clamp_non_negative = false;
   Rng rng_w(41), rng_e(41);  // identical noise streams
   Histogram hw = HierarchicalRelease(x, 0.7, weighted, rng_w)->estimate;
-  Histogram he = HierarchicalRelease(x, 0.7, equal, rng_e)->estimate;
+  Histogram he = EqualSplitHierarchical(x, 0.7, weighted.fanout, rng_e);
   for (size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(hw[i], he[i]);
 }
 
@@ -170,11 +240,9 @@ TEST(HierarchicalTest, WeightedSplitBeatsEqualOnUnbalancedTrees) {
   // The squared-error gap is the theory-backed one (GLS minimizes every
   // leaf's variance); the L1 gap is smaller because the weighted correction
   // also reshapes the error distribution, but both favour weighting here.
-  HierarchicalOptions weighted, equal;
-  weighted.fanout = equal.fanout = 2;
-  weighted.residual_split = ResidualSplit::kVarianceWeighted;
-  equal.residual_split = ResidualSplit::kEqual;
-  equal.clamp_non_negative = weighted.clamp_non_negative = false;
+  HierarchicalOptions weighted;
+  weighted.fanout = 2;
+  weighted.clamp_non_negative = false;
   double weighted_l1 = 0.0, equal_l1 = 0.0;
   double weighted_l2 = 0.0, equal_l2 = 0.0;
   for (size_t d : {size_t{9}, size_t{17}, size_t{33}, size_t{37},
@@ -186,7 +254,7 @@ TEST(HierarchicalTest, WeightedSplitBeatsEqualOnUnbalancedTrees) {
     for (int rep = 0; rep < 4000; ++rep) {
       Rng rng_w(1000 + rep), rng_e(1000 + rep);
       Histogram hw = HierarchicalRelease(x, 0.5, weighted, rng_w)->estimate;
-      Histogram he = HierarchicalRelease(x, 0.5, equal, rng_e)->estimate;
+      Histogram he = EqualSplitHierarchical(x, 0.5, 2, rng_e);
       for (size_t i = 0; i < d; ++i) {
         weighted_l1 += std::abs(hw[i] - x[i]);
         equal_l1 += std::abs(he[i] - x[i]);
