@@ -13,12 +13,21 @@
 //   compiled   CompiledPredicate::EvalMask: bound once against the schema,
 //              evaluated column-at-a-time into a packed RowMask.
 //
+// The `kernel` op times each FusedAndMask body the host can run (avx512,
+// avx2, portable) directly on the fresh3 legs over contiguous copies of the
+// age and zip columns, one call per iteration, so the L2-resident and
+// memory-bound sizes both show. Every body's words must equal the others'
+// and the compiled fresh3 mask's; the bench exits 1 if any differ.
+//
 // Knobs: OSDP_BENCH_MAX_ROWS caps the row grid (default 10M; set 100000 for
 // a CI smoke run), OSDP_BENCH_JSON sets the output path (default
 // BENCH_predicate_pipeline.json in the working directory). The JSON records
-// hardware_concurrency, the build type and which scan kernel body ran.
+// hardware_concurrency, the build type and which scan kernel body the
+// dispatch picks.
 
 #include <cstdio>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +54,14 @@ struct Shape {
   Predicate pred;
 };
 
+// The fresh_scans clause of bench/service_load: one fused pass over two int
+// columns, the age range intersected into one interval.
+Predicate Fresh3() {
+  return Predicate::And(Predicate::And(Predicate::Ge("age", Value(30)),
+                                       Predicate::Le("age", Value(45))),
+                        Predicate::Ge("zip", Value(2500)));
+}
+
 std::vector<Shape> MakeShapes() {
   return {
       {"num1", 1, Predicate::Le("age", Value(40))},
@@ -52,12 +69,7 @@ std::vector<Shape> MakeShapes() {
        Predicate::And(Predicate::Or(Predicate::Eq("race", Value("C3")),
                                     Predicate::Eq("opt_in", Value(0))),
                       Predicate::Le("age", Value(40)))},
-      // The fresh_scans clause of bench/service_load: one fused pass over
-      // two int columns, the age range intersected into one interval.
-      {"fresh3", 3,
-       Predicate::And(Predicate::And(Predicate::Ge("age", Value(30)),
-                                     Predicate::Le("age", Value(45))),
-                      Predicate::Ge("zip", Value(2500)))},
+      {"fresh3", 3, Fresh3()},
       {"in5", 5,
        Predicate::And(
            Predicate::And(
@@ -67,11 +79,45 @@ std::vector<Shape> MakeShapes() {
   };
 }
 
+// Fresh3() as Compile() lowers it: two int64 legs,
+// age - 30 <= 15 and zip - 2500 <= INT64_MAX - 2500 (wrapping unsigned).
+std::vector<ScanLeg> Fresh3Legs() {
+  ScanLeg age;
+  age.lo = 30;
+  age.span = 15;
+  ScanLeg zip;
+  zip.lo = 2500;
+  zip.span = static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) - 2500;
+  return {age, zip};
+}
+
+struct KernelBody {
+  const char* name;
+  void (*fn)(const ScanLeg*, const void* const*, size_t, size_t, uint64_t*);
+};
+
+// Every FusedAndMask body the host can run, fastest first.
+std::vector<KernelBody> HostBodies() {
+  namespace k = scan_kernels_internal;
+  std::vector<KernelBody> bodies;
+  if (k::Avx512Available()) bodies.push_back({"avx512", k::FusedAndMaskAvx512});
+  if (k::Avx2Available()) bodies.push_back({"avx2", k::FusedAndMaskAvx2});
+  bodies.push_back({"portable", k::FusedAndMaskPortable});
+  return bodies;
+}
+
+std::vector<int64_t> CopyColumn(const Table& table, const char* name) {
+  const ChunkedColumn<int64_t>& col = **table.Int64ColumnByName(name);
+  std::vector<int64_t> cells(table.num_rows());
+  for (size_t i = 0; i < cells.size(); ++i) cells[i] = col[i];
+  return cells;
+}
+
 struct Measurement {
   std::string shape;
   size_t rows;
-  std::string op;    // mask | count | hist
-  std::string path;  // boxed | reference | compiled
+  std::string op;    // mask | count | hist | kernel
+  std::string path;  // boxed | reference | compiled; a body name for kernel
   double sec_per_iter;
   double rows_per_sec;
 };
@@ -102,8 +148,7 @@ int main() {
   std::vector<Measurement> results;
   volatile size_t sink = 0;  // defeats dead-code elimination
 
-  const char* kernel =
-      scan_kernels_internal::Avx2Available() ? "avx2" : "portable";
+  const char* kernel = scan_kernels_internal::DispatchedBodyName();
   std::printf("=== compiled predicate pipeline: rows/sec by path ===\n");
   std::printf(
       "(best of N; 1-thread; row grid capped at %zu; hardware_concurrency=%u; "
@@ -219,6 +264,38 @@ int main() {
       }
     }
     std::printf("--- %zu rows ---\n%s\n", rows, text.ToString().c_str());
+
+    // --- scan kernel bodies on the fresh3 legs ---------------------------
+    const std::vector<ScanLeg> legs = Fresh3Legs();
+    const std::vector<int64_t> age = CopyColumn(table, "age");
+    const std::vector<int64_t> zip = CopyColumn(table, "zip");
+    const void* cells[] = {age.data(), zip.data()};
+    const RowMask fresh3 =
+        CompiledPredicate::Compile(Fresh3(), schema)->EvalMask(table);
+    const std::vector<uint64_t> want(fresh3.words(),
+                                     fresh3.words() + fresh3.num_words());
+    std::printf("kernel fresh3 @%zu rows:", rows);
+    for (const KernelBody& body : HostBodies()) {
+      std::vector<uint64_t> words(want.size());
+      // A call costs about 1 ms per million rows, so the best of a few reps
+      // would still include the first calls' warm-up; 30 reps reach the
+      // steady state at every grid size.
+      const double sec = TimeBest(30, [&] {
+        body.fn(legs.data(), cells, legs.size(), rows, words.data());
+        sink += words[0];
+      });
+      if (words != want) {
+        std::fprintf(stderr,
+                     "\nFAIL: the %s scan kernel body disagrees with the "
+                     "compiled fresh3 mask at %zu rows\n",
+                     body.name, rows);
+        return 1;
+      }
+      results.push_back({"fresh3", rows, "kernel", body.name, sec,
+                         static_cast<double>(rows) / sec});
+      std::printf("  %s %.3f ns/row", body.name, 1e9 * sec / rows);
+    }
+    std::printf("\n\n");
   }
 
   // Acceptance line: 1M rows, 3-leaf predicate, mask + count >= 5x.

@@ -4,13 +4,13 @@
 
 #include "src/common/check.h"
 
-// x86-64 builds compile an avx2-enabled copy of the loop and choose it at
-// run time; everywhere else the portable body is the only body.
+// x86-64 builds compile avx512- and avx2-enabled copies of the loop and
+// choose one at run time; everywhere else the portable body is the only body.
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
-#define OSDP_AVX2_DISPATCH 1
+#define OSDP_SIMD_DISPATCH 1
 #else
-#define OSDP_AVX2_DISPATCH 0
+#define OSDP_SIMD_DISPATCH 0
 #endif
 
 namespace osdp {
@@ -116,7 +116,19 @@ void FusedAndMaskPortable(const ScanLeg* legs, const void* const* cells,
   FusedAndLoop(legs, cells, num_legs, n, words);
 }
 
-#if OSDP_AVX2_DISPATCH
+#if OSDP_SIMD_DISPATCH
+
+// The target strings below name exactly the features each check tests;
+// libgcc's check also requires the OS to save the wider register state.
+bool Avx512Available() {
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0 &&
+           __builtin_cpu_supports("avx512bw") != 0 &&
+           __builtin_cpu_supports("avx512vl") != 0;
+  }();
+  return available;
+}
 
 bool Avx2Available() {
   static const bool available = [] {
@@ -124,6 +136,12 @@ bool Avx2Available() {
     return __builtin_cpu_supports("avx2") != 0;
   }();
   return available;
+}
+
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void FusedAndMaskAvx512(
+    const ScanLeg* legs, const void* const* cells, size_t num_legs, size_t n,
+    uint64_t* words) {
+  FusedAndLoop(legs, cells, num_legs, n, words);
 }
 
 __attribute__((target("avx2"))) void FusedAndMaskAvx2(
@@ -134,7 +152,13 @@ __attribute__((target("avx2"))) void FusedAndMaskAvx2(
 
 #else
 
+bool Avx512Available() { return false; }
 bool Avx2Available() { return false; }
+
+void FusedAndMaskAvx512(const ScanLeg* legs, const void* const* cells,
+                        size_t num_legs, size_t n, uint64_t* words) {
+  FusedAndLoop(legs, cells, num_legs, n, words);
+}
 
 void FusedAndMaskAvx2(const ScanLeg* legs, const void* const* cells,
                       size_t num_legs, size_t n, uint64_t* words) {
@@ -143,12 +167,20 @@ void FusedAndMaskAvx2(const ScanLeg* legs, const void* const* cells,
 
 #endif
 
+const char* DispatchedBodyName() {
+  if (Avx512Available()) return "avx512";
+  if (Avx2Available()) return "avx2";
+  return "portable";
+}
+
 }  // namespace scan_kernels_internal
 
 void FusedAndMask(const ScanLeg* legs, const void* const* cells,
                   size_t num_legs, size_t n, uint64_t* words) {
   namespace k = scan_kernels_internal;
-  if (k::Avx2Available()) {
+  if (k::Avx512Available()) {
+    k::FusedAndMaskAvx512(legs, cells, num_legs, n, words);
+  } else if (k::Avx2Available()) {
     k::FusedAndMaskAvx2(legs, cells, num_legs, n, words);
   } else {
     k::FusedAndMaskPortable(legs, cells, num_legs, n, words);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <utility>
@@ -406,13 +407,23 @@ bool LegOracle(const ScanLeg& leg, const void* cells, size_t i) {
   }
 }
 
-TEST(ScanKernelsTest, BothBodiesMatchTheRowOracle) {
+TEST(ScanKernelsTest, EveryBodyMatchesTheRowOracle) {
   namespace k = scan_kernels_internal;
   using Body = void (*)(const ScanLeg*, const void* const*, size_t, size_t,
                         uint64_t*);
   std::vector<std::pair<const char*, Body>> bodies = {
       {"portable", k::FusedAndMaskPortable}, {"dispatch", FusedAndMask}};
   if (k::Avx2Available()) bodies.push_back({"avx2", k::FusedAndMaskAvx2});
+  if (k::Avx512Available()) bodies.push_back({"avx512", k::FusedAndMaskAvx512});
+  // Which bodies this host ran, so a CI log shows the SIMD coverage.
+  std::string ran;
+  for (const auto& body : bodies) {
+    ran += std::string(ran.empty() ? "" : ",") + body.first;
+  }
+  RecordProperty("bodies", ran);
+  RecordProperty("dispatched", k::DispatchedBodyName());
+  std::printf("scan kernel bodies run: %s (dispatch picks %s)\n", ran.c_str(),
+              k::DispatchedBodyName());
 
   // Values that sit on interval ends and wrap points.
   const std::vector<int64_t> ints = {
@@ -420,8 +431,14 @@ TEST(ScanKernelsTest, BothBodiesMatchTheRowOracle) {
       std::numeric_limits<int64_t>::max()};
   const std::vector<double> doubles = DoublePool();
   Rng rng(0x5CA7);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{65},
-                   size_t{127}, size_t{128}, size_t{1001}, kChunkRows}) {
+  // Besides word edges, sizes around 8, 16 and 32 rows cross the vector
+  // widths of the tail-word loops, whose epilogues differ per body.
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                   size_t{15}, size_t{16}, size_t{17}, size_t{31}, size_t{32},
+                   size_t{33}, size_t{63}, size_t{64}, size_t{65}, size_t{127},
+                   size_t{128}, size_t{1001}, kChunkRows}) {
+    // Leg kinds met at this size: int plain, int wrapped, double, NaN literal.
+    bool seen[4] = {false, false, false, false};
     for (int trial = 0; trial < 20; ++trial) {
       const size_t num_legs = 1 + rng.NextBounded(kMaxFusedLegs);
       std::vector<ScanLeg> legs(num_legs);
@@ -436,6 +453,7 @@ TEST(ScanKernelsTest, BothBodiesMatchTheRowOracle) {
           const uint64_t spans[] = {0, 1, 40, ~uint64_t{0}, ~uint64_t{0} - 1,
                                     rng.Next()};
           leg.span = spans[rng.NextBounded(6)];
+          seen[leg.lo + leg.span < leg.lo ? 1 : 0] = true;
           for (size_t i = 0; i < n; ++i) {
             int_cells[j].push_back(
                 rng.NextBernoulli(0.8)
@@ -446,6 +464,7 @@ TEST(ScanKernelsTest, BothBodiesMatchTheRowOracle) {
         } else {
           leg.cmp = kCmpOps[rng.NextBounded(6)];
           leg.lit = doubles[rng.NextBounded(doubles.size())];
+          seen[std::isnan(leg.lit) ? 3 : 2] = true;
           for (size_t i = 0; i < n; ++i) {
             double_cells[j].push_back(doubles[rng.NextBounded(doubles.size())]);
           }
@@ -467,6 +486,7 @@ TEST(ScanKernelsTest, BothBodiesMatchTheRowOracle) {
         ASSERT_EQ(got, expected) << name << " n=" << n << " legs=" << num_legs;
       }
     }
+    EXPECT_TRUE(seen[0] && seen[1] && seen[2] && seen[3]) << "n=" << n;
   }
 }
 
