@@ -324,16 +324,22 @@ inline const TrajectoryDataset& Tippers() {
   return kSim;
 }
 
-/// The paper's policy labels P99...P1 with their target fractions.
+/// The paper's policy labels P99...P1 with their target fractions: one
+/// point per PaperPolicyGrid() entry, labelled "P" + the percentage.
 struct PolicyPoint {
-  const char* label;
+  std::string label;
   double target;
 };
 
 inline const std::vector<PolicyPoint>& PolicyGrid() {
-  static const std::vector<PolicyPoint> kGrid = {
-      {"P99", 0.99}, {"P90", 0.90}, {"P75", 0.75}, {"P50", 0.50},
-      {"P25", 0.25}, {"P10", 0.10}, {"P1", 0.01}};
+  static const std::vector<PolicyPoint> kGrid = [] {
+    std::vector<PolicyPoint> grid;
+    for (double target : PaperPolicyGrid()) {
+      grid.push_back(
+          {"P" + std::to_string(std::lround(target * 100.0)), target});
+    }
+    return grid;
+  }();
   return kGrid;
 }
 

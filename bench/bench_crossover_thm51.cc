@@ -46,11 +46,16 @@ int main() {
     lap /= reps;
     const double lhs = c.n * c.eps;
     const double rhs = 2.0 * static_cast<double>(c.d) * std::exp(c.eps);
+    // Theorem 5.1's verdict from the two analytic error models (every record
+    // non-sensitive): OsdpRR loses iff n·e^-ε > 2d/ε, i.e. iff n·ε > 2d·e^ε.
+    const bool laplace_predicted =
+        OsdpRRExpectedL1Error(c.n, c.n, c.eps) >
+        LaplaceExpectedL1Error(c.d, c.eps);
     table.AddRow({TextTable::FmtAuto(c.n), std::to_string(c.d),
                   TextTable::Fmt(c.eps, 2), TextTable::FmtAuto(lhs),
                   TextTable::FmtAuto(rhs), TextTable::FmtAuto(rr),
                   TextTable::FmtAuto(lap), rr < lap ? "OsdpRR" : "Laplace",
-                  lhs > rhs ? "Laplace" : "OsdpRR"});
+                  laplace_predicted ? "Laplace" : "OsdpRR"});
   }
   std::printf("%s", table.ToString().c_str());
   std::printf("\nanalytic error models: OsdpRR >= n*e^-eps;"

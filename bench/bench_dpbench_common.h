@@ -18,6 +18,7 @@
 #include "src/eval/regret.h"
 #include "src/eval/table_printer.h"
 #include "src/mech/histogram_mechanism.h"
+#include "src/traj/ap_policy.h"
 
 namespace osdp {
 namespace bench {
@@ -32,11 +33,7 @@ struct DPBenchInput {
 };
 
 /// The paper's non-sensitive ratio grid.
-inline const std::vector<double>& RatioGrid() {
-  static const std::vector<double> kGrid = {0.99, 0.90, 0.75, 0.50,
-                                            0.25, 0.10, 0.01};
-  return kGrid;
-}
+inline const std::vector<double>& RatioGrid() { return PaperPolicyGrid(); }
 
 /// Builds all (dataset x policy x ratio) inputs — the paper's 98 pairs.
 /// `min_rho` trims the grid (several figures restrict to ρx >= 0.25).

@@ -96,68 +96,6 @@ int64_t SampleGeometric(Rng& rng, double p) {
   return static_cast<int64_t>(k);
 }
 
-size_t SampleDiscrete(Rng& rng, const std::vector<double>& weights) {
-  OSDP_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    OSDP_CHECK(w >= 0.0);
-    total += w;
-  }
-  OSDP_CHECK(total > 0.0);
-  double u = rng.NextDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    u -= weights[i];
-    if (u < 0.0) return i;
-  }
-  // Floating-point underflow of the running sum: return last positive weight.
-  for (size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
-AliasSampler::AliasSampler(const std::vector<double>& weights) {
-  OSDP_CHECK(!weights.empty());
-  const size_t k = weights.size();
-  double total = 0.0;
-  for (double w : weights) {
-    OSDP_CHECK(w >= 0.0);
-    total += w;
-  }
-  OSDP_CHECK(total > 0.0);
-
-  prob_.assign(k, 0.0);
-  alias_.assign(k, 0);
-  std::vector<double> scaled(k);
-  for (size_t i = 0; i < k; ++i) scaled[i] = weights[i] * k / total;
-
-  std::vector<uint32_t> small, large;
-  small.reserve(k);
-  large.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<uint32_t>(i));
-  }
-  while (!small.empty() && !large.empty()) {
-    const uint32_t s = small.back();
-    small.pop_back();
-    const uint32_t l = large.back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
-    }
-  }
-  for (uint32_t l : large) prob_[l] = 1.0;
-  for (uint32_t s : small) prob_[s] = 1.0;
-}
-
-size_t AliasSampler::Sample(Rng& rng) const {
-  const size_t i = rng.NextBounded(prob_.size());
-  return rng.NextDouble() < prob_[i] ? i : alias_[i];
-}
-
 double LaplacePdf(double x, double b) {
   OSDP_CHECK(b > 0.0);
   return std::exp(-std::abs(x) / b) / (2.0 * b);

@@ -48,29 +48,6 @@ int64_t SampleBinomial(Rng& rng, int64_t n, double p);
 /// probability p: P[X = k] = (1-p)^k p.
 int64_t SampleGeometric(Rng& rng, double p);
 
-/// \brief Samples an index in [0, weights.size()) with probability
-/// proportional to weights[i]. Weights must be non-negative with positive sum.
-size_t SampleDiscrete(Rng& rng, const std::vector<double>& weights);
-
-/// \brief Pre-built alias table for repeated discrete sampling in O(1).
-///
-/// Vose's alias method. Build is O(k); each Sample is two uniform draws.
-class AliasSampler {
- public:
-  /// Builds from non-negative weights with positive sum.
-  explicit AliasSampler(const std::vector<double>& weights);
-
-  /// Draws an index with probability proportional to the build weights.
-  size_t Sample(Rng& rng) const;
-
-  /// Number of categories.
-  size_t size() const { return prob_.size(); }
-
- private:
-  std::vector<double> prob_;
-  std::vector<uint32_t> alias_;
-};
-
 /// \name Analytic densities/quantiles used by tests and the attack analyzer.
 /// @{
 

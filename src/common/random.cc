@@ -58,13 +58,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   }
 }
 
-int64_t Rng::NextInt(int64_t lo, int64_t hi) {
-  OSDP_CHECK(lo <= hi);
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<int64_t>(Next());  // full 64-bit range
-  return lo + static_cast<int64_t>(NextBounded(span));
-}
-
 bool Rng::NextBernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

@@ -54,9 +54,6 @@ class Rng {
   /// Uniform integer in [0, bound) without modulo bias. bound must be > 0.
   uint64_t NextBounded(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t NextInt(int64_t lo, int64_t hi);
-
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool NextBernoulli(double p);
 

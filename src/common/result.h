@@ -65,11 +65,6 @@ class Result {
   const T* operator->() const { return &ValueOrDie(); }
   T* operator->() { return &ValueOrDie(); }
 
-  /// Returns the value or a fallback when the Result holds an error.
-  T ValueOr(T fallback) const {
-    return ok() ? *value_ : std::move(fallback);
-  }
-
  private:
   void DieIfError() const {
     if (!ok()) {

@@ -38,28 +38,6 @@ double Percentile(std::vector<double> xs, double p) {
 
 double Median(std::vector<double> xs) { return Percentile(std::move(xs), 50.0); }
 
-double L1Norm(const std::vector<double>& xs) {
-  double sum = 0.0;
-  for (double x : xs) sum += std::abs(x);
-  return sum;
-}
-
-double L1Distance(const std::vector<double>& a, const std::vector<double>& b) {
-  OSDP_CHECK(a.size() == b.size());
-  double sum = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) sum += std::abs(a[i] - b[i]);
-  return sum;
-}
-
-double LInfDistance(const std::vector<double>& a, const std::vector<double>& b) {
-  OSDP_CHECK(a.size() == b.size());
-  double best = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    best = std::max(best, std::abs(a[i] - b[i]));
-  }
-  return best;
-}
-
 void RunningStats::Add(double x) {
   ++n_;
   const double delta = x - mean_;

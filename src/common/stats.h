@@ -27,15 +27,6 @@ double Percentile(std::vector<double> xs, double p);
 /// Median (50th percentile).
 double Median(std::vector<double> xs);
 
-/// Sum of |xs[i]|; L1 norm.
-double L1Norm(const std::vector<double>& xs);
-
-/// Sum of |a[i] - b[i]|; requires equal sizes.
-double L1Distance(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Maximum of |a[i] - b[i]|; requires equal sizes.
-double LInfDistance(const std::vector<double>& a, const std::vector<double>& b);
-
 /// \brief Welford online accumulator for mean/variance of a stream.
 class RunningStats {
  public:

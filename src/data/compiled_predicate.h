@@ -16,15 +16,16 @@
 // the whole tree over one chunk, through stack buffers, before the next.
 // Numeric comparisons, alone or as the legs of an AND chain, run through
 // the fused kernel of src/data/scan_kernels.h: one pass per chunk for the
-// whole chain, on an AVX2 body when the CPU has one.
+// whole chain, on the AVX-512 body when the CPU has AVX-512 F/BW/VL, else
+// on the AVX2 body when it has AVX2, else on the portable body.
 //
 // Semantics are bit-identical to the row-at-a-time reference evaluator in
 // tests/reference_predicate.h: numeric cells compare with the literal as
-// doubles, strings lexicographically. An int64 column gets that result without converting a cell: Compile() turns each
-// comparison into the exact set of int64 values v with double(v) <op> L —
-// an interval, or the complement of one for != — so NaN, ±inf, -0.0 and
-// literals where doubles are sparser than integers (|L| >= 2^53) all match
-// the double compare. tests/compiled_predicate_test.cc enforces the
+// doubles, strings lexicographically. An int64 column gets that result
+// without converting a cell: Compile() turns each comparison into the exact
+// set of int64 values v with double(v) <op> L — an interval, or the
+// complement of one for != — so NaN, ±inf, -0.0 and literals where doubles
+// are sparser than integers (|L| >= 2^53) all match the double compare. tests/compiled_predicate_test.cc enforces the
 // equivalence on randomized schemas, tables, and trees and on those literal
 // edges. The one deliberate difference: a predicate that is ill-typed for
 // the schema (unknown column, string/numeric mix) is rejected by Compile()

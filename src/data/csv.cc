@@ -100,6 +100,9 @@ Result<std::vector<std::vector<std::string>>> SplitCsv(
   return rows;
 }
 
+// A run of digits that strtoll parses without ERANGE: an out-of-range value
+// is not an int64 (inference falls back to double; an int64 schema rejects
+// it) rather than being clamped to INT64_MIN/MAX.
 bool LooksLikeInt(const std::string& s) {
   if (s.empty()) return false;
   size_t i = (s[0] == '-' || s[0] == '+') ? 1 : 0;
@@ -107,7 +110,9 @@ bool LooksLikeInt(const std::string& s) {
   for (; i < s.size(); ++i) {
     if (!std::isdigit(static_cast<unsigned char>(s[i]))) return false;
   }
-  return true;
+  errno = 0;
+  std::strtoll(s.c_str(), nullptr, 10);
+  return errno != ERANGE;
 }
 
 bool LooksLikeDouble(const std::string& s) {
@@ -173,7 +178,7 @@ Result<Table> BuildTable(const std::vector<std::vector<std::string>>& rows,
           if (!LooksLikeInt(cells[c])) {
             return Status::InvalidArgument("row " + std::to_string(r) +
                                            ": '" + cells[c] +
-                                           "' is not an integer");
+                                           "' is not an int64");
           }
           std::get<std::vector<int64_t>>(columns[c])
               .push_back(static_cast<int64_t>(
@@ -274,51 +279,12 @@ std::string WriteCsvTable(const Table& table) {
   return out;
 }
 
-Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "' for reading");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 Status WriteStringToFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IOError("cannot open '" + path + "' for writing");
   out << content;
   if (!out) return Status::IOError("write to '" + path + "' failed");
   return Status::OK();
-}
-
-std::string WriteCsvHistogram(const Histogram& hist) {
-  std::string out = "bin,count\n";
-  for (size_t i = 0; i < hist.size(); ++i) {
-    std::ostringstream ss;
-    ss << i << "," << hist[i] << "\n";
-    out += ss.str();
-  }
-  return out;
-}
-
-Result<Histogram> ReadCsvHistogram(const std::string& csv_text) {
-  OSDP_ASSIGN_OR_RETURN(auto rows, SplitCsv(csv_text));
-  if (rows.empty() || rows[0].size() != 2) {
-    return Status::InvalidArgument("expected a 2-column bin,count CSV");
-  }
-  std::vector<double> counts;
-  for (size_t r = 1; r < rows.size(); ++r) {
-    if (rows[r].size() != 2 || !LooksLikeInt(rows[r][0]) ||
-        !LooksLikeDouble(rows[r][1])) {
-      return Status::InvalidArgument("bad histogram row " + std::to_string(r));
-    }
-    const auto bin = static_cast<size_t>(std::strtoll(rows[r][0].c_str(),
-                                                      nullptr, 10));
-    if (bin != counts.size()) {
-      return Status::InvalidArgument("bins must be consecutive from 0");
-    }
-    counts.push_back(std::strtod(rows[r][1].c_str(), nullptr));
-  }
-  return Histogram(std::move(counts));
 }
 
 }  // namespace osdp

@@ -1,12 +1,12 @@
-// Minimal CSV import/export for tables and histograms, so policies and
-// experiments can run against user-supplied data and results can be plotted
-// outside the library.
+// Minimal CSV import/export for tables, so policies and experiments can run
+// against user-supplied data.
 //
 // Dialect: comma-separated, first row is the header, double quotes escape
 // fields containing commas/quotes/newlines ("" escapes a quote). Column
-// types are either supplied or inferred from the first data row (int64 if
-// all-integer, double if numeric, string otherwise — then validated against
-// the whole file).
+// types are either supplied or inferred from every data row: int64 if each
+// value is an integer within int64 range, else double if each is numeric,
+// else string. An int64 column rejects a value outside int64 range rather
+// than clamping it.
 
 #ifndef OSDP_DATA_CSV_H_
 #define OSDP_DATA_CSV_H_
@@ -15,7 +15,6 @@
 
 #include "src/common/result.h"
 #include "src/data/table.h"
-#include "src/hist/histogram.h"
 
 namespace osdp {
 
@@ -28,18 +27,8 @@ Result<Table> ReadCsvTable(const std::string& csv_text, const Schema& schema);
 /// \brief Renders a table as CSV text (with header).
 std::string WriteCsvTable(const Table& table);
 
-/// \brief Reads a whole file into a string.
-Result<std::string> ReadFileToString(const std::string& path);
-
 /// \brief Writes a string to a file, overwriting.
 Status WriteStringToFile(const std::string& path, const std::string& content);
-
-/// \brief Renders a histogram as two-column CSV ("bin,count").
-std::string WriteCsvHistogram(const Histogram& hist);
-
-/// \brief Parses a "bin,count" CSV back into a histogram; bins must be the
-/// exact sequence 0..d-1.
-Result<Histogram> ReadCsvHistogram(const std::string& csv_text);
 
 }  // namespace osdp
 

@@ -78,12 +78,6 @@ class RowMask {
     words_.resize(NumWords(new_size), 0);
   }
 
-  /// Sets every bit to `value`.
-  void SetAll(bool value) {
-    std::fill(words_.begin(), words_.end(), value ? ~uint64_t{0} : 0);
-    ClearTail();
-  }
-
   /// Number of set bits.
   size_t Count() const { return PopcountWords(words_.data(), 0, words_.size()); }
 
@@ -92,11 +86,6 @@ class RowMask {
   RowMask& AndWith(const RowMask& other) {
     OSDP_CHECK(other.size_ == size_);
     for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-    return *this;
-  }
-  RowMask& OrWith(const RowMask& other) {
-    OSDP_CHECK(other.size_ == size_);
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
     return *this;
   }
   RowMask& AndNotWith(const RowMask& other) {

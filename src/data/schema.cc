@@ -21,10 +21,6 @@ Result<size_t> Schema::FieldIndex(const std::string& name) const {
   return Status::NotFound("no column named '" + name + "'");
 }
 
-bool Schema::HasField(const std::string& name) const {
-  return FieldIndex(name).ok();
-}
-
 std::string Schema::ToString() const {
   std::string out = "(";
   for (size_t i = 0; i < fields_.size(); ++i) {

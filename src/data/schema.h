@@ -38,9 +38,6 @@ class Schema {
   /// Index of the column with the given name, or NotFound.
   Result<size_t> FieldIndex(const std::string& name) const;
 
-  /// True if a column with the given name exists.
-  bool HasField(const std::string& name) const;
-
   bool operator==(const Schema& other) const { return fields_ == other.fields_; }
 
   /// "(name:type, ...)" rendering.

@@ -183,15 +183,6 @@ Result<const ChunkedColumn<int64_t>*> Table::Int64ColumnByName(
   return &Int64Column(idx);
 }
 
-Result<const ChunkedColumn<double>*> Table::DoubleColumnByName(
-    const std::string& name) const {
-  OSDP_ASSIGN_OR_RETURN(size_t idx, schema_.FieldIndex(name));
-  if (schema_.field(idx).type != ValueType::kDouble) {
-    return Status::InvalidArgument("column '" + name + "' is not double");
-  }
-  return &DoubleColumn(idx);
-}
-
 Table Table::SelectRows(const std::vector<size_t>& row_indices) const {
   for (size_t r : row_indices) OSDP_CHECK(r < num_rows_);
   // Column-at-a-time gather: one typed copy per cell, no Value boxing.

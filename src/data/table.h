@@ -96,10 +96,8 @@ class Table {
   const ChunkedColumn<std::string>& StringColumn(size_t col) const;
   /// @}
 
-  /// Typed column views by name.
+  /// Typed int64 column view by name.
   Result<const ChunkedColumn<int64_t>*> Int64ColumnByName(
-      const std::string& name) const;
-  Result<const ChunkedColumn<double>*> DoubleColumnByName(
       const std::string& name) const;
 
   /// Returns a new table containing exactly the rows whose indices are given

@@ -9,9 +9,12 @@
 
 namespace osdp {
 
-std::vector<double> PerBinRelativeError(const Histogram& truth,
-                                        const Histogram& estimate,
-                                        const MetricOptions& opts) {
+namespace {
+
+// The per-bin relative error vector [ |x_i - x̃_i| / max(x_i, δ) ].
+std::vector<double> BinRelativeErrors(const Histogram& truth,
+                                      const Histogram& estimate,
+                                      const MetricOptions& opts) {
   OSDP_CHECK(truth.size() == estimate.size());
   OSDP_CHECK(opts.delta > 0.0);
   std::vector<double> rel(truth.size());
@@ -21,16 +24,18 @@ std::vector<double> PerBinRelativeError(const Histogram& truth,
   return rel;
 }
 
+}  // namespace
+
 double MeanRelativeError(const Histogram& truth, const Histogram& estimate,
                          const MetricOptions& opts) {
-  const std::vector<double> rel = PerBinRelativeError(truth, estimate, opts);
+  const std::vector<double> rel = BinRelativeErrors(truth, estimate, opts);
   return Mean(rel);
 }
 
 double RelativeErrorPercentile(const Histogram& truth,
                                const Histogram& estimate, double percentile,
                                const MetricOptions& opts) {
-  return Percentile(PerBinRelativeError(truth, estimate, opts), percentile);
+  return Percentile(BinRelativeErrors(truth, estimate, opts), percentile);
 }
 
 double L1Error(const Histogram& truth, const Histogram& estimate) {

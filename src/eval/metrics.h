@@ -21,11 +21,6 @@ struct MetricOptions {
 double MeanRelativeError(const Histogram& truth, const Histogram& estimate,
                          const MetricOptions& opts = {});
 
-/// The per-bin relative error vector [ |x_i - x̃_i| / max(x_i, δ) ].
-std::vector<double> PerBinRelativeError(const Histogram& truth,
-                                        const Histogram& estimate,
-                                        const MetricOptions& opts = {});
-
 /// The p-th percentile of the per-bin relative error (Rel50, Rel95, ...).
 double RelativeErrorPercentile(const Histogram& truth,
                                const Histogram& estimate, double percentile,

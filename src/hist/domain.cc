@@ -45,34 +45,4 @@ std::pair<double, double> Domain1D::BinBounds(size_t i) const {
           lo_ + static_cast<double>(i + 1) * width};
 }
 
-DomainProduct::DomainProduct(std::vector<Domain1D> dims)
-    : dims_(std::move(dims)) {
-  OSDP_CHECK(!dims_.empty());
-  strides_.assign(dims_.size(), 1);
-  for (size_t d = dims_.size(); d-- > 1;) {
-    strides_[d - 1] = strides_[d] * dims_[d].size();
-  }
-  total_ = strides_[0] * dims_[0].size();
-}
-
-size_t DomainProduct::Flatten(const std::vector<size_t>& indices) const {
-  OSDP_CHECK(indices.size() == dims_.size());
-  size_t cell = 0;
-  for (size_t d = 0; d < dims_.size(); ++d) {
-    OSDP_CHECK(indices[d] < dims_[d].size());
-    cell += indices[d] * strides_[d];
-  }
-  return cell;
-}
-
-std::vector<size_t> DomainProduct::Unflatten(size_t cell) const {
-  OSDP_CHECK(cell < total_);
-  std::vector<size_t> out(dims_.size());
-  for (size_t d = 0; d < dims_.size(); ++d) {
-    out[d] = cell / strides_[d];
-    cell %= strides_[d];
-  }
-  return out;
-}
-
 }  // namespace osdp

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/common/result.h"
 
@@ -51,32 +50,6 @@ class Domain1D {
   double lo_;
   double hi_;
   size_t size_;
-};
-
-/// \brief Row-major product of 1-D domains; used for 2-D (and higher)
-/// histograms such as the paper's AP-by-hour TIPPERS histogram.
-class DomainProduct {
- public:
-  /// Builds from per-dimension domains (at least one).
-  explicit DomainProduct(std::vector<Domain1D> dims);
-
-  /// Number of dimensions.
-  size_t num_dims() const { return dims_.size(); }
-  /// Domain of dimension d.
-  const Domain1D& dim(size_t d) const { return dims_[d]; }
-  /// Total number of cells (product of dimension sizes).
-  size_t size() const { return total_; }
-
-  /// Flattens per-dimension bin indices into a row-major cell index.
-  size_t Flatten(const std::vector<size_t>& indices) const;
-
-  /// Inverse of Flatten.
-  std::vector<size_t> Unflatten(size_t cell) const;
-
- private:
-  std::vector<Domain1D> dims_;
-  std::vector<size_t> strides_;
-  size_t total_;
 };
 
 }  // namespace osdp

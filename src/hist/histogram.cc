@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/check.h"
-#include "src/common/stats.h"
 
 namespace osdp {
 
@@ -30,10 +29,6 @@ size_t Histogram::ZeroBins() const {
   return zeros;
 }
 
-double Histogram::MeanCount() const { return Mean(counts_); }
-
-double Histogram::StddevCount() const { return Stddev(counts_); }
-
 void Histogram::ClampNonNegative() {
   for (double& c : counts_) c = std::max(c, 0.0);
 }
@@ -58,13 +53,6 @@ bool Histogram::DominatedBy(const Histogram& other) const {
     if (counts_[i] > other.counts_[i]) return false;
   }
   return true;
-}
-
-double Histogram::RangeSum(size_t lo, size_t hi) const {
-  OSDP_CHECK(lo <= hi && hi < counts_.size());
-  double sum = 0.0;
-  for (size_t i = lo; i <= hi; ++i) sum += counts_[i];
-  return sum;
 }
 
 Status Histogram::ValidateNonNegative() const {

@@ -52,11 +52,6 @@ class Histogram {
   /// Number of bins with count exactly zero.
   size_t ZeroBins() const;
 
-  /// Mean / standard deviation of the per-bin counts (MSampling's closeness
-  /// criterion compares these between x and the sampled xns).
-  double MeanCount() const;
-  double StddevCount() const;
-
   /// Clamps every negative count up to zero (post-processing step).
   void ClampNonNegative();
 
@@ -68,9 +63,6 @@ class Histogram {
   /// (Holds between x_ns of one-sided neighbors; see Section 5.1.)
   bool DominatedBy(const Histogram& other) const;
 
-  /// Sum of counts over the index range [lo, hi] inclusive.
-  double RangeSum(size_t lo, size_t hi) const;
-
   /// Errors if any count is negative (validates true input histograms).
   Status ValidateNonNegative() const;
 
@@ -81,7 +73,7 @@ class Histogram {
   std::vector<double> counts_;
 };
 
-/// \brief 2-D histogram view over a row-major DomainProduct with 2 dims.
+/// \brief Row-major rows × cols histogram.
 ///
 /// Stores a flat Histogram plus shape; exposed separately because the TIPPERS
 /// experiments index by (access point, hour).

@@ -8,29 +8,18 @@ namespace osdp {
 
 namespace {
 
-// Typed, pre-resolved binning closure for one column: the per-row type
-// dispatch and name resolution of the old BinOfRow, hoisted out of the scan.
+// Typed, pre-resolved binning column: the per-row type dispatch and name
+// resolution, hoisted out of the scan.
 struct Binner {
   const ChunkedColumn<int64_t>* i64 = nullptr;  // exactly one of i64/dbl set
   const ChunkedColumn<double>* dbl = nullptr;
-  const Domain1D* domain = nullptr;
   bool categorical = false;
-
-  size_t Bin(size_t row) const {
-    if (i64 != nullptr) {
-      const int64_t v = (*i64)[row];
-      return categorical ? domain->BinOfCategory(v)
-                         : domain->BinOf(static_cast<double>(v));
-    }
-    return domain->BinOf((*dbl)[row]);
-  }
 };
 
 Result<Binner> MakeBinner(const Table& table, size_t col_idx,
                           const Domain1D& domain) {
   const Field& field = table.schema().field(col_idx);
   Binner b;
-  b.domain = &domain;
   b.categorical = domain.is_categorical();
   switch (field.type) {
     case ValueType::kInt64:
@@ -48,16 +37,6 @@ Result<Binner> MakeBinner(const Table& table, size_t col_idx,
                                      "'");
   }
   return Status::Internal("unreachable");
-}
-
-// Compiles `where` (when present) and ANDs it into `mask`.
-Status ApplyWhere(const Table& table, const std::optional<Predicate>& where,
-                  RowMask* mask) {
-  if (!where) return Status::OK();
-  OSDP_ASSIGN_OR_RETURN(CompiledPredicate compiled,
-                        CompiledPredicate::Compile(*where, table.schema()));
-  mask->AndWith(compiled.EvalMask(table));
-  return Status::OK();
 }
 
 }  // namespace
@@ -166,27 +145,6 @@ Result<Histogram> ComputeHistogramMasked(const Table& table,
 Result<Histogram> ComputeHistogram(const TableView& view,
                                    const HistogramQuery& query) {
   return ComputeHistogramMasked(view.table(), query, view.mask());
-}
-
-Result<Histogram2D> ComputeHistogram2D(const Table& table,
-                                       const HistogramQuery2D& query) {
-  OSDP_ASSIGN_OR_RETURN(size_t row_idx,
-                        table.schema().FieldIndex(query.row_column));
-  OSDP_ASSIGN_OR_RETURN(size_t col_idx,
-                        table.schema().FieldIndex(query.col_column));
-  OSDP_ASSIGN_OR_RETURN(Binner row_binner,
-                        MakeBinner(table, row_idx, query.row_domain));
-  OSDP_ASSIGN_OR_RETURN(Binner col_binner,
-                        MakeBinner(table, col_idx, query.col_domain));
-
-  RowMask selected(table.num_rows(), /*value=*/true);
-  OSDP_RETURN_IF_ERROR(ApplyWhere(table, query.where, &selected));
-
-  Histogram2D out(query.row_domain.size(), query.col_domain.size());
-  selected.ForEachSet([&](size_t row) {
-    out.Add(row_binner.Bin(row), col_binner.Bin(row));
-  });
-  return out;
 }
 
 }  // namespace osdp

@@ -118,19 +118,6 @@ Result<Histogram> ComputeHistogramMasked(const Table& table,
                                          const HistogramQuery& query,
                                          const RowMask& mask);
 
-/// \brief A 2-D histogram query over two binned columns (row dim, col dim).
-struct HistogramQuery2D {
-  std::string row_column;
-  Domain1D row_domain;
-  std::string col_column;
-  Domain1D col_domain;
-  std::optional<Predicate> where;
-};
-
-/// Evaluates a 2-D histogram query over all rows.
-Result<Histogram2D> ComputeHistogram2D(const Table& table,
-                                       const HistogramQuery2D& query);
-
 }  // namespace osdp
 
 #endif  // OSDP_HIST_HISTOGRAM_QUERY_H_

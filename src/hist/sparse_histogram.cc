@@ -4,16 +4,6 @@
 
 namespace osdp {
 
-void SparseHistogram::DropZeros() {
-  for (auto it = counts_.begin(); it != counts_.end();) {
-    if (it->second == 0.0) {
-      it = counts_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 uint64_t EncodeNGram(const std::vector<int>& symbols, int alphabet) {
   OSDP_CHECK(alphabet > 1);
   const uint64_t base = static_cast<uint64_t>(alphabet);

@@ -53,9 +53,6 @@ class SparseHistogram {
   /// Materialized cells, unordered.
   const std::unordered_map<uint64_t, double>& cells() const { return counts_; }
 
-  /// Removes cells whose count is exactly zero (compaction).
-  void DropZeros();
-
  private:
   double domain_size_;
   std::unordered_map<uint64_t, double> counts_;

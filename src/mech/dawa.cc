@@ -97,7 +97,7 @@ L1PartitionSolution PartitionDP(size_t d, DawaPositions positions,
 
 // Runs the partition DP over `x` with the resolved position mode and cost
 // implementation; `dev_cost(dev, len)` maps an interval's L1 deviation to its
-// bucket cost. Single dispatch point for both the clean (OptimalL1Partition)
+// bucket cost. Single dispatch point for both the clean (SolveL1Partition)
 // and the noisy-debiased (Dawa stage 1) objectives, so the reference and
 // engine paths cannot drift apart per call site.
 template <typename DevCostFn>
@@ -131,14 +131,6 @@ L1PartitionSolution SolveL1Partition(const std::vector<double>& x,
   return SolveWithImpl(x, pos, impl, pool, [&](double dev, size_t) {
     return dev + bucket_charge;
   });
-}
-
-std::vector<DawaBucket> OptimalL1Partition(const std::vector<double>& x,
-                                           double bucket_charge,
-                                           DawaPositions positions,
-                                           DawaCostImpl impl,
-                                           ThreadPool* pool) {
-  return SolveL1Partition(x, bucket_charge, positions, impl, pool).buckets;
 }
 
 Result<DawaResult> Dawa(const Histogram& x, double epsilon,

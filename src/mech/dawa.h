@@ -117,11 +117,6 @@ L1PartitionSolution SolveL1Partition(const std::vector<double>& x,
                                      DawaCostImpl impl,
                                      ThreadPool* pool = nullptr);
 
-/// \brief The buckets of SolveL1Partition (convenience wrapper).
-std::vector<DawaBucket> OptimalL1Partition(
-    const std::vector<double>& x, double bucket_charge, DawaPositions positions,
-    DawaCostImpl impl = DawaCostImpl::kAuto, ThreadPool* pool = nullptr);
-
 }  // namespace osdp
 
 #endif  // OSDP_MECH_DAWA_H_

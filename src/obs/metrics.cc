@@ -42,19 +42,14 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-std::string FormatDouble(double v) {
+// JSON has no literal for non-finite doubles: %.17g's bare `inf`/`nan`
+// would make the whole scrape unparsable (budget ε gauges can legitimately
+// be ±inf), so they serialize as null.
+std::string FormatDoubleJson(double v) {
+  if (!std::isfinite(v)) return "null";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-// JSON has no literal for non-finite doubles: %.17g's bare `inf`/`nan`
-// would make the whole scrape unparsable (budget ε gauges can legitimately
-// be ±inf), so they serialize as null. ToText keeps the raw spelling — the
-// text surface has no grammar to break.
-std::string FormatDoubleJson(double v) {
-  if (!std::isfinite(v)) return "null";
-  return FormatDouble(v);
 }
 
 }  // namespace
@@ -107,22 +102,6 @@ std::string MetricsSnapshot::ToJson() const {
         << "}";
   }
   out << "}}";
-  return out.str();
-}
-
-std::string MetricsSnapshot::ToText() const {
-  std::ostringstream out;
-  for (const CounterValue& c : counters) {
-    out << c.name << " " << c.value << "\n";
-  }
-  for (const GaugeValue& g : gauges) {
-    out << g.name << " " << FormatDouble(g.value) << "\n";
-  }
-  for (const HistogramValue& h : histograms) {
-    out << h.name << " count=" << h.count << " mean_ns=" << h.mean_ns
-        << " p50_ns=" << h.p50_ns << " p95_ns=" << h.p95_ns
-        << " p99_ns=" << h.p99_ns << " max_ns=" << h.max_ns << "\n";
-  }
   return out.str();
 }
 

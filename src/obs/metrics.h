@@ -229,16 +229,6 @@ class LatencyHistogram {
     return counts.empty() ? 0 : counts.size() - 1;
   }
 
-  /// Inclusive upper bound of the percentile bucket — the reported
-  /// percentile value ("the p-th percentile sample was ≤ this").
-  uint64_t ValueAtPercentile(double p) const {
-    const std::vector<uint64_t> counts = MergedCounts();
-    uint64_t total = 0;
-    for (uint64_t c : counts) total += c;
-    if (total == 0) return 0;
-    return BucketUpperBound(PercentileBucket(counts, total, p));
-  }
-
   /// One merged pass: count, mean, max, and the standard percentile trio.
   struct Summary {
     uint64_t count = 0;
@@ -320,9 +310,6 @@ struct MetricsSnapshot {
   /// Stable JSON (entries sorted by name): {"counters": {...},
   /// "gauges": {...}, "histograms": {"x": {"count": ..., "p50_ns": ...}}}.
   std::string ToJson() const;
-
-  /// Human-readable dump, one metric per line.
-  std::string ToText() const;
 };
 
 /// \brief Named-metric registry: get-or-create handles under a mutex (wiring

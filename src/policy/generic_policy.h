@@ -43,8 +43,6 @@ class GenericPolicy {
   bool IsSensitive(const T& record) const { return fn_(record); }
   /// True iff the record is non-sensitive (paper: P(r) = 1).
   bool IsNonSensitive(const T& record) const { return !fn_(record); }
-  /// The paper's P(r) in {0, 1}.
-  int Eval(const T& record) const { return fn_(record) ? 0 : 1; }
 
   /// Fraction of non-sensitive records in `records`.
   double NonSensitiveFraction(const std::vector<T>& records) const {

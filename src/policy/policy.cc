@@ -37,19 +37,6 @@ double Policy::NonSensitiveFraction(const Table& table) const {
   return static_cast<double>(ns) / static_cast<double>(table.num_rows());
 }
 
-std::pair<std::vector<size_t>, std::vector<size_t>> Policy::PartitionRows(
-    const Table& table) const {
-  const RowMask mask = SensitiveMask(table);
-  std::vector<size_t> sensitive, non_sensitive;
-  const size_t num_sensitive = mask.Count();
-  sensitive.reserve(num_sensitive);
-  non_sensitive.reserve(table.num_rows() - num_sensitive);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    (mask.Test(r) ? sensitive : non_sensitive).push_back(r);
-  }
-  return {std::move(sensitive), std::move(non_sensitive)};
-}
-
 Policy Policy::MinimumRelaxation(const Policy& a, const Policy& b) {
   // P_mr(r) = max(P_a(r), P_b(r)): non-sensitive when either says so, i.e.
   // sensitive only when both say sensitive. Same-named policies compose to

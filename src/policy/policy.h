@@ -53,10 +53,6 @@ class Policy {
   /// Fraction of non-sensitive rows (the paper's ρ); 0 for empty tables.
   double NonSensitiveFraction(const Table& table) const;
 
-  /// Splits row indices into (sensitive, non_sensitive), preserving order.
-  std::pair<std::vector<size_t>, std::vector<size_t>> PartitionRows(
-      const Table& table) const;
-
   /// \brief Minimum relaxation P_mr of two policies (Definition 3.6):
   /// sensitive iff sensitive under *both*. The strictest common relaxation.
   static Policy MinimumRelaxation(const Policy& a, const Policy& b);

@@ -137,11 +137,6 @@ size_t ParallelAndCount(const RowMask& a, const RowMask& b, size_t row_begin,
       });
 }
 
-size_t ParallelAndCount(const RowMask& a, const RowMask& b,
-                        const ParallelScanOptions& opts) {
-  return ParallelAndCount(a, b, 0, a.size(), opts);
-}
-
 void ParallelAndWith(RowMask* mask, const RowMask& other,
                      const ParallelScanOptions& opts) {
   OSDP_CHECK(mask->size() == other.size());
@@ -220,14 +215,6 @@ Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
       });
 }
 
-Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
-                                      const RowMask& where,
-                                      const RowMask& also,
-                                      const ParallelScanOptions& opts) {
-  return ParallelAccumulateHistogram(prepared, where, also, 0, where.size(),
-                                     opts);
-}
-
 Result<Histogram> ParallelComputeHistogramMasked(
     const Table& table, const HistogramQuery& query, const RowMask& mask,
     const ParallelScanOptions& opts) {
@@ -243,7 +230,8 @@ Result<Histogram> ParallelComputeHistogramMasked(
   // Shard-parallel WHERE evaluation into a scratch mask; the AND with the
   // caller's mask happens word by word inside the accumulation walk.
   const RowMask where = ParallelEvalMask(*prepared.where(), table, opts);
-  return ParallelAccumulateHistogram(prepared, where, mask, opts);
+  return ParallelAccumulateHistogram(prepared, where, mask, 0, where.size(),
+                                     opts);
 }
 
 }  // namespace osdp

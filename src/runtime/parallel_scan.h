@@ -75,15 +75,12 @@ void ParallelEvalMaskInto(const CompiledPredicate& pred, const Table& table,
 size_t ParallelCount(const RowMask& mask,
                      const ParallelScanOptions& opts = {});
 
-/// |a ∧ b| (equal sizes, checked), sharded like ParallelCount: each shard
-/// ANDs and popcounts its own words of both masks in one pass, so neither
-/// mask is copied or written — a shared cached mask is read in place.
-/// Equals ParallelCount of a copy of `a` ANDed with `b`, at any shard count.
-size_t ParallelAndCount(const RowMask& a, const RowMask& b,
-                        const ParallelScanOptions& opts = {});
-
-/// |a ∧ b| over rows [row_begin, row_end) only; either edge may fall
-/// mid-word.
+/// |a ∧ b| over rows [row_begin, row_end) (equal sizes, checked; either
+/// edge may fall mid-word), sharded like ParallelCount: each shard ANDs and
+/// popcounts its own words of both masks in one pass, so neither mask is
+/// copied or written — a shared cached mask is read in place. Equals
+/// ParallelCount of a copy of `a` ANDed with `b` and restricted to the
+/// range, at any shard count.
 size_t ParallelAndCount(const RowMask& a, const RowMask& b, size_t row_begin,
                         size_t row_end, const ParallelScanOptions& opts = {});
 
@@ -116,16 +113,11 @@ Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
                                       size_t row_begin, size_t row_end,
                                       const ParallelScanOptions& opts = {});
 
-/// The accumulation stage over the rows set in both `where` and `also`
-/// (equal sizes, checked), ANDed word by word inside the walk: bit-identical
-/// to accumulating a copy of `where` ANDed with `also`, without the copy.
-/// This is how a cached WHERE mask meets the policy mask for x_ns.
-Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
-                                      const RowMask& where,
-                                      const RowMask& also,
-                                      const ParallelScanOptions& opts = {});
-
-/// The two-mask accumulation over rows [row_begin, row_end) only.
+/// The accumulation stage over the rows in [row_begin, row_end) set in both
+/// `where` and `also` (equal sizes, checked), ANDed word by word inside the
+/// walk: bit-identical to accumulating a copy of `where` ANDed with `also`,
+/// without the copy. This is how a cached WHERE mask meets the policy mask
+/// for x_ns.
 Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
                                       const RowMask& where,
                                       const RowMask& also, size_t row_begin,

@@ -144,9 +144,10 @@ QueryService::QueryService(OsdpEngine engine, TableBuilder builder,
       m_(ResolveMetrics(&metrics_)),
       service_budget_(engine_.options().total_epsilon),
       mask_cache_(MaskCache::Options{
-          options.mask_cache_bytes, options.mask_cache_shards, m_.cache_hits,
-          m_.cache_misses, m_.cache_evictions, m_.cache_aggregate_hits,
-          m_.cache_aggregate_misses, m_.cache_extensions}),
+          options.mask_cache_bytes, MaskCache::Options{}.num_shards,
+          m_.cache_hits, m_.cache_misses, m_.cache_evictions,
+          m_.cache_aggregate_hits, m_.cache_aggregate_misses,
+          m_.cache_extensions}),
       store_(engine_.snapshot()),
       builder_(std::move(builder)) {
   // Route the mechanisms' deterministic stages (interval-cost engine build,

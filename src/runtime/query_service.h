@@ -221,8 +221,6 @@ class QueryService {
     /// still charged — and bit-identical to the cold path, so it is on by
     /// default.
     size_t mask_cache_bytes = 64ull << 20;
-    /// Lock shards of the mask cache.
-    size_t mask_cache_shards = 8;
     /// Admission control: maximum AnswerBatch calls executing concurrently;
     /// 0 = unlimited. A batch arriving at the bound is shed whole — every
     /// slot returns ResourceExhausted, nothing is reserved or scanned.
@@ -366,10 +364,11 @@ class QueryService {
   const SharedLedger& ledger() const { return ledger_; }
 
   /// Mask-cache counters {hits, misses, evictions, bytes, entries,
-  /// aggregate_hits, aggregate_misses} so tests and benches can assert cache
-  /// behavior instead of inferring it from timing. A thin view over the registry's cache.* counters (the cache
-  /// increments them directly) plus the per-shard byte/entry totals. All
-  /// zero when the cache is disabled.
+  /// aggregate_hits, aggregate_misses, extensions} so tests and benches can
+  /// assert cache behavior instead of inferring it from timing. A thin view
+  /// over the registry's cache.* counters (the cache increments them
+  /// directly) plus the per-shard byte/entry totals. All zero when the cache
+  /// is disabled.
   MaskCache::Stats cache_stats() const { return mask_cache_.stats(); }
 
   /// Admission counters {admitted, rejected, peak_inflight} so tests and

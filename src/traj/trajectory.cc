@@ -1,9 +1,6 @@
 #include "src/traj/trajectory.h"
 
-#include <algorithm>
 #include <set>
-
-#include "src/common/check.h"
 
 namespace osdp {
 
@@ -21,72 +18,10 @@ size_t Trajectory::DistinctAps() const {
   return aps.size();
 }
 
-bool Trajectory::Visits(int16_t ap) const {
-  return std::find(slots.begin(), slots.end(), ap) != slots.end();
-}
-
 size_t Trajectory::SlotsAt(int16_t ap) const {
   size_t n = 0;
   for (int16_t s : slots) n += (s == ap) ? 1 : 0;
   return n;
-}
-
-int Trajectory::FirstPresentSlot() const {
-  for (size_t t = 0; t < slots.size(); ++t) {
-    if (slots[t] != kAbsent) return static_cast<int>(t);
-  }
-  return -1;
-}
-
-int Trajectory::LastPresentSlot() const {
-  for (size_t t = slots.size(); t-- > 0;) {
-    if (slots[t] != kAbsent) return static_cast<int>(t);
-  }
-  return -1;
-}
-
-std::vector<std::vector<int>> Trajectory::NGrams(int n) const {
-  OSDP_CHECK(n > 0);
-  std::vector<std::vector<int>> out;
-  if (slots.size() < static_cast<size_t>(n)) return out;
-  for (size_t t = 0; t + n <= slots.size(); ++t) {
-    bool ok = true;
-    for (int k = 0; k < n; ++k) {
-      if (slots[t + k] == kAbsent) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    std::vector<int> gram(n);
-    for (int k = 0; k < n; ++k) gram[k] = slots[t + k];
-    out.push_back(std::move(gram));
-  }
-  return out;
-}
-
-std::vector<std::vector<int>> Trajectory::DistinctNGrams(int n) const {
-  std::vector<std::vector<int>> grams = NGrams(n);
-  std::sort(grams.begin(), grams.end());
-  grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
-  return grams;
-}
-
-bool Trajectory::ContainsPattern(const std::vector<int>& pattern) const {
-  if (pattern.empty()) return true;
-  const size_t m = pattern.size();
-  if (slots.size() < m) return false;
-  for (size_t t = 0; t + m <= slots.size(); ++t) {
-    bool match = true;
-    for (size_t k = 0; k < m; ++k) {
-      if (slots[t + k] == kAbsent || slots[t + k] != pattern[k]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return true;
-  }
-  return false;
 }
 
 }  // namespace osdp

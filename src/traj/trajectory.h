@@ -30,30 +30,8 @@ struct Trajectory {
   /// Number of distinct APs visited.
   size_t DistinctAps() const;
 
-  /// True iff the user visited `ap` at least once.
-  bool Visits(int16_t ap) const;
-
   /// Number of slots spent at `ap`.
   size_t SlotsAt(int16_t ap) const;
-
-  /// First present slot index, or -1 if never present.
-  int FirstPresentSlot() const;
-
-  /// Last present slot index, or -1 if never present.
-  int LastPresentSlot() const;
-
-  /// \brief All n-grams: AP sequences over n *consecutive present* slots.
-  /// Consecutive repeats are kept (staying at an AP produces (a,a,...)),
-  /// matching "n consecutive access points in a trajectory" over time slots.
-  std::vector<std::vector<int>> NGrams(int n) const;
-
-  /// \brief De-duplicated n-grams (each distinct n-gram once), the unit the
-  /// distinct-user n-gram histogram counts.
-  std::vector<std::vector<int>> DistinctNGrams(int n) const;
-
-  /// True iff the trajectory contains the pattern: visits pattern[0..m) at
-  /// m consecutive present slots (the frequent-pattern feature of Section 6.2).
-  bool ContainsPattern(const std::vector<int>& pattern) const;
 };
 
 /// \brief A user's ground-truth profile in the simulator.

@@ -199,9 +199,6 @@ TEST(CompiledPredicateProperty, PolicyMaskMatchesRowClassification) {
       EXPECT_DOUBLE_EQ(policy.NonSensitiveFraction(table),
                        static_cast<double>(ns_count) / table.num_rows());
     }
-    const auto [sens_rows, ns_rows] = policy.PartitionRows(table);
-    EXPECT_EQ(sens_rows.size() + ns_rows.size(), table.num_rows());
-    EXPECT_EQ(ns_rows.size(), ns_count);
   }
 }
 

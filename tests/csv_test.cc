@@ -1,8 +1,11 @@
-// Tests for CSV table/histogram import-export.
+// Tests for CSV table import-export.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
 
 #include "src/common/check.h"
 #include "src/data/csv.h"
@@ -136,25 +139,48 @@ TEST(CsvTest, GarbageAfterClosingQuoteRejected) {
   EXPECT_EQ((*ReadCsvTable("a,b\n\"x\",y\n")).StringColumn(0)[0], "x");
 }
 
-TEST(CsvTest, HistogramRoundTrip) {
-  Histogram h({0, 5.5, 3, 0});
-  Histogram back = *ReadCsvHistogram(WriteCsvHistogram(h));
-  EXPECT_EQ(back.counts(), h.counts());
+TEST(CsvTest, OutOfRangeIntegerInfersAsDouble) {
+  // A digit run beyond int64 is a double column, not a clamped INT64_MAX /
+  // INT64_MIN.
+  const Table big = *ReadCsvTable("a\n99999999999999999999\n");
+  ASSERT_EQ(big.schema().field(0).type, ValueType::kDouble);
+  EXPECT_DOUBLE_EQ(big.DoubleColumn(0)[0], 1e20);
+  const Table small = *ReadCsvTable("a\n-99999999999999999999\n1\n");
+  ASSERT_EQ(small.schema().field(0).type, ValueType::kDouble);
+  EXPECT_DOUBLE_EQ(small.DoubleColumn(0)[0], -1e20);
 }
 
-TEST(CsvTest, HistogramRejectsGaps) {
-  EXPECT_FALSE(ReadCsvHistogram("bin,count\n0,1\n2,1\n").ok());
-  EXPECT_FALSE(ReadCsvHistogram("bin,count\nx,1\n").ok());
-  EXPECT_FALSE(ReadCsvHistogram("bin\n0\n").ok());
+TEST(CsvTest, OutOfRangeIntegerRejectedByInt64Schema) {
+  // The value is rejected, not clamped.
+  const Schema schema({{"a", ValueType::kInt64}});
+  const Result<Table> over = ReadCsvTable("a\n-99999999999999999999\n", schema);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ReadCsvTable("a\n9223372036854775808\n", schema).ok());
+  EXPECT_FALSE(ReadCsvTable("a\n-9223372036854775809\n", schema).ok());
+}
+
+TEST(CsvTest, Int64ExtremesRoundTripExactly) {
+  const std::string csv =
+      "a\n-9223372036854775808\n9223372036854775807\n";
+  const Schema schema({{"a", ValueType::kInt64}});
+  for (const Table& t : {*ReadCsvTable(csv), *ReadCsvTable(csv, schema)}) {
+    ASSERT_EQ(t.schema().field(0).type, ValueType::kInt64);
+    EXPECT_EQ(t.Int64Column(0)[0], std::numeric_limits<int64_t>::min());
+    EXPECT_EQ(t.Int64Column(0)[1], std::numeric_limits<int64_t>::max());
+    EXPECT_EQ(WriteCsvTable(t), csv);
+  }
 }
 
 TEST(CsvTest, FileRoundTrip) {
   const std::string path = "/tmp/osdp_csv_test.csv";
   ASSERT_TRUE(WriteStringToFile(path, "a\n42\n").ok());
-  Table t = *ReadCsvTable(*ReadFileToString(path));
+  std::ifstream in(path, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  Table t = *ReadCsvTable(text);
   EXPECT_EQ(t.Int64Column(0)[0], 42);
   std::remove(path.c_str());
-  EXPECT_FALSE(ReadFileToString("/nonexistent/osdp.csv").ok());
   EXPECT_FALSE(WriteStringToFile("/nonexistent/dir/osdp.csv", "x").ok());
 }
 

@@ -437,13 +437,15 @@ TEST(MaskCacheAggregateTest, RacingFillsOfOneKeyAgreeBitForBit) {
       const ParallelScanOptions scan{&pool, static_cast<size_t>(t + 1)};
       arrived.fetch_add(1);
       while (arrived.load() < kThreads) std::this_thread::yield();
-      counts[t] = cache.NonSensitiveCount(*entry, [&](size_t) {
-        return ParallelAndCount(entry->mask(), ns, scan);
+      counts[t] = cache.NonSensitiveCount(*entry, [&](size_t row_begin) {
+        return ParallelAndCount(entry->mask(), ns, row_begin,
+                                table.num_rows(), scan);
       });
       hists[t] = cache.AggregateHistogram(
           *entry, MaskCache::HistogramKey::Of(prepared, /*non_sensitive=*/true),
-          [&](size_t) {
+          [&](size_t row_begin) {
             return ParallelAccumulateHistogram(prepared, entry->mask(), ns,
+                                               row_begin, table.num_rows(),
                                                scan);
           });
     });
@@ -567,7 +569,6 @@ MaskCache::Stats RunCachedVsColdTwins(size_t rows, size_t threads,
   copts.pool = &cached_pool;
   copts.num_shards = threads == 0 ? 1 : 2 * threads + 1;
   copts.mask_cache_bytes = cache_bytes;
-  copts.mask_cache_shards = 2;
   QueryService::Options uopts = copts;
   uopts.pool = &cold_pool;
   uopts.mask_cache_bytes = 0;
@@ -701,14 +702,15 @@ TEST(MaskCacheServiceTest, GenerationIsolationAfterIngest) {
 }
 
 TEST(MaskCacheServiceTest, LruEvictionUnderTinyBudgetStaysBitIdentical) {
-  // A budget of a few hundred bytes fits only ~2 of the pool's masks at
-  // 1000 rows, so the rounds churn the LRU constantly — answers must still
-  // be bit-identical to the cold twin, and eviction must actually happen.
+  // 350 bytes per lock shard (8 × 350 over the service's 8 shards) fits
+  // about one of the pool's 1000-row masks per shard, so the rounds churn
+  // the LRU constantly — answers must still be bit-identical to the cold
+  // twin, and eviction must actually happen.
   const MaskCache::Stats stats = RunCachedVsColdTwins(
-      /*rows=*/1000, /*threads=*/2, /*cache_bytes=*/700,
+      /*rows=*/1000, /*threads=*/2, /*cache_bytes=*/8 * 350,
       /*rng_seed=*/0x71D7);
   EXPECT_GT(stats.evictions, 0u) << "budget was not tiny enough to evict";
-  EXPECT_LE(stats.bytes, 700u);
+  EXPECT_LE(stats.bytes, 8u * 350u);
 }
 
 // ------------------------------------------------------------- extension ---

@@ -30,12 +30,13 @@ void ExpectValidPartition(const std::vector<DawaBucket>& buckets, size_t d) {
   }
 }
 
-// ---------------------------------------------------- OptimalL1Partition ---
+// ------------------------------------------------------ SolveL1Partition ---
 
 TEST(DawaPartitionTest, UniformDataMergesIntoOneBucket) {
   std::vector<double> x(64, 10.0);
-  auto buckets = OptimalL1Partition(x, /*bucket_charge=*/1.0,
-                                    DawaPositions::kEvery);
+  auto buckets = SolveL1Partition(x, /*bucket_charge=*/1.0,
+                                  DawaPositions::kEvery, DawaCostImpl::kAuto)
+                     .buckets;
   ExpectValidPartition(buckets, 64);
   EXPECT_EQ(buckets.size(), 1u);
 }
@@ -44,8 +45,9 @@ TEST(DawaPartitionTest, SpikyDataStaysFine) {
   // Large per-bin differences make merging expensive relative to the charge.
   std::vector<double> x(16);
   for (size_t i = 0; i < x.size(); ++i) x[i] = (i % 2 == 0) ? 0.0 : 1000.0;
-  auto buckets =
-      OptimalL1Partition(x, /*bucket_charge=*/1.0, DawaPositions::kEvery);
+  auto buckets = SolveL1Partition(x, /*bucket_charge=*/1.0,
+                                  DawaPositions::kEvery, DawaCostImpl::kAuto)
+                     .buckets;
   ExpectValidPartition(buckets, 16);
   EXPECT_EQ(buckets.size(), 16u);
 }
@@ -53,8 +55,9 @@ TEST(DawaPartitionTest, SpikyDataStaysFine) {
 TEST(DawaPartitionTest, PiecewiseConstantFindsTheBreak) {
   std::vector<double> x(32, 5.0);
   for (size_t i = 16; i < 32; ++i) x[i] = 50.0;
-  auto buckets =
-      OptimalL1Partition(x, /*bucket_charge=*/2.0, DawaPositions::kEvery);
+  auto buckets = SolveL1Partition(x, /*bucket_charge=*/2.0,
+                                  DawaPositions::kEvery, DawaCostImpl::kAuto)
+                     .buckets;
   ExpectValidPartition(buckets, 32);
   ASSERT_EQ(buckets.size(), 2u);
   EXPECT_EQ(buckets[0].end, 16u);
@@ -63,15 +66,18 @@ TEST(DawaPartitionTest, PiecewiseConstantFindsTheBreak) {
 TEST(DawaPartitionTest, HalfOverlapModeStillTiles) {
   std::vector<double> x(48, 1.0);
   x[13] = 400.0;
-  auto buckets =
-      OptimalL1Partition(x, 1.0, DawaPositions::kHalfOverlap);
+  auto buckets = SolveL1Partition(x, 1.0, DawaPositions::kHalfOverlap,
+                                  DawaCostImpl::kAuto)
+                     .buckets;
   ExpectValidPartition(buckets, 48);
 }
 
 TEST(DawaPartitionTest, HugeChargeForcesSingleBucketEvenWhenSpiky) {
   std::vector<double> x(16);
   for (size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i);
-  auto buckets = OptimalL1Partition(x, 1e9, DawaPositions::kEvery);
+  auto buckets =
+      SolveL1Partition(x, 1e9, DawaPositions::kEvery, DawaCostImpl::kAuto)
+          .buckets;
   EXPECT_EQ(buckets.size(), 1u);
 }
 

@@ -145,24 +145,35 @@ TEST(LatencyHistogramTest, BucketMathIsMonotoneAndBoundsItsValues) {
 }
 
 // Nearest-rank reference over the raw samples; the histogram must report
-// exactly the inclusive upper bound of the reference sample's bucket.
+// exactly the inclusive upper bound of the reference sample's bucket, both
+// through PercentileBucket at any p and through Summarize's p50/p95/p99.
 void CheckPercentilesAgainstReference(const LatencyHistogram& hist,
                                       std::vector<uint64_t> samples) {
   std::sort(samples.begin(), samples.end());
   const auto n = static_cast<double>(samples.size());
+  const std::vector<uint64_t> counts = hist.MergedCounts();
+  const LatencyHistogram::Summary summary = hist.Summarize();
   for (double p : {1.0, 10.0, 25.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0}) {
     const double exact = p / 100.0 * n;
     size_t rank = static_cast<size_t>(exact);
     if (static_cast<double>(rank) < exact) ++rank;
     rank = std::max<size_t>(1, std::min(rank, samples.size()));
     const uint64_t ref = samples[rank - 1];
-    const uint64_t reported = hist.ValueAtPercentile(p);
+    const uint64_t reported = LatencyHistogram::BucketUpperBound(
+        LatencyHistogram::PercentileBucket(counts, samples.size(), p));
     EXPECT_EQ(reported, LatencyHistogram::BucketUpperBound(
                             LatencyHistogram::BucketFor(ref)))
         << "p" << p << ": reference sample " << ref;
     EXPECT_GE(reported, ref) << "p" << p << " under-reports";
     EXPECT_LE(reported, ref + std::max<uint64_t>(1, ref / 16))
         << "p" << p << " off by more than a bucket width";
+    if (p == 50.0) {
+      EXPECT_EQ(summary.p50_ns, reported);
+    } else if (p == 95.0) {
+      EXPECT_EQ(summary.p95_ns, reported);
+    } else if (p == 99.0) {
+      EXPECT_EQ(summary.p99_ns, reported);
+    }
   }
 }
 
@@ -775,9 +786,6 @@ TEST(MetricsSnapshotTest, ToJsonStaysParsableWithNonFiniteGauges) {
   EXPECT_NE(json.find("\"ingest.generation\": 3"), std::string::npos);
   EXPECT_EQ(json.find("inf"), std::string::npos);
   EXPECT_EQ(json.find("nan"), std::string::npos);
-  // The finite-path spelling is untouched, and ToText (no grammar to break)
-  // keeps the raw non-finite spellings for human eyes.
-  EXPECT_NE(registry.Snapshot().ToText().find("inf"), std::string::npos);
 }
 
 TEST(MetricsSnapshotTest, ServiceDumpRoundTripsThroughTheValidator) {

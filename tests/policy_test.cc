@@ -67,13 +67,6 @@ TEST(PolicyTest, MaskAndFraction) {
   EXPECT_DOUBLE_EQ(p.NonSensitiveFraction(t), 0.5);
 }
 
-TEST(PolicyTest, PartitionRows) {
-  Table t = PeopleTable();
-  auto [sens, ns] = MinorsSensitive().PartitionRows(t);
-  EXPECT_EQ(sens, (std::vector<size_t>{0, 3}));
-  EXPECT_EQ(ns, (std::vector<size_t>{1, 2}));
-}
-
 TEST(PolicyTest, AllSensitiveAndAllNonSensitive) {
   Table t = PeopleTable();
   EXPECT_DOUBLE_EQ(Policy::AllSensitive().NonSensitiveFraction(t), 0.0);
@@ -128,8 +121,6 @@ TEST(GenericPolicyTest, WrapsArbitraryTypes) {
       [](const int& v) { return v < 0; }, "negatives");
   EXPECT_TRUE(policy.IsSensitive(-3));
   EXPECT_TRUE(policy.IsNonSensitive(5));
-  EXPECT_EQ(policy.Eval(-3), 0);
-  EXPECT_EQ(policy.Eval(5), 1);
   EXPECT_DOUBLE_EQ(policy.NonSensitiveFraction({-1, 2, 3, -4}), 0.5);
 }
 

@@ -39,8 +39,7 @@ TEST(RowMaskTest, SetTestAndCount) {
 
 TEST(RowMaskTest, TailBitsStayZeroAcrossMutators) {
   // 70 rows -> 2 words, 58 tail bits that must never leak into Count().
-  RowMask m(70);
-  m.SetAll(true);
+  RowMask m(70, true);
   EXPECT_EQ(m.Count(), 70u);
   m.FlipAll();
   EXPECT_EQ(m.Count(), 0u);
@@ -55,9 +54,6 @@ TEST(RowMaskTest, LogicalCombination) {
   RowMask both = a;
   both.AndWith(b);
   EXPECT_EQ(both.Count(), 80u / 6 + 1);  // multiples of 6 in [0, 80)
-  RowMask either = a;
-  either.OrWith(b);
-  EXPECT_EQ(either.Count(), 40u + 27u - 14u);
   RowMask diff = a;
   diff.AndNotWith(b);
   EXPECT_EQ(diff.Count(), 40u - 14u);
@@ -110,9 +106,8 @@ TEST(RowMaskTest, EqualityAndEmpty) {
 }
 
 TEST(RowMaskTest, ZeroRows) {
+  EXPECT_EQ(RowMask(0, true).Count(), 0u);
   RowMask m(0);
-  EXPECT_EQ(m.Count(), 0u);
-  m.SetAll(true);
   EXPECT_EQ(m.Count(), 0u);
   m.FlipAll();
   EXPECT_EQ(m.Count(), 0u);

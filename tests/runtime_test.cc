@@ -304,30 +304,31 @@ TEST(ParallelScanTest, ParallelAndCountMatchesBitOracle) {
     const size_t expected = AndCountOracle(a, b);
     for (size_t shards : kShardCounts) {
       const ParallelScanOptions opts{&pool, shards};
-      EXPECT_EQ(ParallelAndCount(a, b, opts), expected)
+      EXPECT_EQ(ParallelAndCount(a, b, 0, rows, opts), expected)
           << "rows=" << rows << " shards=" << shards;
-      EXPECT_EQ(ParallelAndCount(b, a, opts), expected);
-      EXPECT_EQ(ParallelAndCount(a, all, opts), AndCountOracle(a, all));
-      EXPECT_EQ(ParallelAndCount(a, none, opts), 0u);
-      EXPECT_EQ(ParallelAndCount(all, all, opts), rows);
+      EXPECT_EQ(ParallelAndCount(b, a, 0, rows, opts), expected);
+      EXPECT_EQ(ParallelAndCount(a, all, 0, rows, opts),
+                AndCountOracle(a, all));
+      EXPECT_EQ(ParallelAndCount(a, none, 0, rows, opts), 0u);
+      EXPECT_EQ(ParallelAndCount(all, all, 0, rows, opts), rows);
     }
   }
   // The default pool and shard count take the same path.
   const RowMask a = RandomMask(4113, rng);
   const RowMask b = RandomMask(4113, rng);
-  EXPECT_EQ(ParallelAndCount(a, b), AndCountOracle(a, b));
+  EXPECT_EQ(ParallelAndCount(a, b, 0, a.size()), AndCountOracle(a, b));
 }
 
 TEST(ParallelScanDeathTest, ParallelAndCountRejectsMismatchedSizes) {
   const RowMask a(128);
   const RowMask b(129);
-  EXPECT_DEATH(ParallelAndCount(a, b), "size");
+  EXPECT_DEATH(ParallelAndCount(a, b, 0, a.size()), "size");
 }
 
 TEST(ParallelScanTest, TwoMaskAccumulateBitIdenticalToCopyAndAnd) {
-  // ParallelAccumulateHistogram(prepared, where, also) ANDs inside the walk;
-  // it must equal accumulating a materialized copy of where ∧ also, serially
-  // and at every shard count.
+  // ParallelAccumulateHistogram(prepared, where, also, ...) ANDs inside the
+  // walk; it must equal accumulating a materialized copy of where ∧ also,
+  // serially and at every shard count.
   ThreadPool pool(3);
   Rng rng(0xB7);
   // One query per binning loop: int64 numeric, int64 categorical, double.
@@ -353,8 +354,8 @@ TEST(ParallelScanTest, TwoMaskAccumulateBitIdenticalToCopyAndAnd) {
       prepared.AccumulateRange(where, also, 0, rows, &serial);
       ASSERT_EQ(serial.counts(), reference.counts()) << "rows=" << rows;
       for (size_t shards : kShardCounts) {
-        const Histogram parallel =
-            ParallelAccumulateHistogram(prepared, where, also, {&pool, shards});
+        const Histogram parallel = ParallelAccumulateHistogram(
+            prepared, where, also, 0, rows, {&pool, shards});
         ASSERT_EQ(parallel.counts(), reference.counts())
             << "rows=" << rows << " shards=" << shards;
       }
@@ -437,7 +438,8 @@ TEST(ParallelScanTest, CancelledTokenAbortsWithoutPartialResults) {
   // Not yet cancelled: identical to serial.
   EXPECT_TRUE(ParallelEvalMask(compiled, table, opts) == serial);
   EXPECT_EQ(ParallelCount(serial, opts), serial.Count());
-  EXPECT_EQ(ParallelAndCount(serial, serial, opts), serial.Count());
+  EXPECT_EQ(ParallelAndCount(serial, serial, 0, serial.size(), opts),
+            serial.Count());
 
   token.Cancel();
   try {
@@ -447,7 +449,8 @@ TEST(ParallelScanTest, CancelledTokenAbortsWithoutPartialResults) {
     EXPECT_EQ(aborted.status.code(), StatusCode::kCancelled);
   }
   EXPECT_THROW(ParallelCount(serial, opts), AbortedError);
-  EXPECT_THROW(ParallelAndCount(serial, serial, opts), AbortedError);
+  EXPECT_THROW(ParallelAndCount(serial, serial, 0, serial.size(), opts),
+               AbortedError);
 
   // The pool survives an aborted scan; detaching the control restores the
   // uncancellable path.
@@ -525,7 +528,7 @@ TEST(ParallelScanRangeTest, RangeCountAndHistogramsEqualTheRestrictedWhole) {
     for (size_t shards : kShardCounts) {
       const ParallelScanOptions opts{&pool, shards};
       EXPECT_EQ(ParallelAndCount(a, b, begin, end, opts),
-                ParallelAndCount(a_in, b, opts))
+                ParallelAndCount(a_in, b, 0, kRangeRows, opts))
           << "range=[" << begin << ", " << end << ") shards=" << shards;
       for (const PreparedHistogramQuery& prepared : queries) {
         EXPECT_EQ(
@@ -534,7 +537,9 @@ TEST(ParallelScanRangeTest, RangeCountAndHistogramsEqualTheRestrictedWhole) {
             << "range=[" << begin << ", " << end << ") shards=" << shards;
         EXPECT_EQ(ParallelAccumulateHistogram(prepared, a, b, begin, end, opts)
                       .counts(),
-                  ParallelAccumulateHistogram(prepared, a_in, b, opts).counts())
+                  ParallelAccumulateHistogram(prepared, a_in, b, 0, kRangeRows,
+                                              opts)
+                      .counts())
             << "range=[" << begin << ", " << end << ") shards=" << shards;
       }
     }

@@ -43,38 +43,12 @@ TEST(TrajectoryTest, PresenceHelpers) {
   Trajectory t = MakeTraj({kAbsent, 3, 3, 5, kAbsent, 7});
   EXPECT_EQ(t.PresentSlots(), 4u);
   EXPECT_EQ(t.DistinctAps(), 3u);
-  EXPECT_TRUE(t.Visits(5));
-  EXPECT_FALSE(t.Visits(6));
   EXPECT_EQ(t.SlotsAt(3), 2u);
-  EXPECT_EQ(t.FirstPresentSlot(), 1);
-  EXPECT_EQ(t.LastPresentSlot(), 5);
 }
 
 TEST(TrajectoryTest, EmptyTrajectory) {
   Trajectory t = MakeTraj({kAbsent, kAbsent});
   EXPECT_EQ(t.PresentSlots(), 0u);
-  EXPECT_EQ(t.FirstPresentSlot(), -1);
-  EXPECT_EQ(t.LastPresentSlot(), -1);
-}
-
-TEST(TrajectoryTest, NGramsSkipAbsences) {
-  Trajectory t = MakeTraj({1, 2, kAbsent, 3, 4, 5});
-  auto grams = t.NGrams(2);
-  // Windows crossing the absence are excluded.
-  EXPECT_EQ(grams.size(), 3u);  // (1,2), (3,4), (4,5)
-}
-
-TEST(TrajectoryTest, DistinctNGramsDedupe) {
-  Trajectory t = MakeTraj({1, 2, 1, 2, 1, 2});
-  auto grams = t.DistinctNGrams(2);
-  EXPECT_EQ(grams.size(), 2u);  // (1,2) and (2,1)
-}
-
-TEST(TrajectoryTest, ContainsPattern) {
-  Trajectory t = MakeTraj({9, 1, 2, 3, 9});
-  EXPECT_TRUE(t.ContainsPattern({1, 2, 3}));
-  EXPECT_FALSE(t.ContainsPattern({3, 2, 1}));
-  EXPECT_TRUE(t.ContainsPattern({}));
 }
 
 // ---------------------------------------------------------------- Sim ------
@@ -203,7 +177,7 @@ TEST(ApPolicyTest, AsGenericPolicyAgrees) {
   auto generic = policy.AsPolicy();
   Trajectory t = MakeTraj({0, 1});
   EXPECT_EQ(policy.IsSensitive(t), generic.IsSensitive(t));
-  EXPECT_EQ(generic.Eval(t), 0);
+  EXPECT_TRUE(generic.IsSensitive(t));
 }
 
 TEST(ApPolicyTest, CalibrationApproachesTargets) {
@@ -237,7 +211,7 @@ TEST(ApPolicyTest, ApHourBinSensitivity) {
   }
 }
 
-// ----------------------------------------------------------------- NGrams --
+// ---------------------------------------------------------------- n-grams --
 
 TEST(NGramTest, DistinctUserCounting) {
   // Two users share the movement 1->2->3; a third goes elsewhere.
