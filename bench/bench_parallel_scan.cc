@@ -7,7 +7,12 @@
 //                 measures the bulk-ingest satellite, not the pool).
 //   mask          CompiledPredicate::EvalMask vs ParallelEvalMask
 //   count         mask eval + AND with the policy mask + popcount, serial
-//                 vs ParallelAndWith/ParallelCount
+//                 vs ParallelEvalMask + the fused ParallelAndCount the
+//                 service runs
+//   masks<k>      k fresh-scan-shaped clauses (age range AND zip cut, k in
+//                 1, 2, 4, 8): k ParallelEvalMask calls ("separate") vs one
+//                 ParallelEvalMasksInto pass ("shared"), the scan a batch of
+//                 new WHERE clauses runs; rows/s counts clause-rows
 //   hist          ComputeHistogramMasked vs ParallelComputeHistogramMasked
 //   service       a 16-query batch (12 counts + 4 histograms) through
 //                 QueryService across 4 sessions, pool of N threads vs the
@@ -61,6 +66,19 @@ struct Measurement {
   double sec_per_iter;
   double rows_per_sec;
 };
+
+// The clause shape of the service-load bench's fresh_scans workload: an age
+// range AND a zip cut, with constants that differ per clause.
+Predicate FreshClause(int i) {
+  const int age_lo = 18 + (i * 7) % 62;
+  const int age_span = 1 + (i * 3) % 20;
+  return Predicate::And(
+      Predicate::And(Predicate::Ge("age", Value(age_lo)),
+                     Predicate::Le("age", Value(age_lo + age_span))),
+      Predicate::Ge("zip", Value((i * 613) % 5000)));
+}
+
+constexpr size_t kMaxFreshClauses = 8;
 
 Predicate BenchPredicate() {
   // The 3-leaf "mixed3" shape of bench_predicate_pipeline, so the serial
@@ -170,6 +188,11 @@ int main() {
     const RowMask ns_mask = policy.NonSensitiveRowMask(table);
     const HistogramQuery query{"age", age_domain,
                                std::optional<Predicate>(BenchPredicate())};
+    std::vector<CompiledPredicate> fresh;
+    for (size_t i = 0; i < kMaxFreshClauses; ++i) {
+      fresh.push_back(*CompiledPredicate::Compile(
+          FreshClause(static_cast<int>(i)), table.schema()));
+    }
 
     // --- serial baselines ----------------------------------------------
     const RowMask serial_mask = compiled.EvalMask(table);
@@ -219,15 +242,16 @@ int main() {
     }
 
     // --- parallel, per thread count -------------------------------------
+    TextTable shared_text({"clauses", "threads", "separate rows/s",
+                           "shared rows/s", "speedup"});
     for (size_t threads : thread_grid) {
       ThreadPool pool(threads);
       const ParallelScanOptions popts{&pool, threads};
 
       const RowMask par_mask = ParallelEvalMask(compiled, table, popts);
       if (!(par_mask == serial_mask)) return Fail("mask", rows, threads);
-      RowMask par_count_mask = par_mask;
-      ParallelAndWith(&par_count_mask, ns_mask, popts);
-      if (ParallelCount(par_count_mask, popts) != serial_count) {
+      if (ParallelAndCount(par_mask, ns_mask, 0, rows, popts) !=
+          serial_count) {
         return Fail("count", rows, threads);
       }
       const Histogram par_hist =
@@ -242,9 +266,10 @@ int main() {
                          }),
                          0});
       results.push_back({"count", rows, threads, TimeBest(reps, [&] {
-                           RowMask m = ParallelEvalMask(compiled, table, popts);
-                           ParallelAndWith(&m, ns_mask, popts);
-                           sink += ParallelCount(m, popts);
+                           const RowMask where =
+                               ParallelEvalMask(compiled, table, popts);
+                           sink += ParallelAndCount(where, ns_mask, 0, rows,
+                                                    popts);
                          }),
                          0});
       results.push_back({"hist", rows, threads, TimeBest(reps, [&] {
@@ -254,6 +279,43 @@ int main() {
                                    ->Total());
                          }),
                          0});
+
+      // k separate scans vs one shared pass, cross-checked word for word.
+      for (size_t k : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+        std::vector<const CompiledPredicate*> preds;
+        for (size_t i = 0; i < k; ++i) preds.push_back(&fresh[i]);
+        const auto shared_pass = [&] {
+          std::vector<RowMask> masks(k, RowMask(rows));
+          std::vector<RowMask*> outs;
+          for (RowMask& m : masks) outs.push_back(&m);
+          ParallelEvalMasksInto(preds, table, 0, outs, popts);
+          return masks;
+        };
+        const std::vector<RowMask> shared = shared_pass();
+        for (size_t i = 0; i < k; ++i) {
+          if (!(shared[i] == ParallelEvalMask(*preds[i], table, popts))) {
+            return Fail("masks", rows, threads);
+          }
+        }
+        const std::string op = "masks" + std::to_string(k);
+        const double clause_rows = static_cast<double>(rows * k);
+        const double separate_sec = TimeBest(reps, [&] {
+          for (const CompiledPredicate* p : preds) {
+            sink += ParallelEvalMask(*p, table, popts).words()[0];
+          }
+        });
+        const double shared_sec =
+            TimeBest(reps, [&] { sink += shared_pass()[0].words()[0]; });
+        results.push_back({op + "_separate", rows, threads, separate_sec,
+                           clause_rows / separate_sec});
+        results.push_back({op + "_shared", rows, threads, shared_sec,
+                           clause_rows / shared_sec});
+        shared_text.AddRow({std::to_string(k), std::to_string(threads),
+                            TextTable::FmtAuto(clause_rows / separate_sec),
+                            TextTable::FmtAuto(clause_rows / shared_sec),
+                            TextTable::Fmt(separate_sec / shared_sec, 2) +
+                                "x"});
+      }
 
       QueryService::Options sopts;
       sopts.per_session_epsilon = 1e8;
@@ -332,6 +394,8 @@ int main() {
       }
     }
     std::printf("--- %zu rows ---\n%s\n", rows, text.ToString().c_str());
+    std::printf("shared pass over k fresh clauses (clause-rows/s):\n%s\n",
+                shared_text.ToString().c_str());
     std::printf(
         "ingest: boxed %.3gs -> columnar %.3gs (%.1fx)\n\n", boxed_sec,
         columnar_sec, boxed_sec / columnar_sec);

@@ -678,18 +678,32 @@ RowMask CompiledPredicate::EvalMask(const Table& table) const {
 
 void CompiledPredicate::EvalRangeInto(const Table& table, size_t row_begin,
                                       size_t row_end, RowMask* out) const {
-  OSDP_CHECK_MSG(table.schema() == schema_,
-                 "table schema differs from the compiled schema");
-  OSDP_CHECK(out->size() == table.num_rows());
+  EvalRangeInto({this}, table, row_begin, row_end, {out});
+}
+
+void CompiledPredicate::EvalRangeInto(
+    const std::vector<const CompiledPredicate*>& preds, const Table& table,
+    size_t row_begin, size_t row_end, const std::vector<RowMask*>& outs) {
+  OSDP_CHECK(preds.size() == outs.size());
+  for (size_t i = 0; i < preds.size(); ++i) {
+    OSDP_CHECK_MSG(table.schema() == preds[i]->schema_,
+                   "table schema differs from the compiled schema");
+    OSDP_CHECK(outs[i]->size() == table.num_rows());
+  }
   OSDP_CHECK_MSG((row_begin & 63) == 0, "range start must be word-aligned");
   OSDP_CHECK_MSG(row_end == table.num_rows() || (row_end & 63) == 0,
                  "range end must be word-aligned or the table end");
   OSDP_CHECK(row_begin <= row_end && row_end <= table.num_rows());
-  uint64_t* words = out->mutable_words();
+  // Chunk first, then predicate: a chunk's cells are read from memory by the
+  // first predicate and are still in L1/L2 for the rest.
   for (size_t begin = row_begin; begin < row_end;) {
     const size_t end =
         std::min(row_end, (begin & ~kChunkRowMask) + kChunkRows);
-    EvalBlock(*root_, Block{table, begin, end - begin}, words + (begin >> 6));
+    const Block blk{table, begin, end - begin};
+    for (size_t i = 0; i < preds.size(); ++i) {
+      EvalBlock(*preds[i]->root_, blk,
+                outs[i]->mutable_words() + (begin >> 6));
+    }
     begin = end;
   }
 }

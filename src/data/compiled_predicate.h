@@ -107,6 +107,16 @@ class CompiledPredicate {
   void EvalRangeInto(const Table& table, size_t row_begin, size_t row_end,
                      RowMask* out) const;
 
+  /// \brief EvalRangeInto for many predicates in one pass: preds[i] writes
+  /// outs[i], under the same range rules. The range is walked one storage
+  /// chunk at a time and every predicate is evaluated over a chunk before
+  /// the next, so a chunk's cells are read from memory once for all of them.
+  /// Each predicate's words are the ones its own EvalRangeInto writes; the
+  /// one-predicate form is this with n = 1.
+  static void EvalRangeInto(const std::vector<const CompiledPredicate*>& preds,
+                            const Table& table, size_t row_begin,
+                            size_t row_end, const std::vector<RowMask*>& outs);
+
   /// Compiled program node; public only for the implementation.
   struct Op;
 

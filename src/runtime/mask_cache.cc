@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 
 #include "src/common/fault.h"
 
@@ -95,76 +96,172 @@ MaskCache::EntryPtr MaskCache::LookupKeyed(
     uint64_t fingerprint, std::shared_ptr<const std::string> canonical,
     uint64_t generation, size_t rows, const RangeScan& scan,
     bool* cache_hit) {
-  return LookupImpl(
-      Key{fingerprint, generation, std::move(canonical)}, rows,
-      [&](const Entry* base) {
-        RowMask mask(rows);
-        size_t row_begin = 0;
-        if (base != nullptr) {
-          // The base's whole words carry over; its partial last word is
-          // rescanned with the appended rows, to the same bits.
-          row_begin = base->mask_.size() & ~size_t{63};
-          std::copy_n(base->mask_.words(), row_begin >> 6,
-                      mask.mutable_words());
-        }
-        scan(row_begin, &mask);
-        return mask;
-      },
-      cache_hit);
+  Found found = std::move(LookupManyKeyed(
+      {Clause{fingerprint, std::move(canonical)}}, generation, rows,
+      [&](size_t row_begin, const std::vector<size_t>& /*which*/,
+          const std::vector<RowMask*>& outs) { scan(row_begin, outs[0]); }))[0];
+  if (cache_hit != nullptr) *cache_hit = found.cache_hit;
+  if (found.error != nullptr) std::rethrow_exception(found.error);
+  return std::move(found.entry);
 }
 
-MaskCache::EntryPtr MaskCache::LookupImpl(
-    Key key, std::optional<size_t> extend_rows,
-    const std::function<RowMask(const Entry* base)>& build, bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  if (!enabled()) {
-    return EntryPtr(
-        new Entry(std::move(key), build(nullptr), /*cached=*/false, {}));
+std::vector<MaskCache::Found> MaskCache::LookupMany(
+    const std::vector<const CompiledPredicate*>& preds, uint64_t generation,
+    size_t rows, const BatchScan& scan) {
+  std::vector<Clause> clauses;
+  clauses.reserve(preds.size());
+  for (const CompiledPredicate* pred : preds) {
+    clauses.push_back(Clause{pred->Fingerprint(), pred->shared_canonical_key()});
   }
-  Shard& shard = ShardFor(key.fingerprint);
+  return LookupManyKeyed(clauses, generation, rows, scan);
+}
 
-  // One probe finds a hit or, failing that, the base to extend.
-  EntryPtr base;
-  Entry::Seeds seeds;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key.fingerprint);
-    if (it != shard.index.end()) {
-      const Entry* newest_older = nullptr;
-      for (const Entry* e : it->second) {
-        if (e->key_ == key) {
-          hits_->Increment();
-          if (cache_hit != nullptr) *cache_hit = true;
-          return Touch(shard, *e);
-        }
-        // A base must be the same clause (never a mere fingerprint
-        // collision), older (a batch that captured g - 1 after g was cached
-        // must not extend g backwards), and no longer than this generation.
-        if (extend_rows.has_value() && e->key_.generation < key.generation &&
-            e->mask_.size() <= *extend_rows && e->key_.SameClause(key) &&
-            (newest_older == nullptr ||
-             e->key_.generation > newest_older->key_.generation)) {
-          newest_older = e;
-        }
-      }
-      if (newest_older != nullptr) {
-        // Pin the base for the copy: it may be evicted meanwhile.
-        base = *newest_older->lru_pos_;
-        seeds.rows = base->mask_.size();
-        seeds.count =
-            base->non_sensitive_count_.load(std::memory_order_relaxed);
-        seeds.histograms = base->histograms_;
+std::vector<MaskCache::Found> MaskCache::LookupManyKeyed(
+    const std::vector<Clause>& clauses, uint64_t generation, size_t rows,
+    const BatchScan& scan) {
+  std::vector<Found> found(clauses.size());
+  // A clause to build: its key, its mask (an extension's base words already
+  // copied in), the row its scan starts at, and its seeds.
+  struct Miss {
+    size_t clause = 0;
+    Key key;
+    RowMask mask;
+    size_t row_begin = 0;
+    bool extended = false;
+    Entry::Seeds seeds;
+  };
+  std::vector<Miss> misses;
+  // repeat_of[i]: the miss an earlier clause of this call made for the same
+  // key as clause i, which clause i then shares instead of scanning again.
+  constexpr size_t kNoRepeat = ~size_t{0};
+  std::vector<size_t> repeat_of(clauses.size(), kNoRepeat);
+
+  for (size_t i = 0; i < clauses.size(); ++i) {
+    Key key{clauses[i].fingerprint, generation, clauses[i].canonical};
+    for (size_t m = 0; m < misses.size(); ++m) {
+      if (misses[m].key == key) {
+        repeat_of[i] = m;
+        break;
       }
     }
-    misses_->Increment();
+    if (repeat_of[i] != kNoRepeat) continue;
+    Probe probe = ProbeKey(key, rows);
+    if (probe.hit != nullptr) {
+      found[i].entry = std::move(probe.hit);
+      found[i].cache_hit = true;
+      continue;
+    }
+    Miss miss;
+    miss.clause = i;
+    miss.key = std::move(key);
+    miss.mask = RowMask(rows);
+    if (probe.base != nullptr) {
+      // The base's whole words carry over; its partial last word is
+      // rescanned with the appended rows, to the same bits. The copy is
+      // made now, so the base need not stay pinned through the scan.
+      miss.row_begin = probe.base->mask_.size() & ~size_t{63};
+      miss.extended = true;
+      std::copy_n(probe.base->mask_.words(), miss.row_begin >> 6,
+                  miss.mask.mutable_words());
+    }
+    miss.seeds = std::move(probe.seeds);
+    misses.push_back(std::move(miss));
   }
 
-  // Compute outside the lock: the scan may itself fan out across the thread
-  // pool, and unrelated keys in this shard must not serialize behind it.
-  RowMask mask = build(base.get());
-  const bool extended = base != nullptr;
-  base.reset();
+  // One scan per distinct starting row, outside all cache locks: the scan
+  // may itself fan out across the thread pool, and unrelated keys must not
+  // serialize behind it. A scan that throws fails every clause it covers.
+  std::vector<bool> scanned(misses.size(), false);
+  for (size_t m = 0; m < misses.size(); ++m) {
+    if (scanned[m]) continue;
+    std::vector<size_t> which;
+    std::vector<RowMask*> outs;
+    for (size_t n = m; n < misses.size(); ++n) {
+      if (scanned[n] || misses[n].row_begin != misses[m].row_begin) continue;
+      scanned[n] = true;
+      which.push_back(misses[n].clause);
+      outs.push_back(&misses[n].mask);
+    }
+    try {
+      scan(misses[m].row_begin, which, outs);
+    } catch (...) {
+      for (size_t c : which) found[c].error = std::current_exception();
+    }
+  }
 
+  for (Miss& miss : misses) {
+    Found& out = found[miss.clause];
+    if (out.error != nullptr) continue;
+    try {
+      out.entry = Insert(std::move(miss.key), std::move(miss.mask),
+                         miss.extended, std::move(miss.seeds));
+    } catch (...) {
+      out.error = std::current_exception();
+    }
+  }
+
+  // A repeated clause shares its first occurrence's outcome and counts what
+  // a serial run would see after that occurrence: a hit once it is cached,
+  // a miss when it was too large to cache, nothing when caching is off.
+  for (size_t i = 0; i < clauses.size(); ++i) {
+    if (repeat_of[i] == kNoRepeat) continue;
+    const Found& first = found[misses[repeat_of[i]].clause];
+    found[i] = first;
+    if (first.entry == nullptr) continue;
+    found[i].cache_hit = first.entry->cached_;
+    if (first.entry->cached_) {
+      hits_->Increment();
+    } else if (enabled()) {
+      misses_->Increment();
+    }
+  }
+  return found;
+}
+
+MaskCache::Probe MaskCache::ProbeKey(const Key& key,
+                                     std::optional<size_t> extend_rows) {
+  Probe probe;
+  if (!enabled()) return probe;
+  Shard& shard = ShardFor(key.fingerprint);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.index.find(key.fingerprint);
+  if (it != shard.index.end()) {
+    const Entry* newest_older = nullptr;
+    for (const Entry* e : it->second) {
+      if (e->key_ == key) {
+        hits_->Increment();
+        probe.hit = Touch(shard, *e);
+        return probe;
+      }
+      // A base must be the same clause (never a mere fingerprint collision),
+      // older (a batch that captured g - 1 after g was cached must not
+      // extend g backwards), and no longer than this generation.
+      if (extend_rows.has_value() && e->key_.generation < key.generation &&
+          e->mask_.size() <= *extend_rows && e->key_.SameClause(key) &&
+          (newest_older == nullptr ||
+           e->key_.generation > newest_older->key_.generation)) {
+        newest_older = e;
+      }
+    }
+    if (newest_older != nullptr) {
+      // Pin the base for the caller's copy: it may be evicted meanwhile.
+      probe.base = *newest_older->lru_pos_;
+      probe.seeds.rows = probe.base->mask_.size();
+      probe.seeds.count =
+          probe.base->non_sensitive_count_.load(std::memory_order_relaxed);
+      probe.seeds.histograms = probe.base->histograms_;
+    }
+  }
+  misses_->Increment();
+  return probe;
+}
+
+MaskCache::EntryPtr MaskCache::Insert(Key key, RowMask mask, bool extended,
+                                      Entry::Seeds seeds) {
+  if (!enabled()) {
+    return EntryPtr(new Entry(std::move(key), std::move(mask),
+                              /*cached=*/false, std::move(seeds)));
+  }
   // Fault point for the insert path, deliberately *before* the shard lock:
   // a fired fault (or, in spirit, an allocation failure) unwinds without
   // ever touching shard state, so the cache can never be corrupted by a
@@ -182,6 +279,7 @@ MaskCache::EntryPtr MaskCache::LookupImpl(
   std::shared_ptr<Entry> entry(
       new Entry(key, std::move(mask), /*cached=*/true, std::move(seeds)));
 
+  Shard& shard = ShardFor(key.fingerprint);
   std::lock_guard<std::mutex> lock(shard.mu);
   std::vector<Entry*>& same = shard.index[key.fingerprint];
   for (const Entry* e : same) {
@@ -210,10 +308,13 @@ std::shared_ptr<const RowMask> MaskCache::LookupOrComputeKeyed(
     uint64_t fingerprint, std::shared_ptr<const std::string> canonical,
     uint64_t generation, const std::function<RowMask()>& compute,
     bool* cache_hit) {
-  EntryPtr entry = LookupImpl(
-      Key{fingerprint, generation, std::move(canonical)},
-      /*extend_rows=*/std::nullopt, [&](const Entry*) { return compute(); },
-      cache_hit);
+  Key key{fingerprint, generation, std::move(canonical)};
+  // No base is searched for: `compute` builds the whole mask.
+  EntryPtr entry = ProbeKey(key, /*extend_rows=*/std::nullopt).hit;
+  if (cache_hit != nullptr) *cache_hit = entry != nullptr;
+  if (entry == nullptr) {
+    entry = Insert(std::move(key), compute(), /*extended=*/false, {});
+  }
   const RowMask* mask = &entry->mask();
   return std::shared_ptr<const RowMask>(std::move(entry), mask);
 }

@@ -68,6 +68,17 @@
 // racing fills of one aggregate. A compute that throws (deadline, cancel,
 // injected fault) stores nothing, so the next lookup computes again.
 //
+// Batch lookups: LookupMany probes a batch's clauses in order, then builds
+// every miss that starts at the same row — row 0 for a cold miss, a base's
+// last word boundary for an extension — with one scan call, which the
+// service runs as one chunk-at-a-time pass over all of them, and inserts
+// each. A clause repeated in the batch is built once and its repeats count
+// as hits. Counters, entries and hit flags are those of a serial run of
+// Lookup over the same clauses in the same order; Lookup is the one-clause
+// batch. A failure fails only the clauses it touched: a scan's, every clause
+// of its group; an insert's, that clause. The exception is handed back per
+// clause, and nothing is stored for a failed clause.
+//
 // Disabled (max_bytes = 0) or for a mask too large for its shard, the
 // lookup returns an *uncached* entry: it holds the freshly computed mask,
 // and every aggregate requested through it is computed and never stored.
@@ -80,6 +91,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <list>
 #include <memory>
@@ -186,6 +198,14 @@ class MaskCache {
   /// multiple of 64 — untouched.
   using RangeScan = std::function<void(size_t row_begin, RowMask* out)>;
 
+  /// Scans rows [row_begin, rows) of a generation for several clauses in one
+  /// pass: outs[k] (sized `rows`) takes clause which[k], where `which` holds
+  /// ascending indices into the batch lookup's clause list. Every word
+  /// before `row_begin` — a multiple of 64 — is left untouched.
+  using BatchScan =
+      std::function<void(size_t row_begin, const std::vector<size_t>& which,
+                         const std::vector<RowMask*>& outs)>;
+
   /// An exact aggregate over rows [row_begin, rows) of a generation.
   template <typename T>
   using RangeAggregate = std::function<T(size_t row_begin)>;
@@ -234,6 +254,22 @@ class MaskCache {
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 
+  /// One clause's identity in a raw-key lookup: `fingerprint` must be the
+  /// hash of `*canonical` under the caller's scheme (see LookupKeyed).
+  struct Clause {
+    uint64_t fingerprint = 0;
+    std::shared_ptr<const std::string> canonical;
+  };
+
+  /// One clause's outcome in a batch lookup: its entry and whether it was
+  /// served from the cache, or — entry null — the exception its scan or its
+  /// insert threw.
+  struct Found {
+    EntryPtr entry;
+    bool cache_hit = false;
+    std::exception_ptr error;
+  };
+
   explicit MaskCache(Options options);
 
   /// True when the byte budget is non-zero (a zero-budget cache computes
@@ -253,12 +289,32 @@ class MaskCache {
                   size_t rows, const RangeScan& scan,
                   bool* cache_hit = nullptr);
 
+  /// \brief Lookup for a batch of clauses over one generation, probing each
+  /// once in order. The misses that start at the same row — 0 for a cold
+  /// miss, floor64(base rows) for an extension — share one `scan` call, so
+  /// a batch of new clauses reads the table once; each is then inserted. A
+  /// clause repeated in the call is built once, and its later occurrences
+  /// count as hits, as a serial run of Lookup would see them. Counters and
+  /// every returned entry and hit flag equal those of Lookup called once
+  /// per clause, in order. Failures stay per clause: a throwing scan fails
+  /// the clauses it covers, and a throwing insert (mask_cache/insert) only
+  /// its own clause (with its repeats); neither stores anything.
+  std::vector<Found> LookupMany(
+      const std::vector<const CompiledPredicate*>& preds, uint64_t generation,
+      size_t rows, const BatchScan& scan);
+
+  /// LookupMany by raw keys, as LookupKeyed is Lookup by one.
+  std::vector<Found> LookupManyKeyed(const std::vector<Clause>& clauses,
+                                     uint64_t generation, size_t rows,
+                                     const BatchScan& scan);
+
   /// \brief The raw-key form: `fingerprint` must be the hash of `*canonical`
   /// under the caller's scheme, and `canonical` the exact structural
   /// identity — a fingerprint match with different canonical bytes is a
   /// collision: it misses, and it is never a base to extend. This is the
   /// hook tests use to exercise collision handling with fabricated keys;
-  /// Lookup delegates here.
+  /// Lookup delegates here, and this is the one-clause LookupManyKeyed,
+  /// rethrowing the clause's exception.
   EntryPtr LookupKeyed(uint64_t fingerprint,
                        std::shared_ptr<const std::string> canonical,
                        uint64_t generation, size_t rows,
@@ -315,14 +371,23 @@ class MaskCache {
     return shards_[fingerprint % num_shards_];
   }
 
-  // The lookup both public forms share. `build(base)` makes the mask, from
-  // `base` (the newest resident entry of the same clause at an older
-  // generation with at most *extend_rows rows, pinned for the call) or from
-  // scratch when `base` is null; no base is searched for without
-  // `extend_rows`.
-  EntryPtr LookupImpl(Key key, std::optional<size_t> extend_rows,
-                      const std::function<RowMask(const Entry* base)>& build,
-                      bool* cache_hit);
+  // The outcome of probing one key under its shard lock: a hit, or a miss
+  // that, when `base` is set, extends it — the newest resident entry of the
+  // same clause at an older generation with at most *extend_rows rows,
+  // pinned for the caller's copy, its aggregates taken as `seeds`. No base
+  // is searched for without `extend_rows`. Counts the hit or miss; a
+  // disabled cache finds and counts nothing.
+  struct Probe {
+    EntryPtr hit;
+    EntryPtr base;
+    Entry::Seeds seeds;
+  };
+  Probe ProbeKey(const Key& key, std::optional<size_t> extend_rows);
+
+  // Stores a freshly built mask under `key` (or adopts a racing insert's
+  // entry) and returns it; uncached when disabled or too large for a shard.
+  // Hits the mask_cache/insert fault point before touching any shard.
+  EntryPtr Insert(Key key, RowMask mask, bool extended, Entry::Seeds seeds);
 
   static size_t EntryBytes(const RowMask& mask, const std::string& canonical);
   static size_t HistogramBytes(const Histogram& histogram);

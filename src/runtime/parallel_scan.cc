@@ -1,5 +1,6 @@
 #include "src/runtime/parallel_scan.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "src/common/check.h"
@@ -60,18 +61,33 @@ void ForEachShard(const std::vector<size_t>& edges,
 
 }  // namespace
 
-void ParallelEvalMaskInto(const CompiledPredicate& pred, const Table& table,
-                          size_t row_begin, RowMask* out,
-                          const ParallelScanOptions& opts) {
-  OSDP_CHECK(out->size() == table.num_rows());
+void ParallelEvalMasksInto(const std::vector<const CompiledPredicate*>& preds,
+                           const Table& table, size_t row_begin,
+                           const std::vector<RowMask*>& outs,
+                           const ParallelScanOptions& opts) {
+  OSDP_CHECK(preds.size() == outs.size());
   OSDP_CHECK(row_begin % 64 == 0);
+  // By default at least one shard per predicate, so that with a one-worker
+  // pool the caller and the worker both scan a many-predicate pass.
+  ParallelScanOptions sharding = opts;
+  if (sharding.num_shards == 0) {
+    sharding.num_shards =
+        std::max(ShardsOf(opts, PoolOf(opts)), preds.size());
+  }
   // Chunk-aligned shards: a shard's typed inner loops never straddle a
   // chunk edge, so each shard is one ForEachSpan span per chunk it owns.
   // Still 64-aligned, so bit-identity to the serial scan is untouched.
-  ForEachShard(ShardEdges(row_begin, table.num_rows(), opts, kChunkRows),
+  ForEachShard(ShardEdges(row_begin, table.num_rows(), sharding, kChunkRows),
                opts, [&](size_t /*shard*/, size_t begin, size_t end) {
-                 pred.EvalRangeInto(table, begin, end, out);
+                 CompiledPredicate::EvalRangeInto(preds, table, begin, end,
+                                                  outs);
                });
+}
+
+void ParallelEvalMaskInto(const CompiledPredicate& pred, const Table& table,
+                          size_t row_begin, RowMask* out,
+                          const ParallelScanOptions& opts) {
+  ParallelEvalMasksInto({&pred}, table, row_begin, {out}, opts);
 }
 
 RowMask ParallelEvalMask(const CompiledPredicate& pred, const Table& table,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
@@ -80,6 +81,25 @@ struct QueryService::PreparedRequest {
   EngineMechanism mechanism = EngineMechanism::kOsdpLaplaceL1;
 
   // Sample form: neither of the above is set.
+
+  // The WHERE clause's mask-cache entry and hit flag, or — entry null — the
+  // exception its lookup threw, which Execute rethrows. Filled by the
+  // batch's shared lookup before Execute, or by Execute itself for a clause
+  // the batch did not look up; `looked_up` says which has happened.
+  bool looked_up = false;
+  MaskCache::EntryPtr where_entry;
+  bool cache_hit = false;
+  std::exception_ptr where_error;
+  // Traced only: the shared lookup's duration, the scan or cache-lookup
+  // stage of a query looked up before Execute.
+  uint64_t lookup_ns = 0;
+
+  // The WHERE clause to look up, if any.
+  const CompiledPredicate* where() const {
+    if (count_pred.has_value()) return &*count_pred;
+    if (hist_prepared.has_value()) return hist_prepared->where();
+    return nullptr;
+  }
 
   // The two-budget ε charge, held from reservation until Execute commits it
   // at delivery. Destroying a PreparedRequest whose reservation was never
@@ -378,15 +398,27 @@ Status QueryService::Reserve(PreparedRequest* prepared) {
   return Status::OK();
 }
 
-MaskCache::EntryPtr QueryService::CachedScanMask(
-    const CompiledPredicate& pred, const Snapshot& snap,
-    const ParallelScanOptions& scan, bool* cache_hit) {
-  return mask_cache_.Lookup(
-      pred, snap.generation, snap.table.num_rows(),
-      [&](size_t row_begin, RowMask* out) {
-        ParallelEvalMaskInto(pred, snap.table, row_begin, out, scan);
-      },
-      cache_hit);
+void QueryService::LookupWheres(const std::vector<PreparedRequest*>& slots,
+                                const Snapshot& snap,
+                                const ParallelScanOptions& scan) {
+  std::vector<const CompiledPredicate*> preds;
+  preds.reserve(slots.size());
+  for (const PreparedRequest* slot : slots) preds.push_back(slot->where());
+  std::vector<MaskCache::Found> found = mask_cache_.LookupMany(
+      preds, snap.generation, snap.table.num_rows(),
+      [&](size_t row_begin, const std::vector<size_t>& which,
+          const std::vector<RowMask*>& outs) {
+        std::vector<const CompiledPredicate*> group;
+        group.reserve(which.size());
+        for (size_t i : which) group.push_back(preds[i]);
+        ParallelEvalMasksInto(group, snap.table, row_begin, outs, scan);
+      });
+  for (size_t i = 0; i < slots.size(); ++i) {
+    slots[i]->looked_up = true;
+    slots[i]->where_entry = std::move(found[i].entry);
+    slots[i]->cache_hit = found[i].cache_hit;
+    slots[i]->where_error = std::move(found[i].error);
+  }
 }
 
 std::shared_ptr<const Histogram> QueryService::ExactHistogram(
@@ -430,6 +462,11 @@ Result<ServiceAnswer> QueryService::Execute(PreparedRequest* prepared) {
   span.Add(obs::Stage::kAdmit, prepared->admit_ns);
   span.Add(obs::Stage::kValidate, prepared->validate_ns);
   span.Add(obs::Stage::kReserve, prepared->reserve_ns);
+  if (prepared->looked_up) {
+    span.Add(prepared->cache_hit ? obs::Stage::kCacheLookup
+                                 : obs::Stage::kScan,
+             prepared->lookup_ns);
+  }
   try {
     Result<ServiceAnswer> result = ExecuteImpl(prepared, &span);
     const uint64_t end_ns = obs::NowNs();
@@ -485,16 +522,28 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
   answer.generation = snap.generation;
   answer.seq = prepared->seq;
 
-  if (prepared->count_pred.has_value()) {
-    const MaskCache::EntryPtr where =
-        CachedScanMask(*prepared->count_pred, snap, scan, &answer.cache_hit);
-    if (span != nullptr) {
+  // The WHERE clause's cache entry: from the batch's shared lookup, or — for
+  // a clause the batch left to its query — looked up here, on the query's
+  // own scan options. A failed lookup raises here, so the batch's per-slot
+  // handling classifies and refunds it like any other execution failure.
+  if (prepared->where() != nullptr) {
+    const bool own_lookup = !prepared->looked_up;
+    if (own_lookup) LookupWheres({prepared}, snap, scan);
+    if (prepared->where_error != nullptr) {
+      std::rethrow_exception(prepared->where_error);
+    }
+    answer.cache_hit = prepared->cache_hit;
+    if (own_lookup && span != nullptr) {
       const uint64_t dt = span->Mark(answer.cache_hit
                                          ? obs::Stage::kCacheLookup
                                          : obs::Stage::kScan,
                                      obs::NowNs());
       (answer.cache_hit ? m_.h_cache_lookup : m_.h_scan)->Record(dt);
     }
+  }
+  const MaskCache::EntryPtr& where = prepared->where_entry;
+
+  if (prepared->count_pred.has_value()) {
     // |WHERE ∧ non-sensitive|, memoized on the cache entry: the first query
     // of this (predicate, generation) runs one fused AND + popcount pass over
     // both masks' words — only the rows past an extended entry's seed —
@@ -524,18 +573,6 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
     // stays all-zero. The WHERE mask, when present, is evaluated once and
     // shared, and both histograms are memoized on its cache entry.
     const MechanismInputs inputs = InputsOf(prepared->mechanism);
-
-    MaskCache::EntryPtr where;
-    if (query.where() != nullptr) {
-      where = CachedScanMask(*query.where(), snap, scan, &answer.cache_hit);
-      if (span != nullptr) {
-        const uint64_t dt = span->Mark(answer.cache_hit
-                                           ? obs::Stage::kCacheLookup
-                                           : obs::Stage::kScan,
-                                       obs::NowNs());
-        (answer.cache_hit ? m_.h_cache_lookup : m_.h_scan)->Record(dt);
-      }
-    }
 
     std::shared_ptr<const Histogram> x, xns;
     if (inputs.x) {
@@ -693,6 +730,39 @@ std::vector<Result<ServiceAnswer>> QueryService::AnswerBatch(
       if (traced) {
         prepared[i]->reserve_ns = obs::NowNs() - t0;
         m_.h_reserve->Record(prepared[i]->reserve_ns);
+      }
+    }
+  }
+
+  // Phase 1c: look up the batch's WHERE clauses together. The misses share
+  // one chunk-at-a-time pass per starting row (MaskCache::LookupMany), so a
+  // batch of new clauses reads the table once rather than once per query.
+  // The pass polls the batch's token and deadline; a query whose own
+  // deadline or token has already tripped is left to Execute's entry check,
+  // and a lone clause to its query, so a one-query batch runs as before.
+  // Sharing stays inside this batch, so inside one session.
+  std::vector<PreparedRequest*> wheres;
+  for (std::optional<PreparedRequest>& p : prepared) {
+    if (p.has_value() && p->where() != nullptr && p->control.Check().ok()) {
+      wheres.push_back(&*p);
+    }
+  }
+  if (wheres.size() >= 2) {
+    const ExecControl batch_control(control.cancel, control.deadline);
+    ParallelScanOptions scan{options_.pool, options_.num_shards};
+    if (batch_control.active()) scan.control = &batch_control;
+    const bool traced = std::any_of(wheres.begin(), wheres.end(),
+                                    [](const PreparedRequest* p) {
+                                      return p->traced;
+                                    });
+    const uint64_t t0 = traced ? obs::NowNs() : 0;
+    LookupWheres(wheres, *snapshot, scan);
+    if (traced) {
+      const uint64_t dt = obs::NowNs() - t0;
+      for (PreparedRequest* p : wheres) {
+        if (!p->traced) continue;
+        p->lookup_ns = dt;
+        (p->cache_hit ? m_.h_cache_lookup : m_.h_scan)->Record(dt);
       }
     }
   }

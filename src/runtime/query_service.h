@@ -50,6 +50,14 @@
 //     the appended rows. ServiceAnswer.cache_hit and cache_stats() expose the
 //     behavior to tests and benches; an extension is a miss to the analyst,
 //     and only the operator's cache.extensions counter tells it apart.
+//   * A batch with two or more WHERE clauses looks them up together, after
+//     reservation and before execution (MaskCache::LookupMany). Its misses
+//     share one chunk-at-a-time scan pass per starting row
+//     (ParallelEvalMasksInto), so a chunk's cells are read from memory once
+//     for every new clause of the batch. Answers, seqs, hit flags and cache
+//     counters equal those of the same requests sent one per batch. A
+//     failed lookup fails only the slots it touched, at their Execute.
+//     Sharing stays inside one batch, so inside one session.
 //
 // Fault tolerance — the robustness layer (docs/robustness.md):
 //
@@ -467,14 +475,14 @@ class QueryService {
   // sampled (a sampled query pushed its own).
   void RecordFailure(const PreparedRequest& prepared, StatusCode code);
 
-  // The mask-cache entry of `pred` over `snap`'s table (lookup keyed by
-  // fingerprint × snap.generation; on a miss the sharded scan covers only
-  // the rows an older generation's entry does not; an uncached entry when
-  // the cache is off). `cache_hit` reports hit/miss.
-  MaskCache::EntryPtr CachedScanMask(const CompiledPredicate& pred,
-                                     const Snapshot& snap,
-                                     const ParallelScanOptions& scan,
-                                     bool* cache_hit);
+  // Looks up the WHERE clauses of `slots` over `snap` in one
+  // MaskCache::LookupMany call: the misses that start at the same row are
+  // built by one ParallelEvalMasksInto pass on `scan` (an extension scans
+  // only the rows an older generation's entry does not cover). Stores each
+  // slot's entry and hit flag, or the exception its clause's scan or insert
+  // threw, on the slot.
+  void LookupWheres(const std::vector<PreparedRequest*>& slots,
+                    const Snapshot& snap, const ParallelScanOptions& scan);
 
   // The exact x (or, with `non_sensitive`, x_ns) histogram of `query` over
   // the rows `where` selects — all rows when null — memoized on `where`.

@@ -231,6 +231,46 @@ TEST_F(FaultTest, MaskCacheInsertFaultRefundsAndLeavesCacheIntact) {
   }
 }
 
+TEST_F(FaultTest, SharedLookupInsertFaultFailsOnlyThatClausesSlots) {
+  // A batch's clauses are looked up together and inserted in slot order.
+  // The second insert fires: both slots of that clause fail and refund; the
+  // other clauses deliver and are charged.
+  ServiceFixture fix;
+  constexpr double kEps = 0.05;
+  const Predicate a = Predicate::Le("age", Value(30));
+  const Predicate b = Predicate::Gt("income", Value(40000.0));
+  const Predicate c = Predicate::Ge("zip", Value(5000));
+  std::vector<ServiceRequest> batch;
+  for (const Predicate* p : {&a, &b, &c, &b}) {
+    batch.emplace_back(CountRequest{*p, kEps});
+  }
+  std::vector<Result<ServiceAnswer>> results;
+  {
+    ScopedFault fault("mask_cache/insert", {/*fire_on_hit=*/2, 0, 1});
+    results = fix.service->AnswerBatch(fix.session, batch);
+  }
+  for (size_t i : {1, 3}) {
+    ASSERT_FALSE(results[i].ok()) << "slot " << i;
+    EXPECT_EQ(results[i].status().code(), StatusCode::kInternal);
+    EXPECT_TRUE(MentionsPoint(results[i].status(), "mask_cache/insert"))
+        << results[i].status().ToString();
+  }
+  for (size_t i : {0, 2}) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+  }
+  EXPECT_NEAR(fix.initial_service_budget - fix.service->remaining_budget(),
+              2 * kEps, 1e-12);
+  EXPECT_NEAR(fix.initial_session_budget -
+                  *fix.service->session_remaining(fix.session),
+              2 * kEps, 1e-12);
+  EXPECT_EQ(fix.service->ledger().size(), 2u);
+  EXPECT_EQ(fix.service->cache_stats().entries, 2u);
+  // The failed clause stored nothing: asked again, it misses and delivers.
+  auto retry = fix.service->AnswerCount(fix.session, b, kEps);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_FALSE(retry->cache_hit);
+}
+
 TEST_F(FaultTest, MaskCacheAttachFaultRefundsAndLeavesEntryUsable) {
   // The fault fires after the count and the x_ns histogram of a cached WHERE
   // clause were computed, before either is stored on the entry. Each query

@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -1022,6 +1024,264 @@ TEST(MaskCacheExtensionTest, OnlyTheNewestOlderGenerationIsABase) {
   fresh.LookupKeyed(9, canon, 4, 100, record(100));
   EXPECT_EQ(scan_begin, 0u) << "generation 4 extended generation 5";
   EXPECT_EQ(fresh.stats().extensions, 0u);
+}
+
+// ---------------------------------------------------------- batch lookup ---
+
+// Fills words from row_begin on with PatternMask(rows, seed), as a real range
+// scan does. PatternMask's bit i depends on i alone, so one seed's masks at
+// growing sizes extend each other as generations do.
+void FillPattern(size_t row_begin, uint64_t seed, RowMask* out) {
+  const RowMask full = PatternMask(out->size(), seed);
+  for (size_t w = row_begin / 64; w < out->num_words(); ++w) {
+    out->mutable_words()[w] = full.words()[w];
+  }
+}
+
+// One BatchScan call: the row it started at and the clauses it built.
+struct ScanCall {
+  size_t row_begin;
+  std::vector<size_t> which;
+  bool operator==(const ScanCall& other) const {
+    return row_begin == other.row_begin && which == other.which;
+  }
+};
+
+// A BatchScan that fills clause c with pattern seeds[c] and logs each call.
+MaskCache::BatchScan PatternScan(std::vector<uint64_t> seeds,
+                                 std::vector<ScanCall>* calls) {
+  return [seeds, calls](size_t row_begin, const std::vector<size_t>& which,
+                        const std::vector<RowMask*>& outs) {
+    calls->push_back({row_begin, which});
+    for (size_t k = 0; k < which.size(); ++k) {
+      FillPattern(row_begin, seeds[which[k]], outs[k]);
+    }
+  };
+}
+
+MaskCache::RangeScan PatternRange(uint64_t seed) {
+  return [seed](size_t row_begin, RowMask* out) {
+    FillPattern(row_begin, seed, out);
+  };
+}
+
+MaskCache::Clause KeyOf(const std::string& canonical) {
+  return {std::hash<std::string>{}(canonical), Canon(canonical)};
+}
+
+void ExpectSameCounters(const MaskCache::Stats& got,
+                        const MaskCache::Stats& want) {
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.extensions, want.extensions);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.entries, want.entries);
+  EXPECT_EQ(got.bytes, want.bytes);
+}
+
+TEST(MaskCacheBatchTest, EqualsOneLookupPerClauseInOrder) {
+  // Hits, extensions, cold misses and a repeat in one call: the counters,
+  // the entries' masks, their seeds and the hit flags equal those of a twin
+  // cache that looks the clauses up one at a time, in order.
+  MaskCache batch({1 << 20, 2});
+  MaskCache serial({1 << 20, 2});
+  for (MaskCache* cache : {&batch, &serial}) {
+    for (uint64_t c : {0, 1}) {
+      const auto old = cache->LookupKeyed(
+          KeyOf("c" + std::to_string(c)).fingerprint,
+          KeyOf("c" + std::to_string(c)).canonical, 0, 100, PatternRange(c));
+      cache->NonSensitiveCount(*old, [c](size_t) { return size_t{10 + c}; });
+    }
+    cache->LookupKeyed(KeyOf("c2").fingerprint, KeyOf("c2").canonical, 1,
+                       200, PatternRange(2));
+  }
+  // c0 and c1 extend generation 0, c2 hits, c3 and c4 are cold, and the
+  // second c0 repeats the first.
+  const std::vector<uint64_t> seeds = {0, 2, 3, 0, 1, 4};
+  std::vector<MaskCache::Clause> clauses;
+  for (uint64_t seed : seeds) {
+    clauses.push_back(KeyOf("c" + std::to_string(seed)));
+  }
+  std::vector<ScanCall> calls;
+  const std::vector<MaskCache::Found> found =
+      batch.LookupManyKeyed(clauses, 1, 200, PatternScan(seeds, &calls));
+  EXPECT_EQ(calls, (std::vector<ScanCall>{{64, {0, 4}}, {0, {2, 5}}}));
+
+  ASSERT_EQ(found.size(), seeds.size());
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    bool hit = false;
+    const auto want =
+        serial.LookupKeyed(clauses[i].fingerprint, clauses[i].canonical, 1,
+                           200, PatternRange(seeds[i]), &hit);
+    ASSERT_NE(found[i].entry, nullptr) << "clause " << i;
+    EXPECT_EQ(found[i].error, nullptr) << "clause " << i;
+    EXPECT_EQ(found[i].cache_hit, hit) << "clause " << i;
+    EXPECT_TRUE(found[i].entry->mask() == want->mask()) << "clause " << i;
+    EXPECT_TRUE(found[i].entry->mask() == PatternMask(200, seeds[i]))
+        << "clause " << i;
+  }
+  EXPECT_EQ(found[3].entry, found[0].entry) << "a repeat built its own entry";
+  ExpectSameCounters(batch.stats(), serial.stats());
+  EXPECT_EQ(batch.stats().extensions, 2u);
+
+  // An extension carries its base's count seed: only the appended rows are
+  // counted.
+  size_t count_begin = kNone;
+  EXPECT_EQ(batch.NonSensitiveCount(*found[4].entry,
+                                    [&](size_t row_begin) {
+                                      count_begin = row_begin;
+                                      return size_t{5};
+                                    }),
+            16u);
+  EXPECT_EQ(count_begin, 100u);
+}
+
+TEST(MaskCacheBatchTest, RepeatedClauseIsScannedOnce) {
+  MaskCache cache({1 << 20, 4});
+  std::vector<ScanCall> calls;
+  const auto found = cache.LookupManyKeyed(
+      {KeyOf("A"), KeyOf("B"), KeyOf("A"), KeyOf("A")}, 0, 130,
+      PatternScan({1, 2, 1, 1}, &calls));
+  EXPECT_EQ(calls, (std::vector<ScanCall>{{0, {0, 1}}}));
+  EXPECT_FALSE(found[0].cache_hit);
+  EXPECT_FALSE(found[1].cache_hit);
+  for (size_t i : {2, 3}) {
+    EXPECT_TRUE(found[i].cache_hit);
+    EXPECT_EQ(found[i].entry, found[0].entry);
+  }
+  const MaskCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.entries, 2u);
+}
+
+TEST(MaskCacheBatchTest, CollidingKeysNeverShareAnEntryOrABase) {
+  // Three clauses under one fingerprint: "pred A" extends its own older
+  // entry; "pred B" and "pred C", which collide with it, scan from row 0 and
+  // get entries of their own; the repeat of "pred B" shares B's, not A's.
+  MaskCache cache({1 << 20, 1});
+  const auto key = [](const std::string& canonical) {
+    return MaskCache::Clause{42, Canon(canonical)};
+  };
+  cache.LookupKeyed(42, Canon("pred A"), 0, 100, PatternRange(1));
+  std::vector<ScanCall> calls;
+  const auto found = cache.LookupManyKeyed(
+      {key("pred B"), key("pred A"), key("pred C"), key("pred B")}, 1, 200,
+      PatternScan({2, 1, 3, 2}, &calls));
+  EXPECT_EQ(calls, (std::vector<ScanCall>{{0, {0, 2}}, {64, {1}}}));
+  EXPECT_TRUE(found[0].entry->mask() == PatternMask(200, 2));
+  EXPECT_TRUE(found[1].entry->mask() == PatternMask(200, 1));
+  EXPECT_TRUE(found[2].entry->mask() == PatternMask(200, 3));
+  EXPECT_NE(found[0].entry, found[1].entry);
+  EXPECT_NE(found[0].entry, found[2].entry);
+  EXPECT_EQ(found[3].entry, found[0].entry);
+  EXPECT_TRUE(found[3].cache_hit);
+  const MaskCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.extensions, 1u);
+  EXPECT_EQ(stats.entries, 4u);
+}
+
+TEST(MaskCacheBatchTest, EachStartingRowIsScannedOnce) {
+  // A cold miss and extensions from two different bases in one call: one
+  // scan per starting row, each covering exactly its clauses.
+  MaskCache cache({1 << 20, 2});
+  cache.LookupKeyed(KeyOf("A").fingerprint, KeyOf("A").canonical, 0, 100,
+                    PatternRange(1));
+  cache.LookupKeyed(KeyOf("E").fingerprint, KeyOf("E").canonical, 0, 100,
+                    PatternRange(5));
+  cache.LookupKeyed(KeyOf("B").fingerprint, KeyOf("B").canonical, 1, 300,
+                    PatternRange(2));
+  const std::vector<uint64_t> seeds = {1, 2, 3, 4, 5};
+  std::vector<ScanCall> calls;
+  const auto found = cache.LookupManyKeyed(
+      {KeyOf("A"), KeyOf("B"), KeyOf("C"), KeyOf("D"), KeyOf("E")}, 2, 500,
+      PatternScan(seeds, &calls));
+  EXPECT_EQ(calls, (std::vector<ScanCall>{
+                       {64, {0, 4}}, {256, {1}}, {0, {2, 3}}}));
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    EXPECT_FALSE(found[i].cache_hit);
+    EXPECT_TRUE(found[i].entry->mask() == PatternMask(500, seeds[i]))
+        << "clause " << i;
+  }
+  EXPECT_EQ(cache.stats().extensions, 3u);
+  EXPECT_EQ(cache.stats().misses, 3u + 5u);
+}
+
+TEST(MaskCacheBatchTest, DisabledCacheServesUncachedEntries) {
+  MaskCache cache({0, 4});
+  std::vector<ScanCall> calls;
+  const auto found = cache.LookupManyKeyed(
+      {KeyOf("A"), KeyOf("B"), KeyOf("A")}, 0, 100,
+      PatternScan({1, 2, 1}, &calls));
+  EXPECT_EQ(calls, (std::vector<ScanCall>{{0, {0, 1}}}));
+  int computes = 0;
+  for (size_t i = 0; i < found.size(); ++i) {
+    EXPECT_FALSE(found[i].cache_hit);
+    EXPECT_TRUE(found[i].entry->mask() ==
+                PatternMask(100, i == 1 ? 2 : 1));
+    cache.NonSensitiveCount(*found[i].entry, [&](size_t) {
+      ++computes;
+      return size_t{1};
+    });
+  }
+  EXPECT_EQ(computes, 3) << "an uncached entry stored an aggregate";
+  const MaskCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.entries + stats.bytes, 0u);
+}
+
+TEST(MaskCacheBatchTest, InsertFaultFailsOnlyItsClause) {
+  // The second insert fires: that clause — and its repeat — fail with the
+  // injected fault and store nothing; the clauses around it are cached.
+  MaskCache cache({1 << 20, 2});
+  std::vector<ScanCall> calls;
+  std::vector<MaskCache::Found> found;
+  {
+    ScopedFault fault("mask_cache/insert", {2, 0, 1});
+    found = cache.LookupManyKeyed(
+        {KeyOf("A"), KeyOf("B"), KeyOf("C"), KeyOf("B")}, 0, 100,
+        PatternScan({1, 2, 3, 2}, &calls));
+  }
+  for (size_t i : {1, 3}) {
+    EXPECT_EQ(found[i].entry, nullptr);
+    ASSERT_NE(found[i].error, nullptr);
+    EXPECT_THROW(std::rethrow_exception(found[i].error), InjectedFault);
+  }
+  for (size_t i : {0, 2}) {
+    EXPECT_EQ(found[i].error, nullptr);
+    EXPECT_TRUE(found[i].entry->mask() == PatternMask(100, i + 1));
+  }
+  EXPECT_EQ(cache.stats().entries, 2u);
+  bool hit = true;
+  cache.LookupKeyed(KeyOf("B").fingerprint, KeyOf("B").canonical, 0, 100,
+                    PatternRange(2), &hit);
+  EXPECT_FALSE(hit) << "the failed insert stored an entry";
+}
+
+TEST(MaskCacheBatchTest, ThrowingScanFailsOnlyTheClausesItCovers) {
+  // The cold group's scan throws; the extension group's clause is built and
+  // cached, and the one-clause Lookup rethrows the same failure.
+  MaskCache cache({1 << 20, 2});
+  cache.LookupKeyed(KeyOf("A").fingerprint, KeyOf("A").canonical, 0, 100,
+                    PatternRange(1));
+  const auto found = cache.LookupManyKeyed(
+      {KeyOf("B"), KeyOf("A"), KeyOf("C")}, 1, 200,
+      [](size_t row_begin, const std::vector<size_t>& which,
+         const std::vector<RowMask*>& outs) {
+        if (row_begin == 0) throw std::runtime_error("scan failed");
+        ASSERT_EQ(which, std::vector<size_t>{1});
+        FillPattern(row_begin, 1, outs[0]);
+      });
+  EXPECT_NE(found[0].error, nullptr);
+  EXPECT_NE(found[2].error, nullptr);
+  ASSERT_EQ(found[1].error, nullptr);
+  EXPECT_TRUE(found[1].entry->mask() == PatternMask(200, 1));
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_THROW(cache.LookupKeyed(KeyOf("B").fingerprint, KeyOf("B").canonical,
+                                 1, 200,
+                                 [](size_t, RowMask*) {
+                                   throw std::runtime_error("scan failed");
+                                 }),
+               std::runtime_error);
 }
 
 }  // namespace

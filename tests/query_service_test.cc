@@ -1644,5 +1644,84 @@ TEST(QueryServiceMemoTest, MidFlightCancelStoresNothingWrong) {
   AnswerAndReplay(service.get(), session, batch);
 }
 
+TEST(QueryServiceMemoTest, SharedLookupMatchesOneQueryPerBatchTwin) {
+  // A batch looks its WHERE clauses up together and builds its misses in
+  // one shared pass. Fresh counts, a repeated clause, a hot hit and a
+  // filtered DAWA histogram — then, after an ingest, extensions beside a
+  // cold clause — answer bit for bit, with the same seqs, hit flags and
+  // cache counters as a twin that gets each request as its own batch on an
+  // inline pool.
+  ThreadPool pool(2);
+  ThreadPool inline_pool(0);
+  auto service = MemoService(&pool, 5000);
+  auto twin = MemoService(&inline_pool, 5000);
+  const auto session = service->OpenSession("alice");
+  const auto twin_session = twin->OpenSession("alice");
+  ASSERT_EQ(session, twin_session);
+
+  const Predicate hot = Predicate::Le("age", Value(40));
+  const Predicate f1 = Predicate::And(Predicate::Ge("age", Value(30)),
+                                      Predicate::Ge("zip", Value(4000)));
+  const Predicate f2 = Predicate::Gt("income", Value(41000.0));
+  const Predicate f3 = Predicate::In("race", {Value("C1"), Value("C3")});
+  const Predicate w = Predicate::Or(Predicate::Lt("zip", Value(3000)),
+                                    Predicate::Eq("race", Value("C2")));
+  for (QueryService* s : {service.get(), twin.get()}) {
+    ASSERT_TRUE(s->AnswerCount(session, hot, 0.5).ok());
+  }
+
+  std::vector<bool> hits;
+  const auto check = [&](const std::vector<ServiceRequest>& batch) {
+    const SnapshotPtr snap = service->current_snapshot();
+    const auto answers = service->AnswerBatch(session, batch);
+    hits.clear();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const auto want = twin->AnswerBatch(twin_session, {batch[i]});
+      ASSERT_TRUE(answers[i].ok()) << answers[i].status().ToString();
+      ASSERT_TRUE(want[0].ok()) << want[0].status().ToString();
+      EXPECT_EQ(answers[i]->seq, want[0]->seq) << "slot " << i;
+      EXPECT_EQ(answers[i]->cache_hit, want[0]->cache_hit) << "slot " << i;
+      hits.push_back(answers[i]->cache_hit);
+      EXPECT_EQ(answers[i]->count, want[0]->count) << "slot " << i;
+      EXPECT_EQ(answers[i]->histogram.has_value(),
+                want[0]->histogram.has_value());
+      if (answers[i]->histogram.has_value()) {
+        EXPECT_EQ(answers[i]->histogram->counts(),
+                  want[0]->histogram->counts())
+            << "slot " << i;
+      }
+      ExpectReplays(batch[i], *answers[i], *snap, session);
+    }
+    const MaskCache::Stats got = service->cache_stats();
+    const MaskCache::Stats expected = twin->cache_stats();
+    EXPECT_EQ(got.hits, expected.hits);
+    EXPECT_EQ(got.misses, expected.misses);
+    EXPECT_EQ(got.extensions, expected.extensions);
+    EXPECT_EQ(got.entries, expected.entries);
+  };
+
+  std::vector<ServiceRequest> batch;
+  batch.emplace_back(CountRequest{f1, 0.5});
+  batch.emplace_back(CountRequest{f2, 0.5});
+  batch.emplace_back(CountRequest{f1, 0.5});
+  batch.emplace_back(CountRequest{hot, 0.5});
+  batch.emplace_back(MemoHistogram("age", 100, 20, w, EngineMechanism::kDawa));
+  batch.emplace_back(CountRequest{f3, 0.5});
+  check(batch);
+  EXPECT_EQ(hits,
+            (std::vector<bool>{false, false, true, true, false, false}));
+
+  CensusTableOptions topts;
+  topts.num_rows = 700;
+  topts.seed = 0x5EED;
+  for (QueryService* s : {service.get(), twin.get()}) {
+    ASSERT_TRUE(s->Ingest(MakeCensusTable(topts)).ok());
+  }
+  const uint64_t extensions = service->cache_stats().extensions;
+  batch.emplace_back(CountRequest{Predicate::Ge("age", Value(65)), 0.5});
+  check(batch);
+  EXPECT_EQ(service->cache_stats().extensions - extensions, 5u);
+}
+
 }  // namespace
 }  // namespace osdp

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -569,6 +570,84 @@ TEST(ParallelScanRangeTest, EvalMaskIntoScansOnlyFromItsWordBoundary) {
               w < begin / 64 ? before.words()[w] : whole.words()[w];
           ASSERT_EQ(out.words()[w], want)
               << "begin=" << begin << " shards=" << shards << " word=" << w;
+        }
+      }
+    }
+  }
+}
+
+// A random clause over an int, double or string column, or a constant,
+// combined by OR, AND and NOT while `depth` lasts.
+Predicate RandomClause(Rng& rng, int depth) {
+  switch (rng.NextBounded(depth > 0 ? 8 : 5)) {
+    case 0:
+      return Predicate::Le("age", Value(static_cast<int64_t>(
+                                      rng.NextBounded(100))));
+    case 1:
+      return Predicate::Ge("zip", Value(static_cast<int64_t>(
+                                      rng.NextBounded(10000))));
+    case 2:
+      return Predicate::Gt(
+          "income", Value(20000.0 + 1000.0 * rng.NextBounded(60)));
+    case 3:
+      return Predicate::Eq("race",
+                           Value("C" + std::to_string(rng.NextBounded(5))));
+    case 4:
+      return rng.NextBernoulli(0.5) ? Predicate::True() : Predicate::False();
+    case 5:
+      return Predicate::Or(RandomClause(rng, depth - 1),
+                           RandomClause(rng, depth - 1));
+    case 6:
+      return Predicate::And(RandomClause(rng, depth - 1),
+                            RandomClause(rng, depth - 1));
+    default:
+      return Predicate::Not(RandomClause(rng, depth - 1));
+  }
+}
+
+TEST(ParallelScanRangeTest, SharedPassEqualsEachClausesOwnMask) {
+  // ParallelEvalMasksInto over 1–9 random clauses writes, for every clause,
+  // exactly the words EvalMask does from row_begin on, and leaves every
+  // earlier word as it found it — at every shard count, on inline, one- and
+  // four-worker pools.
+  Rng rng(0x5AED);
+  const Table table = TableOfSize(kRangeRows, 0x5AEE);
+  for (size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<CompiledPredicate> compiled;
+      const size_t n = 1 + rng.NextBounded(9);
+      for (size_t i = 0; i < n; ++i) {
+        compiled.push_back(*CompiledPredicate::Compile(RandomClause(rng, 3),
+                                                       table.schema()));
+      }
+      std::vector<const CompiledPredicate*> preds;
+      for (const CompiledPredicate& c : compiled) preds.push_back(&c);
+      const size_t ragged = 64 * (1 + rng.NextBounded(kRangeRows / 64 - 1));
+      for (size_t begin : {size_t{0}, size_t{64}, ragged}) {
+        // 0: the default sharding, at least one shard per clause.
+        for (size_t shards :
+             {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{7}}) {
+          std::vector<RowMask> before;
+          std::vector<RowMask> out;
+          std::vector<RowMask*> outs;
+          for (size_t i = 0; i < n; ++i) {
+            before.push_back(RandomMask(kRangeRows, rng));
+          }
+          out = before;
+          for (RowMask& m : out) outs.push_back(&m);
+          ParallelEvalMasksInto(preds, table, begin, outs, {&pool, shards});
+          for (size_t i = 0; i < n; ++i) {
+            const RowMask whole = compiled[i].EvalMask(table);
+            for (size_t w = 0; w < whole.num_words(); ++w) {
+              const uint64_t want =
+                  w < begin / 64 ? before[i].words()[w] : whole.words()[w];
+              ASSERT_EQ(out[i].words()[w], want)
+                  << "threads=" << threads << " clauses=" << n
+                  << " clause=" << i << " begin=" << begin
+                  << " shards=" << shards << " word=" << w;
+            }
+          }
         }
       }
     }
