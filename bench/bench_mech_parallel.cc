@@ -1,12 +1,11 @@
 // Benchmark of the parallel mechanism stage: seconds per interval-cost
-// engine build (serial reference vs per-level sharded on the ThreadPool),
-// per end-to-end partition solve (build + DP), and per hierarchical release
-// (serial vs level-synchronous consistency passes), across domain sizes and
-// a thread grid. Every parallel cell is cross-checked bit-identical against
-// its serial reference — the full deviation table for the engine, cost and
-// buckets for the solve, every leaf estimate for the hierarchical release —
-// and the bench exits non-zero on any divergence, making it a determinism
-// gate as well as a profile.
+// engine build (serial reference vs per-level sharded on the ThreadPool)
+// and per end-to-end partition solve (build + DP), across domain sizes and
+// a thread grid, plus the serial hierarchical release as a timing row.
+// Every parallel cell is cross-checked bit-identical against its serial
+// reference — the full deviation table for the engine, cost and buckets for
+// the solve — and the bench exits non-zero on any divergence, making it a
+// determinism gate as well as a profile.
 //
 // The engine build and the solve run on three inputs (bench_common.h):
 // `spiky`, the integer SpikyData; `noisy`, SpikyData + Lap(2/ε₁), which is
@@ -163,37 +162,16 @@ int main() {
                   100.0 * serial_build / serial_solve);
     }
 
-    // --- hierarchical release: same seed, so the noise draws are identical
-    // and any difference is the consistency passes. ---
+    // --- hierarchical release: serial only. Its noise is drawn serially
+    // and its consistency passes are ~12 µs at d = 4096, less than the
+    // per-level barriers of a pooled version, so it has no pool leg. ---
     Histogram hx{bench::SpikyData(d, 0xDA3A + d)};
-    HierarchicalOptions hopts;
-    Histogram serial_estimate(d);
+    Histogram estimate(d);
     const double serial_hier = BestOf(reps, [&] {
       Rng rng(0x41E5 + d);
-      serial_estimate =
-          std::move(HierarchicalRelease(hx, 0.5, hopts, rng)->estimate);
+      estimate = *HierarchicalRelease(hx, 0.5, HierarchicalOptions{}, rng);
     });
     results.push_back({"hier_release", "spiky", d, -1, serial_hier});
-    for (size_t p = 0; p < pools.size(); ++p) {
-      HierarchicalOptions popts;
-      popts.pool = pools[p].get();
-      Histogram parallel_estimate(d);
-      const double best = BestOf(reps, [&] {
-        Rng rng(0x41E5 + d);
-        parallel_estimate =
-            std::move(HierarchicalRelease(hx, 0.5, popts, rng)->estimate);
-      });
-      results.push_back({"hier_release", "spiky", d, thread_grid[p], best});
-      bool identical = true;
-      for (size_t i = 0; identical && i < d; ++i) {
-        identical = serial_estimate[i] == parallel_estimate[i];
-      }
-      if (!identical) {
-        std::printf("MISMATCH: hierarchical diverged at d=%zu threads=%lld\n",
-                    d, thread_grid[p]);
-        all_identical = false;
-      }
-    }
     std::printf("d=%-7zu spiky     hier %.4fs\n", d, serial_hier);
   }
 
@@ -209,7 +187,7 @@ int main() {
   };
   TextTable text(
       {"op", "input", "d", "serial s", "pooled s (best)", "speedup"});
-  for (const char* op : {"engine_build", "dawa_solve", "hier_release"}) {
+  for (const char* op : {"engine_build", "dawa_solve"}) {
     for (const bench::DawaInput& input : bench::kDawaInputs) {
       for (size_t d : domains) {
         const double ts = find(op, input.name, d, -1);

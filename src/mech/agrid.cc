@@ -49,10 +49,9 @@ Result<TwoPhaseMechanism::Output> AGrid(const Histogram& x, double epsilon,
       x.size() != opts.rows * opts.cols) {
     return Status::InvalidArgument("x.size() must equal rows * cols");
   }
-  if (opts.coarse_budget_ratio <= 0.0 || opts.coarse_budget_ratio >= 1.0) {
-    return Status::InvalidArgument("coarse_budget_ratio must be in (0,1)");
-  }
-  if (opts.granularity_c <= 0.0) {
+  OSDP_RETURN_IF_ERROR(
+      ValidateBudgetRatio(opts.coarse_budget_ratio, "coarse_budget_ratio"));
+  if (!(opts.granularity_c > 0.0)) {  // NaN fails too
     return Status::InvalidArgument("granularity_c must be positive");
   }
   const double eps1 = opts.coarse_budget_ratio * epsilon;

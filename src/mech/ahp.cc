@@ -12,9 +12,8 @@ namespace osdp {
 Result<TwoPhaseMechanism::Output> Ahp(const Histogram& x, double epsilon,
                                       const AhpOptions& opts, Rng& rng) {
   OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
-  if (opts.structure_budget_ratio <= 0.0 || opts.structure_budget_ratio >= 1.0) {
-    return Status::InvalidArgument("structure_budget_ratio must be in (0,1)");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateBudgetRatio(opts.structure_budget_ratio,
+                                           "structure_budget_ratio"));
   const size_t d = x.size();
   if (d == 0) return Status::InvalidArgument("empty histogram");
   const double eps1 = opts.structure_budget_ratio * epsilon;

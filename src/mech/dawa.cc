@@ -47,11 +47,6 @@ bool UseCostEngine(DawaCostImpl impl, DawaPositions resolved, size_t d) {
   return false;
 }
 
-// Start-position step for intervals of length `len` under `positions`.
-size_t PositionStep(DawaPositions positions, size_t len) {
-  return positions == DawaPositions::kEvery ? 1 : std::max<size_t>(1, len / 2);
-}
-
 // Σ_{i∈[begin,end)} |x[i] - mean| given the range sum, via a second pass.
 double L1DeviationFromMean(const std::vector<double>& x, size_t begin,
                            size_t end, double sum) {
@@ -61,30 +56,37 @@ double L1DeviationFromMean(const std::vector<double>& x, size_t begin,
   return dev;
 }
 
-// The partition dynamic program. `cost(begin, end)` returns the bucket cost
-// (deviation + per-bucket charge) of interval [begin, end). Allowed intervals
-// have power-of-two lengths with start positions aligned to PositionStep.
-// best[j] = min cost of partitioning prefix [0, j).
-template <typename CostFn>
-L1PartitionSolution PartitionDP(size_t d, DawaPositions positions,
-                                const CostFn& cost) {
+// The partition dynamic program. `cost(k, begin)` returns the bucket cost
+// (deviation + per-bucket charge) of [begin, begin + 2^k). Allowed intervals
+// have power-of-two lengths; under kHalfOverlap a length-len interval starts
+// on a multiple of max(1, len/2), under kEvery anywhere. best[j] = min cost
+// of partitioning prefix [0, j). Every cost() call has begin + 2^k <= end
+// <= d, so a cost source needs no range check of its own.
+template <bool kHalfOverlap, typename CostFn>
+L1PartitionSolution PartitionDPLoop(size_t d, const CostFn& cost) {
   std::vector<double> best(d + 1, kInf);
   std::vector<size_t> back(d + 1, 0);  // begin of the last bucket
   best[0] = 0.0;
   for (size_t end = 1; end <= d; ++end) {
-    for (size_t len = 1; len <= end; len <<= 1) {
+    double best_end = kInf;
+    size_t back_end = 0;
+    size_t k = 0;
+    for (size_t len = 1; len <= end; len <<= 1, ++k) {
       const size_t begin = end - len;
-      // The interval must start on an allowed position for its length.
-      if (begin % PositionStep(positions, len) != 0) continue;
-      if (best[begin] == kInf) continue;
-      const double cand = best[begin] + cost(begin, end);
-      if (cand < best[end]) {
-        best[end] = cand;
-        back[end] = begin;
+      // len is a power of two, so max(1, len/2) - 1 = (len - 1) >> 1 masks
+      // the start's offset from the allowed grid.
+      if (kHalfOverlap && (begin & ((len - 1) >> 1)) != 0) continue;
+      // best[begin] is finite: length-1 intervals are always allowed, so
+      // every shorter prefix was reached (checked below).
+      const double cand = best[begin] + cost(k, begin);
+      if (cand < best_end) {
+        best_end = cand;
+        back_end = begin;
       }
     }
-    // Length-1 intervals are always allowed, so every prefix is reachable.
-    OSDP_CHECK(best[end] < kInf);
+    OSDP_CHECK(best_end < kInf);
+    best[end] = best_end;
+    back[end] = back_end;
   }
   L1PartitionSolution solution;
   solution.cost = best[d];
@@ -95,11 +97,20 @@ L1PartitionSolution PartitionDP(size_t d, DawaPositions positions,
   return solution;
 }
 
+template <typename CostFn>
+L1PartitionSolution PartitionDP(size_t d, DawaPositions positions,
+                                const CostFn& cost) {
+  return positions == DawaPositions::kHalfOverlap
+             ? PartitionDPLoop<true>(d, cost)
+             : PartitionDPLoop<false>(d, cost);
+}
+
 // Runs the partition DP over `x` with the resolved position mode and cost
 // implementation; `dev_cost(dev, len)` maps an interval's L1 deviation to its
 // bucket cost. Single dispatch point for both the clean (SolveL1Partition)
-// and the noisy-debiased (Dawa stage 1) objectives, so the reference and
-// engine paths cannot drift apart per call site.
+// and the noisy-debiased (Dawa stage 1) objectives, and both cost sources
+// run the same DP loop, so the reference and engine paths cannot drift
+// apart per call site.
 template <typename DevCostFn>
 L1PartitionSolution SolveWithImpl(const std::vector<double>& x,
                                   DawaPositions pos, DawaCostImpl impl,
@@ -108,13 +119,14 @@ L1PartitionSolution SolveWithImpl(const std::vector<double>& x,
   const size_t d = x.size();
   if (UseCostEngine(impl, pos, d)) {
     const IntervalCostEngine engine(x, pool);
-    return PartitionDP(d, pos, [&](size_t begin, size_t end) {
-      return dev_cost(engine.Deviation(begin, end), end - begin);
+    return PartitionDP(d, pos, [&](size_t k, size_t begin) {
+      return dev_cost(engine.Row(k)[begin], size_t{1} << k);
     });
   }
   std::vector<double> prefix(d + 1, 0.0);
   for (size_t i = 0; i < d; ++i) prefix[i + 1] = prefix[i] + x[i];
-  return PartitionDP(d, pos, [&](size_t begin, size_t end) {
+  return PartitionDP(d, pos, [&](size_t k, size_t begin) {
+    const size_t end = begin + (size_t{1} << k);
     const double sum = prefix[end] - prefix[begin];
     return dev_cost(L1DeviationFromMean(x, begin, end, sum), end - begin);
   });
@@ -136,9 +148,8 @@ L1PartitionSolution SolveL1Partition(const std::vector<double>& x,
 Result<DawaResult> Dawa(const Histogram& x, double epsilon,
                         const DawaOptions& opts, Rng& rng) {
   OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
-  if (opts.partition_budget_ratio <= 0.0 || opts.partition_budget_ratio >= 1.0) {
-    return Status::InvalidArgument("partition_budget_ratio must be in (0,1)");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateBudgetRatio(opts.partition_budget_ratio,
+                                           "partition_budget_ratio"));
   if (x.size() == 0) {
     return Status::InvalidArgument("empty histogram");
   }

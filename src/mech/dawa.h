@@ -19,8 +19,8 @@
 // come from one of two implementations: the naive per-interval scan (O(len)
 // per candidate, O(d²) total under kEvery — kept as the reference
 // implementation) or the precomputed interval-cost engine
-// (src/mech/interval_costs.h: a table of every candidate's cost, built in
-// O(d log d) plus a sliding sweep per length; O(1) per candidate), which
+// (src/mech/interval_costs.h: a table of every candidate's cost, built by
+// a radix ranking plus a sliding sweep per length; O(1) per candidate), which
 // makes kEvery affordable up to large domains; kAuto position resolution
 // switches to kHalfOverlap only above 4096 bins now that the engine carries
 // kEvery. Both stages together satisfy ε-DP by sequential composition; the

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 namespace osdp {
 
@@ -53,6 +54,14 @@ PrivacyGuarantee OsdpGuarantee(double epsilon, const std::string& policy_name) {
 Status ValidateEpsilon(double epsilon) {
   if (!std::isfinite(epsilon) || epsilon <= 0.0) {
     return Status::InvalidArgument("epsilon must be positive and finite");
+  }
+  return Status::OK();
+}
+
+Status ValidateBudgetRatio(double ratio, const char* name) {
+  // Written so that NaN, for which every comparison is false, fails it.
+  if (!(ratio > 0.0 && ratio < 1.0)) {
+    return Status::InvalidArgument(std::string(name) + " must be in (0,1)");
   }
   return Status::OK();
 }

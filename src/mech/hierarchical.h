@@ -33,28 +33,25 @@
 
 namespace osdp {
 
-class ThreadPool;
-
 /// Parameters of the hierarchical mechanism.
 struct HierarchicalOptions {
   int fanout = 4;                 ///< tree arity (Hay et al. recommend ~4-16)
   bool clamp_non_negative = true; ///< clamp leaf estimates at zero
-  /// Pool for the deterministic consistency passes, sharded level-
-  /// synchronously (nullptr = the serial reference). Noise sampling stays
-  /// serial regardless — RNG draw order is part of the QuerySeed replay
-  /// contract — and per-node sums run in fixed child order, so estimates are
-  /// bit-identical at any thread count.
-  ThreadPool* pool = nullptr;
 };
 
-/// \brief Runs the hierarchical mechanism on `x` under ε-DP. The exposed
-/// grouping is one singleton per bin (the model constrains but does not
-/// merge bins), so the recipe's reallocation step degenerates to zeroing.
-Result<TwoPhaseMechanism::Output> HierarchicalRelease(
-    const Histogram& x, double epsilon, const HierarchicalOptions& opts,
-    Rng& rng);
+/// \brief Runs the hierarchical mechanism on `x` under ε-DP and returns the
+/// leaf estimates. Serial by design: the node noise is drawn in one fixed
+/// (breadth-first) order, which the QuerySeed replay contract needs, and the
+/// consistency passes around it take about 12 µs at d = 4096 — less than
+/// the per-level barriers of a pooled version cost (one measured slower
+/// than serial even on an idle one-worker pool).
+Result<Histogram> HierarchicalRelease(const Histogram& x, double epsilon,
+                                      const HierarchicalOptions& opts,
+                                      Rng& rng);
 
-/// Hierarchical release through the two-phase interface.
+/// Hierarchical release through the two-phase interface. The exposed grouping
+/// is one singleton per bin (the model constrains but does not merge bins),
+/// so the recipe's reallocation step degenerates to zeroing.
 std::unique_ptr<TwoPhaseMechanism> MakeHierarchicalTwoPhase(
     HierarchicalOptions opts = {});
 

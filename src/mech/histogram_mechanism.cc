@@ -72,13 +72,8 @@ Result<Histogram> RunMechanism(const Histogram& x, const Histogram& xns,
       opts.dawa.pool = pool;
       return Dawaz(x, xns, epsilon, opts, rng);
     }
-    case EngineMechanism::kHierarchical: {
-      HierarchicalOptions opts;
-      opts.pool = pool;
-      OSDP_ASSIGN_OR_RETURN(TwoPhaseMechanism::Output r,
-                            HierarchicalRelease(x, epsilon, opts, rng));
-      return std::move(r.estimate);
-    }
+    case EngineMechanism::kHierarchical:
+      return HierarchicalRelease(x, epsilon, HierarchicalOptions{}, rng);
   }
   return Status::Internal("unreachable");
 }

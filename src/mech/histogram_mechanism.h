@@ -52,10 +52,9 @@ const char* EngineMechanismToString(EngineMechanism m);
 
 /// \brief Runs `mechanism` on (x, x_ns) at ε with noise drawn from `rng`;
 /// reads only the inputs InputsOf(mechanism) declares. `pool` carries the
-/// deterministic stages — the DAWA interval-cost engine build (also inside
-/// DAWAz) and the hierarchical consistency passes — and nullptr runs them
-/// serially. Noise sampling never leaves `rng`, so the answer is
-/// bit-identical for any pool.
+/// one deterministic stage that shards, the DAWA interval-cost engine build
+/// (also inside DAWAz), and nullptr runs it serially. Noise sampling never
+/// leaves `rng`, so the answer is bit-identical for any pool.
 Result<Histogram> RunMechanism(const Histogram& x, const Histogram& xns,
                                double epsilon, EngineMechanism mechanism,
                                ThreadPool* pool, Rng& rng);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <utility>
+#include <cstring>
 
 #include "src/common/check.h"
 #include "src/runtime/thread_pool.h"
@@ -53,6 +53,69 @@ struct CompensatedSum {
   }
 };
 
+// An order-preserving image of a double as a uint64: a < b iff
+// OrderKey(a) < OrderKey(b) for non-NaN a, b. −0 is mapped to +0 first, so
+// the two zeros share a key (they compare equal as doubles). Positive
+// doubles get the sign bit set; negative ones are complemented, which
+// reverses their magnitude order and puts them below every positive.
+uint64_t OrderKey(double v) {
+  if (v == 0.0) v = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+// Ranks x: values gets the sorted distinct values of x and rank[i] the index
+// of x[i] among them. An LSD radix sort on OrderKey, 8 bits per pass; it is
+// stable, so equal keys keep index order and the first of each run (its
+// lowest index) supplies the distinct value, as a comparison sort of
+// (value, index) pairs would. A pass whose digit is the same in every key
+// moves nothing and is skipped.
+void RankValues(const std::vector<double>& x, std::vector<double>* values,
+                std::vector<uint32_t>* rank) {
+  struct Keyed {
+    uint64_t key;
+    uint32_t index;
+  };
+  constexpr int kDigitBits = 8;
+  constexpr int kPasses = 64 / kDigitBits;
+  constexpr size_t kRadix = size_t{1} << kDigitBits;
+  const size_t d = x.size();
+  std::vector<Keyed> keyed(d);
+  std::vector<Keyed> scratch(d);
+  std::vector<uint32_t> count(kPasses * kRadix, 0);
+  for (size_t i = 0; i < d; ++i) {
+    const uint64_t key = OrderKey(x[i]);
+    keyed[i] = {key, static_cast<uint32_t>(i)};
+    for (int p = 0; p < kPasses; ++p) {
+      ++count[p * kRadix + ((key >> (p * kDigitBits)) & (kRadix - 1))];
+    }
+  }
+  for (int p = 0; p < kPasses; ++p) {
+    const int shift = p * kDigitBits;
+    uint32_t* const offset = count.data() + p * kRadix;
+    if (offset[(keyed[0].key >> shift) & (kRadix - 1)] == d) continue;
+    uint32_t next = 0;
+    for (size_t r = 0; r < kRadix; ++r) {
+      const uint32_t c = offset[r];
+      offset[r] = next;
+      next += c;
+    }
+    for (const Keyed& e : keyed) {
+      scratch[offset[(e.key >> shift) & (kRadix - 1)]++] = e;
+    }
+    keyed.swap(scratch);
+  }
+  values->reserve(d);
+  rank->resize(d);
+  for (size_t j = 0; j < d; ++j) {
+    if (j == 0 || keyed[j].key != keyed[j - 1].key) {
+      values->push_back(x[keyed[j].index]);
+    }
+    (*rank)[keyed[j].index] = static_cast<uint32_t>(values->size() - 1);
+  }
+}
+
 }  // namespace
 
 IntervalCostEngine::IntervalCostEngine(const std::vector<double>& x)
@@ -67,38 +130,30 @@ IntervalCostEngine::IntervalCostEngine(const std::vector<double>& x,
 
   size_t levels = 0;
   while ((size_t{2} << levels) <= d_) ++levels;  // max k with 2^k <= d
-  dev_.resize(levels + 1);
-  // The per-level vectors are sized up front so the sharded build below
-  // never reallocates shared state; each level then writes only its own
-  // dev_[k].
-  for (size_t k = 1; k <= levels; ++k) {
-    dev_[k].resize(d_ - (size_t{1} << k) + 1);
+  // All rows are laid out up front so the sharded build below never touches
+  // shared state; each level then writes only its own row.
+  row_.resize(levels + 1);
+  size_t cells = 0;
+  for (size_t k = 0; k <= levels; ++k) {
+    row_[k] = cells;
+    cells += d_ - (size_t{1} << k) + 1;
   }
+  table_.reset(new double[cells]);
+  std::fill(table_.get(), table_.get() + d_, 0.0);  // level 0
 
   // Coordinate-compress the value universe for the long levels: values is
   // the sorted distinct values of x, and rank[i] the index of x[i] in it.
   std::vector<double> values;
   std::vector<uint32_t> rank;
-  if ((size_t{1} << levels) > kDirectMaxLen) {
-    std::vector<std::pair<double, uint32_t>> sorted(d_);
-    for (size_t i = 0; i < d_; ++i) {
-      sorted[i] = {x[i], static_cast<uint32_t>(i)};
-    }
-    std::sort(sorted.begin(), sorted.end());
-    values.reserve(d_);
-    rank.resize(d_);
-    for (const auto& [v, i] : sorted) {
-      if (values.empty() || values.back() != v) values.push_back(v);
-      rank[i] = static_cast<uint32_t>(values.size() - 1);
-    }
-  }
+  if ((size_t{1} << levels) > kDirectMaxLen) RankValues(x, &values, &rank);
 
   // Short windows: Σ|x_i - mean| in index order, with the mean taken from
   // the prefix difference — exactly L1DeviationFromMean in dawa.cc.
   const auto direct_level = [&](size_t k) {
     const size_t len = size_t{1} << k;
     const double nd = static_cast<double>(len);
-    const size_t starts = dev_[k].size();
+    const size_t starts = d_ - len + 1;
+    double* const row = table_.get() + row_[k];
     size_t b = 0;
     for (; b + kDirectLanes <= starts; b += kDirectLanes) {
       double mean[kDirectLanes];
@@ -112,13 +167,13 @@ IntervalCostEngine::IntervalCostEngine(const std::vector<double>& x,
           dev[l] += std::abs(x[b + l + i] - mean[l]);
         }
       }
-      for (size_t l = 0; l < kDirectLanes; ++l) dev_[k][b + l] = dev[l];
+      for (size_t l = 0; l < kDirectLanes; ++l) row[b + l] = dev[l];
     }
     for (; b < starts; ++b) {
       const double mean = (prefix_[b + len] - prefix_[b]) / nd;
       double dev = 0.0;
       for (size_t i = b; i < b + len; ++i) dev += std::abs(x[i] - mean);
-      dev_[k][b] = dev;
+      row[b] = dev;
     }
   };
 
@@ -132,6 +187,7 @@ IntervalCostEngine::IntervalCostEngine(const std::vector<double>& x,
   const auto sweep_level = [&](size_t k) {
     const size_t len = size_t{1} << k;
     const size_t universe = values.size();
+    double* const row = table_.get() + row_[k];
     std::vector<uint32_t> count(universe, 0);
     std::vector<uint32_t> block_count((universe >> kBlockShift) + 1, 0);
     std::vector<CompensatedSum> block_sum(block_count.size());
@@ -196,7 +252,7 @@ IntervalCostEngine::IntervalCostEngine(const std::vector<double>& x,
           std::fma(static_cast<double>(below), mean, -sum_below.hi) -
           sum_below.lo;
       const double window_excess = (window.hi - sum) + window.lo;
-      dev_[k][b] = 2.0 * below_dev + window_excess;
+      row[b] = 2.0 * below_dev + window_excess;
       if (b + len >= d_) break;
       leave(b);
       enter(b + len);
@@ -234,11 +290,9 @@ double IntervalCostEngine::Deviation(size_t begin, size_t end) const {
   const size_t len = end - begin;
   OSDP_CHECK_MSG((len & (len - 1)) == 0,
                  "interval length " << len << " is not a power of two");
-  if (len == 1) return 0.0;
-  // len is a power of two, so its level is its bit index — keeps the hot DP
-  // query a genuine O(1) lookup.
+  // len is a power of two, so its level is its bit index.
   const int k = __builtin_ctzll(static_cast<unsigned long long>(len));
-  return dev_[static_cast<size_t>(k)][begin];
+  return Row(static_cast<size_t>(k))[begin];
 }
 
 }  // namespace osdp

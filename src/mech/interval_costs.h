@@ -19,12 +19,18 @@
 //    Cost: O(d·len) per level, at most 126·d over all short levels.
 //
 //  * len > 64: the window slides across all starts. The values of x are
-//    ranked once (sorted distinct values, O(d log d)). Each level keeps the
-//    window's count per rank, counts and sums per block of 64 ranks, and
-//    a threshold rank t = |{distinct values < m}| with the count r and sum
-//    S of the window elements below t. Each start walks t from the previous
-//    start's threshold to its own mean, a whole block at a time where it
-//    can. It then closes with
+//    ranked once, in O(d) per pass: an LSD radix sort (8-bit digits, at
+//    most 8 passes; a pass whose digit every key shares is skipped) of an
+//    order-preserving uint64 image of each double, with −0 mapped to +0
+//    first so the two share a rank. The sorted distinct values and the
+//    ranks are unique, so any correct sort gives the same table; on
+//    Lap(800)-noisy data at d = 4096 the radix sort takes about 50 µs where
+//    a comparison sort of (value, index) pairs took about 90. Each level
+//    keeps the window's count per rank, counts and sums per block of 64
+//    ranks, and a threshold rank t = |{distinct values < m}| with the count
+//    r and sum S of the window elements below t. Each start walks t from
+//    the previous start's threshold to its own mean, a whole block at a
+//    time where it can. It then closes with
 //
 //      Σ|x_i - m| = 2·Σ_{x_i<m} (m - x_i) + Σ_i (x_i - m)
 //                 = 2·(r·m - S) + (W - len·m),
@@ -40,6 +46,10 @@
 //
 // Levels are independent: each owns its arrays and writes only its own row
 // of the table, so the pool-sharded build is bit-identical to the serial one.
+//
+// Layout. The rows live in one flat array, level 0 (all zeros) included, so
+// the partition DP reads row k directly (Row) without a per-candidate range
+// check: its loop structure keeps every [b, b + 2^k) inside [0, d).
 //
 // Exactness and accuracy. S, W and the per-block sums are running sums
 // carried as hi + lo pairs with error-free additions (TwoSum), so they do
@@ -64,7 +74,10 @@
 #define OSDP_MECH_INTERVAL_COSTS_H_
 
 #include <cstddef>
+#include <memory>
 #include <vector>
+
+#include "src/common/check.h"
 
 namespace osdp {
 
@@ -72,7 +85,7 @@ class ThreadPool;
 
 /// \brief Precomputed L1-deviation-from-mean costs for every power-of-two-
 /// length interval of a data vector. Build cost is given in the file
-/// comment; O(d log d) memory; Deviation() is O(1).
+/// comment; O(d log d) memory; Deviation() and Row() are O(1).
 class IntervalCostEngine {
  public:
   /// Builds the engine over `x`. x must be non-empty.
@@ -80,9 +93,9 @@ class IntervalCostEngine {
 
   /// \brief Builds the engine with the per-level sweeps sharded on `pool`
   /// (nullptr = the serial reference build). Each level k owns its own
-  /// window state and writes only dev_[k], and the per-level arithmetic is
-  /// the serial build's, so the parallel build is bit-identical to serial at
-  /// any thread count (pinned by tests/mech_parallel_test.cc and
+  /// window state and writes only its own row, and the per-level arithmetic
+  /// is the serial build's, so the parallel build is bit-identical to serial
+  /// at any thread count (pinned by tests/mech_parallel_test.cc and
   /// bench/bench_mech_parallel.cc).
   IntervalCostEngine(const std::vector<double>& x, ThreadPool* pool);
 
@@ -96,15 +109,24 @@ class IntervalCostEngine {
   }
 
   /// Σ_{i∈[begin,end)} |x_i - mean(begin,end)|. Requires end > begin,
-  /// end <= size(), and end - begin a power of two.
+  /// end <= size(), and end - begin a power of two (checked).
   double Deviation(size_t begin, size_t end) const;
+
+  /// Row k of the table: Row(k)[b] is the deviation of [b, b + 2^k) for
+  /// b + 2^k <= size(); Row(0) is all zeros. Unchecked in release builds:
+  /// the caller keeps its intervals inside the domain.
+  const double* Row(size_t k) const {
+    OSDP_DCHECK(k < row_.size());
+    return table_.get() + row_[k];
+  }
 
  private:
   size_t d_;
   std::vector<double> prefix_;  // prefix_[i] = Σ_{j<i} x_j, sequential order
-  // dev_[k][b] = deviation of [b, b + 2^k); level 0 is identically zero and
-  // not stored.
-  std::vector<std::vector<double>> dev_;
+  // Row k occupies [row_[k], row_[k] + d - 2^k + 1) of table_. Allocated
+  // without zero-filling: every entry is written by the build.
+  std::vector<size_t> row_;
+  std::unique_ptr<double[]> table_;
 };
 
 }  // namespace osdp

@@ -15,9 +15,8 @@ Result<Histogram> ApplyOsdpRecipe(const TwoPhaseMechanism& base,
                                   double epsilon, const RecipeOptions& opts,
                                   Rng& rng) {
   OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
-  if (opts.zero_budget_ratio <= 0.0 || opts.zero_budget_ratio >= 1.0) {
-    return Status::InvalidArgument("zero_budget_ratio must be in (0,1)");
-  }
+  OSDP_RETURN_IF_ERROR(
+      ValidateBudgetRatio(opts.zero_budget_ratio, "zero_budget_ratio"));
   if (x.size() != xns.size()) {
     return Status::InvalidArgument("x and xns must have equal size");
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/common/check.h"
 #include "src/eval/metrics.h"
 #include "src/mech/agrid.h"
@@ -87,6 +89,21 @@ TEST(AGridTest, ValidatesArguments) {
   bad = Opts(3, 4);
   bad.granularity_c = 0.0;
   EXPECT_FALSE(AGrid(x, 1.0, bad, rng).ok());
+}
+
+TEST(AGridTest, NanRatioOrGranularityIsInvalidArgument) {
+  Histogram x(12);
+  Rng rng(4);
+  AGridOptions bad = Opts(3, 4);
+  bad.coarse_budget_ratio = std::nan("");
+  auto r = AGrid(x, 1.0, bad, rng);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  bad = Opts(3, 4);
+  bad.granularity_c = std::nan("");
+  r = AGrid(x, 1.0, bad, rng);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(AGridTest, TinyDomainsStillWork) {

@@ -202,6 +202,100 @@ TEST(IntervalCostEngineTest, ShortLevelsMatchNaiveScanBitForBitOnNoisyData) {
   }
 }
 
+// Edge cases of the value ranking behind the long levels (len > 64): the
+// radix sort keys each double by an order-preserving uint64 image, with −0
+// folded onto +0. Each input below is checked at every start of every level
+// (or, at d = 2¹⁶ + 1, at the first, last and every 509th start) against the
+// naive direct scan.
+std::vector<std::vector<double>> RankEdgeInputs(Rng& rng, size_t d) {
+  std::vector<std::vector<double>> inputs;
+  std::vector<double> x(d);
+  for (size_t i = 0; i < d; ++i) {  // mixed ±0 among small counts
+    const uint64_t r = rng.NextBounded(4);
+    x[i] = r == 0 ? -0.0 : (r == 1 ? 0.0 : static_cast<double>(r));
+  }
+  inputs.push_back(x);
+  for (double& v : x) {  // negative and positive integers
+    v = static_cast<double>(static_cast<int64_t>(rng.NextBounded(2001)) - 1000);
+  }
+  inputs.push_back(x);
+  inputs.push_back(std::vector<double>(d, 7.0));   // a universe of one value
+  inputs.push_back(std::vector<double>(d, -0.0));  // ... of one zero
+  for (double& v : x) {  // heavy duplicates: three values, one of them −0
+    const uint64_t r = rng.NextBounded(3);
+    v = r == 0 ? -0.0 : (r == 1 ? 3.0 : -5.0);
+  }
+  inputs.push_back(x);
+  return inputs;
+}
+
+std::vector<size_t> CheckedStarts(size_t starts) {
+  std::vector<size_t> out;
+  const size_t stride = starts > 4096 ? 509 : 1;
+  for (size_t s = 0; s < starts; s += stride) out.push_back(s);
+  if (out.back() != starts - 1) out.push_back(starts - 1);
+  return out;
+}
+
+TEST(IntervalCostEngineTest, RankEdgeCasesMatchNaiveScanOnIntegers) {
+  Rng rng(109);
+  for (size_t d : {size_t{129}, size_t{(1u << 16) + 1}}) {
+    const auto inputs = RankEdgeInputs(rng, d);
+    for (size_t in = 0; in < inputs.size(); ++in) {
+      const std::vector<double>& x = inputs[in];
+      const IntervalCostEngine engine(x);
+      std::vector<double> prefix(d + 1, 0.0);
+      for (size_t i = 0; i < d; ++i) prefix[i + 1] = prefix[i] + x[i];
+      for (size_t len = 2; len <= d; len <<= 1) {
+        for (size_t s : CheckedStarts(d - len + 1)) {
+          const double mean =
+              (prefix[s + len] - prefix[s]) / static_cast<double>(len);
+          double dev = 0.0;
+          for (size_t i = s; i < s + len; ++i) dev += std::abs(x[i] - mean);
+          ASSERT_EQ(engine.Deviation(s, s + len), dev)
+              << "d=" << d << " input=" << in << " len=" << len << " s=" << s;
+        }
+      }
+    }
+  }
+}
+
+TEST(IntervalCostEngineTest, RankEdgeCasesWithNoiseMatchLongDoubleScan) {
+  // The same inputs plus Lap(8) noise, and a heavy-duplicate non-integer
+  // input with negatives and ±0: within the 5e-12 relative bound of
+  // NoisyDataMatchesLongDoubleScan.
+  Rng rng(113);
+  for (size_t d : {size_t{129}, size_t{(1u << 16) + 1}}) {
+    auto inputs = RankEdgeInputs(rng, d);
+    for (auto& x : inputs) {
+      for (double& v : x) v += SampleLaplace(rng, 8.0);
+    }
+    const double kValues[] = {-2.5, -0.0, 0.0, 0.1, 3.75, 1000.0 / 3.0};
+    std::vector<double> dup(d);
+    for (double& v : dup) v = kValues[rng.NextBounded(6)];
+    inputs.push_back(dup);
+    for (size_t in = 0; in < inputs.size(); ++in) {
+      const std::vector<double>& x = inputs[in];
+      const IntervalCostEngine engine(x);
+      double worst = 0.0;
+      for (size_t len = 2; len <= d; len <<= 1) {
+        for (size_t s : CheckedStarts(d - len + 1)) {
+          const long double mean =
+              engine.Sum(s, s + len) / static_cast<double>(len);
+          long double ref = 0.0L;
+          for (size_t i = s; i < s + len; ++i) {
+            ref += std::fabs(static_cast<long double>(x[i]) - mean);
+          }
+          worst = std::max(worst, static_cast<double>(std::fabs(
+                                      engine.Deviation(s, s + len) - ref) /
+                                  (1.0L + ref)));
+        }
+      }
+      EXPECT_LE(worst, 5e-12) << "d=" << d << " input=" << in;
+    }
+  }
+}
+
 TEST(IntervalCostEngineDeathTest, RejectsNonPowerOfTwoLengthInRelease) {
   // These preconditions used to be DCHECKs — compiled out under NDEBUG, so a
   // Release-build caller passing a non-power-of-two length silently indexed
@@ -302,6 +396,17 @@ TEST(DawaTest, ValidatesArguments) {
   EXPECT_FALSE(Dawa(x, 1.0, opts, rng).ok());
 }
 
+TEST(DawaTest, NanPartitionRatioIsInvalidArgument) {
+  // NaN passes a `r <= 0 || r >= 1` test; it must not reach the sampler.
+  Histogram x({1, 2});
+  Rng rng(3);
+  DawaOptions opts;
+  opts.partition_budget_ratio = std::nan("");
+  const auto r = Dawa(x, 1.0, opts, rng);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DawaTest, ClampOptionControlsNegatives) {
   Histogram x(std::vector<double>(32, 0.0));
   DawaOptions opts;
@@ -349,6 +454,10 @@ TEST(DawazTest, ValidatesInputs) {
   DawazOptions opts;
   opts.zero_budget_ratio = 1.0;
   EXPECT_FALSE(Dawaz(x, Histogram({1, 1}), 1.0, opts, rng).ok());   // rho
+  opts.zero_budget_ratio = std::nan("");
+  const auto r = Dawaz(x, Histogram({1, 1}), 1.0, opts, rng);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DawazTest, DetectedZerosAreZeroInOutput) {

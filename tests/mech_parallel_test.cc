@@ -1,5 +1,5 @@
 // Parallel mechanism stage: randomized property suite pinning the sharded
-// interval-cost engine build and the level-synchronous hierarchical passes
+// interval-cost engine build, the partition solve over it and pooled DAWA
 // bit-identical to their serial references across thread counts × domain
 // sizes × data shapes. These are the house determinism tests for the
 // mechanism layer — any divergence is a hard failure, not a tolerance
@@ -16,7 +16,6 @@
 #include "src/common/random.h"
 #include "src/hist/histogram.h"
 #include "src/mech/dawa.h"
-#include "src/mech/hierarchical.h"
 #include "src/mech/interval_costs.h"
 #include "src/runtime/thread_pool.h"
 
@@ -134,45 +133,6 @@ TEST_F(MechParallelTest, PartitionSolveBitIdenticalAcrossThreadCounts) {
         for (size_t i = 0; i < serial.buckets.size(); ++i) {
           EXPECT_EQ(serial.buckets[i].begin, parallel.buckets[i].begin);
           EXPECT_EQ(serial.buckets[i].end, parallel.buckets[i].end);
-        }
-      }
-    }
-  }
-}
-
-TEST_F(MechParallelTest, HierarchicalReleaseBitIdenticalAcrossThreadCounts) {
-  const auto pools = MakePools();
-  Rng data_rng(0x41E5);
-  for (size_t d : kDomains) {
-    for (int shape = 0; shape < 3; ++shape) {
-      const std::vector<double> data = RandomIntegerData(data_rng, d, shape);
-      Histogram x(d);
-      for (size_t i = 0; i < d; ++i) x[i] = data[i];
-      // Fanout 7 on power-of-two domains gives unbalanced subtrees, the case
-      // where the variance-weighted split actually differentiates children.
-      for (int fanout : {4, 7}) {
-        HierarchicalOptions opts;
-        opts.fanout = fanout;
-        const uint64_t seed = 0x5EED0 + d + static_cast<uint64_t>(shape);
-        Rng serial_rng(seed);
-        const auto serial = HierarchicalRelease(x, 0.5, opts, serial_rng);
-        ASSERT_TRUE(serial.ok());
-        for (const auto& pool : pools) {
-          HierarchicalOptions popts = opts;
-          popts.pool = pool.get();
-          // Same seed: noise sampling is serial in both paths and draws in
-          // arena order, so the noisy node counts are identical draws and
-          // any estimate difference must come from the sharded passes.
-          Rng parallel_rng(seed);
-          const auto parallel = HierarchicalRelease(x, 0.5, popts, parallel_rng);
-          ASSERT_TRUE(parallel.ok());
-          size_t mismatches = 0;
-          for (size_t i = 0; i < d; ++i) {
-            if (serial->estimate[i] != parallel->estimate[i]) ++mismatches;
-          }
-          EXPECT_EQ(mismatches, 0u)
-              << "d=" << d << " shape=" << shape << " fanout=" << fanout
-              << " threads=" << pool->num_threads();
         }
       }
     }

@@ -706,10 +706,9 @@ void RunConcurrentIngestStressHarness(size_t mask_cache_bytes,
   const Domain1D fine_domain = *Domain1D::Numeric(0, 100, 1024);
   const auto make_query = [&](int s, int q) -> ServiceRequest {
     if (q % 4 == 3) {
-      // Histogram releases rotate through the mechanism stage's three
-      // concurrency-bearing paths: masked one-sided Laplace (scan-side
-      // sharding), DAWA (sharded engine build), and the hierarchical
-      // release (level-synchronous consistency passes).
+      // Histogram releases rotate through three mechanism-stage paths:
+      // masked one-sided Laplace (scan-side sharding), DAWA (sharded engine
+      // build), and the serial hierarchical release.
       if (q == 7) {
         return HistogramRequest{
             HistogramQuery{"age", fine_domain, std::nullopt}, kEps,

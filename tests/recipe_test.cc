@@ -109,6 +109,16 @@ TEST(AhpTest, ValidatesArguments) {
   EXPECT_FALSE(Ahp(x, 1.0, opts, rng).ok());
 }
 
+TEST(AhpTest, NanStructureRatioIsInvalidArgument) {
+  Histogram x({1, 2});
+  Rng rng(6);
+  AhpOptions opts;
+  opts.structure_budget_ratio = std::nan("");
+  const auto r = Ahp(x, 1.0, opts, rng);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
 // --------------------------------------------------------- Hierarchical ---
 
 // The hierarchical release with the downward pass splitting each residual
@@ -183,8 +193,7 @@ Histogram EqualSplitHierarchical(const Histogram& x, double epsilon,
 TEST(HierarchicalTest, OutputShapeAndSingletonGroups) {
   Histogram x = SparseTruth(100);  // deliberately not a power of the fanout
   Rng rng(7);
-  TwoPhaseMechanism::Output out =
-      *HierarchicalRelease(x, 1.0, HierarchicalOptions{}, rng);
+  TwoPhaseMechanism::Output out = *MakeHierarchicalTwoPhase()->Run(x, 1.0, rng);
   EXPECT_EQ(out.estimate.size(), 100u);
   EXPECT_TRUE(ValidateBinGroups(out.groups, 100).ok());
   for (const auto& group : out.groups) EXPECT_EQ(group.size(), 1u);
@@ -200,7 +209,7 @@ TEST(HierarchicalTest, ConsistencyImprovesTotalEstimate) {
   for (int rep = 0; rep < 20; ++rep) {
     HierarchicalOptions opts;
     opts.clamp_non_negative = false;  // isolate the inference effect
-    Histogram h = HierarchicalRelease(x, eps, opts, rng)->estimate;
+    Histogram h = *HierarchicalRelease(x, eps, opts, rng);
     Histogram l = *LaplaceMechanism(x, eps, rng);
     hier_total_err += std::abs(h.Total() - x.Total());
     lap_total_err += std::abs(l.Total() - x.Total());
@@ -224,7 +233,7 @@ TEST(HierarchicalTest, EqualSplitMatchesWeightedOnBalancedTree) {
   HierarchicalOptions weighted;
   weighted.clamp_non_negative = false;
   Rng rng_w(41), rng_e(41);  // identical noise streams
-  Histogram hw = HierarchicalRelease(x, 0.7, weighted, rng_w)->estimate;
+  Histogram hw = *HierarchicalRelease(x, 0.7, weighted, rng_w);
   Histogram he = EqualSplitHierarchical(x, 0.7, weighted.fanout, rng_e);
   for (size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(hw[i], he[i]);
 }
@@ -253,7 +262,7 @@ TEST(HierarchicalTest, WeightedSplitBeatsEqualOnUnbalancedTrees) {
     }
     for (int rep = 0; rep < 4000; ++rep) {
       Rng rng_w(1000 + rep), rng_e(1000 + rep);
-      Histogram hw = HierarchicalRelease(x, 0.5, weighted, rng_w)->estimate;
+      Histogram hw = *HierarchicalRelease(x, 0.5, weighted, rng_w);
       Histogram he = EqualSplitHierarchical(x, 0.5, 2, rng_e);
       for (size_t i = 0; i < d; ++i) {
         weighted_l1 += std::abs(hw[i] - x[i]);
@@ -273,7 +282,9 @@ TEST(HierarchicalTest, FanoutVariantsAllTile) {
     HierarchicalOptions opts;
     opts.fanout = fanout;
     Rng rng(10 + fanout);
-    TwoPhaseMechanism::Output out = *HierarchicalRelease(x, 1.0, opts, rng);
+    TwoPhaseMechanism::Output out =
+        *MakeHierarchicalTwoPhase(opts)->Run(x, 1.0, rng);
+    EXPECT_EQ(out.estimate.size(), 96u) << fanout;
     EXPECT_TRUE(ValidateBinGroups(out.groups, 96).ok()) << fanout;
   }
 }
