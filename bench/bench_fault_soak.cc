@@ -43,7 +43,6 @@
 #include "bench/bench_common.h"
 #include "src/benchdata/table_gen.h"
 #include "src/common/cancel.h"
-#include "src/common/distributions.h"
 #include "src/common/fault.h"
 #include "src/common/random.h"
 #include "src/core/engine.h"
@@ -51,6 +50,7 @@
 #include "src/data/predicate.h"
 #include "src/eval/table_printer.h"
 #include "src/hist/histogram_query.h"
+#include "src/mech/noise.h"
 #include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
@@ -385,7 +385,7 @@ int main() {
           matching.AndWith(current->non_sensitive);
           const double expected =
               static_cast<double>(matching.Count()) +
-              SampleOneSidedLaplace(rng, 1.0 / kEps);
+              DrawOneSided(1, kEps, rng);
           if (d.count != expected) {
             Violation("REPLAY DIVERGENCE", round,
                       "count session " + std::to_string(s) + " seq " +

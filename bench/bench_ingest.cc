@@ -43,13 +43,13 @@
 
 #include "bench/bench_common.h"
 #include "src/benchdata/table_gen.h"
-#include "src/common/distributions.h"
 #include "src/common/random.h"
 #include "src/core/engine.h"
 #include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
 #include "src/data/table_builder.h"
 #include "src/eval/table_printer.h"
+#include "src/mech/noise.h"
 #include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
@@ -297,7 +297,7 @@ int main() {
         Rng rng(QueryService::QuerySeed(kRootSeed, sessions[s], q,
                                         rec.generation));
         const double expected = static_cast<double>(matching.Count()) +
-                                SampleOneSidedLaplace(rng, 1.0 / kEps);
+                                DrawOneSided(1, kEps, rng);
         if (rec.count != expected) return Fail("mixed-phase serial replay");
         ++queries;
       }

@@ -97,10 +97,10 @@ Result<Histogram> SampleWithoutReplacement(const Histogram& x, int64_t m,
 
 Result<Histogram> MSampling(const Histogram& x, double rho,
                             const MSamplingOptions& opts, Rng& rng) {
-  if (rho <= 0.0 || rho > 1.0) {
+  if (!(rho > 0.0 && rho <= 1.0)) {
     return Status::InvalidArgument("rho must be in (0, 1]");
   }
-  if (opts.theta <= 0.0) {
+  if (!(opts.theta > 0.0)) {
     return Status::InvalidArgument("theta must be positive");
   }
   const auto m = static_cast<int64_t>(std::llround(rho * x.Total()));
@@ -126,13 +126,13 @@ Result<Histogram> MSampling(const Histogram& x, double rho,
 
 Result<Histogram> HiLoSampling(const Histogram& x, double rho,
                                const HiLoSamplingOptions& opts, Rng& rng) {
-  if (rho <= 0.0 || rho > 1.0) {
+  if (!(rho > 0.0 && rho <= 1.0)) {
     return Status::InvalidArgument("rho must be in (0, 1]");
   }
-  if (opts.gamma <= 1.0) {
+  if (!(opts.gamma > 1.0)) {
     return Status::InvalidArgument("gamma must exceed 1");
   }
-  if (opts.beta <= 0.0 || opts.beta >= 1.0) {
+  if (!(opts.beta > 0.0 && opts.beta < 1.0)) {
     return Status::InvalidArgument("beta must be in (0, 1)");
   }
   OSDP_RETURN_IF_ERROR(x.ValidateNonNegative());

@@ -96,29 +96,4 @@ int64_t SampleGeometric(Rng& rng, double p) {
   return static_cast<int64_t>(k);
 }
 
-double LaplacePdf(double x, double b) {
-  OSDP_CHECK(b > 0.0);
-  return std::exp(-std::abs(x) / b) / (2.0 * b);
-}
-
-double LaplaceCdf(double x, double b) {
-  OSDP_CHECK(b > 0.0);
-  if (x < 0) return 0.5 * std::exp(x / b);
-  return 1.0 - 0.5 * std::exp(-x / b);
-}
-
-double OneSidedLaplacePdf(double x, double b) {
-  OSDP_CHECK(b > 0.0);
-  if (x > 0) return 0.0;
-  return std::exp(x / b) / b;
-}
-
-double OneSidedLaplaceCdf(double x, double b) {
-  OSDP_CHECK(b > 0.0);
-  if (x >= 0) return 1.0;
-  return std::exp(x / b);
-}
-
-double OneSidedLaplaceMedian(double b) { return -std::log(2.0) * b; }
-
 }  // namespace osdp

@@ -7,6 +7,8 @@
 //  * Laplace(b):        f(x) = exp(-|x|/b) / (2b)                 (Def. 2.3)
 //  * OneSidedLaplace(b): f(x) = exp(x/b) / b for x <= 0, else 0   (Def. 5.1)
 //    i.e. the mirrored exponential distribution; the paper writes Lap^-(λ).
+// Releases do not call the Laplace samplers: they draw through the noise
+// module, src/mech/noise.h, which turns (sensitivity, ε) into a draw.
 
 #ifndef OSDP_COMMON_DISTRIBUTIONS_H_
 #define OSDP_COMMON_DISTRIBUTIONS_H_
@@ -47,21 +49,6 @@ int64_t SampleBinomial(Rng& rng, int64_t n, double p);
 /// \brief Draws from the geometric distribution on {0, 1, ...} with success
 /// probability p: P[X = k] = (1-p)^k p.
 int64_t SampleGeometric(Rng& rng, double p);
-
-/// \name Analytic densities/quantiles used by tests and the attack analyzer.
-/// @{
-
-/// Laplace(0, b) probability density at x.
-double LaplacePdf(double x, double b);
-/// Laplace(0, b) cumulative distribution at x.
-double LaplaceCdf(double x, double b);
-/// One-sided Laplace Lap^-(b) density at x.
-double OneSidedLaplacePdf(double x, double b);
-/// One-sided Laplace Lap^-(b) CDF at x.
-double OneSidedLaplaceCdf(double x, double b);
-/// Median of Lap^-(b): -ln(2) * b (the debias constant in OsdpLaplaceL1).
-double OneSidedLaplaceMedian(double b);
-/// @}
 
 }  // namespace osdp
 

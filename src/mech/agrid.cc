@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/distributions.h"
 #include "src/mech/guarantee.h"
+#include "src/mech/noise.h"
 
 namespace osdp {
 
 namespace {
+
+constexpr double kCoarseBudgetRatio = 0.5;
+// The c of the granularity rule; the original suggests about 10.
+constexpr double kGranularityC = 10.0;
+constexpr size_t kMaxFinePerAxis = 8;
 
 // An axis-aligned cell [r0, r1) x [c0, c1) of the 2-D domain.
 struct Cell {
@@ -49,44 +54,40 @@ Result<TwoPhaseMechanism::Output> AGrid(const Histogram& x, double epsilon,
       x.size() != opts.rows * opts.cols) {
     return Status::InvalidArgument("x.size() must equal rows * cols");
   }
-  OSDP_RETURN_IF_ERROR(
-      ValidateBudgetRatio(opts.coarse_budget_ratio, "coarse_budget_ratio"));
-  if (!(opts.granularity_c > 0.0)) {  // NaN fails too
-    return Status::InvalidArgument("granularity_c must be positive");
-  }
-  const double eps1 = opts.coarse_budget_ratio * epsilon;
+  const double eps1 = kCoarseBudgetRatio * epsilon;
   const double eps2 = epsilon - eps1;
 
   // Coarse granularity: m1 = max(2, ceil(sqrt(N*eps1/c)/2)) clipped to the
   // domain (the original's first-level rule).
   const double n_total = x.Total();
   const auto m1 = static_cast<size_t>(std::max(
-      2.0, std::ceil(std::sqrt(n_total * eps1 / opts.granularity_c) / 2.0)));
+      2.0, std::ceil(std::sqrt(n_total * eps1 / kGranularityC) / 2.0)));
   const auto rows1 = std::min(opts.rows, m1);
   const auto cols1 = std::min(opts.cols, m1);
 
+  // Cell counts have sensitivity 2 (bounded). How many fine cells follow a
+  // coarse one depends on its noisy count, so each cell draws on its own.
   Histogram estimate(x.size());
   BinGroups groups;
-  const double scale1 = 2.0 / eps1;
-  const double scale2 = 2.0 / eps2;
-  const double c2 = std::sqrt(2.0) * opts.granularity_c;
+  const double c2 = std::sqrt(2.0) * kGranularityC;
 
   for (const auto& [r0, r1] : SplitAxis(0, opts.rows, rows1)) {
     for (const auto& [c0, c1] : SplitAxis(0, opts.cols, cols1)) {
       const Cell coarse{r0, r1, c0, c1};
       const double noisy1 =
           std::max(0.0, CellTrueCount(x, opts.cols, coarse) +
-                            SampleLaplace(rng, scale1));
+                            DrawLaplace(2, eps1, rng));
       // Adaptive second level: m2 per axis from the noisy coarse count.
       auto m2 = static_cast<size_t>(
           std::ceil(std::sqrt(std::max(1.0, noisy1 * eps2 / c2))));
-      m2 = std::clamp<size_t>(m2, 1, opts.max_fine_per_axis);
+      m2 = std::clamp<size_t>(m2, 1, kMaxFinePerAxis);
       for (const auto& [fr0, fr1] : SplitAxis(r0, r1, m2)) {
         for (const auto& [fc0, fc1] : SplitAxis(c0, c1, m2)) {
           const Cell fine{fr0, fr1, fc0, fc1};
-          double noisy2 = CellTrueCount(x, opts.cols, fine) +
-                          SampleLaplace(rng, scale2);
-          if (opts.clamp_non_negative) noisy2 = std::max(noisy2, 0.0);
+          const double noisy2 =
+              std::max(CellTrueCount(x, opts.cols, fine) +
+                           DrawLaplace(2, eps2, rng),
+                       0.0);
           const double bins =
               static_cast<double>((fr1 - fr0) * (fc1 - fc0));
           std::vector<uint32_t> group;

@@ -3,12 +3,13 @@
 // recipe-extensible algorithm). Reimplemented from scratch for the TIPPERS
 // AP x hour experiments.
 //
-// Phase 1 (budget ε₁): lay a coarse m₁ x m₁ grid over the domain and release
-// each coarse cell's count with Lap(2/ε₁).
-// Phase 2 (budget ε₂): subdivide each coarse cell adaptively — finer where
-// the noisy phase-1 count is larger, specifically m₂ = ⌈√(ñ·ε₂/c₂)⌉ per
-// axis (the original's rule with c₂ = √2·c, c ≈ 10) — and release each
-// fine cell with Lap(2/ε₂), spread uniformly over its bins.
+// Phase 1 (budget ε₁ = ε/2): lay a coarse m₁ x m₁ grid over the domain and
+// release each coarse cell's count with Lap(2/ε₁).
+// Phase 2 (budget ε₂ = ε/2): subdivide each coarse cell adaptively — finer
+// where the noisy phase-1 count is larger, specifically m₂ = ⌈√(ñ·ε₂/c₂)⌉
+// per axis (the original's rule with c₂ = √2·c, c = 10), capped at 8 — and
+// release each fine cell with Lap(2/ε₂), clamped at zero and spread
+// uniformly over its bins.
 //
 // The exposed grouping is one group per *fine* cell, so the Section 5.2
 // recipe (AGridz) can zero-and-reallocate inside fine cells.
@@ -29,13 +30,6 @@ namespace osdp {
 struct AGridOptions {
   size_t rows = 0;  ///< 2-D shape of the flattened input (row-major)
   size_t cols = 0;
-  /// Fraction of ε spent on the coarse grid.
-  double coarse_budget_ratio = 0.5;
-  /// The c constant of the granularity rule (original suggests ~10).
-  double granularity_c = 10.0;
-  /// Cap on the per-axis fine subdivisions of one coarse cell.
-  size_t max_fine_per_axis = 8;
-  bool clamp_non_negative = true;
 };
 
 /// \brief Runs AGrid on a row-major flattened 2-D histogram under ε-DP.

@@ -4,25 +4,27 @@
 #include <cmath>
 #include <numeric>
 
-#include "src/common/distributions.h"
 #include "src/mech/guarantee.h"
+#include "src/mech/noise.h"
 
 namespace osdp {
 
+// Fraction of ε spent on phase-1 structure learning.
+constexpr double kStructureBudgetRatio = 0.5;
+
 Result<TwoPhaseMechanism::Output> Ahp(const Histogram& x, double epsilon,
-                                      const AhpOptions& opts, Rng& rng) {
+                                      Rng& rng) {
   OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
-  OSDP_RETURN_IF_ERROR(ValidateBudgetRatio(opts.structure_budget_ratio,
-                                           "structure_budget_ratio"));
   const size_t d = x.size();
   if (d == 0) return Status::InvalidArgument("empty histogram");
-  const double eps1 = opts.structure_budget_ratio * epsilon;
+  const double eps1 = kStructureBudgetRatio * epsilon;
   const double eps2 = epsilon - eps1;
 
   // ---- Phase 1: noisy copy, threshold, value-sorted clustering. ----
+  // Histogram sensitivity 2 (bounded).
   const double scale1 = 2.0 / eps1;
-  std::vector<double> noisy(d);
-  for (size_t i = 0; i < d; ++i) noisy[i] = x[i] + SampleLaplace(rng, scale1);
+  std::vector<double> noisy = x.counts();
+  AddLaplace(noisy, 2, eps1, rng);
   const double threshold =
       scale1 * std::sqrt(2.0 * std::log(std::max<double>(2.0, d)));
   for (double& v : noisy) {
@@ -51,15 +53,16 @@ Result<TwoPhaseMechanism::Output> Ahp(const Histogram& x, double epsilon,
   }
 
   // ---- Phase 2: noisy cluster totals, uniform within cluster. ----
+  std::vector<double> totals(groups.size(), 0.0);
+  for (size_t k = 0; k < groups.size(); ++k) {
+    for (uint32_t bin : groups[k]) totals[k] += x[bin];
+  }
+  AddLaplace(totals, 2, eps2, rng);
   Histogram estimate(d);
-  const double scale2 = 2.0 / eps2;
-  for (const auto& group : groups) {
-    double total = 0.0;
-    for (uint32_t bin : group) total += x[bin];
-    double noisy_total = total + SampleLaplace(rng, scale2);
-    if (opts.clamp_non_negative) noisy_total = std::max(noisy_total, 0.0);
-    const double per_bin = noisy_total / static_cast<double>(group.size());
-    for (uint32_t bin : group) estimate[bin] = per_bin;
+  for (size_t k = 0; k < groups.size(); ++k) {
+    const double per_bin =
+        std::max(totals[k], 0.0) / static_cast<double>(groups[k].size());
+    for (uint32_t bin : groups[k]) estimate[bin] = per_bin;
   }
   return TwoPhaseMechanism::Output{std::move(estimate), std::move(groups)};
 }
@@ -68,24 +71,20 @@ namespace {
 
 class AhpTwoPhase final : public TwoPhaseMechanism {
  public:
-  explicit AhpTwoPhase(AhpOptions opts) : opts_(opts) {}
   const std::string& name() const override {
     static const std::string kName = "AHP";
     return kName;
   }
   Result<Output> Run(const Histogram& x, double epsilon,
                      Rng& rng) const override {
-    return Ahp(x, epsilon, opts_, rng);
+    return Ahp(x, epsilon, rng);
   }
-
- private:
-  AhpOptions opts_;
 };
 
 }  // namespace
 
-std::unique_ptr<TwoPhaseMechanism> MakeAhpTwoPhase(AhpOptions opts) {
-  return std::make_unique<AhpTwoPhase>(opts);
+std::unique_ptr<TwoPhaseMechanism> MakeAhpTwoPhase() {
+  return std::make_unique<AhpTwoPhase>();
 }
 
 }  // namespace osdp

@@ -2,12 +2,12 @@
 // al., cited as [38] and named in Section 5.2 as a recipe-extensible
 // two-phase algorithm). Reimplemented from scratch.
 //
-// Phase 1 (budget ε₁): release a noisy copy of the histogram, threshold the
-// small counts to zero (denoising), and greedily cluster bins with similar
-// noisy counts — AHP clusters by *value*, not by position, so groups are
-// non-contiguous sets of bins.
-// Phase 2 (budget ε₂): perturb each cluster's total with Lap(2/ε₂) and
-// assign every member bin the cluster mean.
+// Phase 1 (budget ε₁ = ε/2): release a noisy copy of the histogram,
+// threshold the small counts to zero (denoising), and greedily cluster bins
+// with similar noisy counts — AHP clusters by *value*, not by position, so
+// groups are non-contiguous sets of bins.
+// Phase 2 (budget ε₂ = ε/2): perturb each cluster's total with Lap(2/ε₂),
+// clamp it at zero, and assign every member bin the cluster mean.
 //
 // Calibration notes (documented simplifications of the original):
 //  * the threshold is scale·√(2 ln d) — the standard universal denoising
@@ -29,20 +29,12 @@
 
 namespace osdp {
 
-/// Parameters of AHP.
-struct AhpOptions {
-  /// Fraction of ε spent on phase-1 structure learning.
-  double structure_budget_ratio = 0.5;
-  /// Clamp negative bin estimates to zero.
-  bool clamp_non_negative = true;
-};
-
 /// \brief Runs AHP on histogram `x` under ε-DP; exposes the clusters.
 Result<TwoPhaseMechanism::Output> Ahp(const Histogram& x, double epsilon,
-                                      const AhpOptions& opts, Rng& rng);
+                                      Rng& rng);
 
 /// AHP through the two-phase interface (for the Section 5.2 recipe).
-std::unique_ptr<TwoPhaseMechanism> MakeAhpTwoPhase(AhpOptions opts = {});
+std::unique_ptr<TwoPhaseMechanism> MakeAhpTwoPhase();
 
 }  // namespace osdp
 

@@ -5,14 +5,17 @@
 #include <limits>
 
 #include "src/common/check.h"
-#include "src/common/distributions.h"
 #include "src/mech/interval_costs.h"
+#include "src/mech/noise.h"
 
 namespace osdp {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Fraction of ε spent on stage-1 partitioning (DAWA's default).
+constexpr double kPartitionBudgetRatio = 0.25;
 
 // The interval-cost engine makes kEvery affordable well past the old 512-bin
 // cutoff; above this the candidate set is thinned to kHalfOverlap so the DP
@@ -148,29 +151,25 @@ L1PartitionSolution SolveL1Partition(const std::vector<double>& x,
 Result<DawaResult> Dawa(const Histogram& x, double epsilon,
                         const DawaOptions& opts, Rng& rng) {
   OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
-  OSDP_RETURN_IF_ERROR(ValidateBudgetRatio(opts.partition_budget_ratio,
-                                           "partition_budget_ratio"));
   if (x.size() == 0) {
     return Status::InvalidArgument("empty histogram");
   }
   const size_t d = x.size();
-  const double eps1 = opts.partition_budget_ratio * epsilon;
+  const double eps1 = kPartitionBudgetRatio * epsilon;
   const double eps2 = epsilon - eps1;
   const DawaPositions pos = ResolvePositions(opts.positions, d);
 
   // ---- Stage 1: ε₁-DP noisy histogram; partition is post-processing. ----
-  const double stage1_scale = 2.0 / eps1;  // histogram sensitivity 2 (bounded)
-  std::vector<double> noisy(d);
-  for (size_t i = 0; i < d; ++i) {
-    noisy[i] = x[i] + SampleLaplace(rng, stage1_scale);
-  }
+  // Histogram sensitivity 2 (bounded).
+  std::vector<double> noisy = x.counts();
+  AddLaplace(noisy, 2, eps1, rng);
   // Bucket cost on the noisy data, debiased: Lap(b) noise inflates the L1
   // deviation of a len-bin interval by ≈ len·E|Lap(b)| = len·b, so subtract
   // it (clamped at zero). Each bucket then pays the stage-2 noise charge
   // E|Lap(2/ε₂)| = 2/ε₂ regardless of its width. The debias term is O(1) per
   // interval, so the deviation source (engine table or naive scan) is the
   // whole per-candidate cost.
-  const double noise_dev_per_bin = stage1_scale;
+  const double noise_dev_per_bin = 2.0 / eps1;
   const double bucket_charge = 2.0 / eps2;
   std::vector<DawaBucket> buckets =
       SolveWithImpl(noisy, pos, DawaCostImpl::kAuto, opts.pool,
@@ -185,13 +184,16 @@ Result<DawaResult> Dawa(const Histogram& x, double epsilon,
   // bucket-total vector has the same L1 sensitivity 2 as the histogram.
   std::vector<double> true_prefix(d + 1, 0.0);
   for (size_t i = 0; i < d; ++i) true_prefix[i + 1] = true_prefix[i] + x[i];
+  std::vector<double> totals(buckets.size());
+  for (size_t k = 0; k < buckets.size(); ++k) {
+    totals[k] = true_prefix[buckets[k].end] - true_prefix[buckets[k].begin];
+  }
+  AddLaplace(totals, 2, eps2, rng);
   Histogram estimate(d);
-  const double stage2_scale = 2.0 / eps2;
-  for (const DawaBucket& b : buckets) {
-    const double total = true_prefix[b.end] - true_prefix[b.begin];
-    double noisy_total = total + SampleLaplace(rng, stage2_scale);
-    if (opts.clamp_non_negative) noisy_total = std::max(noisy_total, 0.0);
-    const double per_bin = noisy_total / static_cast<double>(b.size());
+  for (size_t k = 0; k < buckets.size(); ++k) {
+    const DawaBucket& b = buckets[k];
+    const double per_bin =
+        std::max(totals[k], 0.0) / static_cast<double>(b.size());
     for (size_t i = b.begin; i < b.end; ++i) estimate[i] = per_bin;
   }
   return DawaResult{std::move(estimate), std::move(buckets)};

@@ -4,15 +4,15 @@
 //
 // Two-stage structure:
 //
-//  Stage 1 (budget ε₁ = ratio·ε): *private L1 partitioning*. A noisy copy of
+//  Stage 1 (budget ε₁ = ε/4): *private L1 partitioning*. A noisy copy of
 //  the histogram x̂ = x + Lap(2/ε₁)^d is released; every candidate interval's
 //  clustering cost is computed from x̂ (post-processing, so free), debiased
 //  by the expected noise contribution, and a dynamic program picks the
 //  partition minimizing Σ_buckets [dev(B) + 2/ε₂] — the deviation-from-mean
 //  cost plus the stage-2 noise each bucket will pay.
 //
-//  Stage 2 (budget ε₂ = (1-ratio)·ε): each bucket's total count is perturbed
-//  with Lap(2/ε₂) and spread uniformly across the bucket's bins.
+//  Stage 2 (budget ε₂ = 3ε/4): each bucket's total count is perturbed with
+//  Lap(2/ε₂), clamped at zero and spread uniformly across the bucket's bins.
 //
 // Candidate intervals have power-of-two lengths; start positions are either
 // every bin (kEvery) or multiples of len/2 (kHalfOverlap). Interval costs
@@ -61,12 +61,8 @@ enum class DawaCostImpl {
 
 /// Parameters of DAWA.
 struct DawaOptions {
-  /// Fraction of ε spent on stage-1 partitioning (DAWA's default 0.25).
-  double partition_budget_ratio = 0.25;
   /// Candidate-interval enumeration strategy.
   DawaPositions positions = DawaPositions::kAuto;
-  /// Clamp negative bin estimates to zero (post-processing).
-  bool clamp_non_negative = true;
   /// Pool for the deterministic parts of the mechanism (currently the
   /// interval-cost engine build, sharded per level). nullptr = serial.
   /// Results are bit-identical at any thread count — only noise sampling is

@@ -58,12 +58,4 @@ Status ValidateEpsilon(double epsilon) {
   return Status::OK();
 }
 
-Status ValidateBudgetRatio(double ratio, const char* name) {
-  // Written so that NaN, for which every comparison is false, fails it.
-  if (!(ratio > 0.0 && ratio < 1.0)) {
-    return Status::InvalidArgument(std::string(name) + " must be in (0,1)");
-  }
-  return Status::OK();
-}
-
 }  // namespace osdp

@@ -49,12 +49,6 @@ PrivacyGuarantee OsdpGuarantee(double epsilon, const std::string& policy_name);
 /// noise samplers as a zero or NaN scale.
 Status ValidateEpsilon(double epsilon);
 
-/// \brief OK when `ratio` lies in the open interval (0, 1), InvalidArgument
-/// naming `name` otherwise. NaN is rejected too: a budget split such as
-/// DAWA's partition_budget_ratio would otherwise hand the noise samplers a
-/// NaN scale.
-Status ValidateBudgetRatio(double ratio, const char* name);
-
 }  // namespace osdp
 
 #endif  // OSDP_MECH_GUARANTEE_H_

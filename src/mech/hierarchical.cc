@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/common/distributions.h"
 #include "src/mech/guarantee.h"
+#include "src/mech/noise.h"
 
 namespace osdp {
 
@@ -85,9 +85,9 @@ Result<Histogram> HierarchicalRelease(const Histogram& x, double epsilon,
   for (size_t i = 0; i < d; ++i) prefix[i + 1] = prefix[i] + x[i];
   std::vector<double> noisy(n);
   for (size_t i = 0; i < n; ++i) {
-    const double truth = prefix[tree.end[i]] - prefix[tree.begin[i]];
-    noisy[i] = truth + SampleLaplace(rng, scale);
+    noisy[i] = prefix[tree.end[i]] - prefix[tree.begin[i]];
   }
+  AddLaplace(noisy, 2 * int64_t{h}, epsilon, rng);
 
   // Upward pass, children before parents: reverse arena order, since the
   // arena is built breadth-first. For a node with k children whose subtree

@@ -1,30 +1,19 @@
 #include "src/mech/laplace.h"
 
-#include "src/common/distributions.h"
+#include "src/mech/noise.h"
 
 namespace osdp {
 
 Result<Histogram> LaplaceMechanism(const Histogram& x, double epsilon,
-                                   const LaplaceOptions& opts, Rng& rng) {
+                                   Rng& rng) {
   OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
-  if (opts.sensitivity <= 0.0) {
-    return Status::InvalidArgument("sensitivity must be positive");
-  }
-  const double scale = opts.sensitivity / epsilon;
-  Histogram out(x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    out[i] = x[i] + SampleLaplace(rng, scale);
-  }
+  Histogram out = x;
+  AddLaplace(out.counts(), 2, epsilon, rng);
   return out;
 }
 
-Result<Histogram> LaplaceMechanism(const Histogram& x, double epsilon,
-                                   Rng& rng) {
-  return LaplaceMechanism(x, epsilon, LaplaceOptions{}, rng);
-}
-
-double LaplaceExpectedL1Error(size_t bins, double epsilon, double sensitivity) {
-  return static_cast<double>(bins) * sensitivity / epsilon;
+double LaplaceExpectedL1Error(size_t bins, double epsilon) {
+  return static_cast<double>(bins) * 2.0 / epsilon;
 }
 
 }  // namespace osdp

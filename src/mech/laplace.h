@@ -12,29 +12,17 @@
 
 namespace osdp {
 
-/// Parameters of the Laplace mechanism.
-struct LaplaceOptions {
-  /// L1 sensitivity of the released statistic. Under the bounded model
-  /// (replace-one neighbors) a full histogram has sensitivity 2 — one record
-  /// moving between bins changes two counts by 1 (Section 5: "the sensitivity
-  /// of a histogram is still 2").
-  double sensitivity = 2.0;
-};
-
-/// \brief Adds i.i.d. Lap(sensitivity/ε) noise to every histogram count.
-/// Satisfies ε-DP when `opts.sensitivity` upper-bounds the true sensitivity.
-Result<Histogram> LaplaceMechanism(const Histogram& x, double epsilon,
-                                   const LaplaceOptions& opts, Rng& rng);
-
-/// Convenience overload with default options.
+/// \brief Adds i.i.d. Lap(2/ε) noise to every histogram count. ε-DP: under
+/// the bounded model (replace-one neighbors) a full histogram has L1
+/// sensitivity 2 — one record moving between bins changes two counts by 1
+/// (Section 5: "the sensitivity of a histogram is still 2").
 Result<Histogram> LaplaceMechanism(const Histogram& x, double epsilon,
                                    Rng& rng);
 
-/// Expected L1 error of the Laplace mechanism on a d-bin histogram:
-/// d * sensitivity / ε (each bin contributes E|Lap(b)| = b). Used by the
-/// Theorem 5.1 crossover bench and by sanity tests.
-double LaplaceExpectedL1Error(size_t bins, double epsilon,
-                              double sensitivity = 2.0);
+/// Expected L1 error of the Laplace mechanism on a d-bin histogram: 2d/ε
+/// (each bin contributes E|Lap(b)| = b). Used by the Theorem 5.1 crossover
+/// bench and by sanity tests.
+double LaplaceExpectedL1Error(size_t bins, double epsilon);
 
 }  // namespace osdp
 

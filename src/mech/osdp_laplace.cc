@@ -1,19 +1,16 @@
 #include "src/mech/osdp_laplace.h"
 
-#include <cmath>
+#include <algorithm>
 
-#include "src/common/distributions.h"
+#include "src/mech/noise.h"
 
 namespace osdp {
 
 Result<Histogram> OsdpLaplace(const Histogram& xns, double epsilon, Rng& rng) {
   OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   OSDP_RETURN_IF_ERROR(xns.ValidateNonNegative());
-  const double scale = 1.0 / epsilon;
-  Histogram out(xns.size());
-  for (size_t i = 0; i < xns.size(); ++i) {
-    out[i] = xns[i] + SampleOneSidedLaplace(rng, scale);
-  }
+  Histogram out = xns;
+  AddOneSided(out.counts(), 1, epsilon, rng);
   return out;
 }
 
@@ -26,7 +23,7 @@ Result<Histogram> OsdpLaplaceL1(const Histogram& xns, double epsilon,
   // Step 4: positive counts get the median added back so they are unbiased
   // in the median sense. µ is negative, so this subtracts |µ|... the paper
   // writes "-= µ" with µ = -ln(2)/ε, i.e. adds ln(2)/ε.
-  const double mu = OneSidedLaplaceMedian(1.0 / epsilon);
+  const double mu = OneSidedMedian(1, epsilon);
   for (size_t i = 0; i < noisy.size(); ++i) {
     if (noisy[i] > 0.0) noisy[i] -= mu;
   }
@@ -47,15 +44,15 @@ Result<Histogram> OsdpLaplaceL1Hybrid(const Histogram& x, const Histogram& xns,
     return Status::InvalidArgument("xns must be dominated by x per bin");
   }
 
-  const double os_scale = 1.0 / epsilon;
-  const double lap_scale = 2.0 / epsilon;  // histogram sensitivity 2 (bounded)
-  const double mu = OneSidedLaplaceMedian(os_scale);
+  // Sensitive bins: a histogram's sensitivity 2 (bounded). Non-sensitive
+  // bins: x_ns's one-sided sensitivity 1.
+  const double mu = OneSidedMedian(1, epsilon);
   Histogram out(x.size());
   for (size_t i = 0; i < x.size(); ++i) {
     if (bin_is_sensitive[i]) {
-      out[i] = std::max(0.0, x[i] + SampleLaplace(rng, lap_scale));
+      out[i] = std::max(0.0, x[i] + DrawLaplace(2, epsilon, rng));
     } else {
-      double v = xns[i] + SampleOneSidedLaplace(rng, os_scale);
+      double v = xns[i] + DrawOneSided(1, epsilon, rng);
       v = std::max(v, 0.0);
       if (v > 0.0) v -= mu;
       out[i] = v;

@@ -15,8 +15,10 @@ Result<Histogram> ApplyOsdpRecipe(const TwoPhaseMechanism& base,
                                   double epsilon, const RecipeOptions& opts,
                                   Rng& rng) {
   OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
-  OSDP_RETURN_IF_ERROR(
-      ValidateBudgetRatio(opts.zero_budget_ratio, "zero_budget_ratio"));
+  // Written so that NaN, for which every comparison is false, fails it.
+  if (!(opts.zero_budget_ratio > 0.0 && opts.zero_budget_ratio < 1.0)) {
+    return Status::InvalidArgument("zero_budget_ratio must be in (0,1)");
+  }
   if (x.size() != xns.size()) {
     return Status::InvalidArgument("x and xns must have equal size");
   }

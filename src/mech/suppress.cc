@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "src/common/distributions.h"
+#include "src/mech/laplace.h"
 
 namespace osdp {
 
@@ -15,12 +15,7 @@ Result<Histogram> Suppress(const Histogram& xns, const SuppressOptions& opts,
   if (std::isinf(opts.tau)) {
     return xns;  // τ = ∞: release the non-sensitive records exactly
   }
-  const double scale = 2.0 / opts.tau;
-  Histogram out(xns.size());
-  for (size_t i = 0; i < xns.size(); ++i) {
-    out[i] = xns[i] + SampleLaplace(rng, scale);
-  }
-  return out;
+  return LaplaceMechanism(xns, opts.tau, rng);
 }
 
 PrivacyGuarantee SuppressGuarantee(double tau, const std::string& policy_name) {

@@ -37,6 +37,24 @@ Status ValidateInput(const Matrix& x, const std::vector<int>& y) {
 
 }  // namespace
 
+Status ValidateLogisticRegressionOptions(
+    const LogisticRegressionOptions& opts) {
+  if (opts.epochs <= 0 || !(opts.learning_rate > 0.0)) {
+    return Status::InvalidArgument("epochs and learning_rate must be positive");
+  }
+  if (!(opts.l2_lambda >= 0.0)) {
+    return Status::InvalidArgument("l2_lambda must be non-negative");
+  }
+  // Gradient descent on the regularizer alone contracts weights by a factor
+  // (1 - lr·λ) per step; |1 - lr·λ| >= 1 diverges regardless of the data.
+  if (!(opts.learning_rate * opts.l2_lambda < 2.0)) {
+    return Status::InvalidArgument(
+        "learning_rate * l2_lambda must be < 2 for gradient descent to "
+        "converge");
+  }
+  return Status::OK();
+}
+
 Status LogisticRegression::Fit(const Matrix& x, const std::vector<int>& y,
                                const LogisticRegressionOptions& opts) {
   return FitPerturbed(x, y, opts, {});
@@ -47,19 +65,7 @@ Status LogisticRegression::FitPerturbed(const Matrix& x,
                                         const LogisticRegressionOptions& opts,
                                         const std::vector<double>& b) {
   OSDP_RETURN_IF_ERROR(ValidateInput(x, y));
-  if (opts.epochs <= 0 || opts.learning_rate <= 0.0) {
-    return Status::InvalidArgument("epochs and learning_rate must be positive");
-  }
-  if (opts.l2_lambda < 0.0) {
-    return Status::InvalidArgument("l2_lambda must be non-negative");
-  }
-  // Gradient descent on the regularizer alone contracts weights by a factor
-  // (1 - lr·λ) per step; |1 - lr·λ| >= 1 diverges regardless of the data.
-  if (opts.learning_rate * opts.l2_lambda >= 2.0) {
-    return Status::InvalidArgument(
-        "learning_rate * l2_lambda must be < 2 for gradient descent to "
-        "converge");
-  }
+  OSDP_RETURN_IF_ERROR(ValidateLogisticRegressionOptions(opts));
   const size_t n = x.size();
   num_features_ = x[0].size();
   has_intercept_ = opts.fit_intercept;

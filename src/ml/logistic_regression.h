@@ -23,6 +23,10 @@ struct LogisticRegressionOptions {
   bool fit_intercept = true;
 };
 
+/// OK when `opts` can train: epochs and learning_rate positive, l2_lambda
+/// non-negative, and learning_rate * l2_lambda < 2. NaN fails every check.
+Status ValidateLogisticRegressionOptions(const LogisticRegressionOptions& opts);
+
 /// \brief L2-regularized logistic regression.
 ///
 /// Labels are {0, 1}; Fit minimizes

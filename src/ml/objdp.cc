@@ -39,6 +39,9 @@ std::vector<double> SampleDirection(Rng& rng, size_t d) {
 Result<LogisticRegression> TrainObjDp(const Matrix& x, const std::vector<int>& y,
                                       const ObjDpOptions& opts, Rng& rng) {
   OSDP_RETURN_IF_ERROR(ValidateEpsilon(opts.epsilon));
+  // Before the budget split: a NaN or negative λ would reach the sampler as
+  // a NaN or zero scale.
+  OSDP_RETURN_IF_ERROR(ValidateLogisticRegressionOptions(opts.erm));
   if (x.empty()) return Status::InvalidArgument("empty design matrix");
   for (const auto& row : x) {
     double norm2 = 0.0;

@@ -9,10 +9,10 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/distributions.h"
 #include "src/common/fault.h"
 #include "src/data/compiled_predicate.h"
 #include "src/mech/histogram_mechanism.h"
+#include "src/mech/noise.h"
 #include "src/mech/osdp_rr.h"
 #include "src/runtime/parallel_scan.h"
 
@@ -560,7 +560,7 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
     // One-sided Laplace with sensitivity 1: a one-sided neighbour can only
     // grow the non-sensitive count (Section 5.1).
     OSDP_FAULT_POINT("mechanism/run");
-    answer.count = count + SampleOneSidedLaplace(rng, 1.0 / prepared->epsilon);
+    answer.count = count + DrawOneSided(1, prepared->epsilon, rng);
     if (span != nullptr) {
       m_.h_mechanism->Record(
           span->Mark(obs::Stage::kMechanism, obs::NowNs()));

@@ -58,7 +58,7 @@ Result<ApSetPolicy> CalibrateApPolicy(const std::vector<Trajectory>& trajs,
                                       int num_aps, double target_ns_fraction) {
   if (trajs.empty()) return Status::InvalidArgument("no trajectories");
   if (num_aps <= 0) return Status::InvalidArgument("num_aps must be positive");
-  if (target_ns_fraction <= 0.0 || target_ns_fraction >= 1.0) {
+  if (!(target_ns_fraction > 0.0 && target_ns_fraction < 1.0)) {
     return Status::InvalidArgument("target fraction must be in (0,1)");
   }
   const size_t n = trajs.size();

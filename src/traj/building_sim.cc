@@ -162,7 +162,7 @@ Result<TrajectoryDataset> SimulateBuilding(const BuildingSimConfig& config) {
   if (config.num_users <= 1 || config.num_days <= 0) {
     return Status::InvalidArgument("need at least 2 users and 1 day");
   }
-  if (config.resident_fraction <= 0.0 || config.resident_fraction >= 1.0) {
+  if (!(config.resident_fraction > 0.0 && config.resident_fraction < 1.0)) {
     return Status::InvalidArgument("resident_fraction must be in (0,1)");
   }
 

@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "src/common/check.h"
-#include "src/common/distributions.h"
 #include "src/mech/guarantee.h"
+#include "src/mech/noise.h"
 
 namespace osdp {
 
@@ -95,10 +95,10 @@ Result<SparseHistogram> NGramLaplace(const SparseHistogram& truncated, int k,
                                      double epsilon, Rng& rng) {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   OSDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
-  const double scale = 2.0 * k / epsilon;
+  // Each user contributes at most k n-grams: sensitivity 2k (bounded).
   SparseHistogram out(truncated.domain_size());
   for (const auto& [cell, count] : truncated.cells()) {
-    out.Set(cell, count + SampleLaplace(rng, scale));
+    out.Set(cell, count + DrawLaplace(2 * int64_t{k}, epsilon, rng));
   }
   return out;
 }

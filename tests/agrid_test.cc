@@ -83,27 +83,6 @@ TEST(AGridTest, ValidatesArguments) {
   Rng rng(4);
   EXPECT_FALSE(AGrid(x, 0.0, Opts(3, 4), rng).ok());
   EXPECT_FALSE(AGrid(x, 1.0, Opts(3, 5), rng).ok());  // shape mismatch
-  AGridOptions bad = Opts(3, 4);
-  bad.coarse_budget_ratio = 1.0;
-  EXPECT_FALSE(AGrid(x, 1.0, bad, rng).ok());
-  bad = Opts(3, 4);
-  bad.granularity_c = 0.0;
-  EXPECT_FALSE(AGrid(x, 1.0, bad, rng).ok());
-}
-
-TEST(AGridTest, NanRatioOrGranularityIsInvalidArgument) {
-  Histogram x(12);
-  Rng rng(4);
-  AGridOptions bad = Opts(3, 4);
-  bad.coarse_budget_ratio = std::nan("");
-  auto r = AGrid(x, 1.0, bad, rng);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  bad = Opts(3, 4);
-  bad.granularity_c = std::nan("");
-  r = AGrid(x, 1.0, bad, rng);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(AGridTest, TinyDomainsStillWork) {

@@ -140,6 +140,10 @@ TEST(MSamplingTest, ValidatesArguments) {
   MSamplingOptions opts;
   opts.theta = 0.0;
   EXPECT_FALSE(MSampling(x, 0.5, opts, rng).ok());
+  // NaN fails every comparison, so each check must reject it too.
+  EXPECT_FALSE(MSampling(x, std::nan(""), MSamplingOptions{}, rng).ok());
+  opts.theta = std::nan("");
+  EXPECT_FALSE(MSampling(x, 0.5, opts, rng).ok());
 }
 
 // ----------------------------------------------------------- HiLoSampling --
@@ -186,6 +190,14 @@ TEST(HiLoSamplingTest, ValidatesArguments) {
   EXPECT_FALSE(HiLoSampling(x, 0.5, opts, rng).ok());
   opts = HiLoSamplingOptions{};
   opts.beta = 1.0;
+  EXPECT_FALSE(HiLoSampling(x, 0.5, opts, rng).ok());
+  // NaN fails every comparison, so each check must reject it too.
+  EXPECT_FALSE(HiLoSampling(x, std::nan(""), HiLoSamplingOptions{}, rng).ok());
+  opts = HiLoSamplingOptions{};
+  opts.gamma = std::nan("");
+  EXPECT_FALSE(HiLoSampling(x, 0.5, opts, rng).ok());
+  opts = HiLoSamplingOptions{};
+  opts.beta = std::nan("");
   EXPECT_FALSE(HiLoSampling(x, 0.5, opts, rng).ok());
 }
 

@@ -14,6 +14,8 @@
 #include "src/common/result.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
+#include "src/mech/noise.h"
+#include "tests/densities.h"
 #include "tests/stub_rng.h"
 
 namespace osdp {
@@ -344,7 +346,7 @@ TEST(DistributionsTest, AnalyticDensities) {
   EXPECT_EQ(OneSidedLaplacePdf(0.5, 1.0), 0.0);
   EXPECT_NEAR(OneSidedLaplacePdf(0.0, 1.0), 1.0, 1e-12);
   EXPECT_NEAR(OneSidedLaplaceCdf(0.0, 1.0), 1.0, 1e-12);
-  EXPECT_NEAR(OneSidedLaplaceCdf(OneSidedLaplaceMedian(1.0), 1.0), 0.5, 1e-12);
+  EXPECT_NEAR(OneSidedLaplaceCdf(OneSidedMedian(1, 1.0), 1.0), 0.5, 1e-12);
 }
 
 // DP core property of the noise: likelihood ratio between outputs from

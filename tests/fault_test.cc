@@ -21,7 +21,6 @@
 
 #include "src/benchdata/table_gen.h"
 #include "src/common/cancel.h"
-#include "src/common/distributions.h"
 #include "src/common/fault.h"
 #include "src/common/random.h"
 #include "src/core/engine.h"
@@ -29,6 +28,7 @@
 #include "src/data/predicate.h"
 #include "src/hist/histogram_query.h"
 #include "src/mech/histogram_mechanism.h"
+#include "src/mech/noise.h"
 #include "src/policy/policy.h"
 #include "src/runtime/parallel_scan.h"
 #include "src/runtime/query_service.h"
@@ -226,7 +226,7 @@ TEST_F(FaultTest, MaskCacheInsertFaultRefundsAndLeavesCacheIntact) {
   for (const auto* answer : {&*miss, &*hit}) {
     Rng rng(QueryService::QuerySeed(QueryService::Options{}.seed, fix.session,
                                     answer->seq, answer->generation));
-    EXPECT_EQ(answer->count, true_count + SampleOneSidedLaplace(rng, 1.0 / 0.1))
+    EXPECT_EQ(answer->count, true_count + DrawOneSided(1, 0.1, rng))
         << "seq " << answer->seq;
   }
 }
@@ -307,7 +307,7 @@ TEST_F(FaultTest, MaskCacheAttachFaultRefundsAndLeavesEntryUsable) {
                                           fix.session, count->seq,
                                           count->generation));
     EXPECT_EQ(count->count, static_cast<double>(matching.Count()) +
-                                SampleOneSidedLaplace(count_rng, 1.0 / 0.1));
+                                DrawOneSided(1, 0.1, count_rng));
     auto hist = fix.service->AnswerHistogram(fix.session, query, 0.1,
                                              EngineMechanism::kOsdpLaplaceL1);
     ASSERT_TRUE(hist.ok()) << hist.status().ToString();
@@ -712,7 +712,7 @@ TEST_F(FaultTest, SoakFaultsOverloadDeadlinesAndIngestPreserveInvariants) {
           matching.AndWith(current->non_sensitive);
           const double expected =
               static_cast<double>(matching.Count()) +
-              SampleOneSidedLaplace(rng, 1.0 / kEps);
+              DrawOneSided(1, kEps, rng);
           EXPECT_EQ(d.count, expected)
               << "count diverged: session " << s << " seq " << d.seq;
         }

@@ -389,31 +389,13 @@ TEST(DawaTest, ValidatesArguments) {
   Histogram x({1, 2});
   Rng rng(3);
   EXPECT_FALSE(Dawa(x, 0.0, rng).ok());
-  DawaOptions opts;
-  opts.partition_budget_ratio = 1.5;
-  EXPECT_FALSE(Dawa(x, 1.0, opts, rng).ok());
-  opts.partition_budget_ratio = 0.0;
-  EXPECT_FALSE(Dawa(x, 1.0, opts, rng).ok());
 }
 
-TEST(DawaTest, NanPartitionRatioIsInvalidArgument) {
-  // NaN passes a `r <= 0 || r >= 1` test; it must not reach the sampler.
-  Histogram x({1, 2});
-  Rng rng(3);
-  DawaOptions opts;
-  opts.partition_budget_ratio = std::nan("");
-  const auto r = Dawa(x, 1.0, opts, rng);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(DawaTest, ClampOptionControlsNegatives) {
+TEST(DawaTest, EstimatesAreNeverNegative) {
   Histogram x(std::vector<double>(32, 0.0));
-  DawaOptions opts;
-  opts.clamp_non_negative = true;
   Rng rng(4);
   for (int rep = 0; rep < 50; ++rep) {
-    DawaResult r = *Dawa(x, 0.5, opts, rng);
+    DawaResult r = *Dawa(x, 0.5, rng);
     for (size_t i = 0; i < r.estimate.size(); ++i) {
       EXPECT_GE(r.estimate[i], 0.0);
     }

@@ -116,6 +116,31 @@ TEST(ObjDpTest, RequiresUnitBallRows) {
   EXPECT_FALSE(TrainObjDp(x, y, ObjDpOptions{}, rng).ok());
 }
 
+// The budget split reads l2_lambda before training does, so a bad λ must be
+// refused there: NaN makes the noise scale NaN, and λ = -c/n (c = 1/4) makes
+// the split's log term -inf and the noise scale zero.
+TEST(ObjDpTest, NanLambdaIsInvalidArgument) {
+  Rng rng(3);
+  const Matrix x = {{0.1, 0.2}, {-0.3, 0.1}, {0.5, -0.5}, {0.0, 0.6}};
+  const std::vector<int> y = {0, 1, 0, 1};
+  ObjDpOptions opts;
+  opts.erm.l2_lambda = std::nan("");
+  const auto r = TrainObjDp(x, y, opts, rng);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ObjDpTest, LambdaWithZeroNoiseScaleIsInvalidArgument) {
+  Rng rng(3);
+  const Matrix x = {{0.1, 0.2}, {-0.3, 0.1}, {0.5, -0.5}, {0.0, 0.6}};
+  const std::vector<int> y = {0, 1, 0, 1};
+  ObjDpOptions opts;
+  opts.erm.l2_lambda = -0.25 / 4.0;
+  const auto r = TrainObjDp(x, y, opts, rng);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ObjDpTest, HighEpsilonApproachesNonPrivateAccuracy) {
   Rng rng(4);
   Matrix x;

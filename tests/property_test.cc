@@ -17,6 +17,7 @@
 #include "src/mech/osdp_laplace.h"
 #include "src/mech/osdp_rr.h"
 #include "src/policy/policy.h"
+#include "tests/densities.h"
 
 namespace osdp {
 namespace {

@@ -20,7 +20,6 @@
 
 #include "src/benchdata/table_gen.h"
 #include "src/common/cancel.h"
-#include "src/common/distributions.h"
 #include "src/common/fault.h"
 #include "src/common/random.h"
 #include "src/core/engine.h"
@@ -28,6 +27,7 @@
 #include "src/data/predicate.h"
 #include "src/hist/histogram_query.h"
 #include "src/mech/histogram_mechanism.h"
+#include "src/mech/noise.h"
 #include "src/mech/osdp_rr.h"
 #include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
@@ -842,7 +842,7 @@ void RunConcurrentIngestStressHarness(size_t mask_cache_bytes,
                 ->EvalMask(table);
         matching.AndWith(ns);
         const double expected = static_cast<double>(matching.Count()) +
-                                SampleOneSidedLaplace(rng, 1.0 / kEps);
+                                DrawOneSided(1, kEps, rng);
         EXPECT_EQ(rec.count, expected)
             << "count diverged at session " << s << " seq " << q
             << " generation " << rec.generation;
@@ -877,7 +877,7 @@ void RunConcurrentIngestStressHarness(size_t mask_cache_bytes,
       Rng rng(QueryService::QuerySeed(kRootSeed, tail, seq,
                                       static_cast<uint64_t>(kBatches)));
       EXPECT_EQ(answers[seq],
-                true_count + SampleOneSidedLaplace(rng, 1.0 / kTailEps))
+                true_count + DrawOneSided(1, kTailEps, rng))
           << "tail answer " << seq << " diverged from its serial replay";
     }
     const MaskCache::Stats stats = service->cache_stats();
@@ -1131,7 +1131,7 @@ TEST(QueryServiceCancelTest, MidFlightCancelKeepsTheBooksExact) {
     Rng rng(QueryService::QuerySeed(opts.seed, session, r->seq,
                                     r->generation));
     EXPECT_EQ(r->count, static_cast<double>(matching.Count()) +
-                            SampleOneSidedLaplace(rng, 1.0 / kEps))
+                            DrawOneSided(1, kEps, rng))
         << "cancellation altered a delivered answer (slot " << i << ")";
   }
   EXPECT_NEAR(total - service->remaining_budget(), delivered * kEps, 1e-9);
@@ -1220,7 +1220,7 @@ void ExpectReplays(const ServiceRequest& request, const ServiceAnswer& answer,
     matching.AndWith(ns);
     EXPECT_EQ(answer.count,
               static_cast<double>(matching.Count()) +
-                  SampleOneSidedLaplace(rng, 1.0 / count->epsilon))
+                  DrawOneSided(1, count->epsilon, rng))
         << "count diverged at seq " << answer.seq;
     return;
   }

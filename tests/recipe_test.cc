@@ -51,7 +51,7 @@ TEST(TwoPhaseTest, DawaAdapterExposesContiguousGroups) {
 TEST(AhpTest, OutputShapeAndGroups) {
   Histogram x = SparseTruth(128);
   Rng rng(2);
-  TwoPhaseMechanism::Output out = *Ahp(x, 1.0, AhpOptions{}, rng);
+  TwoPhaseMechanism::Output out = *Ahp(x, 1.0, rng);
   EXPECT_EQ(out.estimate.size(), 128u);
   EXPECT_TRUE(ValidateBinGroups(out.groups, 128).ok());
   for (size_t i = 0; i < out.estimate.size(); ++i) {
@@ -62,7 +62,7 @@ TEST(AhpTest, OutputShapeAndGroups) {
 TEST(AhpTest, GroupsShareEstimates) {
   Histogram x = SparseTruth(64);
   Rng rng(3);
-  TwoPhaseMechanism::Output out = *Ahp(x, 1.0, AhpOptions{}, rng);
+  TwoPhaseMechanism::Output out = *Ahp(x, 1.0, rng);
   for (const auto& group : out.groups) {
     for (uint32_t bin : group) {
       EXPECT_DOUBLE_EQ(out.estimate[bin], out.estimate[group[0]]);
@@ -77,8 +77,7 @@ TEST(AhpTest, ClustersAreValueBasedNotContiguous) {
   x[63] = 1000.0;
   for (size_t i = 1; i < 63; ++i) x[i] = 10.0 * static_cast<double>(i % 7);
   Rng rng(4);
-  AhpOptions opts;
-  TwoPhaseMechanism::Output out = *Ahp(x, 20.0, opts, rng);  // low noise
+  TwoPhaseMechanism::Output out = *Ahp(x, 20.0, rng);  // low noise
   // Find the group containing bin 0; with low noise, bin 63 should share it.
   for (const auto& group : out.groups) {
     const bool has0 =
@@ -94,7 +93,7 @@ TEST(AhpTest, BeatsLaplaceOnSparseData) {
   Rng rng(5);
   double ahp_err = 0.0, lap_err = 0.0;
   for (int rep = 0; rep < 10; ++rep) {
-    ahp_err += MeanRelativeError(x, Ahp(x, 0.1, AhpOptions{}, rng)->estimate);
+    ahp_err += MeanRelativeError(x, Ahp(x, 0.1, rng)->estimate);
     lap_err += MeanRelativeError(x, *LaplaceMechanism(x, 0.1, rng));
   }
   EXPECT_LT(ahp_err, lap_err);
@@ -103,20 +102,7 @@ TEST(AhpTest, BeatsLaplaceOnSparseData) {
 TEST(AhpTest, ValidatesArguments) {
   Histogram x({1, 2});
   Rng rng(6);
-  EXPECT_FALSE(Ahp(x, 0.0, AhpOptions{}, rng).ok());
-  AhpOptions opts;
-  opts.structure_budget_ratio = 1.0;
-  EXPECT_FALSE(Ahp(x, 1.0, opts, rng).ok());
-}
-
-TEST(AhpTest, NanStructureRatioIsInvalidArgument) {
-  Histogram x({1, 2});
-  Rng rng(6);
-  AhpOptions opts;
-  opts.structure_budget_ratio = std::nan("");
-  const auto r = Ahp(x, 1.0, opts, rng);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(Ahp(x, 0.0, rng).ok());
 }
 
 // --------------------------------------------------------- Hierarchical ---
@@ -320,7 +306,7 @@ TEST(RecipeTest, DawaRecipeIsDawazBitForBit) {
 TEST(RecipeTest, AhpzAndHierarchicalzRun) {
   Histogram x = SparseTruth(256);
   Rng rng(12);
-  for (auto* make : {+[]() { return MakeAhpTwoPhase(AhpOptions{}); },
+  for (auto* make : {+[]() { return MakeAhpTwoPhase(); },
                      +[]() { return MakeHierarchicalTwoPhase(
                                  HierarchicalOptions{}); }}) {
     Histogram out =

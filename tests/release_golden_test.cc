@@ -1,31 +1,48 @@
-// Release goldens: an FNV-1a hash of every released bit of DAWA, DAWAz,
-// Hierarchical and Hierarchicalz, and of DAWA's buckets, on fixed inputs and
-// seeds. The partition DP's answer (cost bits and buckets) is pinned too,
-// for both position modes and both cost implementations, on the noisy input
-// DAWA's stage 1 would see.
+// Release goldens: an FNV-1a hash of every released bit of each noise site
+// on fixed inputs and seeds — Laplace, OsdpLaplace, OsdpLaplaceL1, the
+// hybrid, Suppress, DAWA (with its buckets), DAWAz, Hierarchical,
+// Hierarchicalz, AHP and AHPz (with AHP's clusters), AGrid (with its fine
+// cells), NGramLaplace, and QueryService count answers at fixed QuerySeeds.
+// The partition DP's answer (cost bits and buckets) is pinned too, for both
+// position modes and both cost implementations, on the noisy input DAWA's
+// stage 1 would see.
 //
 // The hashes were recorded from the serial reference implementations before
-// any of the mechanism-layer speedups that must not change a released bit
-// (the radix-ranked cost table, the row-direct partition DP, the flat
-// hierarchical tree). A mismatch means a release changed; the fix is in the
-// mechanism, never in this table.
+// any change that must not move a released bit (the radix-ranked cost table,
+// the row-direct partition DP, the flat hierarchical tree, and routing every
+// draw through src/mech/noise.h). A mismatch means a release changed; the
+// fix is in the mechanism, never in this table.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/benchdata/table_gen.h"
 #include "src/common/distributions.h"
 #include "src/common/random.h"
+#include "src/core/engine.h"
+#include "src/data/predicate.h"
 #include "src/hist/histogram.h"
+#include "src/hist/sparse_histogram.h"
+#include "src/mech/agrid.h"
+#include "src/mech/ahp.h"
 #include "src/mech/dawa.h"
 #include "src/mech/dawaz.h"
 #include "src/mech/hierarchical.h"
+#include "src/mech/laplace.h"
+#include "src/mech/osdp_laplace.h"
 #include "src/mech/recipe.h"
+#include "src/mech/suppress.h"
+#include "src/policy/policy.h"
+#include "src/runtime/query_service.h"
+#include "src/traj/ngram.h"
 
 namespace osdp {
 namespace {
@@ -53,6 +70,24 @@ class Fnv1a {
     for (const DawaBucket& b : buckets) {
       Word(b.begin);
       Word(b.end);
+    }
+  }
+  void Groups(const BinGroups& groups) {
+    Word(groups.size());
+    for (const std::vector<uint32_t>& g : groups) {
+      Word(g.size());
+      for (uint32_t bin : g) Word(bin);
+    }
+  }
+  // Cells in key order: the map's iteration order is not part of a release.
+  void Cells(const SparseHistogram& h) {
+    std::vector<std::pair<uint64_t, double>> cells(h.cells().begin(),
+                                                   h.cells().end());
+    std::sort(cells.begin(), cells.end());
+    Word(cells.size());
+    for (const auto& [cell, v] : cells) {
+      Word(cell);
+      Double(v);
     }
   }
   uint64_t value() const { return h_; }
@@ -97,6 +132,23 @@ Histogram NonSensitive(const Histogram& x) {
   return xns;
 }
 
+// Every third bin is sensitive: the bins NonSensitive empties.
+std::vector<bool> SensitiveBins(size_t d) {
+  std::vector<bool> sensitive(d);
+  for (size_t i = 0; i < d; ++i) sensitive[i] = i % 3 == 0;
+  return sensitive;
+}
+
+// The non-empty bins of `x` as n-gram cells.
+SparseHistogram AsCells(const Histogram& x) {
+  SparseHistogram cells(static_cast<double>(x.size()));
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (x[i] != 0.0) cells.Set(i, x[i]);
+  }
+  return cells;
+}
+
+// Each domain is square, so AGrid sees it as side x side.
 constexpr size_t kDomains[] = {100, 1024, 4096};
 constexpr double kEpsilons[] = {0.01, 1.0};
 
@@ -164,6 +216,87 @@ std::map<std::string, uint64_t> ComputeHashes() {
           h.Doubles(r->counts());
           put("Hierarchicalz", h);
         }
+        {
+          Rng rng(seed + 6);
+          const auto r = LaplaceMechanism(x, eps, rng);
+          EXPECT_TRUE(r.ok());
+          Fnv1a h;
+          h.Doubles(r->counts());
+          put("Laplace", h);
+        }
+        {
+          Rng rng(seed + 7);
+          const auto r = OsdpLaplace(xns, eps, rng);
+          EXPECT_TRUE(r.ok());
+          Fnv1a h;
+          h.Doubles(r->counts());
+          put("OsdpLaplace", h);
+        }
+        {
+          Rng rng(seed + 8);
+          const auto r = OsdpLaplaceL1(xns, eps, rng);
+          EXPECT_TRUE(r.ok());
+          Fnv1a h;
+          h.Doubles(r->counts());
+          put("OsdpLaplaceL1", h);
+        }
+        {
+          Rng rng(seed + 9);
+          const auto r =
+              OsdpLaplaceL1Hybrid(x, xns, SensitiveBins(d), eps, rng);
+          EXPECT_TRUE(r.ok());
+          Fnv1a h;
+          h.Doubles(r->counts());
+          put("OsdpLaplaceL1Hybrid", h);
+        }
+        {
+          SuppressOptions opts;
+          opts.tau = 10.0;
+          Rng rng(seed + 10);
+          const auto r = Suppress(xns, opts, rng);
+          EXPECT_TRUE(r.ok());
+          Fnv1a h;
+          h.Doubles(r->counts());
+          put("Suppress tau=10", h);
+        }
+        {
+          Rng rng(seed + 11);
+          const auto r = MakeAhpTwoPhase()->Run(x, eps, rng);
+          EXPECT_TRUE(r.ok());
+          Fnv1a h;
+          h.Doubles(r->estimate.counts());
+          h.Groups(r->groups);
+          put("AHP", h);
+        }
+        {
+          Rng rng(seed + 12);
+          const auto mech = MakeRecipeMechanism(MakeAhpTwoPhase());
+          const auto r = mech->Run(x, xns, eps, rng);
+          EXPECT_TRUE(r.ok());
+          Fnv1a h;
+          h.Doubles(r->counts());
+          put("AHPz", h);
+        }
+        {
+          AGridOptions opts;
+          opts.rows = d == 100 ? 10 : d == 1024 ? 32 : 64;
+          opts.cols = d / opts.rows;
+          Rng rng(seed + 13);
+          const auto r = AGrid(x, eps, opts, rng);
+          EXPECT_TRUE(r.ok());
+          Fnv1a h;
+          h.Doubles(r->estimate.counts());
+          h.Groups(r->groups);
+          put("AGrid", h);
+        }
+        {
+          Rng rng(seed + 14);
+          const auto r = NGramLaplace(AsCells(x), /*k=*/3, eps, rng);
+          EXPECT_TRUE(r.ok());
+          Fnv1a h;
+          h.Cells(*r);
+          put("NGramLaplace k=3", h);
+        }
 
         // DAWA's stage-1 input and bucket charge at this ε.
         Rng rng(seed + 4);
@@ -191,10 +324,90 @@ std::map<std::string, uint64_t> ComputeHashes() {
       }
     }
   }
+  // Count answers of a QueryService over a census table: two sessions, eight
+  // WHERE clauses each, at both ε. Each answer is seeded by its QuerySeed.
+  CensusTableOptions topts;
+  topts.num_rows = 3000;
+  topts.seed = 0x9A;
+  OsdpEngine::Options eopts;
+  eopts.total_epsilon = 1000.0;
+  const Policy policy = Policy::SensitiveWhen(
+      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
+                    Predicate::Lt("age", Value(18))),
+      "opt_out_or_minor");
+  QueryService::Options sopts;
+  sopts.per_session_epsilon = 100.0;
+  sopts.seed = 0x5EED;
+  auto service = *QueryService::Create(
+      *OsdpEngine::Create(MakeCensusTable(topts), policy, eopts), sopts);
+  const Predicate wheres[] = {
+      Predicate::Le("age", Value(40)),
+      Predicate::Gt("age", Value(90)),
+      Predicate::Eq("opt_in", Value(1)),
+      Predicate::Gt("income", Value(30000.0)),
+      Predicate::In("race", {Value("C1"), Value("C2")}),
+      Predicate::And(Predicate::Ge("age", Value(30)),
+                     Predicate::Lt("age", Value(31))),
+      Predicate::Lt("age", Value(0)),
+      Predicate::Ge("age", Value(0)),
+  };
+  for (int s = 0; s < 2; ++s) {
+    const QueryService::SessionId session =
+        service->OpenSession("golden" + std::to_string(s));
+    for (double eps : kEpsilons) {
+      Fnv1a h;
+      for (const Predicate& where : wheres) {
+        const auto answer = service->AnswerCount(session, where, eps);
+        EXPECT_TRUE(answer.ok());
+        h.Word(answer->seq);
+        h.Double(answer->count);
+      }
+      char key[64];
+      std::snprintf(key, sizeof key, "QueryService count session=%d eps=%g",
+                    s, eps);
+      out[key] = h.value();
+    }
+  }
   return out;
 }
 
 const std::map<std::string, uint64_t> kGoldens = {
+    {"AGrid d=100 eps=0.01 sparse", 0xcac39a6e20d358f6ULL},
+    {"AGrid d=100 eps=0.01 spiky", 0x431dd3810a923827ULL},
+    {"AGrid d=100 eps=1 sparse", 0xd6a58fafd91c6a06ULL},
+    {"AGrid d=100 eps=1 spiky", 0xf2419008478d2194ULL},
+    {"AGrid d=1024 eps=0.01 sparse", 0xf3adcd81146e6ebdULL},
+    {"AGrid d=1024 eps=0.01 spiky", 0x654e843c062e2665ULL},
+    {"AGrid d=1024 eps=1 sparse", 0x69a590854009b746ULL},
+    {"AGrid d=1024 eps=1 spiky", 0x4787fde0b44d42d5ULL},
+    {"AGrid d=4096 eps=0.01 sparse", 0x8e21642e9c1add44ULL},
+    {"AGrid d=4096 eps=0.01 spiky", 0x7f1329387b065605ULL},
+    {"AGrid d=4096 eps=1 sparse", 0x46ef8f0a09e7ea6eULL},
+    {"AGrid d=4096 eps=1 spiky", 0xc0dfa6e6016f89e7ULL},
+    {"AHP d=100 eps=0.01 sparse", 0x6a57ef7181e10612ULL},
+    {"AHP d=100 eps=0.01 spiky", 0xb6f25d1ca8e5609bULL},
+    {"AHP d=100 eps=1 sparse", 0x046d3983e373a809ULL},
+    {"AHP d=100 eps=1 spiky", 0xf4d7b6a9e17a6858ULL},
+    {"AHP d=1024 eps=0.01 sparse", 0x147c6777b666b9f1ULL},
+    {"AHP d=1024 eps=0.01 spiky", 0x8b3abf8f1f3b6b51ULL},
+    {"AHP d=1024 eps=1 sparse", 0xbc6d885bf99543ebULL},
+    {"AHP d=1024 eps=1 spiky", 0xe43cab7f3055125aULL},
+    {"AHP d=4096 eps=0.01 sparse", 0x5c62b804d6b50913ULL},
+    {"AHP d=4096 eps=0.01 spiky", 0x84e2df9b86a40422ULL},
+    {"AHP d=4096 eps=1 sparse", 0xdd9c7d5cb4e365f4ULL},
+    {"AHP d=4096 eps=1 spiky", 0xb43cbad1483f3770ULL},
+    {"AHPz d=100 eps=0.01 sparse", 0xaba1e6f7cf40d1e1ULL},
+    {"AHPz d=100 eps=0.01 spiky", 0x8b4337fb4df07b42ULL},
+    {"AHPz d=100 eps=1 sparse", 0x3b63a4eb8c0e9541ULL},
+    {"AHPz d=100 eps=1 spiky", 0xaba1e6f7cf40d1e1ULL},
+    {"AHPz d=1024 eps=0.01 sparse", 0xb88b49a4c424d644ULL},
+    {"AHPz d=1024 eps=0.01 spiky", 0xe38c55f728a84f7bULL},
+    {"AHPz d=1024 eps=1 sparse", 0xba0186d19d4fdb28ULL},
+    {"AHPz d=1024 eps=1 spiky", 0x1016422c72b35fd2ULL},
+    {"AHPz d=4096 eps=0.01 sparse", 0x7e0d1fc3bd98bf75ULL},
+    {"AHPz d=4096 eps=0.01 spiky", 0xfe82f7a2f92ec79fULL},
+    {"AHPz d=4096 eps=1 sparse", 0x8ecdb15c407196e0ULL},
+    {"AHPz d=4096 eps=1 spiky", 0xba161e2d7e8c5190ULL},
     {"DAWA d=100 eps=0.01 sparse", 0x190c70c480f01486ULL},
     {"DAWA d=100 eps=0.01 spiky", 0xc7526f2f05460d93ULL},
     {"DAWA d=100 eps=1 sparse", 0x2cc35aac2c028b3dULL},
@@ -303,11 +516,87 @@ const std::map<std::string, uint64_t> kGoldens = {
     {"Hierarchicalz d=4096 eps=0.01 spiky", 0x7c6a0fdc41caf162ULL},
     {"Hierarchicalz d=4096 eps=1 sparse", 0x2cccc857e0c0084dULL},
     {"Hierarchicalz d=4096 eps=1 spiky", 0x2dc2d97c1c38015fULL},
+    {"Laplace d=100 eps=0.01 sparse", 0xdddf93214ff45b72ULL},
+    {"Laplace d=100 eps=0.01 spiky", 0x2ecfbf1a7b73b2a0ULL},
+    {"Laplace d=100 eps=1 sparse", 0x97e743637368a495ULL},
+    {"Laplace d=100 eps=1 spiky", 0xa598eea5a52ea062ULL},
+    {"Laplace d=1024 eps=0.01 sparse", 0x56005b4bc01e4cd7ULL},
+    {"Laplace d=1024 eps=0.01 spiky", 0x74b0842c6fa96177ULL},
+    {"Laplace d=1024 eps=1 sparse", 0xa86fe1953e83eb59ULL},
+    {"Laplace d=1024 eps=1 spiky", 0x3a68ba0dabdeb3edULL},
+    {"Laplace d=4096 eps=0.01 sparse", 0x0cf80680c21447c8ULL},
+    {"Laplace d=4096 eps=0.01 spiky", 0xa9f66475c67b9bdaULL},
+    {"Laplace d=4096 eps=1 sparse", 0x1259dae9b20417abULL},
+    {"Laplace d=4096 eps=1 spiky", 0xfe2ea610f28f35d7ULL},
+    {"NGramLaplace k=3 d=100 eps=0.01 sparse", 0xdb30719cb386944dULL},
+    {"NGramLaplace k=3 d=100 eps=0.01 spiky", 0x40d3fc9375a95e62ULL},
+    {"NGramLaplace k=3 d=100 eps=1 sparse", 0x61f8d79a8d7630c9ULL},
+    {"NGramLaplace k=3 d=100 eps=1 spiky", 0xcda13c5b07470723ULL},
+    {"NGramLaplace k=3 d=1024 eps=0.01 sparse", 0x9687aa4c15afbfebULL},
+    {"NGramLaplace k=3 d=1024 eps=0.01 spiky", 0x725e5dcc75df6990ULL},
+    {"NGramLaplace k=3 d=1024 eps=1 sparse", 0x2b95f2bfd90db145ULL},
+    {"NGramLaplace k=3 d=1024 eps=1 spiky", 0xd67561c8b7f81618ULL},
+    {"NGramLaplace k=3 d=4096 eps=0.01 sparse", 0x6c5c7daa9299d375ULL},
+    {"NGramLaplace k=3 d=4096 eps=0.01 spiky", 0xe7afc8e064729e63ULL},
+    {"NGramLaplace k=3 d=4096 eps=1 sparse", 0xd372e2eb1bb1079dULL},
+    {"NGramLaplace k=3 d=4096 eps=1 spiky", 0x6bb231bb8b171f1fULL},
+    {"OsdpLaplace d=100 eps=0.01 sparse", 0x17257c966698ac92ULL},
+    {"OsdpLaplace d=100 eps=0.01 spiky", 0xecb2c6ed5744e448ULL},
+    {"OsdpLaplace d=100 eps=1 sparse", 0x3e6fa1e4cbf903a9ULL},
+    {"OsdpLaplace d=100 eps=1 spiky", 0x543243d4619911d9ULL},
+    {"OsdpLaplace d=1024 eps=0.01 sparse", 0xd9400008007c9710ULL},
+    {"OsdpLaplace d=1024 eps=0.01 spiky", 0x89eac185a1908238ULL},
+    {"OsdpLaplace d=1024 eps=1 sparse", 0xb6511d5536c9b30aULL},
+    {"OsdpLaplace d=1024 eps=1 spiky", 0x376c1d72fef80d6fULL},
+    {"OsdpLaplace d=4096 eps=0.01 sparse", 0xe6d5aeb3fb0d4be0ULL},
+    {"OsdpLaplace d=4096 eps=0.01 spiky", 0xfee3a2e514f1b089ULL},
+    {"OsdpLaplace d=4096 eps=1 sparse", 0xbe57b35fd0792e10ULL},
+    {"OsdpLaplace d=4096 eps=1 spiky", 0x65be4b4e6c888aafULL},
+    {"OsdpLaplaceL1 d=100 eps=0.01 sparse", 0xc873cedf77c63798ULL},
+    {"OsdpLaplaceL1 d=100 eps=0.01 spiky", 0xecfeeb30cc7149d8ULL},
+    {"OsdpLaplaceL1 d=100 eps=1 sparse", 0x7eafaca1307c38b9ULL},
+    {"OsdpLaplaceL1 d=100 eps=1 spiky", 0x0a08bed40b2a46d2ULL},
+    {"OsdpLaplaceL1 d=1024 eps=0.01 sparse", 0xe58ce72ed590aca6ULL},
+    {"OsdpLaplaceL1 d=1024 eps=0.01 spiky", 0x71d67fb72a6040ccULL},
+    {"OsdpLaplaceL1 d=1024 eps=1 sparse", 0x9fcf321a59904e82ULL},
+    {"OsdpLaplaceL1 d=1024 eps=1 spiky", 0x85d5e654fdfe8c46ULL},
+    {"OsdpLaplaceL1 d=4096 eps=0.01 sparse", 0x19b123e40a7133ccULL},
+    {"OsdpLaplaceL1 d=4096 eps=0.01 spiky", 0x4d59b7a6ebf730e9ULL},
+    {"OsdpLaplaceL1 d=4096 eps=1 sparse", 0xadad86ed47f1c638ULL},
+    {"OsdpLaplaceL1 d=4096 eps=1 spiky", 0x7eecd8f12317f028ULL},
+    {"OsdpLaplaceL1Hybrid d=100 eps=0.01 sparse", 0x9378818ea81209fbULL},
+    {"OsdpLaplaceL1Hybrid d=100 eps=0.01 spiky", 0x92aa21db46eef0bcULL},
+    {"OsdpLaplaceL1Hybrid d=100 eps=1 sparse", 0x45686902aa021e02ULL},
+    {"OsdpLaplaceL1Hybrid d=100 eps=1 spiky", 0xb5f89435bbf7b82cULL},
+    {"OsdpLaplaceL1Hybrid d=1024 eps=0.01 sparse", 0x88c33ffbf7073f50ULL},
+    {"OsdpLaplaceL1Hybrid d=1024 eps=0.01 spiky", 0x6c956e7b631298d4ULL},
+    {"OsdpLaplaceL1Hybrid d=1024 eps=1 sparse", 0xa320e4542af41993ULL},
+    {"OsdpLaplaceL1Hybrid d=1024 eps=1 spiky", 0x850acfd19a2138b7ULL},
+    {"OsdpLaplaceL1Hybrid d=4096 eps=0.01 sparse", 0xa91adbdbda2b93c2ULL},
+    {"OsdpLaplaceL1Hybrid d=4096 eps=0.01 spiky", 0x0dde43b2630407acULL},
+    {"OsdpLaplaceL1Hybrid d=4096 eps=1 sparse", 0xddee2561ae11bb2bULL},
+    {"OsdpLaplaceL1Hybrid d=4096 eps=1 spiky", 0x6911fbbfb1e6ae7cULL},
+    {"QueryService count session=0 eps=0.01", 0x929bbd773f0f45e5ULL},
+    {"QueryService count session=0 eps=1", 0x6393e18ebaabf111ULL},
+    {"QueryService count session=1 eps=0.01", 0xa6ae649c4f514654ULL},
+    {"QueryService count session=1 eps=1", 0x98b0daa90b7d56a8ULL},
+    {"Suppress tau=10 d=100 eps=0.01 sparse", 0xb00ff0f33b770315ULL},
+    {"Suppress tau=10 d=100 eps=0.01 spiky", 0x7e91db68f1c82892ULL},
+    {"Suppress tau=10 d=100 eps=1 sparse", 0x37b2e0460353c637ULL},
+    {"Suppress tau=10 d=100 eps=1 spiky", 0xb68174835d351cd8ULL},
+    {"Suppress tau=10 d=1024 eps=0.01 sparse", 0x6023b5a91fd75a7eULL},
+    {"Suppress tau=10 d=1024 eps=0.01 spiky", 0x12dd4dcd814a595fULL},
+    {"Suppress tau=10 d=1024 eps=1 sparse", 0xa6e2d09d6dcc8a4aULL},
+    {"Suppress tau=10 d=1024 eps=1 spiky", 0x8af636d2294cad86ULL},
+    {"Suppress tau=10 d=4096 eps=0.01 sparse", 0x7103bee1820edd27ULL},
+    {"Suppress tau=10 d=4096 eps=0.01 spiky", 0xf4dc317f00ed2f87ULL},
+    {"Suppress tau=10 d=4096 eps=1 sparse", 0xa33d7f139bb83052ULL},
+    {"Suppress tau=10 d=4096 eps=1 spiky", 0x5073a620d725b172ULL},
 };
 
 TEST(ReleaseGoldenTest, EveryReleaseBitMatchesTheRecordedHash) {
   const std::map<std::string, uint64_t> actual = ComputeHashes();
-  ASSERT_EQ(actual.size(), 9u * 12u);
+  ASSERT_EQ(actual.size(), 18u * 12u + 4u);
   for (const auto& [key, hash] : actual) {
     const auto it = kGoldens.find(key);
     char line[128];

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "src/common/check.h"
@@ -124,6 +125,8 @@ TEST(BuildingSimTest, ValidatesConfig) {
   cfg = BuildingSimConfig{};
   cfg.resident_fraction = 0.0;
   EXPECT_FALSE(SimulateBuilding(cfg).ok());
+  cfg.resident_fraction = std::nan("");
+  EXPECT_FALSE(SimulateBuilding(cfg).ok());
 }
 
 TEST(BuildingSimTest, ApGraphIsSymmetricAndConnectedish) {
@@ -197,6 +200,7 @@ TEST(ApPolicyTest, CalibrationValidates) {
   EXPECT_FALSE(CalibrateApPolicy({}, 64, 0.5).ok());
   EXPECT_FALSE(CalibrateApPolicy(sim.trajectories, 64, 0.0).ok());
   EXPECT_FALSE(CalibrateApPolicy(sim.trajectories, 64, 1.0).ok());
+  EXPECT_FALSE(CalibrateApPolicy(sim.trajectories, 64, std::nan("")).ok());
 }
 
 TEST(ApPolicyTest, ApHourBinSensitivity) {
