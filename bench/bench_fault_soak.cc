@@ -41,19 +41,14 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/benchdata/table_gen.h"
 #include "src/common/cancel.h"
 #include "src/common/fault.h"
-#include "src/common/random.h"
-#include "src/core/engine.h"
-#include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
 #include "src/eval/table_printer.h"
 #include "src/hist/histogram_query.h"
-#include "src/mech/noise.h"
-#include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/serial_replay.h"
 
 using namespace osdp;
 
@@ -119,7 +114,6 @@ int main() {
   constexpr double kEps = 0.001;
   constexpr uint64_t kRootSeed = 0x50AC;
   const Domain1D age_domain = *Domain1D::Numeric(0, 100, 16);
-  const Policy policy = bench::BenchPolicy();
 
   std::printf("=== fault soak: %zu rounds, %d readers, %zu seed rows ===\n\n",
               rounds, num_readers, seed_rows);
@@ -140,10 +134,8 @@ int main() {
     return count;
   };
   const auto make_ingest_batch = [&](size_t round, int g) {
-    CensusTableOptions opts;
-    opts.num_rows = kIngestRows;
-    opts.seed = 0xC0DE + (round << 8) + static_cast<uint64_t>(g);
-    return MakeCensusTable(opts);
+    return CensusRows(kIngestRows,
+                      0xC0DE + (round << 8) + static_cast<uint64_t>(g));
   };
 
   std::vector<RoundStats> stats;
@@ -153,19 +145,13 @@ int main() {
     rs.round = round;
     rs.fault = spec.point == nullptr ? "none" : spec.point;
 
-    CensusTableOptions topts;
-    topts.num_rows = seed_rows;
-    topts.seed = 0x9A;
-    OsdpEngine::Options eopts;
-    eopts.total_epsilon = 1e6;
     ThreadPool pool(2);
     QueryService::Options sopts;
     sopts.pool = &pool;
     sopts.per_session_epsilon = 1e5;
     sopts.seed = kRootSeed + round;
     sopts.max_concurrent_batches = 2;
-    auto service = *QueryService::Create(
-        *OsdpEngine::Create(MakeCensusTable(topts), policy, eopts), sopts);
+    auto service = *QueryService::Create(CensusEngine(1e6, seed_rows), sopts);
     const double service_total = service->remaining_budget();
 
     std::vector<QueryService::SessionId> sessions;
@@ -174,11 +160,7 @@ int main() {
     }
 
     struct Delivered {
-      uint64_t generation = 0;
-      uint64_t seq = 0;
-      bool is_histogram = false;
-      double count = 0.0;
-      std::vector<double> bins;
+      ServiceAnswer answer;
       int s = 0;
       int q = 0;
     };
@@ -246,18 +228,7 @@ int main() {
               }
               continue;
             }
-            Delivered d;
-            d.generation = r->generation;
-            d.seq = r->seq;
-            d.s = s;
-            d.q = qids[k];
-            if (r->histogram.has_value()) {
-              d.is_histogram = true;
-              d.bins = r->histogram->counts();
-            } else {
-              d.count = r->count;
-            }
-            delivered[s].push_back(std::move(d));
+            delivered[s].push_back(Delivered{*r, s, qids[k]});
             delivered_us[s].push_back(r->server_duration_micros);
             delivered_eps[s] += kEps;
           }
@@ -284,18 +255,7 @@ int main() {
         Violation("QUIESCENT TAIL FAILED", round, result.status().ToString());
         continue;
       }
-      Delivered d;
-      d.generation = result->generation;
-      d.seq = result->seq;
-      d.s = s;
-      d.q = q;
-      if (result->histogram.has_value()) {
-        d.is_histogram = true;
-        d.bins = result->histogram->counts();
-      } else {
-        d.count = result->count;
-      }
-      delivered[s].push_back(std::move(d));
+      delivered[s].push_back(Delivered{*result, s, q});
       delivered_us[s].push_back(result->server_duration_micros);
       delivered_eps[s] += kEps;
     }
@@ -353,44 +313,18 @@ int main() {
 
     // ---- Invariant: no torn snapshot — replay every delivery against the
     // final published generation bit-for-bit from the immutable snapshot.
-    CensusTableOptions replay_topts;
-    replay_topts.num_rows = 10;  // only RunMechanism is used, not the data
-    OsdpEngine replay_engine = *OsdpEngine::Create(
-        MakeCensusTable(replay_topts), policy, OsdpEngine::Options{});
     const SnapshotPtr current = service->current_snapshot();
     for (int s = 0; s < num_readers; ++s) {
       for (const Delivered& d : delivered[s]) {
-        if (d.generation != current->generation) continue;
+        if (d.answer.generation != current->generation) continue;
         ++rs.replayed;
-        Rng rng(QueryService::QuerySeed(sopts.seed, sessions[s], d.seq,
-                                        d.generation));
-        const ServiceRequest request = make_query(d.s, d.q);
-        if (d.is_histogram) {
-          const auto& hist = std::get<HistogramRequest>(request);
-          const Histogram xns = *ComputeHistogramMasked(
-              current->table, hist.query, current->non_sensitive);
-          const Histogram x(hist.query.domain.size());
-          const Histogram expected = *replay_engine.RunMechanism(
-              x, xns, kEps, hist.mechanism, rng);
-          if (d.bins != expected.counts()) {
-            Violation("REPLAY DIVERGENCE", round,
-                      "histogram session " + std::to_string(s) + " seq " +
-                          std::to_string(d.seq));
-          }
-        } else {
-          const auto& count = std::get<CountRequest>(request);
-          RowMask matching =
-              CompiledPredicate::Compile(count.where, current->table.schema())
-                  ->EvalMask(current->table);
-          matching.AndWith(current->non_sensitive);
-          const double expected =
-              static_cast<double>(matching.Count()) +
-              DrawOneSided(1, kEps, rng);
-          if (d.count != expected) {
-            Violation("REPLAY DIVERGENCE", round,
-                      "count session " + std::to_string(s) + " seq " +
-                          std::to_string(d.seq));
-          }
+        const Result<ServiceAnswer> expected = ReplayAnswer(
+            current->table, current->non_sensitive, make_query(d.s, d.q),
+            sopts.seed, sessions[s], d.answer.seq, d.answer.generation);
+        if (!expected.ok() || !SameRelease(d.answer, *expected)) {
+          Violation("REPLAY DIVERGENCE", round,
+                    "session " + std::to_string(s) + " seq " +
+                        std::to_string(d.answer.seq));
         }
       }
     }

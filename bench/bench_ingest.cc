@@ -7,9 +7,10 @@
 //   ingest        QueryService::Ingest = append + BuildSnapshot + atomic
 //                 publish. With chunked copy-on-write columns BuildSnapshot
 //                 copies chunk *pointers* plus the O(rows/64) policy-mask
-//                 words — publish cost is flat in the accumulated size, so
-//                 ingest rows/sec should track append rows/sec at every
-//                 batch size (the "publish overhead" column).
+//                 words and no cell, so on this grid's tables (at most 100k
+//                 rows) ingest rows/sec tracks append rows/sec at every
+//                 batch size (the "publish overhead" column). The copy still
+//                 grows with the table (ROADMAP item 7).
 //   mixed         one writer thread ingesting batches while analyst
 //                 sessions stream count queries: ingest rows/sec and
 //                 queries/sec under contention.
@@ -24,7 +25,7 @@
 //     tests/query_service_test.cc pins, exercised here at bench scale;
 //   * publish overhead (ingest_sec / append_sec) at the smallest batch size
 //     must not exceed OSDP_BENCH_MAX_PUBLISH_OVERHEAD (default 1.5; "0"
-//     disables) — the O(batch)-publish regression gate.
+//     disables) — the publish-overhead regression gate.
 //
 // Knobs: OSDP_BENCH_MAX_ROWS caps the ingested-row grid (default 1M; the CI
 // smoke run uses 50000), OSDP_BENCH_THREADS the mixed-phase pool size
@@ -42,30 +43,19 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/benchdata/table_gen.h"
-#include "src/common/random.h"
 #include "src/core/engine.h"
-#include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
 #include "src/data/table_builder.h"
 #include "src/eval/table_printer.h"
-#include "src/mech/noise.h"
 #include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/serial_replay.h"
 
 using namespace osdp;
-using bench::BenchPolicy;
 using bench::NowSec;
 
 namespace {
-
-Table CensusRows(size_t rows, uint64_t seed) {
-  CensusTableOptions opts;
-  opts.num_rows = rows;
-  opts.seed = seed;
-  return MakeCensusTable(opts);
-}
 
 constexpr size_t kSeedRows = 10000;
 constexpr uint64_t kSeedSeed = 0x05D9;
@@ -74,7 +64,7 @@ constexpr uint64_t kRootSeed = 0x16E5;
 OsdpEngine BenchEngine() {
   OsdpEngine::Options eopts;
   eopts.total_epsilon = 1e9;  // throughput bench, not a budget bench
-  return *OsdpEngine::Create(CensusRows(kSeedRows, kSeedSeed), BenchPolicy(),
+  return *OsdpEngine::Create(CensusRows(kSeedRows, kSeedSeed), CensusPolicy(),
                              eopts);
 }
 
@@ -107,7 +97,7 @@ bool SnapshotMatchesRebuild(const Snapshot& snapshot, size_t batch_rows,
     }
   }
   return rebuilt.num_rows() == snapshot.table.num_rows() &&
-         BenchPolicy().NonSensitiveRowMask(rebuilt) == snapshot.non_sensitive;
+         CensusPolicy().NonSensitiveRowMask(rebuilt) == snapshot.non_sensitive;
 }
 
 }  // namespace
@@ -120,7 +110,7 @@ int main() {
       bench::EnvGate("OSDP_BENCH_MAX_PUBLISH_OVERHEAD", 1.5);
 
   std::vector<Measurement> results;
-  const Policy policy = BenchPolicy();
+  const Policy policy = CensusPolicy();
 
   std::printf("=== streaming ingest: rows/sec through the snapshot path ===\n");
   std::printf("(hardware_concurrency=%u; ingested rows capped at %zu)\n\n",
@@ -132,7 +122,7 @@ int main() {
   bool overhead_checked = false;
   for (size_t batch_rows : {size_t{1000}, size_t{10000}, size_t{100000}}) {
     // Cap the generation count so the grid finishes quickly at small batch
-    // sizes (publish itself is O(batch) now, not O(total)).
+    // sizes.
     const size_t total =
         std::min(max_rows, batch_rows * size_t{100});
     if (batch_rows > total) continue;
@@ -187,13 +177,14 @@ int main() {
                  TextTable::Fmt(overhead, 1) + "x"});
 
     // The regression gate runs at the smallest (most publish-heavy) batch
-    // size: before chunked columns this row sat at ~8x; O(batch) publish
-    // keeps it near 1x.
+    // size: before chunked columns this row sat at ~8x; a publish that copies
+    // no cell keeps it near 1x.
     if (!overhead_checked && max_publish_overhead > 0.0 &&
         overhead > max_publish_overhead) {
       std::fprintf(stderr,
                    "PUBLISH-OVERHEAD REGRESSION: %.2fx at %zu-row batches "
-                   "(limit %.2fx) — snapshot publish is no longer O(batch)\n",
+                   "(limit %.2fx) — snapshot publish no longer keeps pace "
+                   "with append\n",
                    overhead, batch_rows, max_publish_overhead);
       return 1;
     }
@@ -227,11 +218,11 @@ int main() {
       batch_tables.push_back(CensusRows(kMixedBatchRows, 0xC000 + g));
     }
 
-    struct Recorded {
-      uint64_t generation;
-      double count;
+    const auto count_query = [&](int s, size_t q) {
+      const int bound = 10 + (7 * s + 13 * static_cast<int>(q)) % 80;
+      return CountRequest{Predicate::Le("age", Value(bound)), kEps};
     };
-    std::vector<std::vector<Recorded>> recorded(kSessions);
+    std::vector<std::vector<ServiceAnswer>> recorded(kSessions);
     std::vector<std::vector<double>> latencies_us(kSessions);
     std::atomic<bool> done{false};
 
@@ -247,12 +238,12 @@ int main() {
       readers.emplace_back([&, s] {
         int q = 0;
         while (!done.load() || q == 0) {  // at least one query each
-          auto answer = service->AnswerCount(
-              sessions[s],
-              Predicate::Le("age", Value(10 + (7 * s + 13 * q) % 80)), kEps);
+          const CountRequest request = count_query(s, q);
+          auto answer =
+              service->AnswerCount(sessions[s], request.where, request.epsilon);
           if (!answer.ok()) std::abort();
-          recorded[s].push_back({answer->generation, answer->count});
           latencies_us[s].push_back(answer->server_duration_micros);
+          recorded[s].push_back(std::move(answer).ValueOrDie());
           ++q;
         }
       });
@@ -284,21 +275,13 @@ int main() {
     size_t queries = 0;
     for (int s = 0; s < kSessions; ++s) {
       for (size_t q = 0; q < recorded[s].size(); ++q) {
-        const Recorded& rec = recorded[s][q];
-        const Table& table = generations[rec.generation];
-        RowMask matching =
-            CompiledPredicate::Compile(
-                Predicate::Le("age",
-                              Value(10 + (7 * s + 13 * static_cast<int>(q)) %
-                                             80)),
-                table.schema())
-                ->EvalMask(table);
-        matching.AndWith(ns_masks[rec.generation]);
-        Rng rng(QueryService::QuerySeed(kRootSeed, sessions[s], q,
-                                        rec.generation));
-        const double expected = static_cast<double>(matching.Count()) +
-                                DrawOneSided(1, kEps, rng);
-        if (rec.count != expected) return Fail("mixed-phase serial replay");
+        const ServiceAnswer& rec = recorded[s][q];
+        const Result<ServiceAnswer> expected = ReplayAnswer(
+            generations[rec.generation], ns_masks[rec.generation],
+            count_query(s, q), kRootSeed, sessions[s], q, rec.generation);
+        if (!expected.ok() || !SameRelease(rec, *expected)) {
+          return Fail("mixed-phase serial replay");
+        }
         ++queries;
       }
     }

@@ -1,11 +1,12 @@
-// OsdpEngine: a policy-bound dataset snapshot plus the mechanism pool. It
+// OsdpEngine: a policy-bound dataset snapshot plus a mechanism pool. It
 // holds no budget, ledger or noise stream: every release that spends ε goes
-// through QueryService (src/runtime/query_service.h), which takes the engine
-// over, charges its two budgets, records the composition ledger of the
-// paper's online setting (Section 7, Theorem 3.3), and seeds each query's own
-// Rng. The mechanisms themselves — EngineMechanism, InputsOf and the one
-// dispatch that runs them — are the catalog in src/mech/histogram_mechanism.h;
-// RunMechanism forwards to it with the engine's pool.
+// through QueryService (src/runtime/query_service.h), which takes over the
+// engine's snapshot, policy and budget, charges its two budgets, records the
+// composition ledger of the paper's online setting (Section 7, Theorem 3.3),
+// and seeds each query's own Rng. The mechanisms themselves — EngineMechanism,
+// InputsOf and the one dispatch that runs them — are the catalog in
+// src/mech/histogram_mechanism.h; RunMechanism forwards to it with the
+// engine's pool, and QueryService calls the catalog with its own.
 
 #ifndef OSDP_CORE_ENGINE_H_
 #define OSDP_CORE_ENGINE_H_

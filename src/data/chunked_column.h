@@ -1,6 +1,6 @@
 // ChunkedColumn: one column's cells stored as a sequence of fixed-size
-// chunks shared by pointer — the copy-on-write substrate behind O(batch)
-// snapshot publish (docs/storage.md).
+// chunks shared by pointer — the copy-on-write substrate that lets a
+// snapshot publish copy no cell (docs/storage.md).
 //
 // Layout invariants, which everything downstream leans on:
 //

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 #include <vector>
 
 namespace osdp {
@@ -211,6 +212,14 @@ Result<Table> ReadCsvTable(const std::string& csv_text) {
   if (rows.empty()) return Status::InvalidArgument("empty CSV");
   if (rows.size() < 2) {
     return Status::InvalidArgument("CSV has a header but no data rows");
+  }
+  // Untrusted headers may repeat a name; Schema requires unique ones.
+  std::unordered_set<std::string> names;
+  for (const std::string& name : rows[0]) {
+    if (!names.insert(name).second) {
+      return Status::InvalidArgument("duplicate column name '" + name +
+                                     "' in CSV header");
+    }
   }
   // Infer each column's type from the data rows: int64 ⊂ double ⊂ string.
   const size_t cols = rows[0].size();

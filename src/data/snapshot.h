@@ -32,8 +32,9 @@ namespace osdp {
 /// Consecutive generations share their tables' chunks (the table copy
 /// inside TableBuilder::BuildSnapshot copies chunk pointers, not cells), so
 /// holding many generations alive costs one table plus a mask per
-/// generation, not one table copy per generation — and cutting a new one is
-/// O(batch), not O(total rows).
+/// generation, not one table copy per generation. Cutting a new one copies
+/// no cell, but it is not O(batch) either: it copies O(rows/4096) chunk
+/// pointers and O(rows/64) mask words (ROADMAP item 7).
 struct Snapshot {
   /// Generation id: 0 for the seed dataset, +1 per ingested batch.
   uint64_t generation = 0;

@@ -3,7 +3,7 @@
 // Columns are ChunkedColumns (src/data/chunked_column.h): sequences of
 // fixed-size chunks shared by pointer. Copying a Table therefore copies
 // chunk pointers, not cells — the copy-on-write property TableBuilder's
-// O(batch) snapshot publish is built on. Appending to a copy never
+// cell-copy-free snapshot publish is built on. Appending to a copy never
 // disturbs the original (full chunks are immutable; a shared tail chunk is
 // privately copied before the first write through the copy).
 

@@ -33,9 +33,8 @@ size_t Domain1D::BinOf(double value) const {
 }
 
 size_t Domain1D::BinOfCategory(int64_t code) const {
-  OSDP_CHECK_MSG(code >= 0 && static_cast<size_t>(code) < size_,
-                 "category " << code << " outside domain of size " << size_);
-  return static_cast<size_t>(code);
+  if (code <= 0) return 0;
+  return std::min(static_cast<size_t>(code), size_ - 1);
 }
 
 std::pair<double, double> Domain1D::BinBounds(size_t i) const {

@@ -36,7 +36,11 @@ class Domain1D {
   /// doubles: NaN clamps to bin 0, so callers may index unchecked.
   size_t BinOf(double value) const;
 
-  /// Bin index of a categorical code; aborts when out of range.
+  /// Bin index of a categorical code. Codes outside [0, size) clamp to the
+  /// nearest edge bin, as BinOf clamps numeric values: a negative code goes
+  /// to bin 0 and a code >= size to bin size - 1. Total, so a column holding
+  /// codes the domain does not name (say, any int column binned with too
+  /// small a Categorical) still accumulates, whatever rows it holds.
   size_t BinOfCategory(int64_t code) const;
 
   /// Inclusive-exclusive bounds of bin i for numeric domains.

@@ -84,27 +84,6 @@ void MaskCache::EvictOverBudget(Shard& shard) {
   }
 }
 
-MaskCache::EntryPtr MaskCache::Lookup(const CompiledPredicate& pred,
-                                      uint64_t generation, size_t rows,
-                                      const RangeScan& scan,
-                                      bool* cache_hit) {
-  return LookupKeyed(pred.Fingerprint(), pred.shared_canonical_key(),
-                     generation, rows, scan, cache_hit);
-}
-
-MaskCache::EntryPtr MaskCache::LookupKeyed(
-    uint64_t fingerprint, std::shared_ptr<const std::string> canonical,
-    uint64_t generation, size_t rows, const RangeScan& scan,
-    bool* cache_hit) {
-  Found found = std::move(LookupManyKeyed(
-      {Clause{fingerprint, std::move(canonical)}}, generation, rows,
-      [&](size_t row_begin, const std::vector<size_t>& /*which*/,
-          const std::vector<RowMask*>& outs) { scan(row_begin, outs[0]); }))[0];
-  if (cache_hit != nullptr) *cache_hit = found.cache_hit;
-  if (found.error != nullptr) std::rethrow_exception(found.error);
-  return std::move(found.entry);
-}
-
 std::vector<MaskCache::Found> MaskCache::LookupMany(
     const std::vector<const CompiledPredicate*>& preds, uint64_t generation,
     size_t rows, const BatchScan& scan) {

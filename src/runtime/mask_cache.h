@@ -30,8 +30,8 @@
 //   * A new generation is not a cold start, though. Ingest only appends and
 //     the policy is fixed, so generation g's rows and non-sensitive bits are
 //     an immutable prefix of every later generation's (docs/storage.md).
-//     Hence a miss for (clause, g) through the extending Lookup first looks
-//     for the newest resident entry of the *same* clause (deep-equal
+//     Hence a miss for (clause, g) through LookupMany first looks for the
+//     newest resident entry of the *same* clause (deep-equal
 //     canonical bytes, never a mere fingerprint match) at an older
 //     generation g' < g whose n_g' rows fit in g's. It builds g's mask by
 //     copying that base's whole words and scanning only rows
@@ -73,11 +73,11 @@
 // last word boundary for an extension — with one scan call, which the
 // service runs as one chunk-at-a-time pass over all of them, and inserts
 // each. A clause repeated in the batch is built once and its repeats count
-// as hits. Counters, entries and hit flags are those of a serial run of
-// Lookup over the same clauses in the same order; Lookup is the one-clause
-// batch. A failure fails only the clauses it touched: a scan's, every clause
-// of its group; an insert's, that clause. The exception is handed back per
-// clause, and nothing is stored for a failed clause.
+// as hits. Counters, entries and hit flags are those of the same clauses
+// looked up one per call, in the same order. A failure fails only the
+// clauses it touched: a scan's, every clause of its group; an insert's, that
+// clause. The exception is handed back per clause, and nothing is stored for
+// a failed clause.
 //
 // Disabled (max_bytes = 0) or for a mask too large for its shard, the
 // lookup returns an *uncached* entry: it holds the freshly computed mask,
@@ -193,11 +193,6 @@ class MaskCache {
     }
   };
 
-  /// Scans rows [row_begin, rows) of a generation into `out` (sized to the
-  /// generation's `rows`), leaving every word before `row_begin` — a
-  /// multiple of 64 — untouched.
-  using RangeScan = std::function<void(size_t row_begin, RowMask* out)>;
-
   /// Scans rows [row_begin, rows) of a generation for several clauses in one
   /// pass: outs[k] (sized `rows`) takes clause which[k], where `which` holds
   /// ascending indices into the batch lookup's clause list. Every word
@@ -255,7 +250,10 @@ class MaskCache {
   using EntryPtr = std::shared_ptr<const Entry>;
 
   /// One clause's identity in a raw-key lookup: `fingerprint` must be the
-  /// hash of `*canonical` under the caller's scheme (see LookupKeyed).
+  /// hash of `*canonical` under the caller's scheme, and `canonical` the
+  /// exact structural identity — a fingerprint match with different
+  /// canonical bytes is a collision: it misses, and it is never a base to
+  /// extend. Tests fabricate clauses to exercise collision handling.
   struct Clause {
     uint64_t fingerprint = 0;
     std::shared_ptr<const std::string> canonical;
@@ -276,49 +274,29 @@ class MaskCache {
   /// every call and stores nothing).
   bool enabled() const { return options_.max_bytes > 0; }
 
-  /// \brief Returns the entry for (`pred`, `generation`), whose table has
-  /// `rows` rows. On a miss, the mask is built from the newest resident
-  /// entry of the same clause at an older generation — its words copied,
-  /// `scan` run from that entry's last word boundary — or, with no such
-  /// entry, by `scan` from row 0; then cached. The caller promises that each
-  /// generation's rows extend every older one's (see "Keying and
-  /// invalidation"). `scan` runs outside all cache locks. `cache_hit`, when
-  /// non-null, reports whether the mask was served from the cache (false on
-  /// every miss, extensions included).
-  EntryPtr Lookup(const CompiledPredicate& pred, uint64_t generation,
-                  size_t rows, const RangeScan& scan,
-                  bool* cache_hit = nullptr);
-
-  /// \brief Lookup for a batch of clauses over one generation, probing each
-  /// once in order. The misses that start at the same row — 0 for a cold
-  /// miss, floor64(base rows) for an extension — share one `scan` call, so
-  /// a batch of new clauses reads the table once; each is then inserted. A
-  /// clause repeated in the call is built once, and its later occurrences
-  /// count as hits, as a serial run of Lookup would see them. Counters and
-  /// every returned entry and hit flag equal those of Lookup called once
-  /// per clause, in order. Failures stay per clause: a throwing scan fails
-  /// the clauses it covers, and a throwing insert (mask_cache/insert) only
-  /// its own clause (with its repeats); neither stores anything.
+  /// \brief Returns the entries for `preds` over `generation`, whose table
+  /// has `rows` rows, probing each clause once in order. A miss is built
+  /// from the newest resident entry of the same clause at an older
+  /// generation — its words copied, the scan run from that entry's last word
+  /// boundary — or, with no such entry, scanned from row 0; then cached. The
+  /// caller promises that each generation's rows extend every older one's
+  /// (see "Keying and invalidation"). The misses that start at the same row
+  /// share one `scan` call, run outside all cache locks, so a batch of new
+  /// clauses reads the table once. A clause repeated in the call is built
+  /// once, and its later occurrences count as hits. Counters and every
+  /// returned entry and hit flag (false on every miss, extensions included)
+  /// equal those of the clauses looked up one per call, in order. Failures
+  /// stay per clause: a throwing scan fails the clauses it covers, and a
+  /// throwing insert (mask_cache/insert) only its own clause (with its
+  /// repeats); neither stores anything.
   std::vector<Found> LookupMany(
       const std::vector<const CompiledPredicate*>& preds, uint64_t generation,
       size_t rows, const BatchScan& scan);
 
-  /// LookupMany by raw keys, as LookupKeyed is Lookup by one.
+  /// LookupMany by raw keys (see Clause).
   std::vector<Found> LookupManyKeyed(const std::vector<Clause>& clauses,
                                      uint64_t generation, size_t rows,
                                      const BatchScan& scan);
-
-  /// \brief The raw-key form: `fingerprint` must be the hash of `*canonical`
-  /// under the caller's scheme, and `canonical` the exact structural
-  /// identity — a fingerprint match with different canonical bytes is a
-  /// collision: it misses, and it is never a base to extend. This is the
-  /// hook tests use to exercise collision handling with fabricated keys;
-  /// Lookup delegates here, and this is the one-clause LookupManyKeyed,
-  /// rethrowing the clause's exception.
-  EntryPtr LookupKeyed(uint64_t fingerprint,
-                       std::shared_ptr<const std::string> canonical,
-                       uint64_t generation, size_t rows,
-                       const RangeScan& scan, bool* cache_hit = nullptr);
 
   /// Mask-only lookups for callers that read no aggregate: `compute` builds
   /// the whole mask on a miss (never an extension). The returned pointer

@@ -84,16 +84,10 @@ void ParallelEvalMasksInto(const std::vector<const CompiledPredicate*>& preds,
                });
 }
 
-void ParallelEvalMaskInto(const CompiledPredicate& pred, const Table& table,
-                          size_t row_begin, RowMask* out,
-                          const ParallelScanOptions& opts) {
-  ParallelEvalMasksInto({&pred}, table, row_begin, {out}, opts);
-}
-
 RowMask ParallelEvalMask(const CompiledPredicate& pred, const Table& table,
                          const ParallelScanOptions& opts) {
   RowMask out(table.num_rows());
-  ParallelEvalMaskInto(pred, table, /*row_begin=*/0, &out, opts);
+  ParallelEvalMasksInto({&pred}, table, /*row_begin=*/0, {&out}, opts);
   return out;
 }
 

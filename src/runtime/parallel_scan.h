@@ -66,20 +66,14 @@ struct ParallelScanOptions {
 RowMask ParallelEvalMask(const CompiledPredicate& pred, const Table& table,
                          const ParallelScanOptions& opts = {});
 
-/// ParallelEvalMask over rows [row_begin, table.num_rows()) only, written
-/// into `out` (sized table.num_rows()); words before row_begin, which must
-/// be a multiple of 64, are left untouched. The one-predicate case of
-/// ParallelEvalMasksInto.
-void ParallelEvalMaskInto(const CompiledPredicate& pred, const Table& table,
-                          size_t row_begin, RowMask* out,
-                          const ParallelScanOptions& opts = {});
-
-/// ParallelEvalMaskInto for many predicates in one shared pass: each shard
-/// runs CompiledPredicate's many-predicate EvalRangeInto over its rows, so a
-/// chunk's cells are read once and evaluated for every predicate while they
-/// are still in cache. preds[i] writes outs[i]. With num_shards = 0 there
-/// is at least one shard per predicate. Every word equals preds[i]'s own
-/// ParallelEvalMaskInto.
+/// ParallelEvalMask for many predicates in one shared pass over rows
+/// [row_begin, table.num_rows()) only: preds[i] writes outs[i] (sized
+/// table.num_rows()), and words before row_begin, which must be a multiple
+/// of 64, are left untouched. Each shard runs CompiledPredicate's
+/// many-predicate EvalRangeInto over its rows, so a chunk's cells are read
+/// once and evaluated for every predicate while they are still in cache.
+/// With num_shards = 0 there is at least one shard per predicate. Every word
+/// equals preds[i]'s own ParallelEvalMask.
 void ParallelEvalMasksInto(const std::vector<const CompiledPredicate*>& preds,
                            const Table& table, size_t row_begin,
                            const std::vector<RowMask*>& outs,

@@ -155,34 +155,26 @@ QueryService::MetricsHandles QueryService::ResolveMetrics(
   return m;
 }
 
-QueryService::QueryService(OsdpEngine engine, TableBuilder builder,
+QueryService::QueryService(const OsdpEngine& engine, TableBuilder builder,
                            Options options)
-    : engine_(std::move(engine)),
+    : policy_(engine.policy()),
       options_(options),
       metrics_(options.metrics_enabled && obs::MetricsEnabledFromEnv()),
       traces_(options.trace_ring_capacity),
       m_(ResolveMetrics(&metrics_)),
-      service_budget_(engine_.options().total_epsilon),
+      service_budget_(engine.options().total_epsilon),
       mask_cache_(MaskCache::Options{
           options.mask_cache_bytes, MaskCache::Options{}.num_shards,
           m_.cache_hits, m_.cache_misses, m_.cache_evictions,
           m_.cache_aggregate_hits, m_.cache_aggregate_misses,
           m_.cache_extensions}),
-      store_(engine_.snapshot()),
+      store_(engine.snapshot()),
       builder_(std::move(builder)) {
-  // Route the mechanisms' deterministic stages (interval-cost engine build,
-  // hierarchical consistency passes) onto the service pool. Noise stays on
-  // each query's own Rng, so serial replay engines — which keep the default
-  // null pool — still reproduce every answer bit-for-bit.
-  engine_.set_mech_pool(options_.pool != nullptr ? options_.pool
-                                                 : &ThreadPool::Default());
   if (metrics_.enabled()) {
     // Light up the pool's own telemetry alongside ours. Enabling is one-way
     // here on purpose: a metrics-off service sharing a pool with a
     // metrics-on one must not silently switch the shared telemetry off.
-    ThreadPool& pool =
-        options_.pool != nullptr ? *options_.pool : ThreadPool::Default();
-    pool.set_metrics_enabled(true);
+    pool().set_metrics_enabled(true);
   }
 }
 
@@ -201,7 +193,7 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(OsdpEngine engine,
       TableBuilder builder,
       TableBuilder::FromSnapshot(*engine.snapshot(), engine.policy()));
   return std::unique_ptr<QueryService>(
-      new QueryService(std::move(engine), std::move(builder), options));
+      new QueryService(engine, std::move(builder), options));
 }
 
 QueryService::SessionId QueryService::OpenSession(const std::string& analyst) {
@@ -590,10 +582,14 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
           span->Mark(obs::Stage::kAccumulate, obs::NowNs()));
     }
 
+    // The mechanisms' deterministic stages (interval-cost engine build,
+    // hierarchical consistency passes) run on the service pool. Noise stays
+    // on the query's own Rng, so a serial replay with no pool reproduces
+    // every answer bit for bit.
     OSDP_FAULT_POINT("mechanism/run");
-    Result<Histogram> released = engine_.RunMechanism(
+    Result<Histogram> released = RunMechanism(
         x != nullptr ? *x : *zeros, xns != nullptr ? *xns : *zeros,
-        prepared->epsilon, prepared->mechanism, rng);
+        prepared->epsilon, prepared->mechanism, &pool(), rng);
     // A refused release costs nothing: the reservation is still held, so the
     // prepared request's destruction refunds both budgets — no hand-rolled
     // refund path to forget.
@@ -627,7 +623,7 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
   // delivered and the charge is permanent.
   prepared->control.ThrowIfAborted();
   prepared->reservation.Commit();
-  ledger_.Record(engine_.policy(), prepared->epsilon,
+  ledger_.Record(policy_, prepared->epsilon,
                  std::move(prepared->label), snap.generation);
   // Metadata only, stamped after every answer bit is final: the duration can
   // never feed back into the released value (the bit-identity twin tests
@@ -775,10 +771,8 @@ std::vector<Result<ServiceAnswer>> QueryService::AnswerBatch(
   // slot here, so one query can never take down the batch; resetting the
   // slot's PreparedRequest immediately after refunds an uncommitted
   // reservation promptly rather than at end of batch.
-  ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : ThreadPool::Default();
   try {
-    pool.ParallelForBlocked(0, batch.size(), 1, [&](size_t lo, size_t hi) {
+    pool().ParallelForBlocked(0, batch.size(), 1, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
         if (!prepared[i].has_value()) continue;
         try {
@@ -864,8 +858,7 @@ obs::MetricsSnapshot QueryService::MetricsSnapshot() const {
 
   // Pool telemetry lives in the pool (it may be shared across services);
   // merge it into the scrape under pool.*.
-  ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : ThreadPool::Default();
+  const ThreadPool& pool = this->pool();
   const ThreadPool::Stats ps = pool.stats();
   snap.counters.push_back({"pool.tasks_submitted", ps.tasks_submitted});
   snap.counters.push_back({"pool.tasks_executed", ps.tasks_executed});

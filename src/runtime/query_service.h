@@ -1,9 +1,10 @@
 // QueryService: the concurrent, multi-session query-answering front-end over
 // an OsdpEngine's dataset — the paper's "online setting" (Section 7) at
 // service scale, over a *streaming* dataset. It is the only code that spends
-// ε: the engine it takes over is a stateless mechanism catalog, and every
-// count, histogram and OsdpRR sample release is charged here. A serial
-// caller is a one-session service over an inline ThreadPool(0).
+// ε: it keeps the engine's policy and budget, runs the mechanism catalog
+// (src/mech/histogram_mechanism.h) on its own pool, and charges every count,
+// histogram and OsdpRR sample release here. A serial caller is a one-session
+// service over an inline ThreadPool(0).
 //
 // Many analyst sessions submit batches of predicate-count, histogram and
 // sample queries concurrently while a writer appends row batches through
@@ -23,8 +24,10 @@
 //     published by atomic pointer swap (src/data/snapshot_store.h). The
 //     snapshot's table shares all chunks with the builder's (chunked
 //     copy-on-write columns, src/data/chunked_column.h), so an Ingest costs
-//     O(batch) in cell work regardless of how many rows have accumulated —
-//     publish itself is chunk-pointer and mask-word copies only.
+//     O(batch) in cell work regardless of how many rows have accumulated.
+//     Publish itself is not O(batch): it copies O(rows/4096) chunk pointers
+//     and O(rows/64) mask words, about 12, 80 and 580 µs at 1M, 4M and 16M
+//     rows (ROADMAP item 7).
 //   * Every AnswerBatch captures the current snapshot once, at submission,
 //     and answers the whole batch against it — a query submitted before a
 //     swap never observes rows or mask bits from a later generation, and a
@@ -100,7 +103,7 @@
 //     an ε that is not a positive finite number, are caught during
 //     validation, before any reservation.
 //
-// The service takes ownership of the engine and spends its total_epsilon,
+// The service takes over the engine's snapshot, policy and total_epsilon,
 // making it the dataset's single accounting authority: there is no aliased
 // path that could spend the same ε twice.
 
@@ -277,10 +280,10 @@ class QueryService {
     std::optional<CancelToken> cancel;
   };
 
-  /// Takes ownership of `engine`; its total_epsilon becomes the service-wide
-  /// lifetime budget and its snapshot becomes generation 0 of the streaming
-  /// dataset. InvalidArgument unless per_session_epsilon is positive and
-  /// finite.
+  /// Takes over `engine`: its total_epsilon becomes the service-wide
+  /// lifetime budget, its snapshot generation 0 of the streaming dataset,
+  /// and its policy the one every release is recorded under. InvalidArgument
+  /// unless per_session_epsilon is positive and finite.
   static Result<std::unique_ptr<QueryService>> Create(OsdpEngine engine,
                                                       Options options);
 
@@ -368,7 +371,7 @@ class QueryService {
 
   /// The thread-safe composition ledger: the one record of every successful
   /// release (its ε, "<kind> (<analyst>)" label and the generation it was
-  /// charged against), with the engine's policy stored once.
+  /// charged against), with the policy stored once.
   const SharedLedger& ledger() const { return ledger_; }
 
   /// Mask-cache counters {hits, misses, evictions, bytes, entries,
@@ -426,7 +429,14 @@ class QueryService {
   // One validated, budget-reserved query awaiting execution.
   struct PreparedRequest;
 
-  QueryService(OsdpEngine engine, TableBuilder builder, Options options);
+  QueryService(const OsdpEngine& engine, TableBuilder builder,
+               Options options);
+
+  // The pool scans, batches and mechanisms run on: Options::pool, or
+  // ThreadPool::Default().
+  ThreadPool& pool() const {
+    return options_.pool != nullptr ? *options_.pool : ThreadPool::Default();
+  }
 
   std::shared_ptr<Session> FindSession(SessionId session) const;
 
@@ -541,7 +551,7 @@ class QueryService {
   };
   static MetricsHandles ResolveMetrics(obs::MetricsRegistry* registry);
 
-  OsdpEngine engine_;
+  Policy policy_;
   Options options_;
   // Declared before mask_cache_ so the cache can be wired to the registry's
   // counter cells at construction. Mutable: snapshotting/refreshing gauges

@@ -213,7 +213,7 @@ TEST(ChunkedTableTest, AlignedSelfAppendSharesOwnChunks) {
   ASSERT_EQ(t.num_rows(), 4 * kChunkRows);
 
   // Doubling a chunk-aligned table is pointer adoption: the second half's
-  // chunks ARE the first half's — O(batch) means zero cell copies here.
+  // chunks ARE the first half's — a publish makes zero cell copies here.
   const auto& age = t.Int64Column(0);
   ASSERT_EQ(age.num_chunks(), 4u);
   ASSERT_EQ(age.ChunkIdentity(2), age.ChunkIdentity(0));

@@ -66,6 +66,14 @@ TEST(CsvTest, MalformedInputsRejected) {
   EXPECT_FALSE(ReadCsvTable("a\nx\"y\n").ok());         // quote mid-field
 }
 
+TEST(CsvTest, DuplicateHeaderNameRejected) {
+  const Result<Table> t = ReadCsvTable("a,a\n1,2\n");
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(t.status().message().find("'a'"), std::string::npos)
+      << t.status().ToString();
+}
+
 TEST(CsvTest, CrLfAndBlankLinesTolerated) {
   Table t = *ReadCsvTable("a\r\n1\r\n\r\n2\r\n");
   EXPECT_EQ(t.num_rows(), 2u);

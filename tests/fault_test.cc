@@ -19,39 +19,17 @@
 
 #include <gtest/gtest.h>
 
-#include "src/benchdata/table_gen.h"
 #include "src/common/cancel.h"
 #include "src/common/fault.h"
-#include "src/common/random.h"
-#include "src/core/engine.h"
-#include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
 #include "src/hist/histogram_query.h"
 #include "src/mech/histogram_mechanism.h"
-#include "src/mech/noise.h"
-#include "src/policy/policy.h"
-#include "src/runtime/parallel_scan.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/serial_replay.h"
 
 namespace osdp {
 namespace {
-
-Policy TestPolicy() {
-  return Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "opt_out_or_minor");
-}
-
-OsdpEngine TestEngine(double total_epsilon, size_t rows = 1000) {
-  CensusTableOptions topts;
-  topts.num_rows = rows;
-  topts.seed = 0x9A;
-  OsdpEngine::Options opts;
-  opts.total_epsilon = total_epsilon;
-  return *OsdpEngine::Create(MakeCensusTable(topts), TestPolicy(), opts);
-}
 
 bool MentionsPoint(const Status& status, const std::string& point) {
   return status.message().find(point) != std::string::npos;
@@ -178,7 +156,7 @@ struct ServiceFixture {
   explicit ServiceFixture(QueryService::Options opts = {},
                           double total_epsilon = 100.0, size_t rows = 1000) {
     opts.pool = &pool;
-    service = *QueryService::Create(TestEngine(total_epsilon, rows), opts);
+    service = *QueryService::Create(CensusEngine(total_epsilon, rows), opts);
     session = service->OpenSession("alice");
     initial_service_budget = service->remaining_budget();
     initial_session_budget = *service->session_remaining(session);
@@ -218,15 +196,13 @@ TEST_F(FaultTest, MaskCacheInsertFaultRefundsAndLeavesCacheIntact) {
   // its *recorded* seq reproduces it bit for bit.
   EXPECT_EQ(miss->seq, 1u);
   EXPECT_EQ(hit->seq, 2u);
-  const Table& data = fix.service->current_snapshot()->table;
-  RowMask matching =
-      CompiledPredicate::Compile(pred, data.schema())->EvalMask(data);
-  matching.AndWith(fix.service->current_snapshot()->non_sensitive);
-  const double true_count = static_cast<double>(matching.Count());
+  const SnapshotPtr snap = fix.service->current_snapshot();
   for (const auto* answer : {&*miss, &*hit}) {
-    Rng rng(QueryService::QuerySeed(QueryService::Options{}.seed, fix.session,
-                                    answer->seq, answer->generation));
-    EXPECT_EQ(answer->count, true_count + DrawOneSided(1, 0.1, rng))
+    EXPECT_TRUE(SameRelease(
+        *answer, *ReplayAnswer(snap->table, snap->non_sensitive,
+                               CountRequest{pred, 0.1},
+                               QueryService::Options{}.seed, fix.session,
+                               answer->seq, answer->generation)))
         << "seq " << answer->seq;
   }
 }
@@ -294,30 +270,23 @@ TEST_F(FaultTest, MaskCacheAttachFaultRefundsAndLeavesEntryUsable) {
   }
   EXPECT_EQ(fix.service->cache_stats().entries, 1u);
   const SnapshotPtr snap = fix.service->current_snapshot();
-  RowMask matching = CompiledPredicate::Compile(pred, snap->table.schema())
-                         ->EvalMask(snap->table);
-  matching.AndWith(snap->non_sensitive);
-  const Histogram xns =
-      *ComputeHistogramMasked(snap->table, query, snap->non_sensitive);
+  const auto replays = [&](const ServiceAnswer& answer,
+                           const ServiceRequest& request) {
+    return SameRelease(
+        answer, *ReplayAnswer(snap->table, snap->non_sensitive, request,
+                              QueryService::Options{}.seed, fix.session,
+                              answer.seq, answer.generation));
+  };
   for (int repeat = 0; repeat < 2; ++repeat) {
     auto count = fix.service->AnswerCount(fix.session, pred, 0.1);
     ASSERT_TRUE(count.ok()) << count.status().ToString();
     EXPECT_TRUE(count->cache_hit);
-    Rng count_rng(QueryService::QuerySeed(QueryService::Options{}.seed,
-                                          fix.session, count->seq,
-                                          count->generation));
-    EXPECT_EQ(count->count, static_cast<double>(matching.Count()) +
-                                DrawOneSided(1, 0.1, count_rng));
+    EXPECT_TRUE(replays(*count, CountRequest{pred, 0.1}));
     auto hist = fix.service->AnswerHistogram(fix.session, query, 0.1,
                                              EngineMechanism::kOsdpLaplaceL1);
     ASSERT_TRUE(hist.ok()) << hist.status().ToString();
-    Rng hist_rng(QueryService::QuerySeed(QueryService::Options{}.seed,
-                                         fix.session, hist->seq,
-                                         hist->generation));
-    EXPECT_EQ(hist->histogram->counts(),
-              RunMechanism(xns, xns, 0.1, EngineMechanism::kOsdpLaplaceL1,
-                           nullptr, hist_rng)
-                  ->counts());
+    EXPECT_TRUE(replays(
+        *hist, HistogramRequest{query, 0.1, EngineMechanism::kOsdpLaplaceL1}));
   }
   const MaskCache::Stats stats = fix.service->cache_stats();
   EXPECT_EQ(stats.aggregate_misses, 4u);  // two faulted, two stored
@@ -403,19 +372,12 @@ TEST_F(FaultTest, BatchChunkFaultRefundsEveryUnexecutedSlot) {
 
 // ------------------------------------------------- ingest failure windows ---
 
-Table MakeBatch(uint64_t seed, size_t rows = 64) {
-  CensusTableOptions opts;
-  opts.num_rows = rows;
-  opts.seed = seed;
-  return MakeCensusTable(opts);
-}
-
 TEST_F(FaultTest, IngestAppendFaultDropsTheBatchWhole) {
   ServiceFixture fix;
   const size_t rows_before = fix.service->num_rows();
   {
     ScopedFault fault("ingest/append", {1, 0, 1});
-    auto result = fix.service->Ingest(MakeBatch(0xA1));
+    auto result = fix.service->Ingest(CensusRows(64, 0xA1));
     ASSERT_FALSE(result.ok());
     EXPECT_TRUE(MentionsPoint(result.status(), "ingest/append"))
         << result.status().ToString();
@@ -423,7 +385,7 @@ TEST_F(FaultTest, IngestAppendFaultDropsTheBatchWhole) {
   // Nothing published, nothing appended: the failed batch's rows are gone.
   EXPECT_EQ(fix.service->current_generation(), 0u);
   EXPECT_EQ(fix.service->num_rows(), rows_before);
-  auto next = fix.service->Ingest(MakeBatch(0xA2, 50));
+  auto next = fix.service->Ingest(CensusRows(50, 0xA2));
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_EQ(*next, 1u);
   EXPECT_EQ(fix.service->num_rows(), rows_before + 50);
@@ -436,7 +398,7 @@ TEST_F(FaultTest, IngestPublishFaultDefersRowsToTheNextGeneration) {
   const size_t rows_before = fix.service->num_rows();
   {
     ScopedFault fault("ingest/publish", {1, 0, 1});
-    auto result = fix.service->Ingest(MakeBatch(0xB1, 64));
+    auto result = fix.service->Ingest(CensusRows(64, 0xB1));
     ASSERT_FALSE(result.ok());
     EXPECT_TRUE(MentionsPoint(result.status(), "ingest/publish"))
         << result.status().ToString();
@@ -445,18 +407,18 @@ TEST_F(FaultTest, IngestPublishFaultDefersRowsToTheNextGeneration) {
   // appended, so they ride along with the next successful ingest.
   EXPECT_EQ(fix.service->current_generation(), 0u);
   EXPECT_EQ(fix.service->num_rows(), rows_before);
-  auto next = fix.service->Ingest(MakeBatch(0xB2, 50));
+  auto next = fix.service->Ingest(CensusRows(50, 0xB2));
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_EQ(*next, 1u) << "generation ids have no holes";
   EXPECT_EQ(fix.service->num_rows(), rows_before + 64 + 50);
 
   // The deferred generation is fully classified: a huge-ε COUNT(True) pins
   // the non-sensitive row count of the combined table.
-  Table combined = MakeBatch(0x9A, 1000);  // TestEngine's seed table
-  ASSERT_TRUE(combined.AppendRows(MakeBatch(0xB1, 64)).ok());
-  ASSERT_TRUE(combined.AppendRows(MakeBatch(0xB2, 50)).ok());
+  Table combined = CensusRows(1000, 0x9A);  // CensusEngine's seed table
+  ASSERT_TRUE(combined.AppendRows(CensusRows(64, 0xB1)).ok());
+  ASSERT_TRUE(combined.AppendRows(CensusRows(50, 0xB2)).ok());
   const double ns_count =
-      static_cast<double>(TestPolicy().NonSensitiveRowMask(combined).Count());
+      static_cast<double>(CensusPolicy().NonSensitiveRowMask(combined).Count());
   auto pinned =
       fix.service->AnswerCount(fix.session, Predicate::True(), 80.0);
   ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
@@ -505,7 +467,7 @@ TEST_F(FaultTest, SoakFaultsOverloadDeadlinesAndIngestPreserveInvariants) {
     opts.per_session_epsilon = 50.0;
     opts.seed = kRootSeed;
     opts.max_concurrent_batches = 2;  // 4 reader threads: shedding happens
-    auto service = *QueryService::Create(TestEngine(500.0, kSeedRows), opts);
+    auto service = *QueryService::Create(CensusEngine(500.0, kSeedRows), opts);
     const double service_total = service->remaining_budget();
 
     std::vector<QueryService::SessionId> sessions;
@@ -514,11 +476,7 @@ TEST_F(FaultTest, SoakFaultsOverloadDeadlinesAndIngestPreserveInvariants) {
     }
 
     struct Delivered {
-      uint64_t generation = 0;
-      uint64_t seq = 0;
-      bool is_histogram = false;
-      double count = 0.0;
-      std::vector<double> bins;
+      ServiceAnswer answer;
       int s = 0;
       int q = 0;
     };
@@ -554,7 +512,7 @@ TEST_F(FaultTest, SoakFaultsOverloadDeadlinesAndIngestPreserveInvariants) {
       // published snapshot is never torn — which the replay leg below
       // verifies against the service's own final generation.
       for (int g = 0; g < kIngests; ++g) {
-        auto result = service->Ingest(MakeBatch(0xC0DE + g, 41));
+        auto result = service->Ingest(CensusRows(41, 0xC0DE + g));
         if (!result.ok()) {
           EXPECT_EQ(result.status().code(), StatusCode::kInternal)
               << result.status().ToString();
@@ -600,18 +558,7 @@ TEST_F(FaultTest, SoakFaultsOverloadDeadlinesAndIngestPreserveInvariants) {
               }
               continue;
             }
-            Delivered d;
-            d.generation = r->generation;
-            d.seq = r->seq;
-            d.s = s;
-            d.q = qids[k];
-            if (r->histogram.has_value()) {
-              d.is_histogram = true;
-              d.bins = r->histogram->counts();
-            } else {
-              d.count = r->count;
-            }
-            delivered[s].push_back(std::move(d));
+            delivered[s].push_back(Delivered{*r, s, qids[k]});
             delivered_eps[s] += kEps;
           }
         }
@@ -632,18 +579,7 @@ TEST_F(FaultTest, SoakFaultsOverloadDeadlinesAndIngestPreserveInvariants) {
       tail.push_back(make_query(s, q));
       auto result = std::move(service->AnswerBatch(sessions[s], tail)[0]);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
-      Delivered d;
-      d.generation = result->generation;
-      d.seq = result->seq;
-      d.s = s;
-      d.q = q;
-      if (result->histogram.has_value()) {
-        d.is_histogram = true;
-        d.bins = result->histogram->counts();
-      } else {
-        d.count = result->count;
-      }
-      delivered[s].push_back(std::move(d));
+      delivered[s].push_back(Delivered{*result, s, q});
       delivered_eps[s] += kEps;
     }
 
@@ -685,37 +621,18 @@ TEST_F(FaultTest, SoakFaultsOverloadDeadlinesAndIngestPreserveInvariants) {
     // survive this. (Fault-free cross-generation replay from first
     // principles is covered by the ingest stress harness in
     // query_service_test.cc.)
-    OsdpEngine replay_engine = TestEngine(1.0, 10);
     const SnapshotPtr current = service->current_snapshot();
     size_t replayed = 0;
     for (int s = 0; s < kReaders; ++s) {
       for (const Delivered& d : delivered[s]) {
-        if (d.generation != current->generation) continue;
+        if (d.answer.generation != current->generation) continue;
         ++replayed;
-        Rng rng(QueryService::QuerySeed(kRootSeed, sessions[s], d.seq,
-                                        d.generation));
-        const ServiceRequest request = make_query(d.s, d.q);
-        if (d.is_histogram) {
-          const auto& hist = std::get<HistogramRequest>(request);
-          const Histogram xns = *ComputeHistogramMasked(
-              current->table, hist.query, current->non_sensitive);
-          const Histogram x(hist.query.domain.size());
-          const Histogram expected = *replay_engine.RunMechanism(
-              x, xns, kEps, hist.mechanism, rng);
-          EXPECT_EQ(d.bins, expected.counts())
-              << "histogram diverged: session " << s << " seq " << d.seq;
-        } else {
-          const auto& count = std::get<CountRequest>(request);
-          RowMask matching =
-              CompiledPredicate::Compile(count.where, current->table.schema())
-                  ->EvalMask(current->table);
-          matching.AndWith(current->non_sensitive);
-          const double expected =
-              static_cast<double>(matching.Count()) +
-              DrawOneSided(1, kEps, rng);
-          EXPECT_EQ(d.count, expected)
-              << "count diverged: session " << s << " seq " << d.seq;
-        }
+        EXPECT_TRUE(SameRelease(
+            d.answer,
+            *ReplayAnswer(current->table, current->non_sensitive,
+                          make_query(d.s, d.q), kRootSeed, sessions[s],
+                          d.answer.seq, d.answer.generation)))
+            << "answer diverged: session " << s << " seq " << d.answer.seq;
       }
     }
     EXPECT_GE(replayed, static_cast<size_t>(kReaders));

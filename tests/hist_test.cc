@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "src/common/check.h"
 
@@ -23,6 +26,15 @@ TEST(DomainTest, CategoricalBins) {
   EXPECT_TRUE(d.is_categorical());
   EXPECT_EQ(d.BinOfCategory(0), 0u);
   EXPECT_EQ(d.BinOfCategory(4), 4u);
+}
+
+TEST(DomainTest, CategoricalClampsOutOfRangeCodes) {
+  Domain1D d = Domain1D::Categorical(4);
+  EXPECT_EQ(d.BinOfCategory(-1), 0u);
+  EXPECT_EQ(d.BinOfCategory(std::numeric_limits<int64_t>::min()), 0u);
+  EXPECT_EQ(d.BinOfCategory(4), 3u);
+  EXPECT_EQ(d.BinOfCategory(16), 3u);
+  EXPECT_EQ(d.BinOfCategory(std::numeric_limits<int64_t>::max()), 3u);
 }
 
 TEST(DomainTest, NumericBinning) {
@@ -219,6 +231,16 @@ TEST(HistogramQueryTest, CategoricalOverInt) {
   Histogram h = *ComputeHistogram(t, q);
   EXPECT_DOUBLE_EQ(h[1], 2.0);
   EXPECT_DOUBLE_EQ(h[3], 0.0);  // zero groups reported too
+}
+
+TEST(HistogramQueryTest, CategoricalCodesOutsideTheDomainBinIntoEdgeBins) {
+  Table t(Schema({{"ap", ValueType::kInt64}}));
+  for (int64_t ap : {-7, -1, 0, 2, 3, 4, 16}) {
+    OSDP_CHECK(t.AppendRow({Value(ap)}).ok());
+  }
+  HistogramQuery q{"ap", Domain1D::Categorical(4), std::nullopt};
+  Histogram h = *ComputeHistogram(t, q);
+  EXPECT_EQ(h.counts(), (std::vector<double>{3.0, 0.0, 1.0, 3.0}));
 }
 
 TEST(HistogramQueryTest, StringColumnRejected) {

@@ -23,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/benchdata/table_gen.h"
 #include "src/common/fault.h"
 #include "src/common/random.h"
 #include "src/core/engine.h"
@@ -38,6 +37,7 @@
 #include "src/runtime/parallel_scan.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/serial_replay.h"
 
 namespace osdp {
 namespace {
@@ -56,8 +56,36 @@ std::shared_ptr<const std::string> Canon(const std::string& s) {
   return std::make_shared<const std::string>(s);
 }
 
+// Scans rows [row_begin, rows) of one clause into `out`, leaving the words
+// before `row_begin` untouched.
+using RangeScan = std::function<void(size_t row_begin, RowMask* out)>;
+
+// One clause through LookupManyKeyed: its entry, with the clause's exception
+// rethrown and, when `cache_hit` is non-null, its hit flag reported.
+MaskCache::EntryPtr LookupKeyed(MaskCache& cache, uint64_t fingerprint,
+                                std::shared_ptr<const std::string> canonical,
+                                uint64_t generation, size_t rows,
+                                const RangeScan& scan,
+                                bool* cache_hit = nullptr) {
+  MaskCache::Found found = std::move(cache.LookupManyKeyed(
+      {MaskCache::Clause{fingerprint, std::move(canonical)}}, generation, rows,
+      [&](size_t row_begin, const std::vector<size_t>& /*which*/,
+          const std::vector<RowMask*>& outs) { scan(row_begin, outs[0]); })[0]);
+  if (cache_hit != nullptr) *cache_hit = found.cache_hit;
+  if (found.error != nullptr) std::rethrow_exception(found.error);
+  return found.entry;
+}
+
+// LookupKeyed under `pred`'s own fingerprint and canonical bytes.
+MaskCache::EntryPtr Lookup(MaskCache& cache, const CompiledPredicate& pred,
+                           uint64_t generation, size_t rows,
+                           const RangeScan& scan) {
+  return LookupKeyed(cache, pred.Fingerprint(), pred.shared_canonical_key(),
+                     generation, rows, scan);
+}
+
 // A RangeScan that yields `mask` whole, for lookups that must not extend.
-MaskCache::RangeScan Whole(RowMask mask) {
+RangeScan Whole(RowMask mask) {
   return [mask](size_t row_begin, RowMask* out) {
     EXPECT_EQ(row_begin, 0u) << "a lookup extended an entry it must not";
     *out = mask;
@@ -197,10 +225,7 @@ TEST(MaskCacheTest, TypedLookupSharesEntriesAcrossCommutedSpellings) {
   // The typed API keyed by CompiledPredicate::Fingerprint(): And(a, b)
   // compiled from either spelling resolves to one entry, and the shared
   // mask is bit-identical to what the second spelling would have computed.
-  CensusTableOptions topts;
-  topts.num_rows = 321;
-  topts.seed = 0xCAFE;
-  const Table table = MakeCensusTable(topts);
+  const Table table = CensusRows(321, 0xCAFE);
   const Predicate a = Predicate::Le("age", Value(40));
   const Predicate b = Predicate::Eq("opt_in", Value(1));
   const CompiledPredicate ab =
@@ -244,7 +269,7 @@ constexpr size_t HistogramCharge(size_t bins) { return bins * 8 + 96; }
 TEST(MaskCacheAggregateTest, MemoComputesOncePerEntry) {
   MaskCache cache({1 << 20, 2});
   const auto entry =
-      cache.LookupKeyed(1, Canon("A"), 0, 64, Whole(PatternMask(64, 1)));
+      LookupKeyed(cache, 1, Canon("A"), 0, 64, Whole(PatternMask(64, 1)));
   int count_computes = 0;
   int hist_computes = 0;
   const auto count_of = [&](const MaskCache::Entry& e, size_t value) {
@@ -268,7 +293,7 @@ TEST(MaskCacheAggregateTest, MemoComputesOncePerEntry) {
 
   // A count of zero is a known value, not "unknown".
   const auto other =
-      cache.LookupKeyed(2, Canon("B"), 0, 64, Whole(PatternMask(64, 2)));
+      LookupKeyed(cache, 2, Canon("B"), 0, 64, Whole(PatternMask(64, 2)));
   EXPECT_EQ(count_of(*other, 0), 0u);
   EXPECT_EQ(count_of(*other, 0), 0u);
   EXPECT_EQ(count_computes, 2);
@@ -294,8 +319,8 @@ TEST(MaskCacheAggregateTest, UncachedEntriesRecomputeAndCountNothing) {
   MaskCache disabled({0, 4});
   MaskCache tiny({64, 1});
   for (MaskCache* cache : {&disabled, &tiny}) {
-    const auto entry = cache->LookupKeyed(
-        1, Canon("A"), 0, 10000, Whole(PatternMask(10000, 1)));
+    const auto entry = LookupKeyed(*cache, 1, Canon("A"), 0, 10000,
+                                   Whole(PatternMask(10000, 1)));
     int computes = 0;
     for (int i = 0; i < 2; ++i) {
       cache->NonSensitiveCount(*entry, [&](size_t) {
@@ -322,8 +347,8 @@ TEST(MaskCacheAggregateTest, EvictedEntryTakesItsAggregatesWithIt) {
   MaskCache cache({300, 1});
   int computes = 0;
   const auto lookup = [&](const std::string& key) {
-    return cache.LookupKeyed(std::hash<std::string>{}(key), Canon(key), 0,
-                             64, Whole(PatternMask(64, 7)));
+    return LookupKeyed(cache, std::hash<std::string>{}(key), Canon(key), 0,
+                       64, Whole(PatternMask(64, 7)));
   };
   const auto fill = [&](const MaskCache::Entry& entry) {
     cache.NonSensitiveCount(entry, [&](size_t) {
@@ -358,9 +383,9 @@ TEST(MaskCacheAggregateTest, EvictedEntryTakesItsAggregatesWithIt) {
 
   // Looked up again, A is a fresh entry: both aggregates recompute.
   bool hit = true;
-  const auto again = cache.LookupKeyed(std::hash<std::string>{}("A"),
-                                       Canon("A"), 0,
-                                       64, Whole(PatternMask(64, 7)), &hit);
+  const auto again = LookupKeyed(cache, std::hash<std::string>{}("A"),
+                                 Canon("A"), 0, 64, Whole(PatternMask(64, 7)),
+                                 &hit);
   EXPECT_FALSE(hit);
   fill(*again);
   EXPECT_EQ(computes, 5);
@@ -371,9 +396,9 @@ TEST(MaskCacheAggregateTest, AttachedHistogramBytesCountAndEvictTheLruTail) {
   // 160-byte histogram to the newer one pushes the older one out.
   MaskCache cache({400, 1});
   const auto a =
-      cache.LookupKeyed(1, Canon("A"), 0, 64, Whole(PatternMask(64, 1)));
+      LookupKeyed(cache, 1, Canon("A"), 0, 64, Whole(PatternMask(64, 1)));
   const auto b =
-      cache.LookupKeyed(2, Canon("B"), 0, 64, Whole(PatternMask(64, 2)));
+      LookupKeyed(cache, 2, Canon("B"), 0, 64, Whole(PatternMask(64, 2)));
   EXPECT_EQ(cache.stats().bytes, 2 * kSmallEntryBytes);
 
   cache.AggregateHistogram(*b, BinsKey(8), [](size_t) { return Ramp(8); });
@@ -382,8 +407,7 @@ TEST(MaskCacheAggregateTest, AttachedHistogramBytesCountAndEvictTheLruTail) {
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.bytes, kSmallEntryBytes + HistogramCharge(8));
   bool hit = false;
-  cache.LookupKeyed(2, Canon("B"), 0, 64, Whole(PatternMask(64, 2)),
-                    &hit);
+  LookupKeyed(cache, 2, Canon("B"), 0, 64, Whole(PatternMask(64, 2)), &hit);
   EXPECT_TRUE(hit) << "the entry that grew was evicted instead of the tail";
 
   // A histogram that could never fit beside its entry is served, not stored.
@@ -405,10 +429,7 @@ TEST(MaskCacheAggregateTest, RacingFillsOfOneKeyAgreeBitForBit) {
   // Threads race to fill one entry's count and histogram, each computing
   // through its own shard count. Every thread must see the serial answer,
   // and the entry must end up holding exactly one histogram.
-  CensusTableOptions topts;
-  topts.num_rows = 5000;
-  topts.seed = 0xACE;
-  const Table table = MakeCensusTable(topts);
+  const Table table = CensusRows(5000, 0xACE);
   const RowMask ns =
       CompiledPredicate::Compile(Predicate::Eq("opt_in", Value(1)),
                                  table.schema())
@@ -424,8 +445,8 @@ TEST(MaskCacheAggregateTest, RacingFillsOfOneKeyAgreeBitForBit) {
   const size_t expected_count = expected_mask.Count();
 
   MaskCache cache({1 << 20, 1});
-  const auto entry = cache.Lookup(*prepared.where(), 0, table.num_rows(),
-                                  Whole(prepared.where()->EvalMask(table)));
+  const auto entry = Lookup(cache, *prepared.where(), 0, table.num_rows(),
+                            Whole(prepared.where()->EvalMask(table)));
   const size_t bytes_before = cache.stats().bytes;
 
   constexpr int kThreads = 8;
@@ -477,7 +498,7 @@ TEST(MaskCacheAggregateTest, FailedFillLeavesTheEntryUsable) {
   // as before, and the next request computes again.
   MaskCache cache({1 << 20, 1});
   const auto entry =
-      cache.LookupKeyed(1, Canon("A"), 0, 64, Whole(PatternMask(64, 1)));
+      LookupKeyed(cache, 1, Canon("A"), 0, 64, Whole(PatternMask(64, 1)));
   const size_t bytes_before = cache.stats().bytes;
   int computes = 0;
   const auto count = [&] {
@@ -517,22 +538,6 @@ TEST(MaskCacheAggregateTest, FailedFillLeavesTheEntryUsable) {
 }
 
 // -------------------------------------------------- service-level battery ---
-
-Policy TestPolicy() {
-  return Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "opt_out_or_minor");
-}
-
-OsdpEngine TestEngine(double total_epsilon, size_t rows) {
-  CensusTableOptions topts;
-  topts.num_rows = rows;
-  topts.seed = 0x9A;
-  OsdpEngine::Options opts;
-  opts.total_epsilon = total_epsilon;
-  return *OsdpEngine::Create(MakeCensusTable(topts), TestPolicy(), opts);
-}
 
 // A small pool of distinct requests so random batches repeat queries across
 // sessions; index 1 is a commuted spelling of index 0 (same cache entry).
@@ -575,8 +580,8 @@ MaskCache::Stats RunCachedVsColdTwins(size_t rows, size_t threads,
   uopts.pool = &cold_pool;
   uopts.mask_cache_bytes = 0;
 
-  auto cached = *QueryService::Create(TestEngine(1e7, rows), copts);
-  auto cold = *QueryService::Create(TestEngine(1e7, rows), uopts);
+  auto cached = *QueryService::Create(CensusEngine(1e7, rows), copts);
+  auto cold = *QueryService::Create(CensusEngine(1e7, rows), uopts);
 
   constexpr int kSessions = 3;
   std::vector<QueryService::SessionId> cached_sessions, cold_sessions;
@@ -616,11 +621,9 @@ MaskCache::Stats RunCachedVsColdTwins(size_t rows, size_t threads,
       }
     }
     if (round == 1) {
-      // Move the dataset: both twins publish the identical next generation.
-      CensusTableOptions bopts;
-      bopts.num_rows = 77;  // word-boundary hostile on purpose
-      bopts.seed = 0xB0 + static_cast<uint64_t>(round);
-      const Table batch = MakeCensusTable(bopts);
+      // Move the dataset: both twins publish the identical next generation,
+      // 77 rows (word-boundary hostile on purpose).
+      const Table batch = CensusRows(77, 0xB0 + static_cast<uint64_t>(round));
       EXPECT_EQ(*cached->Ingest(batch), 1u);
       EXPECT_EQ(*cold->Ingest(batch), 1u);
     }
@@ -651,8 +654,8 @@ TEST(MaskCacheServiceTest, GenerationIsolationAfterIngest) {
   // mask would be caught by value, not just by flag.
   QueryService::Options opts;
   opts.per_session_epsilon = 1e7;
-  auto engine = TestEngine(1e8, 200);
-  const Policy policy = TestPolicy();
+  auto engine = CensusEngine(1e8, 200);
+  const Policy policy = CensusPolicy();
   Table accumulated = engine.data();
   auto service = *QueryService::Create(std::move(engine), opts);
   const auto session = service->OpenSession("alice");
@@ -676,10 +679,7 @@ TEST(MaskCacheServiceTest, GenerationIsolationAfterIngest) {
   EXPECT_LE(a2.count, truth0);
   EXPECT_GT(a2.count, truth0 - 1.0);
 
-  CensusTableOptions bopts;
-  bopts.num_rows = 150;
-  bopts.seed = 0xB1;
-  const Table batch = MakeCensusTable(bopts);
+  const Table batch = CensusRows(150, 0xB1);
   ASSERT_EQ(*service->Ingest(batch), 1u);
   ASSERT_TRUE(accumulated.AppendRows(batch).ok());
   const double truth1 = truth(accumulated);
@@ -725,16 +725,11 @@ struct Generations {
 };
 
 Generations TwoGenerations(size_t base, size_t delta, uint64_t seed) {
-  CensusTableOptions opts;
-  opts.num_rows = base;
-  opts.seed = seed;
-  TableBuilder builder = *TableBuilder::Create(MakeCensusTable(opts),
-                                               TestPolicy());
+  TableBuilder builder = *TableBuilder::Create(CensusRows(base, seed),
+                                               CensusPolicy());
   Generations g;
   g.g0 = builder.BuildSnapshot(0);
-  opts.num_rows = delta;
-  opts.seed = seed + 1;
-  EXPECT_TRUE(builder.Append(MakeCensusTable(opts)).ok());
+  EXPECT_TRUE(builder.Append(CensusRows(delta, seed + 1)).ok());
   g.g1 = builder.BuildSnapshot(1);
   return g;
 }
@@ -795,10 +790,10 @@ Served Serve(MaskCache& cache, const Predicate& where, const Snapshot& snap,
   const auto first = [](size_t* slot, size_t row_begin) {
     if (*slot == kNone) *slot = row_begin;
   };
-  const auto entry = cache.Lookup(
-      pred, snap.generation, rows, [&](size_t row_begin, RowMask* mask) {
+  const auto entry = Lookup(
+      cache, pred, snap.generation, rows, [&](size_t row_begin, RowMask* mask) {
         first(&out.scan_begin, row_begin);
-        ParallelEvalMaskInto(pred, table, row_begin, mask, scan);
+        ParallelEvalMasksInto({&pred}, table, row_begin, {mask}, scan);
       });
   out.mask = entry->mask();
   if (reads.count) {
@@ -932,13 +927,13 @@ TEST(MaskCacheExtensionTest, BaseEvictedMidExtensionStillExtendsExactly) {
   // A filler mask whose entry takes most of the shard on its own.
   const RowMask filler((kBudget - 400) * 8);
   size_t scan_begin = kNone;
-  const auto entry = cache.Lookup(
-      pred, 1, rows, [&](size_t row_begin, RowMask* out) {
+  const auto entry = Lookup(
+      cache, pred, 1, rows, [&](size_t row_begin, RowMask* out) {
         scan_begin = row_begin;
         cache.LookupOrComputeKeyed(pred.Fingerprint() + 1, Canon("filler"), 0,
                                    [&] { return filler; });
         EXPECT_EQ(cache.stats().evictions, 1u) << "the base was not evicted";
-        ParallelEvalMaskInto(pred, g.g1->table, row_begin, out, scan);
+        ParallelEvalMasksInto({&pred}, g.g1->table, row_begin, {out}, scan);
       });
   EXPECT_EQ(scan_begin, 4480u);
   EXPECT_EQ(cache.stats().extensions, 1u);
@@ -970,15 +965,15 @@ TEST(MaskCacheExtensionTest, FingerprintCollisionIsNeverABase) {
   // An older entry under the same fingerprint but different canonical bytes
   // is another clause: the lookup scans from row 0 and extends nothing.
   MaskCache cache({1 << 20, 1});
-  const auto older = cache.LookupKeyed(77, Canon("clause A"), 0, 128,
-                                       Whole(PatternMask(128, 1)));
+  const auto older = LookupKeyed(cache, 77, Canon("clause A"), 0, 128,
+                                 Whole(PatternMask(128, 1)));
   cache.NonSensitiveCount(*older, [](size_t) { return size_t{5}; });
   size_t scan_begin = kNone;
-  const auto entry = cache.LookupKeyed(
-      77, Canon("clause B"), 1, 200, [&](size_t row_begin, RowMask* out) {
-        scan_begin = row_begin;
-        *out = PatternMask(200, 2);
-      });
+  const auto entry = LookupKeyed(cache, 77, Canon("clause B"), 1, 200,
+                                 [&](size_t row_begin, RowMask* out) {
+                                   scan_begin = row_begin;
+                                   *out = PatternMask(200, 2);
+                                 });
   EXPECT_EQ(scan_begin, 0u);
   EXPECT_TRUE(entry->mask() == PatternMask(200, 2));
   EXPECT_EQ(cache.NonSensitiveCount(*entry,
@@ -996,8 +991,8 @@ TEST(MaskCacheExtensionTest, OnlyTheNewestOlderGenerationIsABase) {
   MaskCache cache({1 << 20, 1});
   const auto canon = Canon("clause");
   // Generation 5 first, so generation 2 has only a newer entry beside it.
-  cache.LookupKeyed(9, canon, 5, 300, Whole(PatternMask(300, 3)));
-  cache.LookupKeyed(9, canon, 2, 100, Whole(PatternMask(100, 3)));
+  LookupKeyed(cache, 9, canon, 5, 300, Whole(PatternMask(300, 3)));
+  LookupKeyed(cache, 9, canon, 2, 100, Whole(PatternMask(100, 3)));
   size_t scan_begin = kNone;
   const auto record = [&](size_t rows) {
     return [&scan_begin, rows](size_t row_begin, RowMask* out) {
@@ -1009,10 +1004,10 @@ TEST(MaskCacheExtensionTest, OnlyTheNewestOlderGenerationIsABase) {
       }
     };
   };
-  auto entry = cache.LookupKeyed(9, canon, 4, 200, record(200));
+  auto entry = LookupKeyed(cache, 9, canon, 4, 200, record(200));
   EXPECT_EQ(scan_begin, 64u) << "generation 4 did not extend generation 2";
   EXPECT_TRUE(entry->mask() == PatternMask(200, 3));
-  entry = cache.LookupKeyed(9, canon, 6, 450, record(450));
+  entry = LookupKeyed(cache, 9, canon, 6, 450, record(450));
   EXPECT_EQ(scan_begin, 256u) << "generation 6 did not extend generation 5";
   EXPECT_TRUE(entry->mask() == PatternMask(450, 3));
   EXPECT_EQ(cache.stats().extensions, 2u);
@@ -1020,8 +1015,8 @@ TEST(MaskCacheExtensionTest, OnlyTheNewestOlderGenerationIsABase) {
   // The generation decides, not the size: a newer entry that would fit is
   // still never a base.
   MaskCache fresh({1 << 20, 1});
-  fresh.LookupKeyed(9, canon, 5, 100, Whole(PatternMask(100, 3)));
-  fresh.LookupKeyed(9, canon, 4, 100, record(100));
+  LookupKeyed(fresh, 9, canon, 5, 100, Whole(PatternMask(100, 3)));
+  LookupKeyed(fresh, 9, canon, 4, 100, record(100));
   EXPECT_EQ(scan_begin, 0u) << "generation 4 extended generation 5";
   EXPECT_EQ(fresh.stats().extensions, 0u);
 }
@@ -1059,7 +1054,7 @@ MaskCache::BatchScan PatternScan(std::vector<uint64_t> seeds,
   };
 }
 
-MaskCache::RangeScan PatternRange(uint64_t seed) {
+RangeScan PatternRange(uint64_t seed) {
   return [seed](size_t row_begin, RowMask* out) {
     FillPattern(row_begin, seed, out);
   };
@@ -1087,13 +1082,13 @@ TEST(MaskCacheBatchTest, EqualsOneLookupPerClauseInOrder) {
   MaskCache serial({1 << 20, 2});
   for (MaskCache* cache : {&batch, &serial}) {
     for (uint64_t c : {0, 1}) {
-      const auto old = cache->LookupKeyed(
-          KeyOf("c" + std::to_string(c)).fingerprint,
+      const auto old = LookupKeyed(
+          *cache, KeyOf("c" + std::to_string(c)).fingerprint,
           KeyOf("c" + std::to_string(c)).canonical, 0, 100, PatternRange(c));
       cache->NonSensitiveCount(*old, [c](size_t) { return size_t{10 + c}; });
     }
-    cache->LookupKeyed(KeyOf("c2").fingerprint, KeyOf("c2").canonical, 1,
-                       200, PatternRange(2));
+    LookupKeyed(*cache, KeyOf("c2").fingerprint, KeyOf("c2").canonical, 1,
+                200, PatternRange(2));
   }
   // c0 and c1 extend generation 0, c2 hits, c3 and c4 are cold, and the
   // second c0 repeats the first.
@@ -1111,8 +1106,8 @@ TEST(MaskCacheBatchTest, EqualsOneLookupPerClauseInOrder) {
   for (size_t i = 0; i < seeds.size(); ++i) {
     bool hit = false;
     const auto want =
-        serial.LookupKeyed(clauses[i].fingerprint, clauses[i].canonical, 1,
-                           200, PatternRange(seeds[i]), &hit);
+        LookupKeyed(serial, clauses[i].fingerprint, clauses[i].canonical, 1,
+                    200, PatternRange(seeds[i]), &hit);
     ASSERT_NE(found[i].entry, nullptr) << "clause " << i;
     EXPECT_EQ(found[i].error, nullptr) << "clause " << i;
     EXPECT_EQ(found[i].cache_hit, hit) << "clause " << i;
@@ -1163,7 +1158,7 @@ TEST(MaskCacheBatchTest, CollidingKeysNeverShareAnEntryOrABase) {
   const auto key = [](const std::string& canonical) {
     return MaskCache::Clause{42, Canon(canonical)};
   };
-  cache.LookupKeyed(42, Canon("pred A"), 0, 100, PatternRange(1));
+  LookupKeyed(cache, 42, Canon("pred A"), 0, 100, PatternRange(1));
   std::vector<ScanCall> calls;
   const auto found = cache.LookupManyKeyed(
       {key("pred B"), key("pred A"), key("pred C"), key("pred B")}, 1, 200,
@@ -1185,12 +1180,12 @@ TEST(MaskCacheBatchTest, EachStartingRowIsScannedOnce) {
   // A cold miss and extensions from two different bases in one call: one
   // scan per starting row, each covering exactly its clauses.
   MaskCache cache({1 << 20, 2});
-  cache.LookupKeyed(KeyOf("A").fingerprint, KeyOf("A").canonical, 0, 100,
-                    PatternRange(1));
-  cache.LookupKeyed(KeyOf("E").fingerprint, KeyOf("E").canonical, 0, 100,
-                    PatternRange(5));
-  cache.LookupKeyed(KeyOf("B").fingerprint, KeyOf("B").canonical, 1, 300,
-                    PatternRange(2));
+  LookupKeyed(cache, KeyOf("A").fingerprint, KeyOf("A").canonical, 0, 100,
+              PatternRange(1));
+  LookupKeyed(cache, KeyOf("E").fingerprint, KeyOf("E").canonical, 0, 100,
+              PatternRange(5));
+  LookupKeyed(cache, KeyOf("B").fingerprint, KeyOf("B").canonical, 1, 300,
+              PatternRange(2));
   const std::vector<uint64_t> seeds = {1, 2, 3, 4, 5};
   std::vector<ScanCall> calls;
   const auto found = cache.LookupManyKeyed(
@@ -1252,8 +1247,8 @@ TEST(MaskCacheBatchTest, InsertFaultFailsOnlyItsClause) {
   }
   EXPECT_EQ(cache.stats().entries, 2u);
   bool hit = true;
-  cache.LookupKeyed(KeyOf("B").fingerprint, KeyOf("B").canonical, 0, 100,
-                    PatternRange(2), &hit);
+  LookupKeyed(cache, KeyOf("B").fingerprint, KeyOf("B").canonical, 0, 100,
+              PatternRange(2), &hit);
   EXPECT_FALSE(hit) << "the failed insert stored an entry";
 }
 
@@ -1261,8 +1256,8 @@ TEST(MaskCacheBatchTest, ThrowingScanFailsOnlyTheClausesItCovers) {
   // The cold group's scan throws; the extension group's clause is built and
   // cached, and the one-clause Lookup rethrows the same failure.
   MaskCache cache({1 << 20, 2});
-  cache.LookupKeyed(KeyOf("A").fingerprint, KeyOf("A").canonical, 0, 100,
-                    PatternRange(1));
+  LookupKeyed(cache, KeyOf("A").fingerprint, KeyOf("A").canonical, 0, 100,
+              PatternRange(1));
   const auto found = cache.LookupManyKeyed(
       {KeyOf("B"), KeyOf("A"), KeyOf("C")}, 1, 200,
       [](size_t row_begin, const std::vector<size_t>& which,
@@ -1276,11 +1271,11 @@ TEST(MaskCacheBatchTest, ThrowingScanFailsOnlyTheClausesItCovers) {
   ASSERT_EQ(found[1].error, nullptr);
   EXPECT_TRUE(found[1].entry->mask() == PatternMask(200, 1));
   EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_THROW(cache.LookupKeyed(KeyOf("B").fingerprint, KeyOf("B").canonical,
-                                 1, 200,
-                                 [](size_t, RowMask*) {
-                                   throw std::runtime_error("scan failed");
-                                 }),
+  EXPECT_THROW(LookupKeyed(cache, KeyOf("B").fingerprint, KeyOf("B").canonical,
+                           1, 200,
+                           [](size_t, RowMask*) {
+                             throw std::runtime_error("scan failed");
+                           }),
                std::runtime_error);
 }
 

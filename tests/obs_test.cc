@@ -35,16 +35,15 @@
 
 #include <gtest/gtest.h>
 
-#include "src/benchdata/table_gen.h"
 #include "src/common/fault.h"
 #include "src/core/engine.h"
 #include "src/data/predicate.h"
 #include "src/hist/histogram_query.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/serial_replay.h"
 
 // Global allocation counter for the zero-allocation property. Counting only
 // (the semantics stay malloc/free); sized and array forms forward so every
@@ -309,22 +308,6 @@ TEST(MetricsAllocationTest, SteadyStateWritesAllocateNothing) {
 
 // ------------------------------------------------------------ service twins ---
 
-Policy TestPolicy() {
-  return Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "opt_out_or_minor");
-}
-
-OsdpEngine TestEngine(size_t rows = 2000) {
-  CensusTableOptions topts;
-  topts.num_rows = rows;
-  topts.seed = 0x9A;
-  OsdpEngine::Options opts;
-  opts.total_epsilon = 100.0;
-  return *OsdpEngine::Create(MakeCensusTable(topts), TestPolicy(), opts);
-}
-
 std::vector<ServiceRequest> TwinBatch() {
   const Domain1D age_domain = *Domain1D::Numeric(0, 100, 16);
   std::vector<ServiceRequest> batch;
@@ -348,7 +331,7 @@ std::unique_ptr<QueryService> TwinService(ThreadPool* pool,
   opts.seed = 0x717;
   opts.mask_cache_bytes = 8ull << 20;
   opts.metrics_enabled = metrics_enabled;
-  return *QueryService::Create(TestEngine(), opts);
+  return *QueryService::Create(CensusEngine(100.0, 2000), opts);
 }
 
 TEST(MetricsTwinTest, MetricsOnAndOffAnswerBitIdentically) {
@@ -359,10 +342,7 @@ TEST(MetricsTwinTest, MetricsOnAndOffAnswerBitIdentically) {
   EXPECT_FALSE(off->metrics_registry().enabled());
 
   // Same ingest stream, then identical (session, seq) query streams.
-  CensusTableOptions bopts;
-  bopts.num_rows = 57;
-  bopts.seed = 0xB0;
-  const Table extra = MakeCensusTable(bopts);
+  const Table extra = CensusRows(57, 0xB0);
   ASSERT_TRUE(on->Ingest(extra).ok());
   ASSERT_TRUE(off->Ingest(extra).ok());
   const auto s_on = on->OpenSession("twin");
@@ -556,10 +536,7 @@ TEST(MetricsServiceTest, DumpCoversEverySubsystem) {
   ThreadPool pool(2);
   auto service = TwinService(&pool, true);
   const auto session = service->OpenSession("a");
-  CensusTableOptions bopts;
-  bopts.num_rows = 30;
-  bopts.seed = 0xB1;
-  ASSERT_TRUE(service->Ingest(MakeCensusTable(bopts)).ok());
+  ASSERT_TRUE(service->Ingest(CensusRows(30, 0xB1)).ok());
   // A never-firing schedule registers the point so fault.* has a row.
   ScopedFault armed("query/execute", {1ull << 60, 0, 1});
   service->AnswerBatch(session, TwinBatch());
@@ -809,7 +786,7 @@ TEST(MetricsServiceTest, EnvKillSwitchDisablesTelemetry) {
     opts.pool = &pool;
     opts.per_session_epsilon = 10.0;
     opts.metrics_enabled = true;  // env wins
-    auto service = *QueryService::Create(TestEngine(200), opts);
+    auto service = *QueryService::Create(CensusEngine(100.0, 200), opts);
     EXPECT_FALSE(service->metrics_registry().enabled());
   }
   ASSERT_EQ(::setenv("OSDP_METRICS", "1", 1), 0);

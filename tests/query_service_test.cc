@@ -18,39 +18,19 @@
 
 #include <gtest/gtest.h>
 
-#include "src/benchdata/table_gen.h"
 #include "src/common/cancel.h"
 #include "src/common/fault.h"
-#include "src/common/random.h"
 #include "src/core/engine.h"
 #include "src/data/compiled_predicate.h"
 #include "src/data/predicate.h"
 #include "src/hist/histogram_query.h"
 #include "src/mech/histogram_mechanism.h"
-#include "src/mech/noise.h"
-#include "src/mech/osdp_rr.h"
-#include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/serial_replay.h"
 
 namespace osdp {
 namespace {
-
-Policy TestPolicy() {
-  return Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "opt_out_or_minor");
-}
-
-OsdpEngine TestEngine(double total_epsilon, size_t rows = 3000) {
-  CensusTableOptions topts;
-  topts.num_rows = rows;
-  topts.seed = 0x9A;
-  OsdpEngine::Options opts;
-  opts.total_epsilon = total_epsilon;
-  return *OsdpEngine::Create(MakeCensusTable(topts), TestPolicy(), opts);
-}
 
 std::vector<ServiceRequest> TestBatch() {
   const Domain1D age_domain = *Domain1D::Numeric(0, 100, 16);
@@ -82,7 +62,7 @@ TEST(QueryServiceTest, AnswersMatchAcrossThreadAndShardCounts) {
     QueryService::Options opts;
     opts.pool = &pool;
     opts.num_shards = threads == 0 ? 1 : 2 * threads + 1;
-    auto service = *QueryService::Create(TestEngine(10.0), opts);
+    auto service = *QueryService::Create(CensusEngine(10.0), opts);
     const QueryService::SessionId session = service->OpenSession("alice");
 
     std::vector<double> counts;
@@ -111,7 +91,7 @@ TEST(QueryServiceTest, CountMatchesNoiselessTruthWithinNoiseBound) {
   ThreadPool pool(2);
   QueryService::Options opts;
   opts.pool = &pool;
-  auto engine = TestEngine(1000.0);
+  auto engine = CensusEngine(1000.0);
   const Table& data = engine.data();
   const CompiledPredicate compiled = *CompiledPredicate::Compile(
       Predicate::Le("age", Value(40)), data.schema());
@@ -129,7 +109,7 @@ TEST(QueryServiceTest, CountMatchesNoiselessTruthWithinNoiseBound) {
 }
 
 TEST(QueryServiceTest, MalformedQueriesChargeNothing) {
-  auto service = *QueryService::Create(TestEngine(1.0), {});
+  auto service = *QueryService::Create(CensusEngine(1.0), {});
   const auto session = service->OpenSession("alice");
   const double before_service = service->remaining_budget();
   const double before_session = *service->session_remaining(session);
@@ -169,7 +149,7 @@ TEST(QueryServiceTest, MalformedQueriesChargeNothing) {
 TEST(QueryServiceTest, PerSessionBudgetIsEnforcedIndependently) {
   QueryService::Options opts;
   opts.per_session_epsilon = 0.25;
-  auto service = *QueryService::Create(TestEngine(10.0), opts);
+  auto service = *QueryService::Create(CensusEngine(10.0), opts);
   const auto alice = service->OpenSession("alice");
   const auto bob = service->OpenSession("bob");
 
@@ -193,7 +173,7 @@ TEST(QueryServiceTest, ServiceWideBudgetCapsTotalSpendAcrossSessions) {
   // session reservation of the refused query.
   QueryService::Options opts;
   opts.per_session_epsilon = 0.3;
-  auto service = *QueryService::Create(TestEngine(0.5), opts);
+  auto service = *QueryService::Create(CensusEngine(0.5), opts);
   size_t granted = 0;
   std::vector<QueryService::SessionId> sessions;
   for (const char* analyst : {"a", "b", "c"}) {
@@ -222,7 +202,7 @@ TEST(QueryServiceTest, GuaranteeNamesTheEnginePolicyAfterManyDeliveries) {
   // records, so the composed guarantee names that policy itself (same
   // predicate root, same name), and its ε is the ledger's entries summed in
   // record order.
-  OsdpEngine engine = TestEngine(1e6, 300);
+  OsdpEngine engine = CensusEngine(1e6, 300);
   const Policy policy = engine.policy();
   QueryService::Options opts;
   opts.per_session_epsilon = 1e6;
@@ -255,7 +235,7 @@ TEST(QueryServiceTest, GuaranteeNamesTheEnginePolicyAfterManyDeliveries) {
 }
 
 TEST(QueryServiceTest, SessionLifecycle) {
-  auto service = *QueryService::Create(TestEngine(1.0), {});
+  auto service = *QueryService::Create(CensusEngine(1.0), {});
   const auto session = service->OpenSession("alice");
   EXPECT_TRUE(service->CloseSession(session).ok());
   EXPECT_FALSE(service->CloseSession(session).ok());
@@ -269,7 +249,7 @@ TEST(QueryServiceTest, NonFiniteEpsilonIsRejectedWithoutCharge) {
   // every later charge passed) and then abort in the Laplace sampler.
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  auto service = *QueryService::Create(TestEngine(10.0), {});
+  auto service = *QueryService::Create(CensusEngine(10.0), {});
   const auto session = service->OpenSession("alice");
   const double before_service = service->remaining_budget();
   const double before_session = *service->session_remaining(session);
@@ -300,9 +280,42 @@ TEST(QueryServiceTest, NonFiniteEpsilonIsRejectedWithoutCharge) {
   for (double bad : {kNaN, kInf}) {
     QueryService::Options opts;
     opts.per_session_epsilon = bad;
-    EXPECT_EQ(QueryService::Create(TestEngine(1.0, 10), opts).status().code(),
+    EXPECT_EQ(QueryService::Create(CensusEngine(1.0, 10), opts).status().code(),
               StatusCode::kInvalidArgument);
   }
+}
+
+TEST(QueryServiceTest, CategoricalHistogramOverOutOfDomainCodesIsCharged) {
+  // Census ages run 0..99, so Categorical(4) over `age` meets codes outside
+  // the domain in most rows. Whether it does depends on the rows, sensitive
+  // ones included, so it may be neither an abort nor an error: the codes
+  // clamp to the edge bins, and each release is delivered and charged like
+  // any other, and replays.
+  auto service = *QueryService::Create(CensusEngine(10.0), {});
+  const auto session = service->OpenSession("alice");
+  const Domain1D four = Domain1D::Categorical(4);
+  const std::vector<ServiceRequest> batch = {
+      HistogramRequest{HistogramQuery{"age", four, std::nullopt}, 0.5,
+                       EngineMechanism::kLaplace},
+      HistogramRequest{
+          HistogramQuery{"age", four, Predicate::Gt("zip", Value(5000))}, 0.5,
+          EngineMechanism::kOsdpLaplaceL1}};
+  const auto answers = service->AnswerBatch(session, batch);
+  const SnapshotPtr snap = service->current_snapshot();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(answers[i].ok()) << answers[i].status().ToString();
+    ASSERT_TRUE(answers[i]->histogram.has_value());
+    EXPECT_EQ(answers[i]->histogram->size(), 4u);
+    EXPECT_TRUE(SameRelease(
+        *answers[i],
+        *ReplayAnswer(snap->table, snap->non_sensitive, batch[i],
+                      QueryService::Options{}.seed, session, answers[i]->seq,
+                      answers[i]->generation)))
+        << "slot " << i;
+  }
+  EXPECT_NEAR(service->remaining_budget(), 9.0, 1e-12);
+  EXPECT_NEAR(*service->session_remaining(session), 0.0, 1e-12);
+  EXPECT_EQ(service->ledger().size(), 2u);
 }
 
 // ------------------------------------------------------- serial callers ---
@@ -318,7 +331,7 @@ class SerialService {
     QueryService::Options opts;
     opts.pool = &pool_;
     opts.per_session_epsilon = per_session_epsilon;
-    service_ = *QueryService::Create(TestEngine(total_epsilon, rows), opts);
+    service_ = *QueryService::Create(CensusEngine(total_epsilon, rows), opts);
     session_ = service_->OpenSession("serial");
   }
 
@@ -356,7 +369,7 @@ TEST(QueryServiceSerialTest, SampleChargesBothBudgetsAndHoldsOnlyNonSensitive) {
   EXPECT_GT(sample.num_rows(), 0u);
   EXPECT_EQ(sample.snapshot(), s.service().current_snapshot());
   EXPECT_TRUE(sample.mask().IsSubsetOf(
-      TestPolicy().NonSensitiveRowMask(sample.table())));
+      CensusPolicy().NonSensitiveRowMask(sample.table())));
 }
 
 TEST(QueryServiceSerialTest, ExhaustedBudgetRefusesSamplesAndHistograms) {
@@ -406,10 +419,7 @@ TEST(QueryServiceSerialTest, SampleReplaysFromQuerySeedAcrossAnIngest) {
   SerialService s(/*total_epsilon=*/10.0, /*per_session_epsilon=*/10.0,
                   kSeedRows);
   const ServiceAnswer before = *s.Ask(SampleRequest{kEps});
-  CensusTableOptions batch_opts;
-  batch_opts.num_rows = 130;
-  batch_opts.seed = 0xB3;
-  const Table batch = MakeCensusTable(batch_opts);
+  const Table batch = CensusRows(130, 0xB3);
   ASSERT_EQ(*s.service().Ingest(batch), 1u);
   const ServiceAnswer after = *s.Ask(SampleRequest{kEps});
   EXPECT_EQ(before.generation, 0u);
@@ -417,25 +427,21 @@ TEST(QueryServiceSerialTest, SampleReplaysFromQuerySeedAcrossAnIngest) {
 
   // Rebuild both generations from scratch and rerun OsdpRR on each answer's
   // (seed, session, seq, generation) stream.
-  CensusTableOptions seed_opts;
-  seed_opts.num_rows = kSeedRows;
-  seed_opts.seed = 0x9A;  // TestEngine's table
-  std::vector<Table> generations{MakeCensusTable(seed_opts)};
+  std::vector<Table> generations{CensusRows(kSeedRows, 0x9A)};
   Table grown = generations[0];
   ASSERT_TRUE(grown.AppendRows(batch).ok());
   generations.push_back(std::move(grown));
-  const Policy policy = TestPolicy();
   for (const ServiceAnswer* answer : {&before, &after}) {
     ASSERT_TRUE(answer->sample.has_value());
     const Table& table = generations[answer->generation];
-    Rng rng(QueryService::QuerySeed(QueryService::Options{}.seed, s.session(),
-                                    answer->seq, answer->generation));
-    const TableView expected = *OsdpRRReleaseView(
-        table, policy.NonSensitiveRowMask(table), kEps, rng);
+    const ServiceAnswer expected = *ReplayAnswer(
+        table, CensusPolicy().NonSensitiveRowMask(table), SampleRequest{kEps},
+        QueryService::Options{}.seed, s.session(), answer->seq,
+        answer->generation);
     // The sample still reads its own generation after the ingest.
     EXPECT_EQ(answer->sample->snapshot()->generation, answer->generation);
     EXPECT_EQ(answer->sample->table().num_rows(), table.num_rows());
-    EXPECT_EQ(answer->sample->ToIndices(), expected.ToIndices())
+    EXPECT_TRUE(SameRelease(*answer, expected))
         << "sample diverged at generation " << answer->generation;
   }
 }
@@ -451,7 +457,7 @@ TEST(QueryServiceConcurrencyTest, ConcurrentSessionsNeverOverspend) {
   opts.per_session_epsilon = 1.0;
   constexpr double kTotal = 2.0;
   constexpr double kEps = 0.05;
-  auto service = *QueryService::Create(TestEngine(kTotal, 500), opts);
+  auto service = *QueryService::Create(CensusEngine(kTotal, 500), opts);
 
   constexpr int kThreads = 8;
   constexpr int kQueriesPerThread = 12;
@@ -534,10 +540,10 @@ TEST(QueryServiceConcurrencyTest, PerSessionStreamsAreInterleavingInvariant) {
   opts.pool = &pool;
   opts.per_session_epsilon = 1.0;
 
-  auto quiet = *QueryService::Create(TestEngine(1000.0, 500), opts);
+  auto quiet = *QueryService::Create(CensusEngine(1000.0, 500), opts);
   const std::vector<double> baseline = run_solo(*quiet, false);
 
-  auto noisy = *QueryService::Create(TestEngine(1000.0, 500), opts);
+  auto noisy = *QueryService::Create(CensusEngine(1000.0, 500), opts);
   const std::vector<double> contended = run_solo(*noisy, true);
 
   EXPECT_EQ(contended, baseline);
@@ -553,23 +559,20 @@ TEST(QueryServiceConcurrencyTest, PooledSamplesMatchTheirSerialReplay) {
   QueryService::Options opts;
   opts.pool = &pool;
   opts.per_session_epsilon = 10.0;
-  OsdpEngine engine = TestEngine(10.0, 1000);
+  OsdpEngine engine = CensusEngine(10.0, 1000);
   const Table table = engine.data();
   auto service = *QueryService::Create(std::move(engine), opts);
   const QueryService::SessionId session = service->OpenSession("alice");
 
   std::vector<ServiceRequest> batch;
   for (int i = 0; i < 8; ++i) batch.emplace_back(SampleRequest{kEps});
-  const Policy policy = TestPolicy();
+  const RowMask ns = CensusPolicy().NonSensitiveRowMask(table);
   for (const auto& result : service->AnswerBatch(session, batch)) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_TRUE(result->sample.has_value());
-    Rng rng(QueryService::QuerySeed(opts.seed, session, result->seq,
-                                    result->generation));
-    EXPECT_EQ(result->sample->ToIndices(),
-              OsdpRRReleaseView(table, policy.NonSensitiveRowMask(table),
-                                kEps, rng)
-                  ->ToIndices())
+    EXPECT_TRUE(SameRelease(
+        *result, *ReplayAnswer(table, ns, SampleRequest{kEps}, opts.seed,
+                               session, result->seq, result->generation)))
         << "seq " << result->seq;
   }
   EXPECT_EQ(service->ledger().size(), batch.size());
@@ -584,8 +587,8 @@ TEST(QueryServiceStreamingTest, IngestPublishesGenerationsAndIsolatesQueries) {
   // the answer itself, not just in the tag.
   QueryService::Options opts;
   opts.per_session_epsilon = 5000.0;
-  auto engine = TestEngine(10000.0, 200);
-  const Policy policy = TestPolicy();
+  auto engine = CensusEngine(10000.0, 200);
+  const Policy policy = CensusPolicy();
   Table accumulated = engine.data();
   auto service = *QueryService::Create(std::move(engine), opts);
   const auto session = service->OpenSession("alice");
@@ -601,10 +604,7 @@ TEST(QueryServiceStreamingTest, IngestPublishesGenerationsAndIsolatesQueries) {
   EXPECT_LE(before.count, ns_count(accumulated));
   EXPECT_GT(before.count, ns_count(accumulated) - 1.0);
 
-  CensusTableOptions batch_opts;
-  batch_opts.num_rows = 150;
-  batch_opts.seed = 0xB1;
-  const Table batch = MakeCensusTable(batch_opts);
+  const Table batch = CensusRows(150, 0xB1);
   ASSERT_EQ(*service->Ingest(batch), 1u);
   ASSERT_TRUE(accumulated.AppendRows(batch).ok());
   EXPECT_EQ(service->current_generation(), 1u);
@@ -641,7 +641,7 @@ TEST(QueryServiceStreamingTest, AnswersStayDeterministicAcrossThreadCounts) {
     QueryService::Options opts;
     opts.pool = &pool;
     opts.num_shards = threads == 0 ? 1 : 2 * threads + 1;
-    auto service = *QueryService::Create(TestEngine(10.0), opts);
+    auto service = *QueryService::Create(CensusEngine(10.0), opts);
     const auto session = service->OpenSession("alice");
 
     std::vector<double> answers;
@@ -656,10 +656,7 @@ TEST(QueryServiceStreamingTest, AnswersStayDeterministicAcrossThreadCounts) {
       }
     };
     record(service->AnswerBatch(session, TestBatch()));
-    CensusTableOptions batch_opts;
-    batch_opts.num_rows = 123;
-    batch_opts.seed = 0xB2;
-    ASSERT_EQ(*service->Ingest(MakeCensusTable(batch_opts)), 1u);
+    ASSERT_EQ(*service->Ingest(CensusRows(123, 0xB2)), 1u);
     record(service->AnswerBatch(session, TestBatch()));
     answers_by_config.push_back(std::move(answers));
   }
@@ -693,10 +690,7 @@ void RunConcurrentIngestStressHarness(size_t mask_cache_bytes,
   constexpr uint64_t kRootSeed = 0x5EED;
 
   const auto make_batch = [](int g) {
-    CensusTableOptions opts;
-    opts.num_rows = kBatchRows;
-    opts.seed = 0xB000 + static_cast<uint64_t>(g);
-    return MakeCensusTable(opts);
+    return CensusRows(kBatchRows, 0xB000 + static_cast<uint64_t>(g));
   };
   const Domain1D age_domain = *Domain1D::Numeric(0, 100, 16);
   // Wide enough that DAWA's kAuto picks the interval-cost engine, whose
@@ -735,7 +729,7 @@ void RunConcurrentIngestStressHarness(size_t mask_cache_bytes,
   opts.seed = kRootSeed;
   opts.mask_cache_bytes = mask_cache_bytes;
   opts.metrics_enabled = metrics_enabled;
-  auto service = *QueryService::Create(TestEngine(100.0, kSeedRows), opts);
+  auto service = *QueryService::Create(CensusEngine(100.0, kSeedRows), opts);
 
   // Open every session up front, serially, so ids are deterministic no
   // matter how the reader threads interleave.
@@ -744,13 +738,7 @@ void RunConcurrentIngestStressHarness(size_t mask_cache_bytes,
     sessions.push_back(service->OpenSession("analyst-" + std::to_string(s)));
   }
 
-  struct Recorded {
-    uint64_t generation = 0;
-    bool is_histogram = false;
-    double count = 0.0;
-    std::vector<double> bins;
-  };
-  std::vector<std::vector<Recorded>> recorded(kSessions);
+  std::vector<std::vector<ServiceAnswer>> recorded(kSessions);
 
   std::thread writer([&] {
     for (int g = 1; g <= kBatches; ++g) {
@@ -769,15 +757,7 @@ void RunConcurrentIngestStressHarness(size_t mask_cache_bytes,
         batch.emplace_back(make_query(s, q));
         auto result = std::move(service->AnswerBatch(sessions[s], batch)[0]);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
-        Recorded rec;
-        rec.generation = result->generation;
-        if (result->histogram.has_value()) {
-          rec.is_histogram = true;
-          rec.bins = result->histogram->counts();
-        } else {
-          rec.count = result->count;
-        }
-        recorded[s].push_back(std::move(rec));
+        recorded[s].push_back(std::move(result).ValueOrDie());
       }
     });
   }
@@ -787,66 +767,33 @@ void RunConcurrentIngestStressHarness(size_t mask_cache_bytes,
   // Serial replay. Rebuild every generation's table from the same batches,
   // reclassify from scratch, and recompute every recorded answer through
   // the serial scan paths with the (root, session, seq, generation) seed.
-  const Policy policy = TestPolicy();
-  std::vector<Table> generations;
-  {
-    CensusTableOptions seed_opts;
-    seed_opts.num_rows = kSeedRows;
-    seed_opts.seed = 0x9A;  // TestEngine's table
-    generations.push_back(MakeCensusTable(seed_opts));
-    for (int g = 1; g <= kBatches; ++g) {
-      Table next = generations.back();
-      ASSERT_TRUE(next.AppendRows(make_batch(g)).ok());
-      generations.push_back(std::move(next));
-    }
+  // Bin counts are integers, so the serial accumulation matches the
+  // service's sharded one exactly, and the replay runs every mechanism with
+  // no pool, which pins pooled mechanism runs to their serial references.
+  std::vector<Table> generations{CensusRows(kSeedRows, 0x9A)};
+  for (int g = 1; g <= kBatches; ++g) {
+    Table next = generations.back();
+    ASSERT_TRUE(next.AppendRows(make_batch(g)).ok());
+    generations.push_back(std::move(next));
   }
-  // Any engine works for RunMechanism: it is pure dispatch over the
-  // precomputed histograms and the per-query Rng.
-  const OsdpEngine replay_engine = TestEngine(1.0, 10);
 
   for (int s = 0; s < kSessions; ++s) {
     ASSERT_EQ(recorded[s].size(), static_cast<size_t>(kQueriesPerSession));
     uint64_t last_generation = 0;
     for (int q = 0; q < kQueriesPerSession; ++q) {
-      const Recorded& rec = recorded[s][q];
+      const ServiceAnswer& rec = recorded[s][q];
       ASSERT_LE(rec.generation, static_cast<uint64_t>(kBatches));
       // A session's sequential submissions can only move forward in time.
       EXPECT_GE(rec.generation, last_generation);
       last_generation = rec.generation;
 
       const Table& table = generations[rec.generation];
-      const RowMask ns = policy.NonSensitiveRowMask(table);
-      Rng rng(QueryService::QuerySeed(kRootSeed, sessions[s],
-                                      static_cast<uint64_t>(q),
-                                      rec.generation));
-      const ServiceRequest request = make_query(s, q);
-      if (rec.is_histogram) {
-        const auto& hist = std::get<HistogramRequest>(request);
-        const Histogram xns =
-            *ComputeHistogramMasked(table, hist.query, ns);
-        // The full histogram feeds the DP mechanisms (kDawa, kHierarchical);
-        // serial recomputation matches the service's sharded accumulation
-        // exactly because bin counts are integers. The replay engine has no
-        // pool, so this also pins pooled mechanism runs to their serial
-        // references end to end.
-        const Histogram x = *ComputeHistogram(table, hist.query);
-        const Histogram expected = *replay_engine.RunMechanism(
-            x, xns, kEps, hist.mechanism, rng);
-        EXPECT_EQ(rec.bins, expected.counts())
-            << "histogram diverged at session " << s << " seq " << q
-            << " generation " << rec.generation;
-      } else {
-        const auto& count = std::get<CountRequest>(request);
-        RowMask matching =
-            CompiledPredicate::Compile(count.where, table.schema())
-                ->EvalMask(table);
-        matching.AndWith(ns);
-        const double expected = static_cast<double>(matching.Count()) +
-                                DrawOneSided(1, kEps, rng);
-        EXPECT_EQ(rec.count, expected)
-            << "count diverged at session " << s << " seq " << q
-            << " generation " << rec.generation;
-      }
+      EXPECT_TRUE(SameRelease(
+          rec, *ReplayAnswer(table, CensusPolicy().NonSensitiveRowMask(table),
+                             make_query(s, q), kRootSeed, sessions[s],
+                             static_cast<uint64_t>(q), rec.generation)))
+          << "answer diverged at session " << s << " seq " << q
+          << " generation " << rec.generation;
     }
   }
 
@@ -867,17 +814,13 @@ void RunConcurrentIngestStressHarness(size_t mask_cache_bytes,
     EXPECT_EQ(hit.generation, miss.generation);
 
     const Table& final_table = generations[kBatches];
-    RowMask matching =
-        CompiledPredicate::Compile(tail_pred, final_table.schema())
-            ->EvalMask(final_table);
-    matching.AndWith(policy.NonSensitiveRowMask(final_table));
-    const double true_count = static_cast<double>(matching.Count());
-    const double answers[] = {miss.count, hit.count};
+    const RowMask ns = CensusPolicy().NonSensitiveRowMask(final_table);
+    const ServiceAnswer* answers[] = {&miss, &hit};
     for (uint64_t seq = 0; seq < 2; ++seq) {
-      Rng rng(QueryService::QuerySeed(kRootSeed, tail, seq,
-                                      static_cast<uint64_t>(kBatches)));
-      EXPECT_EQ(answers[seq],
-                true_count + DrawOneSided(1, kTailEps, rng))
+      EXPECT_TRUE(SameRelease(
+          *answers[seq],
+          *ReplayAnswer(final_table, ns, CountRequest{tail_pred, kTailEps},
+                        kRootSeed, tail, seq, kBatches)))
           << "tail answer " << seq << " diverged from its serial replay";
     }
     const MaskCache::Stats stats = service->cache_stats();
@@ -914,7 +857,7 @@ TEST(QueryServiceStreamingTest, EmptyIngestIsANoOpThatPreservesCachedMasks) {
   // An empty batch of the right schema must not publish a new generation:
   // the dataset is bit-identical, and a generation bump would orphan every
   // cached (predicate, generation) mask for nothing.
-  auto service = *QueryService::Create(TestEngine(10.0), {});
+  auto service = *QueryService::Create(CensusEngine(10.0), {});
   const auto session = service->OpenSession("alice");
   const Predicate pred = Predicate::Le("age", Value(33));
 
@@ -947,7 +890,7 @@ TEST(QueryServiceAdmissionTest, OverfullBatchIsShedDeterministically) {
   // ResourceExhausted, zero ε reserved, zero ledger entries.
   QueryService::Options opts;
   opts.max_queued_queries = 2;
-  auto service = *QueryService::Create(TestEngine(10.0), opts);
+  auto service = *QueryService::Create(CensusEngine(10.0), opts);
   const auto session = service->OpenSession("alice");
   const double before = service->remaining_budget();
 
@@ -986,7 +929,7 @@ TEST(QueryServiceAdmissionTest, ConcurrentOverloadShedsCleanly) {
   opts.pool = &pool;
   opts.per_session_epsilon = 10.0;
   opts.max_concurrent_batches = 1;
-  auto service = *QueryService::Create(TestEngine(100.0, 2000), opts);
+  auto service = *QueryService::Create(CensusEngine(100.0, 2000), opts);
   const double total = service->remaining_budget();
 
   constexpr int kThreads = 6;
@@ -1030,7 +973,7 @@ TEST(QueryServiceAdmissionTest, ConcurrentOverloadShedsCleanly) {
 }
 
 TEST(QueryServiceDeadlineTest, PastDeadlineRefusesWithFullRefund) {
-  auto service = *QueryService::Create(TestEngine(10.0), {});
+  auto service = *QueryService::Create(CensusEngine(10.0), {});
   const auto session = service->OpenSession("alice");
   const double before = service->remaining_budget();
 
@@ -1061,7 +1004,7 @@ TEST(QueryServiceDeadlineTest, PastDeadlineRefusesWithFullRefund) {
 }
 
 TEST(QueryServiceCancelTest, PreCancelledTokenRefusesEverySlotWithRefund) {
-  auto service = *QueryService::Create(TestEngine(10.0), {});
+  auto service = *QueryService::Create(CensusEngine(10.0), {});
   const auto session = service->OpenSession("alice");
   const double before = service->remaining_budget();
 
@@ -1093,7 +1036,7 @@ TEST(QueryServiceCancelTest, MidFlightCancelKeepsTheBooksExact) {
   QueryService::Options opts;
   opts.pool = &pool;
   opts.per_session_epsilon = 50.0;
-  auto service = *QueryService::Create(TestEngine(100.0, 30000), opts);
+  auto service = *QueryService::Create(CensusEngine(100.0, 30000), opts);
   const double total = service->remaining_budget();
   const auto session = service->OpenSession("alice");
 
@@ -1123,15 +1066,9 @@ TEST(QueryServiceCancelTest, MidFlightCancelKeepsTheBooksExact) {
       continue;
     }
     ++delivered;
-    const auto& request = std::get<CountRequest>(batch[i]);
-    RowMask matching =
-        CompiledPredicate::Compile(request.where, snap->table.schema())
-            ->EvalMask(snap->table);
-    matching.AndWith(snap->non_sensitive);
-    Rng rng(QueryService::QuerySeed(opts.seed, session, r->seq,
-                                    r->generation));
-    EXPECT_EQ(r->count, static_cast<double>(matching.Count()) +
-                            DrawOneSided(1, kEps, rng))
+    EXPECT_TRUE(SameRelease(
+        *r, *ReplayAnswer(snap->table, snap->non_sensitive, batch[i],
+                          opts.seed, session, r->seq, r->generation)))
         << "cancellation altered a delivered answer (slot " << i << ")";
   }
   EXPECT_NEAR(total - service->remaining_budget(), delivered * kEps, 1e-9);
@@ -1147,7 +1084,7 @@ TEST(QueryServiceTest, CloseSessionDuringInFlightBatch) {
   QueryService::Options opts;
   opts.pool = &pool;
   opts.per_session_epsilon = 10.0;
-  auto service = *QueryService::Create(TestEngine(100.0, 30000), opts);
+  auto service = *QueryService::Create(CensusEngine(100.0, 30000), opts);
   const double total = service->remaining_budget();
   const auto session = service->OpenSession("alice");
 
@@ -1203,7 +1140,7 @@ std::unique_ptr<QueryService> MemoService(ThreadPool* pool, size_t rows) {
   opts.num_shards = 3;
   opts.per_session_epsilon = 1e6;
   opts.seed = kMemoRootSeed;
-  return *QueryService::Create(TestEngine(1e7, rows), opts);
+  return *QueryService::Create(CensusEngine(1e7, rows), opts);
 }
 
 // Replays one delivered answer of `request` against `snap` serially.
@@ -1211,28 +1148,11 @@ void ExpectReplays(const ServiceRequest& request, const ServiceAnswer& answer,
                    const Snapshot& snap, QueryService::SessionId session) {
   ASSERT_EQ(answer.generation, snap.generation);
   const Table& table = snap.table;
-  const RowMask ns = TestPolicy().NonSensitiveRowMask(table);
-  Rng rng(QueryService::QuerySeed(kMemoRootSeed, session, answer.seq,
-                                  snap.generation));
-  if (const auto* count = std::get_if<CountRequest>(&request)) {
-    RowMask matching = CompiledPredicate::Compile(count->where, table.schema())
-                           ->EvalMask(table);
-    matching.AndWith(ns);
-    EXPECT_EQ(answer.count,
-              static_cast<double>(matching.Count()) +
-                  DrawOneSided(1, count->epsilon, rng))
-        << "count diverged at seq " << answer.seq;
-    return;
-  }
-  const auto& hist = std::get<HistogramRequest>(request);
-  const Histogram x = *ComputeHistogram(table, hist.query);
-  const Histogram xns = *ComputeHistogramMasked(table, hist.query, ns);
-  const Histogram expected = *RunMechanism(x, xns, hist.epsilon,
-                                           hist.mechanism, nullptr, rng);
-  ASSERT_TRUE(answer.histogram.has_value());
-  EXPECT_EQ(answer.histogram->counts(), expected.counts())
-      << EngineMechanismToString(hist.mechanism) << " diverged at seq "
-      << answer.seq;
+  EXPECT_TRUE(SameRelease(
+      answer, *ReplayAnswer(table, CensusPolicy().NonSensitiveRowMask(table),
+                            request, kMemoRootSeed, session, answer.seq,
+                            snap.generation)))
+      << "answer diverged at seq " << answer.seq;
 }
 
 // Answers `batch` and replays every answer against the current snapshot.
@@ -1349,10 +1269,7 @@ TEST(QueryServiceMemoTest, IngestBetweenRepeatsRecomputesTheNextGeneration) {
   EXPECT_EQ(before.aggregate_misses, 3u);  // count, x, x_ns
   EXPECT_EQ(before.extensions, 0u);
 
-  CensusTableOptions bopts;
-  bopts.num_rows = 97;
-  bopts.seed = 0xB7;
-  ASSERT_EQ(*service->Ingest(MakeCensusTable(bopts)), 1u);
+  ASSERT_EQ(*service->Ingest(CensusRows(97, 0xB7)), 1u);
   AnswerAndReplay(service.get(), session, batch);
   AnswerAndReplay(service.get(), session, batch);
   const MaskCache::Stats after = service->cache_stats();
@@ -1373,10 +1290,7 @@ void FillThenIngest(QueryService* service, QueryService::SessionId session,
                     const std::vector<ServiceRequest>& batch, size_t rows,
                     uint64_t seed) {
   AnswerAndReplay(service, session, batch);
-  CensusTableOptions bopts;
-  bopts.num_rows = rows;
-  bopts.seed = seed;
-  ASSERT_TRUE(service->Ingest(MakeCensusTable(bopts)).ok());
+  ASSERT_TRUE(service->Ingest(CensusRows(rows, seed)).ok());
 }
 
 TEST(QueryServiceMemoTest, FaultsAcrossAnExtensionStoreNothingAndRefund) {
@@ -1401,7 +1315,7 @@ TEST(QueryServiceMemoTest, FaultsAcrossAnExtensionStoreNothingAndRefund) {
         opts.num_shards = 1;
         opts.per_session_epsilon = 1e6;
         opts.seed = kMemoRootSeed;
-        auto service = *QueryService::Create(TestEngine(1e7, 3000), opts);
+        auto service = *QueryService::Create(CensusEngine(1e7, 3000), opts);
         const auto session = service->OpenSession("alice");
         FillThenIngest(service.get(), session, batch, 97, 0xB9 + nth);
         const double service_before = service->remaining_budget();
@@ -1465,10 +1379,8 @@ TEST(QueryServiceMemoTest, DeadlinesAcrossAnExtensionStoreNothing) {
   AnswerAndReplay(service.get(), session, follow_up);
   size_t tripped = 0;
   for (int budget_us = 0; budget_us <= 200; budget_us += 10) {
-    CensusTableOptions bopts;
-    bopts.num_rows = 4099;
-    bopts.seed = 0xC0 + static_cast<uint64_t>(budget_us);
-    ASSERT_TRUE(service->Ingest(MakeCensusTable(bopts)).ok());
+    const uint64_t seed = 0xC0 + static_cast<uint64_t>(budget_us);
+    ASSERT_TRUE(service->Ingest(CensusRows(4099, seed)).ok());
     const double service_before = service->remaining_budget();
     const size_t ledger_before = service->ledger().size();
     CountRequest request{where, 0.5};
@@ -1550,7 +1462,7 @@ TEST(QueryServiceMemoTest, FaultInsideTheCountStoresNothing) {
   opts.num_shards = 1;
   opts.per_session_epsilon = 1e6;
   opts.seed = kMemoRootSeed;
-  auto service = *QueryService::Create(TestEngine(1e7, 3000), opts);
+  auto service = *QueryService::Create(CensusEngine(1e7, 3000), opts);
   const auto session = service->OpenSession("alice");
   const Predicate where = Predicate::Le("age", Value(33));
   {
@@ -1710,11 +1622,8 @@ TEST(QueryServiceMemoTest, SharedLookupMatchesOneQueryPerBatchTwin) {
   EXPECT_EQ(hits,
             (std::vector<bool>{false, false, true, true, false, false}));
 
-  CensusTableOptions topts;
-  topts.num_rows = 700;
-  topts.seed = 0x5EED;
   for (QueryService* s : {service.get(), twin.get()}) {
-    ASSERT_TRUE(s->Ingest(MakeCensusTable(topts)).ok());
+    ASSERT_TRUE(s->Ingest(CensusRows(700, 0x5EED)).ok());
   }
   const uint64_t extensions = service->cache_stats().extensions;
   batch.emplace_back(CountRequest{Predicate::Ge("age", Value(65)), 0.5});

@@ -24,10 +24,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/benchdata/table_gen.h"
 #include "src/common/distributions.h"
 #include "src/common/random.h"
-#include "src/core/engine.h"
 #include "src/data/predicate.h"
 #include "src/hist/histogram.h"
 #include "src/hist/sparse_histogram.h"
@@ -40,9 +38,9 @@
 #include "src/mech/osdp_laplace.h"
 #include "src/mech/recipe.h"
 #include "src/mech/suppress.h"
-#include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
 #include "src/traj/ngram.h"
+#include "tests/serial_replay.h"
 
 namespace osdp {
 namespace {
@@ -326,20 +324,10 @@ std::map<std::string, uint64_t> ComputeHashes() {
   }
   // Count answers of a QueryService over a census table: two sessions, eight
   // WHERE clauses each, at both ε. Each answer is seeded by its QuerySeed.
-  CensusTableOptions topts;
-  topts.num_rows = 3000;
-  topts.seed = 0x9A;
-  OsdpEngine::Options eopts;
-  eopts.total_epsilon = 1000.0;
-  const Policy policy = Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "opt_out_or_minor");
   QueryService::Options sopts;
   sopts.per_session_epsilon = 100.0;
   sopts.seed = 0x5EED;
-  auto service = *QueryService::Create(
-      *OsdpEngine::Create(MakeCensusTable(topts), policy, eopts), sopts);
+  auto service = *QueryService::Create(CensusEngine(1000.0, 3000), sopts);
   const Predicate wheres[] = {
       Predicate::Le("age", Value(40)),
       Predicate::Gt("age", Value(90)),

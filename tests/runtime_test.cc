@@ -548,7 +548,7 @@ TEST(ParallelScanRangeTest, RangeCountAndHistogramsEqualTheRestrictedWhole) {
 }
 
 TEST(ParallelScanRangeTest, EvalMaskIntoScansOnlyFromItsWordBoundary) {
-  // ParallelEvalMaskInto from a word boundary writes exactly the words from
+  // ParallelEvalMasksInto from a word boundary writes exactly the words from
   // there on — equal to the whole-table scan's — and leaves every earlier
   // word as it found it.
   ThreadPool pool(3);
@@ -564,7 +564,8 @@ TEST(ParallelScanRangeTest, EvalMaskIntoScansOnlyFromItsWordBoundary) {
       const RowMask before = RandomMask(kRangeRows, rng);
       for (size_t shards : kShardCounts) {
         RowMask out = before;
-        ParallelEvalMaskInto(compiled, table, begin, &out, {&pool, shards});
+        ParallelEvalMasksInto({&compiled}, table, begin, {&out},
+                              {&pool, shards});
         for (size_t w = 0; w < out.num_words(); ++w) {
           const uint64_t want =
               w < begin / 64 ? before.words()[w] : whole.words()[w];
@@ -672,7 +673,7 @@ TEST(ParallelScanRangeTest, RangeFormsKeepThePerShardAbortPoll) {
   opts.num_shards = 4;
   opts.control = &control;
   RowMask out(kRangeRows);
-  EXPECT_THROW(ParallelEvalMaskInto(compiled, table, 64, &out, opts),
+  EXPECT_THROW(ParallelEvalMasksInto({&compiled}, table, 64, {&out}, opts),
                AbortedError);
   EXPECT_THROW(ParallelAndCount(a, a, 1, kRangeRows, opts), AbortedError);
   EXPECT_THROW(ParallelAccumulateHistogram(prepared, a, 1, kRangeRows, opts),

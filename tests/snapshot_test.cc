@@ -14,34 +14,20 @@
 
 #include <gtest/gtest.h>
 
-#include "src/benchdata/table_gen.h"
 #include "src/data/snapshot.h"
 #include "src/data/snapshot_store.h"
 #include "src/data/table_builder.h"
 #include "src/policy/policy.h"
+#include "tests/serial_replay.h"
 
 namespace osdp {
 namespace {
-
-Policy TestPolicy() {
-  return Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "opt_out_or_minor");
-}
-
-Table CensusRows(size_t rows, uint64_t seed) {
-  CensusTableOptions opts;
-  opts.num_rows = rows;
-  opts.seed = seed;
-  return MakeCensusTable(opts);
-}
 
 TEST(TableBuilderTest, IncrementalMaskMatchesFullRecomputeAcrossRaggedSizes) {
   // Batch sizes straddle every word-boundary case: sub-word, exactly one
   // word, word+1, and multi-word ragged. After every append the incremental
   // mask must equal a from-scratch classification of the accumulated table.
-  const Policy policy = TestPolicy();
+  const Policy policy = CensusPolicy();
   const std::vector<size_t> batch_sizes = {1, 63, 64, 65, 7, 127, 128, 129, 30};
 
   Table seed = CensusRows(37, 0xA0);  // deliberately not word-aligned
@@ -70,7 +56,7 @@ TEST(TableBuilderTest, EachGenerationIsAnImmutablePrefixOfTheNext) {
   // generation g + 1, across ragged sizes, and g is unchanged by the append.
   const std::vector<size_t> batch_sizes = {1, 63, 64, 65, 4097, 30};
   TableBuilder builder = *TableBuilder::Create(CensusRows(37, 0xA7),
-                                               TestPolicy());
+                                               CensusPolicy());
   SnapshotPtr prev = builder.BuildSnapshot(0);
   uint64_t batch_seed = 0xC000;
   for (size_t batch_rows : batch_sizes) {
@@ -106,7 +92,7 @@ TEST(TableBuilderTest, FromSnapshotAdoptsTheMaskAndMatchesCreate) {
   // The no-rescan startup path: a builder seeded from an already-classified
   // snapshot behaves identically to one that classified the seed itself,
   // including after further ragged appends.
-  const Policy policy = TestPolicy();
+  const Policy policy = CensusPolicy();
   const Table seed = CensusRows(77, 0xAB);
   TableBuilder from_scratch = *TableBuilder::Create(seed, policy);
   TableBuilder from_snapshot =
@@ -126,7 +112,7 @@ TEST(TableBuilderTest, FromSnapshotAndBuildSnapshotShareChunksNoCopy) {
   // chunk of the source snapshot is the *same object* (pointer identity) in
   // the restarted builder's next snapshot — and consecutive generations of
   // one builder share chunks the same way.
-  const Policy policy = TestPolicy();
+  const Policy policy = CensusPolicy();
   TableBuilder builder = *TableBuilder::Create(CensusRows(70, 0xB1), policy);
   const SnapshotPtr g0 = builder.BuildSnapshot(0);
 
@@ -159,7 +145,7 @@ TEST(TableBuilderTest, FromSnapshotAndBuildSnapshotShareChunksNoCopy) {
 TEST(TableBuilderTest, AppendedRowsRoundTripExactly) {
   const Table seed = CensusRows(10, 0xA1);
   const Table batch = CensusRows(5, 0xA2);
-  TableBuilder builder = *TableBuilder::Create(seed, TestPolicy());
+  TableBuilder builder = *TableBuilder::Create(seed, CensusPolicy());
   ASSERT_TRUE(builder.Append(batch).ok());
 
   const SnapshotPtr snap = builder.BuildSnapshot(1);
@@ -173,7 +159,7 @@ TEST(TableBuilderTest, AppendedRowsRoundTripExactly) {
 
 TEST(TableBuilderTest, SnapshotsAreImmutableUnderLaterAppends) {
   TableBuilder builder = *TableBuilder::Create(CensusRows(20, 0xA3),
-                                               TestPolicy());
+                                               CensusPolicy());
   const SnapshotPtr before = builder.BuildSnapshot(1);
   const RowMask mask_before = before->non_sensitive;
 
@@ -189,16 +175,16 @@ TEST(TableBuilderTest, SnapshotsAreImmutableUnderLaterAppends) {
 
 TEST(TableBuilderTest, EmptyBatchIsANoOp) {
   TableBuilder builder = *TableBuilder::Create(CensusRows(9, 0xA5),
-                                               TestPolicy());
+                                               CensusPolicy());
   ASSERT_TRUE(builder.Append(CensusRows(0, 0xA6)).ok());
   EXPECT_EQ(builder.num_rows(), 9u);
   EXPECT_TRUE(builder.BuildSnapshot(1)->non_sensitive ==
-              TestPolicy().NonSensitiveRowMask(CensusRows(9, 0xA5)));
+              CensusPolicy().NonSensitiveRowMask(CensusRows(9, 0xA5)));
 }
 
 TEST(TableBuilderTest, SchemaMismatchRejectedWithoutMutation) {
   TableBuilder builder = *TableBuilder::Create(CensusRows(8, 0xA7),
-                                               TestPolicy());
+                                               CensusPolicy());
   Table wrong(Schema({{"other", ValueType::kInt64}}));
   ASSERT_TRUE(wrong.AppendRow({Value(1)}).ok());
   const Status status = builder.Append(wrong);
@@ -214,7 +200,7 @@ TEST(TableBuilderTest, CreateRejectsPolicyThatDoesNotTypeCheck) {
 
 TEST(SnapshotStoreTest, PublishSwapsAndReadersKeepTheirCapture) {
   TableBuilder builder = *TableBuilder::Create(CensusRows(16, 0xA9),
-                                               TestPolicy());
+                                               CensusPolicy());
   SnapshotStore store(builder.BuildSnapshot(0));
   EXPECT_EQ(store.Current()->generation, 0u);
 
