@@ -144,15 +144,6 @@ double TimeBest(int reps, const Fn& fn) {
   return BestOf(reps, fn);
 }
 
-/// The policy of every census-table systems bench: a row is sensitive when
-/// it opted out or is a minor.
-inline Policy BenchPolicy() {
-  return Policy::SensitiveWhen(
-      Predicate::Or(Predicate::Eq("opt_in", Value(0)),
-                    Predicate::Lt("age", Value(18))),
-      "bench_policy");
-}
-
 /// Spiky integer-valued histogram (Adult-like) of the DAWA benches: sparse
 /// large counts over zeros. Integer values keep both interval-cost
 /// implementations exactly comparable.

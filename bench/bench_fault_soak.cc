@@ -16,10 +16,11 @@
 //   * LEDGER MISMATCH: exactly one composition-ledger entry per delivery.
 //   * ADMISSION LEAK: admitted + rejected == batches submitted, and the
 //     observed peak in-flight respects max_concurrent_batches.
-//   * REPLAY DIVERGENCE (torn snapshot): every delivered answer against the
-//     final published generation must be bit-identical to a serial
-//     recomputation from that snapshot with the recorded (session, seq)
-//     seed.
+//   * REPLAY DIVERGENCE (torn snapshot): every delivered answer must be
+//     bit-identical to a serial recomputation, with the recorded (session,
+//     seq) seed, from the generation it names, as pinned when the writer
+//     published it — so an old generation whose rows or bits moved while
+//     later ones were appended is caught too.
 //
 // And implicitly: the process survives every round — no injected fault,
 // overload, deadline, or cancellation ever reaches std::terminate.
@@ -170,6 +171,12 @@ int main() {
     std::atomic<size_t> rejected{0}, deadline{0}, cancelled{0}, injected{0};
     std::atomic<bool> unclassified_failure{false};
 
+    // Every generation an answer can name, pinned as published: generation
+    // 0 now, and each later one by the writer — the only publisher — right
+    // after its Ingest succeeds. pinned[g] is generation g.
+    std::vector<SnapshotPtr> pinned = {service->current_snapshot()};
+    std::atomic<bool> pin_mismatch{false};
+
     if (spec.point != nullptr) {
       FaultRegistry::Global().Arm(spec.point, spec.schedule);
     }
@@ -179,9 +186,14 @@ int main() {
     std::thread writer([&] {
       for (int g = 0; g < kIngests; ++g) {
         auto result = service->Ingest(make_ingest_batch(round, g));
-        if (!result.ok() &&
-            result.status().message().find("injected fault") ==
-                std::string::npos) {
+        if (result.ok()) {
+          SnapshotPtr published = service->current_snapshot();
+          if (published->generation != *result || *result != pinned.size()) {
+            pin_mismatch.store(true);
+          }
+          pinned.push_back(std::move(published));
+        } else if (result.status().message().find("injected fault") ==
+                   std::string::npos) {
           unclassified_failure.store(true);
         }
         std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -243,9 +255,8 @@ int main() {
     }
     FaultRegistry::Global().DisarmAll();
 
-    // Quiescent tail: guaranteed deliveries against the final generation so
-    // the replay leg below always has coverage. (100 + 5s dodges the
-    // make_query deadline branch.)
+    // Quiescent tail: guaranteed deliveries against the final generation.
+    // (100 + 5s dodges the make_query deadline branch.)
     for (int s = 0; s < num_readers; ++s) {
       const int q = 100 + 5 * s;
       std::vector<ServiceRequest> tail;
@@ -311,25 +322,36 @@ int main() {
                     " exceeds cap");
     }
 
-    // ---- Invariant: no torn snapshot — replay every delivery against the
-    // final published generation bit-for-bit from the immutable snapshot.
-    const SnapshotPtr current = service->current_snapshot();
+    // ---- Invariant: no torn snapshot — replay every delivery bit-for-bit
+    // against the generation it names, as pinned when it was published.
+    if (pin_mismatch.load() || pinned[0]->generation != 0) {
+      Violation("REPLAY DIVERGENCE", round,
+                "a pinned snapshot is not the generation Ingest returned");
+    }
     for (int s = 0; s < num_readers; ++s) {
       for (const Delivered& d : delivered[s]) {
-        if (d.answer.generation != current->generation) continue;
+        if (d.answer.generation >= pinned.size()) {
+          Violation("REPLAY DIVERGENCE", round,
+                    "session " + std::to_string(s) + " seq " +
+                        std::to_string(d.answer.seq) +
+                        " names an unpublished generation");
+          continue;
+        }
+        const Snapshot& snap = *pinned[d.answer.generation];
         ++rs.replayed;
         const Result<ServiceAnswer> expected = ReplayAnswer(
-            current->table, current->non_sensitive, make_query(d.s, d.q),
-            sopts.seed, sessions[s], d.answer.seq, d.answer.generation);
+            snap.table, snap.non_sensitive, make_query(d.s, d.q), sopts.seed,
+            sessions[s], d.answer.seq, d.answer.generation);
         if (!expected.ok() || !SameRelease(d.answer, *expected)) {
           Violation("REPLAY DIVERGENCE", round,
                     "session " + std::to_string(s) + " seq " +
-                        std::to_string(d.answer.seq));
+                        std::to_string(d.answer.seq) + " generation " +
+                        std::to_string(d.answer.generation));
         }
       }
     }
-    if (rs.replayed < static_cast<size_t>(num_readers)) {
-      Violation("REPLAY DIVERGENCE", round, "replay leg went dead");
+    if (rs.replayed != total_delivered) {
+      Violation("REPLAY DIVERGENCE", round, "a delivery was not replayed");
     }
 
     rs.submitted = static_cast<size_t>(num_readers) *

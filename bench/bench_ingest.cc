@@ -5,12 +5,18 @@
 //                 columnar concat + incremental policy classification), no
 //                 snapshot cut — the marginal cost of accepting a batch.
 //   ingest        QueryService::Ingest = append + BuildSnapshot + atomic
-//                 publish. With chunked copy-on-write columns BuildSnapshot
-//                 copies chunk *pointers* plus the O(rows/64) policy-mask
-//                 words and no cell, so on this grid's tables (at most 100k
-//                 rows) ingest rows/sec tracks append rows/sec at every
-//                 batch size (the "publish overhead" column). The copy still
-//                 grows with the table (ROADMAP item 7).
+//                 publish. Generations share one grow-only chunk spine per
+//                 column and the policy mask's 4096-row word blocks, so
+//                 BuildSnapshot copies no cell, no chunk pointer and no mask
+//                 word: it is O(1) in the table size, and ingest rows/sec
+//                 tracks append rows/sec at every batch size (the "publish
+//                 overhead" column).
+//   large base    the same append/ingest pair at 1k-row batches onto a base
+//                 of 8 × OSDP_BENCH_MAX_ROWS rows (8M at the default, rounded
+//                 up to a doubling of 64k rows), under the same gate — the
+//                 row where a publish that grew with the table would show.
+//   snapshot      BuildSnapshot alone, median µs per call, on tables of 1M
+//                 and 16M rows (2^20 and 2^24): flat in the table size.
 //   mixed         one writer thread ingesting batches while analyst
 //                 sessions stream count queries: ingest rows/sec and
 //                 queries/sec under contention.
@@ -24,8 +30,13 @@
 //     a serial replay of its (generation, session, seq) — the same property
 //     tests/query_service_test.cc pins, exercised here at bench scale;
 //   * publish overhead (ingest_sec / append_sec) at the smallest batch size
-//     must not exceed OSDP_BENCH_MAX_PUBLISH_OVERHEAD (default 1.5; "0"
-//     disables) — the publish-overhead regression gate.
+//     and on the large base must not exceed OSDP_BENCH_MAX_PUBLISH_OVERHEAD
+//     (default 1.5; "0" disables) — the publish-overhead regression gate.
+//
+// The large tables are doubled from one 64k-row census table: aligned
+// self-appends share chunks, so a 16M-row table holds 64k rows of cells
+// and the runs stay small in memory. Publishing touches only the spine and
+// mask structure, which a doubled table has at full size.
 //
 // Knobs: OSDP_BENCH_MAX_ROWS caps the ingested-row grid (default 1M; the CI
 // smoke run uses 50000), OSDP_BENCH_THREADS the mixed-phase pool size
@@ -38,6 +49,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,11 +73,20 @@ constexpr size_t kSeedRows = 10000;
 constexpr uint64_t kSeedSeed = 0x05D9;
 constexpr uint64_t kRootSeed = 0x16E5;
 
-OsdpEngine BenchEngine() {
+OsdpEngine BenchEngine(Table seed = CensusRows(kSeedRows, kSeedSeed)) {
   OsdpEngine::Options eopts;
   eopts.total_epsilon = 1e9;  // throughput bench, not a budget bench
-  return *OsdpEngine::Create(CensusRows(kSeedRows, kSeedSeed), CensusPolicy(),
-                             eopts);
+  return *OsdpEngine::Create(std::move(seed), CensusPolicy(), eopts);
+}
+
+// A chunk-aligned census table of at least `min_rows` rows: 64k rows
+// doubled by aligned self-appends, which share chunks instead of copying.
+Table DoubledCensus(size_t min_rows) {
+  Table t = CensusRows(16 * kChunkRows, kSeedSeed);
+  while (t.num_rows() < min_rows) {
+    if (!t.AppendRows(t).ok()) std::abort();
+  }
+  return t;
 }
 
 int Fail(const char* what) {
@@ -73,8 +94,14 @@ int Fail(const char* what) {
   return 1;
 }
 
+std::optional<double> Failed(const char* what) {
+  Fail(what);
+  return std::nullopt;
+}
+
 struct Measurement {
   std::string op;
+  size_t base_rows = 0;    // rows in the table before the measurement
   size_t batch_rows = 0;
   size_t total_rows = 0;   // rows ingested during the measurement
   size_t generations = 0;  // snapshots published
@@ -86,18 +113,103 @@ struct Measurement {
   bench::LatencyStats query_lat;  // mixed phase: per-query server durations
 };
 
-// Rebuilds the dataset as of `generation` from the deterministic batch
-// stream and checks `snapshot` against a from-scratch classification.
-bool SnapshotMatchesRebuild(const Snapshot& snapshot, size_t batch_rows,
-                            uint64_t batch_seed_base) {
-  Table rebuilt = CensusRows(kSeedRows, kSeedSeed);
+// Rebuilds the dataset as of `snapshot`'s generation from `seed` and the
+// first `generation` of `batches`, and checks `snapshot` against a
+// from-scratch classification.
+bool SnapshotMatchesRebuild(const Snapshot& snapshot, const Table& seed,
+                            const std::vector<Table>& batches) {
+  Table rebuilt = seed;
   for (uint64_t g = 1; g <= snapshot.generation; ++g) {
-    if (!rebuilt.AppendRows(CensusRows(batch_rows, batch_seed_base + g)).ok()) {
-      return false;
-    }
+    if (!rebuilt.AppendRows(batches[g - 1]).ok()) return false;
   }
   return rebuilt.num_rows() == snapshot.table.num_rows() &&
          CensusPolicy().NonSensitiveRowMask(rebuilt) == snapshot.non_sensitive;
+}
+
+// `batches` of `batch_rows` pre-generated rows: measure the ingest path, not
+// the generator.
+std::vector<Table> MakeBatches(size_t batches, size_t batch_rows,
+                               uint64_t seed_base) {
+  std::vector<Table> out;
+  out.reserve(batches);
+  for (size_t g = 1; g <= batches; ++g) {
+    out.push_back(CensusRows(batch_rows, seed_base + g));
+  }
+  return out;
+}
+
+// Appends `batches` onto `seed` twice: through a TableBuilder alone (no
+// snapshot cut), and through QueryService::Ingest (one published snapshot
+// per batch). Records both and returns ingest_sec / append_sec, or nothing
+// after a failed cross-check.
+std::optional<double> MeasureAppendAndIngest(
+    const Table& seed, const std::vector<Table>& batches,
+    std::vector<Measurement>* results) {
+  const size_t n = batches.size();
+  const size_t batch_rows = batches.front().num_rows();
+  TableBuilder builder = *TableBuilder::Create(seed, CensusPolicy());
+  const double t0 = NowSec();
+  for (const Table& batch : batches) {
+    if (!builder.Append(batch).ok()) return Failed("append status");
+  }
+  const double append_sec = NowSec() - t0;
+  if (!SnapshotMatchesRebuild(*builder.BuildSnapshot(n), seed, batches)) {
+    return Failed("append-only incremental mask vs rebuild");
+  }
+  results->push_back({"append", seed.num_rows(), batch_rows, n * batch_rows, 0,
+                      0, append_sec,
+                      static_cast<double>(n * batch_rows) / append_sec, 0.0,
+                      0.0, {}});
+
+  auto service = *QueryService::Create(BenchEngine(seed), {});
+  const double t1 = NowSec();
+  for (const Table& batch : batches) {
+    if (!service->Ingest(batch).ok()) return Failed("ingest status");
+  }
+  const double ingest_sec = NowSec() - t1;
+  if (service->current_generation() != n) return Failed("generation");
+  if (!SnapshotMatchesRebuild(*service->current_snapshot(), seed, batches)) {
+    return Failed("published snapshot vs rebuild");
+  }
+  const double overhead = ingest_sec / append_sec;
+  results->push_back({"ingest", seed.num_rows(), batch_rows, n * batch_rows, n,
+                      0, ingest_sec,
+                      static_cast<double>(n * batch_rows) / ingest_sec, 0.0,
+                      overhead, {}});
+  return overhead;
+}
+
+// The publish-overhead gate: false, after saying why, when `overhead`
+// exceeds a positive `limit`.
+bool OverheadWithinGate(double overhead, double limit, size_t batch_rows,
+                        size_t base_rows) {
+  if (limit <= 0.0 || overhead <= limit) return true;
+  std::fprintf(stderr,
+               "PUBLISH-OVERHEAD REGRESSION: %.2fx at %zu-row batches onto "
+               "%zu rows (limit %.2fx) — snapshot publish no longer keeps "
+               "pace with append\n",
+               overhead, batch_rows, base_rows, limit);
+  return false;
+}
+
+// Median µs of one BuildSnapshot on a builder seeded with a `rows`-row
+// table after one 1000-row append (so its tail is partial and its spines
+// have grown once, as in steady ingest).
+double BuildSnapshotMedianUs(size_t rows) {
+  TableBuilder builder =
+      *TableBuilder::Create(DoubledCensus(rows), CensusPolicy());
+  if (!builder.Append(CensusRows(1000, 0xD000)).ok()) std::abort();
+  constexpr int kReps = 201;
+  std::vector<SnapshotPtr> cut;
+  cut.reserve(kReps);
+  std::vector<double> us;
+  us.reserve(kReps);
+  for (int r = 0; r < kReps; ++r) {
+    const double t0 = NowSec();
+    cut.push_back(builder.BuildSnapshot(static_cast<uint64_t>(r) + 1));
+    us.push_back((NowSec() - t0) * 1e6);
+  }
+  return bench::Median(us);
 }
 
 }  // namespace
@@ -117,8 +229,18 @@ int main() {
               std::thread::hardware_concurrency(), max_rows);
 
   // --- append / ingest, by batch size ----------------------------------
-  TextTable text({"batch rows", "total rows", "append rows/s",
+  TextTable text({"base rows", "batch rows", "total rows", "append rows/s",
                   "ingest rows/s", "publish overhead"});
+  const auto add_row = [&](const Measurement& append,
+                           const Measurement& ingest) {
+    text.AddRow({std::to_string(append.base_rows),
+                 std::to_string(append.batch_rows),
+                 std::to_string(append.total_rows),
+                 TextTable::FmtAuto(append.rows_per_sec),
+                 TextTable::FmtAuto(ingest.rows_per_sec),
+                 TextTable::Fmt(ingest.publish_overhead, 1) + "x"});
+  };
+  const Table seed = CensusRows(kSeedRows, kSeedSeed);
   bool overhead_checked = false;
   for (size_t batch_rows : {size_t{1000}, size_t{10000}, size_t{100000}}) {
     // Cap the generation count so the grid finishes quickly at small batch
@@ -129,68 +251,45 @@ int main() {
     const size_t batches = total / batch_rows;
     if (batches == 0) continue;
 
-    // Pre-generate the batches: measure the ingest path, not the generator.
-    std::vector<Table> batch_tables;
-    batch_tables.reserve(batches);
-    for (size_t g = 1; g <= batches; ++g) {
-      batch_tables.push_back(CensusRows(batch_rows, 0xB000 + g));
-    }
-
-    // append: builder only, no snapshot cut.
-    TableBuilder builder =
-        *TableBuilder::Create(CensusRows(kSeedRows, kSeedSeed), policy);
-    const double t0 = NowSec();
-    for (const Table& batch : batch_tables) {
-      if (!builder.Append(batch).ok()) return Fail("append status");
-    }
-    const double append_sec = NowSec() - t0;
-    if (!SnapshotMatchesRebuild(*builder.BuildSnapshot(batches), batch_rows,
-                                0xB000)) {
-      return Fail("append-only incremental mask vs rebuild");
-    }
-    results.push_back({"append", batch_rows, batches * batch_rows, 0, 0,
-                       append_sec,
-                       static_cast<double>(batches * batch_rows) / append_sec,
-                       0.0, 0.0, {}});
-
-    // ingest: full QueryService path, one published snapshot per batch.
-    auto service = *QueryService::Create(BenchEngine(), {});
-    const double t1 = NowSec();
-    for (const Table& batch : batch_tables) {
-      if (!service->Ingest(batch).ok()) return Fail("ingest status");
-    }
-    const double ingest_sec = NowSec() - t1;
-    if (service->current_generation() != batches) return Fail("generation");
-    if (!SnapshotMatchesRebuild(*service->current_snapshot(), batch_rows,
-                                0xB000)) {
-      return Fail("published snapshot vs rebuild");
-    }
-    const double overhead = ingest_sec / append_sec;
-    results.push_back({"ingest", batch_rows, batches * batch_rows, batches, 0,
-                       ingest_sec,
-                       static_cast<double>(batches * batch_rows) / ingest_sec,
-                       0.0, overhead, {}});
-
-    text.AddRow({std::to_string(batch_rows), std::to_string(total),
-                 TextTable::FmtAuto(static_cast<double>(total) / append_sec),
-                 TextTable::FmtAuto(static_cast<double>(total) / ingest_sec),
-                 TextTable::Fmt(overhead, 1) + "x"});
+    const std::optional<double> overhead = MeasureAppendAndIngest(
+        seed, MakeBatches(batches, batch_rows, 0xB000), &results);
+    if (!overhead) return 1;
+    add_row(results[results.size() - 2], results.back());
 
     // The regression gate runs at the smallest (most publish-heavy) batch
     // size: before chunked columns this row sat at ~8x; a publish that copies
     // no cell keeps it near 1x.
-    if (!overhead_checked && max_publish_overhead > 0.0 &&
-        overhead > max_publish_overhead) {
-      std::fprintf(stderr,
-                   "PUBLISH-OVERHEAD REGRESSION: %.2fx at %zu-row batches "
-                   "(limit %.2fx) — snapshot publish no longer keeps pace "
-                   "with append\n",
-                   overhead, batch_rows, max_publish_overhead);
+    if (!overhead_checked &&
+        !OverheadWithinGate(*overhead, max_publish_overhead, batch_rows,
+                            seed.num_rows())) {
       return 1;
     }
     overhead_checked = true;
   }
+
+  // --- large base: 1k-row batches onto 8 × max_rows rows ------------------
+  {
+    const Table base = DoubledCensus(8 * max_rows);
+    const std::optional<double> overhead = MeasureAppendAndIngest(
+        base, MakeBatches(100, 1000, 0xB800), &results);
+    if (!overhead) return 1;
+    add_row(results[results.size() - 2], results.back());
+    if (!OverheadWithinGate(*overhead, max_publish_overhead, 1000,
+                            base.num_rows())) {
+      return 1;
+    }
+  }
   std::printf("%s\n", text.ToString().c_str());
+
+  // --- BuildSnapshot alone at 1M and 16M rows ----------------------------
+  for (size_t rows : {size_t{1} << 20, size_t{1} << 24}) {
+    const double us = BuildSnapshotMedianUs(rows);
+    results.push_back({"build_snapshot", rows, 0, 0, 1, 0, us * 1e-6, 0.0,
+                       0.0, 0.0, {}});
+    std::printf("BuildSnapshot at %zu rows: %.2f us (median of 201)\n", rows,
+                us);
+  }
+  std::printf("\n");
 
   // --- mixed: writer vs analyst sessions --------------------------------
   {
@@ -212,11 +311,8 @@ int main() {
       sessions.push_back(service->OpenSession("s" + std::to_string(s)));
     }
 
-    std::vector<Table> batch_tables;
-    batch_tables.reserve(batches);
-    for (size_t g = 1; g <= batches; ++g) {
-      batch_tables.push_back(CensusRows(kMixedBatchRows, 0xC000 + g));
-    }
+    const std::vector<Table> batch_tables =
+        MakeBatches(batches, kMixedBatchRows, 0xC000);
 
     const auto count_query = [&](int s, size_t q) {
       const int bound = 10 + (7 * s + 13 * static_cast<int>(q)) % 80;
@@ -252,14 +348,14 @@ int main() {
     for (std::thread& t : readers) t.join();
     const double mixed_sec = NowSec() - t0;
 
-    if (!SnapshotMatchesRebuild(*service->current_snapshot(), kMixedBatchRows,
-                                0xC000)) {
+    if (!SnapshotMatchesRebuild(*service->current_snapshot(), seed,
+                                batch_tables)) {
       return Fail("mixed-phase snapshot vs rebuild");
     }
 
     // Serial replay of every recorded (generation, session, seq) answer.
     std::vector<Table> generations;
-    generations.push_back(CensusRows(kSeedRows, kSeedSeed));
+    generations.push_back(seed);
     for (size_t g = 1; g <= batches; ++g) {
       Table next = generations.back();
       if (!next.AppendRows(batch_tables[g - 1]).ok()) {
@@ -294,7 +390,8 @@ int main() {
     const bench::LatencyStats lat = bench::SummarizeLatencies(all_latencies);
 
     const size_t ingested = batches * kMixedBatchRows;
-    results.push_back({"mixed", kMixedBatchRows, ingested, batches, queries,
+    results.push_back({"mixed", kSeedRows, kMixedBatchRows, ingested, batches,
+                       queries,
                        mixed_sec, static_cast<double>(ingested) / mixed_sec,
                        static_cast<double>(queries) / mixed_sec, 0.0, lat});
     std::printf(
@@ -314,13 +411,15 @@ int main() {
   json.Records("results", results, [](FILE* f, const Measurement& m) {
     std::fprintf(
         f,
-        "{\"op\": \"%s\", \"batch_rows\": %zu, \"total_rows\": %zu, "
+        "{\"op\": \"%s\", \"base_rows\": %zu, \"batch_rows\": %zu, "
+        "\"total_rows\": %zu, "
         "\"generations\": %zu, \"queries\": %zu, \"sec\": %.6g, "
         "\"rows_per_sec\": %.6g, \"queries_per_sec\": %.6g, "
         "\"publish_overhead\": %.6g, \"query_p50_us\": %.3f, "
         "\"query_p95_us\": %.3f, \"query_p99_us\": %.3f, "
         "\"query_max_us\": %.3f}",
-        m.op.c_str(), m.batch_rows, m.total_rows, m.generations, m.queries,
+        m.op.c_str(), m.base_rows, m.batch_rows, m.total_rows, m.generations,
+        m.queries,
         m.sec, m.rows_per_sec, m.queries_per_sec, m.publish_overhead,
         m.query_lat.p50, m.query_lat.p95, m.query_lat.p99, m.query_lat.max);
   });

@@ -45,6 +45,7 @@
 #include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/serial_replay.h"
 
 using namespace osdp;
 
@@ -81,7 +82,7 @@ std::unique_ptr<QueryService> MakeService(const Table& table, ThreadPool* pool,
   sopts.mask_cache_bytes = 64ull << 20;
   sopts.metrics_enabled = metrics_enabled;
   return *QueryService::Create(
-      *OsdpEngine::Create(table, bench::BenchPolicy(), eopts), sopts);
+      *OsdpEngine::Create(table, CensusPolicy(), eopts), sopts);
 }
 
 int Fail(const char* what, const std::string& detail) {

@@ -47,6 +47,7 @@
 #include "src/runtime/parallel_scan.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/serial_replay.h"
 
 using namespace osdp;
 using bench::TimeBest;
@@ -142,7 +143,7 @@ std::vector<ServiceRequest> ServiceBatch(const Domain1D& age_domain) {
 OsdpEngine ServiceEngine(const Table& table) {
   OsdpEngine::Options eopts;
   eopts.total_epsilon = 1e9;  // throughput bench, not a budget bench
-  return *OsdpEngine::Create(table, bench::BenchPolicy(), eopts);
+  return *OsdpEngine::Create(table, CensusPolicy(), eopts);
 }
 
 }  // namespace
@@ -157,7 +158,7 @@ int main() {
   }
   if (row_grid.empty()) row_grid.push_back(max_rows);
 
-  const Policy policy = bench::BenchPolicy();
+  const Policy policy = CensusPolicy();
   const Domain1D age_domain = *Domain1D::Numeric(0, 100, 64);
   std::vector<Measurement> results;
   volatile size_t sink = 0;
@@ -301,11 +302,11 @@ int main() {
         const double clause_rows = static_cast<double>(rows * k);
         const double separate_sec = TimeBest(reps, [&] {
           for (const CompiledPredicate* p : preds) {
-            sink += ParallelEvalMask(*p, table, popts).words()[0];
+            sink += ParallelEvalMask(*p, table, popts).block(0)[0];
           }
         });
         const double shared_sec =
-            TimeBest(reps, [&] { sink += shared_pass()[0].words()[0]; });
+            TimeBest(reps, [&] { sink += shared_pass()[0].block(0)[0]; });
         results.push_back({op + "_separate", rows, threads, separate_sec,
                            clause_rows / separate_sec});
         results.push_back({op + "_shared", rows, threads, shared_sec,

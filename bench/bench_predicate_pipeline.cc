@@ -42,6 +42,7 @@
 #include "src/hist/histogram_query.h"
 #include "src/policy/policy.h"
 #include "tests/reference_predicate.h"
+#include "tests/serial_replay.h"
 
 using namespace osdp;
 using bench::TimeBest;
@@ -142,7 +143,7 @@ int main() {
 
   // The policy behind the engine-style masked ops (ComputeHistogramMasked's
   // x_ns mask, AnswerCount's non-sensitive restriction).
-  const Policy policy = bench::BenchPolicy();
+  const Policy policy = CensusPolicy();
   const Domain1D age_domain = *Domain1D::Numeric(0, 100, 64);
 
   std::vector<Measurement> results;
@@ -272,8 +273,12 @@ int main() {
     const void* cells[] = {age.data(), zip.data()};
     const RowMask fresh3 =
         CompiledPredicate::Compile(Fresh3(), schema)->EvalMask(table);
-    const std::vector<uint64_t> want(fresh3.words(),
-                                     fresh3.words() + fresh3.num_words());
+    std::vector<uint64_t> want;
+    want.reserve(fresh3.num_words());
+    for (size_t b = 0; b < fresh3.num_blocks(); ++b) {
+      want.insert(want.end(), fresh3.block(b),
+                  fresh3.block(b) + fresh3.block_words(b));
+    }
     std::printf("kernel fresh3 @%zu rows:", rows);
     for (const KernelBody& body : HostBodies()) {
       std::vector<uint64_t> words(want.size());

@@ -40,6 +40,7 @@
 #include "src/runtime/mask_cache.h"
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/serial_replay.h"
 
 using namespace osdp;
 
@@ -89,7 +90,7 @@ std::unique_ptr<QueryService> MakeService(const Table& table,
   sopts.num_shards = 1;
   sopts.mask_cache_bytes = cache_bytes;
   return *QueryService::Create(
-      *OsdpEngine::Create(table, bench::BenchPolicy(), eopts), sopts);
+      *OsdpEngine::Create(table, CensusPolicy(), eopts), sopts);
 }
 
 struct Measurement {

@@ -14,18 +14,21 @@
 //     NEVER reallocates afterwards. Cells never move once appended: a
 //     string_view into any cell stays valid until the last column sharing
 //     the chunk is destroyed.
-//   * Copying a column copies the chunk-pointer vector, not the cells.
-//     Full chunks are immutable forever, so sharing them is always safe.
-//     The partial tail chunk may keep growing *in place* — but only under
-//     its single writer (see below); a copy records its own row count and
-//     reads just that prefix, so later in-place growth is invisible to it.
+//   * The chunk pointers live in a ChunkSpine (src/data/chunk_spine.h)
+//     shared by every copy, so copying a column is O(1): a reference to the
+//     spine plus the copy's own row count. Full chunks are immutable
+//     forever. The partial tail chunk may keep growing *in place*, and the
+//     spine may gain slots past it — but only under the single writer (see
+//     below); a copy reads just the prefix its row count covers, so later
+//     growth is invisible to it.
 //
 // Single-writer tail discipline: exactly one column instance — the one with
-// owns_tail_ set — may extend the last chunk in place. A copy is born
-// without ownership; if it is itself appended to, it first replaces its
-// tail chunk with a private copy of the prefix it can see (the actual
-// copy-on-write). Concurrent reads of a shared chunk's published prefix are
-// race-free against the owner's in-place appends: appends touch only slots
+// owns_tail_ set — may extend the last chunk in place and write spine slots
+// past its own chunk count. A copy is born without ownership; if it is
+// itself appended to, it first clones the spine and replaces its tail chunk
+// with a private copy of the prefix it can see (the actual copy-on-write).
+// Concurrent reads of a shared chunk's published prefix are race-free
+// against the owner's in-place appends: appends touch only cells and slots
 // past every published prefix, and publication happens-before the readers
 // via the SnapshotStore's atomic pointer swap.
 
@@ -40,17 +43,13 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/data/chunk_spine.h"
 
 namespace osdp {
 
-/// Rows per chunk: power of two, multiple of the 64-row RowMask word.
-inline constexpr size_t kChunkRowShift = 12;
-inline constexpr size_t kChunkRows = size_t{1} << kChunkRowShift;  // 4096
-inline constexpr size_t kChunkRowMask = kChunkRows - 1;
-
 /// \brief One column of cells in shared fixed-size chunks.
 ///
-/// Cheap to copy (chunk pointers only); the copy observes exactly the rows
+/// Copying is O(1) (one spine reference); the copy observes exactly the rows
 /// present at copy time and is immune to later appends on the source.
 template <typename T>
 class ChunkedColumn {
@@ -67,31 +66,24 @@ class ChunkedColumn {
   ChunkedColumn() = default;
 
   ChunkedColumn(const ChunkedColumn& other)
-      : chunks_(other.chunks_), size_(other.size_), owns_tail_(false) {}
+      : spine_(other.spine_), size_(other.size_), owns_tail_(false) {}
   ChunkedColumn& operator=(const ChunkedColumn& other) {
     if (this != &other) {
-      chunks_ = other.chunks_;
+      spine_ = other.spine_;
       size_ = other.size_;
       owns_tail_ = false;  // the source keeps the (single) write right
     }
     return *this;
   }
   ChunkedColumn(ChunkedColumn&& other) noexcept
-      : chunks_(std::move(other.chunks_)),
-        size_(other.size_),
-        owns_tail_(other.owns_tail_) {
-    other.chunks_.clear();
-    other.size_ = 0;
-    other.owns_tail_ = false;
-  }
+      : spine_(std::move(other.spine_)),
+        size_(std::exchange(other.size_, 0)),
+        owns_tail_(std::exchange(other.owns_tail_, false)) {}
   ChunkedColumn& operator=(ChunkedColumn&& other) noexcept {
     if (this != &other) {
-      chunks_ = std::move(other.chunks_);
-      size_ = other.size_;
-      owns_tail_ = other.owns_tail_;
-      other.chunks_.clear();
-      other.size_ = 0;
-      other.owns_tail_ = false;
+      spine_ = std::move(other.spine_);
+      size_ = std::exchange(other.size_, 0);
+      owns_tail_ = std::exchange(other.owns_tail_, false);
     }
     return *this;
   }
@@ -101,14 +93,14 @@ class ChunkedColumn {
   static ChunkedColumn FromFlat(std::vector<T> flat) {
     ChunkedColumn col;
     const size_t n = flat.size();
-    size_t done = 0;
-    while (done < n) {
+    col.spine_ = CloneSpine<ChunkPtr>(nullptr, 0, NumChunks(n));
+    for (size_t done = 0; done < n;) {
       auto chunk = std::make_shared<Chunk>();
       const size_t take = std::min(kChunkRows, n - done);
       chunk->cells.insert(chunk->cells.end(),
                           std::make_move_iterator(flat.begin() + done),
                           std::make_move_iterator(flat.begin() + done + take));
-      col.chunks_.push_back(std::move(chunk));
+      (*col.spine_)[done >> kChunkRowShift] = std::move(chunk);
       done += take;
     }
     col.size_ = n;
@@ -123,7 +115,7 @@ class ChunkedColumn {
   /// non-last chunk is exactly full.
   const T& operator[](size_t i) const {
     OSDP_DCHECK(i < size_);
-    return chunks_[i >> kChunkRowShift]->cells[i & kChunkRowMask];
+    return (*spine_)[i >> kChunkRowShift]->cells[i & kChunkRowMask];
   }
 
   /// Bounds-checked cell access.
@@ -154,23 +146,30 @@ class ChunkedColumn {
   /// \brief Appends every cell of `other` (which may be *this).
   ///
   /// When this column is chunk-aligned (size a multiple of kChunkRows), the
-  /// append shares `other`'s chunks outright — O(#chunks) pointer copies,
-  /// zero cell copies; `other`'s partial tail is adopted read-only and
-  /// copy-on-written only if this column is appended to again. Misaligned
-  /// appends repack cell-by-cell (O(other.size()) — the batch, never the
-  /// accumulated column).
+  /// append shares `other`'s chunks outright — O(other's chunks) pointer
+  /// copies, zero cell copies; `other`'s partial tail is adopted read-only,
+  /// so the next append through this column clones the spine and
+  /// copy-on-writes that tail. Misaligned appends repack cell-by-cell
+  /// (O(other.size()) — the batch, never the accumulated column).
   void Append(const ChunkedColumn& other) {
+    if (other.size_ == 0) return;
     if (&other == this) {
-      // Snapshot the chunk list first (pointer copies only) so the element
-      // source is stable while this column mutates.
+      // Copy first (one spine reference) so the element source is stable
+      // while this column mutates.
       ChunkedColumn snapshot(*this);
       Append(snapshot);
       return;
     }
     if ((size_ & kChunkRowMask) == 0) {
-      chunks_.insert(chunks_.end(), other.chunks_.begin(), other.chunks_.end());
+      const size_t first = num_chunks();
+      const size_t adopted = other.num_chunks();
+      ReserveSlots(first + adopted);
+      for (size_t ci = 0; ci < adopted; ++ci) {
+        (*spine_)[first + ci] = (*other.spine_)[ci];
+      }
       size_ += other.size_;
-      owns_tail_ = false;  // the adopted tail may have another writer
+      // A partial adopted tail may have another writer.
+      owns_tail_ = (size_ & kChunkRowMask) == 0;
       return;
     }
     other.ForEachSpan(0, other.size_,
@@ -181,16 +180,18 @@ class ChunkedColumn {
 
   /// \name Chunk geometry (scan layers and sharing tests).
   /// @{
-  size_t num_chunks() const { return chunks_.size(); }
+  size_t num_chunks() const { return NumChunks(size_); }
   /// Chunks [0, num_full_chunks()) are full, hence sealed: immutable for
   /// the lifetime of every column sharing them.
   size_t num_full_chunks() const { return size_ >> kChunkRowShift; }
   /// Identity of chunk `ci` — pointer equality across two columns proves
   /// the chunk is shared, not copied (the no-copy publish assertions).
   const void* ChunkIdentity(size_t ci) const {
-    OSDP_CHECK(ci < chunks_.size());
-    return chunks_[ci].get();
+    OSDP_CHECK(ci < num_chunks());
+    return (*spine_)[ci].get();
   }
+  /// Identity of the spine: equal across two columns iff they share it.
+  const void* SpineIdentity() const { return spine_.get(); }
   /// @}
 
   /// \brief Calls fn(data, begin, len) for each maximal contiguous span of
@@ -206,7 +207,8 @@ class ChunkedColumn {
       const size_t ci = pos >> kChunkRowShift;
       const size_t chunk_begin = ci << kChunkRowShift;
       const size_t span_end = std::min(end, chunk_begin + kChunkRows);
-      fn(chunks_[ci]->cells.data() + (pos - chunk_begin), pos, span_end - pos);
+      fn((*spine_)[ci]->cells.data() + (pos - chunk_begin), pos,
+         span_end - pos);
       pos = span_end;
     }
   }
@@ -274,29 +276,43 @@ class ChunkedColumn {
   const_iterator end() const { return const_iterator(this, size_); }
 
  private:
+  /// Makes slots [0, needed) writable by this column: a non-owner clones
+  /// the spine (it may not write the shared one), and a full spine is
+  /// replaced by one of twice the capacity. Either way the clone holds the
+  /// visible chunks, and this column becomes the writer.
+  void ReserveSlots(size_t needed) {
+    if (owns_tail_ && spine_ != nullptr && needed <= spine_->capacity()) {
+      return;
+    }
+    spine_ = CloneSpine<ChunkPtr>(spine_.get(), num_chunks(),
+                                  GrownSpineCapacity(needed));
+    owns_tail_ = true;
+  }
+
   /// The chunk the next append goes into: creates a fresh chunk at an
   /// aligned size, and copy-on-writes a shared partial tail (private copy
   /// of the visible prefix) before the first write through a non-owner.
   Chunk& WritableTail() {
     const size_t local = size_ & kChunkRowMask;
+    const size_t ci = size_ >> kChunkRowShift;
     if (local == 0) {
-      chunks_.push_back(std::make_shared<Chunk>());
-      owns_tail_ = true;
+      ReserveSlots(ci + 1);
+      (*spine_)[ci] = std::make_shared<Chunk>();
     } else if (!owns_tail_) {
+      ReserveSlots(ci + 1);
       auto fresh = std::make_shared<Chunk>();
-      const std::vector<T>& old = chunks_.back()->cells;
+      const std::vector<T>& old = (*spine_)[ci]->cells;
       fresh->cells.assign(old.begin(), old.begin() + local);
-      chunks_.back() = std::move(fresh);
-      owns_tail_ = true;
+      (*spine_)[ci] = std::move(fresh);
     }
-    OSDP_DCHECK(chunks_.back()->cells.size() == local ||
-                (local == 0 && chunks_.back()->cells.empty()));
-    return *chunks_.back();
+    Chunk& tail = *(*spine_)[ci];
+    OSDP_DCHECK(tail.cells.size() == local);
+    return tail;
   }
 
-  std::vector<ChunkPtr> chunks_;  // all full except possibly the last
-  size_t size_ = 0;               // authoritative row count for *this* view
-  bool owns_tail_ = false;        // may this instance extend the last chunk?
+  ChunkSpinePtr<ChunkPtr> spine_;  // chunks: all full except possibly the last
+  size_t size_ = 0;                // authoritative row count for *this* view
+  bool owns_tail_ = false;         // may this instance write past size_?
 };
 
 }  // namespace osdp

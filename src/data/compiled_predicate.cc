@@ -702,7 +702,8 @@ void CompiledPredicate::EvalRangeInto(
     const Block blk{table, begin, end - begin};
     for (size_t i = 0; i < preds.size(); ++i) {
       EvalBlock(*preds[i]->root_, blk,
-                outs[i]->mutable_words() + (begin >> 6));
+                outs[i]->MutableBlock(begin >> kChunkRowShift) +
+                    ((begin & kChunkRowMask) >> 6));
     }
     begin = end;
   }

@@ -102,8 +102,10 @@ class CompiledPredicate {
   /// 64 or exactly table.num_rows(), so the range covers whole 64-bit words
   /// of the mask. Disjoint word-aligned ranges therefore write disjoint
   /// words, which is what makes sharded evaluation (src/runtime/) safe with
-  /// no synchronization and bit-identical to the serial scan: the per-word
-  /// bit packing is the same computation either way.
+  /// no synchronization — once RowMask::PrepareWrite has made the whole
+  /// range writable — and bit-identical to the serial scan: the per-word
+  /// bit packing is the same computation either way. Each chunk's words go
+  /// into its own mask block (RowMask::MutableBlock).
   void EvalRangeInto(const Table& table, size_t row_begin, size_t row_end,
                      RowMask* out) const;
 

@@ -29,12 +29,12 @@ namespace osdp {
 /// mask, and the generation id all describe the same instant. Shared across
 /// threads freely — all access is const.
 ///
-/// Consecutive generations share their tables' chunks (the table copy
-/// inside TableBuilder::BuildSnapshot copies chunk pointers, not cells), so
-/// holding many generations alive costs one table plus a mask per
-/// generation, not one table copy per generation. Cutting a new one copies
-/// no cell, but it is not O(batch) either: it copies O(rows/4096) chunk
-/// pointers and O(rows/64) mask words (ROADMAP item 7).
+/// Consecutive generations share their tables' chunk spines and their
+/// masks' sealed 4096-row word blocks (docs/storage.md, "The prefix
+/// contract"), so holding many generations alive costs one table and one
+/// mask plus a tail chunk and a tail block per generation. Cutting a new
+/// one is O(1) in the table size: it copies no cell, chunk pointer or mask
+/// word.
 struct Snapshot {
   /// Generation id: 0 for the seed dataset, +1 per ingested batch.
   uint64_t generation = 0;

@@ -1,10 +1,11 @@
 // Table: columnar in-memory storage with typed column accessors.
 //
 // Columns are ChunkedColumns (src/data/chunked_column.h): sequences of
-// fixed-size chunks shared by pointer. Copying a Table therefore copies
-// chunk pointers, not cells — the copy-on-write property TableBuilder's
-// cell-copy-free snapshot publish is built on. Appending to a copy never
-// disturbs the original (full chunks are immutable; a shared tail chunk is
+// fixed-size chunks shared by pointer through one spine per column.
+// Copying a Table therefore copies a spine reference per column, not cells
+// or chunk pointers — the copy-on-write property TableBuilder's O(1)
+// snapshot publish is built on. Appending to a copy never disturbs the
+// original (full chunks are immutable; a shared spine and tail chunk are
 // privately copied before the first write through the copy).
 
 #ifndef OSDP_DATA_TABLE_H_

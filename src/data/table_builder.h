@@ -35,14 +35,13 @@ using RowBatch = Table;
 /// the non-sensitive mask the snapshots carry. Each Append evaluates P over
 /// just the new rows (CompiledPredicate::EvalRangeInto from the last word
 /// boundary), so ingest cost is proportional to the batch, not the
-/// accumulated table. BuildSnapshot copies the accumulated columns —
-/// under chunked storage that is a chunk-*pointer* copy, O(#chunks) not
-/// O(rows), so publish cost is flat in the accumulated size (the mask copy,
-/// O(rows/64) words, dominates asymptotically). Consecutive generations
-/// share every chunk; immutability of what readers see is guaranteed by the
-/// single-writer tail discipline (src/data/chunked_column.h): the builder
-/// keeps appending in place, but only past every published generation's
-/// recorded row count.
+/// accumulated table. BuildSnapshot is O(1) in the accumulated size: the
+/// snapshot's columns and mask share the builder's chunk spines and mask
+/// blocks (src/data/chunk_spine.h). Immutability of what readers see is
+/// guaranteed by the single-writer discipline: the builder keeps appending
+/// in place, but only cells and spine slots past every published
+/// generation's recorded size, and it copies a mask block a snapshot can
+/// see (its partial last one) before writing into it.
 class TableBuilder {
  public:
   /// Seeds the builder with `seed` (which becomes the generation-0 contents),
@@ -53,10 +52,11 @@ class TableBuilder {
   static Result<TableBuilder> Create(Table seed, const Policy& policy);
 
   /// Seeds the builder from an already-classified snapshot: adopts the
-  /// snapshot's table *chunks* (pointer copies, no cell is read or copied —
-  /// tests/snapshot_test.cc pins this by chunk identity) and copies its mask
-  /// instead of re-scanning the seed rows — the startup path for a service
-  /// whose engine already cut generation 0.
+  /// snapshot's table *chunks* (no cell is read or copied —
+  /// tests/snapshot_test.cc pins this by chunk identity) and shares its mask
+  /// blocks instead of re-scanning the seed rows — the startup path for a
+  /// service whose engine already cut generation 0. The first Append clones
+  /// the spines once, since the snapshot keeps reading them.
   /// `policy` must be the policy that produced the snapshot's mask; only the
   /// predicate is (re)compiled.
   static Result<TableBuilder> FromSnapshot(const Snapshot& snapshot,
@@ -74,10 +74,10 @@ class TableBuilder {
   /// `generation`. The snapshot's non-sensitive mask is a copy of the
   /// incrementally-maintained one — bit-identical to a full
   /// Policy::NonSensitiveRowMask recompute over the same rows (pinned by
-  /// tests/snapshot_test.cc). The table copy shares every chunk with the
-  /// builder (and with every other generation) — publish is O(#chunks)
-  /// pointer copies plus the O(rows/64) mask words, independent of how many
-  /// rows have accumulated.
+  /// tests/snapshot_test.cc). The table and mask copies share every chunk,
+  /// spine and sealed mask block with the builder (and with every other
+  /// generation): publish is O(1), independent of how many rows have
+  /// accumulated, and allocates the same bytes at any size.
   SnapshotPtr BuildSnapshot(uint64_t generation) const;
 
  private:

@@ -49,12 +49,13 @@ MaskCache::MaskCache(Options options) : options_(options) {
 
 size_t MaskCache::EntryBytes(const RowMask& mask,
                              const std::string& canonical) {
-  // Mask words + the key's canonical bytes + a flat allowance for the list
-  // node, index slot, control blocks, and the count memo. An approximation
-  // is fine: the budget bounds memory, it is not an allocator.
+  // The mask's heap bytes + the key's canonical bytes + a flat allowance
+  // for the list node, index slot, control blocks, and the count memo.
+  // Blocks an extension shares with its base are counted in both entries:
+  // the sum may overcount memory, but never undercounts it. An
+  // approximation is fine: the budget bounds memory, it is not an allocator.
   constexpr size_t kEntryOverhead = 128;
-  return mask.num_words() * sizeof(uint64_t) + canonical.size() +
-         kEntryOverhead;
+  return mask.HeapBytes() + canonical.size() + kEntryOverhead;
 }
 
 size_t MaskCache::HistogramBytes(const Histogram& histogram) {
@@ -133,15 +134,18 @@ std::vector<MaskCache::Found> MaskCache::LookupManyKeyed(
     Miss miss;
     miss.clause = i;
     miss.key = std::move(key);
-    miss.mask = RowMask(rows);
     if (probe.base != nullptr) {
-      // The base's whole words carry over; its partial last word is
-      // rescanned with the appended rows, to the same bits. The copy is
-      // made now, so the base need not stay pinned through the scan.
+      // The base's blocks carry over by reference: the sealed ones stay
+      // shared, and its partial last word is rescanned with the appended
+      // rows, to the same bits, into a copy of its last block. The mask
+      // holds what it shares, so the base need not stay pinned through the
+      // scan.
+      miss.mask = probe.base->mask_;
+      miss.mask.Resize(rows);
       miss.row_begin = probe.base->mask_.size() & ~size_t{63};
       miss.extended = true;
-      std::copy_n(probe.base->mask_.words(), miss.row_begin >> 6,
-                  miss.mask.mutable_words());
+    } else {
+      miss.mask = RowMask(rows);
     }
     miss.seeds = std::move(probe.seeds);
     misses.push_back(std::move(miss));

@@ -33,14 +33,19 @@
 //     Hence a miss for (clause, g) through LookupMany first looks for the
 //     newest resident entry of the *same* clause (deep-equal
 //     canonical bytes, never a mere fingerprint match) at an older
-//     generation g' < g whose n_g' rows fit in g's. It builds g's mask by
-//     copying that base's whole words and scanning only rows
+//     generation g' < g whose n_g' rows fit in g's. It builds g's mask from
+//     a copy of that base's mask, which shares the base's 4096-row word
+//     blocks (src/data/row_mask.h): it writes only the base's partial last
+//     block (copied first) and new blocks, scanning only rows
 //     [floor64(n_g'), n_g) — the base's partial last word is rescanned to
 //     the same bits. The entry also takes the base's filled aggregates as
 //     seeds, so the first fill of each is its seed plus a pass over rows
 //     [n_g', n_g) alone; a seed is dropped once its aggregate attaches. The
-//     new entry holds no pointer to its base, so the base still ages out,
-//     and a base evicted mid-extension stays pinned until the copy is done.
+//     new entry holds no pointer to the base entry, so the base still ages
+//     out; the blocks the two share live until both are gone. EntryBytes
+//     charges each entry its mask's RowMask::HeapBytes — every block run it
+//     references, shared or not — so the budget may overcount memory but
+//     never undercounts it.
 //     Seeds are not charged to the byte budget: they are the base's own
 //     aggregates, bounded by one set per entry and freed as fills attach.
 //     Every extended value equals a cold scan bit for bit: the mask words
@@ -352,9 +357,9 @@ class MaskCache {
   // The outcome of probing one key under its shard lock: a hit, or a miss
   // that, when `base` is set, extends it — the newest resident entry of the
   // same clause at an older generation with at most *extend_rows rows,
-  // pinned for the caller's copy, its aggregates taken as `seeds`. No base
-  // is searched for without `extend_rows`. Counts the hit or miss; a
-  // disabled cache finds and counts nothing.
+  // pinned until the caller copies its mask, its aggregates taken as
+  // `seeds`. No base is searched for without `extend_rows`. Counts the hit
+  // or miss; a disabled cache finds and counts nothing.
   struct Probe {
     EntryPtr hit;
     EntryPtr base;

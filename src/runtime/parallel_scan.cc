@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/data/bit_kernels.h"
 
 namespace osdp {
 
@@ -74,6 +73,9 @@ void ParallelEvalMasksInto(const std::vector<const CompiledPredicate*>& preds,
     sharding.num_shards =
         std::max(ShardsOf(opts, PoolOf(opts)), preds.size());
   }
+  // Every block the shards write is made writable up front, so no shard
+  // allocates a block or replaces a mask's spine.
+  for (RowMask* out : outs) out->PrepareWrite(row_begin, table.num_rows());
   // Chunk-aligned shards: a shard's typed inner loops never straddle a
   // chunk edge, so each shard is one ForEachSpan span per chunk it owns.
   // Still 64-aligned, so bit-identity to the serial scan is untouched.
@@ -112,11 +114,8 @@ size_t SumOverWordShards(size_t row_begin, size_t row_end,
 }  // namespace
 
 size_t ParallelCount(const RowMask& mask, const ParallelScanOptions& opts) {
-  const uint64_t* words = mask.words();
-  // Whole-mask shards end on a word edge or at size(), past which the mask's
-  // tail bits are zero, so whole words count exactly.
   return SumOverWordShards(0, mask.size(), opts, [&](size_t begin, size_t end) {
-    return PopcountWords(words, begin >> 6, (end + 63) >> 6);
+    return mask.CountInRange(begin, end);
   });
 }
 
@@ -124,40 +123,20 @@ size_t ParallelAndCount(const RowMask& a, const RowMask& b, size_t row_begin,
                         size_t row_end, const ParallelScanOptions& opts) {
   OSDP_CHECK(a.size() == b.size());
   OSDP_CHECK(row_begin <= row_end && row_end <= a.size());
-  const uint64_t* aw = a.words();
-  const uint64_t* bw = b.words();
   return SumOverWordShards(
       row_begin, row_end, opts, [&](size_t begin, size_t end) {
-        const size_t wlo = begin >> 6;
-        const size_t whi = (end + 63) >> 6;
-        size_t n = AndPopcountWords(aw, bw, wlo, whi);
-        // Take back the bits of a partial first or last word that lie
-        // outside [begin, end).
-        if ((begin & 63) != 0) {
-          const uint64_t w =
-              aw[wlo] & bw[wlo] & ((uint64_t{1} << (begin & 63)) - 1);
-          n -= PopcountWords(&w, 0, 1);
-        }
-        if ((end & 63) != 0) {
-          const uint64_t w =
-              aw[whi - 1] & bw[whi - 1] & (~uint64_t{0} << (end & 63));
-          n -= PopcountWords(&w, 0, 1);
-        }
-        return n;
+        return a.AndCountInRange(b, begin, end);
       });
 }
 
 void ParallelAndWith(RowMask* mask, const RowMask& other,
                      const ParallelScanOptions& opts) {
   OSDP_CHECK(mask->size() == other.size());
-  uint64_t* dst = mask->mutable_words();
-  const uint64_t* src = other.words();
+  // Copy-on-write happens here, serially: shards then write in place.
+  mask->PrepareWrite(0, mask->size());
   ForEachShard(ShardEdges(0, mask->size(), opts, /*alignment=*/64), opts,
                [&](size_t /*shard*/, size_t begin, size_t end) {
-                 const size_t whi = (end + 63) >> 6;
-                 for (size_t wi = begin >> 6; wi < whi; ++wi) {
-                   dst[wi] &= src[wi];
-                 }
+                 mask->AndWithInRange(other, begin, end);
                });
 }
 

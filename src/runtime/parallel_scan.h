@@ -10,7 +10,11 @@
 //   * Shard boundaries are multiples of 64 (AlignedShards), so each
 //     shard owns whole words of every mask involved. Producers write
 //     disjoint words, combiners rewrite disjoint words in place — no locks,
-//     no read-modify-write sharing, no tail-bit coordination. Table-touching
+//     no read-modify-write sharing, no tail-bit coordination. A mask's
+//     words live in 4096-row blocks that may be shared with other masks
+//     (src/data/row_mask.h); a writer makes every block it will write
+//     private first (RowMask::PrepareWrite), serially, so no shard copies a
+//     block or a spine. Table-touching
 //     scans (predicate evaluation, histogram accumulation) align shard edges
 //     to kChunkRows — a multiple of 64, so the same disjoint-word argument
 //     holds — and a shard's typed inner loops then never straddle a chunk.

@@ -22,12 +22,10 @@
 //     mask is extended incrementally over just the new rows, a complete
 //     immutable Snapshot (table + mask + generation id) is built, and it is
 //     published by atomic pointer swap (src/data/snapshot_store.h). The
-//     snapshot's table shares all chunks with the builder's (chunked
-//     copy-on-write columns, src/data/chunked_column.h), so an Ingest costs
-//     O(batch) in cell work regardless of how many rows have accumulated.
-//     Publish itself is not O(batch): it copies O(rows/4096) chunk pointers
-//     and O(rows/64) mask words, about 12, 80 and 580 µs at 1M, 4M and 16M
-//     rows (ROADMAP item 7).
+//     snapshot shares the builder's chunk spines and mask blocks (chunked
+//     copy-on-write storage, src/data/chunk_spine.h), so cutting it is O(1)
+//     and an Ingest costs O(batch) regardless of how many rows have
+//     accumulated.
 //   * Every AnswerBatch captures the current snapshot once, at submission,
 //     and answers the whole batch against it — a query submitted before a
 //     swap never observes rows or mask bits from a later generation, and a

@@ -502,6 +502,12 @@ TEST_F(FaultTest, SoakFaultsOverloadDeadlinesAndIngestPreserveInvariants) {
       return count;
     };
 
+    // Every generation an answer can name, pinned as published: generation
+    // 0 now, and each later one by the writer — the only publisher — right
+    // after its Ingest succeeds. pinned[g] is generation g.
+    std::vector<SnapshotPtr> pinned = {service->current_snapshot()};
+    ASSERT_EQ(pinned[0]->generation, 0u);
+
     ScopedFault fault(spec.point, spec.schedule);
     CancelToken round_token;
 
@@ -510,10 +516,15 @@ TEST_F(FaultTest, SoakFaultsOverloadDeadlinesAndIngestPreserveInvariants) {
       // whole, "ingest/publish" appends it without publishing (it rides
       // with the next success). Either way the error is classified and the
       // published snapshot is never torn — which the replay leg below
-      // verifies against the service's own final generation.
+      // verifies against every generation an answer names.
       for (int g = 0; g < kIngests; ++g) {
         auto result = service->Ingest(CensusRows(41, 0xC0DE + g));
-        if (!result.ok()) {
+        if (result.ok()) {
+          SnapshotPtr published = service->current_snapshot();
+          EXPECT_EQ(published->generation, *result);
+          EXPECT_EQ(*result, pinned.size());
+          pinned.push_back(std::move(published));
+        } else {
           EXPECT_EQ(result.status().code(), StatusCode::kInternal)
               << result.status().ToString();
           EXPECT_TRUE(MentionsPoint(result.status(), "ingest/"))
@@ -612,30 +623,31 @@ TEST_F(FaultTest, SoakFaultsOverloadDeadlinesAndIngestPreserveInvariants) {
     EXPECT_LE(admission.peak_inflight, opts.max_concurrent_batches);
     EXPECT_EQ(rejected_seen.load(), admission.rejected * kQueriesPerBatch);
 
-    // ---- Invariant 4: no torn snapshot. Which generations were published
-    // depends on where the ingest faults landed, so replay what the service
-    // itself certifies: every delivered answer against the *final* published
-    // generation — at least the quiescent tail, usually many more — must be
-    // bit-identical to a serial recomputation from that immutable snapshot
-    // with the recorded (session, seq) seed. A torn table or mask could not
-    // survive this. (Fault-free cross-generation replay from first
-    // principles is covered by the ingest stress harness in
-    // query_service_test.cc.)
-    const SnapshotPtr current = service->current_snapshot();
+    // ---- Invariant 4: no torn snapshot. Every delivered answer must be
+    // bit-identical to a serial recomputation from the generation it names,
+    // as pinned when it was published, with the recorded (session, seq)
+    // seed. A torn table or mask could not survive this, and neither could
+    // an old generation whose rows or bits moved while the builder appended
+    // into the storage the generations share. (Fault-free cross-generation
+    // replay from first principles is covered by the ingest stress harness
+    // in query_service_test.cc.)
     size_t replayed = 0;
     for (int s = 0; s < kReaders; ++s) {
       for (const Delivered& d : delivered[s]) {
-        if (d.answer.generation != current->generation) continue;
+        ASSERT_LT(d.answer.generation, pinned.size())
+            << "answer names an unpublished generation";
+        const Snapshot& snap = *pinned[d.answer.generation];
         ++replayed;
         EXPECT_TRUE(SameRelease(
             d.answer,
-            *ReplayAnswer(current->table, current->non_sensitive,
+            *ReplayAnswer(snap.table, snap.non_sensitive,
                           make_query(d.s, d.q), kRootSeed, sessions[s],
                           d.answer.seq, d.answer.generation)))
-            << "answer diverged: session " << s << " seq " << d.answer.seq;
+            << "answer diverged: session " << s << " seq " << d.answer.seq
+            << " generation " << d.answer.generation;
       }
     }
-    EXPECT_GE(replayed, static_cast<size_t>(kReaders));
+    EXPECT_EQ(replayed, total_delivered);
   }
 }
 

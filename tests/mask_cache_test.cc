@@ -52,6 +52,21 @@ RowMask PatternMask(size_t rows, uint64_t seed) {
   return m;
 }
 
+// Bytes the cache charges: a 64-row mask (one block of its own) under a
+// 1-byte canonical key, and a histogram of `bins` bins (mask_cache.cc's flat
+// allowances).
+const size_t kSmallEntryBytes = PatternMask(64, 1).HeapBytes() + 1 + 128;
+constexpr size_t HistogramCharge(size_t bins) { return bins * 8 + 96; }
+
+// Copies the words of `from` for rows [row_begin, size) into `out` (equal
+// sizes; row_begin a multiple of 64), as a real range scan writes them.
+void CopyWordsFrom(const RowMask& from, size_t row_begin, RowMask* out) {
+  for (size_t w = row_begin / 64; w < out->num_words(); ++w) {
+    out->MutableBlock(w / kBlockWords)[w % kBlockWords] =
+        from.block(w / kBlockWords)[w % kBlockWords];
+  }
+}
+
 std::shared_ptr<const std::string> Canon(const std::string& s) {
   return std::make_shared<const std::string>(s);
 }
@@ -162,9 +177,9 @@ TEST(MaskCacheTest, FingerprintCollisionIsRejectedByDeepEquality) {
 }
 
 TEST(MaskCacheTest, LruEvictsLeastRecentlyUsedUnderByteBudget) {
-  // One shard; budget fits exactly two entries (64-row mask = 1 word = 8
-  // bytes, 1-byte canonical, 128 overhead → 137 bytes each).
-  MaskCache cache({300, 1});
+  // One shard; budget fits exactly two entries (64-row mask = one block,
+  // 1-byte canonical, 128 overhead → kSmallEntryBytes each).
+  MaskCache cache({2 * kSmallEntryBytes + 26, 1});
   const RowMask mask = PatternMask(64, 3);
   int computes = 0;
   bool hit = false;
@@ -185,7 +200,7 @@ TEST(MaskCacheTest, LruEvictsLeastRecentlyUsedUnderByteBudget) {
   EXPECT_TRUE(lookup("A")) << "touched entry was evicted instead of LRU";
   EXPECT_FALSE(lookup("B")) << "evicted entry still served";
   EXPECT_EQ(computes, 4);
-  EXPECT_LE(cache.stats().bytes, 300u);
+  EXPECT_LE(cache.stats().bytes, 2 * kSmallEntryBytes + 26);
 }
 
 TEST(MaskCacheTest, OversizedEntryIsServedButNeverStored) {
@@ -261,10 +276,6 @@ Histogram Ramp(size_t bins) {
   return h;
 }
 
-// Bytes the cache charges: a 64-row mask under a 1-byte canonical key, and a
-// histogram of `bins` bins (mask_cache.cc's flat allowances).
-constexpr size_t kSmallEntryBytes = 8 + 1 + 128;
-constexpr size_t HistogramCharge(size_t bins) { return bins * 8 + 96; }
 
 TEST(MaskCacheAggregateTest, MemoComputesOncePerEntry) {
   MaskCache cache({1 << 20, 2});
@@ -342,9 +353,9 @@ TEST(MaskCacheAggregateTest, UncachedEntriesRecomputeAndCountNothing) {
 }
 
 TEST(MaskCacheAggregateTest, EvictedEntryTakesItsAggregatesWithIt) {
-  // One shard of 300 bytes: an entry with an 8-bin histogram (137 + 160)
+  // One shard: an entry with an 8-bin histogram (kSmallEntryBytes + 160)
   // fits alone; a second entry pushes it out.
-  MaskCache cache({300, 1});
+  MaskCache cache({kSmallEntryBytes + HistogramCharge(8) + 3, 1});
   int computes = 0;
   const auto lookup = [&](const std::string& key) {
     return LookupKeyed(cache, std::hash<std::string>{}(key), Canon(key), 0,
@@ -392,9 +403,10 @@ TEST(MaskCacheAggregateTest, EvictedEntryTakesItsAggregatesWithIt) {
 }
 
 TEST(MaskCacheAggregateTest, AttachedHistogramBytesCountAndEvictTheLruTail) {
-  // One shard of 400 bytes holds two bare entries (2 × 137); attaching a
+  // One shard holds two bare entries (2 × kSmallEntryBytes); attaching a
   // 160-byte histogram to the newer one pushes the older one out.
-  MaskCache cache({400, 1});
+  const size_t kBudget = 2 * kSmallEntryBytes + 126;
+  MaskCache cache({kBudget, 1});
   const auto a =
       LookupKeyed(cache, 1, Canon("A"), 0, 64, Whole(PatternMask(64, 1)));
   const auto b =
@@ -412,17 +424,18 @@ TEST(MaskCacheAggregateTest, AttachedHistogramBytesCountAndEvictTheLruTail) {
 
   // A histogram that could never fit beside its entry is served, not stored.
   int computes = 0;
+  ASSERT_GT(kSmallEntryBytes + HistogramCharge(128), kBudget);
   for (int i = 0; i < 2; ++i) {
-    const auto big = cache.AggregateHistogram(*b, BinsKey(64), [&](size_t) {
+    const auto big = cache.AggregateHistogram(*b, BinsKey(128), [&](size_t) {
       ++computes;
-      return Ramp(64);
+      return Ramp(128);
     });
-    EXPECT_EQ(big->counts(), Ramp(64).counts());
+    EXPECT_EQ(big->counts(), Ramp(128).counts());
   }
   EXPECT_EQ(computes, 2);
   stats = cache.stats();
   EXPECT_EQ(stats.bytes, kSmallEntryBytes + HistogramCharge(8));
-  EXPECT_LE(stats.bytes, 400u);
+  EXPECT_LE(stats.bytes, kBudget);
 }
 
 TEST(MaskCacheAggregateTest, RacingFillsOfOneKeyAgreeBitForBit) {
@@ -704,15 +717,15 @@ TEST(MaskCacheServiceTest, GenerationIsolationAfterIngest) {
 }
 
 TEST(MaskCacheServiceTest, LruEvictionUnderTinyBudgetStaysBitIdentical) {
-  // 350 bytes per lock shard (8 × 350 over the service's 8 shards) fits
-  // about one of the pool's 1000-row masks per shard, so the rounds churn
-  // the LRU constantly — answers must still be bit-identical to the cold
-  // twin, and eviction must actually happen.
+  // 900 bytes per lock shard (8 × 900 over the service's 8 shards) fits
+  // about one of the pool's 1000-row masks (one block) per shard, so the
+  // rounds churn the LRU constantly — answers must still be bit-identical
+  // to the cold twin, and eviction must actually happen.
   const MaskCache::Stats stats = RunCachedVsColdTwins(
-      /*rows=*/1000, /*threads=*/2, /*cache_bytes=*/8 * 350,
+      /*rows=*/1000, /*threads=*/2, /*cache_bytes=*/8 * 900,
       /*rng_seed=*/0x71D7);
   EXPECT_GT(stats.evictions, 0u) << "budget was not tiny enough to evict";
-  EXPECT_LE(stats.bytes, 8u * 350u);
+  EXPECT_LE(stats.bytes, 8u * 900u);
 }
 
 // ------------------------------------------------------------- extension ---
@@ -924,8 +937,12 @@ TEST(MaskCacheExtensionTest, BaseEvictedMidExtensionStillExtendsExactly) {
       *PreparedHistogramQuery::Prepare(g.g1->table, hq);
   const CompiledPredicate& pred = *query.where();
   const size_t rows = g.g1->table.num_rows();
-  // A filler mask whose entry takes most of the shard on its own.
-  const RowMask filler((kBudget - 400) * 8);
+  // A filler mask whose entry takes most of the shard on its own: 14
+  // written blocks of 512 bytes.
+  RowMask filler(14 * kChunkRows);
+  filler.PrepareWrite(0, filler.size());
+  ASSERT_LT(filler.HeapBytes(), kBudget - 400);
+  ASSERT_GT(filler.HeapBytes(), kBudget - 1200);
   size_t scan_begin = kNone;
   const auto entry = Lookup(
       cache, pred, 1, rows, [&](size_t row_begin, RowMask* out) {
@@ -999,9 +1016,7 @@ TEST(MaskCacheExtensionTest, OnlyTheNewestOlderGenerationIsABase) {
       scan_begin = row_begin;
       // Fill only the words the scan owns, as a real range scan does.
       const RowMask full = PatternMask(rows, 3);
-      for (size_t w = row_begin / 64; w < out->num_words(); ++w) {
-        out->mutable_words()[w] = full.words()[w];
-      }
+      CopyWordsFrom(full, row_begin, out);
     };
   };
   auto entry = LookupKeyed(cache, 9, canon, 4, 200, record(200));
@@ -1027,10 +1042,7 @@ TEST(MaskCacheExtensionTest, OnlyTheNewestOlderGenerationIsABase) {
 // scan does. PatternMask's bit i depends on i alone, so one seed's masks at
 // growing sizes extend each other as generations do.
 void FillPattern(size_t row_begin, uint64_t seed, RowMask* out) {
-  const RowMask full = PatternMask(out->size(), seed);
-  for (size_t w = row_begin / 64; w < out->num_words(); ++w) {
-    out->mutable_words()[w] = full.words()[w];
-  }
+  CopyWordsFrom(PatternMask(out->size(), seed), row_begin, out);
 }
 
 // One BatchScan call: the row it started at and the clauses it built.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/check.h"
 #include "src/common/random.h"
 #include "src/data/bit_kernels.h"
 
@@ -135,8 +136,14 @@ size_t BitOracle(const RowMask& a, const RowMask* b, size_t lo, size_t hi) {
 }
 
 // Sizes around the tail word: empty, one partial word, exact words, and a
-// partial last word after whole ones.
+// partial last word after whole ones. All fit in one block.
 const size_t kTailSizes[] = {0, 1, 63, 64, 65, 127, 128, 129, 191, 640, 1001};
+
+// The words of a mask of at most one block, for the flat word kernels.
+const uint64_t* OneBlock(const RowMask& m) {
+  OSDP_CHECK(m.num_blocks() <= 1);
+  return m.num_blocks() == 0 ? nullptr : m.block(0);
+}
 
 TEST(BitKernelsTest, BothBodiesMatchTheBitOracle) {
   namespace k = bit_kernels_internal;
@@ -164,17 +171,17 @@ TEST(BitKernelsTest, BothBodiesMatchTheBitOracle) {
       for (const Body& body : bodies) {
         // Whole mask, then every [lo, hi) sub-range of up to three words at
         // each end (the shard shapes ParallelCount hands the kernels).
-        EXPECT_EQ(body.popcount(a.words(), 0, words),
+        EXPECT_EQ(body.popcount(OneBlock(a), 0, words),
                   BitOracle(a, nullptr, 0, words))
             << body.name << " rows=" << rows;
         for (size_t lo = 0; lo <= words; ++lo) {
           for (size_t hi = lo; hi <= words; ++hi) {
             if (lo > 3 && hi + 3 < words) continue;
-            ASSERT_EQ(body.popcount(a.words(), lo, hi),
+            ASSERT_EQ(body.popcount(OneBlock(a), lo, hi),
                       BitOracle(a, nullptr, lo, hi))
                 << body.name << " rows=" << rows << " [" << lo << "," << hi
                 << ")";
-            ASSERT_EQ(body.and_popcount(a.words(), b.words(), lo, hi),
+            ASSERT_EQ(body.and_popcount(OneBlock(a), OneBlock(b), lo, hi),
                       BitOracle(a, &b, lo, hi))
                 << body.name << " rows=" << rows << " [" << lo << "," << hi
                 << ")";
@@ -208,6 +215,184 @@ TEST(RowMaskTest, TwoMaskForEachSetInRangeWalksTheIntersection) {
       }
     }
   }
+}
+
+// ------------------------------------------------------------------ blocks ---
+
+// Sizes around the 4096-row block edge: one row short of a block, exactly
+// one, one past it, and several blocks with a ragged, word-unaligned tail.
+const size_t kBlockSizes[] = {kChunkRows - 1, kChunkRows, kChunkRows + 1,
+                              2 * kChunkRows, 3 * kChunkRows + 17};
+
+// The bits of a mask, read one row at a time.
+std::vector<bool> Bits(const RowMask& m) {
+  std::vector<bool> out(m.size());
+  for (size_t i = 0; i < m.size(); ++i) out[i] = m.Test(i);
+  return out;
+}
+
+TEST(RowMaskBlockTest, BlocksHoldTheWordsOfTheirChunk) {
+  Rng rng(0xB10C);
+  for (size_t rows : kBlockSizes) {
+    const RowMask m = RandomMask(rows, 0.4, rng);
+    ASSERT_EQ(m.num_blocks(), (rows + kChunkRows - 1) / kChunkRows);
+    size_t words = 0;
+    for (size_t b = 0; b < m.num_blocks(); ++b) {
+      words += m.block_words(b);
+      for (size_t w = 0; w < m.block_words(b); ++w) {
+        for (size_t bit = 0; bit < 64; ++bit) {
+          const size_t row = b * kChunkRows + w * 64 + bit;
+          const bool set = (m.block(b)[w] >> bit) & 1;
+          ASSERT_EQ(set, row < rows && m.Test(row)) << "rows=" << rows
+                                                    << " row=" << row;
+        }
+      }
+    }
+    EXPECT_EQ(words, m.num_words());
+  }
+}
+
+TEST(RowMaskBlockTest, RangeCountsMatchTheBitOracleAcrossBlockEdges) {
+  Rng rng(0xC0DE);
+  for (size_t rows : kBlockSizes) {
+    const RowMask a = RandomMask(rows, 0.5, rng);
+    const RowMask b = RandomMask(rows, 0.5, rng);
+    const std::vector<size_t> edges = {0,          1,        63,
+                                       64,         kChunkRows - 1,
+                                       kChunkRows, kChunkRows + 65,
+                                       rows / 2,   rows - 1,
+                                       rows};
+    for (size_t begin : edges) {
+      for (size_t end : edges) {
+        if (begin > end || end > rows) continue;
+        size_t want = 0;
+        size_t want_and = 0;
+        for (size_t i = begin; i < end; ++i) {
+          want += a.Test(i) ? 1 : 0;
+          want_and += (a.Test(i) && b.Test(i)) ? 1 : 0;
+        }
+        ASSERT_EQ(a.CountInRange(begin, end), want)
+            << "rows=" << rows << " [" << begin << "," << end << ")";
+        ASSERT_EQ(a.AndCountInRange(b, begin, end), want_and)
+            << "rows=" << rows << " [" << begin << "," << end << ")";
+      }
+    }
+    EXPECT_EQ(a.Count(), a.CountInRange(0, rows));
+  }
+}
+
+TEST(RowMaskBlockTest, CopySharesEveryBlockAndAWriteCopiesOnlyItsBlock) {
+  Rng rng(0x5A4E);
+  const size_t rows = 3 * kChunkRows + 17;
+  RowMask source = RandomMask(rows, 0.5, rng);
+  const std::vector<bool> source_bits = Bits(source);
+
+  RowMask copy = source;
+  ASSERT_EQ(copy.SpineIdentity(), source.SpineIdentity());
+  for (size_t b = 0; b < source.num_blocks(); ++b) {
+    ASSERT_EQ(copy.BlockIdentity(b), source.BlockIdentity(b)) << "block " << b;
+  }
+
+  // A write through the copy into a sealed block copies that block alone.
+  copy.Set(kChunkRows + 5, !source.Test(kChunkRows + 5));
+  EXPECT_NE(copy.BlockIdentity(1), source.BlockIdentity(1));
+  EXPECT_EQ(copy.BlockIdentity(0), source.BlockIdentity(0));
+  EXPECT_EQ(copy.BlockIdentity(2), source.BlockIdentity(2));
+  EXPECT_EQ(copy.BlockIdentity(3), source.BlockIdentity(3));
+  EXPECT_EQ(Bits(source), source_bits);
+
+  // The source writes its shared tail and a sealed block the copy reads:
+  // both are copied first, so the copy still sees the old bits.
+  const std::vector<bool> copy_bits = Bits(copy);
+  source.Set(rows - 1, !source.Test(rows - 1));
+  source.Set(2, !source.Test(2));
+  EXPECT_NE(source.BlockIdentity(3), copy.BlockIdentity(3));
+  EXPECT_NE(source.BlockIdentity(0), copy.BlockIdentity(0));
+  EXPECT_EQ(source.BlockIdentity(2), copy.BlockIdentity(2));
+  EXPECT_EQ(Bits(copy), copy_bits);
+}
+
+TEST(RowMaskBlockTest, CombinersOnACopyLeaveTheSourceIntact) {
+  Rng rng(0xF11B);
+  for (size_t rows : kBlockSizes) {
+    const RowMask a = RandomMask(rows, 0.5, rng);
+    const RowMask b = RandomMask(rows, 0.5, rng);
+    const std::vector<bool> a_bits = Bits(a);
+    RowMask and_copy = a;
+    and_copy.AndWith(b);
+    RowMask andnot_copy = a;
+    andnot_copy.AndNotWith(b);
+    RowMask flip_copy = a;
+    flip_copy.FlipAll();
+    for (size_t i = 0; i < rows; ++i) {
+      ASSERT_EQ(and_copy.Test(i), a_bits[i] && b.Test(i)) << i;
+      ASSERT_EQ(andnot_copy.Test(i), a_bits[i] && !b.Test(i)) << i;
+      ASSERT_EQ(flip_copy.Test(i), !a_bits[i]) << i;
+    }
+    EXPECT_EQ(flip_copy.Count(), rows - a.Count());
+    EXPECT_EQ(Bits(a), a_bits) << "rows=" << rows;
+  }
+}
+
+TEST(RowMaskBlockTest, ResizeSharesEverySealedBlockWithEarlierCopies) {
+  // The ingest pattern: an owner grows past copies it handed out and writes
+  // the new rows; each copy keeps its bits, and every block a copy had
+  // sealed stays shared.
+  Rng rng(0x6E0);
+  RowMask owner = RandomMask(kChunkRows + 100, 0.5, rng);
+  std::vector<RowMask> copies;
+  std::vector<std::vector<bool>> copy_bits;
+  for (size_t grow : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                      kChunkRows - 1, kChunkRows + 1}) {
+    copies.push_back(owner);
+    copy_bits.push_back(Bits(owner));
+    const size_t old_size = owner.size();
+    owner.Resize(old_size + grow);
+    for (size_t i = old_size & ~size_t{63}; i < owner.size(); ++i) {
+      owner.Set(i, i < old_size ? owner.Test(i) : rng.NextBernoulli(0.5));
+    }
+    const RowMask& last = copies.back();
+    for (size_t b = 0; b < last.size() / kChunkRows; ++b) {
+      ASSERT_EQ(owner.BlockIdentity(b), last.BlockIdentity(b))
+          << "sealed block " << b << " copied after growing by " << grow;
+    }
+    for (size_t i = 0; i < old_size; ++i) {
+      ASSERT_EQ(owner.Test(i), copy_bits.back()[i]) << i;
+    }
+  }
+  for (size_t c = 0; c < copies.size(); ++c) {
+    EXPECT_EQ(Bits(copies[c]), copy_bits[c]) << "copy " << c;
+  }
+}
+
+TEST(RowMaskBlockTest, PrepareWriteMakesTheRangePrivate) {
+  Rng rng(0x9E9);
+  const RowMask source = RandomMask(3 * kChunkRows + 17, 0.5, rng);
+  RowMask copy = source;
+  copy.PrepareWrite(kChunkRows + 64, 2 * kChunkRows + 1);
+  EXPECT_EQ(copy.BlockIdentity(0), source.BlockIdentity(0));
+  EXPECT_NE(copy.BlockIdentity(1), source.BlockIdentity(1));
+  EXPECT_NE(copy.BlockIdentity(2), source.BlockIdentity(2));
+  EXPECT_EQ(copy.BlockIdentity(3), source.BlockIdentity(3));
+  EXPECT_EQ(copy, source);
+}
+
+TEST(RowMaskBlockTest, HeapBytesCountsEveryRunItReferences) {
+  // EntryBytes charges a cache entry HeapBytes: it may overcount shared
+  // runs, never undercount what the mask holds.
+  constexpr size_t kWordBytes = kBlockWords * sizeof(uint64_t);
+  RowMask m(3 * kChunkRows + 17);
+  const size_t spine_only = m.HeapBytes();  // no block is written yet
+  EXPECT_LT(spine_only, kWordBytes);
+  m.PrepareWrite(0, m.size());  // one run of four blocks
+  EXPECT_GE(m.HeapBytes(), spine_only + 4 * kWordBytes);
+  EXPECT_LT(m.HeapBytes(), spine_only + 5 * kWordBytes);
+
+  // A copy that rewrites one block holds that block's own run besides the
+  // shared one, which it still charges in full.
+  RowMask copy = m;
+  copy.Set(kChunkRows + 1);
+  EXPECT_GE(copy.HeapBytes(), m.HeapBytes() + kWordBytes);
 }
 
 }  // namespace

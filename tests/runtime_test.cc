@@ -547,6 +547,11 @@ TEST(ParallelScanRangeTest, RangeCountAndHistogramsEqualTheRestrictedWhole) {
   }
 }
 
+// Word w of a mask, read through its block.
+uint64_t WordOf(const RowMask& mask, size_t w) {
+  return mask.block(w / kBlockWords)[w % kBlockWords];
+}
+
 TEST(ParallelScanRangeTest, EvalMaskIntoScansOnlyFromItsWordBoundary) {
   // ParallelEvalMasksInto from a word boundary writes exactly the words from
   // there on — equal to the whole-table scan's — and leaves every earlier
@@ -568,8 +573,8 @@ TEST(ParallelScanRangeTest, EvalMaskIntoScansOnlyFromItsWordBoundary) {
                               {&pool, shards});
         for (size_t w = 0; w < out.num_words(); ++w) {
           const uint64_t want =
-              w < begin / 64 ? before.words()[w] : whole.words()[w];
-          ASSERT_EQ(out.words()[w], want)
+              w < begin / 64 ? WordOf(before, w) : WordOf(whole, w);
+          ASSERT_EQ(WordOf(out, w), want)
               << "begin=" << begin << " shards=" << shards << " word=" << w;
         }
       }
@@ -642,8 +647,8 @@ TEST(ParallelScanRangeTest, SharedPassEqualsEachClausesOwnMask) {
             const RowMask whole = compiled[i].EvalMask(table);
             for (size_t w = 0; w < whole.num_words(); ++w) {
               const uint64_t want =
-                  w < begin / 64 ? before[i].words()[w] : whole.words()[w];
-              ASSERT_EQ(out[i].words()[w], want)
+                  w < begin / 64 ? WordOf(before[i], w) : WordOf(whole, w);
+              ASSERT_EQ(WordOf(out[i], w), want)
                   << "threads=" << threads << " clauses=" << n
                   << " clause=" << i << " begin=" << begin
                   << " shards=" << shards << " word=" << w;
