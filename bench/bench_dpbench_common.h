@@ -90,25 +90,81 @@ inline std::vector<MechanismScore> AverageRegret(
   return acc.AverageRegrets();
 }
 
-/// Renders a regret table: one row per row-filter, one column per mechanism.
+/// One labelled row of a regret table.
+using RegretRow = std::pair<std::string, RegretFilter>;
+
+/// An "Avg" row over `policy` (empty = both), then one row per grid ratio
+/// ρx >= `min_rho`: the rows of Figures 6, 7, 8 and 10.
+inline std::vector<RegretRow> RatioRows(const std::string& policy,
+                                        double min_rho = 0.0) {
+  RegretFilter all;
+  all.policy = policy;
+  std::vector<RegretRow> rows = {{"Avg", all}};
+  for (double rho : RatioGrid()) {
+    if (rho < min_rho) continue;
+    RegretFilter f = all;
+    f.rho = rho;
+    rows.push_back({TextTable::Fmt(rho, 2), f});
+  }
+  return rows;
+}
+
+/// \brief Average regret of each of `shown_mechanisms` (columns) over the
+/// inputs each of `rows` matches: the numbers a regret figure prints and
+/// tests/paper_claims_test.cc asserts.
+inline std::vector<std::vector<double>> RegretTable(
+    const std::vector<std::unique_ptr<HistogramMechanism>>& suite,
+    const std::vector<DPBenchInput>& inputs,
+    const std::vector<RegretRow>& rows, double epsilon, ErrorMetric metric,
+    int reps, const std::vector<std::string>& shown_mechanisms) {
+  std::vector<std::vector<double>> table;
+  for (const RegretRow& row : rows) {
+    const auto scores =
+        AverageRegret(suite, inputs, row.second, epsilon, metric, reps);
+    std::vector<double>& cells = table.emplace_back();
+    for (const std::string& m : shown_mechanisms) {
+      cells.push_back(ScoreOf(scores, m).regret);
+    }
+  }
+  return table;
+}
+
+/// Renders RegretTable: one row per row-filter, one column per mechanism.
 inline void PrintRegretTable(
     const std::vector<std::unique_ptr<HistogramMechanism>>& suite,
     const std::vector<DPBenchInput>& inputs,
-    const std::vector<std::pair<std::string, RegretFilter>>& rows,
-    double epsilon, ErrorMetric metric, int reps,
-    const std::vector<std::string>& shown_mechanisms) {
+    const std::vector<RegretRow>& rows, double epsilon, ErrorMetric metric,
+    int reps, const std::vector<std::string>& shown_mechanisms) {
   std::vector<std::string> headers = {"input"};
   for (const std::string& m : shown_mechanisms) headers.push_back(m);
   TextTable table(headers);
-  for (const auto& [label, filter] : rows) {
-    auto scores = AverageRegret(suite, inputs, filter, epsilon, metric, reps);
-    std::vector<std::string> cells = {label};
-    for (const std::string& m : shown_mechanisms) {
-      cells.push_back(TextTable::Fmt(ScoreOf(scores, m).regret, 2));
-    }
+  const auto regrets = RegretTable(suite, inputs, rows, epsilon, metric, reps,
+                                   shown_mechanisms);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::vector<std::string> cells = {rows[r].first};
+    for (double regret : regrets[r]) cells.push_back(TextTable::Fmt(regret, 2));
     table.AddRow(std::move(cells));
   }
   std::printf("%s", table.ToString().c_str());
+}
+
+/// Figures 7 and 8: one regret table under `metric` per policy generator
+/// (Close = MSampling, Far = HiLoSampling), at ε = 1 over ρx >= 0.25.
+inline int RunPolicyFigure(const char* title, ErrorMetric metric,
+                           const std::vector<std::string>& shown,
+                           const char* shape_check) {
+  const auto suite = StandardSuite();
+  const auto inputs = BuildInputs(/*min_rho=*/0.25);
+  const int reps = Reps(3);
+  std::printf("=== %s ===\n\n", title);
+  for (const char* policy : {"Close", "Far"}) {
+    std::printf("--- policy: %s ---\n", policy);
+    PrintRegretTable(suite, inputs, RatioRows(policy, /*min_rho=*/0.25), 1.0,
+                     metric, reps, shown);
+    std::printf("\n");
+  }
+  std::printf("%s", shape_check);
+  return 0;
 }
 
 }  // namespace bench

@@ -26,14 +26,8 @@ int main() {
   const double eps = 1.0;
 
   std::printf("=== Figure 10: PDP Suppress vs OSDP (regret of MRE, eps=1) ===\n\n");
-  std::vector<std::pair<std::string, RegretFilter>> rows;
-  rows.push_back({"Avg", RegretFilter{}});
-  for (double rho : RatioGrid()) {
-    RegretFilter f;
-    f.rho = rho;
-    rows.push_back({TextTable::Fmt(rho, 2), f});
-  }
-  PrintRegretTable(suite, inputs, rows, eps, ErrorMetric::kMRE, reps, shown);
+  PrintRegretTable(suite, inputs, RatioRows(""), eps, ErrorMetric::kMRE, reps,
+                   shown);
 
   std::printf("\nexclusion-attack price (Theorem 3.4):\n");
   for (double tau : {10.0, 100.0}) {

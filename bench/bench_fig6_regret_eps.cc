@@ -22,14 +22,8 @@ int main() {
               "7 datasets x 2 policies at each ratio\n\n");
   for (double eps : {1.0, 0.01}) {
     std::printf("--- eps = %g ---\n", eps);
-    std::vector<std::pair<std::string, RegretFilter>> rows;
-    rows.push_back({"Avg", RegretFilter{}});
-    for (double rho : RatioGrid()) {
-      RegretFilter f;
-      f.rho = rho;
-      rows.push_back({TextTable::Fmt(rho, 2), f});
-    }
-    PrintRegretTable(suite, inputs, rows, eps, ErrorMetric::kMRE, reps, shown);
+    PrintRegretTable(suite, inputs, RatioRows(""), eps, ErrorMetric::kMRE,
+                     reps, shown);
     std::printf("\n");
   }
   std::printf("shape check: DAWA's regret rises as rho grows (it ignores the\n"

@@ -4,38 +4,12 @@
 // Paper shape: under Close, OSDP algorithms dominate DP everywhere; under
 // Far, the pure x_ns primitives suffer but DAWAz still beats DAWA.
 
-#include <cstdio>
-
 #include "bench/bench_dpbench_common.h"
 
-using namespace osdp;
-using namespace osdp::bench;
-
 int main() {
-  auto suite = StandardSuite();
-  auto inputs = BuildInputs(/*min_rho=*/0.25);
-  const int reps = Reps(3);
-  const std::vector<std::string> shown = {"DAWAz", "OsdpLaplaceL1", "DAWA"};
-  const double eps = 1.0;
-
-  std::printf("=== Figure 7: average regret (MRE) per policy, eps=1 ===\n\n");
-  for (const char* policy : {"Close", "Far"}) {
-    std::printf("--- policy: %s ---\n", policy);
-    std::vector<std::pair<std::string, RegretFilter>> rows;
-    RegretFilter all;
-    all.policy = policy;
-    rows.push_back({"Avg", all});
-    for (double rho : RatioGrid()) {
-      if (rho < 0.25) continue;
-      RegretFilter f;
-      f.policy = policy;
-      f.rho = rho;
-      rows.push_back({TextTable::Fmt(rho, 2), f});
-    }
-    PrintRegretTable(suite, inputs, rows, eps, ErrorMetric::kMRE, reps, shown);
-    std::printf("\n");
-  }
-  std::printf("shape check (paper Fig. 7a/7b): Close -> OSDP always ahead;\n"
-              "Far -> DAWAz still outperforms DAWA at every ratio.\n");
-  return 0;
+  return osdp::bench::RunPolicyFigure(
+      "Figure 7: average regret (MRE) per policy, eps=1",
+      osdp::ErrorMetric::kMRE, {"DAWAz", "OsdpLaplaceL1", "DAWA"},
+      "shape check (paper Fig. 7a/7b): Close -> OSDP always ahead;\n"
+      "Far -> DAWAz still outperforms DAWA at every ratio.\n");
 }

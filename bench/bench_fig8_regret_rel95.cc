@@ -4,39 +4,12 @@
 // Paper shape: same ordering as Figure 7, with the OSDP advantage most
 // pronounced — Rel95 captures exactly the bins DP algorithms get wrong.
 
-#include <cstdio>
-
 #include "bench/bench_dpbench_common.h"
 
-using namespace osdp;
-using namespace osdp::bench;
-
 int main() {
-  auto suite = StandardSuite();
-  auto inputs = BuildInputs(/*min_rho=*/0.25);
-  const int reps = Reps(3);
-  const std::vector<std::string> shown = {"OsdpLaplaceL1", "DAWAz", "DAWA"};
-  const double eps = 1.0;
-
-  std::printf("=== Figure 8: average regret (Rel95) per policy, eps=1 ===\n\n");
-  for (const char* policy : {"Close", "Far"}) {
-    std::printf("--- policy: %s ---\n", policy);
-    std::vector<std::pair<std::string, RegretFilter>> rows;
-    RegretFilter all;
-    all.policy = policy;
-    rows.push_back({"Avg", all});
-    for (double rho : RatioGrid()) {
-      if (rho < 0.25) continue;
-      RegretFilter f;
-      f.policy = policy;
-      f.rho = rho;
-      rows.push_back({TextTable::Fmt(rho, 2), f});
-    }
-    PrintRegretTable(suite, inputs, rows, eps, ErrorMetric::kRel95, reps,
-                     shown);
-    std::printf("\n");
-  }
-  std::printf("shape check (paper Fig. 8): highest OSDP improvements in the\n"
-              "high-error bins; under Far only DAWAz remains robust.\n");
-  return 0;
+  return osdp::bench::RunPolicyFigure(
+      "Figure 8: average regret (Rel95) per policy, eps=1",
+      osdp::ErrorMetric::kRel95, {"OsdpLaplaceL1", "DAWAz", "DAWA"},
+      "shape check (paper Fig. 8): highest OSDP improvements in the\n"
+      "high-error bins; under Far only DAWAz remains robust.\n");
 }

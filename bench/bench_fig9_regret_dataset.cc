@@ -27,18 +27,13 @@ int main() {
   std::printf("=== Figure 9: regret (MRE), Close policy, eps=1 ===\n\n");
   for (double rho : {0.99, 0.50}) {
     std::printf("--- non-sensitive ratio rho_x = %.2f ---\n", rho);
-    std::vector<std::pair<std::string, RegretFilter>> rows;
-    {
-      RegretFilter all;
-      all.policy = "Close";
-      all.rho = rho;
-      rows.push_back({"All", all});
-    }
+    RegretFilter all;
+    all.policy = "Close";
+    all.rho = rho;
+    std::vector<RegretRow> rows = {{"All", all}};
     for (const std::string& ds : datasets) {
-      RegretFilter f;
+      RegretFilter f = all;
       f.dataset = ds;
-      f.policy = "Close";
-      f.rho = rho;
       rows.push_back({ds, f});
     }
     PrintRegretTable(suite, inputs, rows, eps, ErrorMetric::kMRE, reps, shown);

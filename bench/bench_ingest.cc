@@ -19,16 +19,19 @@
 //                 and 16M rows (2^20 and 2^24): flat in the table size.
 //   mixed         one writer thread ingesting batches while analyst
 //                 sessions stream count queries: ingest rows/sec and
-//                 queries/sec under contention.
+//                 queries/sec under contention. The run is a soak run
+//                 (tests/service_soak.h) with a timed loop of its own.
+//
+// Each append/ingest row reports the fastest of three timed passes after an
+// untimed one, with that pass's minor page faults (getrusage, this process).
 //
 // Cross-checks (any failure exits non-zero; the ctest smoke run relies on
 // this):
-//   * after every run, the final snapshot's non-sensitive mask must be
-//     bit-identical to a from-scratch Policy::NonSensitiveRowMask over an
-//     independently rebuilt table;
-//   * every answer recorded during the mixed phase must be bit-identical to
-//     a serial replay of its (generation, session, seq) — the same property
-//     tests/query_service_test.cc pins, exercised here at bench scale;
+//   * after every append/ingest pass, the final snapshot's non-sensitive mask
+//     must be bit-identical to a from-scratch Policy::NonSensitiveRowMask
+//     over an independently rebuilt table;
+//   * the mixed phase must pass every CheckSoak invariant
+//     (docs/robustness.md), bit-identical serial replay included;
 //   * publish overhead (ingest_sec / append_sec) at the smallest batch size
 //     and on the large base must not exceed OSDP_BENCH_MAX_PUBLISH_OVERHEAD
 //     (default 1.5; "0" disables) — the publish-overhead regression gate.
@@ -45,8 +48,14 @@
 // The JSON records hardware_concurrency so flat concurrency numbers on a
 // starved machine read as what they are.
 
+#include <sys/resource.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -59,10 +68,8 @@
 #include "src/data/predicate.h"
 #include "src/data/table_builder.h"
 #include "src/eval/table_printer.h"
-#include "src/policy/policy.h"
 #include "src/runtime/query_service.h"
-#include "src/runtime/thread_pool.h"
-#include "tests/serial_replay.h"
+#include "tests/service_soak.h"
 
 using namespace osdp;
 using bench::NowSec;
@@ -89,13 +96,8 @@ Table DoubledCensus(size_t min_rows) {
   return t;
 }
 
-int Fail(const char* what) {
+std::nullopt_t Failed(const char* what) {
   std::fprintf(stderr, "BIT-IDENTITY VIOLATION: %s\n", what);
-  return 1;
-}
-
-std::optional<double> Failed(const char* what) {
-  Fail(what);
   return std::nullopt;
 }
 
@@ -111,7 +113,40 @@ struct Measurement {
   double queries_per_sec = 0.0;
   double publish_overhead = 0.0;  // ingest_sec / append_sec (ingest rows)
   bench::LatencyStats query_lat;  // mixed phase: per-query server durations
+  long minor_faults = 0;          // append/ingest rows: the reported pass's
 };
+
+// The wall seconds and minor page faults (getrusage, this process) of one
+// timed pass: the difference of two Now() readings.
+struct Pass {
+  double sec = 0.0;
+  long faults = 0;
+};
+
+Pass Now() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return {NowSec(), usage.ru_minflt};
+}
+
+Pass Since(const Pass& start) {
+  const Pass now = Now();
+  return {now.sec - start.sec, now.faults - start.faults};
+}
+
+// One untimed warm-up call of `pass`, then the fastest of three timed ones,
+// with that call's faults. `pass` builds its builder or service before its
+// own Now() and returns Since() it, or nothing after a failed cross-check.
+template <typename Fn>
+std::optional<Pass> WarmBest(const Fn& pass) {
+  std::optional<Pass> best;
+  for (int i = 0; i < 4; ++i) {
+    const std::optional<Pass> p = pass();
+    if (!p) return std::nullopt;
+    if (i > 0 && (!best || p->sec < best->sec)) best = p;
+  }
+  return best;
+}
 
 // Rebuilds the dataset as of `snapshot`'s generation from `seed` and the
 // first `generation` of `batches`, and checks `snapshot` against a
@@ -140,42 +175,50 @@ std::vector<Table> MakeBatches(size_t batches, size_t batch_rows,
 
 // Appends `batches` onto `seed` twice: through a TableBuilder alone (no
 // snapshot cut), and through QueryService::Ingest (one published snapshot
-// per batch). Records both and returns ingest_sec / append_sec, or nothing
-// after a failed cross-check.
+// per batch), each on a fresh builder or service per WarmBest pass. Records
+// both and returns ingest_sec / append_sec, or nothing after a failed
+// cross-check.
 std::optional<double> MeasureAppendAndIngest(
     const Table& seed, const std::vector<Table>& batches,
     std::vector<Measurement>* results) {
   const size_t n = batches.size();
   const size_t batch_rows = batches.front().num_rows();
-  TableBuilder builder = *TableBuilder::Create(seed, CensusPolicy());
-  const double t0 = NowSec();
-  for (const Table& batch : batches) {
-    if (!builder.Append(batch).ok()) return Failed("append status");
-  }
-  const double append_sec = NowSec() - t0;
-  if (!SnapshotMatchesRebuild(*builder.BuildSnapshot(n), seed, batches)) {
-    return Failed("append-only incremental mask vs rebuild");
-  }
-  results->push_back({"append", seed.num_rows(), batch_rows, n * batch_rows, 0,
-                      0, append_sec,
-                      static_cast<double>(n * batch_rows) / append_sec, 0.0,
-                      0.0, {}});
+  const std::optional<Pass> append = WarmBest([&]() -> std::optional<Pass> {
+    TableBuilder builder = *TableBuilder::Create(seed, CensusPolicy());
+    const Pass start = Now();
+    for (const Table& batch : batches) {
+      if (!builder.Append(batch).ok()) return Failed("append status");
+    }
+    const Pass took = Since(start);
+    if (!SnapshotMatchesRebuild(*builder.BuildSnapshot(n), seed, batches)) {
+      return Failed("append-only incremental mask vs rebuild");
+    }
+    return took;
+  });
+  if (!append) return std::nullopt;
+  const std::optional<Pass> ingest = WarmBest([&]() -> std::optional<Pass> {
+    auto service = *QueryService::Create(BenchEngine(seed), {});
+    const Pass start = Now();
+    for (const Table& batch : batches) {
+      if (!service->Ingest(batch).ok()) return Failed("ingest status");
+    }
+    const Pass took = Since(start);
+    if (service->current_generation() != n) return Failed("generation");
+    if (!SnapshotMatchesRebuild(*service->current_snapshot(), seed, batches)) {
+      return Failed("published snapshot vs rebuild");
+    }
+    return took;
+  });
+  if (!ingest) return std::nullopt;
 
-  auto service = *QueryService::Create(BenchEngine(seed), {});
-  const double t1 = NowSec();
-  for (const Table& batch : batches) {
-    if (!service->Ingest(batch).ok()) return Failed("ingest status");
-  }
-  const double ingest_sec = NowSec() - t1;
-  if (service->current_generation() != n) return Failed("generation");
-  if (!SnapshotMatchesRebuild(*service->current_snapshot(), seed, batches)) {
-    return Failed("published snapshot vs rebuild");
-  }
-  const double overhead = ingest_sec / append_sec;
+  const double overhead = ingest->sec / append->sec;
+  const double rows = static_cast<double>(n * batch_rows);
+  results->push_back({"append", seed.num_rows(), batch_rows, n * batch_rows, 0,
+                      0, append->sec, rows / append->sec, 0.0, 0.0, {},
+                      append->faults});
   results->push_back({"ingest", seed.num_rows(), batch_rows, n * batch_rows, n,
-                      0, ingest_sec,
-                      static_cast<double>(n * batch_rows) / ingest_sec, 0.0,
-                      overhead, {}});
+                      0, ingest->sec, rows / ingest->sec, 0.0, overhead, {},
+                      ingest->faults});
   return overhead;
 }
 
@@ -215,6 +258,14 @@ double BuildSnapshotMedianUs(size_t rows) {
 }  // namespace
 
 int main() {
+#ifdef __GLIBC__
+  // glibc moves its mmap and heap-trim thresholds with the allocation
+  // history, so whether a row's warm-up pages were still mapped in its timed
+  // pass depended on the rows before it. Fixed thresholds (the largest mmap
+  // threshold, and no trimming) give every row the same allocator state.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, INT_MAX);
+#endif
   const size_t max_rows = bench::EnvSize("OSDP_BENCH_MAX_ROWS", 1000000);
   const size_t mixed_threads = bench::EnvSize("OSDP_BENCH_THREADS", 2);
 
@@ -222,7 +273,6 @@ int main() {
       bench::EnvGate("OSDP_BENCH_MAX_PUBLISH_OVERHEAD", 1.5);
 
   std::vector<Measurement> results;
-  const Policy policy = CensusPolicy();
 
   std::printf("=== streaming ingest: rows/sec through the snapshot path ===\n");
   std::printf("(hardware_concurrency=%u; ingested rows capped at %zu)\n\n",
@@ -230,14 +280,17 @@ int main() {
 
   // --- append / ingest, by batch size ----------------------------------
   TextTable text({"base rows", "batch rows", "total rows", "append rows/s",
-                  "ingest rows/s", "publish overhead"});
+                  "append faults", "ingest rows/s", "ingest faults",
+                  "publish overhead"});
   const auto add_row = [&](const Measurement& append,
                            const Measurement& ingest) {
     text.AddRow({std::to_string(append.base_rows),
                  std::to_string(append.batch_rows),
                  std::to_string(append.total_rows),
                  TextTable::FmtAuto(append.rows_per_sec),
+                 std::to_string(append.minor_faults),
                  TextTable::FmtAuto(ingest.rows_per_sec),
+                 std::to_string(ingest.minor_faults),
                  TextTable::Fmt(ingest.publish_overhead, 1) + "x"});
   };
   const Table seed = CensusRows(kSeedRows, kSeedSeed);
@@ -297,50 +350,31 @@ int main() {
     const size_t batches =
         std::max<size_t>(1, std::min(max_rows, size_t{100000}) /
                                 kMixedBatchRows);
-    constexpr int kSessions = 2;
     constexpr double kEps = 1e-4;
 
-    ThreadPool pool(mixed_threads);
-    QueryService::Options sopts;
-    sopts.pool = &pool;
-    sopts.per_session_epsilon = 1e8;
-    sopts.seed = kRootSeed;
-    auto service = *QueryService::Create(BenchEngine(), sopts);
-    std::vector<QueryService::SessionId> sessions;
-    for (int s = 0; s < kSessions; ++s) {
-      sessions.push_back(service->OpenSession("s" + std::to_string(s)));
-    }
-
+    SoakConfig config;
+    config.seed = kRootSeed;
+    config.seed_rows = kSeedRows;
+    config.readers = 2;
+    config.queries_per_batch = 1;
+    config.pool_threads = mixed_threads;
+    SoakRun run = OpenSoak(config);
     const std::vector<Table> batch_tables =
         MakeBatches(batches, kMixedBatchRows, 0xC000);
-
-    const auto count_query = [&](int s, size_t q) {
-      const int bound = 10 + (7 * s + 13 * static_cast<int>(q)) % 80;
-      return CountRequest{Predicate::Le("age", Value(bound)), kEps};
-    };
-    std::vector<std::vector<ServiceAnswer>> recorded(kSessions);
-    std::vector<std::vector<double>> latencies_us(kSessions);
     std::atomic<bool> done{false};
 
     const double t0 = NowSec();
     std::thread writer([&] {
-      for (const Table& batch : batch_tables) {
-        if (!service->Ingest(batch).ok()) std::abort();
-      }
+      for (const Table& batch : batch_tables) SoakIngest(&run, batch);
       done.store(true);
     });
     std::vector<std::thread> readers;
-    for (int s = 0; s < kSessions; ++s) {
+    for (int s = 0; s < config.readers; ++s) {
       readers.emplace_back([&, s] {
-        int q = 0;
-        while (!done.load() || q == 0) {  // at least one query each
-          const CountRequest request = count_query(s, q);
-          auto answer =
-              service->AnswerCount(sessions[s], request.where, request.epsilon);
-          if (!answer.ok()) std::abort();
-          latencies_us[s].push_back(answer->server_duration_micros);
-          recorded[s].push_back(std::move(answer).ValueOrDie());
-          ++q;
+        for (int q = 0; !done.load() || q == 0; ++q) {  // at least one each
+          const int bound = 10 + (7 * s + 13 * q) % 80;
+          SoakSubmit(&run, s,
+                     {CountRequest{Predicate::Le("age", Value(bound)), kEps}});
         }
       });
     }
@@ -348,59 +382,34 @@ int main() {
     for (std::thread& t : readers) t.join();
     const double mixed_sec = NowSec() - t0;
 
-    if (!SnapshotMatchesRebuild(*service->current_snapshot(), seed,
-                                batch_tables)) {
-      return Fail("mixed-phase snapshot vs rebuild");
-    }
-
-    // Serial replay of every recorded (generation, session, seq) answer.
-    std::vector<Table> generations;
-    generations.push_back(seed);
-    for (size_t g = 1; g <= batches; ++g) {
-      Table next = generations.back();
-      if (!next.AppendRows(batch_tables[g - 1]).ok()) {
-        return Fail("replay rebuild");
-      }
-      generations.push_back(std::move(next));
-    }
-    std::vector<RowMask> ns_masks;
-    ns_masks.reserve(generations.size());
-    for (const Table& t : generations) {
-      ns_masks.push_back(policy.NonSensitiveRowMask(t));
-    }
     size_t queries = 0;
-    for (int s = 0; s < kSessions; ++s) {
-      for (size_t q = 0; q < recorded[s].size(); ++q) {
-        const ServiceAnswer& rec = recorded[s][q];
-        const Result<ServiceAnswer> expected = ReplayAnswer(
-            generations[rec.generation], ns_masks[rec.generation],
-            count_query(s, q), kRootSeed, sessions[s], q, rec.generation);
-        if (!expected.ok() || !SameRelease(rec, *expected)) {
-          return Fail("mixed-phase serial replay");
-        }
-        ++queries;
+    std::vector<double> latencies_us;
+    for (const SoakReader& r : run.readers) {
+      queries += r.delivered.size();
+      for (const auto& delivery : r.delivered) {
+        latencies_us.push_back(delivery.second.server_duration_micros);
       }
     }
-
-    std::vector<double> all_latencies;
-    for (const auto& per_session : latencies_us) {
-      all_latencies.insert(all_latencies.end(), per_session.begin(),
-                           per_session.end());
+    FinishSoak(&run);
+    const std::vector<std::string> violations = CheckSoak(config, run);
+    for (const std::string& v : violations) {
+      std::fprintf(stderr, "MIXED-PHASE VIOLATION: %s\n", v.c_str());
     }
-    const bench::LatencyStats lat = bench::SummarizeLatencies(all_latencies);
+    if (!violations.empty()) return 1;
+    const bench::LatencyStats lat = bench::SummarizeLatencies(latencies_us);
 
     const size_t ingested = batches * kMixedBatchRows;
     results.push_back({"mixed", kSeedRows, kMixedBatchRows, ingested, batches,
                        queries,
                        mixed_sec, static_cast<double>(ingested) / mixed_sec,
-                       static_cast<double>(queries) / mixed_sec, 0.0, lat});
+                       static_cast<double>(queries) / mixed_sec, 0.0, lat, 0});
     std::printf(
         "mixed (%zu pool threads): %zu rows over %zu generations + %zu "
-        "queries from %d sessions in %.3gs (%.3g rows/s, %.3g q/s); all "
-        "answers bit-identical to serial replay\n"
+        "queries from %d sessions in %.3gs (%.3g rows/s, %.3g q/s); every "
+        "soak invariant held\n"
         "mixed query latency: p50 %.1f us, p95 %.1f us, p99 %.1f us, "
         "max %.1f us\n\n",
-        mixed_threads, ingested, batches, queries, kSessions, mixed_sec,
+        mixed_threads, ingested, batches, queries, config.readers, mixed_sec,
         static_cast<double>(ingested) / mixed_sec,
         static_cast<double>(queries) / mixed_sec, lat.p50, lat.p95, lat.p99,
         lat.max);
@@ -417,11 +426,12 @@ int main() {
         "\"rows_per_sec\": %.6g, \"queries_per_sec\": %.6g, "
         "\"publish_overhead\": %.6g, \"query_p50_us\": %.3f, "
         "\"query_p95_us\": %.3f, \"query_p99_us\": %.3f, "
-        "\"query_max_us\": %.3f}",
+        "\"query_max_us\": %.3f, \"minor_faults\": %ld}",
         m.op.c_str(), m.base_rows, m.batch_rows, m.total_rows, m.generations,
         m.queries,
         m.sec, m.rows_per_sec, m.queries_per_sec, m.publish_overhead,
-        m.query_lat.p50, m.query_lat.p95, m.query_lat.p99, m.query_lat.max);
+        m.query_lat.p50, m.query_lat.p95, m.query_lat.p99, m.query_lat.max,
+        m.minor_faults);
   });
   if (!json.Close()) return 1;
   std::printf("wrote %s (%zu measurements)\n", json.path().c_str(),

@@ -3,12 +3,18 @@
 #include <cctype>
 #include <cstdlib>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 namespace osdp {
 
 namespace {
+
+// Deepest nesting of NOTs and parentheses the recursive descent accepts.
+// Each level costs a few stack frames, so untrusted text nested thousands
+// deep would overflow the stack; deeper input is an InvalidArgument.
+constexpr size_t kMaxNestingDepth = 256;
 
 enum class TokKind {
   kIdent,
@@ -189,18 +195,32 @@ class Parser {
   }
 
   Result<Predicate> ParseUnary() {
-    if (Match(TokKind::kNot)) {
-      OSDP_ASSIGN_OR_RETURN(Predicate inner, ParseUnary());
-      return Predicate::Not(std::move(inner));
-    }
-    if (Match(TokKind::kLParen)) {
-      OSDP_ASSIGN_OR_RETURN(Predicate inner, ParseOr());
-      if (!Match(TokKind::kRParen)) return Unexpected("')'");
-      return inner;
+    if (Peek().kind == TokKind::kNot || Peek().kind == TokKind::kLParen) {
+      if (depth_ == kMaxNestingDepth) {
+        return Status::InvalidArgument(
+            "nesting deeper than " + std::to_string(kMaxNestingDepth) +
+            " at position " + std::to_string(Peek().pos));
+      }
+      ++depth_;
+      Result<Predicate> nested = ParseNested();
+      --depth_;
+      return nested;
     }
     if (Match(TokKind::kTrue)) return Predicate::True();
     if (Match(TokKind::kFalse)) return Predicate::False();
     return ParseComparison();
+  }
+
+  // NOT unary | '(' or_expr ')': one nesting level below ParseUnary.
+  Result<Predicate> ParseNested() {
+    if (Match(TokKind::kNot)) {
+      OSDP_ASSIGN_OR_RETURN(Predicate inner, ParseUnary());
+      return Predicate::Not(std::move(inner));
+    }
+    Advance();  // '('
+    OSDP_ASSIGN_OR_RETURN(Predicate inner, ParseOr());
+    if (!Match(TokKind::kRParen)) return Unexpected("')'");
+    return inner;
   }
 
   Result<Value> ParseLiteral() {
@@ -248,6 +268,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // NOTs and parentheses open around the current token
 };
 
 }  // namespace

@@ -15,6 +15,10 @@
 //   comparison := ident op literal | ident IN '(' literal (',' literal)* ')'
 //   op         := = | != | < | <= | > | >=
 //   literal    := integer | float | 'string' | "string"
+//
+// NOTs and parentheses nest at most 256 deep; deeper text is an
+// InvalidArgument naming the position, never a stack overflow. AND and OR
+// chains are loops, so their length is unbounded.
 
 #ifndef OSDP_POLICY_PARSER_H_
 #define OSDP_POLICY_PARSER_H_

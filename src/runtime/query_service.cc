@@ -344,6 +344,12 @@ Result<QueryService::PreparedRequest> QueryService::Validate(
     prepared.count_pred = std::move(compiled);
     prepared.label = "count query";
   } else if (const auto* hist = std::get_if<HistogramRequest>(&request)) {
+    // Every catalog mechanism reads x or x_ns; a value outside the enum
+    // reads neither and is malformed.
+    const MechanismInputs inputs = InputsOf(hist->mechanism);
+    if (!inputs.x && !inputs.xns) {
+      return Status::InvalidArgument("unknown histogram mechanism");
+    }
     OSDP_ASSIGN_OR_RETURN(
         PreparedHistogramQuery bound,
         PreparedHistogramQuery::Prepare(snapshot->table, hist->query));

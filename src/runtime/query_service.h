@@ -97,9 +97,10 @@
 //     submission order, execute in parallel, refund on downstream failure),
 //     so concurrent batches can never jointly overspend either budget, and
 //     which query of a batch hits the budget wall is deterministic.
-//   * No charge for malformed queries: compilation and binning errors, and
-//     an ε that is not a positive finite number, are caught during
-//     validation, before any reservation.
+//   * No charge for malformed queries: compilation and binning errors, a
+//     histogram mechanism outside the catalog, and an ε that is not a
+//     positive finite number, are caught during validation, before any
+//     reservation.
 //
 // The service takes over the engine's snapshot, policy and total_epsilon,
 // making it the dataset's single accounting authority: there is no aliased

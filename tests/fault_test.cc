@@ -10,16 +10,12 @@
 // query_service_test and runtime_test (docs/robustness.md).
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/cancel.h"
 #include "src/common/fault.h"
 #include "src/data/predicate.h"
 #include "src/hist/histogram_query.h"
@@ -27,6 +23,7 @@
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
 #include "tests/serial_replay.h"
+#include "tests/service_soak.h"
 
 namespace osdp {
 namespace {
@@ -414,7 +411,7 @@ TEST_F(FaultTest, IngestPublishFaultDefersRowsToTheNextGeneration) {
 
   // The deferred generation is fully classified: a huge-ε COUNT(True) pins
   // the non-sensitive row count of the combined table.
-  Table combined = CensusRows(1000, 0x9A);  // CensusEngine's seed table
+  Table combined = CensusRows(1000, kCensusEngineSeed);
   ASSERT_TRUE(combined.AppendRows(CensusRows(64, 0xB1)).ok());
   ASSERT_TRUE(combined.AppendRows(CensusRows(50, 0xB2)).ok());
   const double ns_count =
@@ -428,226 +425,19 @@ TEST_F(FaultTest, IngestPublishFaultDefersRowsToTheNextGeneration) {
 
 // ------------------------------------------------------------------ soak ---
 
-// The randomized soak: every fault point in the catalog, round-robin, armed
-// with a repeating schedule while analyst threads hammer mixed batches (some
-// with already-passed deadlines), a canceller fires a batch token mid-round,
-// a writer ingests through both failure windows, and admission control sheds
-// under the thread pressure. After each round the books must balance
-// *exactly* and every delivered answer must match its serial replay.
-struct SoakFaultSpec {
-  const char* point;
-  FaultRegistry::Schedule schedule;
-};
-
-constexpr SoakFaultSpec kSoakFaults[] = {
-    {"mask_cache/insert", {2, 3, 4}},
-    {"mask_cache/attach", {2, 3, 4}},
-    {"mechanism/run", {1, 2, 6}},
-    {"query/execute", {3, 5, 5}},
-    {"thread_pool/chunk", {7, 11, 3}},
-    {"ingest/append", {1, 2, 2}},
-    {"ingest/publish", {2, 2, 2}},
-};
-
+// The randomized soak (tests/service_soak.h): each fault point of the
+// catalog armed for one hostile run — admission cap, expired deadlines, a
+// mid-round cancel, a writer ingesting through both failure windows.
 TEST_F(FaultTest, SoakFaultsOverloadDeadlinesAndIngestPreserveInvariants) {
-  constexpr size_t kSeedRows = 300;
-  constexpr uint64_t kRootSeed = 0xF417;
-  constexpr int kReaders = 4;
-  constexpr int kBatchesPerReader = 8;
-  constexpr size_t kQueriesPerBatch = 2;
-  constexpr int kIngests = 5;
-  constexpr double kEps = 0.01;
-  const Domain1D age_domain = *Domain1D::Numeric(0, 100, 8);
-
-  for (const SoakFaultSpec& spec : kSoakFaults) {
-    SCOPED_TRACE(spec.point);
-    ThreadPool pool(2);
-    QueryService::Options opts;
-    opts.pool = &pool;
-    opts.per_session_epsilon = 50.0;
-    opts.seed = kRootSeed;
-    opts.max_concurrent_batches = 2;  // 4 reader threads: shedding happens
-    auto service = *QueryService::Create(CensusEngine(500.0, kSeedRows), opts);
-    const double service_total = service->remaining_budget();
-
-    std::vector<QueryService::SessionId> sessions;
-    for (int s = 0; s < kReaders; ++s) {
-      sessions.push_back(service->OpenSession("soak-" + std::to_string(s)));
-    }
-
-    struct Delivered {
-      ServiceAnswer answer;
-      int s = 0;
-      int q = 0;
-    };
-    std::vector<std::vector<Delivered>> delivered(kReaders);
-    std::vector<double> delivered_eps(kReaders, 0.0);
-    std::atomic<uint64_t> rejected_seen{0};
-
-    const auto make_query = [&](int s, int q) -> ServiceRequest {
-      if ((s + q) % 4 == 3) {
-        std::optional<Predicate> where;
-        if ((s + q) % 8 == 7) where = Predicate::Eq("opt_in", Value(1));
-        return HistogramRequest{HistogramQuery{"age", age_domain, where},
-                                kEps, EngineMechanism::kOsdpLaplaceL1};
-      }
-      CountRequest count{
-          Predicate::Le("age", Value(10 + (7 * s + 13 * q) % 80)), kEps};
-      if (q % 5 == 4) {
-        // An already-passed deadline: must come back DeadlineExceeded with
-        // the reservation refunded — covered by the conservation check.
-        count.deadline =
-            std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-      }
-      return count;
-    };
-
-    // Every generation an answer can name, pinned as published: generation
-    // 0 now, and each later one by the writer — the only publisher — right
-    // after its Ingest succeeds. pinned[g] is generation g.
-    std::vector<SnapshotPtr> pinned = {service->current_snapshot()};
-    ASSERT_EQ(pinned[0]->generation, 0u);
-
-    ScopedFault fault(spec.point, spec.schedule);
-    CancelToken round_token;
-
-    std::thread writer([&] {
-      // Ingest through both failure windows: "ingest/append" drops a batch
-      // whole, "ingest/publish" appends it without publishing (it rides
-      // with the next success). Either way the error is classified and the
-      // published snapshot is never torn — which the replay leg below
-      // verifies against every generation an answer names.
-      for (int g = 0; g < kIngests; ++g) {
-        auto result = service->Ingest(CensusRows(41, 0xC0DE + g));
-        if (result.ok()) {
-          SnapshotPtr published = service->current_snapshot();
-          EXPECT_EQ(published->generation, *result);
-          EXPECT_EQ(*result, pinned.size());
-          pinned.push_back(std::move(published));
-        } else {
-          EXPECT_EQ(result.status().code(), StatusCode::kInternal)
-              << result.status().ToString();
-          EXPECT_TRUE(MentionsPoint(result.status(), "ingest/"))
-              << result.status().ToString();
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    });
-    std::thread canceller([&] {
-      std::this_thread::sleep_for(std::chrono::microseconds(700));
-      round_token.Cancel();
-    });
-    std::vector<std::thread> readers;
-    for (int s = 0; s < kReaders; ++s) {
-      readers.emplace_back([&, s] {
-        for (int b = 0; b < kBatchesPerReader; ++b) {
-          std::vector<ServiceRequest> batch;
-          std::vector<int> qids;
-          for (size_t k = 0; k < kQueriesPerBatch; ++k) {
-            const int q = b * static_cast<int>(kQueriesPerBatch) +
-                          static_cast<int>(k);
-            batch.push_back(make_query(s, q));
-            qids.push_back(q);
-          }
-          QueryService::BatchControl control;
-          if (b % 3 == 2) control.cancel = round_token;
-          const auto results =
-              service->AnswerBatch(sessions[s], batch, control);
-          for (size_t k = 0; k < results.size(); ++k) {
-            const auto& r = results[k];
-            if (!r.ok()) {
-              // Every failure is a *classified* failure; the process is
-              // alive and the slot explains itself.
-              const StatusCode code = r.status().code();
-              EXPECT_TRUE(code == StatusCode::kResourceExhausted ||
-                          code == StatusCode::kDeadlineExceeded ||
-                          code == StatusCode::kCancelled ||
-                          code == StatusCode::kInternal)
-                  << r.status().ToString();
-              if (code == StatusCode::kResourceExhausted) {
-                rejected_seen.fetch_add(1);
-              }
-              continue;
-            }
-            delivered[s].push_back(Delivered{*r, s, qids[k]});
-            delivered_eps[s] += kEps;
-          }
-        }
-      });
-    }
-    writer.join();
-    canceller.join();
-    for (std::thread& t : readers) t.join();
-    FaultRegistry::Global().DisarmAll();
-
-    // Quiescent tail: one more single-query batch per session with the
-    // registry disarmed and the writer done — guaranteed deliveries against
-    // the final generation, so the replay leg below can never silently go
-    // dead. (100 + 5s dodges the make_query deadline branch.)
-    for (int s = 0; s < kReaders; ++s) {
-      const int q = 100 + 5 * s;
-      std::vector<ServiceRequest> tail;
-      tail.push_back(make_query(s, q));
-      auto result = std::move(service->AnswerBatch(sessions[s], tail)[0]);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      delivered[s].push_back(Delivered{*result, s, q});
-      delivered_eps[s] += kEps;
-    }
-
-    // ---- Invariant 1: exact ε conservation, globally and per session.
-    double total_delivered_eps = 0.0;
-    size_t total_delivered = 0;
-    for (int s = 0; s < kReaders; ++s) {
-      total_delivered_eps += delivered_eps[s];
-      total_delivered += delivered[s].size();
-      EXPECT_NEAR(opts.per_session_epsilon -
-                      *service->session_remaining(sessions[s]),
-                  delivered_eps[s], 1e-9)
-          << "session " << s << " leaked budget";
-    }
-    EXPECT_NEAR(service_total - service->remaining_budget(),
-                total_delivered_eps, 1e-9)
-        << "service budget leaked";
-
-    // ---- Invariant 2: the ledger records exactly the deliveries.
-    EXPECT_EQ(service->ledger().size(), total_delivered);
-    if (total_delivered > 0) {
-      EXPECT_NEAR(service->CurrentGuarantee()->epsilon, total_delivered_eps,
-                  1e-9);
-    }
-
-    // ---- Invariant 3: admission accounting is closed.
-    const QueryService::AdmissionStats admission = service->admission_stats();
-    EXPECT_EQ(admission.admitted + admission.rejected,
-              static_cast<uint64_t>(kReaders * kBatchesPerReader + kReaders));
-    EXPECT_LE(admission.peak_inflight, opts.max_concurrent_batches);
-    EXPECT_EQ(rejected_seen.load(), admission.rejected * kQueriesPerBatch);
-
-    // ---- Invariant 4: no torn snapshot. Every delivered answer must be
-    // bit-identical to a serial recomputation from the generation it names,
-    // as pinned when it was published, with the recorded (session, seq)
-    // seed. A torn table or mask could not survive this, and neither could
-    // an old generation whose rows or bits moved while the builder appended
-    // into the storage the generations share. (Fault-free cross-generation
-    // replay from first principles is covered by the ingest stress harness
-    // in query_service_test.cc.)
-    size_t replayed = 0;
-    for (int s = 0; s < kReaders; ++s) {
-      for (const Delivered& d : delivered[s]) {
-        ASSERT_LT(d.answer.generation, pinned.size())
-            << "answer names an unpublished generation";
-        const Snapshot& snap = *pinned[d.answer.generation];
-        ++replayed;
-        EXPECT_TRUE(SameRelease(
-            d.answer,
-            *ReplayAnswer(snap.table, snap.non_sensitive,
-                          make_query(d.s, d.q), kRootSeed, sessions[s],
-                          d.answer.seq, d.answer.generation)))
-            << "answer diverged: session " << s << " seq " << d.answer.seq
-            << " generation " << d.answer.generation;
-      }
-    }
-    EXPECT_EQ(replayed, total_delivered);
+  for (const SoakFault& fault : kSoakFaults) {
+    SCOPED_TRACE(fault.point);
+    SoakConfig config;
+    config.seed = 0xF417;
+    config.hostile = true;
+    config.fault = fault;
+    const std::vector<std::string> violations =
+        CheckSoak(config, RunSoak(config));
+    EXPECT_TRUE(violations.empty()) << ::testing::PrintToString(violations);
   }
 }
 

@@ -1,5 +1,7 @@
 // Tests for the policy-language parser.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/common/check.h"
@@ -112,6 +114,47 @@ TEST(ParserTest, ErrorsCarryPositions) {
   EXPECT_FALSE(ParsePredicate("17 <= age").ok());
   const Status s = ParsePredicate("age <= 17 extra").status();
   EXPECT_NE(s.message().find("position"), std::string::npos);
+}
+
+std::string Repeat(const std::string& unit, size_t n) {
+  std::string out;
+  for (size_t i = 0; i < n; ++i) out += unit;
+  return out;
+}
+
+TEST(ParserTest, NestingPastTheCapIsAnErrorNotAStackOverflow) {
+  // Untrusted policy text: 100000 open parentheses or NOTs would overflow
+  // the recursive descent's stack without the nesting cap.
+  for (const std::string& text :
+       {Repeat("(", 100000), Repeat("NOT ", 100000) + "age <= 17"}) {
+    const Status s = ParsePredicate(text).status();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find("nesting deeper than 256 at position"),
+              std::string::npos)
+        << s.ToString();
+  }
+  EXPECT_FALSE(
+      ParsePredicate(Repeat("(", 257) + "age <= 17" + Repeat(")", 257)).ok());
+}
+
+TEST(ParserTest, NestingAtTheCapParses) {
+  Table t = TestTable();
+  const Result<Predicate> parens =
+      ParsePredicate(Repeat("(", 256) + "age <= 17" + Repeat(")", 256));
+  ASSERT_TRUE(parens.ok()) << parens.status().ToString();
+  EXPECT_TRUE(ReferenceEval(*parens, t, 0));
+  EXPECT_FALSE(ReferenceEval(*parens, t, 1));
+  const Result<Predicate> nots =
+      ParsePredicate(Repeat("NOT ", 256) + "age <= 17");
+  ASSERT_TRUE(nots.ok()) << nots.status().ToString();
+  EXPECT_TRUE(ReferenceEval(*nots, t, 0));
+  EXPECT_FALSE(ReferenceEval(*nots, t, 1));
+  // The cap counts NOTs and parentheses alike: 255 NOTs and one
+  // parenthesis reach it, one more NOT passes it.
+  const std::string mixed = Repeat("NOT ", 255) + "(age <= 17)";
+  ASSERT_TRUE(ParsePredicate(mixed).ok());
+  EXPECT_FALSE(ReferenceEval(*ParsePredicate(mixed), t, 0));
+  EXPECT_FALSE(ParsePredicate("NOT " + mixed).ok());
 }
 
 TEST(ParserTest, PolicyNameDefaultsToExpression) {

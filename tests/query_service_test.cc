@@ -28,6 +28,7 @@
 #include "src/runtime/query_service.h"
 #include "src/runtime/thread_pool.h"
 #include "tests/serial_replay.h"
+#include "tests/service_soak.h"
 
 namespace osdp {
 namespace {
@@ -144,6 +145,32 @@ TEST(QueryServiceTest, MalformedQueriesChargeNothing) {
   EXPECT_EQ(service->remaining_budget(), before_service);
   EXPECT_EQ(*service->session_remaining(session), before_session);
   EXPECT_FALSE(service->CurrentGuarantee().ok()) << "nothing was released";
+}
+
+TEST(QueryServiceTest, UnknownHistogramMechanismIsRejectedBeforeReservation) {
+  // A mechanism outside the catalog is malformed like an unknown column: it
+  // must not reserve ε on either budget or consume a sequence number.
+  auto service = *QueryService::Create(CensusEngine(1.0), {});
+  const auto session = service->OpenSession("alice");
+  const double before_service = service->remaining_budget();
+  const double before_session = *service->session_remaining(session);
+
+  std::vector<ServiceRequest> batch;
+  batch.emplace_back(HistogramRequest{
+      HistogramQuery{"age", *Domain1D::Numeric(0, 100, 16), std::nullopt},
+      0.1, static_cast<EngineMechanism>(42)});
+  const auto results = service->AnswerBatch(session, batch);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status().code(), StatusCode::kInvalidArgument)
+      << results[0].status().ToString();
+  EXPECT_EQ(service->remaining_budget(), before_service);
+  EXPECT_EQ(*service->session_remaining(session), before_session);
+  EXPECT_EQ(service->ledger().size(), 0u);
+
+  const auto next =
+      service->AnswerCount(session, Predicate::Le("age", Value(40)), 0.1);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->seq, 0u);
 }
 
 TEST(QueryServiceTest, PerSessionBudgetIsEnforcedIndependently) {
@@ -427,7 +454,7 @@ TEST(QueryServiceSerialTest, SampleReplaysFromQuerySeedAcrossAnIngest) {
 
   // Rebuild both generations from scratch and rerun OsdpRR on each answer's
   // (seed, session, seq, generation) stream.
-  std::vector<Table> generations{CensusRows(kSeedRows, 0x9A)};
+  std::vector<Table> generations{CensusRows(kSeedRows, kCensusEngineSeed)};
   Table grown = generations[0];
   ASSERT_TRUE(grown.AppendRows(batch).ok());
   generations.push_back(std::move(grown));
@@ -665,192 +692,43 @@ TEST(QueryServiceStreamingTest, AnswersStayDeterministicAcrossThreadCounts) {
   }
 }
 
-// The streaming stress harness: one writer thread publishes generations
-// while analyst sessions hammer queries from other threads. Every answer
-// records the generation it was served against; afterwards each one must
-// be bit-identical to a serial replay of (generation, session, seq) built
-// from scratch — which proves both determinism and snapshot isolation (an
-// answer computed from torn rows/mask bits could not match any replayed
-// generation). With `mask_cache_bytes` non-zero the same replay contract
-// also pins the cache: a hit that served a wrong or stale mask could not
-// match the from-scratch recomputation of its recorded generation.
-//
-// `metrics_enabled` runs the identical workload with the observability layer
-// on or off: the replay contract must hold either way, which is the
-// determinism half of the "observation never influences answers" rule
-// (tests/obs_test.cc pins the twin-equality half).
-void RunConcurrentIngestStressHarness(size_t mask_cache_bytes,
-                                      bool metrics_enabled = true) {
-  constexpr size_t kSeedRows = 300;
-  constexpr int kBatches = 12;
-  constexpr size_t kBatchRows = 41;  // deliberately word-boundary-hostile
-  constexpr int kSessions = 3;
-  constexpr int kQueriesPerSession = 16;
-  constexpr double kEps = 0.05;
-  constexpr uint64_t kRootSeed = 0x5EED;
+void ExpectSound(const SoakConfig& config, const SoakRun& run) {
+  const std::vector<std::string> violations = CheckSoak(config, run);
+  EXPECT_TRUE(violations.empty()) << ::testing::PrintToString(violations);
+}
 
-  const auto make_batch = [](int g) {
-    return CensusRows(kBatchRows, 0xB000 + static_cast<uint64_t>(g));
-  };
-  const Domain1D age_domain = *Domain1D::Numeric(0, 100, 16);
-  // Wide enough that DAWA's kAuto picks the interval-cost engine, whose
-  // build runs sharded on the service pool — so the concurrent batches below
-  // exercise the parallel mechanism stage, and the serial replay (null pool)
-  // cross-checks it bit-for-bit.
-  const Domain1D fine_domain = *Domain1D::Numeric(0, 100, 1024);
-  const auto make_query = [&](int s, int q) -> ServiceRequest {
-    if (q % 4 == 3) {
-      // Histogram releases rotate through three mechanism-stage paths:
-      // masked one-sided Laplace (scan-side sharding), DAWA (sharded engine
-      // build), and the serial hierarchical release.
-      if (q == 7) {
-        return HistogramRequest{
-            HistogramQuery{"age", fine_domain, std::nullopt}, kEps,
-            EngineMechanism::kDawa};
-      }
-      if (q == 11) {
-        return HistogramRequest{
-            HistogramQuery{"age", age_domain, std::nullopt}, kEps,
-            EngineMechanism::kHierarchical};
-      }
-      std::optional<Predicate> where;
-      if (q % 8 == 7) where = Predicate::Eq("opt_in", Value(1));
-      return HistogramRequest{HistogramQuery{"age", age_domain, where}, kEps,
-                              EngineMechanism::kOsdpLaplaceL1};
-    }
-    return CountRequest{
-        Predicate::Le("age", Value(10 + (7 * s + 13 * q) % 80)), kEps};
-  };
-
-  ThreadPool pool(2);
-  QueryService::Options opts;
-  opts.pool = &pool;
-  opts.per_session_epsilon = 10.0;
-  opts.seed = kRootSeed;
-  opts.mask_cache_bytes = mask_cache_bytes;
-  opts.metrics_enabled = metrics_enabled;
-  auto service = *QueryService::Create(CensusEngine(100.0, kSeedRows), opts);
-
-  // Open every session up front, serially, so ids are deterministic no
-  // matter how the reader threads interleave.
-  std::vector<QueryService::SessionId> sessions;
-  for (int s = 0; s < kSessions; ++s) {
-    sessions.push_back(service->OpenSession("analyst-" + std::to_string(s)));
-  }
-
-  std::vector<std::vector<ServiceAnswer>> recorded(kSessions);
-
-  std::thread writer([&] {
-    for (int g = 1; g <= kBatches; ++g) {
-      auto generation = service->Ingest(make_batch(g));
-      ASSERT_TRUE(generation.ok()) << generation.status().ToString();
-      EXPECT_EQ(*generation, static_cast<uint64_t>(g));
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
-    }
-  });
-  std::vector<std::thread> readers;
-  readers.reserve(kSessions);
-  for (int s = 0; s < kSessions; ++s) {
-    readers.emplace_back([&, s] {
-      for (int q = 0; q < kQueriesPerSession; ++q) {
-        std::vector<ServiceRequest> batch;
-        batch.emplace_back(make_query(s, q));
-        auto result = std::move(service->AnswerBatch(sessions[s], batch)[0]);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        recorded[s].push_back(std::move(result).ValueOrDie());
-      }
-    });
-  }
-  writer.join();
-  for (std::thread& t : readers) t.join();
-
-  // Serial replay. Rebuild every generation's table from the same batches,
-  // reclassify from scratch, and recompute every recorded answer through
-  // the serial scan paths with the (root, session, seq, generation) seed.
-  // Bin counts are integers, so the serial accumulation matches the
-  // service's sharded one exactly, and the replay runs every mechanism with
-  // no pool, which pins pooled mechanism runs to their serial references.
-  std::vector<Table> generations{CensusRows(kSeedRows, 0x9A)};
-  for (int g = 1; g <= kBatches; ++g) {
-    Table next = generations.back();
-    ASSERT_TRUE(next.AppendRows(make_batch(g)).ok());
-    generations.push_back(std::move(next));
-  }
-
-  for (int s = 0; s < kSessions; ++s) {
-    ASSERT_EQ(recorded[s].size(), static_cast<size_t>(kQueriesPerSession));
-    uint64_t last_generation = 0;
-    for (int q = 0; q < kQueriesPerSession; ++q) {
-      const ServiceAnswer& rec = recorded[s][q];
-      ASSERT_LE(rec.generation, static_cast<uint64_t>(kBatches));
-      // A session's sequential submissions can only move forward in time.
-      EXPECT_GE(rec.generation, last_generation);
-      last_generation = rec.generation;
-
-      const Table& table = generations[rec.generation];
-      EXPECT_TRUE(SameRelease(
-          rec, *ReplayAnswer(table, CensusPolicy().NonSensitiveRowMask(table),
-                             make_query(s, q), kRootSeed, sessions[s],
-                             static_cast<uint64_t>(q), rec.generation)))
-          << "answer diverged at session " << s << " seq " << q
-          << " generation " << rec.generation;
-    }
-  }
-
-  if (mask_cache_bytes > 0) {
-    // Quiescent tail: with the writer done, a repeated query against the
-    // now-stable current generation must be a deterministic cache hit — and
-    // both the miss and the hit answer must be bit-identical to their own
-    // serial replays (the hit's replay recomputes the mask from scratch, so
-    // a wrong cached mask cannot hide behind the flag).
-    constexpr double kTailEps = 4.0;
-    const auto tail = service->OpenSession("tail");
-    const Predicate tail_pred = Predicate::Le("age", Value(55));
-    const auto miss = *service->AnswerCount(tail, tail_pred, kTailEps);
-    const auto hit = *service->AnswerCount(tail, tail_pred, kTailEps);
-    EXPECT_FALSE(miss.cache_hit);
-    EXPECT_TRUE(hit.cache_hit) << "repeat against a stable generation missed";
-    EXPECT_EQ(miss.generation, static_cast<uint64_t>(kBatches));
-    EXPECT_EQ(hit.generation, miss.generation);
-
-    const Table& final_table = generations[kBatches];
-    const RowMask ns = CensusPolicy().NonSensitiveRowMask(final_table);
-    const ServiceAnswer* answers[] = {&miss, &hit};
-    for (uint64_t seq = 0; seq < 2; ++seq) {
-      EXPECT_TRUE(SameRelease(
-          *answers[seq],
-          *ReplayAnswer(final_table, ns, CountRequest{tail_pred, kTailEps},
-                        kRootSeed, tail, seq, kBatches)))
-          << "tail answer " << seq << " diverged from its serial replay";
-    }
-    const MaskCache::Stats stats = service->cache_stats();
-    EXPECT_GT(stats.hits, 0u);
-    EXPECT_GT(stats.misses, 0u);
-  } else {
-    const MaskCache::Stats stats = service->cache_stats();
-    EXPECT_EQ(stats.hits + stats.misses, 0u) << "disabled cache was touched";
-  }
+// The streaming stress harness (tests/service_soak.h): one writer publishes
+// generations while analyst sessions query from other threads. Every
+// delivery replays bit for bit from the generation it names, which equals a
+// from-scratch rebuild: determinism and snapshot isolation at once. The
+// replay also pins the mask cache, and holds with metrics off: observation
+// never influences answers (tests/obs_test.cc pins the twin half).
+void ExpectSoundConcurrentIngest(size_t mask_cache_bytes,
+                                 bool metrics_enabled) {
+  SoakConfig config;
+  config.mask_cache_bytes = mask_cache_bytes;
+  config.metrics_enabled = metrics_enabled;
+  ExpectSound(config, RunSoak(config));
 }
 
 TEST(QueryServiceStreamingTest, ConcurrentIngestMatchesSerialReplay) {
-  RunConcurrentIngestStressHarness(/*mask_cache_bytes=*/0);
+  ExpectSoundConcurrentIngest(/*mask_cache_bytes=*/0, /*metrics_enabled=*/true);
 }
 
 TEST(QueryServiceStreamingTest,
      ConcurrentIngestMatchesSerialReplayWithMaskCache) {
-  RunConcurrentIngestStressHarness(/*mask_cache_bytes=*/64ull << 20);
+  ExpectSoundConcurrentIngest(64ull << 20, /*metrics_enabled=*/true);
 }
 
 TEST(QueryServiceStreamingTest,
      ConcurrentIngestMatchesSerialReplayWithMetricsDisabled) {
-  RunConcurrentIngestStressHarness(/*mask_cache_bytes=*/0,
-                                   /*metrics_enabled=*/false);
+  ExpectSoundConcurrentIngest(/*mask_cache_bytes=*/0,
+                              /*metrics_enabled=*/false);
 }
 
 TEST(QueryServiceStreamingTest,
      ConcurrentIngestMatchesSerialReplayWithMaskCacheAndMetricsDisabled) {
-  RunConcurrentIngestStressHarness(/*mask_cache_bytes=*/64ull << 20,
-                                   /*metrics_enabled=*/false);
+  ExpectSoundConcurrentIngest(64ull << 20, /*metrics_enabled=*/false);
 }
 
 TEST(QueryServiceStreamingTest, EmptyIngestIsANoOpThatPreservesCachedMasks) {
@@ -921,55 +799,13 @@ TEST(QueryServiceAdmissionTest, OverfullBatchIsShedDeterministically) {
 }
 
 TEST(QueryServiceAdmissionTest, ConcurrentOverloadShedsCleanly) {
-  // Many threads against max_concurrent_batches = 1: some batches shed, the
-  // admitted ones deliver, and afterwards the books close exactly — spent ==
-  // Σ delivered ε, admitted + rejected == submitted, peak respects the cap.
-  ThreadPool pool(2);
-  QueryService::Options opts;
-  opts.pool = &pool;
-  opts.per_session_epsilon = 10.0;
-  opts.max_concurrent_batches = 1;
-  auto service = *QueryService::Create(CensusEngine(100.0, 2000), opts);
-  const double total = service->remaining_budget();
-
-  constexpr int kThreads = 6;
-  constexpr int kBatchesPerThread = 5;
-  constexpr double kEps = 0.01;
-  std::atomic<uint64_t> delivered{0};
-  std::atomic<uint64_t> shed{0};
-  std::vector<std::thread> analysts;
-  for (int t = 0; t < kThreads; ++t) {
-    analysts.emplace_back([&, t] {
-      const auto session =
-          service->OpenSession("analyst-" + std::to_string(t));
-      for (int b = 0; b < kBatchesPerThread; ++b) {
-        std::vector<ServiceRequest> batch;
-        batch.emplace_back(CountRequest{
-            Predicate::Le("age", Value(20 + (3 * t + b) % 60)), kEps});
-        const auto results = service->AnswerBatch(session, batch);
-        for (const auto& r : results) {
-          if (r.ok()) {
-            delivered.fetch_add(1);
-          } else {
-            ASSERT_EQ(r.status().code(), StatusCode::kResourceExhausted)
-                << r.status().ToString();
-            shed.fetch_add(1);
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& t : analysts) t.join();
-
-  EXPECT_NEAR(total - service->remaining_budget(), delivered.load() * kEps,
-              1e-9);
-  EXPECT_EQ(service->ledger().size(), delivered.load());
-  const auto stats = service->admission_stats();
-  EXPECT_EQ(stats.admitted, delivered.load());
-  EXPECT_EQ(stats.rejected, shed.load());
-  EXPECT_EQ(stats.admitted + stats.rejected,
-            static_cast<uint64_t>(kThreads * kBatchesPerThread));
-  EXPECT_LE(stats.peak_inflight, 1u);
+  // Four sessions' threads and a writer against a cap of two concurrent
+  // batches, with expired deadlines and a mid-round cancel but no fault:
+  // some batches shed, the admitted ones deliver or explain themselves, and
+  // the books close exactly (tests/service_soak.h).
+  SoakConfig config;
+  config.hostile = true;
+  ExpectSound(config, RunSoak(config));
 }
 
 TEST(QueryServiceDeadlineTest, PastDeadlineRefusesWithFullRefund) {
@@ -1026,53 +862,45 @@ TEST(QueryServiceCancelTest, PreCancelledTokenRefusesEverySlotWithRefund) {
   EXPECT_TRUE(service->AnswerCount(session, Predicate::True(), 0.05).ok());
 }
 
-TEST(QueryServiceCancelTest, MidFlightCancelKeepsTheBooksExact) {
-  // Fire the token from another thread while a large batch is scanning. The
-  // race decides *which* queries deliver, never the invariants: every slot
-  // is ok or Cancelled, spent == Σ delivered ε, one ledger entry per
-  // delivery — and cancellation never alters a delivered answer (checked
-  // against serial replay by seq).
-  ThreadPool pool(2);
-  QueryService::Options opts;
-  opts.pool = &pool;
-  opts.per_session_epsilon = 50.0;
-  auto service = *QueryService::Create(CensusEngine(100.0, 30000), opts);
-  const double total = service->remaining_budget();
-  const auto session = service->OpenSession("alice");
+// A one-session soak run on `rows` census rows, in batches of `batch_size`.
+SoakConfig CancelRaceConfig(size_t rows, size_t batch_size) {
+  SoakConfig config;
+  config.seed_rows = rows;
+  config.readers = 1;
+  config.queries_per_batch = batch_size;
+  return config;
+}
 
-  constexpr double kEps = 0.05;
-  std::vector<ServiceRequest> batch;
-  for (int q = 0; q < 12; ++q) {
-    batch.emplace_back(
-        CountRequest{Predicate::Le("age", Value(15 + 6 * q)), kEps});
-  }
+// Submits `batch` as the one session's next batch while another thread fires
+// its token `after` into it.
+void SubmitRacingACancel(SoakRun* run, std::vector<ServiceRequest> batch,
+                         std::chrono::microseconds after) {
   CancelToken token;
   QueryService::BatchControl control;
   control.cancel = token;
   std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::microseconds(400));
+    std::this_thread::sleep_for(after);
     token.Cancel();
   });
-  const auto results = service->AnswerBatch(session, batch, control);
+  SoakSubmit(run, 0, std::move(batch), control);
   canceller.join();
+}
 
-  size_t delivered = 0;
-  const SnapshotPtr snap = service->current_snapshot();
-  for (size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    if (!r.ok()) {
-      EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
-          << r.status().ToString();
-      continue;
-    }
-    ++delivered;
-    EXPECT_TRUE(SameRelease(
-        *r, *ReplayAnswer(snap->table, snap->non_sensitive, batch[i],
-                          opts.seed, session, r->seq, r->generation)))
-        << "cancellation altered a delivered answer (slot " << i << ")";
+TEST(QueryServiceCancelTest, MidFlightCancelKeepsTheBooksExact) {
+  // Fire the token from another thread while a large batch is scanning. The
+  // race decides *which* queries deliver, never the invariants: only the
+  // raced batch's slots may fail, only as Cancelled, and every delivered
+  // answer replays by seq (CheckSoak).
+  const SoakConfig config = CancelRaceConfig(30000, 12);
+  SoakRun run = OpenSoak(config);
+  std::vector<ServiceRequest> batch;
+  for (int q = 0; q < 12; ++q) {
+    batch.emplace_back(
+        CountRequest{Predicate::Le("age", Value(15 + 6 * q)), kSoakEpsilon});
   }
-  EXPECT_NEAR(total - service->remaining_budget(), delivered * kEps, 1e-9);
-  EXPECT_EQ(service->ledger().size(), delivered);
+  SubmitRacingACancel(&run, batch, std::chrono::microseconds(400));
+  FinishSoak(&run);
+  ExpectSound(config, run);
 }
 
 TEST(QueryServiceTest, CloseSessionDuringInFlightBatch) {
@@ -1403,14 +1231,8 @@ TEST(QueryServiceMemoTest, DeadlinesAcrossAnExtensionStoreNothing) {
   EXPECT_GT(service->cache_stats().extensions, 0u);
 }
 
-TEST(QueryServiceMemoTest, MidFlightCancelAcrossAnExtensionKeepsTheBooks) {
-  // A token fired while a batch of one clause extends the previous
-  // generation: every slot delivers or is cancelled, spent ε equals the
-  // delivered ε, and every delivered answer — and every answer of the clause
-  // afterwards — matches its replay.
-  ThreadPool pool(2);
-  auto service = MemoService(&pool, 30000);
-  const auto session = service->OpenSession("alice");
+// Twelve queries on one WHERE clause, every third a DAWAz histogram.
+std::vector<ServiceRequest> OneClauseBatch() {
   const Predicate where = Predicate::Le("income", Value(52000.0));
   std::vector<ServiceRequest> batch;
   for (int q = 0; q < 12; ++q) {
@@ -1421,34 +1243,24 @@ TEST(QueryServiceMemoTest, MidFlightCancelAcrossAnExtensionKeepsTheBooks) {
       batch.emplace_back(CountRequest{where, 0.5});
     }
   }
-  FillThenIngest(service.get(), session, batch, 8191, 0xCA);
-  const double service_before = service->remaining_budget();
-  const size_t ledger_before = service->ledger().size();
-  const SnapshotPtr snap = service->current_snapshot();
-  CancelToken token;
-  QueryService::BatchControl control;
-  control.cancel = token;
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-    token.Cancel();
-  });
-  const auto results = service->AnswerBatch(session, batch, control);
-  canceller.join();
-  size_t delivered = 0;
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      EXPECT_EQ(results[i].status().code(), StatusCode::kCancelled);
-      continue;
-    }
-    ++delivered;
-    ExpectReplays(batch[i], *results[i], *snap, session);
-  }
-  EXPECT_NEAR(service_before - service->remaining_budget(), delivered * 0.5,
-              1e-9);
-  EXPECT_EQ(service->ledger().size(), ledger_before + delivered);
-  AnswerAndReplay(service.get(), session, batch);
-  AnswerAndReplay(service.get(), session, batch);
-  EXPECT_GT(service->cache_stats().extensions, 0u);
+  return batch;
+}
+
+TEST(QueryServiceMemoTest, MidFlightCancelAcrossAnExtensionKeepsTheBooks) {
+  // A token fired while a batch of one clause extends the previous
+  // generation: the cancel race, and every answer of the clause afterwards,
+  // must leave a sound run.
+  const SoakConfig config = CancelRaceConfig(30000, 12);
+  SoakRun run = OpenSoak(config);
+  const std::vector<ServiceRequest> batch = OneClauseBatch();
+  SoakSubmit(&run, 0, batch);
+  SoakIngest(&run, CensusRows(8191, 0xCA));
+  SubmitRacingACancel(&run, batch, std::chrono::microseconds(100));
+  SoakSubmit(&run, 0, batch);
+  SoakSubmit(&run, 0, batch);
+  FinishSoak(&run);
+  ExpectSound(config, run);
+  EXPECT_GT(run.service->cache_stats().extensions, 0u);
 }
 
 TEST(QueryServiceMemoTest, FaultInsideTheCountStoresNothing) {
@@ -1521,38 +1333,14 @@ TEST(QueryServiceMemoTest, MidFlightCancelStoresNothingWrong) {
   // A token fired while a batch of one repeated WHERE clause executes. The
   // race decides which slots deliver; every delivered answer, and every
   // answer of the same clause afterwards, matches its replay.
-  ThreadPool pool(2);
-  auto service = MemoService(&pool, 30000);
-  const auto session = service->OpenSession("alice");
-  const Predicate where = Predicate::Le("income", Value(52000.0));
-  std::vector<ServiceRequest> batch;
-  for (int q = 0; q < 12; ++q) {
-    if (q % 3 == 2) {
-      batch.emplace_back(
-          MemoHistogram("age", 100, 25, where, EngineMechanism::kDawaz));
-    } else {
-      batch.emplace_back(CountRequest{where, 0.5});
-    }
-  }
-  const SnapshotPtr snap = service->current_snapshot();
-  CancelToken token;
-  QueryService::BatchControl control;
-  control.cancel = token;
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::microseconds(150));
-    token.Cancel();
-  });
-  const auto results = service->AnswerBatch(session, batch, control);
-  canceller.join();
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      EXPECT_EQ(results[i].status().code(), StatusCode::kCancelled);
-      continue;
-    }
-    ExpectReplays(batch[i], *results[i], *snap, session);
-  }
-  AnswerAndReplay(service.get(), session, batch);
-  AnswerAndReplay(service.get(), session, batch);
+  const SoakConfig config = CancelRaceConfig(30000, 12);
+  SoakRun run = OpenSoak(config);
+  const std::vector<ServiceRequest> batch = OneClauseBatch();
+  SubmitRacingACancel(&run, batch, std::chrono::microseconds(150));
+  SoakSubmit(&run, 0, batch);
+  SoakSubmit(&run, 0, batch);
+  FinishSoak(&run);
+  ExpectSound(config, run);
 }
 
 TEST(QueryServiceMemoTest, SharedLookupMatchesOneQueryPerBatchTwin) {

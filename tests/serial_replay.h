@@ -56,12 +56,16 @@ inline Table CensusRows(size_t rows, uint64_t seed) {
   return MakeCensusTable(opts);
 }
 
-/// The engine every service test starts from: CensusRows(rows, 0x9A) under
-/// CensusPolicy(), with `total_epsilon` as the service-wide budget.
+inline constexpr uint64_t kCensusEngineSeed = 0x9A;
+
+/// The engine every service test starts from: CensusRows(rows,
+/// kCensusEngineSeed) under CensusPolicy(), with `total_epsilon` as the
+/// service-wide budget.
 inline OsdpEngine CensusEngine(double total_epsilon, size_t rows = 3000) {
   OsdpEngine::Options opts;
   opts.total_epsilon = total_epsilon;
-  return *OsdpEngine::Create(CensusRows(rows, 0x9A), CensusPolicy(), opts);
+  return *OsdpEngine::Create(CensusRows(rows, kCensusEngineSeed),
+                             CensusPolicy(), opts);
 }
 
 /// \brief The answer `request` must have received from a service seeded
