@@ -15,6 +15,8 @@
 //                 of 8 × OSDP_BENCH_MAX_ROWS rows (8M at the default, rounded
 //                 up to a doubling of 64k rows), under the same gate — the
 //                 row where a publish that grew with the table would show.
+//                 Both 1k-row-batch rows ingest 1000 batches at the default
+//                 size (the large base 100 to 1000, OSDP_BENCH_MAX_ROWS/1000).
 //   snapshot      BuildSnapshot alone, median µs per call, on tables of 1M
 //                 and 16M rows (2^20 and 2^24): flat in the table size.
 //   mixed         one writer thread ingesting batches while analyst
@@ -162,13 +164,18 @@ bool SnapshotMatchesRebuild(const Snapshot& snapshot, const Table& seed,
 }
 
 // `batches` of `batch_rows` pre-generated rows: measure the ingest path, not
-// the generator.
+// the generator. At most kDistinctBatches are generated; the rest are
+// copies of them, which share their chunks, so a thousand-batch row holds a
+// hundred batches of cells.
+constexpr size_t kDistinctBatches = 100;
 std::vector<Table> MakeBatches(size_t batches, size_t batch_rows,
                                uint64_t seed_base) {
   std::vector<Table> out;
   out.reserve(batches);
   for (size_t g = 1; g <= batches; ++g) {
-    out.push_back(CensusRows(batch_rows, seed_base + g));
+    out.push_back(g <= kDistinctBatches
+                      ? CensusRows(batch_rows, seed_base + g)
+                      : out[(g - 1) % kDistinctBatches]);
   }
   return out;
 }
@@ -296,10 +303,10 @@ int main() {
   const Table seed = CensusRows(kSeedRows, kSeedSeed);
   bool overhead_checked = false;
   for (size_t batch_rows : {size_t{1000}, size_t{10000}, size_t{100000}}) {
-    // Cap the generation count so the grid finishes quickly at small batch
-    // sizes.
-    const size_t total =
-        std::min(max_rows, batch_rows * size_t{100});
+    // A thousand batches at most: at 1k-row batches a timed pass then takes
+    // tens of milliseconds, long enough to time steadily, and larger batch
+    // sizes stop at max_rows.
+    const size_t total = std::min(max_rows, batch_rows * size_t{1000});
     if (batch_rows > total) continue;
     const size_t batches = total / batch_rows;
     if (batches == 0) continue;
@@ -323,8 +330,9 @@ int main() {
   // --- large base: 1k-row batches onto 8 × max_rows rows ------------------
   {
     const Table base = DoubledCensus(8 * max_rows);
+    const size_t batches = std::clamp<size_t>(max_rows / 1000, 100, 1000);
     const std::optional<double> overhead = MeasureAppendAndIngest(
-        base, MakeBatches(100, 1000, 0xB800), &results);
+        base, MakeBatches(batches, 1000, 0xB800), &results);
     if (!overhead) return 1;
     add_row(results[results.size() - 2], results.back());
     if (!OverheadWithinGate(*overhead, max_publish_overhead, 1000,

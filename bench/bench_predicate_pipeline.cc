@@ -14,10 +14,12 @@
 //              evaluated column-at-a-time into a packed RowMask.
 //
 // The `kernel` op times each FusedAndMask body the host can run (avx512,
-// avx2, portable) directly on the fresh3 legs over contiguous copies of the
-// age and zip columns, one call per iteration, so the L2-resident and
-// memory-bound sizes both show. Every body's words must equal the others'
-// and the compiled fresh3 mask's; the bench exits 1 if any differ.
+// avx2, portable) directly on the fresh3 legs, once per offset width a
+// sealed int64 chunk can take (u8, u16, u32, u64; path "<body>/<width>"):
+// contiguous copies of the age and zip columns stored at that width, one
+// call per iteration, so the L2-resident and memory-bound sizes both show.
+// Every body's words must equal the compiled fresh3 mask's (zip cut at 2560
+// for u8, which stores zip / 64); the bench exits 1 if any differ.
 //
 // Knobs: OSDP_BENCH_MAX_ROWS caps the row grid (default 10M; set 100000 for
 // a CI smoke run), OSDP_BENCH_JSON sets the output path (default
@@ -27,6 +29,7 @@
 
 #include <cstdio>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <thread>
@@ -80,15 +83,17 @@ std::vector<Shape> MakeShapes() {
   };
 }
 
-// Fresh3() as Compile() lowers it: two int64 legs,
-// age - 30 <= 15 and zip - 2500 <= INT64_MAX - 2500 (wrapping unsigned).
-std::vector<ScanLeg> Fresh3Legs() {
+// Fresh3() with its zip cut at `zip_lo`, as Compile() lowers it: two int64
+// legs, age - 30 <= 15 and zip - zip_lo <= INT64_MAX - zip_lo (wrapping
+// unsigned).
+std::vector<ScanLeg> Fresh3Legs(int64_t zip_lo) {
   ScanLeg age;
   age.lo = 30;
   age.span = 15;
   ScanLeg zip;
-  zip.lo = 2500;
-  zip.span = static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) - 2500;
+  zip.lo = static_cast<uint64_t>(zip_lo);
+  zip.span = static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) -
+             zip.lo;
   return {age, zip};
 }
 
@@ -107,10 +112,15 @@ std::vector<KernelBody> HostBodies() {
   return bodies;
 }
 
-std::vector<int64_t> CopyColumn(const Table& table, const char* name) {
+// The column's cells as contiguous U offsets from 0, each shifted right by
+// `shift`.
+template <typename U>
+std::vector<U> OffsetCells(const Table& table, const char* name, int shift) {
   const ChunkedColumn<int64_t>& col = **table.Int64ColumnByName(name);
-  std::vector<int64_t> cells(table.num_rows());
-  for (size_t i = 0; i < cells.size(); ++i) cells[i] = col[i];
+  std::vector<U> cells(table.num_rows());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    cells[i] = static_cast<U>(col[i] >> shift);
+  }
   return cells;
 }
 
@@ -266,41 +276,68 @@ int main() {
     }
     std::printf("--- %zu rows ---\n%s\n", rows, text.ToString().c_str());
 
-    // --- scan kernel bodies on the fresh3 legs ---------------------------
-    const std::vector<ScanLeg> legs = Fresh3Legs();
-    const std::vector<int64_t> age = CopyColumn(table, "age");
-    const std::vector<int64_t> zip = CopyColumn(table, "zip");
-    const void* cells[] = {age.data(), zip.data()};
-    const RowMask fresh3 =
-        CompiledPredicate::Compile(Fresh3(), schema)->EvalMask(table);
-    std::vector<uint64_t> want;
-    want.reserve(fresh3.num_words());
-    for (size_t b = 0; b < fresh3.num_blocks(); ++b) {
-      want.insert(want.end(), fresh3.block(b),
-                  fresh3.block(b) + fresh3.block_words(b));
-    }
-    std::printf("kernel fresh3 @%zu rows:", rows);
-    for (const KernelBody& body : HostBodies()) {
-      std::vector<uint64_t> words(want.size());
-      // A call costs about 1 ms per million rows, so the best of a few reps
-      // would still include the first calls' warm-up; 30 reps reach the
-      // steady state at every grid size.
-      const double sec = TimeBest(30, [&] {
-        body.fn(legs.data(), cells, legs.size(), rows, words.data());
-        sink += words[0];
-      });
-      if (words != want) {
-        std::fprintf(stderr,
-                     "\nFAIL: the %s scan kernel body disagrees with the "
-                     "compiled fresh3 mask at %zu rows\n",
-                     body.name, rows);
-        return 1;
+    // --- scan kernel bodies on the fresh3 legs, per offset width ---------
+    // Each width stores age and zip as offsets from 0 of that width, and
+    // its legs are the fresh3 legs rebased onto them, as the scan rebases
+    // them onto a sealed chunk. One byte cannot hold a zip, so the u8 row
+    // stores zip / 64 and cuts it at 40: zip >= 2560.
+    const auto width_rows = [&](auto zero, const char* width) -> bool {
+      using U = decltype(zero);
+      const int shift = sizeof(U) == 1 ? 6 : 0;
+      const int64_t zip_lo = sizeof(U) == 1 ? 2560 : 2500;
+      const std::vector<U> age = OffsetCells<U>(table, "age", 0);
+      const std::vector<U> zip = OffsetCells<U>(table, "zip", shift);
+      std::vector<ScanLeg> legs;
+      for (const ScanLeg& leg : Fresh3Legs(zip_lo >> shift)) {
+        ScanLeg rebased;
+        const LegOnChunk on = RebaseLeg(leg, 0, static_cast<U>(~U{0}),
+                                        LegCellsOf<U>(), &rebased);
+        if (on != LegOnChunk::kTest) std::abort();
+        legs.push_back(rebased);
       }
-      results.push_back({"fresh3", rows, "kernel", body.name, sec,
-                         static_cast<double>(rows) / sec});
-      std::printf("  %s %.3f ns/row", body.name, 1e9 * sec / rows);
+      const void* cells[] = {age.data(), zip.data()};
+      const Predicate clause = Predicate::And(
+          Predicate::And(Predicate::Ge("age", Value(30)),
+                         Predicate::Le("age", Value(45))),
+          Predicate::Ge("zip", Value(zip_lo)));
+      const RowMask fresh3 =
+          CompiledPredicate::Compile(clause, schema)->EvalMask(table);
+      std::vector<uint64_t> want;
+      want.reserve(fresh3.num_words());
+      for (size_t b = 0; b < fresh3.num_blocks(); ++b) {
+        want.insert(want.end(), fresh3.block(b),
+                    fresh3.block(b) + fresh3.block_words(b));
+      }
+      std::printf("kernel fresh3 %s @%zu rows:", width, rows);
+      for (const KernelBody& body : HostBodies()) {
+        std::vector<uint64_t> words(want.size());
+        // A call costs up to about 1 ms per million rows, so the best of a
+        // few reps would still include the first calls' warm-up; 30 reps
+        // reach the steady state at every grid size.
+        const double sec = TimeBest(30, [&] {
+          body.fn(legs.data(), cells, legs.size(), rows, words.data());
+          sink += words[0];
+        });
+        if (words != want) {
+          std::fprintf(stderr,
+                       "\nFAIL: the %s scan kernel body disagrees with the "
+                       "compiled fresh3 mask on %s cells at %zu rows\n",
+                       body.name, width, rows);
+          return false;
+        }
+        results.push_back({"fresh3", rows, "kernel",
+                           std::string(body.name) + "/" + width, sec,
+                           static_cast<double>(rows) / sec});
+        std::printf("  %s %.3f ns/row", body.name, 1e9 * sec / rows);
+      }
+      std::printf("\n");
+      return true;
+    };
+    if (!width_rows(uint8_t{0}, "u8") || !width_rows(uint16_t{0}, "u16") ||
+        !width_rows(uint32_t{0}, "u32") || !width_rows(uint64_t{0}, "u64")) {
+      return 1;
     }
-    std::printf("\n\n");
+    std::printf("\n");
   }
 
   // Acceptance line: 1M rows, 3-leaf predicate, mask + count >= 5x.

@@ -7,12 +7,21 @@ the numbers: the bench name, the host's hardware_concurrency, the build type
 and the commit. A baseline written by other means, or recorded before the
 header existed, fails here.
 
+As information only, it also names each baseline recorded before the last
+commit that changed its bench source (bench/bench_<bench>.cc): its numbers
+may no longer describe what the bench measures. A baseline recorded in the
+working tree of that commit carries the commit's parent, so it counts as
+current. Without a git checkout this report is skipped; it never fails the
+check.
+
 Usage: python3 bench/check_bench_json.py [repo_root]
 """
 
 import glob
 import json
 import os
+import shutil
+import subprocess
 import sys
 
 HEADER = ["bench", "hardware_concurrency", "build_type", "commit"]
@@ -38,6 +47,35 @@ def problems(path):
     return out
 
 
+def git(root, *args):
+    done = subprocess.run(["git", "-C", root, *args], capture_output=True,
+                          text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def stale(root, path):
+    """The last commit touching path's bench source, if path's header commit
+    predates that commit's parent; else None (None too without git)."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        source = os.path.join("bench", "bench_%s.cc" % doc["bench"])
+        recorded = git(root, "rev-parse", "--verify", "--quiet",
+                       str(doc["commit"]) + "^{commit}")
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    changed = git(root, "log", "-1", "--format=%H", "--", source)
+    if not recorded or not changed:
+        return None
+    parent = git(root, "rev-parse", "--verify", "--quiet", changed + "^")
+    if recorded in (changed, parent):
+        return None
+    ancestor = subprocess.run(
+        ["git", "-C", root, "merge-base", "--is-ancestor", recorded, changed],
+        capture_output=True)
+    return changed[:7] if ancestor.returncode == 0 else None
+
+
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else os.getcwd()
     paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
@@ -50,6 +88,13 @@ def main():
         name = os.path.basename(path)
         print(f"{name}: {'ok' if not found else '; '.join(found)}")
         failed += bool(found)
+    if os.path.exists(os.path.join(root, ".git")) and shutil.which("git"):
+        for path in paths:
+            changed = stale(root, path)
+            if changed:
+                print(f"stale (information only): {os.path.basename(path)} "
+                      f"was recorded before {changed}, which changed its "
+                      "bench source")
     return 1 if failed else 0
 
 

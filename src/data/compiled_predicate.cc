@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/check.h"
@@ -196,10 +197,13 @@ void PlanConjunction(Op* op) {
     }
     const ScanLeg& leg = child->legs[0];
     bool merged = false;
-    if (leg.is_int) {
+    if (leg.cells == LegCells::kU64) {
       if (const auto range = PlainRange(leg)) {
         for (size_t k = 0; k < op->legs.size() && !merged; ++k) {
-          if (op->leg_cols[k] != child->col || !op->legs[k].is_int) continue;
+          if (op->leg_cols[k] != child->col ||
+              op->legs[k].cells != LegCells::kU64) {
+            continue;
+          }
           const auto other = PlainRange(op->legs[k]);
           if (!other) continue;
           const int64_t lo = std::max(range->first, other->first);
@@ -318,7 +322,7 @@ Result<std::shared_ptr<const Op>> CompileNode(const Predicate::Node& n,
     }
     leg = *range;
   } else {
-    leg.is_int = false;
+    leg.cells = LegCells::kDouble;
     leg.cmp = op->cmp;
     leg.lit = op->num_lit;
   }
@@ -331,10 +335,11 @@ Result<std::shared_ptr<const Op>> CompileNode(const Predicate::Node& n,
 //
 // EvalRangeInto walks its range one block at a time: a block is the part of
 // [row_begin, row_end) inside one storage chunk, so every column's cells
-// for the block are contiguous and the block covers at most kBlockWords
-// mask words. The whole tree is evaluated over one block before the next,
-// and an AND or OR combines its operands through one stack buffer of
-// kBlockWords — no per-node heap vector. Blocks start at a chunk boundary
+// for the block are one contiguous array (an int64 column's at the chunk's
+// offset width) and the block covers at most kBlockWords mask words. The
+// whole tree is evaluated over one block before the next, and an AND or OR
+// combines its operands through one stack buffer of kBlockWords — no
+// per-node heap vector. Blocks start at a chunk boundary
 // or at row_begin, both multiples of 64, so each block writes whole,
 // disjoint words and the packing is identical to a whole-table scan — the
 // invariant behind serial/sharded bit-identity.
@@ -418,27 +423,61 @@ void FoldInto(It first, It last, const Block& blk, uint64_t* words,
   }
 }
 
+// Writes words[0, ceil(n / 64)) with bits [0, n) set and the rest clear.
+void FillOnes(size_t n, uint64_t* words) {
+  const size_t num_words = (n + 63) >> 6;
+  std::fill(words, words + num_words, ~uint64_t{0});
+  if (const size_t tail = n & 63; tail != 0) {
+    words[num_words - 1] = (uint64_t{1} << tail) - 1;
+  }
+}
+
 // A kCmpNum leaf or a kAnd node: the fused legs, then each other operand.
+// Each int leg is first rebased onto the block's chunk: a leg every cell of
+// the chunk passes is dropped, and one no cell passes clears the block, so
+// neither reads the chunk.
 void EvalConjunction(const Op& op, const Block& blk, uint64_t* words) {
   const size_t num_words = (blk.rows + 63) >> 6;
-  if (op.never) {
+  bool none = op.never;
+  ScanLeg legs[kMaxFusedLegs];
+  const void* cells[kMaxFusedLegs];
+  size_t live = 0;
+  for (size_t k = 0; k < op.legs.size() && !none; ++k) {
+    const size_t col = op.leg_cols[k];
+    if (op.legs[k].cells == LegCells::kDouble) {
+      legs[live] = op.legs[k];
+      cells[live++] = &blk.table.DoubleColumn(col)[blk.begin];
+      continue;
+    }
+    blk.table.Int64Column(col).ForEachSpan(
+        blk.begin, blk.begin + blk.rows,
+        [&](const auto& chunk, size_t /*begin*/, size_t /*len*/) {
+          using U = typename std::decay_t<decltype(chunk)>::Offset;
+          switch (RebaseLeg(op.legs[k], chunk.base, chunk.range,
+                            LegCellsOf<U>(), &legs[live])) {
+            case LegOnChunk::kNone:
+              none = true;
+              return;
+            case LegOnChunk::kAll:
+              return;
+            case LegOnChunk::kTest:
+              cells[live++] = chunk.offsets;
+              return;
+          }
+        });
+  }
+  if (none) {
     std::fill(words, words + num_words, uint64_t{0});
     return;
   }
   size_t done = 0;
-  if (!op.legs.empty()) {
-    const void* cells[kMaxFusedLegs];
-    for (size_t k = 0; k < op.legs.size(); ++k) {
-      const size_t col = op.leg_cols[k];
-      cells[k] = op.legs[k].is_int
-                     ? static_cast<const void*>(
-                           &blk.table.Int64Column(col)[blk.begin])
-                     : &blk.table.DoubleColumn(col)[blk.begin];
-    }
-    FusedAndMask(op.legs.data(), cells, op.legs.size(), blk.rows, words);
-  } else {
+  if (live > 0) {
+    FusedAndMask(legs, cells, live, blk.rows, words);
+  } else if (!op.rest.empty()) {
     EvalBlock(*op.rest[0], blk, words);
     done = 1;
+  } else {
+    FillOnes(blk.rows, words);
   }
   FoldInto(op.rest.begin() + done, op.rest.end(), blk, words,
            [](uint64_t a, uint64_t b) { return a & b; });
@@ -453,8 +492,7 @@ void EvalBlock(const Op& op, const Block& blk, uint64_t* words) {
   const size_t tail = n & 63;
   switch (op.kind) {
     case Op::Kind::kConstTrue:
-      std::fill(words, words + num_words, ~uint64_t{0});
-      if (tail != 0) words[num_words - 1] = (uint64_t{1} << tail) - 1;
+      FillOnes(n, words);
       return;
     case Op::Kind::kConstFalse:
       std::fill(words, words + num_words, uint64_t{0});
@@ -488,10 +526,13 @@ void EvalBlock(const Op& op, const Block& blk, uint64_t* words) {
         return false;
       };
       if (op.col_type == ValueType::kInt64) {
-        const int64_t* data = &blk.table.Int64Column(op.col)[blk.begin];
-        FillMask(n, words, [&](size_t i) {
-          return member(static_cast<double>(data[i]));
-        });
+        blk.table.Int64Column(op.col).ForEachSpan(
+            blk.begin, blk.begin + n,
+            [&](const auto& cells, size_t /*begin*/, size_t /*len*/) {
+              FillMask(n, words, [&](size_t i) {
+                return member(static_cast<double>(cells[i]));
+              });
+            });
       } else {
         const double* data = &blk.table.DoubleColumn(op.col)[blk.begin];
         FillMask(n, words, [&](size_t i) { return member(data[i]); });

@@ -17,7 +17,10 @@
 // Numeric comparisons, alone or as the legs of an AND chain, run through
 // the fused kernel of src/data/scan_kernels.h: one pass per chunk for the
 // whole chain, on the AVX-512 body when the CPU has AVX-512 F/BW/VL, else
-// on the AVX2 body when it has AVX2, else on the portable body.
+// on the AVX2 body when it has AVX2, else on the portable body. An int leg
+// reads a sealed chunk's frame-of-reference offsets at the chunk's own
+// width, rebased per chunk (RebaseLeg); a leg that misses or covers the
+// chunk's [min, max] does not read it at all.
 //
 // Semantics are bit-identical to the row-at-a-time reference evaluator in
 // tests/reference_predicate.h: numeric cells compare with the literal as

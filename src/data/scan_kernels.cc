@@ -1,5 +1,6 @@
 #include "src/data/scan_kernels.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -32,20 +33,40 @@ __attribute__((always_inline)) inline void Combine(uint8_t* acc, size_t m,
   }
 }
 
+// An unsigned leg of width U over rows [base, base + m) of `cells`, combined
+// into acc[0, m).
+template <typename U>
+__attribute__((always_inline)) inline void UnsignedLegBytes(
+    const ScanLeg& leg, const void* cells, size_t base, size_t m, bool first,
+    uint8_t* acc) {
+  const U* v = static_cast<const U*>(cells) + base;
+  const U lo = static_cast<U>(leg.lo);
+  const U span = static_cast<U>(leg.span);
+  Combine(acc, m, first,
+          [&](size_t i) { return static_cast<U>(v[i] - lo) <= span; });
+}
+
 // Leg `leg` over rows [base, base + m) of `cells`, combined into acc[0, m).
 __attribute__((always_inline)) inline void LegBytes(const ScanLeg& leg,
                                                     const void* cells,
                                                     size_t base, size_t m,
                                                     bool first,
                                                     uint8_t* acc) {
-  if (leg.is_int) {
-    const int64_t* v = static_cast<const int64_t*>(cells) + base;
-    const uint64_t lo = leg.lo;
-    const uint64_t span = leg.span;
-    Combine(acc, m, first, [&](size_t i) {
-      return static_cast<uint64_t>(v[i]) - lo <= span;
-    });
-    return;
+  switch (leg.cells) {
+    case LegCells::kU8:
+      UnsignedLegBytes<uint8_t>(leg, cells, base, m, first, acc);
+      return;
+    case LegCells::kU16:
+      UnsignedLegBytes<uint16_t>(leg, cells, base, m, first, acc);
+      return;
+    case LegCells::kU32:
+      UnsignedLegBytes<uint32_t>(leg, cells, base, m, first, acc);
+      return;
+    case LegCells::kU64:
+      UnsignedLegBytes<uint64_t>(leg, cells, base, m, first, acc);
+      return;
+    case LegCells::kDouble:
+      break;
   }
   const double* v = static_cast<const double*>(cells) + base;
   const double lit = leg.lit;
@@ -107,13 +128,123 @@ __attribute__((always_inline)) inline void FusedAndLoop(
   }
 }
 
+// The sealing loops: a full int64 chunk's minimum and maximum, then each
+// cell's offset from the minimum at the narrowest width that holds them.
+
+__attribute__((always_inline)) inline void MinMaxLoop(const int64_t* cells,
+                                                      int64_t* lo,
+                                                      int64_t* hi) {
+  int64_t a = cells[0];
+  int64_t b = cells[0];
+  // From row 0, not 1: a whole-chunk trip count lets GCC vectorize at -O2.
+  for (size_t i = 0; i < kChunkRows; ++i) {
+    a = cells[i] < a ? cells[i] : a;
+    b = cells[i] > b ? cells[i] : b;
+  }
+  *lo = a;
+  *hi = b;
+}
+
+// The offsets vector of `out`, sized for a chunk. Out of line, so the
+// allocation is compiled for the baseline ISA whichever body calls it.
+template <typename U>
+__attribute__((noinline)) U* AllocateOffsets(ForChunk* out) {
+  return out->offsets.emplace<std::vector<U>>(kChunkRows).data();
+}
+
+template <typename U>
+__attribute__((always_inline)) inline void OffsetsLoop(const int64_t* cells,
+                                                       ForChunk* out) {
+  const uint64_t base = out->base;
+  U* offsets = AllocateOffsets<U>(out);
+  if constexpr (sizeof(U) == 8) {
+    for (size_t i = 0; i < kChunkRows; ++i) {
+      offsets[i] = static_cast<uint64_t>(cells[i]) - base;
+    }
+  } else {
+    // Through 32 bits, 64 rows at a time: GCC narrows 64-bit lanes to 32
+    // bits and 32-bit lanes to 16 or 8 as vectors, but 64 to 8 bits one row
+    // at a time.
+    for (size_t j = 0; j < kChunkRows; j += 64) {
+      uint32_t low[64];
+      for (size_t i = 0; i < 64; ++i) {
+        low[i] = static_cast<uint32_t>(static_cast<uint64_t>(cells[j + i]) -
+                                       base);
+      }
+      for (size_t i = 0; i < 64; ++i) offsets[j + i] = static_cast<U>(low[i]);
+    }
+  }
+}
+
+__attribute__((always_inline)) inline void EncodeLoop(const int64_t* cells,
+                                                      ForChunk* out) {
+  int64_t lo;
+  int64_t hi;
+  MinMaxLoop(cells, &lo, &hi);
+  out->base = static_cast<uint64_t>(lo);
+  out->range = static_cast<uint64_t>(hi) - out->base;
+  if (out->range <= UINT8_MAX) {
+    OffsetsLoop<uint8_t>(cells, out);
+  } else if (out->range <= UINT16_MAX) {
+    OffsetsLoop<uint16_t>(cells, out);
+  } else if (out->range <= UINT32_MAX) {
+    OffsetsLoop<uint32_t>(cells, out);
+  } else {
+    OffsetsLoop<uint64_t>(cells, out);
+  }
+}
+
 }  // namespace
+
+LegOnChunk RebaseLeg(const ScanLeg& leg, uint64_t base, uint64_t range,
+                     LegCells offset_cells, ScanLeg* out) {
+  OSDP_DCHECK(leg.cells == LegCells::kU64);
+  if (leg.span == ~uint64_t{0}) return LegOnChunk::kAll;
+  // On offsets, the leg is the arc [a, e] of the 2^64 circle.
+  const uint64_t a = leg.lo - base;
+  const uint64_t e = a + leg.span;
+  uint64_t lo;    // the passing offsets, as an arc [lo, lo + span] of the
+  uint64_t span;  // offset width's circle
+  if (uint64_t{0} - a > leg.span) {
+    // Offset 0 fails, so the arc does not wrap: a <= e, and it meets
+    // [0, range] in [a, min(e, range)] when a <= range.
+    if (a > range) return LegOnChunk::kNone;
+    lo = a;
+    span = std::min(e, range) - a;
+  } else if (e >= range) {
+    return LegOnChunk::kAll;  // [0, e] passes
+  } else if (a == 0 || a > range) {
+    lo = 0;  // [0, e] passes, and the arc does not come back below range
+    span = e;
+  } else {
+    // [0, e] and [a, range], with a > e + 1 since the arc is not the whole
+    // circle: the arc from a round to e of the width's circle, whose values
+    // past range no offset takes.
+    lo = a;
+    span = e - a;
+  }
+  const uint64_t width_mask =
+      offset_cells == LegCells::kU8    ? uint64_t{0xFF}
+      : offset_cells == LegCells::kU16 ? uint64_t{0xFFFF}
+      : offset_cells == LegCells::kU32 ? uint64_t{0xFFFFFFFF}
+                                       : ~uint64_t{0};
+  OSDP_DCHECK(range <= width_mask);
+  *out = leg;
+  out->cells = offset_cells;
+  out->lo = lo & width_mask;
+  out->span = span & width_mask;
+  return LegOnChunk::kTest;
+}
 
 namespace scan_kernels_internal {
 
 void FusedAndMaskPortable(const ScanLeg* legs, const void* const* cells,
                           size_t num_legs, size_t n, uint64_t* words) {
   FusedAndLoop(legs, cells, num_legs, n, words);
+}
+
+void EncodeForChunkPortable(const int64_t* cells, ForChunk* out) {
+  EncodeLoop(cells, out);
 }
 
 #if OSDP_SIMD_DISPATCH
@@ -150,6 +281,16 @@ __attribute__((target("avx2"))) void FusedAndMaskAvx2(
   FusedAndLoop(legs, cells, num_legs, n, words);
 }
 
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void
+EncodeForChunkAvx512(const int64_t* cells, ForChunk* out) {
+  EncodeLoop(cells, out);
+}
+
+__attribute__((target("avx2"))) void EncodeForChunkAvx2(const int64_t* cells,
+                                                        ForChunk* out) {
+  EncodeLoop(cells, out);
+}
+
 #else
 
 bool Avx512Available() { return false; }
@@ -163,6 +304,14 @@ void FusedAndMaskAvx512(const ScanLeg* legs, const void* const* cells,
 void FusedAndMaskAvx2(const ScanLeg* legs, const void* const* cells,
                       size_t num_legs, size_t n, uint64_t* words) {
   FusedAndLoop(legs, cells, num_legs, n, words);
+}
+
+void EncodeForChunkAvx512(const int64_t* cells, ForChunk* out) {
+  EncodeLoop(cells, out);
+}
+
+void EncodeForChunkAvx2(const int64_t* cells, ForChunk* out) {
+  EncodeLoop(cells, out);
 }
 
 #endif
@@ -184,6 +333,17 @@ void FusedAndMask(const ScanLeg* legs, const void* const* cells,
     k::FusedAndMaskAvx2(legs, cells, num_legs, n, words);
   } else {
     k::FusedAndMaskPortable(legs, cells, num_legs, n, words);
+  }
+}
+
+void EncodeForChunk(const int64_t* cells, ForChunk* out) {
+  namespace k = scan_kernels_internal;
+  if (k::Avx512Available()) {
+    k::EncodeForChunkAvx512(cells, out);
+  } else if (k::Avx2Available()) {
+    k::EncodeForChunkAvx2(cells, out);
+  } else {
+    k::EncodeForChunkPortable(cells, out);
   }
 }
 

@@ -83,7 +83,9 @@ class Table {
 
   /// \name Typed column views (abort on type mismatch).
   ///
-  /// A cell reference (e.g. `StringColumn(col)[row]`) follows per-chunk
+  /// An int64 cell reads by value (`Int64Column(col)[row]` is an int64_t):
+  /// sealed int64 chunks are frame-of-reference encoded. A double or string
+  /// cell reference (e.g. `StringColumn(col)[row]`) follows per-chunk
   /// immutability, not whole-table mutability: cells never move within a
   /// chunk, so the reference stays valid until the last Table or Snapshot
   /// sharing the cell's chunk is destroyed. References into *sealed* chunks

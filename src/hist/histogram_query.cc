@@ -68,20 +68,21 @@ void PreparedHistogramQuery::AccumulateRows(
   OSDP_CHECK(out->size() == domain_.size());
   std::vector<double>& counts = out->counts();
   // Walk the grouped column chunk-span by chunk-span so the inner loop
-  // indexes a contiguous typed array; the mask(s) drive which rows bin.
+  // indexes one chunk's typed cells (an int64 chunk's offsets, at its own
+  // width); the mask(s) drive which rows bin.
   // Accumulation order stays ascending-row, so the counts are identical to
   // a flat whole-range loop.
   if (i64_ != nullptr) {
     if (categorical_) {
       i64_->ForEachSpan(
-          row_begin, row_end, [&](const int64_t* data, size_t gb, size_t len) {
+          row_begin, row_end, [&](const auto& data, size_t gb, size_t len) {
             for_each_row(gb, gb + len, [&](size_t row) {
               counts[domain_.BinOfCategory(data[row - gb])] += 1.0;
             });
           });
     } else {
       i64_->ForEachSpan(
-          row_begin, row_end, [&](const int64_t* data, size_t gb, size_t len) {
+          row_begin, row_end, [&](const auto& data, size_t gb, size_t len) {
             for_each_row(gb, gb + len, [&](size_t row) {
               counts[domain_.BinOf(static_cast<double>(data[row - gb]))] += 1.0;
             });

@@ -6,9 +6,11 @@
 // shard counts, the per-chunk cell-reference lifetime contract, and the
 // zero-copy TableView consumers.
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include "src/data/row_mask.h"
 #include "src/data/schema.h"
 #include "src/data/snapshot.h"
+#include "src/data/snapshot_store.h"
 #include "src/data/table.h"
 #include "src/data/table_builder.h"
 #include "src/data/table_view.h"
@@ -483,6 +486,91 @@ TEST(ChunkedSnapshotTest, ConsecutiveGenerationsShareSealedChunks) {
   for (size_t ci = 0; ci < c1.num_chunks(); ++ci) {
     ASSERT_EQ(c2.ChunkIdentity(ci), c1.ChunkIdentity(ci)) << "chunk " << ci;
   }
+}
+
+TEST(ChunkedSnapshotTest, SealingUnderPinnedReadersKeepsEveryGenerationExact) {
+  // The writer fills and seals the raw tail that pinned generations still
+  // read: appends of 1, 63, 4095, 4096 and 4097 rows from a ragged start
+  // seal three int64 chunks into frame-of-reference form under the readers.
+  // Each reader keeps its generation pinned and re-checks, while the writer
+  // runs, every cell through operator[] against the flat rows, and the
+  // compiled mask against the row-at-a-time reference on the same rows.
+  Rng rng(0x5EA1);
+  const Policy policy =
+      Policy::SensitiveWhen(Predicate::Lt("age", Value(18)), "minors");
+  const Predicate pred = TestPredicate();
+  const CompiledPredicate compiled =
+      *CompiledPredicate::Compile(pred, TestSchema());
+  std::vector<Table> parts = {RandomTable(kChunkRows + 10, rng)};
+  for (size_t rows : {size_t{1}, size_t{63}, kChunkRows - 1, kChunkRows,
+                      kChunkRows + 1}) {
+    parts.push_back(RandomTable(rows, rng));
+  }
+  std::vector<Row> rows;  // every row any generation holds, boxed
+  for (const Table& part : parts) {
+    for (size_t r = 0; r < part.num_rows(); ++r) rows.push_back(part.GetRow(r));
+  }
+
+  TableBuilder builder = *TableBuilder::Create(parts[0], policy);
+  SnapshotStore store(builder.BuildSnapshot(0));
+  constexpr size_t kReaders = 2;
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> failures{0};
+  std::atomic<size_t> checks[kReaders] = {};
+  auto check = [&](const Snapshot& snap) {
+    const Table& t = snap.table;
+    const ChunkedColumn<int64_t>& age = t.Int64Column(0);
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      if (age[r] != rows[r][0].AsInt64() ||
+          t.DoubleColumn(1)[r] != rows[r][1].AsDouble() ||
+          t.StringColumn(2)[r] != rows[r][2].AsString()) {
+        failures.fetch_add(1);
+        return;
+      }
+    }
+    const RowMask mask = compiled.EvalMask(t);
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      if (mask.Test(r) != ReferenceEval(pred, t.schema(), rows[r])) {
+        failures.fetch_add(1);
+        return;
+      }
+    }
+  };
+  std::vector<std::thread> readers;
+  for (size_t i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&, i] {
+      SnapshotPtr pinned = store.Current();
+      while (!stop.load()) {
+        check(*pinned);
+        checks[i].fetch_add(1);
+        // Re-pin now and then, so every generation is held by some reader
+        // while later appends seal its tail.
+        if (checks[i].load() % 3 == 0) pinned = store.Current();
+      }
+      check(*pinned);
+    });
+  }
+  auto wait_for_checks = [&] {
+    size_t seen[kReaders];
+    for (size_t i = 0; i < kReaders; ++i) seen[i] = checks[i].load();
+    for (size_t i = 0; i < kReaders; ++i) {
+      while (checks[i].load() < seen[i] + 2) std::this_thread::yield();
+    }
+  };
+  for (size_t g = 1; g < parts.size(); ++g) {
+    wait_for_checks();
+    const Status appended = builder.Append(parts[g]);
+    EXPECT_TRUE(appended.ok()) << appended.ToString();
+    if (!appended.ok()) break;
+    store.Publish(builder.BuildSnapshot(g));
+  }
+  wait_for_checks();
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0u);
+  // The appends sealed chunks 1 through 3 of the table the readers shared.
+  EXPECT_EQ(store.Current()->table.num_rows(), rows.size());
+  EXPECT_EQ(store.Current()->table.Int64Column(0).num_full_chunks(), 4u);
 }
 
 // ------------------------------------------------------------- TableView ---

@@ -14,6 +14,7 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/common/check.h"
@@ -385,12 +386,34 @@ TEST(CompiledPredicateTest, DoubleColumnLiteralEdgesMatchDoubleCompare) {
 
 // ------------------------------------------------------------ scan kernels ---
 
+// The mask of unsigned width w: 2^w - 1.
+uint64_t WidthMask(LegCells cells) {
+  switch (cells) {
+    case LegCells::kU8: return 0xFF;
+    case LegCells::kU16: return 0xFFFF;
+    case LegCells::kU32: return 0xFFFFFFFF;
+    default: return ~uint64_t{0};
+  }
+}
+
+// Cell i of an unsigned leg's cells, widened.
+uint64_t UnsignedCell(LegCells cells, const void* data, size_t i) {
+  switch (cells) {
+    case LegCells::kU8: return static_cast<const uint8_t*>(data)[i];
+    case LegCells::kU16: return static_cast<const uint16_t*>(data)[i];
+    case LegCells::kU32: return static_cast<const uint32_t*>(data)[i];
+    default: return static_cast<const uint64_t*>(data)[i];
+  }
+}
+
 // Leg `leg` on cell i, by definition: membership in the wrapped interval
-// [lo, lo + span] of the 2^64 circle for ints, the IEEE compare for doubles.
+// [lo, lo + span] of the 2^w circle for w-bit cells, the IEEE compare for
+// doubles.
 bool LegOracle(const ScanLeg& leg, const void* cells, size_t i) {
-  if (leg.is_int) {
-    const auto u = static_cast<uint64_t>(static_cast<const int64_t*>(cells)[i]);
-    const uint64_t hi = leg.lo + leg.span;
+  if (leg.cells != LegCells::kDouble) {
+    const uint64_t mask = WidthMask(leg.cells);
+    const uint64_t u = UnsignedCell(leg.cells, cells, i);
+    const uint64_t hi = (leg.lo + leg.span) & mask;
     return leg.lo <= hi ? (leg.lo <= u && u <= hi) : (u >= leg.lo || u <= hi);
   }
   const double v = static_cast<const double*>(cells)[i];
@@ -422,10 +445,13 @@ TEST(ScanKernelsTest, EveryBodyMatchesTheRowOracle) {
   std::printf("scan kernel bodies run: %s (dispatch picks %s)\n", ran.c_str(),
               k::DispatchedBodyName());
 
-  // Values that sit on interval ends and wrap points.
+  // Values that sit on interval ends and wrap points, at each width: the
+  // low bits of the int64 edges, masked to the width.
   const std::vector<int64_t> ints = {
-      std::numeric_limits<int64_t>::min(), -1, 0, 1, 2, 40, 41,
-      std::numeric_limits<int64_t>::max()};
+      std::numeric_limits<int64_t>::min(), -1, 0, 1, 2, 40, 41, 255, 256,
+      65535, 65536, std::numeric_limits<int64_t>::max()};
+  const LegCells kUnsigned[] = {LegCells::kU8, LegCells::kU16, LegCells::kU32,
+                                LegCells::kU64};
   const std::vector<double> doubles = DoublePool();
   Rng rng(0x5CA7);
   // Besides word edges, sizes around 8, 16 and 32 rows cross the vector
@@ -434,38 +460,63 @@ TEST(ScanKernelsTest, EveryBodyMatchesTheRowOracle) {
                    size_t{15}, size_t{16}, size_t{17}, size_t{31}, size_t{32},
                    size_t{33}, size_t{63}, size_t{64}, size_t{65}, size_t{127},
                    size_t{128}, size_t{1001}, kChunkRows}) {
-    // Leg kinds met at this size: int plain, int wrapped, double, NaN literal.
-    bool seen[4] = {false, false, false, false};
-    for (int trial = 0; trial < 20; ++trial) {
+    // Leg kinds met at this size: u8, u16, u32, u64 plain, u64 wrapped,
+    // double, NaN literal.
+    bool seen[7] = {};
+    for (int trial = 0; trial < 40; ++trial) {
       const size_t num_legs = 1 + rng.NextBounded(kMaxFusedLegs);
       std::vector<ScanLeg> legs(num_legs);
-      std::vector<std::vector<int64_t>> int_cells(num_legs);
+      std::vector<std::vector<uint64_t>> wide(num_legs);
+      std::vector<std::vector<uint8_t>> u8(num_legs);
+      std::vector<std::vector<uint16_t>> u16(num_legs);
+      std::vector<std::vector<uint32_t>> u32(num_legs);
       std::vector<std::vector<double>> double_cells(num_legs);
       std::vector<const void*> cells(num_legs);
       for (size_t j = 0; j < num_legs; ++j) {
         ScanLeg& leg = legs[j];
-        leg.is_int = rng.NextBernoulli(0.5);
-        if (leg.is_int) {
-          leg.lo = static_cast<uint64_t>(ints[rng.NextBounded(ints.size())]);
-          const uint64_t spans[] = {0, 1, 40, ~uint64_t{0}, ~uint64_t{0} - 1,
-                                    rng.Next()};
-          leg.span = spans[rng.NextBounded(6)];
-          seen[leg.lo + leg.span < leg.lo ? 1 : 0] = true;
-          for (size_t i = 0; i < n; ++i) {
-            int_cells[j].push_back(
-                rng.NextBernoulli(0.8)
-                    ? ints[rng.NextBounded(ints.size())]
-                    : static_cast<int64_t>(rng.Next()));
-          }
-          cells[j] = int_cells[j].data();
-        } else {
+        if (rng.NextBernoulli(0.3)) {
+          leg.cells = LegCells::kDouble;
           leg.cmp = kCmpOps[rng.NextBounded(6)];
           leg.lit = doubles[rng.NextBounded(doubles.size())];
-          seen[std::isnan(leg.lit) ? 3 : 2] = true;
+          seen[std::isnan(leg.lit) ? 6 : 5] = true;
           for (size_t i = 0; i < n; ++i) {
             double_cells[j].push_back(doubles[rng.NextBounded(doubles.size())]);
           }
           cells[j] = double_cells[j].data();
+          continue;
+        }
+        leg.cells = kUnsigned[rng.NextBounded(4)];
+        const uint64_t mask = WidthMask(leg.cells);
+        leg.lo = static_cast<uint64_t>(ints[rng.NextBounded(ints.size())]) &
+                 mask;
+        const uint64_t spans[] = {0, 1, 40, mask, mask - 1, rng.Next()};
+        leg.span = spans[rng.NextBounded(6)] & mask;
+        const bool wraps = ((leg.lo + leg.span) & mask) < leg.lo;
+        seen[leg.cells == LegCells::kU64 ? 3 + (wraps ? 1 : 0)
+                                         : static_cast<size_t>(leg.cells)] =
+            true;
+        for (size_t i = 0; i < n; ++i) {
+          wide[j].push_back((rng.NextBernoulli(0.8)
+                                 ? static_cast<uint64_t>(
+                                       ints[rng.NextBounded(ints.size())])
+                                 : rng.Next()) &
+                            mask);
+        }
+        switch (leg.cells) {
+          case LegCells::kU8:
+            u8[j].assign(wide[j].begin(), wide[j].end());
+            cells[j] = u8[j].data();
+            break;
+          case LegCells::kU16:
+            u16[j].assign(wide[j].begin(), wide[j].end());
+            cells[j] = u16[j].data();
+            break;
+          case LegCells::kU32:
+            u32[j].assign(wide[j].begin(), wide[j].end());
+            cells[j] = u32[j].data();
+            break;
+          default:
+            cells[j] = wide[j].data();
         }
       }
       std::vector<uint64_t> expected((n + 63) / 64, 0);
@@ -483,8 +534,133 @@ TEST(ScanKernelsTest, EveryBodyMatchesTheRowOracle) {
         ASSERT_EQ(got, expected) << name << " n=" << n << " legs=" << num_legs;
       }
     }
-    EXPECT_TRUE(seen[0] && seen[1] && seen[2] && seen[3]) << "n=" << n;
+    for (size_t kind = 0; kind < 7; ++kind) {
+      EXPECT_TRUE(seen[kind]) << "n=" << n << " leg kind " << kind;
+    }
   }
+}
+
+// Every EncodeForChunk body seals a chunk to its minimum, its range and
+// offsets at the narrowest width that holds the range, offset i being cell
+// i minus the minimum: at each width edge, at the int64 extremes, and for
+// all-equal chunks.
+TEST(ScanKernelsTest, EveryEncodeBodyMatchesTheDefinition) {
+  namespace k = scan_kernels_internal;
+  using Body = void (*)(const int64_t*, ForChunk*);
+  std::vector<std::pair<const char*, Body>> bodies = {
+      {"portable", k::EncodeForChunkPortable}, {"dispatch", EncodeForChunk}};
+  if (k::Avx2Available()) bodies.push_back({"avx2", k::EncodeForChunkAvx2});
+  if (k::Avx512Available()) {
+    bodies.push_back({"avx512", k::EncodeForChunkAvx512});
+  }
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case {
+    int64_t min;
+    uint64_t range;
+    size_t width;
+  };
+  const Case cases[] = {
+      {0, 0, 1},          {kMin, 0, 1},        {kMax, 0, 1},
+      {-3, 255, 1},       {-3, 256, 2},        {7, 65535, 2},
+      {7, 65536, 4},      {-1, 0xFFFFFFFF, 4}, {-1, uint64_t{1} << 32, 8},
+      {kMin, ~uint64_t{0}, 8}};
+  Rng rng(0xE4C0);
+  for (const Case& c : cases) {
+    std::vector<int64_t> cells(kChunkRows);
+    for (int64_t& v : cells) {
+      const uint64_t off =
+          c.range == ~uint64_t{0} ? rng.Next() : rng.Next() % (c.range + 1);
+      v = static_cast<int64_t>(static_cast<uint64_t>(c.min) + off);
+    }
+    // The extremes land anywhere, not only in the first slots.
+    cells[rng.NextBounded(kChunkRows)] = c.min;
+    cells[rng.NextBounded(kChunkRows)] =
+        static_cast<int64_t>(static_cast<uint64_t>(c.min) + c.range);
+    for (const auto& [name, body] : bodies) {
+      ForChunk chunk;
+      body(cells.data(), &chunk);
+      EXPECT_EQ(chunk.base, static_cast<uint64_t>(c.min)) << name;
+      EXPECT_EQ(chunk.range, c.range) << name;
+      std::visit(
+          [&](const auto& offsets) {
+            EXPECT_EQ(sizeof(offsets[0]), c.width) << name;
+            ASSERT_EQ(offsets.size(), kChunkRows) << name;
+            for (size_t i = 0; i < kChunkRows; ++i) {
+              ASSERT_EQ(static_cast<uint64_t>(offsets[i]),
+                        static_cast<uint64_t>(cells[i]) - chunk.base)
+                  << name << " row " << i;
+            }
+          },
+          chunk.offsets);
+    }
+  }
+}
+
+// RebaseLeg must pass exactly the offsets whose cells the int64 leg passes,
+// and say kNone / kAll exactly when no / every offset in [0, range] passes.
+// Checked at every offset of small ranges, whose legs take every shape
+// relative to the chunk: missing it, covering it, straddling either end,
+// inside it, and wrapped round it (the != complement).
+TEST(ScanKernelsTest, RebaseLegIsExactOnEveryOffset) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<int64_t> bases = {kMin, kMin + 1, -300, -1, 0, 1,
+                                      250,  kMax - 255, kMax - 300};
+  const std::vector<uint64_t> ranges = {0, 1, 2, 17, 255};
+  const std::vector<int64_t> deltas = {-3, -1, 0, 1, 2, 8, 16, 17, 18, 254,
+                                       255, 256};
+  size_t kinds[3] = {};
+  for (int64_t base : bases) {
+    for (uint64_t range : ranges) {
+      const auto b = static_cast<uint64_t>(base);
+      for (int64_t dlo : deltas) {
+        for (int64_t dhi : deltas) {
+          // Plain [base + dlo, base + dhi], and its complement as != makes
+          // it: [base + dhi + 1, base + dlo - 1] round the circle.
+          for (bool wrap : {false, true}) {
+            ScanLeg leg;
+            leg.lo = b + static_cast<uint64_t>(wrap ? dhi + 1 : dlo);
+            const uint64_t hi =
+                b + static_cast<uint64_t>(wrap ? dlo - 1 : dhi);
+            leg.span = hi - leg.lo;
+            for (LegCells width : {LegCells::kU8, LegCells::kU64}) {
+              ScanLeg out;
+              const LegOnChunk on = RebaseLeg(leg, b, range, width, &out);
+              ++kinds[static_cast<int>(on)];
+              for (uint64_t off = 0; off <= range; ++off) {
+                const uint64_t cell = b + off;
+                const bool want = cell - leg.lo <= leg.span;
+                bool got = on == LegOnChunk::kAll;
+                if (on == LegOnChunk::kTest) {
+                  const uint64_t mask = WidthMask(width);
+                  ASSERT_EQ(out.cells, width);
+                  ASSERT_LE(out.lo, mask);
+                  ASSERT_LE(out.span, mask);
+                  got = ((off - out.lo) & mask) <= out.span;
+                }
+                ASSERT_EQ(got, want)
+                    << "base " << base << " range " << range << " leg ["
+                    << leg.lo << " +" << leg.span << "] offset " << off;
+              }
+              bool any = false;
+              bool every = true;
+              for (uint64_t off = 0; off <= range; ++off) {
+                const bool pass = (b + off) - leg.lo <= leg.span;
+                any = any || pass;
+                every = every && pass;
+              }
+              EXPECT_EQ(on == LegOnChunk::kNone, !any);
+              EXPECT_EQ(on == LegOnChunk::kAll, every);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(kinds[0], 0u);
+  EXPECT_GT(kinds[1], 0u);
+  EXPECT_GT(kinds[2], 0u);
 }
 
 // ------------------------------------------------------------ fingerprint ---

@@ -9,10 +9,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "src/hist/histogram_query.h"
 #include "src/runtime/parallel_scan.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/reference_predicate.h"
 
 namespace osdp {
 namespace {
@@ -254,6 +258,164 @@ TEST(ParallelScanTest, ShardedEvalMaskBitIdenticalToSerial) {
         ASSERT_TRUE(parallel == serial)
             << "rows=" << rows << " shards=" << shards;
       }
+    }
+  }
+}
+
+// ------------------------------------------ frame-of-reference chunks ---
+//
+// A sealed int64 chunk is stored as its minimum plus offsets at the narrowest
+// width that holds max - min, and the scan rebases each int leg onto that
+// frame. These chunks sit on every edge the encoding and the rebase have:
+// INT64_MIN/MAX, ranges at the width edges 255/256, 65535/65536 and 2^32,
+// all-equal chunks, negatives, and a raw tail; the literals put intervals
+// below, above, across, inside and around each chunk.
+
+struct ForChunkSpec {
+  int64_t min;
+  uint64_t range;  // max - min
+  size_t width;    // the offset bytes the chunk must seal to
+};
+
+const std::vector<ForChunkSpec>& ForChunkSpecs() {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  static const std::vector<ForChunkSpec> kSpecs = {
+      {kMin, 0, 1},
+      {kMax, 0, 1},
+      {kMin, ~uint64_t{0}, 8},
+      {kMin, 300, 2},
+      {kMax - 70000, 70000, 4},
+      {-100, 255, 1},
+      {-100, 256, 2},
+      {1000, 65535, 2},
+      {1000, 65536, 4},
+      {-7, (uint64_t{1} << 32) - 1, 4},
+      {-7, uint64_t{1} << 32, 8},
+      {0, 0, 1},
+      {-5000, 4999, 2},
+  };
+  return kSpecs;
+}
+
+// A chunk of `spec`: its min and max, offsets 1 and 2 from each end, and
+// random offsets in between.
+std::vector<int64_t> ForChunkCells(const ForChunkSpec& spec, Rng& rng) {
+  std::vector<int64_t> cells(kChunkRows);
+  const auto base = static_cast<uint64_t>(spec.min);
+  for (size_t i = 0; i < kChunkRows; ++i) {
+    uint64_t off = 0;
+    switch (rng.NextBounded(4)) {
+      case 0:
+        off = std::min<uint64_t>(spec.range, rng.NextBounded(3));
+        break;
+      case 1:
+        off = spec.range - std::min<uint64_t>(spec.range, rng.NextBounded(3));
+        break;
+      default:
+        off = spec.range == ~uint64_t{0} ? rng.Next()
+                                         : rng.Next() % (spec.range + 1);
+    }
+    cells[i] = static_cast<int64_t>(base + off);
+  }
+  cells[0] = spec.min;
+  cells[1] = static_cast<int64_t>(base + spec.range);
+  return cells;
+}
+
+// Each literal at and one either side of every chunk's min and max, and its
+// midpoint, as the int64 literal a query would carry.
+std::vector<int64_t> ForChunkLiterals() {
+  std::vector<int64_t> lits;
+  for (const ForChunkSpec& spec : ForChunkSpecs()) {
+    const auto base = static_cast<uint64_t>(spec.min);
+    for (uint64_t end : {base, base + spec.range}) {
+      for (uint64_t delta : {~uint64_t{0}, uint64_t{0}, uint64_t{1}}) {
+        lits.push_back(static_cast<int64_t>(end + delta));
+      }
+    }
+    lits.push_back(static_cast<int64_t>(base + spec.range / 2));
+  }
+  return lits;
+}
+
+TEST(ParallelScanTest, FrameOfReferenceChunksMatchTheReferenceAtEveryShard) {
+  Rng rng(0xF0C);
+  std::vector<int64_t> v;
+  std::vector<int64_t> w;
+  for (const ForChunkSpec& spec : ForChunkSpecs()) {
+    const std::vector<int64_t> cells = ForChunkCells(spec, rng);
+    v.insert(v.end(), cells.begin(), cells.end());
+  }
+  // A raw tail mixing the edges of every chunk.
+  for (size_t i = 0; i < 77; ++i) {
+    v.push_back(v[rng.NextBounded(v.size())]);
+  }
+  // w: small values whose chunks seal to one byte, or to two when the
+  // chunk draws a 300.
+  for (size_t i = 0; i < v.size(); ++i) {
+    w.push_back(rng.NextBernoulli(0.001) ? 300
+                                         : static_cast<int64_t>(
+                                               rng.NextBounded(200)) - 50);
+  }
+  const Schema schema({{"v", ValueType::kInt64}, {"w", ValueType::kInt64}});
+  const Table table = *Table::FromColumns(schema, {v, w});
+
+  // Cells read back exactly, and each sealed chunk took the narrowest width.
+  const ChunkedColumn<int64_t>& col = table.Int64Column(0);
+  for (size_t r = 0; r < v.size(); ++r) ASSERT_EQ(col[r], v[r]) << "row " << r;
+  ASSERT_EQ(col.ToVector(), v);
+  size_t chunk = 0;
+  col.ForEachSpan(0, col.size(), [&](const auto& cells, size_t begin,
+                                     size_t len) {
+    const size_t width = sizeof(typename std::decay_t<decltype(cells)>::Offset);
+    const bool sealed = chunk < ForChunkSpecs().size();
+    EXPECT_EQ(width, sealed ? ForChunkSpecs()[chunk].width : 8u)
+        << "chunk " << chunk;
+    for (size_t i = 0; i < len; ++i) ASSERT_EQ(cells[i], v[begin + i]);
+    ++chunk;
+  });
+  ASSERT_EQ(chunk, ForChunkSpecs().size() + 1);
+
+  std::vector<Row> rows(v.size());
+  for (size_t r = 0; r < v.size(); ++r) rows[r] = {Value(v[r]), Value(w[r])};
+
+  const std::vector<int64_t> lits = ForChunkLiterals();
+  std::vector<Predicate> preds;
+  using Leaf = Predicate (*)(std::string, Value);
+  const Leaf kLeaves[] = {Predicate::Eq, Predicate::Ne, Predicate::Lt,
+                          Predicate::Le, Predicate::Gt, Predicate::Ge};
+  for (int64_t lit : lits) {
+    preds.push_back(kLeaves[rng.NextBounded(6)]("v", Value(lit)));
+  }
+  for (size_t i = 0; i < 60; ++i) {
+    const int64_t a = lits[rng.NextBounded(lits.size())];
+    const int64_t b = lits[rng.NextBounded(lits.size())];
+    // An interval on v (merged into one leg), its != complement, and a
+    // two-column chain with legs of different widths.
+    preds.push_back(Predicate::And(Predicate::Ge("v", Value(std::min(a, b))),
+                                   Predicate::Le("v", Value(std::max(a, b)))));
+    preds.push_back(Predicate::And(Predicate::Ne("v", Value(a)),
+                                   Predicate::Lt("w", Value(int64_t{100}))));
+    preds.push_back(Predicate::Not(
+        Predicate::And(Predicate::Gt("v", Value(a)),
+                       Predicate::Ge("w", Value(int64_t{-50})))));
+  }
+  preds.push_back(Predicate::In("v", {Value(lits[0]), Value(lits[7]),
+                                      Value(int64_t{155}), Value(int64_t{0})}));
+
+  ThreadPool pool(3);
+  for (const Predicate& pred : preds) {
+    RowMask want(v.size());
+    for (size_t r = 0; r < v.size(); ++r) {
+      if (ReferenceEval(pred, schema, rows[r])) want.Set(r);
+    }
+    const CompiledPredicate compiled =
+        *CompiledPredicate::Compile(pred, schema);
+    ASSERT_TRUE(compiled.EvalMask(table) == want) << pred.ToString();
+    for (size_t shards : kShardCounts) {
+      ASSERT_TRUE(ParallelEvalMask(compiled, table, {&pool, shards}) == want)
+          << pred.ToString() << " shards=" << shards;
     }
   }
 }
