@@ -2,8 +2,9 @@
 // repeated-query batch throughput with the cache enabled (hot) vs disabled
 // (cold), swept over table size × batch repeat factor.
 //
-// Each batch draws from a fixed pool of 8 distinct WHERE-bearing requests
-// (6 predicate counts + 2 filtered histograms) repeated `repeat` times, so
+// Each batch draws from a fixed pool of 9 distinct requests (6 predicate
+// counts, 2 filtered histograms and 1 unfiltered histogram, which looks up
+// the TRUE clause's entry) repeated `repeat` times, so
 // the steady-state hit rate is (repeat-1)/repeat of lookups plus everything
 // the warm cache already holds — the sweep shows the cache's value grow
 // from 0% hits (repeat 1, first pass) to >90% (repeat 16).
@@ -14,8 +15,8 @@
 //     for the same (session, seq) — the cache must be observationally
 //     invisible;
 //   * at repeat >= 16 the measured first-pass hit rate must be >= 90%
-//     (94.5% deterministically: 7 misses in 128 lookups — the 8 requests
-//     span only 7 canonical fingerprints, the commuted pair shares one) —
+//     (94.4% deterministically: 8 misses in 144 lookups — the 9 requests
+//     span only 8 canonical fingerprints, the commuted pair shares one) —
 //     the acceptance floor of the caching subsystem.
 //
 // Knobs: OSDP_BENCH_MAX_ROWS caps the row grid (default 1M; the CI smoke
@@ -51,9 +52,10 @@ int RepsFor(size_t rows) {
   return 7;
 }
 
-// 8 distinct requests, every one carrying a WHERE scan (so every query
-// exercises the cache): 6 counts + 2 filtered histograms. Index 1 is a
-// commuted spelling of index 0 — one shared cache entry.
+// 9 distinct requests, every one looking up a cache entry (so every query
+// exercises the cache): 6 counts, 2 filtered histograms and 1 unfiltered
+// histogram on the TRUE clause's entry. Index 1 is a commuted spelling of
+// index 0 — one shared cache entry.
 std::vector<ServiceRequest> RequestPool(const Domain1D& age_domain) {
   const Predicate a = Predicate::Le("age", Value(40));
   const Predicate b = Predicate::Eq("opt_in", Value(1));
@@ -75,6 +77,9 @@ std::vector<ServiceRequest> RequestPool(const Domain1D& age_domain) {
       EngineMechanism::kOsdpLaplaceL1});
   pool.emplace_back(HistogramRequest{
       HistogramQuery{"age", age_domain, a}, 1e-4,
+      EngineMechanism::kOsdpLaplaceL1});
+  pool.emplace_back(HistogramRequest{
+      HistogramQuery{"age", age_domain, std::nullopt}, 1e-4,
       EngineMechanism::kOsdpLaplaceL1});
   return pool;
 }

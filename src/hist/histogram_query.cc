@@ -51,13 +51,14 @@ Result<PreparedHistogramQuery> PreparedHistogramQuery::Prepare(
   prepared.i64_ = binner.i64;
   prepared.dbl_ = binner.dbl;
   prepared.categorical_ = binner.categorical;
-  if (query.where) {
-    OSDP_ASSIGN_OR_RETURN(
-        CompiledPredicate compiled,
-        CompiledPredicate::Compile(*query.where, table.schema()));
-    prepared.where_ =
-        std::make_shared<const CompiledPredicate>(std::move(compiled));
-  }
+  // No WHERE clause is the TRUE clause: every caller then has one clause to
+  // scan or look up, and an unfiltered query keys the TRUE cache entry.
+  OSDP_ASSIGN_OR_RETURN(
+      CompiledPredicate compiled,
+      CompiledPredicate::Compile(query.where.value_or(Predicate::True()),
+                                 table.schema()));
+  prepared.where_ =
+      std::make_shared<const CompiledPredicate>(std::move(compiled));
   return prepared;
 }
 
@@ -133,13 +134,8 @@ Result<Histogram> ComputeHistogramMasked(const Table& table,
                         PreparedHistogramQuery::Prepare(table, query));
 
   Histogram out(prepared.num_bins());
-  if (prepared.where() != nullptr) {
-    RowMask selected = mask;
-    selected.AndWith(prepared.where()->EvalMask(table));
-    prepared.AccumulateRange(selected, 0, table.num_rows(), &out);
-  } else {
-    prepared.AccumulateRange(mask, 0, table.num_rows(), &out);
-  }
+  prepared.AccumulateRange(prepared.where()->EvalMask(table), mask, 0,
+                           table.num_rows(), &out);
   return out;
 }
 

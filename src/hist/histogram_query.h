@@ -25,7 +25,7 @@
 namespace osdp {
 
 /// \brief A 1-D histogram query: bin `column` by `domain`, optionally
-/// filtering rows by `where` first.
+/// filtering rows by `where` first. An absent `where` is the TRUE clause.
 struct HistogramQuery {
   std::string column;
   Domain1D domain;
@@ -57,13 +57,14 @@ class PreparedHistogramQuery {
   const Domain1D& domain() const { return domain_; }
   size_t column_index() const { return column_index_; }
 
-  /// The compiled WHERE clause, or nullptr when the query has none.
+  /// The compiled WHERE clause; never null. A query with no WHERE clause
+  /// gets the compiled Predicate::True().
   const CompiledPredicate* where() const { return where_.get(); }
 
   /// Adds 1 to `out`'s bin of every selected row in [row_begin, row_end):
   /// rows whose `mask` bit is set. `out` must have num_bins() bins; the
-  /// WHERE clause is *not* applied here — AND it into `mask` first (the
-  /// serial evaluator does; the sharded one does it word-parallel).
+  /// WHERE clause is *not* applied here — pass its mask as `mask` or, with
+  /// a second mask, to the two-mask overload below.
   void AccumulateRange(const RowMask& mask, size_t row_begin, size_t row_end,
                        Histogram* out) const;
 

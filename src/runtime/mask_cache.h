@@ -21,6 +21,9 @@
 //     generation). The fingerprint is canonical — stable across the parse
 //     order of commutative AND/OR legs — so And(a, b) and And(b, a) share an
 //     entry; their masks are bit-identical, so the shared value is exact.
+//     A histogram with no WHERE clause keys the TRUE clause
+//     (PreparedHistogramQuery::where()), so it shares the entry of a
+//     Predicate::True() count.
 //     Fingerprints are 64-bit hashes, so every hash match is confirmed by
 //     deep structural equality (byte comparison of the canonical encodings)
 //     before it counts as a hit: a collision is a miss, stored alongside.

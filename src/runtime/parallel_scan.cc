@@ -204,23 +204,4 @@ Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
       });
 }
 
-Result<Histogram> ParallelComputeHistogramMasked(
-    const Table& table, const HistogramQuery& query, const RowMask& mask,
-    const ParallelScanOptions& opts) {
-  if (mask.size() != table.num_rows()) {
-    return Status::InvalidArgument("mask size != table rows");
-  }
-  OSDP_ASSIGN_OR_RETURN(PreparedHistogramQuery prepared,
-                        PreparedHistogramQuery::Prepare(table, query));
-
-  if (prepared.where() == nullptr) {
-    return ParallelAccumulateHistogram(prepared, mask, opts);
-  }
-  // Shard-parallel WHERE evaluation into a scratch mask; the AND with the
-  // caller's mask happens word by word inside the accumulation walk.
-  const RowMask where = ParallelEvalMask(*prepared.where(), table, opts);
-  return ParallelAccumulateHistogram(prepared, where, mask, 0, where.size(),
-                                     opts);
-}
-
 }  // namespace osdp

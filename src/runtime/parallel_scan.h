@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "src/common/cancel.h"
-#include "src/common/result.h"
 #include "src/data/compiled_predicate.h"
 #include "src/data/row_mask.h"
 #include "src/data/table.h"
@@ -100,20 +99,12 @@ size_t ParallelAndCount(const RowMask& a, const RowMask& b, size_t row_begin,
 void ParallelAndWith(RowMask* mask, const RowMask& other,
                      const ParallelScanOptions& opts = {});
 
-/// ComputeHistogramMasked, sharded: the WHERE mask is evaluated
-/// shard-parallel, then each shard accumulates its row segment of WHERE ∧
-/// `mask` into a shard-local histogram; partials merge lock-free in shard
-/// order.
-Result<Histogram> ParallelComputeHistogramMasked(
-    const Table& table, const HistogramQuery& query, const RowMask& mask,
-    const ParallelScanOptions& opts = {});
-
-/// The accumulation stage alone, for callers that already hold a
-/// PreparedHistogramQuery and a fully-selected mask (WHERE clause, if any,
-/// already ANDed in): per-shard partial histograms over `selected`, merged
-/// lock-free in shard order. This is how a caller answering several
-/// histograms against one prepared query avoids re-compiling and re-scanning
-/// the WHERE clause per histogram (QueryService does).
+/// Histogram accumulation, sharded, for callers that already hold a
+/// PreparedHistogramQuery and a fully-selected mask (its WHERE mask, with
+/// any other mask already ANDed in): each shard accumulates its row segment
+/// of `selected` into a shard-local histogram, and the partials merge
+/// lock-free in shard order. ComputeHistogramMasked, sharded, is
+/// ParallelEvalMask of the WHERE clause and then the two-mask form below.
 Histogram ParallelAccumulateHistogram(const PreparedHistogramQuery& prepared,
                                       const RowMask& selected,
                                       const ParallelScanOptions& opts = {});

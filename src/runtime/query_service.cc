@@ -94,7 +94,7 @@ struct QueryService::PreparedRequest {
   // stage of a query looked up before Execute.
   uint64_t lookup_ns = 0;
 
-  // The WHERE clause to look up, if any.
+  // The WHERE clause to look up; null for a sample.
   const CompiledPredicate* where() const {
     if (count_pred.has_value()) return &*count_pred;
     if (hist_prepared.has_value()) return hist_prepared->where();
@@ -421,27 +421,17 @@ void QueryService::LookupWheres(const std::vector<PreparedRequest*>& slots,
 
 std::shared_ptr<const Histogram> QueryService::ExactHistogram(
     const PreparedHistogramQuery& query, const Snapshot& snap,
-    const MaskCache::Entry* where, bool non_sensitive,
+    const MaskCache::Entry& where, bool non_sensitive,
     const ParallelScanOptions& scan) {
   const size_t rows = snap.table.num_rows();
-  // An unfiltered histogram has no cache entry to hold it.
-  if (where == nullptr) {
-    if (non_sensitive) {
-      return std::make_shared<const Histogram>(
-          ParallelAccumulateHistogram(query, snap.non_sensitive, scan));
-    }
-    const RowMask all_rows(rows, /*value=*/true);
-    return std::make_shared<const Histogram>(
-        ParallelAccumulateHistogram(query, all_rows, scan));
-  }
   return mask_cache_.AggregateHistogram(
-      *where, MaskCache::HistogramKey::Of(query, non_sensitive),
+      where, MaskCache::HistogramKey::Of(query, non_sensitive),
       [&](size_t row_begin) {
         return non_sensitive
-                   ? ParallelAccumulateHistogram(query, where->mask(),
+                   ? ParallelAccumulateHistogram(query, where.mask(),
                                                  snap.non_sensitive, row_begin,
                                                  rows, scan)
-                   : ParallelAccumulateHistogram(query, where->mask(),
+                   : ParallelAccumulateHistogram(query, where.mask(),
                                                  row_begin, rows, scan);
       });
 }
@@ -568,18 +558,17 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
     const PreparedHistogramQuery& query = *prepared->hist_prepared;
 
     // Compute only the histogram(s) the mechanism reads; the other input
-    // stays all-zero. The WHERE mask, when present, is evaluated once and
-    // shared, and both histograms are memoized on its cache entry.
+    // stays all-zero. The WHERE mask (TRUE's for an unfiltered query) is
+    // evaluated once and shared, and both histograms are memoized on its
+    // cache entry.
     const MechanismInputs inputs = InputsOf(prepared->mechanism);
 
     std::shared_ptr<const Histogram> x, xns;
     if (inputs.x) {
-      x = ExactHistogram(query, snap, where.get(), /*non_sensitive=*/false,
-                         scan);
+      x = ExactHistogram(query, snap, *where, /*non_sensitive=*/false, scan);
     }
     if (inputs.xns) {
-      xns = ExactHistogram(query, snap, where.get(), /*non_sensitive=*/true,
-                           scan);
+      xns = ExactHistogram(query, snap, *where, /*non_sensitive=*/true, scan);
     }
     std::optional<Histogram> zeros;
     if (x == nullptr || xns == nullptr) zeros.emplace(query.num_bins());

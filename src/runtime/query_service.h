@@ -189,12 +189,12 @@ struct ServiceAnswer {
   /// never the delivery index.
   uint64_t seq = 0;
   /// True iff the deterministic scan mask behind this answer (the count's
-  /// WHERE mask, or the histogram's WHERE mask) was served from the
-  /// service's MaskCache instead of being rescanned. Purely observational:
-  /// hit and miss answers are bit-identical, and the noisy release stage is
-  /// never cached. Always false when the query has no WHERE scan (an
-  /// unfiltered histogram, a sample) or the cache is disabled, and false
-  /// when the mask extended an older generation's: that is still a miss.
+  /// or the histogram's WHERE mask; an unfiltered histogram's is the TRUE
+  /// clause's) was served from the service's MaskCache instead of being
+  /// rescanned. Purely observational: hit and miss answers are
+  /// bit-identical, and the noisy release stage is never cached. Always
+  /// false for a sample or when the cache is disabled, and false when the
+  /// mask extended an older generation's: that is still a miss.
   bool cache_hit = false;
   /// Wall time this query spent in the service, from batch submission to
   /// delivery of this answer, in microseconds. Metadata only — measured
@@ -494,10 +494,10 @@ class QueryService {
                     const Snapshot& snap, const ParallelScanOptions& scan);
 
   // The exact x (or, with `non_sensitive`, x_ns) histogram of `query` over
-  // the rows `where` selects — all rows when null — memoized on `where`.
+  // the rows `where` selects, memoized on `where`.
   std::shared_ptr<const Histogram> ExactHistogram(
       const PreparedHistogramQuery& query, const Snapshot& snap,
-      const MaskCache::Entry* where, bool non_sensitive,
+      const MaskCache::Entry& where, bool non_sensitive,
       const ParallelScanOptions& scan);
 
   // Resolved registry handles, one pointer per metric the hot paths touch —

@@ -408,17 +408,19 @@ TEST(ChunkedScanProperty, ParallelHistogramAgreesAcrossShardCounts) {
   }
   Result<Histogram> serial = ComputeHistogramMasked(*table, query, mask);
   ASSERT_TRUE(serial.ok());
+  const PreparedHistogramQuery prepared =
+      *PreparedHistogramQuery::Prepare(*table, query);
   for (size_t shards : ShardCounts()) {
     ThreadPool pool(4);
     ParallelScanOptions opts;
     opts.pool = &pool;
     opts.num_shards = shards;
-    Result<Histogram> sharded =
-        ParallelComputeHistogramMasked(*table, query, mask, opts);
-    ASSERT_TRUE(sharded.ok());
-    ASSERT_EQ(sharded->size(), serial->size());
+    const RowMask where = ParallelEvalMask(*prepared.where(), *table, opts);
+    const Histogram sharded =
+        ParallelAccumulateHistogram(prepared, where, mask, 0, rows, opts);
+    ASSERT_EQ(sharded.size(), serial->size());
     for (size_t b = 0; b < serial->size(); ++b) {
-      ASSERT_DOUBLE_EQ((*sharded)[b], (*serial)[b])
+      ASSERT_DOUBLE_EQ(sharded[b], (*serial)[b])
           << "shards=" << shards << " bin=" << b;
     }
   }

@@ -224,6 +224,21 @@ TEST(HistogramQueryTest, MalformedQueryErrorsEvenWithEmptyMask) {
   EXPECT_FALSE(ComputeHistogramMasked(t, q, RowMask(t.num_rows())).ok());
 }
 
+TEST(HistogramQueryTest, MalformedQueryErrorCodesAndPrecedence) {
+  // An unknown grouped column is NotFound, an ill-typed WHERE is
+  // InvalidArgument, and the column is checked before the WHERE clause.
+  Table t = AgeTable();
+  const Domain1D domain = *Domain1D::Numeric(0, 100, 4);
+  const RowMask all(t.num_rows(), /*value=*/true);
+  const Predicate bad_where = Predicate::Eq("city", Value(3));
+  const auto code = [&](const HistogramQuery& q) {
+    return ComputeHistogramMasked(t, q, all).status().code();
+  };
+  EXPECT_EQ(code({"nope", domain, std::nullopt}), StatusCode::kNotFound);
+  EXPECT_EQ(code({"age", domain, bad_where}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({"nope", domain, bad_where}), StatusCode::kNotFound);
+}
+
 TEST(HistogramQueryTest, CategoricalOverInt) {
   Table t(Schema({{"ap", ValueType::kInt64}}));
   for (int64_t ap : {0, 1, 1, 2}) OSDP_CHECK(t.AppendRow({Value(ap)}).ok());

@@ -1112,6 +1112,52 @@ TEST(QueryServiceMemoTest, IngestBetweenRepeatsRecomputesTheNextGeneration) {
       << "the new generation was rescanned, not extended";
 }
 
+TEST(QueryServiceMemoTest, UnfilteredHistogramIsTheTrueClause) {
+  // A histogram with no WHERE clause looks up the TRUE clause's entry, so
+  // it is memoized and extended like any other clause, and it shares the
+  // entry of a Predicate::True() count.
+  ThreadPool pool(2);
+  const ServiceRequest unfiltered = HistogramRequest{
+      HistogramQuery{"age", *Domain1D::Numeric(0, 100, 16), std::nullopt},
+      0.5, EngineMechanism::kOsdpLaplaceL1};
+  const auto ask = [](QueryService* service, QueryService::SessionId session,
+                      const ServiceRequest& request) {
+    const SnapshotPtr snap = service->current_snapshot();
+    const Result<ServiceAnswer> answer =
+        service->AnswerBatch(session, {request})[0];
+    OSDP_CHECK(answer.ok());
+    ExpectReplays(request, *answer, *snap, session);
+    return *answer;
+  };
+
+  auto service = MemoService(&pool, 3000);
+  const auto session = service->OpenSession("alice");
+  EXPECT_FALSE(ask(service.get(), session, unfiltered).cache_hit);
+  const MaskCache::Stats first = service->cache_stats();
+  EXPECT_EQ(first.aggregate_misses, 1u);
+  EXPECT_TRUE(ask(service.get(), session, unfiltered).cache_hit);
+  const MaskCache::Stats repeat = service->cache_stats();
+  EXPECT_EQ(repeat.aggregate_misses, first.aggregate_misses)
+      << "a repeated unfiltered histogram re-accumulated the table";
+  EXPECT_EQ(repeat.aggregate_hits, first.aggregate_hits + 1);
+  EXPECT_EQ(repeat.entries, 1u);
+
+  ASSERT_EQ(*service->Ingest(CensusRows(97, 0xB9)), 1u);
+  EXPECT_FALSE(ask(service.get(), session, unfiltered).cache_hit);
+  const MaskCache::Stats extended = service->cache_stats();
+  EXPECT_EQ(extended.extensions, repeat.extensions + 1);
+  EXPECT_EQ(extended.aggregate_misses, repeat.aggregate_misses + 1);
+  EXPECT_TRUE(ask(service.get(), session, unfiltered).cache_hit);
+
+  auto counted = MemoService(&pool, 3000);
+  const auto bob = counted->OpenSession("bob");
+  EXPECT_FALSE(
+      ask(counted.get(), bob, CountRequest{Predicate::True(), 0.5}).cache_hit);
+  EXPECT_TRUE(ask(counted.get(), bob, unfiltered).cache_hit)
+      << "the unfiltered histogram missed the TRUE count's entry";
+  EXPECT_EQ(counted->cache_stats().entries, 1u);
+}
+
 // Answers `batch` on generation 0, so its clause's mask and aggregates are
 // cached, then ingests `rows` rows: the next query of the clause extends.
 void FillThenIngest(QueryService* service, QueryService::SessionId session,

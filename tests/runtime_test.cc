@@ -539,39 +539,23 @@ TEST(ParallelScanTest, ShardedHistogramBitIdenticalToSerial) {
           std::optional<Predicate>(Predicate::And(
               Predicate::Eq("opt_in", Value(1)),
               Predicate::In("race", {Value("C0"), Value("C4")})))}) {
+      // The service's composition: the WHERE clause (TRUE when absent)
+      // evaluated shard-parallel, then the two-mask sharded accumulation.
       const HistogramQuery query{"age", age_domain, where};
       const Histogram serial = *ComputeHistogramMasked(table, query, mask);
+      const PreparedHistogramQuery prepared =
+          *PreparedHistogramQuery::Prepare(table, query);
       for (size_t shards : kShardCounts) {
-        const Histogram parallel = *ParallelComputeHistogramMasked(
-            table, query, mask, {&pool, shards});
+        const ParallelScanOptions opts{&pool, shards};
+        const RowMask where_mask =
+            ParallelEvalMask(*prepared.where(), table, opts);
+        const Histogram parallel = ParallelAccumulateHistogram(
+            prepared, where_mask, mask, 0, rows, opts);
         ASSERT_EQ(parallel.counts(), serial.counts())
             << "rows=" << rows << " shards=" << shards;
       }
     }
   }
-}
-
-TEST(ParallelScanTest, MalformedHistogramQueryErrorsMatchSerial) {
-  ThreadPool pool(2);
-  const Table table = TableOfSize(100, 0xD0);
-  const Domain1D domain = *Domain1D::Numeric(0, 100, 8);
-
-  const HistogramQuery unknown{"nope", domain, std::nullopt};
-  EXPECT_EQ(ParallelComputeHistogramMasked(table, unknown,
-                                           RowMask(table.num_rows(), true),
-                                           {&pool, 4})
-                .status()
-                .code(),
-            ComputeHistogram(table, unknown).status().code());
-
-  const HistogramQuery bad_where{
-      "age", domain, Predicate::Eq("race", Value(3))};
-  EXPECT_EQ(ParallelComputeHistogramMasked(table, bad_where,
-                                           RowMask(table.num_rows(), true),
-                                           {&pool, 4})
-                .status()
-                .code(),
-            ComputeHistogram(table, bad_where).status().code());
 }
 
 TEST(ParallelScanTest, DefaultPoolAndShardsWork) {
