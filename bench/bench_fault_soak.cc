@@ -7,7 +7,9 @@
 // one RunSoak (tests/service_soak.h).
 //
 // This is a *soak*, not a throughput bench: the numbers it prints (queries
-// delivered / failed by class, injected fires, q/s) are diagnostics. What it
+// delivered / failed by class, injected fires, q/s) are diagnostics.
+// "submitted" counts every slot offered, including those of the shed
+// attempts RunSoak repeats until the admission cap lets a batch in. What it
 // certifies is every CheckSoak invariant (docs/robustness.md) after every
 // round: it prints each violation to stderr and exits non-zero on any; the
 // bench_fault_soak_smoke ctest target runs it on every test run. And

@@ -33,6 +33,13 @@ bool TraceSampled(uint64_t ticket) {
   return ((ticket * 0x9E3779B97F4A7C15ULL) >> (64 - kTraceEveryLog2)) == 0;
 }
 
+// A traced query's stage `stage` ends now: marks it on the span and records
+// the same duration in the stage's histogram. Untraced (no span), nothing.
+void Stamp(std::optional<obs::TraceSpan>& span, obs::Stage stage,
+           obs::LatencyHistogram* histogram) {
+  if (span.has_value()) histogram->Record(span->Mark(stage, obs::NowNs()));
+}
+
 }  // namespace
 
 // Deterministic 64-bit seed mix; collision-resistance comes from Rng's
@@ -62,14 +69,17 @@ struct QueryService::PreparedRequest {
   ExecControl control;
 
   // Observability metadata. submit_ns (batch submission time) is always
-  // stamped — it feeds ServiceAnswer.server_duration_micros; the per-stage
-  // durations are measured only for a query telemetry samples (`traced`) and
-  // become the admit/validate/reserve events of its trace.
+  // stamped — it feeds ServiceAnswer.server_duration_micros. For a query
+  // telemetry samples (`traced`), the batch phases time admit, validate,
+  // reserve and the WHERE lookup; Execute opens `span` with them as its
+  // first events, and Finish closes it.
   bool traced = false;
   uint64_t submit_ns = 0;
   uint64_t admit_ns = 0;
   uint64_t validate_ns = 0;
   uint64_t reserve_ns = 0;
+  uint64_t lookup_ns = 0;
+  std::optional<obs::TraceSpan> span;
 
   // Count form: the WHERE clause, compiled during validation.
   std::optional<CompiledPredicate> count_pred;
@@ -83,16 +93,13 @@ struct QueryService::PreparedRequest {
   // Sample form: neither of the above is set.
 
   // The WHERE clause's mask-cache entry and hit flag, or — entry null — the
-  // exception its lookup threw, which Execute rethrows. Filled by the
-  // batch's shared lookup before Execute, or by Execute itself for a clause
-  // the batch did not look up; `looked_up` says which has happened.
-  bool looked_up = false;
+  // exception its lookup threw, which Execute rethrows. The batch's lookup
+  // (Phase 1c) fills them for every clause except one whose query had
+  // already tripped its deadline or token, and such a query never gets past
+  // Execute's entry check.
   MaskCache::EntryPtr where_entry;
   bool cache_hit = false;
   std::exception_ptr where_error;
-  // Traced only: the shared lookup's duration, the scan or cache-lookup
-  // stage of a query looked up before Execute.
-  uint64_t lookup_ns = 0;
 
   // The WHERE clause to look up; null for a sample.
   const CompiledPredicate* where() const {
@@ -402,17 +409,26 @@ void QueryService::LookupWheres(const std::vector<PreparedRequest*>& slots,
   std::vector<const CompiledPredicate*> preds;
   preds.reserve(slots.size());
   for (const PreparedRequest* slot : slots) preds.push_back(slot->where());
-  std::vector<MaskCache::Found> found = mask_cache_.LookupMany(
-      preds, snap.generation, snap.table.num_rows(),
-      [&](size_t row_begin, const std::vector<size_t>& which,
-          const std::vector<RowMask*>& outs) {
-        std::vector<const CompiledPredicate*> group;
-        group.reserve(which.size());
-        for (size_t i : which) group.push_back(preds[i]);
-        ParallelEvalMasksInto(group, snap.table, row_begin, outs, scan);
-      });
+  std::vector<MaskCache::Found> found;
+  try {
+    found = mask_cache_.LookupMany(
+        preds, snap.generation, snap.table.num_rows(),
+        [&](size_t row_begin, const std::vector<size_t>& which,
+            const std::vector<RowMask*>& outs) {
+          std::vector<const CompiledPredicate*> group;
+          group.reserve(which.size());
+          for (size_t i : which) group.push_back(preds[i]);
+          ParallelEvalMasksInto(group, snap.table, row_begin, outs, scan);
+        });
+  } catch (...) {
+    // A fault outside every clause's own scan and insert (a probe, a mask's
+    // allocation) fails every slot of the lookup.
+    for (PreparedRequest* slot : slots) {
+      slot->where_error = std::current_exception();
+    }
+    return;
+  }
   for (size_t i = 0; i < slots.size(); ++i) {
-    slots[i]->looked_up = true;
     slots[i]->where_entry = std::move(found[i].entry);
     slots[i]->cache_hit = found[i].cache_hit;
     slots[i]->where_error = std::move(found[i].error);
@@ -437,65 +453,21 @@ std::shared_ptr<const Histogram> QueryService::ExactHistogram(
 }
 
 Result<ServiceAnswer> QueryService::Execute(PreparedRequest* prepared) {
-  if (!prepared->traced) return ExecuteImpl(prepared, nullptr);
-
-  // A query telemetry sampled (see TraceSampled): build its trace from the
-  // stage durations the batch loops already measured, let ExecuteImpl mark
-  // the execution stages, and push the finished trace whatever the outcome.
-  // Exceptions re-raise unchanged: AnswerBatch's per-slot handling (and the
-  // refund-by-destruction contract) is identical for sampled queries, and
-  // AnswerBatch classifies every outcome (RecordFailure).
-  obs::TraceSpan span(prepared->session->id, prepared->seq,
-                      prepared->snapshot->generation);
-  span.Add(obs::Stage::kAdmit, prepared->admit_ns);
-  span.Add(obs::Stage::kValidate, prepared->validate_ns);
-  span.Add(obs::Stage::kReserve, prepared->reserve_ns);
-  if (prepared->looked_up) {
-    span.Add(prepared->cache_hit ? obs::Stage::kCacheLookup
-                                 : obs::Stage::kScan,
-             prepared->lookup_ns);
-  }
-  try {
-    Result<ServiceAnswer> result = ExecuteImpl(prepared, &span);
-    const uint64_t end_ns = obs::NowNs();
-    if (result.ok()) {
-      m_.h_query->Record(end_ns - prepared->submit_ns);
-      span.Mark(obs::Stage::kDeliver, end_ns);
-      span.trace().cache_hit = result.ValueOrDie().cache_hit;
+  std::optional<obs::TraceSpan>& span = prepared->span;
+  if (prepared->traced) {
+    // A query telemetry sampled (see TraceSampled): its span starts here,
+    // with the stages the batch phases already timed as its first events.
+    span.emplace(prepared->session->id, prepared->seq,
+                 prepared->snapshot->generation);
+    span->Add(obs::Stage::kAdmit, prepared->admit_ns);
+    span->Add(obs::Stage::kValidate, prepared->validate_ns);
+    span->Add(obs::Stage::kReserve, prepared->reserve_ns);
+    if (prepared->where_entry != nullptr || prepared->where_error != nullptr) {
+      span->Add(prepared->cache_hit ? obs::Stage::kCacheLookup
+                                    : obs::Stage::kScan,
+                prepared->lookup_ns);
     }
-    span.Finish(static_cast<int>(result.status().code()), traces_, end_ns);
-    return result;
-  } catch (const AbortedError& aborted) {
-    span.Finish(static_cast<int>(aborted.status.code()), traces_,
-                obs::NowNs());
-    throw;
-  } catch (...) {
-    span.Finish(static_cast<int>(StatusCode::kInternal), traces_,
-                obs::NowNs());
-    throw;
   }
-}
-
-void QueryService::RecordFailure(const PreparedRequest& prepared,
-                                 StatusCode code) {
-  if (code == StatusCode::kCancelled) {
-    m_.queries_cancelled->Increment();
-  } else if (code == StatusCode::kDeadlineExceeded) {
-    m_.queries_deadline_exceeded->Increment();
-  } else {
-    m_.queries_failed->Increment();
-  }
-  // A sampled query pushed its own trace; any other failed query still
-  // leaves one, with its identity and status alone.
-  if (!prepared.traced) {
-    obs::TraceSpan span(prepared.session->id, prepared.seq,
-                        prepared.snapshot->generation);
-    span.Finish(static_cast<int>(code), traces_, span.trace().start_ns);
-  }
-}
-
-Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
-                                                obs::TraceSpan* span) {
   OSDP_FAULT_POINT("query/execute");
   // Entry check: a deadline that passed while the query sat behind the
   // reservation phase, or a token fired before any scan ran, abandons the
@@ -510,25 +482,13 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
   answer.generation = snap.generation;
   answer.seq = prepared->seq;
 
-  // The WHERE clause's cache entry: from the batch's shared lookup, or — for
-  // a clause the batch left to its query — looked up here, on the query's
-  // own scan options. A failed lookup raises here, so the batch's per-slot
-  // handling classifies and refunds it like any other execution failure.
-  if (prepared->where() != nullptr) {
-    const bool own_lookup = !prepared->looked_up;
-    if (own_lookup) LookupWheres({prepared}, snap, scan);
-    if (prepared->where_error != nullptr) {
-      std::rethrow_exception(prepared->where_error);
-    }
-    answer.cache_hit = prepared->cache_hit;
-    if (own_lookup && span != nullptr) {
-      const uint64_t dt = span->Mark(answer.cache_hit
-                                         ? obs::Stage::kCacheLookup
-                                         : obs::Stage::kScan,
-                                     obs::NowNs());
-      (answer.cache_hit ? m_.h_cache_lookup : m_.h_scan)->Record(dt);
-    }
+  // The WHERE clause's cache entry, from the batch's lookup. A failed lookup
+  // raises here, so the batch's per-slot handling classifies and refunds it
+  // like any other execution failure.
+  if (prepared->where_error != nullptr) {
+    std::rethrow_exception(prepared->where_error);
   }
+  answer.cache_hit = prepared->cache_hit;
   const MaskCache::EntryPtr& where = prepared->where_entry;
 
   if (prepared->count_pred.has_value()) {
@@ -541,20 +501,14 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
           return ParallelAndCount(where->mask(), snap.non_sensitive, row_begin,
                                   snap.table.num_rows(), scan);
         }));
-    if (span != nullptr) {
-      m_.h_accumulate->Record(
-          span->Mark(obs::Stage::kAccumulate, obs::NowNs()));
-    }
+    Stamp(span, obs::Stage::kAccumulate, m_.h_accumulate);
     // One-sided Laplace with sensitivity 1: a one-sided neighbour can only
     // grow the non-sensitive count (Section 5.1).
     OSDP_FAULT_POINT("mechanism/run");
     answer.count = count + DrawOneSided(1, prepared->epsilon, rng);
-    if (span != nullptr) {
-      m_.h_mechanism->Record(
-          span->Mark(obs::Stage::kMechanism, obs::NowNs()));
-    }
+    Stamp(span, obs::Stage::kMechanism, m_.h_mechanism);
   } else if (prepared->hist_prepared.has_value()) {
-    if (span != nullptr) span->trace().is_histogram = true;
+    if (span.has_value()) span->trace().is_histogram = true;
     const PreparedHistogramQuery& query = *prepared->hist_prepared;
 
     // Compute only the histogram(s) the mechanism reads; the other input
@@ -572,10 +526,7 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
     }
     std::optional<Histogram> zeros;
     if (x == nullptr || xns == nullptr) zeros.emplace(query.num_bins());
-    if (span != nullptr) {
-      m_.h_accumulate->Record(
-          span->Mark(obs::Stage::kAccumulate, obs::NowNs()));
-    }
+    Stamp(span, obs::Stage::kAccumulate, m_.h_accumulate);
 
     // The mechanisms' deterministic stages (interval-cost engine build,
     // hierarchical consistency passes) run on the service pool. Noise stays
@@ -590,10 +541,7 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
     // refund path to forget.
     if (!released.ok()) return released.status();
     answer.histogram = std::move(released).ValueOrDie();
-    if (span != nullptr) {
-      m_.h_mechanism->Record(
-          span->Mark(obs::Stage::kMechanism, obs::NowNs()));
-    }
+    Stamp(span, obs::Stage::kMechanism, m_.h_mechanism);
   } else {
     // OsdpRR over the captured generation, its coins drawn from the query's
     // own seed stream. The snapshot's stored classification is the
@@ -606,10 +554,7 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
         OsdpRRReleaseView(snap.table, snap.non_sensitive, prepared->epsilon,
                           rng));
     answer.sample.emplace(prepared->snapshot, released.mask());
-    if (span != nullptr) {
-      m_.h_mechanism->Record(
-          span->Mark(obs::Stage::kMechanism, obs::NowNs()));
-    }
+    Stamp(span, obs::Stage::kMechanism, m_.h_mechanism);
   }
 
   // Last check point before the release becomes real: a cancellation that
@@ -625,10 +570,45 @@ Result<ServiceAnswer> QueryService::ExecuteImpl(PreparedRequest* prepared,
   // pin exactly this). One clock read serves both the budget-charge mark and
   // the duration.
   const uint64_t now = obs::NowNs();
-  if (span != nullptr) span->Mark(obs::Stage::kBudgetCharge, now);
+  if (span.has_value()) span->Mark(obs::Stage::kBudgetCharge, now);
   answer.server_duration_micros =
       static_cast<double>(now - prepared->submit_ns) * 1e-3;
   return answer;
+}
+
+void QueryService::Finish(PreparedRequest* prepared,
+                          const Result<ServiceAnswer>& result) {
+  // The outcome counters are functional: counted with telemetry on or off.
+  const StatusCode code = result.status().code();
+  switch (code) {
+    case StatusCode::kOk:
+      m_.queries_delivered->Increment();
+      break;
+    case StatusCode::kCancelled:
+      m_.queries_cancelled->Increment();
+      break;
+    case StatusCode::kDeadlineExceeded:
+      m_.queries_deadline_exceeded->Increment();
+      break;
+    default:
+      m_.queries_failed->Increment();
+  }
+  std::optional<obs::TraceSpan>& span = prepared->span;
+  if (span.has_value()) {
+    const uint64_t end_ns = obs::NowNs();
+    if (result.ok()) {
+      m_.h_query->Record(end_ns - prepared->submit_ns);
+      span->Mark(obs::Stage::kDeliver, end_ns);
+      span->trace().cache_hit = result->cache_hit;
+    }
+    span->Finish(static_cast<int>(code), traces_, end_ns);
+  } else if (!result.ok() && metrics_.enabled()) {
+    // A failed query telemetry did not sample (or that never started
+    // executing) still leaves a trace, with its identity and status alone.
+    obs::TraceSpan failed(prepared->session->id, prepared->seq,
+                          prepared->snapshot->generation);
+    failed.Finish(static_cast<int>(code), traces_, failed.trace().start_ns);
+  }
 }
 
 std::vector<Result<ServiceAnswer>> QueryService::AnswerBatch(
@@ -725,23 +705,33 @@ std::vector<Result<ServiceAnswer>> QueryService::AnswerBatch(
     }
   }
 
-  // Phase 1c: look up the batch's WHERE clauses together. The misses share
-  // one chunk-at-a-time pass per starting row (MaskCache::LookupMany), so a
-  // batch of new clauses reads the table once rather than once per query.
-  // The pass polls the batch's token and deadline; a query whose own
-  // deadline or token has already tripped is left to Execute's entry check,
-  // and a lone clause to its query, so a one-query batch runs as before.
-  // Sharing stays inside this batch, so inside one session.
+  // Phase 1c: look up every WHERE clause of the batch together, before any
+  // query executes. The misses share one chunk-at-a-time pass per starting
+  // row (MaskCache::LookupMany), so a batch of new clauses reads the table
+  // once rather than once per query. A query whose deadline or token has
+  // already tripped is left to Execute's entry check. The pass polls the
+  // batch's token and the latest deadline among the queries it serves (none
+  // if one of them has none), so it gives up only when each of them would:
+  // a lone query's lookup polls exactly its own control. Sharing stays
+  // inside this batch, so inside one session.
   std::vector<PreparedRequest*> wheres;
+  std::optional<std::chrono::steady_clock::time_point> latest;
   for (std::optional<PreparedRequest>& p : prepared) {
-    if (p.has_value() && p->where() != nullptr && p->control.Check().ok()) {
-      wheres.push_back(&*p);
+    if (!p.has_value() || p->where() == nullptr || !p->control.Check().ok()) {
+      continue;
     }
+    // The latest deadline so far; none for good once a query has none.
+    const auto& deadline = p->control.deadline();
+    if (wheres.empty() || (latest.has_value() && (!deadline.has_value() ||
+                                                  *deadline > *latest))) {
+      latest = deadline;
+    }
+    wheres.push_back(&*p);
   }
-  if (wheres.size() >= 2) {
-    const ExecControl batch_control(control.cancel, control.deadline);
+  if (!wheres.empty()) {
+    const ExecControl lookup_control(control.cancel, latest);
     ParallelScanOptions scan{options_.pool, options_.num_shards};
-    if (batch_control.active()) scan.control = &batch_control;
+    if (lookup_control.active()) scan.control = &lookup_control;
     const bool traced = std::any_of(wheres.begin(), wheres.end(),
                                     [](const PreparedRequest* p) {
                                       return p->traced;
@@ -763,9 +753,10 @@ std::vector<Result<ServiceAnswer>> QueryService::AnswerBatch(
   // same pool (nesting is safe — the caller participates). Every per-query
   // failure mode — error Status, tripped deadline/cancel poll, injected
   // fault, any other exception — is converted to an error Result in its own
-  // slot here, so one query can never take down the batch; resetting the
-  // slot's PreparedRequest immediately after refunds an uncommitted
-  // reservation promptly rather than at end of batch.
+  // slot here, so one query can never take down the batch. Every executed
+  // query then leaves through Finish, and resetting the slot's
+  // PreparedRequest right after refunds an uncommitted reservation promptly
+  // rather than at end of batch.
   try {
     pool().ParallelForBlocked(0, batch.size(), 1, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
@@ -781,31 +772,24 @@ std::vector<Result<ServiceAnswer>> QueryService::AnswerBatch(
               Status::Internal(std::string("query execution failed: ") +
                                e.what());
         }
-        if (telemetry && !results[i].ok()) {
-          RecordFailure(*prepared[i], results[i].status().code());
-        }
+        Finish(&*prepared[i], results[i]);
         prepared[i].reset();
       }
     });
   } catch (const std::exception& e) {
     // A fault injected into the pool chunk itself ("thread_pool/chunk"),
     // rethrown by ParallelForBlocked after the barrier. Slots whose chunks
-    // never ran keep their reservations; the loop below surfaces the error
-    // and destroying `prepared` refunds every uncommitted charge.
+    // never ran still hold their reservations: each fails, leaves through
+    // Finish, and its reset refunds the charge.
     for (size_t i = 0; i < batch.size(); ++i) {
-      if (prepared[i].has_value()) {
-        results[i] = Status::Internal(std::string("batch chunk failed: ") +
-                                      e.what());
-      }
+      if (!prepared[i].has_value()) continue;
+      results[i] =
+          Status::Internal(std::string("batch chunk failed: ") + e.what());
+      Finish(&*prepared[i], results[i]);
+      prepared[i].reset();
     }
   }
-  if (telemetry) {
-    // Delivered queries are counted once per batch: every ok slot delivered.
-    m_.queries_delivered->Increment(static_cast<uint64_t>(
-        std::count_if(results.begin(), results.end(),
-                      [](const Result<ServiceAnswer>& r) { return r.ok(); })));
-    m_.h_batch->Record(obs::NowNs() - submit_ns);
-  }
+  if (telemetry) m_.h_batch->Record(obs::NowNs() - submit_ns);
   return results;
 }
 

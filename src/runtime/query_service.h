@@ -51,14 +51,14 @@
 //     the appended rows. ServiceAnswer.cache_hit and cache_stats() expose the
 //     behavior to tests and benches; an extension is a miss to the analyst,
 //     and only the operator's cache.extensions counter tells it apart.
-//   * A batch with two or more WHERE clauses looks them up together, after
-//     reservation and before execution (MaskCache::LookupMany). Its misses
-//     share one chunk-at-a-time scan pass per starting row
-//     (ParallelEvalMasksInto), so a chunk's cells are read from memory once
-//     for every new clause of the batch. Answers, seqs, hit flags and cache
-//     counters equal those of the same requests sent one per batch. A
-//     failed lookup fails only the slots it touched, at their Execute.
-//     Sharing stays inside one batch, so inside one session.
+//   * Every batch looks its WHERE clauses up together, after reservation
+//     and before execution (MaskCache::LookupMany); a lone clause is a
+//     batch lookup of one. The misses share one chunk-at-a-time scan pass
+//     per starting row (ParallelEvalMasksInto), so a chunk's cells are read
+//     from memory once for every new clause of the batch. Answers, seqs, hit
+//     flags and cache counters equal those of the same requests sent one per
+//     batch. A failed lookup fails only the slots it touched, at their
+//     Execute. Sharing stays inside one batch, so inside one session.
 //
 // Fault tolerance — the robustness layer (docs/robustness.md):
 //
@@ -249,8 +249,8 @@ class QueryService {
     /// relaxed atomic load — no clocks, no histogram writes, no traces —
     /// and answers are bit-identical either way (telemetry is write-only;
     /// nothing reads it on a decision path). Functional counters —
-    /// admission, cache hits/misses/evictions — are exact regardless of
-    /// this switch.
+    /// admission, query outcomes, cache hits/misses/evictions — are exact
+    /// regardless of this switch.
     bool metrics_enabled = true;
     /// Capacity of the bounded in-memory ring of recent per-query traces
     /// (admit → cache lookup/scan → accumulate → mechanism → budget charge →
@@ -464,32 +464,28 @@ class QueryService {
   Status Reserve(PreparedRequest* prepared);
 
   // Phase 2: execute one prepared query against its captured snapshot
-  // (parallel, shard-local state only). Commits the reservation exactly
-  // when the answer is delivered; any other exit — error Status, AbortedError
-  // from a tripped deadline/cancel poll, InjectedFault or any other
-  // exception unwinding through — leaves the reservation armed, and the
-  // caller's destruction of the prepared request refunds it in full.
-  //
-  // Execute is the tracing wrapper: for a query telemetry did not sample it
-  // is a tail call into ExecuteImpl; for a sampled one it builds the query's
-  // TraceSpan, records stage histograms, and pushes the finished trace —
-  // then re-raises whatever ExecuteImpl raised, so the failure contract is
-  // byte-for-byte the one AnswerBatch already handles.
+  // (parallel, shard-local state only), reading its WHERE clause's entry
+  // from the batch's lookup. Commits the reservation exactly when the answer
+  // is delivered; any other exit — error Status, AbortedError from a tripped
+  // deadline/cancel poll, InjectedFault or any other exception unwinding
+  // through — leaves the reservation armed, and the caller's destruction of
+  // the prepared request refunds it in full. A query telemetry sampled
+  // opens its trace span here and marks each stage as it ends.
   Result<ServiceAnswer> Execute(PreparedRequest* prepared);
-  Result<ServiceAnswer> ExecuteImpl(PreparedRequest* prepared,
-                                    obs::TraceSpan* span);
 
-  // Telemetry on: counts a query that executed and did not deliver into the
-  // service.* outcome counters, and pushes a trace for it if it was not
-  // sampled (a sampled query pushed its own).
-  void RecordFailure(const PreparedRequest& prepared, StatusCode code);
+  // Phase 2's one exit, for every query that reached it: reads the slot's
+  // Status once, counts the outcome into the service.queries_* counters
+  // (telemetry on or off), and closes the query's trace — the sampled span,
+  // or with telemetry on an identity-only trace for an unsampled failure.
+  void Finish(PreparedRequest* prepared, const Result<ServiceAnswer>& result);
 
   // Looks up the WHERE clauses of `slots` over `snap` in one
   // MaskCache::LookupMany call: the misses that start at the same row are
   // built by one ParallelEvalMasksInto pass on `scan` (an extension scans
   // only the rows an older generation's entry does not cover). Stores each
   // slot's entry and hit flag, or the exception its clause's scan or insert
-  // threw, on the slot.
+  // threw, on the slot; an exception LookupMany itself throws goes on every
+  // slot.
   void LookupWheres(const std::vector<PreparedRequest*>& slots,
                     const Snapshot& snap, const ParallelScanOptions& scan);
 

@@ -348,23 +348,39 @@ TEST_F(FaultTest, BatchChunkFaultRefundsEveryUnexecutedSlot) {
   // The fault fires in the *batch-level* pool chunk itself (before any
   // per-query try/catch): ParallelForBlocked rethrows it in AnswerBatch,
   // which converts it to per-slot errors — and every reservation already
-  // taken for a slot that never executed is refunded by destruction.
+  // taken for a slot that never executed is refunded by destruction. The
+  // clauses are answered once first, so the batch's lookup and counts scan
+  // nothing and the first chunk to run is the execution loop's. Each failed
+  // slot still leaves through Finish, which counts it.
   ServiceFixture fix;
   std::vector<ServiceRequest> batch;
   for (int q = 0; q < 6; ++q) {
     batch.emplace_back(
         CountRequest{Predicate::Le("age", Value(25 + 5 * q)), 0.05});
   }
+  for (const auto& r : fix.service->AnswerBatch(fix.session, batch)) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  const double warm_budget = fix.service->remaining_budget();
   ScopedFault fault("thread_pool/chunk", {/*fire_on_hit=*/1, 0, 1});
   const auto results = fix.service->AnswerBatch(fix.session, batch);
   size_t delivered = 0;
   for (const auto& r : results) {
-    if (r.ok()) ++delivered;
+    if (r.ok()) {
+      ++delivered;
+    } else {
+      EXPECT_TRUE(MentionsPoint(r.status(), "batch chunk failed"))
+          << r.status().ToString();
+    }
   }
   EXPECT_LT(delivered, batch.size());
-  EXPECT_NEAR(fix.initial_service_budget - fix.service->remaining_budget(),
-              delivered * 0.05, 1e-12);
-  EXPECT_EQ(fix.service->ledger().size(), delivered);
+  EXPECT_NEAR(warm_budget - fix.service->remaining_budget(), delivered * 0.05,
+              1e-12);
+  EXPECT_EQ(fix.service->ledger().size(), batch.size() + delivered);
+  EXPECT_EQ(fix.service->MetricsSnapshot()
+                .FindCounter("service.queries_failed")
+                ->value,
+            batch.size() - delivered);
 }
 
 // ------------------------------------------------- ingest failure windows ---

@@ -395,6 +395,55 @@ TEST(MetricsTwinTest, MetricsOnAndOffAnswerBitIdentically) {
   EXPECT_GT(off->cache_stats().misses, 0u);
 }
 
+TEST(MetricsTwinTest, OutcomeCountersCountWithTelemetryOnOrOff) {
+  // The service.queries_* counters are functional, not telemetry: with the
+  // gate off they still count every outcome, and delivered equals the
+  // ledger's size. Five counts deliver; one past its deadline, one under a
+  // fired token and one hit by an injected fault do not.
+  std::vector<uint64_t> failures[2];
+  for (const bool enabled : {true, false}) {
+    ThreadPool pool(0);
+    auto service = TwinService(&pool, enabled);
+    const auto session = service->OpenSession("twin");
+    const Predicate where = Predicate::Le("age", Value(40));
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(service->AnswerCount(session, where, 0.05).ok());
+    }
+    CountRequest late{where, 0.05};
+    late.deadline =
+        std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+    EXPECT_EQ(service->AnswerBatch(session, {late})[0].status().code(),
+              StatusCode::kDeadlineExceeded);
+    QueryService::BatchControl cancelled;
+    cancelled.cancel.emplace();
+    cancelled.cancel->Cancel();
+    EXPECT_EQ(service
+                  ->AnswerBatch(session, {CountRequest{where, 0.05}},
+                                cancelled)[0]
+                  .status()
+                  .code(),
+              StatusCode::kCancelled);
+    {
+      ScopedFault fault("query/execute", {1, 0, 1});
+      EXPECT_EQ(service->AnswerCount(session, where, 0.05).status().code(),
+                StatusCode::kInternal);
+    }
+
+    const obs::MetricsSnapshot snap = service->MetricsSnapshot();
+    EXPECT_EQ(snap.FindCounter("service.queries_delivered")->value,
+              service->ledger().size())
+        << "metrics " << (enabled ? "on" : "off");
+    EXPECT_EQ(service->ledger().size(), 5u);
+    for (const char* name :
+         {"service.queries_failed", "service.queries_cancelled",
+          "service.queries_deadline_exceeded"}) {
+      failures[enabled].push_back(snap.FindCounter(name)->value);
+    }
+  }
+  EXPECT_EQ(failures[true], (std::vector<uint64_t>{1, 1, 1}));
+  EXPECT_EQ(failures[false], failures[true]);
+}
+
 TEST(MetricsServiceTest, AdmissionAndCacheStatsAreRegistryViews) {
   ThreadPool pool(0);
   auto service = TwinService(&pool, true);

@@ -1311,9 +1311,10 @@ TEST(QueryServiceMemoTest, MidFlightCancelAcrossAnExtensionKeepsTheBooks) {
 
 TEST(QueryServiceMemoTest, FaultInsideTheCountStoresNothing) {
   // Serial pool, one shard: the thread_pool/chunk fault point is hit once by
-  // the batch, once by the WHERE scan, then once by the count's AND +
-  // popcount, where the third hit fires. The query fails and refunds; the
-  // mask stays cached, and the next count recomputes the aggregate.
+  // the batch's WHERE scan, once by its execution loop, then once by the
+  // count's AND + popcount, where the third hit fires. The query fails and
+  // refunds; the mask stays cached, and the next count recomputes the
+  // aggregate.
   ThreadPool pool(0);
   QueryService::Options opts;
   opts.pool = &pool;
@@ -1346,33 +1347,68 @@ TEST(QueryServiceMemoTest, FaultInsideTheCountStoresNothing) {
 TEST(QueryServiceMemoTest, DeadlinesTrippingAnywhereInACountStoreNothing) {
   // Sweep the deadline across a count's execution — at entry, inside the
   // scan, inside the AND + popcount, at the final check — re-arming the same
-  // WHERE clause each time. Whatever an aborted attempt left behind, the
-  // next query of the same clause must still match its replay.
+  // WHERE clause each time. Then sweep it across a two-count batch whose
+  // requests carry deadlines of their own: its shared scan polls the later
+  // one, so the earlier request may trip after the scan it shared. The
+  // pair's clauses are new at every attempt, so every shared scan is cold.
+  // Whatever an aborted attempt left behind, the next query of the same
+  // clause must still match its replay.
   ThreadPool pool(2);
   auto service = MemoService(&pool, 30000);
   const auto session = service->OpenSession("alice");
-  const Predicate where = Predicate::And(Predicate::Le("age", Value(61)),
-                                         Predicate::Ge("zip", Value(1234)));
-  size_t tripped = 0;
-  for (int budget_us = 0; budget_us <= 400; budget_us += 10) {
-    CountRequest request{where, 0.5};
-    request.deadline = std::chrono::steady_clock::now() +
-                       std::chrono::microseconds(budget_us);
-    const std::vector<ServiceRequest> batch{request};
-    const SnapshotPtr snap = service->current_snapshot();
-    const auto result = std::move(service->AnswerBatch(session, batch)[0]);
-    if (!result.ok()) {
-      EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-      ++tripped;
-      AnswerAndReplay(service.get(), session, {CountRequest{where, 0.5}});
-      continue;
+  const Predicate lone = Predicate::And(Predicate::Le("age", Value(61)),
+                                        Predicate::Ge("zip", Value(1234)));
+  // Runs one sweep; returns how many attempts tripped and how many clauses
+  // it asked.
+  const auto sweep = [&](bool pair, size_t* clauses_asked) {
+    size_t tripped = 0;
+    for (int budget_us = 0; budget_us <= 400; budget_us += 10) {
+      std::vector<Predicate> clauses{lone};
+      if (pair) {
+        const int64_t age = 20 + budget_us / 10;
+        clauses = {Predicate::And(Predicate::Le("age", Value(age)),
+                                  Predicate::Lt("zip", Value(7321))),
+                   Predicate::Gt("income", Value(30000.0 + 10 * budget_us))};
+      }
+      *clauses_asked += clauses.size();
+      const auto now = std::chrono::steady_clock::now();
+      std::vector<ServiceRequest> batch;
+      for (size_t i = 0; i < clauses.size(); ++i) {
+        CountRequest request{clauses[i], 0.5};
+        request.deadline =
+            now + std::chrono::microseconds(budget_us * (1 + 2 * i));
+        batch.emplace_back(request);
+      }
+      const SnapshotPtr snap = service->current_snapshot();
+      const auto results = service->AnswerBatch(session, batch);
+      for (size_t i = 0; i < batch.size(); ++i) {
+        if (!results[i].ok()) {
+          EXPECT_EQ(results[i].status().code(), StatusCode::kDeadlineExceeded);
+          ++tripped;
+          AnswerAndReplay(service.get(), session,
+                          {CountRequest{clauses[i], 0.5}});
+          continue;
+        }
+        ExpectReplays(batch[i], *results[i], *snap, session);
+      }
     }
-    ExpectReplays(request, *result, *snap, session);
-  }
-  EXPECT_GT(tripped, 0u);
+    return tripped;
+  };
+  size_t lone_asked = 0;
+  const size_t lone_tripped = sweep(false, &lone_asked);
+  const uint64_t lone_misses = service->cache_stats().aggregate_misses;
+  EXPECT_GT(lone_tripped, 0u);
   // One fill, plus at most one more per attempt aborted inside it.
-  EXPECT_LE(service->cache_stats().aggregate_misses, 1u + tripped)
+  EXPECT_LE(lone_misses, 1u + lone_tripped)
       << "a delivered count recomputed a memoized aggregate";
+
+  size_t pair_asked = 0;
+  const size_t pair_tripped = sweep(true, &pair_asked);
+  // One fill per new clause, plus at most one more per request aborted
+  // inside one.
+  EXPECT_LE(service->cache_stats().aggregate_misses - lone_misses,
+            pair_asked + pair_tripped)
+      << "a delivered pair count recomputed a memoized aggregate";
 }
 
 TEST(QueryServiceMemoTest, MidFlightCancelStoresNothingWrong) {
@@ -1389,13 +1425,44 @@ TEST(QueryServiceMemoTest, MidFlightCancelStoresNothingWrong) {
   ExpectSound(config, run);
 }
 
+TEST(QueryServiceMemoTest, LoneClauseIsLookedUpBeforeExecution) {
+  // A one-query batch looks its WHERE clause up in the batch phase, like
+  // every batch: a query/execute fault fails the count after its mask was
+  // built and cached, and the retry hits that entry.
+  ThreadPool pool(0);
+  auto service = MemoService(&pool, 5000);
+  const auto session = service->OpenSession("alice");
+  const Predicate fresh = Predicate::Le("age", Value(37));
+  {
+    ScopedFault fault("query/execute", {1, 0, 1});
+    const auto failed = service->AnswerCount(session, fresh, 0.5);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  }
+  EXPECT_EQ(service->ledger().size(), 0u);
+  MaskCache::Stats stats = service->cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.aggregate_misses, 0u);
+
+  const std::vector<ServiceRequest> batch{CountRequest{fresh, 0.5}};
+  const SnapshotPtr snap = service->current_snapshot();
+  const auto retry = std::move(service->AnswerBatch(session, batch)[0]);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_TRUE(retry->cache_hit);
+  ExpectReplays(batch[0], *retry, *snap, session);
+  stats = service->cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
 TEST(QueryServiceMemoTest, SharedLookupMatchesOneQueryPerBatchTwin) {
   // A batch looks its WHERE clauses up together and builds its misses in
   // one shared pass. Fresh counts, a repeated clause, a hot hit and a
-  // filtered DAWA histogram — then, after an ingest, extensions beside a
-  // cold clause — answer bit for bit, with the same seqs, hit flags and
-  // cache counters as a twin that gets each request as its own batch on an
-  // inline pool.
+  // filtered DAWA histogram — then a lone clause beside a sample, which
+  // looks nothing up, and after an ingest, extensions beside a cold clause —
+  // answer bit for bit, with the same seqs, hit flags and cache counters as
+  // a twin that gets each request as its own batch on an inline pool.
   ThreadPool pool(2);
   ThreadPool inline_pool(0);
   auto service = MemoService(&pool, 5000);
@@ -1455,6 +1522,15 @@ TEST(QueryServiceMemoTest, SharedLookupMatchesOneQueryPerBatchTwin) {
   check(batch);
   EXPECT_EQ(hits,
             (std::vector<bool>{false, false, true, true, false, false}));
+
+  const Predicate lone = Predicate::And(Predicate::Ge("age", Value(25)),
+                                        Predicate::Lt("zip", Value(6000)));
+  const std::vector<ServiceRequest> beside_a_sample = {CountRequest{lone, 0.5},
+                                                       SampleRequest{0.5}};
+  check(beside_a_sample);
+  EXPECT_EQ(hits, (std::vector<bool>{false, false}));
+  check(beside_a_sample);
+  EXPECT_EQ(hits, (std::vector<bool>{true, false}));
 
   for (QueryService* s : {service.get(), twin.get()}) {
     ASSERT_TRUE(s->Ingest(CensusRows(700, 0x5EED)).ok());

@@ -16,6 +16,7 @@
 #ifndef OSDP_TESTS_SERVICE_SOAK_H_
 #define OSDP_TESTS_SERVICE_SOAK_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -58,6 +59,8 @@ inline constexpr double kSoakSessionEpsilon = 1e3;
 inline constexpr double kSoakServiceEpsilon = 1e5;
 inline constexpr double kSoakEpsilon = 0.01;
 inline constexpr size_t kSoakAdmissionCap = 2;  // batches, when `hostile`
+/// How often a reader offers a batch the admission cap shed whole.
+inline constexpr int kSoakAdmissionTries = 64;
 
 /// What the soak callers set differently; everything else is a constant.
 struct SoakConfig {
@@ -193,8 +196,11 @@ inline void FinishSoak(SoakRun* run) {
 
 /// Opens a run and drives it with `config.fault` armed: one writer ingests
 /// census batches, one thread per session submits the mix and, when
-/// `hostile`, a canceller fires once half the batches are under way. Ends
-/// with the quiescent tail.
+/// `hostile`, a canceller fires once half the batches are under way. A
+/// batch the admission cap shed whole is offered again, up to
+/// kSoakAdmissionTries times, so which queries of the mix deliver does not
+/// hang on thread timing; every shed attempt is still recorded. Ends with
+/// the quiescent tail.
 inline SoakRun RunSoak(const SoakConfig& config) {
   constexpr int kBatchesPerReader = 8;
   constexpr int kIngests = 8;
@@ -231,7 +237,16 @@ inline SoakRun RunSoak(const SoakConfig& config) {
         QueryService::BatchControl control;
         if (config.hostile && b % 3 == 2) control.cancel = token;
         started.fetch_add(1);
-        SoakSubmit(&run, s, std::move(batch), control);
+        for (int tries = 1;; ++tries) {
+          const std::vector<Result<ServiceAnswer>> results =
+              SoakSubmit(&run, s, batch, control);
+          const bool shed = std::all_of(
+              results.begin(), results.end(), [](const auto& r) {
+                return r.status().code() == StatusCode::kResourceExhausted;
+              });
+          if (!shed || tries == kSoakAdmissionTries) break;
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
       }
     });
   }
