@@ -748,34 +748,43 @@ std::vector<Result<ServiceAnswer>> QueryService::AnswerBatch(
     }
   }
 
-  // Phase 2 (parallel): execute the reserved queries. Each slot is written
-  // by exactly one chunk, and every scan inside shards further across the
-  // same pool (nesting is safe — the caller participates). Every per-query
-  // failure mode — error Status, tripped deadline/cancel poll, injected
-  // fault, any other exception — is converted to an error Result in its own
-  // slot here, so one query can never take down the batch. Every executed
-  // query then leaves through Finish, and resetting the slot's
-  // PreparedRequest right after refunds an uncommitted reservation promptly
-  // rather than at end of batch.
+  // Phase 2: execute the reserved queries. A batch holding a histogram or a
+  // sample spreads its slots over the pool, one per chunk. A batch of counts
+  // runs as one chunk on the calling thread — the pool's serial path, so no
+  // task is submitted and no worker woken (why: "Execution" in
+  // query_service.h). Each slot is written by exactly one chunk, and every
+  // scan inside shards further across the same pool (nesting is safe — the
+  // caller participates). Every per-query failure mode — error Status,
+  // tripped deadline/cancel poll, injected fault, any other exception — is
+  // converted to an error Result in its own slot here, so one query can
+  // never take down the batch. Every executed query then leaves through
+  // Finish, and resetting the slot's PreparedRequest right after refunds an
+  // uncommitted reservation promptly rather than at end of batch.
+  const bool counts_only = std::all_of(
+      prepared.begin(), prepared.end(),
+      [](const std::optional<PreparedRequest>& p) {
+        return !p.has_value() || p->count_pred.has_value();
+      });
+  const size_t slots_per_chunk = counts_only ? batch.size() : 1;
   try {
-    pool().ParallelForBlocked(0, batch.size(), 1, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        if (!prepared[i].has_value()) continue;
-        try {
-          results[i] = Execute(&*prepared[i]);
-        } catch (const AbortedError& aborted) {
-          results[i] = aborted.status;
-        } catch (const InjectedFault& fault) {
-          results[i] = Status::Internal(fault.what());
-        } catch (const std::exception& e) {
-          results[i] =
-              Status::Internal(std::string("query execution failed: ") +
-                               e.what());
-        }
-        Finish(&*prepared[i], results[i]);
-        prepared[i].reset();
-      }
-    });
+    pool().ParallelForBlocked(
+        0, batch.size(), slots_per_chunk, [&](size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i) {
+            if (!prepared[i].has_value()) continue;
+            try {
+              results[i] = Execute(&*prepared[i]);
+            } catch (const AbortedError& aborted) {
+              results[i] = aborted.status;
+            } catch (const InjectedFault& fault) {
+              results[i] = Status::Internal(fault.what());
+            } catch (const std::exception& e) {
+              results[i] = Status::Internal(
+                  std::string("query execution failed: ") + e.what());
+            }
+            Finish(&*prepared[i], results[i]);
+            prepared[i].reset();
+          }
+        });
   } catch (const std::exception& e) {
     // A fault injected into the pool chunk itself ("thread_pool/chunk"),
     // rethrown by ParallelForBlocked after the barrier. Slots whose chunks

@@ -60,6 +60,20 @@
 //     batch. A failed lookup fails only the slots it touched, at their
 //     Execute. Sharing stays inside one batch, so inside one session.
 //
+// Execution — who runs which slot:
+//
+//   * Every scan and every AND + popcount pass shards over the pool,
+//     whichever thread starts it. A batch holding a histogram or a sample
+//     then spreads its slots over the pool, one slot per chunk: their
+//     mechanisms run serially inside the slot (a d=4096 DAWA release is
+//     about a millisecond). A batch whose every reserved slot is a count
+//     runs its slots on the calling thread, as one chunk: its scans already
+//     ran in the batch lookup, and a count past them is a memoized read (or
+//     one pooled AND + popcount) plus one draw, microseconds that a task
+//     hand-off to a worker would cost more than. The choice reads only the
+//     request kinds, never data, load or timing, and answers do not depend
+//     on which thread runs a slot (docs/parallelism.md).
+//
 // Fault tolerance — the robustness layer (docs/robustness.md):
 //
 //   * Admission control: Options::max_concurrent_batches and
@@ -324,12 +338,13 @@ class QueryService {
 
   /// \brief Answers a batch of queries for `session`, all against the
   /// snapshot captured when the batch was submitted. Validation and budget
-  /// reservation happen serially in batch order; execution runs sharded
-  /// across the pool. Per-query failures (malformed query, exhausted
-  /// budget, deadline, cancellation, injected fault) come back as error
-  /// Results in the matching slot without failing the rest of the batch.
-  /// Under admission-control overload the whole batch is shed: every slot
-  /// returns ResourceExhausted and nothing is charged.
+  /// reservation happen serially in batch order; execution spreads the
+  /// slots across the pool, except that a batch of counts runs them on the
+  /// calling thread (its scans still shard). Per-query failures (malformed
+  /// query, exhausted budget, deadline, cancellation, injected fault) come
+  /// back as error Results in the matching slot without failing the rest of
+  /// the batch. Under admission-control overload the whole batch is shed:
+  /// every slot returns ResourceExhausted and nothing is charged.
   std::vector<Result<ServiceAnswer>> AnswerBatch(
       SessionId session, const std::vector<ServiceRequest>& batch,
       const BatchControl& control = {});

@@ -8,6 +8,7 @@
 // ASan+UBSan targets (the CI tsan and asan-ubsan jobs run exactly this
 // binary plus runtime_test).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -1345,68 +1346,126 @@ TEST(QueryServiceMemoTest, FaultInsideTheCountStoresNothing) {
 }
 
 TEST(QueryServiceMemoTest, DeadlinesTrippingAnywhereInACountStoreNothing) {
-  // Sweep the deadline across a count's execution — at entry, inside the
-  // scan, inside the AND + popcount, at the final check — re-arming the same
-  // WHERE clause each time. Then sweep it across a two-count batch whose
-  // requests carry deadlines of their own: its shared scan polls the later
-  // one, so the earlier request may trip after the scan it shared. The
-  // pair's clauses are new at every attempt, so every shared scan is cold.
-  // Whatever an aborted attempt left behind, the next query of the same
-  // clause must still match its replay.
+  // Sweep the deadline across a count's execution — before its lookup,
+  // inside the scan, after it but before the count is stored (the entry
+  // check and the AND + popcount), at the final check — with a new WHERE
+  // clause at every attempt, so every attempt scans. The table is large
+  // and split into 16 shards, each polling the deadline before it runs, so
+  // the scan and the AND + popcount each outlast several sweep steps. After
+  // a trip the same clause is asked again, and what the trip left behind
+  // says where it struck: no lookup, no mask, a mask with no count, or a
+  // stored count. Then sweep a two-count batch whose requests carry
+  // deadlines of their own: its shared scan polls the later one, so the
+  // earlier request may trip after the scan it shared. The pair's clauses
+  // are new at every attempt, so every shared scan is cold. Whatever an
+  // aborted attempt left behind, the next query of the same clause must
+  // still match its replay.
   ThreadPool pool(2);
-  auto service = MemoService(&pool, 30000);
-  const auto session = service->OpenSession("alice");
-  const Predicate lone = Predicate::And(Predicate::Le("age", Value(61)),
-                                        Predicate::Ge("zip", Value(1234)));
-  // Runs one sweep; returns how many attempts tripped and how many clauses
-  // it asked.
-  const auto sweep = [&](bool pair, size_t* clauses_asked) {
+  {
+    QueryService::Options opts;
+    opts.pool = &pool;
+    opts.num_shards = 16;
+    opts.per_session_epsilon = 1e6;
+    opts.seed = kMemoRootSeed;
+    auto service = *QueryService::Create(CensusEngine(1e7, 1 << 20), opts);
+    const auto session = service->OpenSession("alice");
+    const auto fresh = [](int attempt) {
+      return Predicate::And(Predicate::Le("age", Value(61)),
+                            Predicate::Ge("zip", Value(1000 + attempt)));
+    };
+    // The sweep step: 10 us, or a 64th of a warm count of a new clause
+    // where that is longer (a sanitizer build), so the sweep spans a count
+    // in at most about 64 attempts whatever the build.
+    AnswerAndReplay(service.get(), session, {CountRequest{fresh(-2), 0.5}});
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(service->AnswerCount(session, fresh(-1), 0.5).ok());
+    const auto step = std::max<std::chrono::steady_clock::duration>(
+        std::chrono::microseconds(10),
+        (std::chrono::steady_clock::now() - t0) / 64);
+
+    enum Struck { kBeforeLookup, kScan, kBeforeCount, kFinalCheck };
+    size_t struck[4] = {};
+    size_t asked = 2;
     size_t tripped = 0;
-    for (int budget_us = 0; budget_us <= 400; budget_us += 10) {
-      std::vector<Predicate> clauses{lone};
-      if (pair) {
-        const int64_t age = 20 + budget_us / 10;
-        clauses = {Predicate::And(Predicate::Le("age", Value(age)),
-                                  Predicate::Lt("zip", Value(7321))),
-                   Predicate::Gt("income", Value(30000.0 + 10 * budget_us))};
-      }
-      *clauses_asked += clauses.size();
-      const auto now = std::chrono::steady_clock::now();
-      std::vector<ServiceRequest> batch;
-      for (size_t i = 0; i < clauses.size(); ++i) {
-        CountRequest request{clauses[i], 0.5};
-        request.deadline =
-            now + std::chrono::microseconds(budget_us * (1 + 2 * i));
-        batch.emplace_back(request);
-      }
+    size_t delivered_in_a_row = 0;
+    for (int attempt = 0; delivered_in_a_row < 3 && attempt < 1000;
+         ++attempt) {
+      CountRequest request{fresh(attempt), 0.5};
+      ++asked;
+      const MaskCache::Stats before = service->cache_stats();
       const SnapshotPtr snap = service->current_snapshot();
-      const auto results = service->AnswerBatch(session, batch);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!results[i].ok()) {
-          EXPECT_EQ(results[i].status().code(), StatusCode::kDeadlineExceeded);
-          ++tripped;
-          AnswerAndReplay(service.get(), session,
-                          {CountRequest{clauses[i], 0.5}});
-          continue;
-        }
-        ExpectReplays(batch[i], *results[i], *snap, session);
+      request.deadline = std::chrono::steady_clock::now() + attempt * step;
+      const auto result =
+          std::move(service->AnswerBatch(session, {request})[0]);
+      if (result.ok()) {
+        ExpectReplays(request, *result, *snap, session);
+        ++delivered_in_a_row;
+        continue;
+      }
+      delivered_in_a_row = 0;
+      EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+      ++tripped;
+      const MaskCache::Stats at_trip = service->cache_stats();
+      const CountRequest again{request.where, 0.5};
+      const auto retry = std::move(service->AnswerBatch(session, {again})[0]);
+      ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+      ExpectReplays(again, *retry, *snap, session);
+      if (at_trip.misses == before.misses) {
+        ++struck[kBeforeLookup];
+      } else if (!retry->cache_hit) {
+        ++struck[kScan];
+      } else if (service->cache_stats().aggregate_misses >
+                 at_trip.aggregate_misses) {
+        ++struck[kBeforeCount];
+      } else {
+        ++struck[kFinalCheck];
       }
     }
-    return tripped;
-  };
-  size_t lone_asked = 0;
-  const size_t lone_tripped = sweep(false, &lone_asked);
-  const uint64_t lone_misses = service->cache_stats().aggregate_misses;
-  EXPECT_GT(lone_tripped, 0u);
-  // One fill, plus at most one more per attempt aborted inside it.
-  EXPECT_LE(lone_misses, 1u + lone_tripped)
-      << "a delivered count recomputed a memoized aggregate";
+    EXPECT_GE(delivered_in_a_row, 3u) << "the sweep never outlasted a count";
+    EXPECT_GT(struck[kScan], 0u) << "no deadline struck inside a scan";
+    EXPECT_GT(struck[kBeforeCount], 0u)
+        << "no deadline struck between a scan and its count";
+    // One fill per clause asked, plus at most one more per attempt aborted
+    // inside one.
+    EXPECT_LE(service->cache_stats().aggregate_misses, asked + tripped)
+        << "a delivered count recomputed a memoized aggregate";
+  }
 
+  auto service = MemoService(&pool, 30000);
+  const auto session = service->OpenSession("alice");
   size_t pair_asked = 0;
-  const size_t pair_tripped = sweep(true, &pair_asked);
+  size_t pair_tripped = 0;
+  for (int budget_us = 0; budget_us <= 400; budget_us += 10) {
+    const int64_t age = 20 + budget_us / 10;
+    const std::vector<Predicate> clauses{
+        Predicate::And(Predicate::Le("age", Value(age)),
+                       Predicate::Lt("zip", Value(7321))),
+        Predicate::Gt("income", Value(30000.0 + 10 * budget_us))};
+    pair_asked += clauses.size();
+    const auto now = std::chrono::steady_clock::now();
+    std::vector<ServiceRequest> batch;
+    for (size_t i = 0; i < clauses.size(); ++i) {
+      CountRequest request{clauses[i], 0.5};
+      request.deadline =
+          now + std::chrono::microseconds(budget_us * (1 + 2 * i));
+      batch.emplace_back(request);
+    }
+    const SnapshotPtr snap = service->current_snapshot();
+    const auto results = service->AnswerBatch(session, batch);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!results[i].ok()) {
+        EXPECT_EQ(results[i].status().code(), StatusCode::kDeadlineExceeded);
+        ++pair_tripped;
+        AnswerAndReplay(service.get(), session,
+                        {CountRequest{clauses[i], 0.5}});
+        continue;
+      }
+      ExpectReplays(batch[i], *results[i], *snap, session);
+    }
+  }
   // One fill per new clause, plus at most one more per request aborted
   // inside one.
-  EXPECT_LE(service->cache_stats().aggregate_misses - lone_misses,
+  EXPECT_LE(service->cache_stats().aggregate_misses,
             pair_asked + pair_tripped)
       << "a delivered pair count recomputed a memoized aggregate";
 }
@@ -1539,6 +1598,76 @@ TEST(QueryServiceMemoTest, SharedLookupMatchesOneQueryPerBatchTwin) {
   batch.emplace_back(CountRequest{Predicate::Ge("age", Value(65)), 0.5});
   check(batch);
   EXPECT_EQ(service->cache_stats().extensions - extensions, 5u);
+}
+
+TEST(QueryServiceMemoTest, CountBatchRunsOnItsCallerHistogramBatchSpreads) {
+  // A batch of counts executes as one chunk on the calling thread: however
+  // many hits and misses it holds, it hands the pool no task (one shard, so
+  // no scan spreads either). A batch holding a histogram spreads its slots
+  // over the pool's one worker, and so does a batch that is all counts only
+  // after a malformed histogram was refused. Every answer replays, and the
+  // ledger and the outcome counters match the deliveries.
+  ThreadPool pool(1);
+  pool.set_metrics_enabled(true);
+  QueryService::Options opts;
+  opts.pool = &pool;
+  opts.num_shards = 1;
+  opts.per_session_epsilon = 1e6;
+  opts.seed = kMemoRootSeed;
+  auto service = *QueryService::Create(CensusEngine(1e7, 5000), opts);
+  const auto session = service->OpenSession("alice");
+  const Predicate hot = Predicate::Le("age", Value(40));
+  const Predicate fresh = Predicate::And(Predicate::Ge("age", Value(30)),
+                                         Predicate::Lt("zip", Value(5000)));
+  const Predicate other = Predicate::Gt("income", Value(41000.0));
+  AnswerAndReplay(service.get(), session, {CountRequest{hot, 0.5}});
+  size_t delivered = 1;
+  const auto tasks_for = [&](const std::vector<ServiceRequest>& batch) {
+    const uint64_t before = pool.stats().tasks_submitted;
+    AnswerAndReplay(service.get(), session, batch);
+    delivered += batch.size();
+    return pool.stats().tasks_submitted - before;
+  };
+
+  const MaskCache::Stats before = service->cache_stats();
+  EXPECT_EQ(tasks_for({CountRequest{hot, 0.5}, CountRequest{fresh, 0.5},
+                       CountRequest{hot, 0.5}, CountRequest{fresh, 0.5}}),
+            0u);
+  MaskCache::Stats after = service->cache_stats();
+  EXPECT_EQ(after.hits - before.hits, 3u);
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.aggregate_misses - before.aggregate_misses, 1u);
+
+  EXPECT_GE(tasks_for({CountRequest{hot, 0.5},
+                       MemoHistogram("age", 100, 20, other,
+                                     EngineMechanism::kOsdpLaplaceL1),
+                       CountRequest{other, 0.5}}),
+            1u);
+
+  // The refused histogram never reaches execution, so only counts remain.
+  const std::vector<ServiceRequest> with_refused = {
+      CountRequest{fresh, 0.5},
+      MemoHistogram("no_such_column", 100, 20, hot, EngineMechanism::kDawa),
+      CountRequest{other, 0.5}};
+  const uint64_t tasks_before = pool.stats().tasks_submitted;
+  const SnapshotPtr snap = service->current_snapshot();
+  const auto refused = service->AnswerBatch(session, with_refused);
+  EXPECT_EQ(pool.stats().tasks_submitted, tasks_before);
+  EXPECT_EQ(refused[1].status().code(), StatusCode::kNotFound);
+  for (size_t i : {0, 2}) {
+    ASSERT_TRUE(refused[i].ok()) << refused[i].status().ToString();
+    ExpectReplays(with_refused[i], *refused[i], *snap, session);
+    ++delivered;
+  }
+
+  EXPECT_EQ(service->ledger().size(), delivered);
+  const obs::MetricsSnapshot scrape = service->MetricsSnapshot();
+  EXPECT_EQ(scrape.FindCounter("service.queries_delivered")->value, delivered);
+  for (const char* failure :
+       {"service.queries_failed", "service.queries_cancelled",
+        "service.queries_deadline_exceeded"}) {
+    EXPECT_EQ(scrape.FindCounter(failure)->value, 0u) << failure;
+  }
 }
 
 }  // namespace
