@@ -112,7 +112,11 @@ int main() {
     }
     std::printf("%s\n", table.ToString().c_str());
   }
-  std::printf("shape check: OsdpRR tracks All NS; ObjDP hovers near Random\n"
-              "(~0.5); error rises as the non-sensitive fraction shrinks.\n");
+  std::printf(
+      "shape check: at eps=1 OsdpRR tracks All NS, and ObjDP (about 0.2-0.26)\n"
+      "sits between them and Random (~0.5); at eps=0.01 ObjDP is near Random\n"
+      "and OsdpRR keeps too few trajectories to train below P90 (n/a). All NS\n"
+      "error rises from P99 to P10. See bench/README.md for the gap to the\n"
+      "paper.\n");
   return 0;
 }

@@ -2,9 +2,6 @@
 // sharded scan paths and the concurrent QueryService versus the serial
 // baselines, across thread counts.
 //
-//   ingest        table construction: boxed AppendRowUnchecked loop vs the
-//                 columnar Table::FromColumns move-in path (1 thread each;
-//                 measures the bulk-ingest satellite, not the pool).
 //   mask          CompiledPredicate::EvalMask vs ParallelEvalMask
 //   count         mask eval + AND with the policy mask + popcount, serial
 //                 vs ParallelEvalMask + the fused ParallelAndCount the
@@ -96,34 +93,6 @@ Predicate BenchPredicate() {
                         Predicate::Le("age", Value(40)));
 }
 
-// Builds the same census table through the boxed row-at-a-time path, for
-// the ingest comparison. Mirrors the historical MakeCensusTable loop.
-Table MakeCensusTableBoxed(const CensusTableOptions& opts) {
-  Schema schema({{"age", ValueType::kInt64},
-                 {"income", ValueType::kDouble},
-                 {"race", ValueType::kString},
-                 {"opt_in", ValueType::kInt64},
-                 {"zip", ValueType::kInt64}});
-  Table table(schema);
-  Rng rng(opts.seed);
-  std::vector<std::string> categories;
-  for (size_t c = 0; c < std::max<size_t>(opts.num_categories, 1); ++c) {
-    categories.push_back("C" + std::to_string(c));
-  }
-  Row row(5);
-  for (size_t i = 0; i < opts.num_rows; ++i) {
-    row[0] = Value(static_cast<int64_t>(rng.NextBounded(100)));
-    row[1] = Value(
-        std::min(2.0e4 / std::sqrt(rng.NextDoublePositive()), 1.0e7));
-    row[2] = Value(categories[rng.NextBounded(categories.size())]);
-    row[3] = Value(static_cast<int64_t>(
-        rng.NextDouble() < opts.opt_out_fraction ? 0 : 1));
-    row[4] = Value(static_cast<int64_t>(rng.NextBounded(10000)));
-    table.AppendRowUnchecked(row);
-  }
-  return table;
-}
-
 int Fail(const char* what, size_t rows, size_t threads) {
   std::fprintf(stderr,
                "BIT-IDENTITY VIOLATION: %s (rows=%zu threads=%zu)\n", what,
@@ -179,16 +148,6 @@ int main() {
     topts.num_rows = rows;
     topts.seed = 0x05D9 + rows;
     const int reps = RepsFor(rows);
-
-    // --- ingest: boxed row loop vs columnar FromColumns -----------------
-    const double boxed_sec =
-        TimeBest(std::max(reps / 2, 1), [&] { sink += MakeCensusTableBoxed(topts).num_rows(); });
-    const double columnar_sec =
-        TimeBest(std::max(reps / 2, 1), [&] { sink += MakeCensusTable(topts).num_rows(); });
-    results.push_back({"ingest_boxed", rows, 0, boxed_sec,
-                       static_cast<double>(rows) / boxed_sec});
-    results.push_back({"ingest_columnar", rows, 0, columnar_sec,
-                       static_cast<double>(rows) / columnar_sec});
 
     const Table table = MakeCensusTable(topts);
     const CompiledPredicate compiled =
@@ -408,9 +367,6 @@ int main() {
     std::printf("--- %zu rows ---\n%s\n", rows, text.ToString().c_str());
     std::printf("shared pass over k fresh clauses (clause-rows/s):\n%s\n",
                 shared_text.ToString().c_str());
-    std::printf(
-        "ingest: boxed %.3gs -> columnar %.3gs (%.1fx)\n\n", boxed_sec,
-        columnar_sec, boxed_sec / columnar_sec);
   }
 
   bench::BenchJson json("parallel_scan", "BENCH_parallel_scan.json");

@@ -2,14 +2,14 @@
 // construction, policy-masked filtered counts, and masked histograms, for
 // three evaluation paths across row counts and predicate shapes.
 //
-//   boxed      GetRow() + ReferenceEval(pred, schema, row): materializes
-//              every cell of the row as a dynamic Value (string copies
-//              included) before walking the tree.
+//   boxed      RowAt() (tests/table_rows.h) + ReferenceEval(pred, schema,
+//              row): materializes every cell of the row as a dynamic Value
+//              (string copies included) before walking the tree.
 //   reference  ReferenceEval(pred, table, row) from
 //              tests/reference_predicate.h: row-at-a-time, per-row name
 //              resolution and tree dispatch, boxing only the cells the tree
-//              reads (Table::GetValue). This is the semantics oracle the
-//              property tests check the compiled path against.
+//              reads (CellAt). This is the semantics oracle the property
+//              tests check the compiled path against.
 //   compiled   CompiledPredicate::EvalMask: bound once against the schema,
 //              evaluated column-at-a-time into a packed RowMask.
 //
@@ -46,6 +46,7 @@
 #include "src/policy/policy.h"
 #include "tests/reference_predicate.h"
 #include "tests/serial_replay.h"
+#include "tests/table_rows.h"
 
 using namespace osdp;
 using bench::TimeBest;
@@ -191,7 +192,7 @@ int main() {
       record("mask", "boxed", TimeBest(reps, [&] {
                std::vector<bool> mask(table.num_rows());
                for (size_t r = 0; r < table.num_rows(); ++r) {
-                 mask[r] = ReferenceEval(pred, schema, table.GetRow(r));
+                 mask[r] = ReferenceEval(pred, schema, RowAt(table, r));
                }
                sink += mask.size();
              }));
@@ -210,7 +211,10 @@ int main() {
       record("count", "boxed", TimeBest(reps, [&] {
                size_t count = 0;
                for (size_t r = 0; r < table.num_rows(); ++r) {
-                 if (ns_bools[r] && ReferenceEval(pred, schema, table.GetRow(r))) ++count;
+                 if (ns_bools[r] &&
+                     ReferenceEval(pred, schema, RowAt(table, r))) {
+                   ++count;
+                 }
                }
                sink += count;
              }));
@@ -233,9 +237,9 @@ int main() {
                Histogram h(age_domain.size());
                for (size_t r = 0; r < table.num_rows(); ++r) {
                  if (!ns_bools[r]) continue;
-                 if (!ReferenceEval(pred, schema, table.GetRow(r))) continue;
+                 if (!ReferenceEval(pred, schema, RowAt(table, r))) continue;
                  h.Add(age_domain.BinOf(
-                     static_cast<double>(table.GetValue(r, 0).AsInt64())));
+                     static_cast<double>(CellAt(table, r, 0).AsInt64())));
                }
                sink += static_cast<size_t>(h.Total());
              }));

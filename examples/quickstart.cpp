@@ -7,7 +7,10 @@
 //
 // Build & run:  ./build/examples/quickstart
 
+#include <cstdint>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "src/accounting/concurrent.h"
 #include "src/common/random.h"
@@ -22,14 +25,18 @@ int main() {
   // --- 1. Data + policy -----------------------------------------------
   // GDPR-style scenario: users either opted in (1) or not (0); opted-out
   // records and minors are sensitive.
-  Table table(Schema({{"age", ValueType::kInt64},
-                      {"opt_in", ValueType::kInt64}}));
   Rng data_rng(7);
+  std::vector<int64_t> ages;
+  std::vector<int64_t> opt_ins;
   for (int i = 0; i < 10000; ++i) {
-    const auto age = static_cast<int64_t>(data_rng.NextBounded(90) + 10);
-    const auto opt = static_cast<int64_t>(data_rng.NextBernoulli(0.85) ? 1 : 0);
-    if (!table.AppendRow({Value(age), Value(opt)}).ok()) return 1;
+    ages.push_back(static_cast<int64_t>(data_rng.NextBounded(90) + 10));
+    opt_ins.push_back(data_rng.NextBernoulli(0.85) ? 1 : 0);
   }
+  const Result<Table> built = Table::FromColumns(
+      Schema({{"age", ValueType::kInt64}, {"opt_in", ValueType::kInt64}}),
+      {std::move(ages), std::move(opt_ins)});
+  if (!built.ok()) return 1;
+  const Table& table = *built;
   Policy policy = Policy::SensitiveWhen(
       Predicate::Or(Predicate::Le("age", Value(17)),
                     Predicate::Eq("opt_in", Value(0))),

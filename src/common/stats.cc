@@ -14,16 +14,6 @@ double Mean(const std::vector<double>& xs) {
   return sum / static_cast<double>(xs.size());
 }
 
-double Variance(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  const double mu = Mean(xs);
-  double sum = 0.0;
-  for (double x : xs) sum += (x - mu) * (x - mu);
-  return sum / static_cast<double>(xs.size());
-}
-
-double Stddev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
-
 double Percentile(std::vector<double> xs, double p) {
   OSDP_CHECK(!xs.empty());
   OSDP_CHECK(p >= 0.0 && p <= 100.0);
@@ -34,15 +24,6 @@ double Percentile(std::vector<double> xs, double p) {
   const size_t hi = static_cast<size_t>(std::ceil(rank));
   const double frac = rank - static_cast<double>(lo);
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
-}
-
-double Median(std::vector<double> xs) { return Percentile(std::move(xs), 50.0); }
-
-void RunningStats::Add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
 }
 
 }  // namespace osdp

@@ -12,18 +12,12 @@ const char* StatusCodeToString(StatusCode code) {
       return "Out of range";
     case StatusCode::kNotFound:
       return "Not found";
-    case StatusCode::kAlreadyExists:
-      return "Already exists";
     case StatusCode::kFailedPrecondition:
       return "Failed precondition";
     case StatusCode::kBudgetExhausted:
       return "Budget exhausted";
-    case StatusCode::kPolicyViolation:
-      return "Policy violation";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kNotImplemented:
-      return "Not implemented";
     case StatusCode::kIOError:
       return "IO error";
     case StatusCode::kResourceExhausted:

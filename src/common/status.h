@@ -13,18 +13,16 @@
 
 namespace osdp {
 
-/// Machine-readable classification of an error.
+/// Machine-readable classification of an error. Traces store a code as an
+/// int, so a code keeps its value; removed codes leave gaps (4, 7, 9).
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument = 1,
   kOutOfRange = 2,
   kNotFound = 3,
-  kAlreadyExists = 4,
   kFailedPrecondition = 5,
   kBudgetExhausted = 6,  ///< privacy budget accounting refused the operation
-  kPolicyViolation = 7,  ///< an operation would violate the active policy
   kInternal = 8,
-  kNotImplemented = 9,
   kIOError = 10,
   kResourceExhausted = 11,  ///< admission control shed the request (overload)
   kDeadlineExceeded = 12,   ///< the request's deadline passed before release
@@ -59,23 +57,14 @@ class Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
   static Status BudgetExhausted(std::string msg) {
     return Status(StatusCode::kBudgetExhausted, std::move(msg));
   }
-  static Status PolicyViolation(std::string msg) {
-    return Status(StatusCode::kPolicyViolation, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status NotImplemented(std::string msg) {
-    return Status(StatusCode::kNotImplemented, std::move(msg));
   }
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));

@@ -350,36 +350,6 @@ class ChunkedColumn {
     return !(*this == flat);
   }
 
-  /// Chunk-crossing forward iterator (range-for support).
-  class const_iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = T;
-    using difference_type = std::ptrdiff_t;
-    using pointer = void;
-    using reference = CellRef;
-
-    const_iterator(const ChunkedColumn* col, size_t i) : col_(col), i_(i) {}
-    reference operator*() const { return (*col_)[i_]; }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    const_iterator operator++(int) {
-      const_iterator tmp = *this;
-      ++i_;
-      return tmp;
-    }
-    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
-    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
-
-   private:
-    const ChunkedColumn* col_;
-    size_t i_;
-  };
-  const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, size_); }
-
  private:
   /// Appends cells[0, n) (`cells` indexable: a pointer, a move iterator or
   /// a ForCells), a tail's worth at a time, sealing each tail it fills.

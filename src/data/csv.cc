@@ -2,9 +2,10 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <unordered_set>
 #include <vector>
 
@@ -120,8 +121,10 @@ bool LooksLikeDouble(const std::string& s) {
   if (s.empty()) return false;
   errno = 0;
   char* end = nullptr;
-  std::strtod(s.c_str(), &end);
-  return errno == 0 && end == s.c_str() + s.size();
+  const double v = std::strtod(s.c_str(), &end);
+  // Underflow sets ERANGE too, but still returns the nearest double (a
+  // subnormal WriteCsvTable may have written); overflow returns ±HUGE_VAL.
+  return (errno == 0 || std::isfinite(v)) && end == s.c_str() + s.size();
 }
 
 std::string EscapeField(const std::string& s) {
@@ -267,19 +270,20 @@ std::string WriteCsvTable(const Table& table) {
   for (size_t r = 0; r < table.num_rows(); ++r) {
     for (size_t c = 0; c < table.num_columns(); ++c) {
       if (c) out += ",";
-      const Value v = table.GetValue(r, c);
-      switch (v.type()) {
+      switch (table.schema().field(c).type) {
         case ValueType::kInt64:
-          out += std::to_string(v.AsInt64());
+          out += std::to_string(table.Int64Column(c)[r]);
           break;
         case ValueType::kDouble: {
-          std::ostringstream ss;
-          ss << v.AsDouble();
-          out += ss.str();
+          // The shortest text that strtod reads back to the same double.
+          char buf[32];
+          const std::to_chars_result done =
+              std::to_chars(buf, buf + sizeof(buf), table.DoubleColumn(c)[r]);
+          out.append(buf, done.ptr);
           break;
         }
         case ValueType::kString:
-          out += EscapeField(v.AsString());
+          out += EscapeField(table.StringColumn(c)[r]);
           break;
       }
     }

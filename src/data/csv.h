@@ -24,7 +24,8 @@ Result<Table> ReadCsvTable(const std::string& csv_text);
 /// \brief Parses CSV text with an explicit schema (header names must match).
 Result<Table> ReadCsvTable(const std::string& csv_text, const Schema& schema);
 
-/// \brief Renders a table as CSV text (with header).
+/// \brief Renders a table as CSV text (with header). Doubles are written as
+/// the shortest text that ReadCsvTable reads back to the same bits.
 std::string WriteCsvTable(const Table& table);
 
 /// \brief Writes a string to a file, overwriting.

@@ -79,24 +79,6 @@ Result<Table> Table::FromColumns(Schema schema,
   return table;
 }
 
-Status Table::AppendRow(const Row& row) {
-  if (row.size() != schema_.num_fields()) {
-    return Status::InvalidArgument(
-        "row arity " + std::to_string(row.size()) + " != schema arity " +
-        std::to_string(schema_.num_fields()));
-  }
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].type() != schema_.field(i).type) {
-      return Status::InvalidArgument(
-          "type mismatch in column '" + schema_.field(i).name + "': expected " +
-          ValueTypeToString(schema_.field(i).type) + ", got " +
-          ValueTypeToString(row[i].type()));
-    }
-  }
-  AppendRowUnchecked(row);
-  return Status::OK();
-}
-
 Status Table::AppendRows(const Table& other) {
   if (!(other.schema_ == schema_)) {
     return Status::InvalidArgument("cannot append rows of schema " +
@@ -116,47 +98,6 @@ Status Table::AppendRows(const Table& other) {
   }
   num_rows_ += other.num_rows_;
   return Status::OK();
-}
-
-void Table::AppendRowUnchecked(const Row& row) {
-  OSDP_DCHECK(row.size() == schema_.num_fields());
-  for (size_t i = 0; i < row.size(); ++i) {
-    switch (schema_.field(i).type) {
-      case ValueType::kInt64:
-        std::get<ChunkedColumn<int64_t>>(columns_[i])
-            .push_back(row[i].AsInt64());
-        break;
-      case ValueType::kDouble:
-        std::get<ChunkedColumn<double>>(columns_[i])
-            .push_back(row[i].AsDouble());
-        break;
-      case ValueType::kString:
-        std::get<ChunkedColumn<std::string>>(columns_[i])
-            .push_back(row[i].AsString());
-        break;
-    }
-  }
-  ++num_rows_;
-}
-
-Value Table::GetValue(size_t row, size_t col) const {
-  OSDP_CHECK(row < num_rows_ && col < columns_.size());
-  switch (schema_.field(col).type) {
-    case ValueType::kInt64:
-      return Value(std::get<ChunkedColumn<int64_t>>(columns_[col])[row]);
-    case ValueType::kDouble:
-      return Value(std::get<ChunkedColumn<double>>(columns_[col])[row]);
-    case ValueType::kString:
-      return Value(std::get<ChunkedColumn<std::string>>(columns_[col])[row]);
-  }
-  return Value();
-}
-
-Row Table::GetRow(size_t row) const {
-  Row out;
-  out.reserve(num_columns());
-  for (size_t c = 0; c < num_columns(); ++c) out.push_back(GetValue(row, c));
-  return out;
 }
 
 const ChunkedColumn<int64_t>& Table::Int64Column(size_t col) const {
@@ -181,22 +122,6 @@ Result<const ChunkedColumn<int64_t>*> Table::Int64ColumnByName(
     return Status::InvalidArgument("column '" + name + "' is not int64");
   }
   return &Int64Column(idx);
-}
-
-Table Table::SelectRows(const std::vector<size_t>& row_indices) const {
-  for (size_t r : row_indices) OSDP_CHECK(r < num_rows_);
-  // Column-at-a-time gather: one typed copy per cell, no Value boxing.
-  Table out(schema_);
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    std::visit(
-        [&](const auto& src) {
-          auto& dst = std::get<std::decay_t<decltype(src)>>(out.columns_[c]);
-          for (size_t r : row_indices) dst.push_back(src[r]);
-        },
-        columns_[c]);
-  }
-  out.num_rows_ = row_indices.size();
-  return out;
 }
 
 Table Table::SelectRows(const RowMask& mask) const {

@@ -24,15 +24,13 @@
 
 namespace osdp {
 
-/// A row materialized as dynamic values (construction / debugging API).
-using Row = std::vector<Value>;
-
 class TableView;
 
-/// \brief Columnar table. Rows are appended; columns are read in bulk.
+/// \brief Columnar table. Whole columns go in (FromColumns) and batches are
+/// appended (AppendRows); columns are read in bulk.
 ///
 /// The policy layer classifies rows by index, and mechanisms select row
-/// subsets, so the table exposes row-index-based access throughout.
+/// subsets, so the typed column views index by row throughout.
 class Table {
  public:
   /// One fully-built column in flat form — the bulk-ingest input format
@@ -61,9 +59,6 @@ class Table {
   /// Number of columns.
   size_t num_columns() const { return schema_.num_fields(); }
 
-  /// Appends a row; errors if arity or any cell type mismatches the schema.
-  Status AppendRow(const Row& row);
-
   /// \brief Appends every row of `other` (whose schema must equal this
   /// table's), column-at-a-time. This is the streaming-ingest concatenation
   /// primitive: batch cost is proportional to the batch, not the
@@ -71,15 +66,6 @@ class Table {
   /// self-append of a chunk-aligned table — the append shares `other`'s
   /// chunks instead of copying cells.
   Status AppendRows(const Table& other);
-
-  /// Appends a row without validation (hot path; caller guarantees types).
-  void AppendRowUnchecked(const Row& row);
-
-  /// Cell accessor as a dynamic Value (slow path; copies strings).
-  Value GetValue(size_t row, size_t col) const;
-
-  /// Materializes row `row` as dynamic values.
-  Row GetRow(size_t row) const;
 
   /// \name Typed column views (abort on type mismatch).
   ///
@@ -103,15 +89,9 @@ class Table {
   Result<const ChunkedColumn<int64_t>*> Int64ColumnByName(
       const std::string& name) const;
 
-  /// Returns a new table containing exactly the rows whose indices are given
-  /// (in the given order). Indices must be valid.
-  Table SelectRows(const std::vector<size_t>& row_indices) const;
-
   /// Selection push-down from a RowMask (which must cover num_rows()): the
-  /// set rows, in ascending order, gathered column-at-a-time. Skips the
-  /// per-index validation of the vector overload — the mask's size is the
-  /// bounds proof. Materializes the selected cells; for the zero-copy
-  /// alternative see SelectRowsView.
+  /// set rows, in ascending order, gathered column-at-a-time. Materializes
+  /// the selected cells; for the zero-copy alternative see SelectRowsView.
   Table SelectRows(const RowMask& mask) const;
 
   /// \brief Zero-copy selection: a TableView over this table's rows whose

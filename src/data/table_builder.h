@@ -23,8 +23,8 @@
 
 namespace osdp {
 
-/// A batch of rows to ingest: a table with the same schema as the dataset.
-/// Build one with Table::FromColumns (bulk) or Table::AppendRow (trickle).
+/// A batch of rows to ingest: a table with the same schema as the dataset,
+/// built with Table::FromColumns.
 using RowBatch = Table;
 
 /// \brief Accumulates appended row batches and their policy classification,

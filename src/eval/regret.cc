@@ -6,20 +6,6 @@
 
 namespace osdp {
 
-const char* ErrorMetricToString(ErrorMetric m) {
-  switch (m) {
-    case ErrorMetric::kMRE:
-      return "MRE";
-    case ErrorMetric::kRel50:
-      return "Rel50";
-    case ErrorMetric::kRel95:
-      return "Rel95";
-    case ErrorMetric::kL1:
-      return "L1";
-  }
-  return "?";
-}
-
 double ComputeError(ErrorMetric metric, const Histogram& truth,
                     const Histogram& estimate, const MetricOptions& opts) {
   switch (metric) {

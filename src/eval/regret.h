@@ -26,9 +26,6 @@ enum class ErrorMetric {
   kL1 = 3,     ///< L1 error
 };
 
-/// Name of an ErrorMetric ("MRE", "Rel50", ...).
-const char* ErrorMetricToString(ErrorMetric m);
-
 /// Computes a single metric value between truth and estimate.
 double ComputeError(ErrorMetric metric, const Histogram& truth,
                     const Histogram& estimate, const MetricOptions& opts = {});

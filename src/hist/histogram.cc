@@ -33,20 +33,6 @@ void Histogram::ClampNonNegative() {
   for (double& c : counts_) c = std::max(c, 0.0);
 }
 
-Histogram Histogram::operator+(const Histogram& other) const {
-  OSDP_CHECK(size() == other.size());
-  Histogram out(*this);
-  for (size_t i = 0; i < size(); ++i) out.counts_[i] += other.counts_[i];
-  return out;
-}
-
-Histogram Histogram::operator-(const Histogram& other) const {
-  OSDP_CHECK(size() == other.size());
-  Histogram out(*this);
-  for (size_t i = 0; i < size(); ++i) out.counts_[i] -= other.counts_[i];
-  return out;
-}
-
 bool Histogram::DominatedBy(const Histogram& other) const {
   OSDP_CHECK(size() == other.size());
   for (size_t i = 0; i < size(); ++i) {

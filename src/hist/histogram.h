@@ -55,10 +55,6 @@ class Histogram {
   /// Clamps every negative count up to zero (post-processing step).
   void ClampNonNegative();
 
-  /// Element-wise sum/difference; requires equal sizes.
-  Histogram operator+(const Histogram& other) const;
-  Histogram operator-(const Histogram& other) const;
-
   /// True iff every count of `this` is <= the matching count of `other`.
   /// (Holds between x_ns of one-sided neighbors; see Section 5.1.)
   bool DominatedBy(const Histogram& other) const;

@@ -139,9 +139,4 @@ Result<Histogram> ComputeHistogramMasked(const Table& table,
   return out;
 }
 
-Result<Histogram> ComputeHistogram(const TableView& view,
-                                   const HistogramQuery& query) {
-  return ComputeHistogramMasked(view.table(), query, view.mask());
-}
-
 }  // namespace osdp

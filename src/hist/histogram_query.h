@@ -94,18 +94,8 @@ class PreparedHistogramQuery {
   std::shared_ptr<const CompiledPredicate> where_;
 };
 
-class TableView;
-
 /// Evaluates a 1-D histogram query over all rows of `table`.
 Result<Histogram> ComputeHistogram(const Table& table,
-                                   const HistogramQuery& query);
-
-/// Evaluates the query over the rows a TableView selects — the zero-copy
-/// bridge from Table::SelectRowsView: equivalent to materializing the view
-/// and histogramming the result, without copying a cell. Bit-for-bit the
-/// same counts as ComputeHistogramMasked(view.table(), query,
-/// view.mask()).
-Result<Histogram> ComputeHistogram(const TableView& view,
                                    const HistogramQuery& query);
 
 /// Evaluates the query over only the rows whose mask bit is set. `mask` must

@@ -18,7 +18,8 @@ Result<PartitionedRelease> PartitionedHistogramRelease(
   }
   OSDP_ASSIGN_OR_RETURN(const ChunkedColumn<int64_t>* keys,
                         table.Int64ColumnByName(opts.partition_column));
-  for (int64_t k : *keys) {
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    const int64_t k = (*keys)[r];
     if (k < 0 || static_cast<size_t>(k) >= opts.num_partitions) {
       return Status::OutOfRange("partition key outside [0, num_partitions)");
     }

@@ -50,9 +50,6 @@ class LogisticRegression {
   /// The learned weights (last entry is the intercept when fitted with one).
   const std::vector<double>& weights() const { return weights_; }
 
-  /// Number of raw (non-intercept) features the model was trained on.
-  size_t num_features() const { return num_features_; }
-
  private:
   std::vector<double> weights_;
   size_t num_features_ = 0;

@@ -232,6 +232,7 @@ class LatencyHistogram {
   /// One merged pass: count, mean, max, and the standard percentile trio.
   struct Summary {
     uint64_t count = 0;
+    uint64_t sum_ns = 0;  // exact sum of the samples
     double mean_ns = 0.0;
     uint64_t max_ns = 0;
     uint64_t p50_ns = 0;
@@ -240,15 +241,15 @@ class LatencyHistogram {
   };
   Summary Summarize() const {
     Summary out;
-    uint64_t sum = 0;
     for (const Shard& s : shards_) {
       out.count += s.count.load(std::memory_order_relaxed);
-      sum += s.sum.load(std::memory_order_relaxed);
+      out.sum_ns += s.sum.load(std::memory_order_relaxed);
       const uint64_t m = s.max.load(std::memory_order_relaxed);
       if (m > out.max_ns) out.max_ns = m;
     }
     if (out.count == 0) return out;
-    out.mean_ns = static_cast<double>(sum) / static_cast<double>(out.count);
+    out.mean_ns =
+        static_cast<double>(out.sum_ns) / static_cast<double>(out.count);
     const std::vector<uint64_t> counts = MergedCounts();
     uint64_t total = 0;
     for (uint64_t c : counts) total += c;
@@ -326,9 +327,6 @@ class MetricsRegistry {
   /// false, sites skip clocks, histograms, and traces entirely; functional
   /// counters (admission, cache) are maintained regardless.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
 
   /// Get-or-create by name; the returned pointer is stable for the life of
   /// the registry. Takes the registry mutex — wiring/startup cost, not a

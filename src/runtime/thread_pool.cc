@@ -41,7 +41,6 @@ void ThreadPool::Submit(std::function<void()> task) {
       task();
       const uint64_t dt = obs::NowNs() - t0;
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      busy_ns_.fetch_add(dt, std::memory_order_relaxed);
       task_hist_.Record(dt);
     } else {
       task();
@@ -76,7 +75,6 @@ void ThreadPool::WorkerLoop() {
       task();
       const uint64_t dt = obs::NowNs() - t0;
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      busy_ns_.fetch_add(dt, std::memory_order_relaxed);
       task_hist_.Record(dt);
     } else {
       task();
@@ -113,9 +111,8 @@ struct LoopState {
 
   // Telemetry hooks, owned by the pool; both null when pool metrics are
   // disabled (the gate is checked once per ParallelForBlocked call, not per
-  // chunk). Busy time is NOT accrued here — helper drains are timed at the
-  // task level by WorkerLoop and the caller's drain by ParallelForBlocked,
-  // so chunk time is never double-counted.
+  // chunk). Worker busy time is the task time WorkerLoop records for each
+  // helper drain; a caller's own drain is not worker time.
   obs::LatencyHistogram* chunk_hist = nullptr;
   std::atomic<uint64_t>* chunks_executed = nullptr;
 
@@ -190,7 +187,6 @@ void ThreadPool::ParallelForBlocked(
       const uint64_t dt = obs::NowNs() - t0;
       chunk_hist_.Record(dt / num_chunks);
       chunks_executed_.fetch_add(num_chunks, std::memory_order_relaxed);
-      busy_ns_.fetch_add(dt, std::memory_order_relaxed);
     }
     return;
   }
@@ -214,15 +210,7 @@ void ThreadPool::ParallelForBlocked(
     Submit([state] { state->Drain(); });
   }
 
-  if (metrics) {
-    // The caller's drain is productive chunk time the task-level timing in
-    // WorkerLoop never sees (helpers are timed there); count it here.
-    const uint64_t t0 = obs::NowNs();
-    state->Drain();
-    busy_ns_.fetch_add(obs::NowNs() - t0, std::memory_order_relaxed);
-  } else {
-    state->Drain();
-  }
+  state->Drain();
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&] {
     return state->done.load(std::memory_order_acquire) == state->num_chunks;
@@ -247,7 +235,6 @@ ThreadPool::Stats ThreadPool::stats() const {
   s.tasks_executed = tasks_executed_.load(std::memory_order_relaxed);
   s.parallel_fors = parallel_fors_.load(std::memory_order_relaxed);
   s.chunks_executed = chunks_executed_.load(std::memory_order_relaxed);
-  s.busy_ns = busy_ns_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     s.queue_depth = queue_.size();
@@ -256,7 +243,7 @@ ThreadPool::Stats ThreadPool::stats() const {
   if (!threads_.empty()) {
     const uint64_t lifetime = obs::NowNs() - start_ns_;
     if (lifetime > 0) {
-      s.utilization = static_cast<double>(s.busy_ns) /
+      s.utilization = static_cast<double>(task_hist_.Summarize().sum_ns) /
                       (static_cast<double>(threads_.size()) *
                        static_cast<double>(lifetime));
     }

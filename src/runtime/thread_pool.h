@@ -110,19 +110,19 @@ class ThreadPool {
     uint64_t tasks_executed = 0;   // by workers; inline-pool tasks count too
     uint64_t parallel_fors = 0;    // ParallelForBlocked calls (any path)
     uint64_t chunks_executed = 0;  // chunks run, by workers and callers
-    uint64_t busy_ns = 0;          // summed wall time inside tasks/chunks
     size_t queue_depth = 0;        // now (under the queue lock)
     uint64_t peak_queue_depth = 0;
-    /// busy_ns / (num_threads × pool lifetime): the fraction of worker
-    /// capacity spent executing. 0 for the inline pool (no workers to
-    /// utilize); caller-drained chunk time is included in busy_ns, so values
-    /// slightly above the workers' true share are possible under heavy
-    /// caller participation.
+    /// The workers' summed task time (task_histogram()'s exact sum) over
+    /// num_threads × pool lifetime: the fraction of worker capacity spent
+    /// executing, in [0, 1]. Chunks a caller runs itself, serial loops
+    /// included, are not worker time and do not count. 0 for the inline
+    /// pool (no workers to utilize).
     double utilization = 0.0;
   };
   Stats stats() const;
 
-  /// Latency distribution of individual submitted tasks (worker-side).
+  /// Latency distribution of individual submitted tasks (worker-side; on
+  /// the inline pool, the caller's inline Submit runs).
   const obs::LatencyHistogram& task_histogram() const { return task_hist_; }
   /// Latency distribution of ParallelForBlocked chunks: one sample per
   /// chunk a worker or helping caller claims, and one per serial call (no
@@ -144,7 +144,6 @@ class ThreadPool {
   std::atomic<uint64_t> tasks_executed_{0};
   std::atomic<uint64_t> parallel_fors_{0};
   std::atomic<uint64_t> chunks_executed_{0};
-  std::atomic<uint64_t> busy_ns_{0};
   uint64_t peak_queue_depth_ = 0;  // under mu_, alongside the queue it tracks
   obs::LatencyHistogram task_hist_;
   obs::LatencyHistogram chunk_hist_;

@@ -9,6 +9,7 @@
 #include "src/accesscontrol/access_control.h"
 #include "src/attack/exclusion.h"
 #include "src/common/check.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace {
@@ -114,11 +115,11 @@ TEST(ExclusionTest, PosteriorOddsValidation) {
 // ------------------------------------------- access control (table level) --
 
 Table LocationTable() {
-  Table t(Schema({{"user", ValueType::kString}, {"ap", ValueType::kInt64}}));
-  OSDP_CHECK(t.AppendRow({Value("alice"), Value(5)}).ok());
-  OSDP_CHECK(t.AppendRow({Value("bob"), Value(0)}).ok());    // smoker's lounge
-  OSDP_CHECK(t.AppendRow({Value("carol"), Value(7)}).ok());
-  return t;
+  return TableFromRows(
+      Schema({{"user", ValueType::kString}, {"ap", ValueType::kInt64}}),
+      {{Value("alice"), Value(5)},
+       {Value("bob"), Value(0)},  // smoker's lounge
+       {Value("carol"), Value(7)}});
 }
 
 Policy LoungeSensitive() {
@@ -138,7 +139,7 @@ TEST(AccessControlTest, TrumanSilentlyHidesSensitiveRows) {
                     AccessControlModel::kTruman);
   ASSERT_EQ(resp.kind, AccessControlResponse::Kind::kAnswer);
   EXPECT_EQ(resp.rows.num_rows(), 1u);
-  EXPECT_EQ(resp.rows.GetValue(0, 1).AsInt64(), 5);
+  EXPECT_EQ(resp.rows.Int64Column(1)[0], 5);
 }
 
 TEST(AccessControlTest, NonTrumanRejectsLoudly) {

@@ -27,6 +27,7 @@
 #include "src/hist/histogram_query.h"
 #include "src/policy/policy.h"
 #include "tests/reference_predicate.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace {
@@ -91,16 +92,14 @@ Value RandomValueOf(ValueType type, Rng& rng) {
 }
 
 Table RandomTable(const Schema& schema, Rng& rng) {
-  Table t(schema);
-  const size_t rows = rng.NextBounded(151);  // includes the empty table
-  Row row(schema.num_fields());
-  for (size_t r = 0; r < rows; ++r) {
+  const size_t num_rows = rng.NextBounded(151);  // includes the empty table
+  std::vector<Row> rows(num_rows, Row(schema.num_fields()));
+  for (Row& row : rows) {
     for (size_t c = 0; c < schema.num_fields(); ++c) {
       row[c] = RandomValueOf(schema.field(c).type, rng);
     }
-    t.AppendRowUnchecked(row);
   }
-  return t;
+  return TableFromRows(schema, rows);
 }
 
 // Numeric columns may compare against int or double literals (they mix
@@ -173,7 +172,7 @@ TEST(CompiledPredicateProperty, BitIdenticalWithReferenceEval) {
       ASSERT_EQ(mask.Test(r), expected)
           << "trial " << trial << " row " << r << ": " << pred.ToString();
       // The materialized-Row evaluator must agree too.
-      ASSERT_EQ(ReferenceEval(pred, schema, table.GetRow(r)), expected);
+      ASSERT_EQ(ReferenceEval(pred, schema, RowAt(table, r)), expected);
     }
     ASSERT_EQ(mask.Count(), expected_count) << pred.ToString();
   }
@@ -213,13 +212,12 @@ TEST(CompiledPredicateProperty, MaskedHistogramMatchesReferenceLoop) {
         std::optional<Predicate>(RandomTree(schema, rng, 3))};
     // Categorical binning aborts on out-of-range codes; rebuild the value
     // column inside the domain.
-    Table bounded(schema);
-    Row row(2);
+    std::vector<Row> rows;
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      row[0] = Value(static_cast<int64_t>(rng.NextBounded(64)));
-      row[1] = table.GetValue(r, 1);
-      bounded.AppendRowUnchecked(row);
+      rows.push_back({Value(static_cast<int64_t>(rng.NextBounded(64))),
+                      CellAt(table, r, 1)});
     }
+    const Table bounded = TableFromRows(schema, rows);
 
     std::vector<bool> mask(bounded.num_rows());
     for (size_t r = 0; r < bounded.num_rows(); ++r) {
@@ -279,8 +277,7 @@ TEST(CompiledPredicateTest, SchemaMismatchIsRejectedAtEval) {
 
 TEST(CompiledPredicateTest, EmptyInListIsConstantFalse) {
   Schema schema({{"age", ValueType::kInt64}});
-  Table t(schema);
-  OSDP_CHECK(t.AppendRow({Value(5)}).ok());
+  const Table t = TableFromRows(schema, {{Value(5)}});
   auto compiled = *CompiledPredicate::Compile(Predicate::In("age", {}), schema);
   EXPECT_EQ(compiled.EvalMask(t).Count(), 0u);
 }
@@ -343,7 +340,7 @@ void ExpectMatchesReference(const Predicate& pred, const Table& table) {
       CompiledPredicate::Compile(pred, table.schema())->EvalMask(table);
   for (size_t r = 0; r < table.num_rows(); ++r) {
     ASSERT_EQ(mask.Test(r), ReferenceEval(pred, table, r))
-        << pred.ToString() << " row " << table.GetValue(r, 0).ToString();
+        << pred.ToString() << " row " << CellAt(table, r, 0).ToString();
   }
 }
 
@@ -352,8 +349,9 @@ TEST(CompiledPredicateTest, IntColumnLiteralEdgesMatchDoubleCompare) {
   // the double compare's answer for every literal, including where rounding
   // merges neighbours (at L = 2^53, row 2^53 + 1 equals L as a double).
   const Schema schema({{"v", ValueType::kInt64}});
-  Table table(schema);
-  for (int64_t v : EdgeRows()) table.AppendRowUnchecked({Value(v)});
+  std::vector<Row> rows;
+  for (int64_t v : EdgeRows()) rows.push_back({Value(v)});
+  const Table table = TableFromRows(schema, rows);
   const std::vector<Value> lits = EdgeLiterals();
   for (const Value& lit : lits) {
     for (PredicateOp op : kCmpOps) {
@@ -374,9 +372,10 @@ TEST(CompiledPredicateTest, IntColumnLiteralEdgesMatchDoubleCompare) {
 
 TEST(CompiledPredicateTest, DoubleColumnLiteralEdgesMatchDoubleCompare) {
   const Schema schema({{"d", ValueType::kDouble}});
-  Table table(schema);
   const std::vector<Value> lits = EdgeLiterals();
-  for (const Value& lit : lits) table.AppendRowUnchecked({lit.AsNumeric()});
+  std::vector<Row> rows;
+  for (const Value& lit : lits) rows.push_back({Value(lit.AsNumeric())});
+  const Table table = TableFromRows(schema, rows);
   for (const Value& lit : lits) {
     for (PredicateOp op : kCmpOps) {
       ExpectMatchesReference(Compare(op, "d", lit), table);

@@ -7,6 +7,7 @@
 #include "src/mech/partitioned.h"
 #include "src/traj/building_sim.h"
 #include "src/traj/constraints.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace {
@@ -105,18 +106,17 @@ TEST(ConstraintTest, RealBuildingGraphClosesQuickly) {
 // ------------------------------------------------------ partitioned -------
 
 Table WeeklyData(int n = 3000) {
-  Table t(Schema({{"week", ValueType::kInt64},
-                  {"age", ValueType::kInt64},
-                  {"opt_in", ValueType::kInt64}}));
   Rng rng(3);
+  std::vector<Row> rows;
   for (int i = 0; i < n; ++i) {
-    OSDP_CHECK(t.AppendRow({Value(static_cast<int64_t>(rng.NextBounded(4))),
-                            Value(static_cast<int64_t>(rng.NextBounded(100))),
-                            Value(static_cast<int64_t>(
-                                rng.NextBernoulli(0.8) ? 1 : 0))})
-                   .ok());
+    rows.push_back({Value(static_cast<int64_t>(rng.NextBounded(4))),
+                    Value(static_cast<int64_t>(rng.NextBounded(100))),
+                    Value(static_cast<int64_t>(rng.NextBernoulli(0.8) ? 1 : 0))});
   }
-  return t;
+  return TableFromRows(Schema({{"week", ValueType::kInt64},
+                               {"age", ValueType::kInt64},
+                               {"opt_in", ValueType::kInt64}}),
+                       rows);
 }
 
 TEST(PartitionedTest, ReleasesPerPartitionWithMaxComposition) {

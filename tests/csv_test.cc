@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/data/csv.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace {
@@ -39,15 +43,44 @@ TEST(CsvTest, QuotedFieldsWithCommasAndQuotes) {
 }
 
 TEST(CsvTest, RoundTripsThroughWrite) {
-  Table t(Schema({{"a", ValueType::kInt64},
-                  {"b", ValueType::kDouble},
-                  {"c", ValueType::kString}}));
-  OSDP_CHECK(t.AppendRow({Value(1), Value(2.5), Value("x,y")}).ok());
-  OSDP_CHECK(t.AppendRow({Value(-7), Value(0.0), Value("plain")}).ok());
+  const Table t = TableFromRows(Schema({{"a", ValueType::kInt64},
+                                        {"b", ValueType::kDouble},
+                                        {"c", ValueType::kString}}),
+                                {{Value(1), Value(2.5), Value("x,y")},
+                                 {Value(-7), Value(0.0), Value("plain")}});
   Table back = *ReadCsvTable(WriteCsvTable(t), t.schema());
   ASSERT_EQ(back.num_rows(), 2u);
   EXPECT_EQ(back.Int64Column(0)[1], -7);
   EXPECT_EQ(back.StringColumn(2)[0], "x,y");
+
+  // Doubles come back bit for bit. A default ostream keeps 6 significant
+  // digits: 1.23456789 would come back as 1.23457 and 0.1 + 0.2 as 0.3.
+  const std::vector<double> values = {1.23456789,
+                                      0.1 + 0.2,
+                                      -0.0,
+                                      1.0 / 3.0,
+                                      123456789012345678.0,
+                                      std::numeric_limits<double>::max(),
+                                      std::numeric_limits<double>::min(),
+                                      std::numeric_limits<double>::denorm_min(),
+                                      -1e-310,
+                                      -2.5e-300};
+  std::vector<Row> rows;
+  for (double v : values) rows.push_back({Value(v)});
+  const Table doubles =
+      TableFromRows(Schema({{"d", ValueType::kDouble}}), rows);
+  const Result<Table> read = ReadCsvTable(WriteCsvTable(doubles),
+                                         doubles.schema());
+  ASSERT_TRUE(read.ok()) << read.status();
+  const Table& doubles_back = *read;
+  ASSERT_EQ(doubles_back.num_rows(), values.size());
+  for (size_t r = 0; r < values.size(); ++r) {
+    uint64_t want = 0;
+    uint64_t got = 0;
+    std::memcpy(&want, &values[r], sizeof(want));
+    std::memcpy(&got, &doubles_back.DoubleColumn(0)[r], sizeof(got));
+    EXPECT_EQ(got, want) << "row " << r << " wrote " << values[r];
+  }
 }
 
 TEST(CsvTest, ExplicitSchemaValidatesHeader) {
@@ -56,6 +89,11 @@ TEST(CsvTest, ExplicitSchemaValidatesHeader) {
   EXPECT_FALSE(ReadCsvTable("b\n1\n", schema).ok());
   EXPECT_FALSE(ReadCsvTable("a,b\n1,2\n", schema).ok());
   EXPECT_FALSE(ReadCsvTable("a\nnot_an_int\n", schema).ok());
+  // A double column takes an underflowing literal as its nearest double and
+  // rejects one that overflows.
+  const Schema doubles({{"d", ValueType::kDouble}});
+  EXPECT_TRUE(ReadCsvTable("d\n1e-320\n", doubles).ok());
+  EXPECT_FALSE(ReadCsvTable("d\n1e999\n", doubles).ok());
 }
 
 TEST(CsvTest, MalformedInputsRejected) {

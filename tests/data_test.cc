@@ -1,7 +1,7 @@
 // Tests for src/data: Value, Schema, Table, Predicate — including the
-// randomized property suite pinning SelectRows(RowMask) ≡ SelectRows(indices)
-// and the FromColumns / AppendRows round trip across ragged and
-// word-boundary row counts.
+// randomized property suite pinning SelectRows(RowMask) to a cell-by-cell
+// gather of the mask's indices, and the FromColumns / AppendRows round trip
+// across ragged and word-boundary row counts.
 
 #include <cstdint>
 #include <string>
@@ -18,6 +18,7 @@
 #include "src/data/table.h"
 #include "src/data/value.h"
 #include "tests/reference_predicate.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace {
@@ -30,16 +31,12 @@ Schema TestSchema() {
 }
 
 Table TestTable() {
-  Table t(TestSchema());
-  OSDP_CHECK(t.AppendRow({Value(15), Value(0.0), Value("White"), Value(1)}).ok());
-  OSDP_CHECK(
-      t.AppendRow({Value(34), Value(52000.0), Value("Asian"), Value(1)}).ok());
-  OSDP_CHECK(t.AppendRow({Value(52), Value(78000.0), Value("NativeAmerican"),
-                          Value(0)})
-                 .ok());
-  OSDP_CHECK(
-      t.AppendRow({Value(28), Value(41000.0), Value("Black"), Value(0)}).ok());
-  return t;
+  return TableFromRows(
+      TestSchema(),
+      {{Value(15), Value(0.0), Value("White"), Value(1)},
+       {Value(34), Value(52000.0), Value("Asian"), Value(1)},
+       {Value(52), Value(78000.0), Value("NativeAmerican"), Value(0)},
+       {Value(28), Value(41000.0), Value("Black"), Value(0)}});
 }
 
 // ----------------------------------------------------------------- Value ---
@@ -81,24 +78,35 @@ TEST(SchemaTest, ToStringListsFields) {
 
 // ----------------------------------------------------------------- Table ---
 
-TEST(TableTest, AppendAndRead) {
+TEST(TableTest, BuildAndRead) {
   Table t = TestTable();
   EXPECT_EQ(t.num_rows(), 4u);
   EXPECT_EQ(t.num_columns(), 4u);
-  EXPECT_EQ(t.GetValue(2, 2).AsString(), "NativeAmerican");
-  EXPECT_EQ(t.GetValue(0, 0).AsInt64(), 15);
+  EXPECT_EQ(t.StringColumn(2)[2], "NativeAmerican");
+  EXPECT_EQ(t.Int64Column(0)[0], 15);
 }
 
-TEST(TableTest, AppendRowValidatesArity) {
-  Table t(TestSchema());
-  EXPECT_EQ(t.AppendRow({Value(1)}).code(), StatusCode::kInvalidArgument);
+TEST(TableTest, FromColumnsValidatesArity) {
+  std::vector<Table::ColumnData> columns;
+  columns.emplace_back(std::vector<int64_t>{1});
+  EXPECT_EQ(Table::FromColumns(TestSchema(), std::move(columns))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
-TEST(TableTest, AppendRowValidatesTypes) {
-  Table t(TestSchema());
-  Status s = t.AppendRow({Value("nope"), Value(0.0), Value("x"), Value(1)});
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(t.num_rows(), 0u);
+TEST(TableTest, FromColumnsValidatesTypesAndLengths) {
+  const Schema schema({{"a", ValueType::kInt64}, {"b", ValueType::kDouble}});
+  std::vector<Table::ColumnData> wrong_type;
+  wrong_type.emplace_back(std::vector<std::string>{"nope"});
+  wrong_type.emplace_back(std::vector<double>{0.0});
+  EXPECT_EQ(Table::FromColumns(schema, std::move(wrong_type)).status().code(),
+            StatusCode::kInvalidArgument);
+  std::vector<Table::ColumnData> ragged;
+  ragged.emplace_back(std::vector<int64_t>{1, 2});
+  ragged.emplace_back(std::vector<double>{0.0});
+  EXPECT_EQ(Table::FromColumns(schema, std::move(ragged)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TableTest, TypedColumnViews) {
@@ -117,31 +125,16 @@ TEST(TableTest, ColumnByNameChecksType) {
   EXPECT_FALSE(t.Int64ColumnByName("missing").ok());
 }
 
-TEST(TableTest, SelectRowsPreservesOrder) {
-  Table t = TestTable();
-  Table sel = t.SelectRows(std::vector<size_t>{3, 0});
-  EXPECT_EQ(sel.num_rows(), 2u);
-  EXPECT_EQ(sel.GetValue(0, 0).AsInt64(), 28);
-  EXPECT_EQ(sel.GetValue(1, 0).AsInt64(), 15);
-}
-
-TEST(TableTest, SelectRowsFromMaskMatchesIndexGather) {
+TEST(TableTest, SelectRowsFromMaskGathersInOrder) {
   Table t = TestTable();
   RowMask mask(t.num_rows());
   mask.Set(0);
   mask.Set(3);
   Table sel = t.SelectRows(mask);
   EXPECT_EQ(sel.num_rows(), 2u);
-  EXPECT_EQ(sel.GetValue(0, 0).AsInt64(), 15);
-  EXPECT_EQ(sel.GetValue(1, 0).AsInt64(), 28);
-
-  // Bit-identical to gathering the mask's indices through the vector form.
-  Table via_indices = t.SelectRows(mask.ToIndices());
-  for (size_t r = 0; r < sel.num_rows(); ++r) {
-    for (size_t c = 0; c < sel.num_columns(); ++c) {
-      EXPECT_EQ(sel.GetValue(r, c).ToString(), via_indices.GetValue(r, c).ToString());
-    }
-  }
+  EXPECT_EQ(sel.Int64Column(0)[0], 15);
+  EXPECT_EQ(sel.Int64Column(0)[1], 28);
+  EXPECT_EQ(RowAt(sel, 1), RowAt(t, 3));
 }
 
 // Mixed-type table of `rows` rows with deterministic, seed-dependent cells.
@@ -173,17 +166,31 @@ void ExpectTablesEqual(const Table& a, const Table& b) {
   ASSERT_EQ(a.num_columns(), b.num_columns());
   for (size_t r = 0; r < a.num_rows(); ++r) {
     for (size_t c = 0; c < a.num_columns(); ++c) {
-      ASSERT_EQ(a.GetValue(r, c), b.GetValue(r, c))
+      ASSERT_EQ(CellAt(a, r, c), CellAt(b, r, c))
           << "cell (" << r << ", " << c << ")";
     }
   }
+}
+
+// The rows of `t` at `indices`, in order, gathered one cell at a time.
+Table GatherRows(const Table& t, const std::vector<size_t>& indices) {
+  std::vector<Row> rows;
+  for (size_t r : indices) rows.push_back(RowAt(t, r));
+  return TableFromRows(t.schema(), rows);
+}
+
+// The mask of rows [begin, end) of a `rows`-row table.
+RowMask RangeMask(size_t rows, size_t begin, size_t end) {
+  RowMask mask(rows);
+  for (size_t i = begin; i < end; ++i) mask.Set(i);
+  return mask;
 }
 
 // Row counts straddling every word-boundary case the packed mask cares
 // about: empty, sub-word, exactly one word, word ± 1, and multi-word ragged.
 const size_t kRaggedSizes[] = {0, 1, 63, 64, 65, 127, 128, 129, 1000, 1025};
 
-TEST(TablePropertyTest, SelectRowsMaskMatchesIndexOverloadAcrossSizes) {
+TEST(TablePropertyTest, SelectRowsMaskMatchesIndexGatherAcrossSizes) {
   Rng rng(0x57A7);
   for (size_t rows : kRaggedSizes) {
     const Table t = DeterministicTable(rows, /*seed=*/rows + 1);
@@ -197,7 +204,7 @@ TEST(TablePropertyTest, SelectRowsMaskMatchesIndexOverloadAcrossSizes) {
         }
       }
       const Table via_mask = t.SelectRows(mask);
-      const Table via_indices = t.SelectRows(mask.ToIndices());
+      const Table via_indices = GatherRows(t, mask.ToIndices());
       ASSERT_EQ(via_mask.num_rows(), mask.Count());
       ExpectTablesEqual(via_mask, via_indices);
     }
@@ -233,11 +240,8 @@ TEST(TablePropertyTest, AppendRowsMatchesSingleShotConstruction) {
   for (size_t rows : kRaggedSizes) {
     const Table whole = DeterministicTable(rows, /*seed=*/rows + 3);
     for (const size_t cut : {size_t{0}, rows / 3, rows}) {
-      std::vector<size_t> head_idx, tail_idx;
-      for (size_t i = 0; i < cut; ++i) head_idx.push_back(i);
-      for (size_t i = cut; i < rows; ++i) tail_idx.push_back(i);
-      Table head = whole.SelectRows(head_idx);
-      const Table tail = whole.SelectRows(tail_idx);
+      Table head = whole.SelectRows(RangeMask(rows, 0, cut));
+      const Table tail = whole.SelectRows(RangeMask(rows, cut, rows));
       ASSERT_TRUE(head.AppendRows(tail).ok());
       ExpectTablesEqual(head, whole);
     }
@@ -250,24 +254,17 @@ TEST(TableTest, AppendRowsToItselfDoublesTheTable) {
   ASSERT_EQ(t.num_rows(), 8u);
   for (size_t r = 0; r < 4; ++r) {
     for (size_t c = 0; c < t.num_columns(); ++c) {
-      EXPECT_EQ(t.GetValue(r, c), t.GetValue(4 + r, c));
+      EXPECT_EQ(CellAt(t, r, c), CellAt(t, 4 + r, c));
     }
   }
 }
 
 TEST(TableTest, AppendRowsRejectsSchemaMismatch) {
   Table t = TestTable();
-  Table other(Schema({{"age", ValueType::kInt64}}));
-  OSDP_CHECK(other.AppendRow({Value(1)}).ok());
+  const Table other =
+      TableFromRows(Schema({{"age", ValueType::kInt64}}), {{Value(1)}});
   EXPECT_EQ(t.AppendRows(other).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(t.num_rows(), 4u);
-}
-
-TEST(TableTest, GetRowRoundTrips) {
-  Table t = TestTable();
-  Row row = t.GetRow(1);
-  EXPECT_EQ(row[0].AsInt64(), 34);
-  EXPECT_EQ(row[2].AsString(), "Asian");
 }
 
 // ------------------------------------------------------------- Predicate ---

@@ -14,20 +14,21 @@
 #include "src/hist/histogram_query.h"
 #include "src/mech/histogram_mechanism.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace {
 
 Table MakeData(int n = 4000, uint64_t seed = 5) {
-  Table t(Schema({{"age", ValueType::kInt64}, {"opt_in", ValueType::kInt64}}));
   Rng rng(seed);
+  std::vector<Row> rows;
   for (int i = 0; i < n; ++i) {
-    OSDP_CHECK(t.AppendRow({Value(static_cast<int64_t>(rng.NextBounded(100))),
-                            Value(static_cast<int64_t>(
-                                rng.NextBernoulli(0.8) ? 1 : 0))})
-                   .ok());
+    rows.push_back({Value(static_cast<int64_t>(rng.NextBounded(100))),
+                    Value(static_cast<int64_t>(rng.NextBernoulli(0.8) ? 1 : 0))});
   }
-  return t;
+  return TableFromRows(
+      Schema({{"age", ValueType::kInt64}, {"opt_in", ValueType::kInt64}}),
+      rows);
 }
 
 Policy OptOutSensitive() {

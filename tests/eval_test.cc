@@ -159,11 +159,6 @@ TEST(RegretTest, AccumulatorAverages) {
   EXPECT_EQ(acc.inputs(), 2u);
 }
 
-TEST(RegretTest, MetricNames) {
-  EXPECT_STREQ(ErrorMetricToString(ErrorMetric::kMRE), "MRE");
-  EXPECT_STREQ(ErrorMetricToString(ErrorMetric::kRel95), "Rel95");
-}
-
 // ------------------------------------------------------------ TextTable ----
 
 TEST(TextTableTest, RendersAlignedColumns) {

@@ -20,6 +20,7 @@
 #include "src/traj/building_sim.h"
 #include "src/traj/features.h"
 #include "src/traj/ngram.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace {
@@ -195,13 +196,16 @@ TEST(IntegrationTest, BudgetedDawazPipelineComposes) {
 
 TEST(IntegrationTest, TableToHistogramOsdpRelease) {
   // A GDPR-style opt-in table released through OsdpLaplaceL1.
-  Table t(Schema({{"age", ValueType::kInt64}, {"opt_in", ValueType::kInt64}}));
   Rng data_rng(5);
+  std::vector<Row> rows;
   for (int i = 0; i < 5000; ++i) {
     const auto age = static_cast<int64_t>(data_rng.NextBounded(100));
     const auto opt = static_cast<int64_t>(data_rng.NextBernoulli(0.8) ? 1 : 0);
-    OSDP_CHECK(t.AppendRow({Value(age), Value(opt)}).ok());
+    rows.push_back({Value(age), Value(opt)});
   }
+  const Table t = TableFromRows(
+      Schema({{"age", ValueType::kInt64}, {"opt_in", ValueType::kInt64}}),
+      rows);
   Policy policy =
       Policy::SensitiveWhen(Predicate::Eq("opt_in", Value(0)), "opt_out");
   HistogramQuery q{"age", *Domain1D::Numeric(0, 100, 20), std::nullopt};

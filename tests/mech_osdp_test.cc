@@ -18,20 +18,23 @@
 #include "src/mech/suppress.h"
 #include "src/policy/policy.h"
 #include "tests/densities.h"
+#include "tests/moments.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace {
 
 Table PeopleTable(int n_sensitive, int n_non_sensitive) {
-  Table t(Schema({{"age", ValueType::kInt64}, {"id", ValueType::kInt64}}));
+  std::vector<Row> rows;
   int64_t id = 0;
   for (int i = 0; i < n_sensitive; ++i) {
-    OSDP_CHECK(t.AppendRow({Value(10), Value(id++)}).ok());  // minors: sensitive
+    rows.push_back({Value(10), Value(id++)});  // minors: sensitive
   }
   for (int i = 0; i < n_non_sensitive; ++i) {
-    OSDP_CHECK(t.AppendRow({Value(30), Value(id++)}).ok());
+    rows.push_back({Value(30), Value(id++)});
   }
-  return t;
+  return TableFromRows(
+      Schema({{"age", ValueType::kInt64}, {"id", ValueType::kInt64}}), rows);
 }
 
 Policy MinorsSensitive() {
@@ -144,8 +147,9 @@ TEST(OsdpRRTest, GenericGoldenSample) {
 }
 
 TEST(OsdpRRTest, ReleaseViewGoldenSample) {
-  Table t(Schema({{"id", ValueType::kInt64}}));
-  for (int64_t i = 0; i < 130; ++i) OSDP_CHECK(t.AppendRow({Value(i)}).ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 130; ++i) rows.push_back({Value(i)});
+  const Table t = TableFromRows(Schema({{"id", ValueType::kInt64}}), rows);
   RowMask eligible(130);
   for (size_t r = 0; r < 130; ++r) {
     if (r % 3 != 0) eligible.Set(r);
@@ -213,7 +217,7 @@ TEST(OsdpLaplaceTest, MeanOffsetIsMinusScale) {
   Histogram xns({100});
   Rng rng(8);
   const double eps = 0.5;
-  RunningStats stats;
+  Moments stats;
   for (int i = 0; i < 100000; ++i) {
     stats.Add((*OsdpLaplace(xns, eps, rng))[0]);
   }
@@ -225,7 +229,7 @@ TEST(OsdpLaplaceTest, VarianceIsOneEighthOfLaplaceMechanism) {
   // scale, and the OSDP sensitivity is 1 vs 2 — overall 1/8 the variance.
   Rng rng(9);
   const double eps = 1.0;
-  RunningStats one_sided, two_sided;
+  Moments one_sided, two_sided;
   for (int i = 0; i < 300000; ++i) {
     one_sided.Add(SampleOneSidedLaplace(rng, 1.0 / eps));
     two_sided.Add(SampleLaplace(rng, 2.0 / eps));
@@ -286,7 +290,7 @@ TEST(OsdpLaplaceL1Test, MedianDebiasCentersLargeCounts) {
   const double eps = 1.0;
   std::vector<double> outs;
   for (int i = 0; i < 20001; ++i) outs.push_back((*OsdpLaplaceL1(xns, eps, rng))[0]);
-  EXPECT_NEAR(Median(std::move(outs)), 1000.0, 0.05);
+  EXPECT_NEAR(Percentile(std::move(outs), 50.0), 1000.0, 0.05);
 }
 
 TEST(OsdpLaplaceL1Test, BeatsRawOsdpLaplaceOnL1) {
@@ -328,7 +332,7 @@ TEST(OsdpLaplaceL1HybridTest, SensitiveBinsUseFullCount) {
   Histogram xns({0, 1000});
   std::vector<bool> sens = {true, false};
   Rng rng(16);
-  RunningStats s0;
+  Moments s0;
   for (int i = 0; i < 4000; ++i) {
     s0.Add((*OsdpLaplaceL1Hybrid(x, xns, sens, 1.0, rng))[0]);
   }
@@ -344,7 +348,7 @@ TEST(OsdpLaplaceL1HybridTest, NonSensitiveBinsUseOneSidedPath) {
   for (int i = 0; i < 20001; ++i) {
     outs.push_back((*OsdpLaplaceL1Hybrid(x, xns, sens, 1.0, rng))[1]);
   }
-  EXPECT_NEAR(Median(std::move(outs)), 1000.0, 0.1);
+  EXPECT_NEAR(Percentile(std::move(outs), 50.0), 1000.0, 0.1);
 }
 
 // -------------------------------------------------------------- Suppress ---
@@ -363,7 +367,7 @@ TEST(SuppressTest, NoiseScaleIsTwoOverTau) {
   Rng rng(19);
   SuppressOptions opts;
   opts.tau = 10.0;
-  RunningStats stats;
+  Moments stats;
   for (int i = 0; i < 200000; ++i) stats.Add((*Suppress(xns, opts, rng))[0]);
   // Var[Lap(2/τ)] = 2(2/τ)² = 0.08 at τ=10.
   EXPECT_NEAR(stats.mean(), 0.0, 0.01);
@@ -390,7 +394,7 @@ TEST(LaplaceMechanismTest, UnbiasedWithCorrectVariance) {
   Histogram x({50});
   Rng rng(21);
   const double eps = 1.0;
-  RunningStats stats;
+  Moments stats;
   for (int i = 0; i < 200000; ++i) {
     stats.Add((*LaplaceMechanism(x, eps, rng))[0]);
   }

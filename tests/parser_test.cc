@@ -7,22 +7,20 @@
 #include "src/common/check.h"
 #include "src/policy/parser.h"
 #include "tests/reference_predicate.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace {
 
 Table TestTable() {
-  Table t(Schema({{"age", ValueType::kInt64},
-                  {"salary", ValueType::kDouble},
-                  {"race", ValueType::kString},
-                  {"opt_in", ValueType::kInt64}}));
-  OSDP_CHECK(t.AppendRow({Value(15), Value(0.0), Value("White"), Value(1)}).ok());
-  OSDP_CHECK(
-      t.AppendRow({Value(40), Value(120000.0), Value("Asian"), Value(1)}).ok());
-  OSDP_CHECK(t.AppendRow({Value(52), Value(80000.0), Value("NativeAmerican"),
-                          Value(0)})
-                 .ok());
-  return t;
+  return TableFromRows(
+      Schema({{"age", ValueType::kInt64},
+              {"salary", ValueType::kDouble},
+              {"race", ValueType::kString},
+              {"opt_in", ValueType::kInt64}}),
+      {{Value(15), Value(0.0), Value("White"), Value(1)},
+       {Value(40), Value(120000.0), Value("Asian"), Value(1)},
+       {Value(52), Value(80000.0), Value("NativeAmerican"), Value(0)}});
 }
 
 TEST(ParserTest, SimpleComparisons) {

@@ -17,17 +17,18 @@
 #include "src/accounting/concurrent.h"
 #include "src/policy/generic_policy.h"
 #include "src/policy/policy.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace {
 
 Table PeopleTable() {
-  Table t(Schema({{"age", ValueType::kInt64}, {"opt_in", ValueType::kInt64}}));
-  OSDP_CHECK(t.AppendRow({Value(15), Value(1)}).ok());  // minor, opted in
-  OSDP_CHECK(t.AppendRow({Value(40), Value(1)}).ok());  // adult, opted in
-  OSDP_CHECK(t.AppendRow({Value(70), Value(0)}).ok());  // adult, opted out
-  OSDP_CHECK(t.AppendRow({Value(10), Value(0)}).ok());  // minor, opted out
-  return t;
+  return TableFromRows(
+      Schema({{"age", ValueType::kInt64}, {"opt_in", ValueType::kInt64}}),
+      {{Value(15), Value(1)},    // minor, opted in
+       {Value(40), Value(1)},    // adult, opted in
+       {Value(70), Value(0)},    // adult, opted out
+       {Value(10), Value(0)}});  // minor, opted out
 }
 
 Policy MinorsSensitive() {

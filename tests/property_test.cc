@@ -18,6 +18,7 @@
 #include "src/mech/osdp_rr.h"
 #include "src/policy/policy.h"
 #include "tests/densities.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace {
@@ -242,12 +243,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PolicyAlgebraSweep,
 
 TEST_P(PolicyAlgebraSweep, MinimumRelaxationLaws) {
   Rng rng(GetParam());
-  Table t(Schema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}}));
+  std::vector<Row> rows;
   for (int i = 0; i < 200; ++i) {
-    OSDP_CHECK(t.AppendRow({Value(static_cast<int64_t>(rng.NextBounded(10))),
-                            Value(static_cast<int64_t>(rng.NextBounded(10)))})
-                   .ok());
+    rows.push_back({Value(static_cast<int64_t>(rng.NextBounded(10))),
+                    Value(static_cast<int64_t>(rng.NextBounded(10)))});
   }
+  const Table t = TableFromRows(
+      Schema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}}), rows);
   Policy p1 = Policy::SensitiveWhen(
       Predicate::Lt("a", Value(static_cast<int64_t>(rng.NextBounded(9) + 1))));
   Policy p2 = Policy::SensitiveWhen(

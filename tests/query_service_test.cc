@@ -30,6 +30,7 @@
 #include "src/runtime/thread_pool.h"
 #include "tests/serial_replay.h"
 #include "tests/service_soak.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace {
@@ -650,8 +651,8 @@ TEST(QueryServiceStreamingTest, IngestPublishesGenerationsAndIsolatesQueries) {
   EXPECT_EQ(entries[1].generation, 1u);
 
   // A wrong-schema batch changes nothing.
-  Table wrong(Schema({{"other", ValueType::kInt64}}));
-  ASSERT_TRUE(wrong.AppendRow({Value(1)}).ok());
+  const Table wrong =
+      TableFromRows(Schema({{"other", ValueType::kInt64}}), {{Value(1)}});
   const auto bad = service->Ingest(wrong);
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(service->current_generation(), 1u);

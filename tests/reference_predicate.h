@@ -19,6 +19,7 @@
 #include "src/data/schema.h"
 #include "src/data/table.h"
 #include "src/data/value.h"
+#include "tests/table_rows.h"
 
 namespace osdp {
 namespace reference_internal {
@@ -86,7 +87,7 @@ inline bool ReferenceEval(const Predicate& pred, const Table& table,
                           size_t row) {
   return reference_internal::EvalNode(
       *pred.root(), table.schema(),
-      [&](size_t col) { return table.GetValue(row, col); });
+      [&](size_t col) { return CellAt(table, row, col); });
 }
 
 /// `pred` evaluated on a materialized record with the given schema.

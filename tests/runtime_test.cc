@@ -164,6 +164,60 @@ TEST(ThreadPoolTest, NestedParallelForInnerExceptionStaysInner) {
   EXPECT_EQ(inner_failures.load(), 4);
 }
 
+// Busy-waits for `micros` microseconds: chunk work that holds its thread.
+void Spin(int micros) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(micros);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(ThreadPoolTest, UtilizationCountsNoCallerRunLoops) {
+  // Loops a caller runs serially (one chunk each) keep the worker idle, so
+  // the worker-capacity gauge reads exactly 0.
+  ThreadPool pool(1);
+  pool.set_metrics_enabled(true);
+  for (int i = 0; i < 20; ++i) {
+    pool.ParallelForBlocked(0, 1, 1, [](size_t, size_t) { Spin(500); });
+  }
+  const ThreadPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.parallel_fors, 20u);
+  EXPECT_EQ(stats.chunks_executed, 20u);
+  EXPECT_EQ(stats.tasks_submitted, 0u);
+  EXPECT_EQ(stats.utilization, 0.0);
+}
+
+TEST(ThreadPoolTest, UtilizationStaysWithinWorkerCapacity) {
+  // Four callers drain their own chunks beside one worker: the callers'
+  // time is up to four times the pool's lifetime, the worker's at most one.
+  ThreadPool pool(1);
+  pool.set_metrics_enabled(true);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&pool] {
+      for (int i = 0; i < 10; ++i) {
+        pool.ParallelForBlocked(0, 8, 1, [](size_t, size_t) { Spin(200); });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  // Every loop submitted one helper task; a helper can still be queued when
+  // its caller has drained every chunk itself, so wait for the worker to
+  // run them all before reading its time.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  ThreadPool::Stats stats = pool.stats();
+  while (stats.tasks_executed < stats.tasks_submitted &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = pool.stats();
+  }
+  EXPECT_EQ(stats.tasks_submitted, 40u);
+  EXPECT_EQ(stats.tasks_executed, stats.tasks_submitted);
+  EXPECT_GT(stats.utilization, 0.0);
+  EXPECT_LE(stats.utilization, 1.0);
+}
+
 TEST(ParseNumThreadsTest, RejectsUnparsableValuesInsteadOfSilentZero) {
   constexpr size_t kFallback = 11;
   // The regression this pins: atoll("garbage") is 0, which silently turned a

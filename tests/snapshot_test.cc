@@ -23,6 +23,7 @@
 #include "src/data/table_builder.h"
 #include "src/policy/policy.h"
 #include "tests/serial_replay.h"
+#include "tests/table_rows.h"
 
 // Global allocation counters for the flat-publish property. Counting only
 // (the semantics stay malloc/free); sized and array forms forward so every
@@ -94,7 +95,7 @@ TEST(TableBuilderTest, EachGenerationIsAnImmutablePrefixOfTheNext) {
     std::vector<Value> cells;
     for (size_t r = 0; r < n; ++r) {
       for (size_t c = 0; c < columns; ++c) {
-        cells.push_back(prev->table.GetValue(r, c));
+        cells.push_back(CellAt(prev->table, r, c));
       }
     }
     const RowMask prev_bits = prev->non_sensitive;
@@ -103,9 +104,9 @@ TEST(TableBuilderTest, EachGenerationIsAnImmutablePrefixOfTheNext) {
     ASSERT_EQ(next->table.num_rows(), n + batch_rows);
     for (size_t r = 0; r < n; ++r) {
       for (size_t c = 0; c < columns; ++c) {
-        ASSERT_EQ(prev->table.GetValue(r, c), cells[r * columns + c])
+        ASSERT_EQ(CellAt(prev->table, r, c), cells[r * columns + c])
             << "row " << r << " column " << c;
-        ASSERT_EQ(next->table.GetValue(r, c), cells[r * columns + c])
+        ASSERT_EQ(CellAt(next->table, r, c), cells[r * columns + c])
             << "row " << r << " column " << c;
       }
       ASSERT_EQ(next->non_sensitive.Test(r), prev->non_sensitive.Test(r))
@@ -194,7 +195,7 @@ TEST(TableBuilderTest, GenerationsShareTheSpineAndEverySealedMaskBlock) {
     const Table& t = p.snap->table;
     for (size_t r = 0; r < t.num_rows(); ++r) {
       for (size_t c = 0; c < t.num_columns(); ++c) {
-        p.cells.push_back(t.GetValue(r, c));
+        p.cells.push_back(CellAt(t, r, c));
       }
     }
     p.bits = p.snap->non_sensitive.ToBools();
@@ -229,7 +230,7 @@ TEST(TableBuilderTest, GenerationsShareTheSpineAndEverySealedMaskBlock) {
     size_t i = 0;
     for (size_t r = 0; r < t.num_rows(); ++r) {
       for (size_t c = 0; c < t.num_columns(); ++c) {
-        ASSERT_EQ(t.GetValue(r, c), p.cells[i++])
+        ASSERT_EQ(CellAt(t, r, c), p.cells[i++])
             << "generation " << p.snap->generation << " row " << r;
       }
     }
@@ -288,7 +289,7 @@ TEST(TableBuilderTest, AppendedRowsRoundTripExactly) {
   ASSERT_EQ(snap->table.num_rows(), 15u);
   for (size_t r = 0; r < 5; ++r) {
     for (size_t c = 0; c < batch.num_columns(); ++c) {
-      EXPECT_EQ(snap->table.GetValue(10 + r, c), batch.GetValue(r, c));
+      EXPECT_EQ(CellAt(snap->table, 10 + r, c), CellAt(batch, r, c));
     }
   }
 }
@@ -321,8 +322,8 @@ TEST(TableBuilderTest, EmptyBatchIsANoOp) {
 TEST(TableBuilderTest, SchemaMismatchRejectedWithoutMutation) {
   TableBuilder builder = *TableBuilder::Create(CensusRows(8, 0xA7),
                                                CensusPolicy());
-  Table wrong(Schema({{"other", ValueType::kInt64}}));
-  ASSERT_TRUE(wrong.AppendRow({Value(1)}).ok());
+  const Table wrong =
+      TableFromRows(Schema({{"other", ValueType::kInt64}}), {{Value(1)}});
   const Status status = builder.Append(wrong);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(builder.num_rows(), 8u);
