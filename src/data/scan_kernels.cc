@@ -5,11 +5,12 @@
 
 #include "src/common/check.h"
 
-// x86-64 builds compile avx512- and avx2-enabled copies of the loop and
-// choose one at run time; everywhere else the portable body is the only body.
+// x86-64 builds compile avx512 and avx2 bodies and choose one at run time;
+// everywhere else the portable body is the only body.
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define OSDP_SIMD_DISPATCH 1
+#include <immintrin.h>
 #else
 #define OSDP_SIMD_DISPATCH 0
 #endif
@@ -107,6 +108,24 @@ __attribute__((always_inline)) inline uint64_t PackBytes(const uint8_t* acc) {
   return w;
 }
 
+// Rows [64 * (n / 64), n), the partial last word, if n leaves one.
+__attribute__((always_inline)) inline void TailWord(const ScanLeg* legs,
+                                                    const void* const* cells,
+                                                    size_t num_legs, size_t n,
+                                                    uint64_t* words) {
+  const size_t tail = n & 63;
+  if (tail == 0) return;
+  alignas(64) uint8_t acc[64];
+  std::memset(acc, 0, sizeof(acc));  // rows past n pack as zero bits
+  const size_t full_words = n >> 6;
+  for (size_t k = 0; k < num_legs; ++k) {
+    LegBytes(legs[k], cells[k], full_words << 6, tail, k == 0, acc);
+  }
+  words[full_words] = PackBytes(acc);
+}
+
+// The portable body: per word, every leg into the byte buffer, then one
+// pack.
 __attribute__((always_inline)) inline void FusedAndLoop(
     const ScanLeg* legs, const void* const* cells, size_t num_legs, size_t n,
     uint64_t* words) {
@@ -119,13 +138,7 @@ __attribute__((always_inline)) inline void FusedAndLoop(
     }
     words[wi] = PackBytes(acc);
   }
-  if (const size_t tail = n & 63; tail != 0) {
-    std::memset(acc, 0, sizeof(acc));  // rows past n pack as zero bits
-    for (size_t k = 0; k < num_legs; ++k) {
-      LegBytes(legs[k], cells[k], full_words << 6, tail, k == 0, acc);
-    }
-    words[full_words] = PackBytes(acc);
-  }
+  TailWord(legs, cells, num_legs, n, words);
 }
 
 // The sealing loops: a full int64 chunk's minimum and maximum, then each
@@ -269,25 +282,324 @@ bool Avx2Available() {
   return available;
 }
 
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void FusedAndMaskAvx512(
-    const ScanLeg* legs, const void* const* cells, size_t num_legs, size_t n,
-    uint64_t* words) {
-  FusedAndLoop(legs, cells, num_legs, n, words);
+// The SIMD bodies (scan_kernels.h says what each emits): full words leg by
+// leg, straight from the compare masks; the partial last word through
+// TailWord, so no vector load reaches past row n.
+
+#define OSDP_AVX512 __attribute__((target("avx512f,avx512bw,avx512vl")))
+#define OSDP_AVX2 __attribute__((target("avx2")))
+#define OSDP_INLINE __attribute__((always_inline)) inline
+
+namespace {
+
+// Words per block: one chunk's, so a block's words stay in L1 while every
+// leg ANDs into them.
+constexpr size_t kBlockWords = kChunkRows / 64;
+
+// *word = w for the first leg, *word &= w after it.
+OSDP_INLINE void Put(uint64_t* word, uint64_t w, bool first) {
+  *word = first ? w : (*word & w);
 }
 
-__attribute__((target("avx2"))) void FusedAndMaskAvx2(
-    const ScanLeg* legs, const void* const* cells, size_t num_legs, size_t n,
-    uint64_t* words) {
-  FusedAndLoop(legs, cells, num_legs, n, words);
+// --- AVX-512: a compare writes a k mask, one bit per lane.
+
+template <typename U>
+OSDP_AVX512 OSDP_INLINE __m512i Avx512Splat(uint64_t x) {
+  if constexpr (sizeof(U) == 1) return _mm512_set1_epi8(static_cast<char>(x));
+  if constexpr (sizeof(U) == 2) {
+    return _mm512_set1_epi16(static_cast<int16_t>(x));
+  }
+  if constexpr (sizeof(U) == 4) {
+    return _mm512_set1_epi32(static_cast<int32_t>(x));
+  }
+  return _mm512_set1_epi64(static_cast<int64_t>(x));
 }
 
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void
-EncodeForChunkAvx512(const int64_t* cells, ForChunk* out) {
+// Bits [0, 64 / sizeof(U)) of a word: (U)(x[i] - lo) <= span per lane.
+template <typename U>
+OSDP_AVX512 OSDP_INLINE uint64_t Avx512InArc(__m512i x, __m512i lo,
+                                             __m512i span) {
+  if constexpr (sizeof(U) == 1) {
+    return _mm512_cmple_epu8_mask(_mm512_sub_epi8(x, lo), span);
+  }
+  if constexpr (sizeof(U) == 2) {
+    return _mm512_cmple_epu16_mask(_mm512_sub_epi16(x, lo), span);
+  }
+  if constexpr (sizeof(U) == 4) {
+    return _mm512_cmple_epu32_mask(_mm512_sub_epi32(x, lo), span);
+  }
+  return _mm512_cmple_epu64_mask(_mm512_sub_epi64(x, lo), span);
+}
+
+// An unsigned leg of width U over words[0, nw), its cells from v.
+template <typename U>
+OSDP_AVX512 OSDP_INLINE void Avx512UnsignedLeg(const ScanLeg& leg,
+                                               const U* v, size_t nw,
+                                               bool first, uint64_t* words) {
+  constexpr size_t kLanes = 64 / sizeof(U);
+  const __m512i lo = Avx512Splat<U>(leg.lo);
+  const __m512i span = Avx512Splat<U>(leg.span);
+  for (size_t i = 0; i < nw; ++i, v += 64) {
+    uint64_t w = 0;
+#pragma GCC unroll 8
+    for (size_t j = 0; j < sizeof(U); ++j) {
+      w |= Avx512InArc<U>(_mm512_loadu_si512(v + j * kLanes), lo, span)
+           << (j * kLanes);
+    }
+    Put(words + i, w, first);
+  }
+}
+
+// A double leg over words[0, nw): v[i] <kPred> lit, kPred an _mm512_cmp_pd
+// predicate.
+template <int kPred>
+OSDP_AVX512 OSDP_INLINE void Avx512DoubleLeg(double lit, const double* v,
+                                             size_t nw, bool first,
+                                             uint64_t* words) {
+  const __m512d l = _mm512_set1_pd(lit);
+  for (size_t i = 0; i < nw; ++i, v += 64) {
+    uint64_t w = 0;
+#pragma GCC unroll 8
+    for (size_t j = 0; j < 8; ++j) {
+      w |= uint64_t{_mm512_cmp_pd_mask(_mm512_loadu_pd(v + 8 * j), l, kPred)}
+           << (8 * j);
+    }
+    Put(words + i, w, first);
+  }
+}
+
+// Leg `leg` over words[0, nw), its cells from row `row` of `cells`.
+OSDP_AVX512 OSDP_INLINE void Avx512LegWords(const ScanLeg& leg,
+                                            const void* cells, size_t row,
+                                            size_t nw, bool first,
+                                            uint64_t* words) {
+  switch (leg.cells) {
+    case LegCells::kU8:
+      return Avx512UnsignedLeg(leg, static_cast<const uint8_t*>(cells) + row,
+                               nw, first, words);
+    case LegCells::kU16:
+      return Avx512UnsignedLeg(leg, static_cast<const uint16_t*>(cells) + row,
+                               nw, first, words);
+    case LegCells::kU32:
+      return Avx512UnsignedLeg(leg, static_cast<const uint32_t*>(cells) + row,
+                               nw, first, words);
+    case LegCells::kU64:
+      return Avx512UnsignedLeg(leg, static_cast<const uint64_t*>(cells) + row,
+                               nw, first, words);
+    case LegCells::kDouble:
+      break;
+  }
+  // The IEEE compares: != is the one that holds on NaN (unordered), the
+  // rest fail on it (ordered).
+  const double* v = static_cast<const double*>(cells) + row;
+  switch (leg.cmp) {
+    case PredicateOp::kEq:
+      return Avx512DoubleLeg<_CMP_EQ_OQ>(leg.lit, v, nw, first, words);
+    case PredicateOp::kNe:
+      return Avx512DoubleLeg<_CMP_NEQ_UQ>(leg.lit, v, nw, first, words);
+    case PredicateOp::kLt:
+      return Avx512DoubleLeg<_CMP_LT_OQ>(leg.lit, v, nw, first, words);
+    case PredicateOp::kLe:
+      return Avx512DoubleLeg<_CMP_LE_OQ>(leg.lit, v, nw, first, words);
+    case PredicateOp::kGt:
+      return Avx512DoubleLeg<_CMP_GT_OQ>(leg.lit, v, nw, first, words);
+    case PredicateOp::kGe:
+      return Avx512DoubleLeg<_CMP_GE_OQ>(leg.lit, v, nw, first, words);
+    default:
+      OSDP_CHECK_MSG(false, "bad comparison op");
+  }
+}
+
+// --- AVX2: a movemask gathers one bit per lane from a compare's lanes.
+
+template <typename U>
+OSDP_AVX2 OSDP_INLINE __m256i Avx2Splat(uint64_t x) {
+  if constexpr (sizeof(U) == 1) return _mm256_set1_epi8(static_cast<char>(x));
+  if constexpr (sizeof(U) == 2) {
+    return _mm256_set1_epi16(static_cast<int16_t>(x));
+  }
+  if constexpr (sizeof(U) == 4) {
+    return _mm256_set1_epi32(static_cast<int32_t>(x));
+  }
+  return _mm256_set1_epi64x(static_cast<int64_t>(x));
+}
+
+OSDP_AVX2 OSDP_INLINE __m256i Avx2Load(const void* p) {
+  return _mm256_loadu_si256(static_cast<const __m256i*>(p));
+}
+
+// Lanes of all ones where (U)(x - lo) <= span, for U of 1, 2 or 4 bytes:
+// an unsigned d <= span is min(d, span) == d.
+template <typename U>
+OSDP_AVX2 OSDP_INLINE __m256i Avx2InArc(__m256i x, __m256i lo, __m256i span) {
+  if constexpr (sizeof(U) == 1) {
+    const __m256i d = _mm256_sub_epi8(x, lo);
+    return _mm256_cmpeq_epi8(_mm256_min_epu8(d, span), d);
+  }
+  if constexpr (sizeof(U) == 2) {
+    const __m256i d = _mm256_sub_epi16(x, lo);
+    return _mm256_cmpeq_epi16(_mm256_min_epu16(d, span), d);
+  }
+  const __m256i d = _mm256_sub_epi32(x, lo);
+  return _mm256_cmpeq_epi32(_mm256_min_epu32(d, span), d);
+}
+
+// 32 bits of a word from 32 cells at v: (U)(v[i] - lo) <= span. u16 packs
+// two vectors' lanes to bytes (packs interleaves 128-bit lanes, and the
+// permute puts the rows back in order) for one byte movemask.
+template <typename U>
+OSDP_AVX2 OSDP_INLINE uint64_t Avx2InArc32(const U* v, __m256i lo,
+                                           __m256i span) {
+  if constexpr (sizeof(U) == 1) {
+    return static_cast<uint32_t>(
+        _mm256_movemask_epi8(Avx2InArc<U>(Avx2Load(v), lo, span)));
+  }
+  if constexpr (sizeof(U) == 2) {
+    const __m256i bytes = _mm256_permute4x64_epi64(
+        _mm256_packs_epi16(Avx2InArc<U>(Avx2Load(v), lo, span),
+                           Avx2InArc<U>(Avx2Load(v + 16), lo, span)),
+        0xD8);
+    return static_cast<uint32_t>(_mm256_movemask_epi8(bytes));
+  }
+  uint64_t w = 0;
+#pragma GCC unroll 4
+  for (size_t j = 0; j < 4; ++j) {
+    const __m256i pass = Avx2InArc<U>(Avx2Load(v + 8 * j), lo, span);
+    w |= uint64_t{static_cast<uint32_t>(
+             _mm256_movemask_ps(_mm256_castsi256_ps(pass)))}
+         << (8 * j);
+  }
+  return w;
+}
+
+// An unsigned leg of 1, 2 or 4 bytes over words[0, nw), its cells from v.
+template <typename U>
+OSDP_AVX2 OSDP_INLINE void Avx2UnsignedLeg(const ScanLeg& leg, const U* v,
+                                           size_t nw, bool first,
+                                           uint64_t* words) {
+  const __m256i lo = Avx2Splat<U>(leg.lo);
+  const __m256i span = Avx2Splat<U>(leg.span);
+  for (size_t i = 0; i < nw; ++i, v += 64) {
+    Put(words + i,
+        Avx2InArc32(v, lo, span) | (Avx2InArc32(v + 32, lo, span) << 32),
+        first);
+  }
+}
+
+// A u64 leg over words[0, nw). AVX2 compares only signed 64-bit lanes, so
+// both sides of d <= span take a 2^63 bias, and the movemask reads the
+// failing lanes.
+OSDP_AVX2 OSDP_INLINE void Avx2U64Leg(const ScanLeg& leg, const uint64_t* v,
+                                      size_t nw, bool first, uint64_t* words) {
+  const __m256i bias = _mm256_set1_epi64x(INT64_MIN);
+  const __m256i lo = Avx2Splat<uint64_t>(leg.lo);
+  const __m256i span = _mm256_xor_si256(Avx2Splat<uint64_t>(leg.span), bias);
+  for (size_t i = 0; i < nw; ++i, v += 64) {
+    uint64_t fail = 0;
+#pragma GCC unroll 16
+    for (size_t j = 0; j < 16; ++j) {
+      const __m256i d =
+          _mm256_xor_si256(_mm256_sub_epi64(Avx2Load(v + 4 * j), lo), bias);
+      fail |= uint64_t{static_cast<uint32_t>(_mm256_movemask_pd(
+                  _mm256_castsi256_pd(_mm256_cmpgt_epi64(d, span))))}
+              << (4 * j);
+    }
+    Put(words + i, ~fail, first);
+  }
+}
+
+// A double leg over words[0, nw): v[i] <kPred> lit, kPred an _mm256_cmp_pd
+// predicate.
+template <int kPred>
+OSDP_AVX2 OSDP_INLINE void Avx2DoubleLeg(double lit, const double* v,
+                                         size_t nw, bool first,
+                                         uint64_t* words) {
+  const __m256d l = _mm256_set1_pd(lit);
+  for (size_t i = 0; i < nw; ++i, v += 64) {
+    uint64_t w = 0;
+#pragma GCC unroll 16
+    for (size_t j = 0; j < 16; ++j) {
+      w |= uint64_t{static_cast<uint32_t>(_mm256_movemask_pd(
+               _mm256_cmp_pd(_mm256_loadu_pd(v + 4 * j), l, kPred)))}
+           << (4 * j);
+    }
+    Put(words + i, w, first);
+  }
+}
+
+// Leg `leg` over words[0, nw), its cells from row `row` of `cells`.
+OSDP_AVX2 OSDP_INLINE void Avx2LegWords(const ScanLeg& leg, const void* cells,
+                                        size_t row, size_t nw, bool first,
+                                        uint64_t* words) {
+  switch (leg.cells) {
+    case LegCells::kU8:
+      return Avx2UnsignedLeg(leg, static_cast<const uint8_t*>(cells) + row, nw,
+                             first, words);
+    case LegCells::kU16:
+      return Avx2UnsignedLeg(leg, static_cast<const uint16_t*>(cells) + row,
+                             nw, first, words);
+    case LegCells::kU32:
+      return Avx2UnsignedLeg(leg, static_cast<const uint32_t*>(cells) + row,
+                             nw, first, words);
+    case LegCells::kU64:
+      return Avx2U64Leg(leg, static_cast<const uint64_t*>(cells) + row, nw,
+                        first, words);
+    case LegCells::kDouble:
+      break;
+  }
+  const double* v = static_cast<const double*>(cells) + row;
+  switch (leg.cmp) {
+    case PredicateOp::kEq:
+      return Avx2DoubleLeg<_CMP_EQ_OQ>(leg.lit, v, nw, first, words);
+    case PredicateOp::kNe:
+      return Avx2DoubleLeg<_CMP_NEQ_UQ>(leg.lit, v, nw, first, words);
+    case PredicateOp::kLt:
+      return Avx2DoubleLeg<_CMP_LT_OQ>(leg.lit, v, nw, first, words);
+    case PredicateOp::kLe:
+      return Avx2DoubleLeg<_CMP_LE_OQ>(leg.lit, v, nw, first, words);
+    case PredicateOp::kGt:
+      return Avx2DoubleLeg<_CMP_GT_OQ>(leg.lit, v, nw, first, words);
+    case PredicateOp::kGe:
+      return Avx2DoubleLeg<_CMP_GE_OQ>(leg.lit, v, nw, first, words);
+    default:
+      OSDP_CHECK_MSG(false, "bad comparison op");
+  }
+}
+
+}  // namespace
+
+OSDP_AVX512 void FusedAndMaskAvx512(const ScanLeg* legs,
+                                    const void* const* cells, size_t num_legs,
+                                    size_t n, uint64_t* words) {
+  OSDP_DCHECK(num_legs >= 1 && num_legs <= kMaxFusedLegs);
+  const size_t full_words = n >> 6;
+  for (size_t w0 = 0; w0 < full_words; w0 += kBlockWords) {
+    const size_t nw = std::min(kBlockWords, full_words - w0);
+    for (size_t k = 0; k < num_legs; ++k) {
+      Avx512LegWords(legs[k], cells[k], w0 << 6, nw, k == 0, words + w0);
+    }
+  }
+  TailWord(legs, cells, num_legs, n, words);
+}
+
+OSDP_AVX2 void FusedAndMaskAvx2(const ScanLeg* legs, const void* const* cells,
+                                size_t num_legs, size_t n, uint64_t* words) {
+  OSDP_DCHECK(num_legs >= 1 && num_legs <= kMaxFusedLegs);
+  const size_t full_words = n >> 6;
+  for (size_t w0 = 0; w0 < full_words; w0 += kBlockWords) {
+    const size_t nw = std::min(kBlockWords, full_words - w0);
+    for (size_t k = 0; k < num_legs; ++k) {
+      Avx2LegWords(legs[k], cells[k], w0 << 6, nw, k == 0, words + w0);
+    }
+  }
+  TailWord(legs, cells, num_legs, n, words);
+}
+
+OSDP_AVX512 void EncodeForChunkAvx512(const int64_t* cells, ForChunk* out) {
   EncodeLoop(cells, out);
 }
 
-__attribute__((target("avx2"))) void EncodeForChunkAvx2(const int64_t* cells,
-                                                        ForChunk* out) {
+OSDP_AVX2 void EncodeForChunkAvx2(const int64_t* cells, ForChunk* out) {
   EncodeLoop(cells, out);
 }
 

@@ -3,11 +3,9 @@
 // that seals int64 chunks into the frame-of-reference form it reads.
 //
 // One call evaluates a conjunction of numeric comparisons ("legs") over n
-// consecutive rows and packs the result into mask words. Per 64-row word,
-// every leg compares its 64 cells into one 64-byte buffer (the first leg
-// stores, later legs AND in), and the buffer is packed into the word once.
-// The legs arrive already lowered by Compile() and, for int64 columns,
-// rebased per chunk by RebaseLeg:
+// consecutive rows and writes the result as mask words. The legs arrive
+// already lowered by Compile() and, for int64 columns, rebased per chunk by
+// RebaseLeg:
 //
 //   int64 column   a sealed chunk is base + offset, offsets of 8, 16, 32 or
 //                  64 bits (src/data/chunked_column.h). The leg reads the
@@ -19,45 +17,62 @@
 //   double column  v <cmp> lit, the plain IEEE comparison.
 //
 // Why a kernel layer: the library is built for the baseline x86-64 ISA,
-// which has no 64-bit vector compare, so the loop runs one row at a time.
-// As in src/data/bit_kernels.cc, the loop body is compiled more than once on
-// x86-64, and one cached runtime CPU check picks the body, in this order:
+// which has no 64-bit vector compare and no one-bit-per-lane compare
+// result, so a loop built for it runs about one row at a time. As in
+// src/data/bit_kernels.cc, x86-64 builds have more than one body, and one
+// cached runtime CPU check picks the body, in this order:
 //
 //   avx512    target("avx512f,avx512bw,avx512vl"), when the CPU has all three
 //   avx2      target("avx2")
 //   portable  the baseline ISA; the only body off x86-64
 //
-// All three are the same source template, so they compute the same
-// comparisons on the same integers and doubles, and the dispatch never
-// changes a bit. The leg's width is a runtime switch per leg per word, so
-// one call can mix a 1-byte age with a 2-byte zip.
+// portable is one source template (FusedAndLoop in scan_kernels.cc): per
+// 64-row word, every leg compares its 64 cells into a 64-byte buffer of 0/1
+// (the first leg stores, later legs AND in), and eight multiply-shifts pack
+// the buffer into the word. Compiled for AVX-512, that template spent most
+// of its time turning the compare's k mask back into bytes and packing them
+// again, so the two SIMD bodies are written with intrinsics and take each
+// word straight from the compare. They loop leg by leg over a block's full
+// words (4096 rows): the first leg stores each word and later legs AND into
+// it, so a leg's width switch runs once per block, not once per word. Per
+// leg and 64-row word:
 //
-// What GCC 12 emits at -O2 for one leg over a 64-row word:
-//   avx512  u8: one 64-byte load, one vpsubb and one unsigned vpcmpub into a
-//           k mask register. u16: two each of vpsubw and vpcmpuw. u64: fully
-//           unrolled, 8 loads, 8 vpsubq, and 8 unsigned vpcmpuq; a
-//           zero-masked move of a vector of ones turns each mask back into
-//           0/1 lanes, and two-source permutes (vpermt2d, vpermt2w) plus
-//           vpmovwb narrow them to bytes, about 0.7 instructions per row.
-//           The 64-byte buffer is a single zmm register that later legs
-//           vpandq into, so it is stored only once, for the pack.
-//   avx2    u8 and u16: vpsubb/vpsubw, then x <= span as a saturating
-//           subtract (vpsubusb/vpsubusw) compared equal to zero. u64: AVX2
-//           compares only signed 64-bit lanes, so each 4-row vector pays a
-//           second vpsubq (the 2^63 bias), vpcmpgtq and vpandn, and narrowing
-//           the results to bytes takes a shuffle/pack chain, about 2
-//           instructions per row.
-// The double compares (vcmp*pd) follow the u64 patterns.
+//   avx512  one k mask per 64-byte vector of (v - lo) compared unsigned
+//           against span: u8 one vpcmpub, u16 two vpcmpuw joined as
+//           lo | hi << 32, u32 four vpcmpud, u64 eight vpcmpuq. Doubles:
+//           eight vcmppd.
+//   avx2    a movemask gathers one bit per lane. u8: two vpmovmskb of
+//           min(d, span) == d. u16: two pairs of compares, each pair
+//           narrowed to bytes by vpacksswb and put back in row order by
+//           vpermq for one vpmovmskb. u32: eight vmovmskps. u64: AVX2
+//           compares only signed 64-bit lanes, so both sides take a 2^63
+//           bias and sixteen vmovmskpd read the failing lanes. Doubles:
+//           sixteen vcmppd + vmovmskpd.
+//
+// A double != is the unordered predicate, true on NaN; the other five are
+// ordered, false on NaN, as in C++. A table's partial last word goes
+// through the portable byte loop in every body, so no body loads a cell
+// past row n.
+//
+// The dispatch never changes a bit: every body computes the same
+// comparisons on the same integers and doubles, and
+// ScanKernelsTest.EveryBodyMatchesTheRowOracle
+// (tests/compiled_predicate_test.cc) pins each body the host has against a
+// per-row oracle, at every width, on wrapped arcs and NaN literals, at word
+// and chunk edges, with each leg's cells in an exactly sized heap block so
+// the AddressSanitizer build reports a load past row n.
 //
 // On the fresh_scans clause with both columns at one width,
 // bench_predicate_pipeline's kernel rows give, in ns/row on one core of the
 // 4-vCPU x86-64 host, best of 30 calls at 100k rows (in L2) / 10M rows:
-//   avx512    u8 0.10 / 0.18   u16 0.17 / 0.18   u64 0.37 / 1.54
-//   avx2      u8 0.15 / 0.20   u16 0.21 / 0.33   u64 0.74 / 1.70
-// u64 reads 8 bytes a row, as on a raw tail; past L2 it is bound by memory
-// bandwidth, which the narrow widths, reading 1/8 and 1/4 of its bytes,
-// stay clear of. Census data seals age to u8 and zip to u16. docs/parallelism.md has the table and the reason there is no
-// -mavx512f build flag.
+//   avx512    u8 0.05 / 0.27   u16 0.07 / 0.37   u64 0.28 / 1.73
+//   avx2      u8 0.05 / 0.26   u16 0.08 / 0.55   u64 0.38 / 1.71
+//   portable  u8 0.31 / 0.53   u16 0.32 / 0.66   u64 1.76 / 2.42
+// In L2 the SIMD bodies run 4-6x faster than portable. Past L2 every body is
+// bound by memory bandwidth, which the host's other tenants share, so the
+// 10M figures move between recordings more than the 100k ones do.
+// Census data seals age to u8 and zip to u16. docs/parallelism.md has the
+// table for every body and the reason there is no -mavx512f build flag.
 //
 // EncodeForChunk (declared in chunked_column.h) shares the dispatch: a
 // min/max pass and an offset pass over the chunk, about 1 us a chunk on the

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
@@ -426,6 +427,16 @@ bool LegOracle(const ScanLeg& leg, const void* cells, size_t i) {
   }
 }
 
+// A copy of `values` in a heap block of exactly values.size() cells, so a
+// body that loads a cell past its last row reads past the block, which the
+// AddressSanitizer build reports.
+template <typename T>
+std::shared_ptr<const void> ExactCells(const std::vector<T>& values) {
+  std::shared_ptr<T[]> cells(new T[values.size()]);
+  std::copy(values.begin(), values.end(), cells.get());
+  return cells;
+}
+
 TEST(ScanKernelsTest, EveryBodyMatchesTheRowOracle) {
   namespace k = scan_kernels_internal;
   using Body = void (*)(const ScanLeg*, const void* const*, size_t, size_t,
@@ -454,22 +465,21 @@ TEST(ScanKernelsTest, EveryBodyMatchesTheRowOracle) {
   const std::vector<double> doubles = DoublePool();
   Rng rng(0x5CA7);
   // Besides word edges, sizes around 8, 16 and 32 rows cross the vector
-  // widths of the tail-word loops, whose epilogues differ per body.
+  // widths of the tail-word loops, whose epilogues differ per body. Sizes
+  // near a chunk end a block's full words with tails of 63, 0 and 1 rows,
+  // and 8257 crosses two 4096-row blocks of the SIMD bodies' word loops.
   for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
                    size_t{15}, size_t{16}, size_t{17}, size_t{31}, size_t{32},
                    size_t{33}, size_t{63}, size_t{64}, size_t{65}, size_t{127},
-                   size_t{128}, size_t{1001}, kChunkRows}) {
+                   size_t{128}, size_t{1001}, size_t{4031}, size_t{4032},
+                   size_t{4033}, size_t{4095}, kChunkRows, size_t{8257}}) {
     // Leg kinds met at this size: u8, u16, u32, u64 plain, u64 wrapped,
     // double, NaN literal.
     bool seen[7] = {};
     for (int trial = 0; trial < 40; ++trial) {
       const size_t num_legs = 1 + rng.NextBounded(kMaxFusedLegs);
       std::vector<ScanLeg> legs(num_legs);
-      std::vector<std::vector<uint64_t>> wide(num_legs);
-      std::vector<std::vector<uint8_t>> u8(num_legs);
-      std::vector<std::vector<uint16_t>> u16(num_legs);
-      std::vector<std::vector<uint32_t>> u32(num_legs);
-      std::vector<std::vector<double>> double_cells(num_legs);
+      std::vector<std::shared_ptr<const void>> owned(num_legs);
       std::vector<const void*> cells(num_legs);
       for (size_t j = 0; j < num_legs; ++j) {
         ScanLeg& leg = legs[j];
@@ -478,10 +488,12 @@ TEST(ScanKernelsTest, EveryBodyMatchesTheRowOracle) {
           leg.cmp = kCmpOps[rng.NextBounded(6)];
           leg.lit = doubles[rng.NextBounded(doubles.size())];
           seen[std::isnan(leg.lit) ? 6 : 5] = true;
-          for (size_t i = 0; i < n; ++i) {
-            double_cells[j].push_back(doubles[rng.NextBounded(doubles.size())]);
+          std::vector<double> values(n);
+          for (double& v : values) {
+            v = doubles[rng.NextBounded(doubles.size())];
           }
-          cells[j] = double_cells[j].data();
+          owned[j] = ExactCells(values);
+          cells[j] = owned[j].get();
           continue;
         }
         leg.cells = kUnsigned[rng.NextBounded(4)];
@@ -494,29 +506,30 @@ TEST(ScanKernelsTest, EveryBodyMatchesTheRowOracle) {
         seen[leg.cells == LegCells::kU64 ? 3 + (wraps ? 1 : 0)
                                          : static_cast<size_t>(leg.cells)] =
             true;
-        for (size_t i = 0; i < n; ++i) {
-          wide[j].push_back((rng.NextBernoulli(0.8)
-                                 ? static_cast<uint64_t>(
-                                       ints[rng.NextBounded(ints.size())])
-                                 : rng.Next()) &
-                            mask);
+        std::vector<uint64_t> wide(n);
+        for (uint64_t& v : wide) {
+          v = (rng.NextBernoulli(0.8)
+                   ? static_cast<uint64_t>(ints[rng.NextBounded(ints.size())])
+                   : rng.Next()) &
+              mask;
         }
         switch (leg.cells) {
           case LegCells::kU8:
-            u8[j].assign(wide[j].begin(), wide[j].end());
-            cells[j] = u8[j].data();
+            owned[j] =
+                ExactCells(std::vector<uint8_t>(wide.begin(), wide.end()));
             break;
           case LegCells::kU16:
-            u16[j].assign(wide[j].begin(), wide[j].end());
-            cells[j] = u16[j].data();
+            owned[j] =
+                ExactCells(std::vector<uint16_t>(wide.begin(), wide.end()));
             break;
           case LegCells::kU32:
-            u32[j].assign(wide[j].begin(), wide[j].end());
-            cells[j] = u32[j].data();
+            owned[j] =
+                ExactCells(std::vector<uint32_t>(wide.begin(), wide.end()));
             break;
           default:
-            cells[j] = wide[j].data();
+            owned[j] = ExactCells(wide);
         }
+        cells[j] = owned[j].get();
       }
       std::vector<uint64_t> expected((n + 63) / 64, 0);
       for (size_t i = 0; i < n; ++i) {
