@@ -21,7 +21,7 @@ int main() {
 
   for (const char* name : {"Adult", "Patent"}) {
     BenchmarkDataset d = *MakeDPBenchDataset(name, 4096, 20200416);
-    Histogram xns = *MSampling(d.hist, 0.9, MSamplingOptions{}, data_rng);
+    Histogram xns = *MSampling(d.hist, 0.9, data_rng);
     std::printf("--- dataset %s (sparsity %.2f), Close policy, rho_x=0.9 ---\n",
                 name, d.hist.Sparsity());
     TextTable table({"rho", "MRE (OsdpRR det.)", "MRE (OsdpLaplaceL1 det.)"});
@@ -53,9 +53,9 @@ int main() {
     for (double rho : {0.9, 0.5}) {
       Histogram xns(0);
       if (std::string(policy) == "Close") {
-        xns = *MSampling(d.hist, rho, MSamplingOptions{}, data_rng);
+        xns = *MSampling(d.hist, rho, data_rng);
       } else {
-        xns = *HiLoSampling(d.hist, rho, HiLoSamplingOptions{}, data_rng);
+        xns = *HiLoSampling(d.hist, rho, data_rng);
       }
       Rng rng(11);
       double a = 0.0, b = 0.0;

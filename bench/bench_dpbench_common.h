@@ -46,9 +46,9 @@ inline std::vector<DPBenchInput> BuildInputs(double min_rho = 0.0) {
         if (rho < min_rho) continue;
         Histogram xns(0);
         if (std::string(policy) == "Close") {
-          xns = *MSampling(d.hist, rho, MSamplingOptions{}, rng);
+          xns = *MSampling(d.hist, rho, rng);
         } else {
-          xns = *HiLoSampling(d.hist, rho, HiLoSamplingOptions{}, rng);
+          xns = *HiLoSampling(d.hist, rho, rng);
         }
         inputs.push_back(
             {d.name, policy, rho, d.hist, std::move(xns)});

@@ -55,8 +55,7 @@ int main() {
   std::printf("simulation: %zu trajectories, %zu users\n\n",
               sim.trajectories.size(), sim.users.size());
 
-  FeatureOptions fopts;
-  fopts.min_pattern_support = 30;
+  const int kMinPatternSupport = 30;
   LogisticRegressionOptions lr;
   lr.epochs = 120;
   const size_t kCvCap = 2500;
@@ -67,7 +66,7 @@ int main() {
                      "Random"});
     for (size_t pi = 0; pi < PolicyGrid().size(); ++pi) {
       const ApSetPolicy& ap_policy = TippersPolicies()[pi];
-      auto policy = ap_policy.AsPolicy(PolicyGrid()[pi].label);
+      auto policy = ap_policy.AsPolicy();
       Rng rng(1000 + pi + static_cast<uint64_t>(eps * 100));
 
       // All NS: every non-sensitive trajectory, truthfully.
@@ -84,7 +83,7 @@ int main() {
       auto run = [&](const std::vector<Trajectory>& trajs,
                      const ScorerFactory& factory) -> std::string {
         if (trajs.size() < 50) return "n/a";
-        auto patterns = MineFrequentPatterns(trajs, fopts);
+        auto patterns = MineFrequentPatterns(trajs, kMinPatternSupport);
         auto feats = BuildClassificationFeatures(trajs, sim.users,
                                                  sim.config.num_aps, patterns);
         if (!feats.ok()) return "n/a";

@@ -116,7 +116,7 @@ void BM_MSampling(benchmark::State& state) {
   BenchmarkDataset d = *MakeDPBenchDataset("Income", 4096, 1);
   Rng rng(12);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(*MSampling(d.hist, 0.5, MSamplingOptions{}, rng));
+    benchmark::DoNotOptimize(*MSampling(d.hist, 0.5, rng));
   }
 }
 BENCHMARK(BM_MSampling);

@@ -70,7 +70,7 @@ inline int RunNgramFigure(int n, const char* figure_name) {
     TextTable table({"policy", "All NS", "OsdpRR", "LM T1", "LM T*"});
     for (size_t pi = 0; pi < PolicyGrid().size(); ++pi) {
       const ApSetPolicy& ap_policy = TippersPolicies()[pi];
-      auto policy = ap_policy.AsPolicy(PolicyGrid()[pi].label);
+      auto policy = ap_policy.AsPolicy();
       Rng rng(700 + pi * 13 + n);
 
       std::vector<Trajectory> all_ns;

@@ -32,9 +32,9 @@ int main() {
   for (const char* policy_name : {"Close", "Far"}) {
     Histogram xns(0);
     if (std::string(policy_name) == "Close") {
-      xns = *MSampling(dataset.hist, rho, MSamplingOptions{}, rng);
+      xns = *MSampling(dataset.hist, rho, rng);
     } else {
-      xns = *HiLoSampling(dataset.hist, rho, HiLoSamplingOptions{}, rng);
+      xns = *HiLoSampling(dataset.hist, rho, rng);
     }
     auto scores =
         *RunSuite(suite, dataset.hist, xns, eps, ErrorMetric::kMRE, opts);

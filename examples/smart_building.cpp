@@ -50,7 +50,7 @@ int main() {
   // Policy: sensitive APs calibrated so ~90%% of trajectories stay clean.
   ApSetPolicy ap_policy =
       *CalibrateApPolicy(sim.trajectories, cfg.num_aps, 0.90);
-  auto policy = ap_policy.AsPolicy("P90");
+  auto policy = ap_policy.AsPolicy();
   std::printf("policy P90: achieved non-sensitive fraction %.3f\n",
               ap_policy.NonSensitiveFraction(sim.trajectories));
 

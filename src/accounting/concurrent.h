@@ -49,8 +49,6 @@ class alignas(64) SharedBudget {
   /// Creates a budget with the given total ε (> 0; aborts otherwise).
   explicit SharedBudget(double total_epsilon);
 
-  /// Total ε the budget was created with (immutable, so no lock).
-  double total() const { return total_; }
   /// ε charged so far.
   double spent() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -145,12 +143,6 @@ class BudgetReservation {
     session_ = nullptr;
     service_ = nullptr;
   }
-
-  /// True while the reservation still holds ε (not committed or rolled back).
-  bool held() const { return session_ != nullptr; }
-
-  /// The reserved ε (meaningful while held).
-  double epsilon() const { return epsilon_; }
 
  private:
   void Rollback() {

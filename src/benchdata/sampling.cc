@@ -95,13 +95,11 @@ Result<Histogram> SampleWithoutReplacement(const Histogram& x, int64_t m,
   return sample;
 }
 
-Result<Histogram> MSampling(const Histogram& x, double rho,
-                            const MSamplingOptions& opts, Rng& rng) {
+Result<Histogram> MSampling(const Histogram& x, double rho, Rng& rng) {
+  constexpr double kTheta = 0.1;     // allowed relative shape deviation
+  constexpr int kMaxAttempts = 50;   // draws before keeping the closest
   if (!(rho > 0.0 && rho <= 1.0)) {
     return Status::InvalidArgument("rho must be in (0, 1]");
-  }
-  if (!(opts.theta > 0.0)) {
-    return Status::InvalidArgument("theta must be positive");
   }
   const auto m = static_cast<int64_t>(std::llround(rho * x.Total()));
   const double mu = DomainValueMean(x);
@@ -109,7 +107,7 @@ Result<Histogram> MSampling(const Histogram& x, double rho,
 
   Histogram best(x.size());
   double best_err = std::numeric_limits<double>::infinity();
-  for (int attempt = 0; attempt < std::max(1, opts.max_attempts); ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     OSDP_ASSIGN_OR_RETURN(Histogram cand, SampleWithoutReplacement(x, m, rng));
     const double mu_err = mu > 0 ? std::abs(DomainValueMean(cand) - mu) / mu : 0;
     const double sd_err =
@@ -119,21 +117,16 @@ Result<Histogram> MSampling(const Histogram& x, double rho,
       best_err = err;
       best = cand;
     }
-    if (err <= opts.theta) break;
+    if (err <= kTheta) break;
   }
   return best;
 }
 
-Result<Histogram> HiLoSampling(const Histogram& x, double rho,
-                               const HiLoSamplingOptions& opts, Rng& rng) {
+Result<Histogram> HiLoSampling(const Histogram& x, double rho, Rng& rng) {
+  constexpr double kGamma = 5.0;  // weight of the High region (paper: 5)
+  constexpr double kBeta = 0.4;   // High half-width over d (paper: 0.4)
   if (!(rho > 0.0 && rho <= 1.0)) {
     return Status::InvalidArgument("rho must be in (0, 1]");
-  }
-  if (!(opts.gamma > 1.0)) {
-    return Status::InvalidArgument("gamma must exceed 1");
-  }
-  if (!(opts.beta > 0.0 && opts.beta < 1.0)) {
-    return Status::InvalidArgument("beta must be in (0, 1)");
   }
   OSDP_RETURN_IF_ERROR(x.ValidateNonNegative());
   const size_t d = x.size();
@@ -141,7 +134,7 @@ Result<Histogram> HiLoSampling(const Histogram& x, double rho,
 
   // High region: b ± β·d, clamped to the domain.
   const auto b = static_cast<int64_t>(rng.NextBounded(d));
-  const auto half = static_cast<int64_t>(opts.beta * static_cast<double>(d));
+  const auto half = static_cast<int64_t>(kBeta * static_cast<double>(d));
   const int64_t lo = std::max<int64_t>(0, b - half);
   const int64_t hi = std::min<int64_t>(static_cast<int64_t>(d) - 1, b + half);
 
@@ -153,7 +146,7 @@ Result<Histogram> HiLoSampling(const Histogram& x, double rho,
   std::vector<double> weight(d);
   for (size_t i = 0; i < d; ++i) {
     const bool high = static_cast<int64_t>(i) >= lo && static_cast<int64_t>(i) <= hi;
-    weight[i] = high ? opts.gamma : 1.0;
+    weight[i] = high ? kGamma : 1.0;
   }
   Histogram alloc(d);
   double need = static_cast<double>(m);

@@ -9,6 +9,10 @@
 //    oversampled by weight γ, skewing x_ns away from x — modelling privacy
 //    preferences strongly correlated with the value.
 //
+// θ = 0.1 (with at most 50 resampling attempts), γ = 5 and β = 0.4 are fixed
+// constants in sampling.cc: they are the paper's evaluation settings, every
+// bench and example runs them, and the bench goldens pin their x_ns.
+//
 // Both produce x_ns with ‖x_ns‖₁ = round(ρ·‖x‖₁) and x_ns ≤ x per bin
 // (records are either in the non-sensitive subset or not).
 
@@ -23,32 +27,16 @@
 
 namespace osdp {
 
-/// Parameters of MSampling.
-struct MSamplingOptions {
-  /// Allowed multiplicative deviation of the sample's normalized mean/std.
-  double theta = 0.1;
-  /// Resampling attempts before returning the closest sample found.
-  int max_attempts = 50;
-};
-
 /// \brief Uniform-ish subsample of x at ratio ρ whose shape stays θ-close to
-/// x's (the paper's Close policy generator).
-Result<Histogram> MSampling(const Histogram& x, double rho,
-                            const MSamplingOptions& opts, Rng& rng);
-
-/// Parameters of HiLoSampling.
-struct HiLoSamplingOptions {
-  /// Oversampling weight of the High region (paper: γ = 5).
-  double gamma = 5.0;
-  /// Half-width of the High region as a fraction of the domain (paper: 0.4).
-  double beta = 0.4;
-};
+/// x's (the paper's Close policy generator): up to 50 draws, returning the
+/// first within θ = 0.1, else the closest.
+Result<Histogram> MSampling(const Histogram& x, double rho, Rng& rng);
 
 /// \brief Region-biased subsample of x at ratio ρ (the paper's Far policy
 /// generator). A random center bin b defines High = [b - βd, b + βd]
-/// (clamped); records in High are drawn with weight γ, others with weight 1.
-Result<Histogram> HiLoSampling(const Histogram& x, double rho,
-                               const HiLoSamplingOptions& opts, Rng& rng);
+/// (clamped, β = 0.4); records in High are drawn with weight γ = 5, others
+/// with weight 1.
+Result<Histogram> HiLoSampling(const Histogram& x, double rho, Rng& rng);
 
 /// \brief Draws a subsample of exactly `m` records from histogram `x`
 /// uniformly without replacement (multivariate hypergeometric; binomial

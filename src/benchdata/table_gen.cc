@@ -15,11 +15,13 @@ Table MakeCensusTable(const CensusTableOptions& opts) {
                  {"race", ValueType::kString},
                  {"opt_in", ValueType::kInt64},
                  {"zip", ValueType::kInt64}});
+  constexpr size_t kNumCategories = 8;   // "C0".."C7" in `race`
+  constexpr double kOptOutFraction = 0.3;  // rows with opt_in = 0
   Rng rng(opts.seed);
 
   std::vector<std::string> categories;
-  categories.reserve(std::max<size_t>(opts.num_categories, 1));
-  for (size_t c = 0; c < std::max<size_t>(opts.num_categories, 1); ++c) {
+  categories.reserve(kNumCategories);
+  for (size_t c = 0; c < kNumCategories; ++c) {
     categories.push_back("C" + std::to_string(c));
   }
 
@@ -44,7 +46,7 @@ Table MakeCensusTable(const CensusTableOptions& opts) {
         std::min(2.0e4 / std::sqrt(rng.NextDoublePositive()), 1.0e7));
     race.push_back(categories[rng.NextBounded(categories.size())]);
     opt_in.push_back(static_cast<int64_t>(
-        rng.NextDouble() < opts.opt_out_fraction ? 0 : 1));
+        rng.NextDouble() < kOptOutFraction ? 0 : 1));
     zip.push_back(static_cast<int64_t>(rng.NextBounded(10000)));
   }
 

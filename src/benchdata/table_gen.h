@@ -19,17 +19,17 @@ namespace osdp {
 struct CensusTableOptions {
   size_t num_rows = 100000;
   uint64_t seed = 0x05D9;
-  /// Number of distinct category strings in the `race` column.
-  size_t num_categories = 8;
-  /// Fraction of rows with opt_in = 0 (the paper's opt-out share).
-  double opt_out_fraction = 0.3;
 };
 
 /// \brief A census-style table with schema
 ///   (age:int64, income:double, race:string, opt_in:int64, zip:int64)
 /// — the shape of the paper's running example (Section 3.1). Ages are
-/// uniform in [0, 99], incomes heavy-tailed, race drawn from "C0".."Ck",
-/// zip uniform in [0, 9999]. Deterministic given the options.
+/// uniform in [0, 99], incomes heavy-tailed, race drawn from the 8 strings
+/// "C0".."C7", opt_in 0 with probability 0.3 (the opt-out share), zip
+/// uniform in [0, 9999]. Deterministic given the options. The 8 categories
+/// and the 0.3 share are fixed constants in table_gen.cc: the policies and
+/// WHERE clauses of every bench, example and golden are written against
+/// them.
 Table MakeCensusTable(const CensusTableOptions& opts);
 
 }  // namespace osdp

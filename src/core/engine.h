@@ -60,14 +60,6 @@ class OsdpEngine {
   /// from this and publishes later generations itself.
   const SnapshotPtr& snapshot() const { return snapshot_; }
 
-  /// The guarded dataset (borrowed from the snapshot; valid as long as any
-  /// holder keeps the snapshot alive — at least the engine's lifetime).
-  const Table& data() const { return snapshot_->table; }
-
-  /// The cached non-sensitive row mask (classified once by Create,
-  /// immutable within the snapshot).
-  const RowMask& non_sensitive_mask() const { return snapshot_->non_sensitive; }
-
   /// The engine configuration.
   const Options& options() const { return options_; }
 
@@ -78,9 +70,6 @@ class OsdpEngine {
   /// moves off the caller's Rng, so the QuerySeed replay contract holds and
   /// a serial replay engine reproduces pooled answers exactly.
   void set_mech_pool(ThreadPool* pool) { mech_pool_ = pool; }
-
-  /// Number of rows in the guarded dataset.
-  size_t num_rows() const { return snapshot_->table.num_rows(); }
 
   /// The active policy.
   const Policy& policy() const { return policy_; }

@@ -221,12 +221,6 @@ class ChunkedColumn {
                                   : tail_->cells[slot];
   }
 
-  /// Bounds-checked cell access.
-  CellRef at(size_t i) const {
-    OSDP_CHECK(i < size_);
-    return (*this)[i];
-  }
-
   /// Appends one cell (copy-on-write on a shared tail).
   void push_back(T v) {
     WritableTail().cells.push_back(std::move(v));
@@ -318,17 +312,6 @@ class ChunkedColumn {
     }
   }
 
-  /// Materializes the column as one flat vector (tests, bridges).
-  std::vector<T> ToVector() const {
-    std::vector<T> out;
-    out.reserve(size_);
-    ForEachSpan(0, size_, [&](const auto& cells, size_t /*begin*/,
-                              size_t len) {
-      for (size_t i = 0; i < len; ++i) out.push_back(cells[i]);
-    });
-    return out;
-  }
-
   bool operator==(const ChunkedColumn& other) const {
     if (size_ != other.size_) return false;
     for (size_t i = 0; i < size_; ++i) {
@@ -338,16 +321,6 @@ class ChunkedColumn {
   }
   bool operator!=(const ChunkedColumn& other) const {
     return !(*this == other);
-  }
-  bool operator==(const std::vector<T>& flat) const {
-    if (size_ != flat.size()) return false;
-    for (size_t i = 0; i < size_; ++i) {
-      if (!((*this)[i] == flat[i])) return false;
-    }
-    return true;
-  }
-  bool operator!=(const std::vector<T>& flat) const {
-    return !(*this == flat);
   }
 
  private:

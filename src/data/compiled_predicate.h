@@ -76,19 +76,15 @@ class CompiledPredicate {
   /// constants (Int 1 vs String "1") always canonicalize differently.
   ///
   /// The fingerprint is a hash and may collide; exact callers (the runtime
-  /// MaskCache) confirm candidates with canonical_key(), whose byte equality
-  /// is deep structural equality of the canonicalized programs. Column
+  /// MaskCache) confirm candidates with shared_canonical_key(), whose byte
+  /// equality is deep structural equality of the canonicalized programs. Column
   /// references are encoded by resolved index + type, so fingerprints are
   /// only comparable between predicates compiled against the same schema.
   uint64_t Fingerprint() const { return fingerprint_; }
 
   /// The canonical encoding behind Fingerprint(): an injective serialization
-  /// of the canonicalized program. Shared and immutable, so keys built from
-  /// it (shared_canonical_key()) never copy the bytes.
-  const std::string& canonical_key() const { return *canonical_; }
-
-  /// The canonical encoding as a shareable handle (for cache keys that must
-  /// outlive this CompiledPredicate).
+  /// of the canonicalized program. Shared and immutable, so cache keys built
+  /// from it never copy the bytes and may outlive this CompiledPredicate.
   const std::shared_ptr<const std::string>& shared_canonical_key() const {
     return canonical_;
   }

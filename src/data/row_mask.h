@@ -183,8 +183,6 @@ class RowMask {
 
   /// Number of rows covered.
   size_t size() const { return size_; }
-  /// True iff no rows are covered.
-  bool empty() const { return size_ == 0; }
 
   /// Bit of row i.
   bool Test(size_t i) const {
@@ -287,7 +285,6 @@ class RowMask {
   std::vector<bool> ToBools() const;
 
   bool operator==(const RowMask& other) const;
-  bool operator!=(const RowMask& other) const { return !(*this == other); }
 
   /// \name Block access for word-level producers and kernels.
   /// @{

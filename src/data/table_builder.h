@@ -67,9 +67,6 @@ class TableBuilder {
   /// dataset schema. An empty batch is a no-op.
   Status Append(const RowBatch& batch);
 
-  /// Rows accumulated so far.
-  size_t num_rows() const { return table_.num_rows(); }
-
   /// \brief Cuts an immutable snapshot of the current contents, tagged
   /// `generation`. The snapshot's non-sensitive mask is a copy of the
   /// incrementally-maintained one — bit-identical to a full

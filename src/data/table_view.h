@@ -50,8 +50,6 @@ class TableView {
   const Table& table() const { return *table_; }
   /// The pinned snapshot, or nullptr for a borrowing view.
   const SnapshotPtr& snapshot() const { return snapshot_; }
-  /// Number of selected rows.
-  size_t num_rows() const { return selected_; }
   /// True iff no row is selected.
   bool empty() const { return selected_ == 0; }
   /// The selection mask (bit i = table row i) — the bridge into mask

@@ -38,7 +38,6 @@ class Value {
   }
 
   bool is_int64() const { return type() == ValueType::kInt64; }
-  bool is_double() const { return type() == ValueType::kDouble; }
   bool is_string() const { return type() == ValueType::kString; }
 
   /// Typed accessors; abort on type mismatch (programming error).

@@ -7,14 +7,14 @@
 namespace osdp {
 
 double ComputeError(ErrorMetric metric, const Histogram& truth,
-                    const Histogram& estimate, const MetricOptions& opts) {
+                    const Histogram& estimate) {
   switch (metric) {
     case ErrorMetric::kMRE:
-      return MeanRelativeError(truth, estimate, opts);
+      return MeanRelativeError(truth, estimate);
     case ErrorMetric::kRel50:
-      return RelativeErrorPercentile(truth, estimate, 50.0, opts);
+      return RelativeErrorPercentile(truth, estimate, 50.0);
     case ErrorMetric::kRel95:
-      return RelativeErrorPercentile(truth, estimate, 95.0, opts);
+      return RelativeErrorPercentile(truth, estimate, 95.0);
     case ErrorMetric::kL1:
       return L1Error(truth, estimate);
   }
@@ -42,7 +42,7 @@ Result<std::vector<MechanismScore>> RunSuite(
       Rng rep_rng = mech_rng.Fork();
       OSDP_ASSIGN_OR_RETURN(Histogram est,
                             mech->Run(x, xns, epsilon, rep_rng));
-      acc += ComputeError(metric, x, est, opts.metric_opts);
+      acc += ComputeError(metric, x, est);
     }
     MechanismScore s;
     s.name = mech->name();

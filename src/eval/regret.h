@@ -28,13 +28,12 @@ enum class ErrorMetric {
 
 /// Computes a single metric value between truth and estimate.
 double ComputeError(ErrorMetric metric, const Histogram& truth,
-                    const Histogram& estimate, const MetricOptions& opts = {});
+                    const Histogram& estimate);
 
 /// How a suite run is executed.
 struct SuiteRunOptions {
   int repetitions = 10;    ///< independent runs averaged per mechanism
   uint64_t seed = 1;       ///< base seed; each repetition forks its own stream
-  MetricOptions metric_opts;
 };
 
 /// One mechanism's averaged score on one input.
@@ -66,9 +65,6 @@ class RegretAccumulator {
 
   /// Average regret per mechanism, in first-seen order.
   std::vector<MechanismScore> AverageRegrets() const;
-
-  /// Number of inputs folded in.
-  size_t inputs() const { return inputs_; }
 
  private:
   std::vector<std::string> order_;

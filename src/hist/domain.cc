@@ -13,11 +13,21 @@ Domain1D Domain1D::Categorical(size_t size) {
 }
 
 Result<Domain1D> Domain1D::Numeric(double lo, double hi, size_t bins) {
-  if (!(lo < hi)) {
-    return Status::InvalidArgument("numeric domain requires lo < hi");
+  if (!(std::isfinite(lo) && std::isfinite(hi) && lo < hi)) {
+    return Status::InvalidArgument(
+        "numeric domain requires finite lo < hi");
   }
   if (bins == 0) {
     return Status::InvalidArgument("numeric domain requires at least one bin");
+  }
+  // BinOf divides by this width and casts the quotient to size_t: an
+  // overflowing hi - lo (inf) or an underflowing width (0) would make every
+  // value fall in one bin or the cast undefined.
+  const double width = (hi - lo) / static_cast<double>(bins);
+  if (!(std::isfinite(width) && width > 0.0)) {
+    return Status::InvalidArgument(
+        "numeric domain bin width (hi - lo) / bins must be finite and "
+        "positive");
   }
   return Domain1D(/*categorical=*/false, lo, hi, bins);
 }

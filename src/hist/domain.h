@@ -21,6 +21,8 @@ class Domain1D {
   static Domain1D Categorical(size_t size);
 
   /// Numeric domain [lo, hi) divided into `bins` equal-width bins.
+  /// InvalidArgument unless lo and hi are finite, lo < hi, bins > 0, and the
+  /// bin width (hi - lo) / bins is finite and positive.
   static Result<Domain1D> Numeric(double lo, double hi, size_t bins);
 
   /// Number of bins.

@@ -43,13 +43,6 @@ class SparseHistogram {
     return it == counts_.end() ? 0.0 : it->second;
   }
 
-  /// Sum over materialized cells.
-  double Total() const {
-    double sum = 0.0;
-    for (const auto& [_, c] : counts_) sum += c;
-    return sum;
-  }
-
   /// Materialized cells, unordered.
   const std::unordered_map<uint64_t, double>& cells() const { return counts_; }
 

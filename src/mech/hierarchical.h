@@ -33,7 +33,10 @@
 
 namespace osdp {
 
-/// Parameters of the hierarchical mechanism.
+/// Tree shape of the hierarchical mechanism. Every production caller (the
+/// catalog, the benches) runs the defaults; the struct stays settable
+/// because recipe_test's GLS checks need the unclamped tree at fanout 2,
+/// where the weighted least-squares answer can be worked by hand.
 struct HierarchicalOptions {
   int fanout = 4;                 ///< tree arity (Hay et al. recommend ~4-16)
   bool clamp_non_negative = true; ///< clamp leaf estimates at zero

@@ -100,7 +100,6 @@ class IntervalCostEngine {
   IntervalCostEngine(const std::vector<double>& x, ThreadPool* pool);
 
   /// Domain size d.
-  size_t size() const { return d_; }
 
   /// Σ_{i∈[begin,end)} x_i, from the same sequentially-accumulated prefix
   /// array the naive DP uses (bit-identical interval sums).

@@ -9,6 +9,9 @@ namespace osdp {
 
 namespace {
 
+// The gradient-descent step size; see the header.
+constexpr double kLearningRate = 0.5;
+
 double Sigmoid(double z) {
   if (z >= 0) {
     return 1.0 / (1.0 + std::exp(-z));
@@ -39,17 +42,17 @@ Status ValidateInput(const Matrix& x, const std::vector<int>& y) {
 
 Status ValidateLogisticRegressionOptions(
     const LogisticRegressionOptions& opts) {
-  if (opts.epochs <= 0 || !(opts.learning_rate > 0.0)) {
-    return Status::InvalidArgument("epochs and learning_rate must be positive");
+  if (opts.epochs <= 0) {
+    return Status::InvalidArgument("epochs must be positive");
   }
   if (!(opts.l2_lambda >= 0.0)) {
     return Status::InvalidArgument("l2_lambda must be non-negative");
   }
   // Gradient descent on the regularizer alone contracts weights by a factor
   // (1 - lr·λ) per step; |1 - lr·λ| >= 1 diverges regardless of the data.
-  if (!(opts.learning_rate * opts.l2_lambda < 2.0)) {
+  if (!(kLearningRate * opts.l2_lambda < 2.0)) {
     return Status::InvalidArgument(
-        "learning_rate * l2_lambda must be < 2 for gradient descent to "
+        "l2_lambda must be < 4 for gradient descent at step 0.5 to "
         "converge");
   }
   return Status::OK();
@@ -68,8 +71,7 @@ Status LogisticRegression::FitPerturbed(const Matrix& x,
   OSDP_RETURN_IF_ERROR(ValidateLogisticRegressionOptions(opts));
   const size_t n = x.size();
   num_features_ = x[0].size();
-  has_intercept_ = opts.fit_intercept;
-  const size_t d = num_features_ + (has_intercept_ ? 1 : 0);
+  const size_t d = num_features_ + 1;  // the last weight is the intercept
   if (!b.empty() && b.size() != d) {
     return Status::InvalidArgument("perturbation vector arity mismatch");
   }
@@ -82,18 +84,18 @@ Status LogisticRegression::FitPerturbed(const Matrix& x,
     for (size_t i = 0; i < n; ++i) {
       double z = 0.0;
       for (size_t j = 0; j < num_features_; ++j) z += weights_[j] * x[i][j];
-      if (has_intercept_) z += weights_[d - 1];
+      z += weights_[d - 1];
       // d/dw of log(1+exp(-ỹ z)) = (σ(z) - y) x.
       const double residual = Sigmoid(z) - static_cast<double>(y[i]);
       for (size_t j = 0; j < num_features_; ++j) {
         grad[j] += residual * x[i][j];
       }
-      if (has_intercept_) grad[d - 1] += residual;
+      grad[d - 1] += residual;
     }
     for (size_t j = 0; j < d; ++j) {
       double g = grad[j] * inv_n + opts.l2_lambda * weights_[j];
       if (!b.empty()) g += b[j] * inv_n;
-      weights_[j] -= opts.learning_rate * g;
+      weights_[j] -= kLearningRate * g;
     }
   }
   return Status::OK();
@@ -104,7 +106,7 @@ double LogisticRegression::PredictProbability(
   OSDP_CHECK_MSG(row.size() == num_features_, "feature arity mismatch");
   double z = 0.0;
   for (size_t j = 0; j < num_features_; ++j) z += weights_[j] * row[j];
-  if (has_intercept_) z += weights_.back();
+  z += weights_.back();
   return Sigmoid(z);
 }
 

@@ -1,6 +1,9 @@
 // Logistic regression (the classifier of Section 6.2) and utilities for
 // preparing feature matrices. Trained by full-batch gradient descent on the
-// L2-regularized logistic loss; no external dependencies.
+// L2-regularized logistic loss; no external dependencies. The model always
+// fits an intercept and steps at a fixed learning rate of 0.5
+// (kLearningRate in logistic_regression.cc): every classifier the paper's
+// Figure 1 trains uses both, on standardized or unit-ball rows.
 
 #ifndef OSDP_ML_LOGISTIC_REGRESSION_H_
 #define OSDP_ML_LOGISTIC_REGRESSION_H_
@@ -17,14 +20,13 @@ using Matrix = std::vector<std::vector<double>>;
 
 /// Training options.
 struct LogisticRegressionOptions {
-  double learning_rate = 0.5;
   int epochs = 300;
   double l2_lambda = 1e-3;  ///< regularization strength λ (per-example scale)
-  bool fit_intercept = true;
 };
 
-/// OK when `opts` can train: epochs and learning_rate positive, l2_lambda
-/// non-negative, and learning_rate * l2_lambda < 2. NaN fails every check.
+/// OK when `opts` can train: epochs positive, l2_lambda non-negative, and
+/// 0.5 * l2_lambda < 2 (the step of the fixed learning rate must contract).
+/// NaN fails every check.
 Status ValidateLogisticRegressionOptions(const LogisticRegressionOptions& opts);
 
 /// \brief L2-regularized logistic regression.
@@ -47,13 +49,12 @@ class LogisticRegression {
   /// P(y = 1 | row). Requires a trained model with matching arity.
   double PredictProbability(const std::vector<double>& row) const;
 
-  /// The learned weights (last entry is the intercept when fitted with one).
+  /// The learned weights (the last entry is the intercept).
   const std::vector<double>& weights() const { return weights_; }
 
  private:
   std::vector<double> weights_;
   size_t num_features_ = 0;
-  bool has_intercept_ = false;
 };
 
 /// \brief Column standardizer: (v - mean) / std per feature, fit on training

@@ -66,7 +66,7 @@ Result<LogisticRegression> TrainObjDp(const Matrix& x, const std::vector<int>& y
     erm.l2_lambda = lambda;
   }
 
-  const size_t d = x[0].size() + (erm.fit_intercept ? 1 : 0);
+  const size_t d = x[0].size() + 1;  // features plus the intercept
   const double norm = SampleGammaNorm(rng, d, 2.0 / eps_prime);
   std::vector<double> b = SampleDirection(rng, d);
   for (double& v : b) v *= norm;

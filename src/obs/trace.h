@@ -81,8 +81,6 @@ class TraceRing {
 
   void Push(const Trace& trace);
 
-  size_t capacity() const { return slots_.size(); }
-
   /// Number of traces ever pushed (monotone; size() = min(pushed, capacity)).
   uint64_t pushed() const;
 

@@ -1,11 +1,12 @@
 #include "src/policy/parser.h"
 
 #include <cctype>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "src/common/env.h"
 
 namespace osdp {
 
@@ -176,6 +177,14 @@ class Parser {
         "' at position " + std::to_string(Peek().pos));
   }
 
+  // A number token the strict converters refuse: a second '.', or a value
+  // outside int64 or the finite doubles.
+  static Status BadNumber(const Token& tok) {
+    return Status::InvalidArgument("malformed or out-of-range number '" +
+                                   tok.text + "' at position " +
+                                   std::to_string(tok.pos));
+  }
+
   Result<Predicate> ParseOr() {
     OSDP_ASSIGN_OR_RETURN(Predicate left, ParseAnd());
     while (Match(TokKind::kOr)) {
@@ -226,11 +235,16 @@ class Parser {
   Result<Value> ParseLiteral() {
     const Token tok = Advance();
     switch (tok.kind) {
-      case TokKind::kInt:
-        return Value(static_cast<int64_t>(std::strtoll(tok.text.c_str(),
-                                                       nullptr, 10)));
-      case TokKind::kFloat:
-        return Value(std::strtod(tok.text.c_str(), nullptr));
+      case TokKind::kInt: {
+        long long v = 0;
+        if (!ParseInt64Strict(tok.text.c_str(), &v)) return BadNumber(tok);
+        return Value(static_cast<int64_t>(v));
+      }
+      case TokKind::kFloat: {
+        double v = 0.0;
+        if (!ParseDoubleStrict(tok.text.c_str(), &v)) return BadNumber(tok);
+        return Value(v);
+      }
       case TokKind::kString:
         return Value(tok.text);
       default:

@@ -416,11 +416,6 @@ class QueryService {
   /// MetricsSnapshot() as stable JSON.
   std::string DumpMetricsJson() const;
 
-  /// The service's metric registry (telemetry gate, raw handles). Exposed
-  /// for tests and embedding front ends; instrumentation is write-only, so
-  /// external reads can never perturb answers.
-  obs::MetricsRegistry& metrics_registry() const { return metrics_; }
-
   /// The bounded ring of recent per-query traces (DumpText()/DumpJson() for
   /// the human/scrape views): sampled queries and every failed one. Empty
   /// unless telemetry is enabled.

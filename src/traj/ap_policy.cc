@@ -25,7 +25,7 @@ bool ApSetPolicy::IsSensitive(const Trajectory& traj) const {
   return false;
 }
 
-GenericPolicy<Trajectory> ApSetPolicy::AsPolicy(std::string name) const {
+GenericPolicy<Trajectory> ApSetPolicy::AsPolicy() const {
   std::vector<bool> aps = sensitive_aps_;
   return GenericPolicy<Trajectory>::SensitiveWhen(
       [aps = std::move(aps)](const Trajectory& t) {
@@ -33,8 +33,7 @@ GenericPolicy<Trajectory> ApSetPolicy::AsPolicy(std::string name) const {
           if (s != kAbsent && aps[static_cast<size_t>(s)]) return true;
         }
         return false;
-      },
-      std::move(name));
+      });
 }
 
 double ApSetPolicy::NonSensitiveFraction(

@@ -35,7 +35,7 @@ class ApSetPolicy {
   bool IsSensitive(const Trajectory& traj) const;
 
   /// Wraps as a GenericPolicy for use with the OSDP mechanisms.
-  GenericPolicy<Trajectory> AsPolicy(std::string name = "ap_policy") const;
+  GenericPolicy<Trajectory> AsPolicy() const;
 
   /// Fraction of non-sensitive trajectories under this policy.
   double NonSensitiveFraction(const std::vector<Trajectory>& trajs) const;

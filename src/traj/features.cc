@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "src/common/check.h"
 
 namespace osdp {
 
@@ -41,16 +40,17 @@ int CountOccurrences(const std::vector<int>& seq,
 }  // namespace
 
 std::vector<std::vector<int>> MineFrequentPatterns(
-    const std::vector<Trajectory>& trajs, const FeatureOptions& opts) {
-  OSDP_CHECK(opts.pattern_length > 0);
+    const std::vector<Trajectory>& trajs, int min_support) {
+  constexpr size_t kPatternLength = 3;  // (AP1, AP2, AP3), per the paper
+  constexpr size_t kMaxPatterns = 32;   // keep the most frequent
   // support[pattern] = number of trajectories containing it at least once.
   std::map<std::vector<int>, int> support;
   for (const Trajectory& traj : trajs) {
     const std::vector<int> seq = CompressedSequence(traj);
-    if (seq.size() < static_cast<size_t>(opts.pattern_length)) continue;
+    if (seq.size() < kPatternLength) continue;
     std::vector<std::vector<int>> seen;
-    for (size_t t = 0; t + opts.pattern_length <= seq.size(); ++t) {
-      seen.emplace_back(seq.begin() + t, seq.begin() + t + opts.pattern_length);
+    for (size_t t = 0; t + kPatternLength <= seq.size(); ++t) {
+      seen.emplace_back(seq.begin() + t, seq.begin() + t + kPatternLength);
     }
     std::sort(seen.begin(), seen.end());
     seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
@@ -58,13 +58,13 @@ std::vector<std::vector<int>> MineFrequentPatterns(
   }
   std::vector<std::pair<int, std::vector<int>>> ranked;
   for (const auto& [pattern, sup] : support) {
-    if (sup >= opts.min_pattern_support) ranked.push_back({sup, pattern});
+    if (sup >= min_support) ranked.push_back({sup, pattern});
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<std::vector<int>> out;
   for (const auto& [sup, pattern] : ranked) {
-    if (static_cast<int>(out.size()) >= opts.max_patterns) break;
+    if (out.size() >= kMaxPatterns) break;
     out.push_back(pattern);
   }
   return out;

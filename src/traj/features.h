@@ -13,18 +13,13 @@
 
 namespace osdp {
 
-/// Options for frequent-pattern mining and feature construction.
-struct FeatureOptions {
-  int pattern_length = 3;       ///< (AP1, AP2, AP3) patterns, per the paper
-  int min_pattern_support = 50; ///< appears in >= this many trajectories
-  int max_patterns = 32;        ///< cap, keeping the most frequent
-};
-
-/// \brief Mines consecutive-AP movement patterns of the given length that
-/// appear in at least `min_pattern_support` trajectories (dwell-compressed,
-/// so (a,a,a) dwelling does not qualify). Sorted by support, descending.
+/// \brief Mines consecutive-AP movement patterns (AP1, AP2, AP3) that appear
+/// in at least `min_support` trajectories (dwell-compressed, so (a,a,a)
+/// dwelling does not qualify). Sorted by support, descending, and capped at
+/// the 32 most frequent. The length 3 is the paper's pattern shape and the
+/// cap bounds the feature count; both are constants in features.cc.
 std::vector<std::vector<int>> MineFrequentPatterns(
-    const std::vector<Trajectory>& trajs, const FeatureOptions& opts);
+    const std::vector<Trajectory>& trajs, int min_support);
 
 /// A labeled design matrix for the resident-vs-visitor task.
 struct LabeledFeatures {

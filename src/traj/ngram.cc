@@ -47,7 +47,7 @@ std::vector<std::vector<int>> TrajectoryNGrams(const Trajectory& traj,
   seq.reserve(traj.slots.size());
   for (int16_t s : traj.slots) {
     if (s == kAbsent) continue;
-    if (opts.compress_dwell && !seq.empty() && seq.back() == s) continue;
+    if (!seq.empty() && seq.back() == s) continue;  // dwell
     seq.push_back(s);
   }
   std::vector<std::vector<int>> grams;

@@ -23,10 +23,6 @@ namespace osdp {
 struct NGramOptions {
   int n = 4;            ///< n-gram length
   int alphabet = 64;    ///< number of APs
-  /// Collapse consecutive duplicate APs before windowing, so n-grams encode
-  /// movement rather than dwelling. Matches the paper's frequent patterns
-  /// ("visits the three access points at consecutive time intervals").
-  bool compress_dwell = true;
 };
 
 /// \brief Distinct-user count per n-gram over all trajectories.
@@ -52,8 +48,11 @@ Result<SparseHistogram> NGramLaplace(const SparseHistogram& truncated, int k,
 /// The analytic per-zero-cell absolute error of LM Tk: 2k/ε.
 double NGramLaplaceZeroCellError(int k, double epsilon);
 
-/// \brief n-grams of one trajectory under the given options (dwell
-/// compression applied), de-duplicated.
+/// \brief n-grams of one trajectory under the given options, de-duplicated.
+/// Consecutive duplicate APs are always collapsed before windowing, so
+/// n-grams encode movement rather than dwelling, as the paper's frequent
+/// patterns do ("visits the three access points at consecutive time
+/// intervals"); every bench and example counts that way.
 std::vector<std::vector<int>> TrajectoryNGrams(const Trajectory& traj,
                                                const NGramOptions& opts);
 

@@ -111,22 +111,21 @@ TEST(SamplingTest, SubsampleIsApproximatelyProportional) {
 TEST(MSamplingTest, PreservesShapeWithinTheta) {
   BenchmarkDataset d = *MakeDPBenchDataset("Hepth", 4096, 5);
   Rng rng(4);
-  MSamplingOptions opts;
-  opts.theta = 0.1;
-  Histogram xns = *MSampling(d.hist, 0.5, opts, rng);
+  Histogram xns = *MSampling(d.hist, 0.5, rng);
   EXPECT_TRUE(xns.DominatedBy(d.hist));
   EXPECT_NEAR(xns.Total(), 0.5 * d.hist.Total(), 1.0);
   const double mu = DomainValueMean(d.hist);
   const double sd = DomainValueStddev(d.hist);
-  EXPECT_NEAR(DomainValueMean(xns) / mu, 1.0, opts.theta);
-  EXPECT_NEAR(DomainValueStddev(xns) / sd, 1.0, opts.theta);
+  const double theta = 0.1;  // MSampling's fixed shape tolerance
+  EXPECT_NEAR(DomainValueMean(xns) / mu, 1.0, theta);
+  EXPECT_NEAR(DomainValueStddev(xns) / sd, 1.0, theta);
 }
 
 TEST(MSamplingTest, WorksAcrossTheRatioGrid) {
   BenchmarkDataset d = *MakeDPBenchDataset("Medcost", 1024, 6);
   Rng rng(5);
   for (double rho : {0.99, 0.75, 0.25, 0.01}) {
-    Histogram xns = *MSampling(d.hist, rho, MSamplingOptions{}, rng);
+    Histogram xns = *MSampling(d.hist, rho, rng);
     EXPECT_NEAR(xns.Total(), rho * d.hist.Total(), 1.0) << rho;
     EXPECT_TRUE(xns.DominatedBy(d.hist)) << rho;
   }
@@ -135,15 +134,10 @@ TEST(MSamplingTest, WorksAcrossTheRatioGrid) {
 TEST(MSamplingTest, ValidatesArguments) {
   Histogram x({10, 10});
   Rng rng(6);
-  EXPECT_FALSE(MSampling(x, 0.0, MSamplingOptions{}, rng).ok());
-  EXPECT_FALSE(MSampling(x, 1.5, MSamplingOptions{}, rng).ok());
-  MSamplingOptions opts;
-  opts.theta = 0.0;
-  EXPECT_FALSE(MSampling(x, 0.5, opts, rng).ok());
-  // NaN fails every comparison, so each check must reject it too.
-  EXPECT_FALSE(MSampling(x, std::nan(""), MSamplingOptions{}, rng).ok());
-  opts.theta = std::nan("");
-  EXPECT_FALSE(MSampling(x, 0.5, opts, rng).ok());
+  EXPECT_FALSE(MSampling(x, 0.0, rng).ok());
+  EXPECT_FALSE(MSampling(x, 1.5, rng).ok());
+  // NaN fails every comparison, so the check must reject it too.
+  EXPECT_FALSE(MSampling(x, std::nan(""), rng).ok());
 }
 
 // ----------------------------------------------------------- HiLoSampling --
@@ -152,7 +146,7 @@ TEST(HiLoSamplingTest, ExactTotalAndDomination) {
   BenchmarkDataset d = *MakeDPBenchDataset("Searchlogs", 2048, 7);
   Rng rng(7);
   for (double rho : {0.99, 0.5, 0.1}) {
-    Histogram xns = *HiLoSampling(d.hist, rho, HiLoSamplingOptions{}, rng);
+    Histogram xns = *HiLoSampling(d.hist, rho, rng);
     EXPECT_NEAR(xns.Total(), rho * d.hist.Total(), 1.0) << rho;
     EXPECT_TRUE(xns.DominatedBy(d.hist)) << rho;
   }
@@ -171,12 +165,10 @@ TEST(HiLoSamplingTest, SkewsShapeMoreThanMSampling) {
     return dist;
   };
   Rng rng(8);
-  HiLoSamplingOptions hilo;
-  hilo.beta = 0.2;  // narrower High region → stronger skew
   double far_dist = 0.0, close_dist = 0.0;
   for (int rep = 0; rep < 5; ++rep) {
-    far_dist += shape_distance(*HiLoSampling(d.hist, rho, hilo, rng));
-    close_dist += shape_distance(*MSampling(d.hist, rho, MSamplingOptions{}, rng));
+    far_dist += shape_distance(*HiLoSampling(d.hist, rho, rng));
+    close_dist += shape_distance(*MSampling(d.hist, rho, rng));
   }
   EXPECT_GT(far_dist, close_dist);
 }
@@ -184,21 +176,10 @@ TEST(HiLoSamplingTest, SkewsShapeMoreThanMSampling) {
 TEST(HiLoSamplingTest, ValidatesArguments) {
   Histogram x({10, 10});
   Rng rng(9);
-  EXPECT_FALSE(HiLoSampling(x, 0.0, HiLoSamplingOptions{}, rng).ok());
-  HiLoSamplingOptions opts;
-  opts.gamma = 1.0;
-  EXPECT_FALSE(HiLoSampling(x, 0.5, opts, rng).ok());
-  opts = HiLoSamplingOptions{};
-  opts.beta = 1.0;
-  EXPECT_FALSE(HiLoSampling(x, 0.5, opts, rng).ok());
-  // NaN fails every comparison, so each check must reject it too.
-  EXPECT_FALSE(HiLoSampling(x, std::nan(""), HiLoSamplingOptions{}, rng).ok());
-  opts = HiLoSamplingOptions{};
-  opts.gamma = std::nan("");
-  EXPECT_FALSE(HiLoSampling(x, 0.5, opts, rng).ok());
-  opts = HiLoSamplingOptions{};
-  opts.beta = std::nan("");
-  EXPECT_FALSE(HiLoSampling(x, 0.5, opts, rng).ok());
+  EXPECT_FALSE(HiLoSampling(x, 0.0, rng).ok());
+  EXPECT_FALSE(HiLoSampling(x, 1.5, rng).ok());
+  // NaN fails every comparison, so the check must reject it too.
+  EXPECT_FALSE(HiLoSampling(x, std::nan(""), rng).ok());
 }
 
 // ------------------------------------------------------ shape utilities ----

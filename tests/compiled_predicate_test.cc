@@ -739,7 +739,8 @@ TEST(CompiledPredicateFingerprint, NearMissPairsNeverCollide) {
   for (const Predicate& p : preds) compiled.push_back(FC(p));
   for (size_t i = 0; i < compiled.size(); ++i) {
     for (size_t j = i + 1; j < compiled.size(); ++j) {
-      EXPECT_NE(compiled[i].canonical_key(), compiled[j].canonical_key())
+      EXPECT_NE(*compiled[i].shared_canonical_key(),
+                *compiled[j].shared_canonical_key())
           << "canonical collision between predicate " << i << " and " << j;
       EXPECT_NE(compiled[i].Fingerprint(), compiled[j].Fingerprint())
           << "fingerprint collision between predicate " << i << " and " << j;
@@ -776,8 +777,8 @@ TEST(CompiledPredicateFingerprint, CommutativeLegsFingerprintIdentically) {
             FC(Predicate::Eq("age", Value(1.0))).Fingerprint());
 
   // Recompiling the same predicate reproduces the same key bytes.
-  EXPECT_EQ(FC(Predicate::And(a, b)).canonical_key(),
-            FC(Predicate::And(a, b)).canonical_key());
+  EXPECT_EQ(*FC(Predicate::And(a, b)).shared_canonical_key(),
+            *FC(Predicate::And(a, b)).shared_canonical_key());
 }
 
 // Rebuilds `n` with every And/Or leg pair randomly swapped and every IN list
@@ -846,7 +847,7 @@ TEST(CompiledPredicateFingerprint, EqualCanonicalKeysImplyBitIdenticalMasks) {
     ASSERT_EQ(cp.ok(), cs.ok()) << "commuting changed compilability";
     if (cp.ok()) {
       ++commuted_pairs;
-      EXPECT_EQ(cp->canonical_key(), cs->canonical_key());
+      EXPECT_EQ(*cp->shared_canonical_key(), *cs->shared_canonical_key());
       EXPECT_EQ(cp->Fingerprint(), cs->Fingerprint());
       EXPECT_TRUE(cp->EvalMask(table) == cs->EvalMask(table))
           << "equal canonical keys but diverging masks at iter " << iter;
@@ -855,7 +856,7 @@ TEST(CompiledPredicateFingerprint, EqualCanonicalKeysImplyBitIdenticalMasks) {
     const Predicate q = RandomTree(schema, rng, 3);
     auto cq = CompiledPredicate::Compile(q, schema);
     if (cp.ok() && cq.ok() &&
-        cp->canonical_key() != cq->canonical_key()) {
+        *cp->shared_canonical_key() != *cq->shared_canonical_key()) {
       // At 64 bits a failure here means the hash lost injectivity
       // catastrophically, not an unlucky draw.
       EXPECT_NE(cp->Fingerprint(), cq->Fingerprint());

@@ -70,8 +70,9 @@ TEST(EngineTest, CreateValidates) {
     const auto engine = OsdpEngine::Create(data, policy, opts);
     ASSERT_TRUE(engine.ok()) << n;
     EXPECT_EQ(engine->snapshot()->generation, 0u) << n;
-    EXPECT_EQ(engine->num_rows(), static_cast<size_t>(n));
-    EXPECT_EQ(engine->non_sensitive_mask(), policy.NonSensitiveRowMask(data))
+    EXPECT_EQ(engine->snapshot()->table.num_rows(), static_cast<size_t>(n));
+    EXPECT_EQ(engine->snapshot()->non_sensitive,
+              policy.NonSensitiveRowMask(data))
         << n;
   }
 }
@@ -100,9 +101,10 @@ TEST(EngineTest, CreateRefusesAPolicyThatDoesNotTypeCheck) {
 TEST(EngineTest, InputsOfDeclaresExactlyWhatEachMechanismReads) {
   const OsdpEngine engine =
       *OsdpEngine::Create(MakeData(), OptOutSensitive(), OsdpEngine::Options{});
-  const Histogram x = *ComputeHistogram(engine.data(), AgeQuery());
-  const Histogram xns = *ComputeHistogramMasked(engine.data(), AgeQuery(),
-                                                engine.non_sensitive_mask());
+  const Snapshot& snap = *engine.snapshot();
+  const Histogram x = *ComputeHistogram(snap.table, AgeQuery());
+  const Histogram xns =
+      *ComputeHistogramMasked(snap.table, AgeQuery(), snap.non_sensitive);
   const Histogram zeros(x.size());
   // x_ns ≤ x stays true for both changes, as DAWAz requires.
   Histogram x_changed = x;

@@ -27,11 +27,7 @@ TEST(MetricsTest, MreMatchesHandComputation) {
 TEST(MetricsTest, DeltaFloorsTheDenominator) {
   Histogram truth({0.5});
   Histogram est({1.5});
-  MetricOptions opts;
-  opts.delta = 1.0;
-  EXPECT_DOUBLE_EQ(MeanRelativeError(truth, est, opts), 1.0);  // /max(0.5,1)
-  opts.delta = 0.5;
-  EXPECT_DOUBLE_EQ(MeanRelativeError(truth, est, opts), 2.0);
+  EXPECT_DOUBLE_EQ(MeanRelativeError(truth, est), 1.0);  // /max(0.5, δ = 1)
 }
 
 TEST(MetricsTest, RelPercentiles) {
@@ -156,7 +152,6 @@ TEST(RegretTest, AccumulatorAverages) {
   ASSERT_EQ(avg.size(), 2u);
   EXPECT_DOUBLE_EQ(avg[0].regret, 2.0);
   EXPECT_DOUBLE_EQ(avg[1].regret, 1.5);
-  EXPECT_EQ(acc.inputs(), 2u);
 }
 
 // ------------------------------------------------------------ TextTable ----

@@ -43,7 +43,7 @@ TEST(IntegrationTest, OsdpRRClassificationBeatsObjDpAtLowEpsilon) {
   const TrajectoryDataset& sim = Sim();
   ApSetPolicy ap_policy =
       *CalibrateApPolicy(sim.trajectories, sim.config.num_aps, 0.75);
-  auto policy = ap_policy.AsPolicy("P75");
+  auto policy = ap_policy.AsPolicy();
 
   // OsdpRR releases a true sample of non-sensitive trajectories.
   Rng rng(1);
@@ -54,9 +54,7 @@ TEST(IntegrationTest, OsdpRRClassificationBeatsObjDpAtLowEpsilon) {
   std::vector<Trajectory> sample;
   for (size_t i : released) sample.push_back(sim.trajectories[i]);
 
-  FeatureOptions fopts;
-  fopts.min_pattern_support = 25;
-  auto patterns = MineFrequentPatterns(sample, fopts);
+  auto patterns = MineFrequentPatterns(sample, /*min_support=*/25);
   LabeledFeatures feats = *BuildClassificationFeatures(
       sample, sim.users, sim.config.num_aps, patterns);
 
@@ -79,7 +77,7 @@ TEST(IntegrationTest, OsdpRRNgramsBeatLaplaceAtLowEpsilon) {
   const TrajectoryDataset& sim = Sim();
   ApSetPolicy ap_policy =
       *CalibrateApPolicy(sim.trajectories, sim.config.num_aps, 0.90);
-  auto policy = ap_policy.AsPolicy("P90");
+  auto policy = ap_policy.AsPolicy();
 
   NGramOptions nopts;
   nopts.n = 4;
@@ -143,7 +141,7 @@ TEST(IntegrationTest, ApHourHistogramSuiteRuns) {
 TEST(IntegrationTest, OsdpBeatsDawaOnSparseAdultAtHighNsRatio) {
   BenchmarkDataset adult = *MakeDPBenchDataset("Adult", 4096, 9);
   Rng rng(3);
-  Histogram xns = *MSampling(adult.hist, 0.99, MSamplingOptions{}, rng);
+  Histogram xns = *MSampling(adult.hist, 0.99, rng);
   SuiteRunOptions opts;
   opts.repetitions = 5;
   opts.seed = 77;
@@ -159,7 +157,7 @@ TEST(IntegrationTest, DawaCompetitiveAtLowNsRatio) {
   // Figure 6: at ρx ≤ 0.25 the DP algorithms win against pure OSDP ones.
   BenchmarkDataset patent = *MakeDPBenchDataset("Patent", 4096, 9);
   Rng rng(4);
-  Histogram xns = *MSampling(patent.hist, 0.10, MSamplingOptions{}, rng);
+  Histogram xns = *MSampling(patent.hist, 0.10, rng);
   SuiteRunOptions opts;
   opts.repetitions = 3;
   auto scores = *RunSuite(StandardSuite(), patent.hist, xns, 1.0,

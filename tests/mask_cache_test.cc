@@ -669,7 +669,7 @@ TEST(MaskCacheServiceTest, GenerationIsolationAfterIngest) {
   opts.per_session_epsilon = 1e7;
   auto engine = CensusEngine(1e8, 200);
   const Policy policy = CensusPolicy();
-  Table accumulated = engine.data();
+  Table accumulated = engine.snapshot()->table;
   auto service = *QueryService::Create(std::move(engine), opts);
   const auto session = service->OpenSession("alice");
   const Predicate where = Predicate::Le("age", Value(40));

@@ -83,7 +83,7 @@ TEST(OsdpRRTest, EmpiricalReleaseRateMatchesFormula) {
   const TableView released = *OsdpRRReleaseView(
       t, MinorsSensitive().NonSensitiveRowMask(t), eps, rng);
   const double rate =
-      static_cast<double>(released.num_rows()) /
+      static_cast<double>(released.mask().Count()) /
       static_cast<double>(t.num_rows());
   EXPECT_NEAR(rate, OsdpRRReleaseProbability(eps), 0.01);
 }

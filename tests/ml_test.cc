@@ -49,7 +49,6 @@ TEST(LogisticRegressionTest, InterceptShiftsDecision) {
 
 TEST(LogisticRegressionTest, RejectsDivergentStepSize) {
   LogisticRegressionOptions opts;
-  opts.learning_rate = 0.5;
   opts.l2_lambda = 10.0;  // 0.5 * 10 >= 2 → contraction factor -4
   LogisticRegression model;
   EXPECT_EQ(model.Fit({{1.0}}, {1}, opts).code(),

@@ -114,6 +114,30 @@ TEST(ParserTest, ErrorsCarryPositions) {
   EXPECT_NE(s.message().find("position"), std::string::npos);
 }
 
+// A number token is converted whole: a second '.' or a value past int64 or
+// the finite doubles is an error naming the token's position, never the
+// number's valid prefix or a saturated value.
+TEST(ParserTest, MalformedNumbersAreInvalidArgument) {
+  const std::string past_double_max = "salary < 1" + std::string(400, '0');
+  for (const std::string& text :
+       {std::string("age <= 1.2.3"), std::string("age <= 1..5"),
+        std::string("age = 99999999999999999999"),
+        std::string("age = -99999999999999999999"),
+        std::string("age IN (1, 2.3.4)"), past_double_max + ".5"}) {
+    const Status s = ParsePredicate(text).status();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(s.message().find("at position "), std::string::npos) << text;
+  }
+  EXPECT_NE(ParsePredicate("age <= 1.2.3").status().message().find(
+                "'1.2.3' at position 7"),
+            std::string::npos);
+  // The extremes that do fit still parse exactly.
+  EXPECT_EQ(ParsePredicate("age = 9223372036854775807")->ToString(),
+            "age = 9223372036854775807");
+  EXPECT_EQ(ParsePredicate("age = -9223372036854775808")->ToString(),
+            "age = -9223372036854775808");
+}
+
 std::string Repeat(const std::string& unit, size_t n) {
   std::string out;
   for (size_t i = 0; i < n; ++i) out += unit;

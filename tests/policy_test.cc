@@ -119,27 +119,9 @@ TEST(PolicyTest, RelaxationOrderOnTable) {
 
 TEST(GenericPolicyTest, WrapsArbitraryTypes) {
   auto policy = GenericPolicy<int>::SensitiveWhen(
-      [](const int& v) { return v < 0; }, "negatives");
-  EXPECT_TRUE(policy.IsSensitive(-3));
+      [](const int& v) { return v < 0; });
+  EXPECT_FALSE(policy.IsNonSensitive(-3));
   EXPECT_TRUE(policy.IsNonSensitive(5));
-  EXPECT_DOUBLE_EQ(policy.NonSensitiveFraction({-1, 2, 3, -4}), 0.5);
-}
-
-TEST(GenericPolicyTest, MinimumRelaxation) {
-  auto neg = GenericPolicy<int>::SensitiveWhen([](int v) { return v < 0; });
-  auto odd = GenericPolicy<int>::SensitiveWhen([](int v) { return v % 2 != 0; });
-  auto mr = GenericPolicy<int>::MinimumRelaxation(neg, odd);
-  EXPECT_TRUE(mr.IsSensitive(-3));    // negative and odd
-  EXPECT_FALSE(mr.IsSensitive(-2));   // negative only
-  EXPECT_FALSE(mr.IsSensitive(3));    // odd only
-  EXPECT_FALSE(mr.IsSensitive(4));
-}
-
-TEST(GenericPolicyTest, AllSensitiveAllNonSensitive) {
-  auto all = GenericPolicy<int>::AllSensitive();
-  auto none = GenericPolicy<int>::AllNonSensitive();
-  EXPECT_TRUE(all.IsSensitive(7));
-  EXPECT_TRUE(none.IsNonSensitive(7));
 }
 
 // ---------------------------------------------------------------- Budget ---
@@ -211,13 +193,14 @@ TEST(BudgetTest, ConcurrentSpendersNeverOvershootTotal) {
   constexpr int kThreads = 8;
   constexpr int kAttemptsPerThread = 50;
   constexpr double kCharge = 0.01;
-  SharedBudget budget(1.0);
+  constexpr double kTotal = 1.0;
+  SharedBudget budget(kTotal);
   std::atomic<int> granted{0};
   std::atomic<bool> done{false};
   std::atomic<bool> overshoot_seen{false};
   std::thread observer([&] {
     while (!done.load()) {
-      if (budget.spent() > budget.total() + 1e-9) overshoot_seen = true;
+      if (budget.spent() > kTotal + 1e-9) overshoot_seen = true;
     }
   });
   std::vector<std::thread> spenders;
@@ -235,9 +218,9 @@ TEST(BudgetTest, ConcurrentSpendersNeverOvershootTotal) {
   EXPECT_FALSE(overshoot_seen.load());
   // 400 attempts at 0.01 against 1.0: exactly 100 fit.
   EXPECT_EQ(granted.load(), 100);
-  EXPECT_LE(budget.spent(), budget.total() + 1e-9);
+  EXPECT_LE(budget.spent(), kTotal + 1e-9);
   EXPECT_NEAR(budget.spent(), granted.load() * kCharge, 1e-9);
-  EXPECT_NEAR(budget.remaining(), budget.total() - granted.load() * kCharge,
+  EXPECT_NEAR(budget.remaining(), kTotal - granted.load() * kCharge,
               1e-9);
 }
 
@@ -250,7 +233,6 @@ TEST(BudgetReservationTest, DestroyedWithoutCommitRefundsBothBudgets) {
     Result<BudgetReservation> r =
         BudgetReservation::Acquire(&session, "s", &service, "v", 0.4);
     ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r->held());
     EXPECT_DOUBLE_EQ(session.spent(), 0.4);
     EXPECT_DOUBLE_EQ(service.spent(), 0.4);
   }
@@ -268,7 +250,6 @@ TEST(BudgetReservationTest, CommitMakesTheChargePermanent) {
         BudgetReservation::Acquire(&session, "s", &service, "v", 0.4);
     ASSERT_TRUE(r.ok());
     r->Commit();
-    EXPECT_FALSE(r->held());
   }
   EXPECT_DOUBLE_EQ(session.spent(), 0.4);
   EXPECT_DOUBLE_EQ(service.spent(), 0.4);
@@ -284,9 +265,6 @@ TEST(BudgetReservationTest, MoveTransfersTheRefundExactlyOnce) {
         *BudgetReservation::Acquire(&session, "s", &service, "v", 0.3);
     {
       BudgetReservation second = std::move(first);
-      EXPECT_FALSE(first.held());
-      EXPECT_TRUE(second.held());
-      EXPECT_DOUBLE_EQ(second.epsilon(), 0.3);
       EXPECT_DOUBLE_EQ(session.spent(), 0.3);
     }  // second refunds here
     EXPECT_EQ(session.spent(), 0.0);
@@ -303,7 +281,6 @@ TEST(BudgetReservationTest, MoveTransfersTheRefundExactlyOnce) {
         *BudgetReservation::Acquire(&session, "b", &service, "b", 0.3);
     b = std::move(a);
     EXPECT_DOUBLE_EQ(session.spent(), 0.2);
-    EXPECT_DOUBLE_EQ(b.epsilon(), 0.2);
   }
   EXPECT_NEAR(session.spent(), 0.0, 1e-12);
   EXPECT_NEAR(service.spent(), 0.0, 1e-12);

@@ -160,7 +160,7 @@ TEST_P(DatasetSweep, DawaPartitionTilesDomain) {
 TEST_P(DatasetSweep, DawazOutputsValidHistogram) {
   BenchmarkDataset d = *MakeDPBenchDataset(GetParam(), 1024, 5);
   Rng rng(4);
-  Histogram xns = *MSampling(d.hist, 0.9, MSamplingOptions{}, rng);
+  Histogram xns = *MSampling(d.hist, 0.9, rng);
   Histogram out = *Dawaz(d.hist, xns, 1.0, rng);
   ASSERT_EQ(out.size(), d.hist.size());
   for (size_t i = 0; i < out.size(); ++i) {
@@ -173,8 +173,8 @@ TEST_P(DatasetSweep, SamplersPreserveRecordSemantics) {
   BenchmarkDataset d = *MakeDPBenchDataset(GetParam(), 1024, 6);
   Rng rng(5);
   for (double rho : {0.9, 0.25}) {
-    Histogram close = *MSampling(d.hist, rho, MSamplingOptions{}, rng);
-    Histogram far = *HiLoSampling(d.hist, rho, HiLoSamplingOptions{}, rng);
+    Histogram close = *MSampling(d.hist, rho, rng);
+    Histogram far = *HiLoSampling(d.hist, rho, rng);
     EXPECT_TRUE(close.DominatedBy(d.hist));
     EXPECT_TRUE(far.DominatedBy(d.hist));
     EXPECT_NEAR(close.Total(), rho * d.hist.Total(), 1.0);

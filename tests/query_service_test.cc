@@ -95,11 +95,11 @@ TEST(QueryServiceTest, CountMatchesNoiselessTruthWithinNoiseBound) {
   QueryService::Options opts;
   opts.pool = &pool;
   auto engine = CensusEngine(1000.0);
-  const Table& data = engine.data();
+  const Table& data = engine.snapshot()->table;
   const CompiledPredicate compiled = *CompiledPredicate::Compile(
       Predicate::Le("age", Value(40)), data.schema());
   RowMask truth = compiled.EvalMask(data);
-  truth.AndWith(engine.non_sensitive_mask());
+  truth.AndWith(engine.snapshot()->non_sensitive);
   const double true_count = static_cast<double>(truth.Count());
 
   opts.per_session_epsilon = 600.0;
@@ -395,7 +395,7 @@ TEST(QueryServiceSerialTest, SampleChargesBothBudgetsAndHoldsOnlyNonSensitive) {
 
   ASSERT_TRUE(answer.sample.has_value());
   const TableView& sample = *answer.sample;
-  EXPECT_GT(sample.num_rows(), 0u);
+  EXPECT_GT(sample.mask().Count(), 0u);
   EXPECT_EQ(sample.snapshot(), s.service().current_snapshot());
   EXPECT_TRUE(sample.mask().IsSubsetOf(
       CensusPolicy().NonSensitiveRowMask(sample.table())));
@@ -589,7 +589,7 @@ TEST(QueryServiceConcurrencyTest, PooledSamplesMatchTheirSerialReplay) {
   opts.pool = &pool;
   opts.per_session_epsilon = 10.0;
   OsdpEngine engine = CensusEngine(10.0, 1000);
-  const Table table = engine.data();
+  const Table table = engine.snapshot()->table;
   auto service = *QueryService::Create(std::move(engine), opts);
   const QueryService::SessionId session = service->OpenSession("alice");
 
@@ -618,7 +618,7 @@ TEST(QueryServiceStreamingTest, IngestPublishesGenerationsAndIsolatesQueries) {
   opts.per_session_epsilon = 5000.0;
   auto engine = CensusEngine(10000.0, 200);
   const Policy policy = CensusPolicy();
-  Table accumulated = engine.data();
+  Table accumulated = engine.snapshot()->table;
   auto service = *QueryService::Create(std::move(engine), opts);
   const auto session = service->OpenSession("alice");
   EXPECT_EQ(service->current_generation(), 0u);

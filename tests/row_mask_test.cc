@@ -96,14 +96,14 @@ TEST(RowMaskTest, BoolsRoundTrip) {
 }
 
 TEST(RowMaskTest, EqualityAndEmpty) {
-  EXPECT_TRUE(RowMask().empty());
+  EXPECT_EQ(RowMask().size(), 0u);
   RowMask a(65), b(65);
   EXPECT_EQ(a, b);
   a.Set(64);
-  EXPECT_NE(a, b);
+  EXPECT_FALSE(a == b);
   b.Set(64);
   EXPECT_EQ(a, b);
-  EXPECT_NE(RowMask(64), RowMask(65));
+  EXPECT_FALSE(RowMask(64) == RowMask(65));
 }
 
 TEST(RowMaskTest, ZeroRows) {

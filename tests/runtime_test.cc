@@ -30,6 +30,7 @@
 #include "src/hist/histogram_query.h"
 #include "src/runtime/parallel_scan.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/table_rows.h"
 #include "tests/reference_predicate.h"
 
 namespace osdp {
@@ -281,7 +282,6 @@ Table TableOfSize(size_t rows, uint64_t seed) {
   CensusTableOptions opts;
   opts.num_rows = rows;
   opts.seed = seed;
-  opts.num_categories = 5;
   return MakeCensusTable(opts);
 }
 
@@ -418,7 +418,7 @@ TEST(ParallelScanTest, FrameOfReferenceChunksMatchTheReferenceAtEveryShard) {
   // Cells read back exactly, and each sealed chunk took the narrowest width.
   const ChunkedColumn<int64_t>& col = table.Int64Column(0);
   for (size_t r = 0; r < v.size(); ++r) ASSERT_EQ(col[r], v[r]) << "row " << r;
-  ASSERT_EQ(col.ToVector(), v);
+  ASSERT_EQ(ColumnCells(col), v);
   size_t chunk = 0;
   col.ForEachSpan(0, col.size(), [&](const auto& cells, size_t begin,
                                      size_t len) {
@@ -797,7 +797,7 @@ Predicate RandomClause(Rng& rng, int depth) {
           "income", Value(20000.0 + 1000.0 * rng.NextBounded(60)));
     case 3:
       return Predicate::Eq("race",
-                           Value("C" + std::to_string(rng.NextBounded(5))));
+                           Value("C" + std::to_string(rng.NextBounded(8))));
     case 4:
       return rng.NextBernoulli(0.5) ? Predicate::True() : Predicate::False();
     case 5:

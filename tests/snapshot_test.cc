@@ -314,7 +314,7 @@ TEST(TableBuilderTest, EmptyBatchIsANoOp) {
   TableBuilder builder = *TableBuilder::Create(CensusRows(9, 0xA5),
                                                CensusPolicy());
   ASSERT_TRUE(builder.Append(CensusRows(0, 0xA6)).ok());
-  EXPECT_EQ(builder.num_rows(), 9u);
+  EXPECT_EQ(builder.BuildSnapshot(1)->table.num_rows(), 9u);
   EXPECT_TRUE(builder.BuildSnapshot(1)->non_sensitive ==
               CensusPolicy().NonSensitiveRowMask(CensusRows(9, 0xA5)));
 }
@@ -326,7 +326,7 @@ TEST(TableBuilderTest, SchemaMismatchRejectedWithoutMutation) {
       TableFromRows(Schema({{"other", ValueType::kInt64}}), {{Value(1)}});
   const Status status = builder.Append(wrong);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(builder.num_rows(), 8u);
+  EXPECT_EQ(builder.BuildSnapshot(1)->table.num_rows(), 8u);
 }
 
 TEST(TableBuilderTest, CreateRejectsPolicyThatDoesNotTypeCheck) {

@@ -91,6 +91,18 @@ inline Row RowAt(const Table& table, size_t row) {
   return out;
 }
 
+/// Every cell of `col` in order, as one flat vector.
+template <typename T>
+std::vector<T> ColumnCells(const ChunkedColumn<T>& col) {
+  std::vector<T> out;
+  out.reserve(col.size());
+  col.ForEachSpan(0, col.size(), [&](const auto& cells, size_t /*begin*/,
+                                     size_t len) {
+    for (size_t i = 0; i < len; ++i) out.push_back(cells[i]);
+  });
+  return out;
+}
+
 }  // namespace osdp
 
 #endif  // OSDP_TESTS_TABLE_ROWS_H_

@@ -179,8 +179,9 @@ TEST(ApPolicyTest, AsGenericPolicyAgrees) {
   ApSetPolicy policy(aps);
   auto generic = policy.AsPolicy();
   Trajectory t = MakeTraj({0, 1});
-  EXPECT_EQ(policy.IsSensitive(t), generic.IsSensitive(t));
-  EXPECT_TRUE(generic.IsSensitive(t));
+  EXPECT_TRUE(policy.IsSensitive(t));
+  EXPECT_FALSE(generic.IsNonSensitive(t));
+  EXPECT_TRUE(generic.IsNonSensitive(MakeTraj({1, 2})));
 }
 
 TEST(ApPolicyTest, CalibrationApproachesTargets) {
@@ -268,16 +269,13 @@ TEST(NGramTest, ValidatesDomainFitsCellIds) {
   EXPECT_FALSE(NGramDistinctUsers({}, opts).ok());
 }
 
-TEST(NGramTest, DwellCompressionControlsWindowing) {
+TEST(NGramTest, DwellIsCompressedBeforeWindowing) {
   Trajectory t = MakeTraj({1, 1, 1, 2});
-  NGramOptions compress;
-  compress.n = 2;
-  compress.alphabet = 8;
-  compress.compress_dwell = true;
-  EXPECT_EQ(TrajectoryNGrams(t, compress).size(), 1u);  // (1,2)
-  NGramOptions raw = compress;
-  raw.compress_dwell = false;
-  EXPECT_EQ(TrajectoryNGrams(t, raw).size(), 2u);  // (1,1), (1,2)
+  NGramOptions opts;
+  opts.n = 2;
+  opts.alphabet = 8;
+  // (1,2) only: without compression (1,1) would be a second 2-gram.
+  EXPECT_EQ(TrajectoryNGrams(t, opts), (std::vector<std::vector<int>>{{1, 2}}));
 }
 
 // --------------------------------------------------------------- Features --
@@ -286,18 +284,14 @@ TEST(FeatureTest, MiningFindsPlantedPattern) {
   std::vector<Trajectory> trajs;
   for (int i = 0; i < 60; ++i) trajs.push_back(MakeTraj({7, 8, 9}, i));
   for (int i = 0; i < 10; ++i) trajs.push_back(MakeTraj({1, 2, 3}, 60 + i));
-  FeatureOptions opts;
-  opts.min_pattern_support = 50;
-  auto patterns = MineFrequentPatterns(trajs, opts);
+  auto patterns = MineFrequentPatterns(trajs, /*min_support=*/50);
   ASSERT_EQ(patterns.size(), 1u);
   EXPECT_EQ(patterns[0], (std::vector<int>{7, 8, 9}));
 }
 
 TEST(FeatureTest, BuildsLabeledMatrix) {
   const TrajectoryDataset& sim = SmallSim();
-  FeatureOptions opts;
-  opts.min_pattern_support = 30;
-  auto patterns = MineFrequentPatterns(sim.trajectories, opts);
+  auto patterns = MineFrequentPatterns(sim.trajectories, /*min_support=*/30);
   LabeledFeatures feats = *BuildClassificationFeatures(
       sim.trajectories, sim.users, sim.config.num_aps, patterns);
   ASSERT_EQ(feats.x.size(), sim.trajectories.size());
